@@ -17,6 +17,8 @@ import time
 import numpy as np
 
 from . import duality as du
+from . import expressions as ex
+from . import fields as fl
 from . import grids as gr
 from . import holonomy as ho
 from . import models as md
@@ -67,7 +69,8 @@ class Report:
         for name, value, tol, passed in self.checks:
             status = "pass" if passed else "FAIL"
             lines.append(f"check {name} = {value} tol {tol} {status}")
-        lines.append(f"result = {'pass' if self.all_passed else 'FAIL'}")
+        ok = self.all_passed and "error" not in self.meta
+        lines.append(f"result = {'pass' if ok else 'FAIL'}")
         return "\n".join(lines) + "\n"
 
 
@@ -131,7 +134,6 @@ def cmd_models(args) -> tuple[int, Report]:
     rep.info("nv", m.n_v)
     rep.info("chart", m.chart.kind)
     for (i, j) in sorted(m.entries):
-        from . import expressions as ex
         rep.info(f"N[{i + 1},{j + 1}]", ex.to_text(m.entries[(i, j)]))
     # sample value serialised as (re, im) row-major pairs
     p0 = np.array([0.0, 1.0]) if m.chart.kind == "poincare" else \
@@ -275,12 +277,13 @@ def cmd_residuals(args) -> tuple[int, Report]:
                                         "input_digest": _digest(text),
                                         "model": cfg.model.name,
                                         "grid": "x".join(map(str, cfg.grid.shape))})
-    out = gr.residual_report(cfg)
+    inner = cfg.grid.interior()
+    loc = gr.scalar_residual(cfg, "local")[inner]
+    out = gr.ResidualReport.from_fields(cfg, gr.einstein_residual(cfg, check=False)[inner],
+                                        loc, gr.maxwell_residual(cfg)[inner])
     for name, value in out.rows():
         rep.info(name, value)
     # consistency of the two scalar assemblies is the pass/fail content
-    inner = cfg.grid.interior()
-    loc = gr.scalar_residual(cfg, "local")[inner]
     glo = gr.scalar_residual(cfg, "global")[inner]
     rep.add("scalar_assembly_gap", float(np.max(np.abs(loc - glo))), tol=1e-9)
     rep.add("selfdual_violation", out.selfdual_violation, tol=1e-8)
@@ -347,12 +350,18 @@ def cmd_spinor_check(args) -> tuple[int, Report]:
         rep.info("error", f"unknown frame {args.frame!r}")
         return 2, rep
     fr9, fr13 = _spinor_frames(args.frame, args.lam)
+    # both residual maxima are taken over one region, the coarse grid's
+    # margin-2 interior, so their ratio measures convergence at fixed points
+    region = fr9.grid.coords()[fr9.grid.interior()].reshape(-1, 4)
+    lo, hi = region.min(axis=0) - 1e-9, region.max(axis=0) + 1e-9
     res, defects = [], []
     for fr in (fr9, fr13):
         eps = sn.integrate_killing(fr, args.lam, eps0)
-        res.append(sn.killing_residual_max(fr, eps, args.lam))
+        x = fr.grid.coords()
+        inside = np.all((x >= lo) & (x <= hi), axis=-1)
+        res.append(float(np.max(np.abs(sn.killing_residual(fr, eps, args.lam)[inside]))))
         defects.append(sn.path_defect(fr, args.lam, eps0))
-    order = float(np.log(res[0] / res[1]) / np.log(13 / 9))
+    order = float(np.log(res[0] / res[1]) / np.log(fr9.grid.h[0] / fr13.grid.h[0]))
     rep.add("residual_coarse", res[0], tol=None, passed=res[0] < 1.0)
     rep.add("residual_order", order, tol=None, passed=1.5 <= order <= 2.5)
     rep.add("path_defect_shrinks", defects[1] / defects[0], tol=None,
@@ -474,11 +483,8 @@ def run(argv: list[str]) -> tuple[int, str]:
     t0 = time.time()
     try:
         code, rep = args.func(args)
-    except FileInputError as err:
-        rep = Report(args.command, _seed())
-        rep.info("error", str(err))
-        return 3, rep.text()
-    except (ho.PresentationError, gr.GridError, md.ModelError) as err:
+    except (FileInputError, ho.PresentationError, gr.GridError, gr.DomainExitError,
+            md.ModelError, fl.SingularMetricError, ex.ExprSyntaxError, sp.PoleError) as err:
         rep = Report(args.command, _seed())
         rep.info("error", str(err))
         return 3, rep.text()

@@ -13,9 +13,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 from . import expressions as ex
-from .models import ScalarChart
+from .models import ScalarChart, checked_periods
 from .symplectic import (fractional_action, infinitesimal_fractional_action,
-                         sp_basis)
+                         null_space, sp_basis)
 
 RANK_RTOL = 1e-8       # relative singular value threshold for rank decisions
 TOL_LIFT = 1e-8        # normalized residual below which a lift is accepted
@@ -26,18 +26,13 @@ class SampleInstabilityError(RuntimeError):
     """Reported dimension changed when the sample set was doubled."""
 
 
-def _coord_env(chart: ScalarChart, p: np.ndarray) -> dict[str, complex]:
-    """Symbol environment for Killing field components: x, y on the half
-    plane, x1..xk on flat charts."""
+def _coord_env(chart: ScalarChart, p: np.ndarray) -> dict[str, np.ndarray]:
+    """Symbol environment for Killing field components at a point or a stack
+    of points: x, y on the half plane, x1..xk on flat charts."""
     if chart.kind == "poincare":
-        return {"x": complex(p[0]), "y": complex(p[1])}
+        p = np.asarray(p, dtype=float)
+        return {"x": p[..., 0] + 0j, "y": p[..., 1] + 0j}
     return chart.env(p)
-
-
-def _coord_denv(chart: ScalarChart, v: np.ndarray) -> dict[str, complex]:
-    if chart.kind == "poincare":
-        return {"x": complex(v[0]), "y": complex(v[1])}
-    return chart.denv(v)
 
 
 @dataclass(frozen=True)
@@ -48,30 +43,32 @@ class KillingField:
     chart: ScalarChart
     components: tuple[ex.Expr, ...]
 
+    # value, jacobian and lie_derivative_metric take a point (dim,) or a
+    # stack of points (..., dim).
+
+    def _stack(self, value, shape: tuple[int, ...], axis: int) -> np.ndarray:
+        return np.stack([np.broadcast_to(np.real(value(c)), shape)
+                         for c in self.components], axis=axis)
+
     def value(self, p: np.ndarray) -> np.ndarray:
+        p = np.asarray(p, dtype=float)
         env = _coord_env(self.chart, p)
-        return np.array([ex.evaluate(c, env).real for c in self.components])
+        return self._stack(lambda c: ex.evaluate(c, env), p.shape[:-1], -1)
 
     def jacobian(self, p: np.ndarray) -> np.ndarray:
         """d xi^i / d x^j, exact from the expression derivative."""
-        env = _coord_env(self.chart, p)
+        p = np.asarray(p, dtype=float)
         dim = self.chart.dim
-        out = np.zeros((dim, dim))
-        for j in range(dim):
-            v = np.zeros(dim)
-            v[j] = 1.0
-            denv = _coord_denv(self.chart, v)
-            for i, c in enumerate(self.components):
-                out[i, j] = ex.derivative(c, env, denv).real
-        return out
+        env = _coord_env(self.chart, p[..., None, :])     # axis j: direction
+        denv = _coord_env(self.chart, np.eye(dim))
+        return self._stack(lambda c: ex.derivative(c, env, denv), p.shape[:-1] + (dim,), -2)
 
     def lie_derivative_metric(self, p: np.ndarray) -> np.ndarray:
         """(L_xi G)_ij = xi^k dG_ij/dx^k + G_kj dxi^k/dx^i + G_ik dxi^k/dx^j."""
         g = self.chart.metric(p)
-        dg = self.chart.metric_deriv(p)
-        xi = self.value(p)
         dxi = self.jacobian(p)
-        return np.einsum("k,kij->ij", xi, dg) + dxi.T @ g + g @ dxi
+        return (np.einsum("...k,...kij->...ij", self.value(p), self.chart.metric_deriv(p))
+                + np.swapaxes(dxi, -1, -2) @ g + g @ dxi)
 
 
 def killing_basis(chart: ScalarChart) -> list[KillingField]:
@@ -105,48 +102,31 @@ def killing_basis(chart: ScalarChart) -> list[KillingField]:
 
 def killing_residual(field_: KillingField, points: np.ndarray) -> float:
     """Max-norm of the metric Lie derivative over the points."""
-    worst = 0.0
-    for p in np.atleast_2d(points):
-        worst = max(worst, float(np.max(np.abs(field_.lie_derivative_metric(p)))))
-    return worst
+    lie = field_.lie_derivative_metric(np.atleast_2d(points))
+    return float(np.max(np.abs(lie), initial=0.0))
 
 
 # ------------------------------------------------------------ linear systems
 
 def _sym_upper_rows(m: np.ndarray) -> np.ndarray:
-    """Real row vector from the upper triangle of a complex symmetric matrix."""
-    n = m.shape[0]
-    iu = np.triu_indices(n)
-    vals = m[iu]
-    return np.concatenate([vals.real, vals.imag])
+    """Real rows from the upper triangles of complex symmetric matrices
+    (..., n, n): real parts, then imaginary parts."""
+    iu = np.triu_indices(m.shape[-1])
+    vals = m[..., iu[0], iu[1]]
+    return np.concatenate([vals.real, vals.imag], axis=-1)
 
 
 def _stab_rows(model, basis, points) -> np.ndarray:
-    """Rows of the linearized stabilizer condition at the sample points."""
-    rows = []
-    for p in points:
-        tau = model.period(p).tau
-        for b in basis:
-            rows.append(_sym_upper_rows(infinitesimal_fractional_action(b, tau)))
-    # each sample contributes n(n+1) equations; transpose to (eqs, unknowns)
-    n_pts = len(points)
-    block = np.array(rows)  # (n_pts * n_basis, n(n+1))
-    n_basis = len(basis)
-    eqs_per_pt = block.shape[1]
-    out = np.zeros((n_pts * eqs_per_pt, n_basis))
-    for k in range(n_pts):
-        seg = block[k * n_basis:(k + 1) * n_basis]  # (n_basis, eqs)
-        out[k * eqs_per_pt:(k + 1) * eqs_per_pt, :] = seg.T
-    return out
+    """Rows of the linearized stabilizer condition at the sample points:
+    n(n+1) equations per point, one column per basis element."""
+    tau = checked_periods(model, points)
+    cols = [_sym_upper_rows(infinitesimal_fractional_action(b, tau)) for b in basis]
+    return np.stack(cols, axis=-1).reshape(-1, len(basis))
 
 
-def _nullspace(a: np.ndarray, rtol: float = RANK_RTOL) -> np.ndarray:
-    if a.size == 0:
-        return np.eye(a.shape[1])
-    u, s, vh = np.linalg.svd(a, full_matrices=True)
-    tol = rtol * (s[0] if s.size else 1.0)
-    rank = int(np.sum(s > tol))
-    return vh[rank:].T
+def _period_rows(model, xi: KillingField, points) -> np.ndarray:
+    """Period derivative along xi at the sample points, in stabilizer row order."""
+    return _sym_upper_rows(model.period_directional(points, xi.value(points))).ravel()
 
 
 def _default_samples(model, count: int = 16) -> np.ndarray:
@@ -178,8 +158,8 @@ def stab_sp_algebra(model, samples: np.ndarray | None = None) -> StabilizerRepor
     basis = sp_basis(model.n_v)
     rows_half = _stab_rows(model, basis, samples[: max(len(samples) // 2, 1)])
     rows_full = _stab_rows(model, basis, samples)
-    null_half = _nullspace(rows_half)
-    null_full = _nullspace(rows_full)
+    null_half = null_space(rows_half, RANK_RTOL)
+    null_full = null_space(rows_full, RANK_RTOL)
     if null_half.shape[1] != null_full.shape[1]:
         raise SampleInstabilityError(
             f"stabilizer dim changed {null_half.shape[1]} -> {null_full.shape[1]} when doubling samples")
@@ -188,12 +168,10 @@ def stab_sp_algebra(model, samples: np.ndarray | None = None) -> StabilizerRepor
     if mats:
         residual = float(max(np.max(np.abs(rows_full @ null_full)), 0.0))
     # exact check that -Id fixes every sampled period value
-    minus_ok = True
-    for p in samples:
-        tau = model.period(p).tau
-        out = fractional_action(-np.eye(2 * model.n_v), tau, check=False)
-        if np.max(np.abs(out - tau)) > 1e-14 * max(1.0, float(np.max(np.abs(tau)))):
-            minus_ok = False
+    tau = checked_periods(model, samples)
+    out = fractional_action(-np.eye(2 * model.n_v), tau, check=False)
+    minus_ok = bool(np.all(np.max(np.abs(out - tau), axis=(-2, -1))
+                           <= 1e-14 * np.maximum(1.0, np.max(np.abs(tau), axis=(-2, -1)))))
     return StabilizerReport(dim_stab_sp=null_full.shape[1], basis=mats,
                             residual=residual, samples_used=len(samples),
                             minus_id_fixes_period=minus_ok)
@@ -212,8 +190,7 @@ def lift_killing_field(model, xi: KillingField, samples: np.ndarray | None = Non
     samples = np.atleast_2d(np.asarray(samples, dtype=float))
     basis = sp_basis(model.n_v)
     rows = _stab_rows(model, basis, samples)
-    rhs = np.concatenate([
-        _sym_upper_rows(model.period_directional(p, xi.value(p))) for p in samples])
+    rhs = _period_rows(model, xi, samples)
     sol, *_ = np.linalg.lstsq(rows, rhs, rcond=None)
     scale = max(1.0, float(np.max(np.abs(rhs))))
     residual = float(np.max(np.abs(rows @ sol - rhs))) / scale
@@ -252,16 +229,11 @@ def uduality_algebra(model, samples: np.ndarray | None = None) -> UDualityReport
     k = len(kfields)
 
     def joint_rows(pts):
-        sp_part = _stab_rows(model, basis, pts)
-        cols = []
-        for kf in kfields:
-            col = np.concatenate([
-                _sym_upper_rows(model.period_directional(p, kf.value(p))) for p in pts])
-            cols.append(-col)
-        return np.hstack([sp_part, np.array(cols).T])
+        iso_part = [-_period_rows(model, kf, pts) for kf in kfields]
+        return np.column_stack([_stab_rows(model, basis, pts)] + iso_part)
 
-    null_half = _nullspace(joint_rows(samples[: max(len(samples) // 2, 1)]))
-    null_full = _nullspace(joint_rows(samples))
+    null_half = null_space(joint_rows(samples[: max(len(samples) // 2, 1)]), RANK_RTOL)
+    null_full = null_space(joint_rows(samples), RANK_RTOL)
     if null_half.shape[1] != null_full.shape[1]:
         raise SampleInstabilityError(
             f"U-duality dim changed {null_half.shape[1]} -> {null_full.shape[1]} when doubling samples")
@@ -296,9 +268,6 @@ def check_uduality_pair(f, a: np.ndarray, model, samples: np.ndarray | None = No
     if samples is None:
         samples = _default_samples(model)
     samples = np.atleast_2d(np.asarray(samples, dtype=float))
-    worst = 0.0
-    for p in samples:
-        lhs = fractional_action(a, model.period(p).tau, check=False)
-        rhs = model.period(f.apply(p)).tau
-        worst = max(worst, float(np.max(np.abs(lhs - rhs))))
-    return worst
+    lhs = fractional_action(a, checked_periods(model, samples), check=False)
+    rhs = checked_periods(model, f.apply(samples))
+    return float(np.max(np.abs(lhs - rhs), initial=0.0))

@@ -4,12 +4,18 @@ Supports complex literals (via the imaginary unit ``i``), the chart symbols
 ``tau`` and ``conj(tau)`` on upper-half-plane charts, real coordinates
 ``x1..xk`` on flat charts, the four arithmetic operators, unary minus,
 parentheses and integer powers (``^`` or ``**``).  Expressions evaluate to
-complex numbers and carry exact directional derivatives.
+complex numbers and carry exact directional derivatives.  Symbol values may
+be complex scalars or broadcastable complex arrays (a stack of points); the
+result then has the broadcast shape.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+
+import numpy as np
+
+from .symplectic import PoleError as ExprPoleError
 
 POLE_EPS = 1e-13
 
@@ -25,8 +31,10 @@ class UnknownSymbolError(ExprSyntaxError):
     pass
 
 
-class ExprPoleError(ArithmeticError):
-    """Evaluation hit a (near-)zero denominator."""
+def _guard_pole(v, what: str):
+    """Raise the pole error when any value of v is (near) zero."""
+    if np.any(np.abs(v) < POLE_EPS):
+        raise ExprPoleError(what)
 
 
 # ---------------------------------------------------------------- AST nodes
@@ -62,7 +70,10 @@ class Pow:
 Expr = Num | Sym | Neg | BinOp | Pow
 
 
-def evaluate(e: Expr, env: dict[str, complex]) -> complex:
+Value = complex | np.ndarray
+
+
+def evaluate(e: Expr, env: dict[str, Value]) -> Value:
     if isinstance(e, Num):
         return e.value
     if isinstance(e, Sym):
@@ -71,8 +82,8 @@ def evaluate(e: Expr, env: dict[str, complex]) -> complex:
         return -evaluate(e.arg, env)
     if isinstance(e, Pow):
         b = evaluate(e.base, env)
-        if e.exponent < 0 and abs(b) < POLE_EPS:
-            raise ExprPoleError(f"base ~ 0 raised to power {e.exponent}")
+        if e.exponent < 0:
+            _guard_pole(b, f"base ~ 0 raised to power {e.exponent}")
         return b ** e.exponent
     l = evaluate(e.left, env)
     r = evaluate(e.right, env)
@@ -82,12 +93,11 @@ def evaluate(e: Expr, env: dict[str, complex]) -> complex:
         return l - r
     if e.op == "*":
         return l * r
-    if abs(r) < POLE_EPS:
-        raise ExprPoleError("division by ~ 0")
+    _guard_pole(r, "division by ~ 0")
     return l / r
 
 
-def derivative(e: Expr, env: dict[str, complex], denv: dict[str, complex]) -> complex:
+def derivative(e: Expr, env: dict[str, Value], denv: dict[str, Value]) -> Value:
     """Directional derivative; denv gives the derivative of each symbol."""
     if isinstance(e, Num):
         return 0j
@@ -99,8 +109,8 @@ def derivative(e: Expr, env: dict[str, complex], denv: dict[str, complex]) -> co
         if e.exponent == 0:
             return 0j
         b = evaluate(e.base, env)
-        if e.exponent < 1 and abs(b) < POLE_EPS:
-            raise ExprPoleError(f"base ~ 0 raised to power {e.exponent - 1}")
+        if e.exponent < 1:
+            _guard_pole(b, f"base ~ 0 raised to power {e.exponent - 1}")
         return e.exponent * b ** (e.exponent - 1) * derivative(e.base, env, denv)
     l, r = e.left, e.right
     if e.op == "+":
@@ -111,8 +121,7 @@ def derivative(e: Expr, env: dict[str, complex], denv: dict[str, complex]) -> co
     ld, rd = derivative(l, env, denv), derivative(r, env, denv)
     if e.op == "*":
         return ld * rv + lv * rd
-    if abs(rv) < POLE_EPS:
-        raise ExprPoleError("division by ~ 0")
+    _guard_pole(rv, "division by ~ 0")
     return (ld * rv - lv * rd) / (rv * rv)
 
 

@@ -189,28 +189,19 @@ class FieldConfiguration:
 
     def _evaluate_couplings(self):
         shape = self.grid.shape
-        n_v, n_s = self.model.n_v, self.model.chart.dim
+        n_s = self.model.chart.dim
         flat_phi = self.phi.reshape(-1, n_s)
-        r = np.empty((flat_phi.shape[0], n_v, n_v))
-        i = np.empty_like(r)
-        dr = np.empty((flat_phi.shape[0], n_s, n_v, n_v))
-        di = np.empty_like(dr)
-        units = np.eye(n_s)
-        for idx, p in enumerate(flat_phi):
-            if not self.model.chart.in_domain(p):
-                raise DomainExitError(f"scalar map leaves the chart at node {idx}: {p}")
-            tau = self.model.period_matrix(p)
-            r[idx] = tau.real
-            i[idx] = tau.imag
-            for k in range(n_s):
-                d = self.model.period_directional(p, units[k])
-                dr[idx, k] = d.real
-                di[idx, k] = d.imag
-        _validate_siegel_bulk(i)
-        self.R = r.reshape(shape + (n_v, n_v))
-        self.I = i.reshape(shape + (n_v, n_v))
-        self.dR = dr.reshape(shape + (n_s, n_v, n_v))
-        self.dI = di.reshape(shape + (n_s, n_v, n_v))
+        bad = self.model.chart.first_outside(flat_phi)
+        if bad is not None:
+            raise DomainExitError(f"scalar map leaves the chart at node {bad}: {flat_phi[bad]}")
+        tau = self.model.period_matrix(flat_phi)
+        # derivatives along the n_s coordinate directions at every node
+        dtau = self.model.period_directional(flat_phi[:, None, :], np.eye(n_s))
+        _validate_siegel_bulk(tau.imag)
+        self.R = tau.real.reshape(shape + tau.shape[1:])
+        self.I = tau.imag.reshape(shape + tau.shape[1:])
+        self.dR = dtau.real.reshape(shape + dtau.shape[1:])
+        self.dI = dtau.imag.reshape(shape + dtau.shape[1:])
         iinv = np.linalg.inv(self.I)
         ru = self.R @ iinv
         self.J = np.block([[-iinv @ self.R, iinv], [-self.I - ru @ self.R, ru]])
@@ -242,31 +233,23 @@ def _validate_siegel_bulk(im_parts: np.ndarray):
                         f"(node {bad}, min eigenvalue {worst:.3e})")
 
 
-def assemble_field_block(grid: GridPatch, model, g: np.ndarray, phi: np.ndarray,
-                         f: np.ndarray) -> np.ndarray:
-    """Per-node (F, R F - I *F) stack: twisted self-dual by construction."""
-    n_s = model.chart.dim
-    n_v = model.n_v
-    flat_phi = phi.reshape(-1, n_s)
-    r = np.empty((flat_phi.shape[0], n_v, n_v))
-    i = np.empty_like(r)
-    for idx, p in enumerate(flat_phi):
-        if not model.chart.in_domain(p):
-            raise DomainExitError(f"scalar map leaves the chart at node {idx}: {p}")
-        tau = model.period_matrix(p)
-        r[idx] = tau.real
-        i[idx] = tau.imag
-    r = r.reshape(grid.shape + (n_v, n_v))
-    i = i.reshape(grid.shape + (n_v, n_v))
-    sf = fl.hodge2(g[..., None, :, :], f)
-    lower = np.einsum("...LS,...Smn->...Lmn", r, f) - np.einsum("...LS,...Smn->...Lmn", i, sf)
+def assemble_field_block(cfg: FieldConfiguration) -> np.ndarray:
+    """(F, R F - I *F) from the upper block F of cfg and its couplings: twisted
+    self-dual by construction."""
+    f = cfg.F
+    sf = fl.hodge2(cfg.g[..., None, :, :], f)
+    lower = (np.einsum("...LS,...Smn->...Lmn", cfg.R, f)
+             - np.einsum("...LS,...Smn->...Lmn", cfg.I, sf))
     return np.concatenate([f, lower], axis=-3)
 
 
 def make_configuration(grid: GridPatch, model, g: np.ndarray, phi: np.ndarray,
                        f: np.ndarray) -> FieldConfiguration:
-    v = assemble_field_block(grid, model, g, phi, f)
-    return FieldConfiguration(grid, model, g, phi, v)
+    """Configuration with field block (F, R F - I *F); the couplings along
+    phi are evaluated once, by the configuration."""
+    cfg = FieldConfiguration(grid, model, g, phi, np.concatenate([f, np.zeros_like(f)], axis=-3))
+    cfg.V = assemble_field_block(cfg)
+    return cfg
 
 
 # ---------------------------------------------------------------- residuals
@@ -283,7 +266,7 @@ def einstein_residual(cfg: FieldConfiguration, check: bool = True) -> np.ndarray
     gt = einstein(g, cfg.grid)
     # scalar stress from FD scalar-map derivatives
     dphi = partials(cfg.phi, cfg.grid)  # (..., i, a)
-    cm = chart_metric_field(cfg)
+    cm = cfg.model.chart.metric(cfg.phi)
     t_scal = (np.einsum("...ij,...ia,...jb->...ab", cm, dphi, dphi)
               - 0.5 * g * np.einsum("...ij,...ia,...jb,...ab->...", cm, dphi, dphi,
                                     ginv)[..., None, None])
@@ -293,43 +276,6 @@ def einstein_residual(cfg: FieldConfiguration, check: bool = True) -> np.ndarray
     t_gauge = np.einsum("...AB,...Aac,...cd,...Bbd->...ab", q, cfg.V, ginv, cfg.V)
     t_gauge = (t_gauge + np.swapaxes(t_gauge, -1, -2)) / 2
     return gt - t_scal - t_gauge
-
-
-def chart_metric_field(cfg: FieldConfiguration) -> np.ndarray:
-    """Chart metric evaluated along the scalar map, per node."""
-    chart = cfg.model.chart
-    if chart.kind == "poincare":
-        y = cfg.phi[..., 1]
-        out = np.zeros(cfg.grid.shape + (2, 2))
-        out[..., 0, 0] = 1.0 / y ** 2
-        out[..., 1, 1] = 1.0 / y ** 2
-        return out
-    return np.broadcast_to(np.eye(chart.dim), cfg.grid.shape + (chart.dim, chart.dim)).copy()
-
-
-def chart_metric_deriv_field(cfg: FieldConfiguration) -> np.ndarray:
-    """d G_ij / d x^k along the scalar map, shape grid + (k, i, j)."""
-    chart = cfg.model.chart
-    n = chart.dim
-    out = np.zeros(cfg.grid.shape + (n, n, n))
-    if chart.kind == "poincare":
-        y = cfg.phi[..., 1]
-        out[..., 1, 0, 0] = -2.0 / y ** 3
-        out[..., 1, 1, 1] = -2.0 / y ** 3
-    return out
-
-
-def chart_christoffel_field(cfg: FieldConfiguration) -> np.ndarray:
-    chart = cfg.model.chart
-    n = chart.dim
-    out = np.zeros(cfg.grid.shape + (n, n, n))
-    if chart.kind == "poincare":
-        y = cfg.phi[..., 1]
-        out[..., 0, 0, 1] = -1.0 / y
-        out[..., 0, 1, 0] = -1.0 / y
-        out[..., 1, 0, 0] = 1.0 / y
-        out[..., 1, 1, 1] = -1.0 / y
-    return out
 
 
 def _field_contractions(cfg: FieldConfiguration):
@@ -405,8 +351,9 @@ def scalar_residual(cfg: FieldConfiguration, assembly: str = "local") -> np.ndar
     gamma = christoffel(g, grid)
     dphi = partials(cfg.phi, grid)          # (..., i, a)
     d2phi = partials2(cfg.phi, grid)        # (..., i, a, b)
-    cm = chart_metric_field(cfg)
-    dcm = chart_metric_deriv_field(cfg)     # (..., k, i, j)
+    chart = cfg.model.chart
+    cm = chart.metric(cfg.phi)
+    dcm = chart.metric_deriv(cfg.phi)       # (..., k, i, j)
     box_phi = (np.einsum("...ab,...iab->...i", ginv, d2phi)
                - np.einsum("...ab,...cab,...ic->...i", ginv, gamma, dphi))
     grad_sq = np.einsum("...ia,...jb,...ab->...ij", dphi, dphi, ginv)  # (i, j)
@@ -418,7 +365,7 @@ def scalar_residual(cfg: FieldConfiguration, assembly: str = "local") -> np.ndar
                + local_gauge_source(cfg))
         return lhs - rhs
     if assembly == "global":
-        chart_gamma = chart_christoffel_field(cfg)  # (..., k, i, j)
+        chart_gamma = chart.christoffels(cfg.phi)  # (..., k, i, j)
         tension = box_phi + np.einsum("...kij,...ij->...k", chart_gamma, grad_sq)
         lowered = np.einsum("...ki,...i->...k", cm, tension)
         return lowered + psi_form_source(cfg)
@@ -457,22 +404,28 @@ class ResidualReport:
                 ("maxwell_mean", self.maxwell_mean),
                 ("selfdual_violation", self.selfdual_violation)]
 
+    @classmethod
+    def from_fields(cls, cfg: FieldConfiguration, e: np.ndarray, s: np.ndarray,
+                    m: np.ndarray) -> "ResidualReport":
+        """Report on the Einstein, scalar and Maxwell residual fields of cfg,
+        each restricted to the margin-2 interior."""
+        eabs = np.abs(e)
+        worst = np.unravel_index(int(np.argmax(eabs.reshape(-1, 16).max(axis=1))),
+                                 e.shape[:4])
+        worst = tuple(int(w) + MARGIN for w in worst)
+        return cls(
+            einstein_max=float(eabs.max()), scalar_max=float(np.abs(s).max()),
+            maxwell_max=float(np.abs(m).max()), einstein_mean=float(eabs.mean()),
+            scalar_mean=float(np.abs(s).mean()), maxwell_mean=float(np.abs(m).mean()),
+            selfdual_violation=cfg.selfduality_violation(),
+            worst_einstein_node=worst, grid_shape=cfg.grid.shape)
+
 
 def residual_report(cfg: FieldConfiguration, assembly: str = "local") -> ResidualReport:
     inner = cfg.grid.interior()
-    e = einstein_residual(cfg, check=False)[inner]
-    s = scalar_residual(cfg, assembly)[inner]
-    m = maxwell_residual(cfg)[inner]
-    eabs = np.abs(e)
-    worst = np.unravel_index(int(np.argmax(eabs.reshape(-1, 16).max(axis=1))),
-                             e.shape[:4])
-    worst = tuple(int(w) + MARGIN for w in worst)
-    return ResidualReport(
-        einstein_max=float(eabs.max()), scalar_max=float(np.abs(s).max()),
-        maxwell_max=float(np.abs(m).max()), einstein_mean=float(eabs.mean()),
-        scalar_mean=float(np.abs(s).mean()), maxwell_mean=float(np.abs(m).mean()),
-        selfdual_violation=cfg.selfduality_violation(),
-        worst_einstein_node=worst, grid_shape=cfg.grid.shape)
+    return ResidualReport.from_fields(cfg, einstein_residual(cfg, check=False)[inner],
+                                      scalar_residual(cfg, assembly)[inner],
+                                      maxwell_residual(cfg)[inner])
 
 
 # ---------------------------------------------------------------- transport
@@ -481,13 +434,10 @@ def transport_config(f, a: np.ndarray, cfg: FieldConfiguration) -> FieldConfigur
     """Duality transport (g, phi, V) -> (g, f(phi), A V), returned as a
     configuration of the transformed theory (same chart metric for isometric
     f, transformed period map A . N(f^-1))."""
-    n_s = cfg.model.chart.dim
-    flat = cfg.phi.reshape(-1, n_s)
-    moved = np.array([f.apply(p) for p in flat])
-    for idx, p in enumerate(moved):
-        if not cfg.model.chart.in_domain(p):
-            raise DomainExitError(f"transported scalar map leaves the chart at node {idx}")
-    new_phi = moved.reshape(cfg.phi.shape)
+    new_phi = f.apply(cfg.phi)
+    bad = cfg.model.chart.first_outside(new_phi.reshape(-1, cfg.model.chart.dim))
+    if bad is not None:
+        raise DomainExitError(f"transported scalar map leaves the chart at node {bad}")
     new_v = np.einsum("AB,...Bmn->...Amn", np.asarray(a, dtype=float), cfg.V)
     new_model = TransformedModel(cfg.model, f, a)
     return FieldConfiguration(cfg.grid, new_model, cfg.g.copy(), new_phi, new_v)
@@ -531,14 +481,12 @@ def equivariance_harness(cfg: FieldConfiguration, f, a: np.ndarray) -> Equivaria
 
     s0 = scalar_residual(cfg)[inner]
     s1 = scalar_residual(tcfg)[inner]
-    n_s = cfg.model.chart.dim
-    flat_phi = cfg.phi[inner].reshape(-1, n_s)
-    jac = np.array([f.jacobian(p) for p in flat_phi])  # df at phi(x)
-    pulled = np.einsum("nkl,nk->nl", jac, s1.reshape(-1, n_s))
-    s_disc = float(np.max(np.abs(pulled - s0.reshape(-1, n_s))))
+    pulled = np.einsum("...kl,...k->...l", f.jacobian(cfg.phi[inner]), s1)  # df at phi(x)
+    s_disc = float(np.max(np.abs(pulled - s0)))
 
     return EquivarianceReport(e_disc, s_disc, m_disc,
-                              residual_report(cfg), residual_report(tcfg))
+                              ResidualReport.from_fields(cfg, e0, s0, m0),
+                              ResidualReport.from_fields(tcfg, e1, s1, m1))
 
 
 # ----------------------------------------------------- manufactured builders

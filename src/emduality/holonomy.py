@@ -11,10 +11,11 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .symplectic import Taming, sp_basis, sp_check
+from .symplectic import Taming, null_space, sp_basis, sp_check
 
 MAX_WORD_LEN = 6
 RELATION_TOL = 1e-10
+RANK_RTOL = 1e-10      # relative singular value threshold for centralizer ranks
 
 
 class PresentationError(ValueError):
@@ -32,6 +33,8 @@ class BundlePresentation:
     n_v: int
     generators: list[np.ndarray] = field(default_factory=list)
     relations: list[list[int]] = field(default_factory=list)
+    _inverses: dict[int, np.ndarray] = field(default_factory=dict, init=False,
+                                             repr=False, compare=False)
 
     def __post_init__(self):
         self.generators = [np.asarray(g, dtype=float) for g in self.generators]
@@ -47,9 +50,14 @@ class BundlePresentation:
     def word_matrix(self, word: list[int]) -> np.ndarray:
         out = np.eye(2 * self.n_v)
         for idx in word:
-            g = self.generators[abs(idx) - 1]
-            out = out @ (g if idx > 0 else np.linalg.inv(g))
+            out = out @ (self.generators[idx - 1] if idx > 0 else self._inverse(-idx))
         return out
+
+    def _inverse(self, k: int) -> np.ndarray:
+        """Inverse of generator k, computed once on first use."""
+        if k not in self._inverses:
+            self._inverses[k] = np.linalg.inv(self.generators[k - 1])
+        return self._inverses[k]
 
 
 @dataclass
@@ -79,15 +87,6 @@ def _commutant_rows(mats: list[np.ndarray], basis: list[np.ndarray]) -> np.ndarr
     return np.vstack(rows)
 
 
-def _nullspace(a: np.ndarray, rtol: float = 1e-10) -> np.ndarray:
-    if a.shape[0] == 0:
-        return np.eye(a.shape[1])
-    u, s, vh = np.linalg.svd(a, full_matrices=True)
-    tol = rtol * (s[0] if s.size and s[0] > 0 else 1.0)
-    rank = int(np.sum(s > tol))
-    return vh[rank:].T
-
-
 def centralizer_algebra(p: BundlePresentation) -> tuple[list[np.ndarray], int]:
     """Basis and dimension of {X in sp(2n, R) : X H_i = H_i X for all generators}.
 
@@ -95,7 +94,7 @@ def centralizer_algebra(p: BundlePresentation) -> tuple[list[np.ndarray], int]:
     exceed n(2n+1).
     """
     basis = sp_basis(p.n_v)
-    null = _nullspace(_commutant_rows(p.generators, basis))
+    null = null_space(_commutant_rows(p.generators, basis), RANK_RTOL)
     mats = [sum(c * b for c, b in zip(col, basis)) for col in null.T]
     return mats, null.shape[1]
 
@@ -109,7 +108,7 @@ def autb_theta_algebra(p: BundlePresentation, j0: Taming) -> tuple[list[np.ndarr
         _commutant_rows(p.generators, basis),
         _commutant_rows([j0.J], basis),
     ])
-    null = _nullspace(rows)
+    null = null_space(rows, RANK_RTOL)
     mats = [sum(c * b for c, b in zip(col, basis)) for col in null.T]
     return mats, null.shape[1]
 

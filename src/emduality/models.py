@@ -10,7 +10,8 @@ import numpy as np
 from scipy.stats import qmc
 
 from . import expressions as ex
-from .symplectic import DomainError, SiegelPoint, fractional_action, mobius_differential
+from .symplectic import (DomainError, PoleError, SiegelPoint, fractional_action,
+                         min_eig_ratio, mobius_differential)
 
 
 class ModelError(ValueError):
@@ -21,11 +22,13 @@ class ModelInvalidError(ModelError):
     """A model evaluated outside Siegel space."""
 
 
-class PoleError(ArithmeticError):
-    pass
-
-
 # ------------------------------------------------------------------ charts
+
+def _tau(p: np.ndarray) -> np.ndarray:
+    """Half-plane point(s) (..., 2) as complex tau = x + i y."""
+    p = np.asarray(p, dtype=float)
+    return p[..., 0] + 1j * p[..., 1]
+
 
 @dataclass(frozen=True)
 class ScalarChart:
@@ -58,48 +61,54 @@ class ScalarChart:
             return {"tau"}
         return {f"x{i + 1}" for i in range(self.dim)}
 
-    def env(self, p: np.ndarray) -> dict[str, complex]:
+    # Point-wise methods take one point (dim,) or a stack (..., dim) and
+    # return per-point values with the stack shape in front.
+
+    def env(self, p: np.ndarray) -> dict[str, np.ndarray]:
         p = np.asarray(p, dtype=float)
         if self.kind == "poincare":
-            return {"tau": complex(p[0], p[1]), "ctau": complex(p[0], -p[1])}
-        return {f"x{i + 1}": complex(p[i]) for i in range(self.dim)}
+            tau = _tau(p)
+            return {"tau": tau, "ctau": tau.conj()}
+        return {f"x{i + 1}": p[..., i] + 0j for i in range(self.dim)}
 
-    def denv(self, v: np.ndarray) -> dict[str, complex]:
-        v = np.asarray(v, dtype=float)
-        if self.kind == "poincare":
-            return {"tau": complex(v[0], v[1]), "ctau": complex(v[0], -v[1])}
-        return {f"x{i + 1}": complex(v[i]) for i in range(self.dim)}
+    def denv(self, v: np.ndarray) -> dict[str, np.ndarray]:
+        return self.env(v)
 
-    def in_domain(self, p: np.ndarray) -> bool:
+    def in_domain(self, p: np.ndarray) -> bool | np.ndarray:
         p = np.asarray(p, dtype=float)
-        if p.shape != (self.dim,):
+        if p.ndim == 0 or p.shape[-1] != self.dim:
             return False
         if self.kind == "poincare":
-            return bool(p[1] > 0)
-        return True
+            return p[..., 1] > 0
+        return np.ones(p.shape[:-1], dtype=bool)
+
+    def first_outside(self, p: np.ndarray) -> int | None:
+        """Index of the first point of a stack (n, dim) outside the domain."""
+        inside = np.atleast_1d(self.in_domain(p))
+        return None if inside.all() else int(np.argmin(inside))
 
     def metric(self, p: np.ndarray) -> np.ndarray:
-        if self.kind == "poincare":
-            y = float(p[1])
-            return np.eye(2) / y ** 2
-        return np.eye(self.dim)
+        p = np.asarray(p, dtype=float)
+        diag = 1.0 / p[..., 1:2] ** 2 if self.kind == "poincare" else np.ones(p.shape[:-1] + (1,))
+        return diag[..., None] * np.eye(self.dim)
 
     def metric_deriv(self, p: np.ndarray) -> np.ndarray:
         """d1G[k, i, j] = d G_ij / d x^k."""
-        out = np.zeros((self.dim, self.dim, self.dim))
+        p = np.asarray(p, dtype=float)
+        out = np.zeros(p.shape[:-1] + (self.dim,) * 3)
         if self.kind == "poincare":
-            y = float(p[1])
-            out[1] = -2.0 / y ** 3 * np.eye(2)
+            out[..., 1, :, :] = (-2.0 / p[..., 1:2] ** 3)[..., None] * np.eye(2)
         return out
 
     def christoffels(self, p: np.ndarray) -> np.ndarray:
         """Gamma[k, i, j] of the chart metric."""
-        out = np.zeros((self.dim, self.dim, self.dim))
+        p = np.asarray(p, dtype=float)
+        out = np.zeros(p.shape[:-1] + (self.dim,) * 3)
         if self.kind == "poincare":
-            y = float(p[1])
-            out[0, 0, 1] = out[0, 1, 0] = -1.0 / y
-            out[1, 0, 0] = 1.0 / y
-            out[1, 1, 1] = -1.0 / y
+            y = p[..., 1]
+            out[..., 0, 0, 1] = out[..., 0, 1, 0] = -1.0 / y
+            out[..., 1, 0, 0] = 1.0 / y
+            out[..., 1, 1, 1] = -1.0 / y
         return out
 
     def sample_points(self, count: int) -> np.ndarray:
@@ -113,6 +122,7 @@ class ScalarChart:
 
 
 # --------------------------------------------------------------- isometries
+
 
 @dataclass(frozen=True)
 class MobiusIsometry:
@@ -131,10 +141,11 @@ class MobiusIsometry:
         object.__setattr__(self, "m", m / np.sqrt(det))
 
     def apply(self, p: np.ndarray) -> np.ndarray:
+        """Image of a point (2,) or of a stack of points (..., 2)."""
         (a, b), (c, d) = self.m
-        tau = complex(p[0], p[1])
+        tau = _tau(p)
         w = (a * tau + b) / (c * tau + d)
-        return np.array([w.real, w.imag])
+        return np.stack([w.real, w.imag], axis=-1)
 
     def inverse(self) -> "MobiusIsometry":
         (a, b), (c, d) = self.m
@@ -142,9 +153,9 @@ class MobiusIsometry:
 
     def jacobian(self, p: np.ndarray) -> np.ndarray:
         (a, b), (c, d) = self.m
-        tau = complex(p[0], p[1])
-        fp = 1.0 / (c * tau + d) ** 2
-        return np.array([[fp.real, -fp.imag], [fp.imag, fp.real]])
+        fp = 1.0 / (c * _tau(p) + d) ** 2
+        return np.stack([np.stack([fp.real, -fp.imag], axis=-1),
+                         np.stack([fp.imag, fp.real], axis=-1)], axis=-2)
 
     @property
     def is_affine(self) -> bool:
@@ -169,13 +180,14 @@ class FlatIsometry:
         object.__setattr__(self, "shift", s)
 
     def apply(self, p: np.ndarray) -> np.ndarray:
-        return self.q @ np.asarray(p, dtype=float) + self.shift
+        """Image of a point (k,) or of a stack of points (..., k)."""
+        return np.asarray(p, dtype=float) @ self.q.T + self.shift
 
     def inverse(self) -> "FlatIsometry":
         return FlatIsometry(self.q.T, -self.q.T @ self.shift)
 
     def jacobian(self, p: np.ndarray) -> np.ndarray:
-        return self.q.copy()
+        return self.q + np.zeros(np.shape(p)[:-1] + (1, 1))
 
     @property
     def is_affine(self) -> bool:
@@ -229,15 +241,14 @@ class Model:
         key = (i, j) if i <= j else (j, i)
         return self.entries.get(key, ex.Num(0j))
 
-    def _matrix(self, env: dict[str, complex]) -> np.ndarray:
-        out = np.zeros((self.n_v, self.n_v), dtype=complex)
+    def _symmetric(self, shape: tuple[int, ...], value) -> np.ndarray:
+        """Matrix stack shape + (n_v, n_v) with entries value(expression)."""
+        out = np.zeros(shape + (self.n_v, self.n_v), dtype=complex)
         for (i, j), e in self.entries.items():
             try:
-                val = ex.evaluate(e, env)
-            except ex.ExprPoleError as err:
+                out[..., i, j] = out[..., j, i] = value(e)
+            except PoleError as err:
                 raise PoleError(f"model {self.name!r}: {err}") from err
-            out[i, j] = val
-            out[j, i] = val
         return out
 
     def period(self, p: np.ndarray) -> SiegelPoint:
@@ -248,25 +259,21 @@ class Model:
             raise ModelInvalidError(f"model {self.name!r} leaves Siegel space at {p}: {err}")
 
     def period_matrix(self, p: np.ndarray) -> np.ndarray:
-        """Raw matrix value without the Siegel membership check (callers doing
-        bulk evaluation validate in one vectorized pass)."""
-        if not self.chart.in_domain(p):
+        """Raw matrix value at a point, or the matrix stack at a stack of points,
+        without the Siegel membership check (see ``checked_periods``)."""
+        p = np.asarray(p, dtype=float)
+        if not np.all(self.chart.in_domain(p)):
             raise ModelError(f"point {p} outside chart domain")
-        return self._matrix(self.chart.env(p))
+        env = self.chart.env(p)
+        return self._symmetric(p.shape[:-1], lambda e: ex.evaluate(e, env))
 
     def period_directional(self, p: np.ndarray, v: np.ndarray) -> np.ndarray:
-        """Directional derivative of the matrix map at p along the chart vector v."""
-        env = self.chart.env(p)
-        denv = self.chart.denv(v)
-        out = np.zeros((self.n_v, self.n_v), dtype=complex)
-        for (i, j), e in self.entries.items():
-            try:
-                val = ex.derivative(e, env, denv)
-            except ex.ExprPoleError as err:
-                raise PoleError(f"model {self.name!r}: {err}") from err
-            out[i, j] = val
-            out[j, i] = val
-        return out
+        """Directional derivative of the matrix map at p along the chart vector
+        v; p and v may be broadcastable stacks."""
+        p, v = np.asarray(p, dtype=float), np.asarray(v, dtype=float)
+        env, denv = self.chart.env(p), self.chart.denv(v)
+        shape = np.broadcast_shapes(p.shape[:-1], v.shape[:-1])
+        return self._symmetric(shape, lambda e: ex.derivative(e, env, denv))
 
 
 class TransformedModel:
@@ -296,9 +303,22 @@ class TransformedModel:
 
     def period_directional(self, p: np.ndarray, v: np.ndarray) -> np.ndarray:
         q = self.f_inv.apply(p)
-        w = self.f_inv.jacobian(p) @ np.asarray(v, dtype=float)
+        w = np.einsum("...ij,...j->...i", self.f_inv.jacobian(p), np.asarray(v, dtype=float))
         dn = self.base.period_directional(q, w)
         return mobius_differential(self.a, self.base.period_matrix(q), dn)
+
+
+def checked_periods(model, p: np.ndarray) -> np.ndarray:
+    """Period matrices at a stack of points (n, dim), symmetrised and checked
+    for Siegel membership point by point as ``Model.period`` checks one."""
+    tau = model.period_matrix(p)
+    tau = (tau + np.swapaxes(tau, -1, -2)) / 2
+    ratio = min_eig_ratio(tau.imag)
+    if not np.all(ratio > 1e-12):
+        bad = int(np.argmin(ratio))
+        raise ModelInvalidError(f"model {model.name!r} leaves Siegel space at {p[bad]}: "
+                                "Im(tau) must be positive definite")
+    return tau
 
 
 # --------------------------------------------------------------- file format
@@ -436,11 +456,6 @@ def load_model(name_or_path: str) -> Model:
 
 def check_siegel_on_grid(model: Model, per_axis: int = 32) -> float:
     """Smallest relative eigenvalue of Im N over a grid of the sampling box."""
-    from .symplectic import min_eig_ratio
-
     axes = [np.linspace(lo, hi, per_axis) for lo, hi in model.chart.box]
-    worst = np.inf
-    for p in np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1).reshape(-1, model.chart.dim):
-        tau = model.period(p)
-        worst = min(worst, min_eig_ratio(tau.tau.imag))
-    return float(worst)
+    pts = np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1).reshape(-1, model.chart.dim)
+    return float(np.min(min_eig_ratio(checked_periods(model, pts).imag)))

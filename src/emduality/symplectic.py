@@ -15,6 +15,7 @@ convention is equivariant for the fractional action used here, see
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -35,15 +36,32 @@ class DomainError(ValueError):
 
 
 class PoleError(ArithmeticError):
-    """Fractional transformation hit a non-invertible denominator."""
+    """A fractional transformation or a model expression hit a (near-)singular
+    denominator."""
 
 
+@functools.lru_cache(maxsize=None)
 def omega(n: int) -> np.ndarray:
-    """Matrix of the standard symplectic form on R^{2n}: [[0, -Id], [Id, 0]]."""
+    """Matrix of the standard symplectic form on R^{2n}: [[0, -Id], [Id, 0]].
+
+    Built once per n and returned read-only."""
     if n < 1:
         raise DimensionError(f"need n >= 1, got {n}")
     idn = np.eye(n)
-    return np.block([[np.zeros((n, n)), -idn], [idn, np.zeros((n, n))]])
+    out = np.block([[np.zeros((n, n)), -idn], [idn, np.zeros((n, n))]])
+    out.flags.writeable = False
+    return out
+
+
+def null_space(a: np.ndarray, rtol: float) -> np.ndarray:
+    """Orthonormal null-space basis (columns) of a; the rank counts singular
+    values above rtol times the largest.  A matrix with no entries has all of
+    R^k as its null space."""
+    if a.size == 0:
+        return np.eye(a.shape[1])
+    _, s, vh = np.linalg.svd(a, full_matrices=True)
+    tol = rtol * (s[0] if s[0] > 0 else 1.0)
+    return vh[int(np.sum(s > tol)):].T
 
 
 def blocks(a: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
@@ -53,6 +71,10 @@ def blocks(a: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarra
         raise DimensionError(f"expected square even-dimensional matrix, got {m.shape}")
     n = m.shape[0] // 2
     return m[:n, :n], m[:n, n:], m[n:, :n], m[n:, n:]
+
+
+def _transpose(m: np.ndarray) -> np.ndarray:
+    return np.swapaxes(m, -1, -2)
 
 
 def sp_check(a: np.ndarray, tol: float = TOL_ALG) -> tuple[bool, float]:
@@ -110,16 +132,17 @@ def _is_symmetric(m: np.ndarray, tol: float) -> bool:
     return float(np.max(np.abs(m - m.T))) <= tol * max(1.0, float(np.max(np.abs(m))))
 
 
-def min_eig_ratio(s: np.ndarray) -> float:
-    """Smallest eigenvalue of a symmetric matrix, relative to its spectral scale."""
-    w = np.linalg.eigvalsh((s + s.T) / 2)
-    scale = max(float(np.max(np.abs(w))), 1e-300)
-    return float(w[0]) / scale
+def min_eig_ratio(s: np.ndarray) -> float | np.ndarray:
+    """Smallest eigenvalue of a symmetric matrix, relative to its spectral
+    scale; one ratio per matrix of a stack."""
+    w = np.linalg.eigvalsh((s + _transpose(s)) / 2)
+    scale = np.maximum(np.max(np.abs(w), axis=-1), 1e-300)
+    return w[..., 0] / scale
 
 
 def is_positive_definite(s: np.ndarray, rel_tol: float = 1e-12) -> bool:
     """Scale-invariant positive definiteness test via the eigenvalue bound."""
-    return min_eig_ratio(s) > rel_tol
+    return bool(min_eig_ratio(s) > rel_tol)
 
 
 @dataclass(frozen=True)
@@ -254,7 +277,8 @@ def fractional_action(a: np.ndarray, tau: SiegelPoint | np.ndarray,
     """Left action of Sp(2n, R) on Siegel space: A . tau = (c + d tau)(a + b tau)^-1.
 
     Blocks follow the layout A = [[a, b], [c, d]].  Raises PoleError when
-    a + b tau is singular.
+    a + b tau is singular.  With check=False, tau may be a stack of matrices
+    (..., n, n) and the result is the stack of images.
     """
     t = tau.tau if isinstance(tau, SiegelPoint) else np.asarray(tau, dtype=complex)
     ab, bb, cb, db = blocks(np.asarray(a, dtype=float))
@@ -262,9 +286,9 @@ def fractional_action(a: np.ndarray, tau: SiegelPoint | np.ndarray,
     num = cb + db @ t
     # Guard against a genuinely singular denominator before solving.
     sv = np.linalg.svd(den, compute_uv=False)
-    if sv[-1] <= 1e-13 * max(sv[0], 1.0):
+    if np.any(sv[..., -1] <= 1e-13 * np.maximum(sv[..., 0], 1.0)):
         raise PoleError("a + b tau is singular at this point")
-    out = np.linalg.solve(den.T, num.T).T  # num @ den^-1
+    out = _transpose(np.linalg.solve(_transpose(den), _transpose(num)))  # num @ den^-1
     if not check:
         return SiegelPoint(out) if isinstance(tau, SiegelPoint) else out
     return SiegelPoint((out + out.T) / 2)
@@ -288,6 +312,7 @@ def mobius_differential(a: np.ndarray, tau: np.ndarray, h: np.ndarray) -> np.nda
     """Differential of tau -> A . tau at tau applied to a tangent matrix h.
 
     d(A.tau)[h] = (d - (A.tau) b) h (a + b tau)^-1 for A = [[a, b], [c, d]].
+    tau and h may be broadcastable stacks of matrices.
     """
     t = np.asarray(tau, dtype=complex)
     ab, bb, cb, db = blocks(np.asarray(a, dtype=float))

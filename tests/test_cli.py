@@ -151,11 +151,58 @@ class TestGridCommands:
         assert code == 3
 
 
+class TestMalformedGridInputs:
+    """Bad grid inputs give exit 3 and an error report, never a traceback."""
+
+    @staticmethod
+    def config(tmp_path, **keys):
+        lines = {"model": "identity-tau",
+                 "extents": "-0.4:0.4 -0.4:0.4 -0.4:0.4 -0.4:0.4",
+                 "resolution": "7 7 7 7", "phi": "constant 0.1 1.2", "field": "zero"}
+        lines.update(keys)
+        path = tmp_path / "bad.cfg"
+        path.write_text("".join(f"{k} = {v}\n" for k, v in lines.items()))
+        return str(path)
+
+    @staticmethod
+    def model_file(tmp_path, entry):
+        path = tmp_path / "bad.model"
+        path.write_text(f"nv = 1\nchart = poincare\nN[1,1] = {entry}\n")
+        return str(path)
+
+    def assert_bad_input(self, cfg):
+        code, text = run(["residuals", "--config", cfg])
+        assert code == 3
+        assert "error = " in text
+        assert "result = FAIL" in text
+
+    def test_scalar_map_leaves_half_plane(self, tmp_path):
+        self.assert_bad_input(self.config(tmp_path, phi="linear 0.0 0.2 | 0 0 0 1 0 0 0 0"))
+
+    def test_non_lorentzian_metric(self, tmp_path):
+        self.assert_bad_input(self.config(
+            tmp_path, extents="-0.5:0.5 -0.5:0.5 -0.5:0.5 -0.5:0.5",
+            metric="quadratic", metric_coeff="0 0 0 0 5.0"))
+
+    def test_incomplete_model_expression(self, tmp_path):
+        model = self.model_file(tmp_path, "tau +")
+        self.assert_bad_input(self.config(tmp_path, model=model))
+
+    def test_model_pole_on_the_scalar_map(self, tmp_path):
+        model = self.model_file(tmp_path, "i + 1/(tau - i)")
+        self.assert_bad_input(self.config(tmp_path, model=model, phi="constant 0.0 1.0"))
+
+
 class TestSpinorCommands:
     def test_spinor_check_minkowski(self):
         code, text = run(["spinor-check", "--frame", "minkowski", "--lambda", "0"])
         assert code == 0
         assert "parallel_residual" in text
+
+    def test_spinor_check_ads_converges(self):
+        code, text = run(["spinor-check", "--frame", "ads4-poincare", "--lambda", "1.0"])
+        assert code == 0
+        assert "result = pass" in text
 
     def test_spinor_check_unknown_frame_exit_2(self):
         code, _ = run(["spinor-check", "--frame", "rindler"])

@@ -438,8 +438,10 @@ class TestTransport:
         # nothing (flat charts are all of R^k, so exercise the poincare branch
         # via a crafted non-isometry-like object instead)
         class Bad:
-            def apply(self, p):
-                return np.array([p[0], -1.0])
+            def apply(self, p):  # points (..., 2), as the isometries take them
+                q = np.array(p, dtype=float)
+                q[..., 1] = -1.0
+                return q
 
             def inverse(self):
                 return self

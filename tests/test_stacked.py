@@ -1,0 +1,210 @@
+"""Stacked (array-native) evaluation against per-point calls of the same
+functions: each point of a stack must get the value a single-point call
+gives, to roundoff."""
+
+import numpy as np
+import pytest
+
+from emduality import duality as du
+from emduality import expressions as ex
+from emduality import grids as gr
+from emduality import models as md
+from emduality import symplectic as sp
+
+FLAT_MODEL = """
+name = flat2
+nv = 2
+chart = flat
+dim = 2
+N[1,1] = i*(1 + x1^2) + x2
+N[1,2] = 0.3*x1*x2 - 0.1*i
+N[2,2] = i*(2 + x2^2) - x1/(3 + x1)
+"""
+
+
+def close(stacked, single, rtol=1e-12):
+    scale = max(1.0, float(np.max(np.abs(single))))
+    return float(np.max(np.abs(stacked - single))) <= rtol * scale
+
+
+def points(chart, count=40):
+    return chart.sample_points(count)
+
+
+def stacked_models(tmp_path):
+    path = tmp_path / "flat2.model"
+    path.write_text(FLAT_MODEL)
+    names = list(md.BUILTIN_NAMES) + ["constant-i:3"]
+    return [md.builtin(n) for n in names] + [md.load_model(str(path))]
+
+
+def transformed_models():
+    base = md.builtin("t3")
+    rng = np.random.default_rng(4)
+    a = sp.random_sp(2, rng, scale=0.3)
+    specs = ["translate:0.4", "scale:1.3", "mobius:1,0.3,-0.2,1"]
+    return [md.TransformedModel(base, md.parse_isometry(s, base.chart), a) for s in specs]
+
+
+class TestStackedPeriods:
+    def test_period_matrix(self, tmp_path):
+        for m in stacked_models(tmp_path) + transformed_models():
+            pts = points(m.chart)
+            stacked = m.period_matrix(pts)
+            single = np.array([m.period_matrix(p) for p in pts])
+            assert stacked.shape == (len(pts), m.n_v, m.n_v)
+            assert close(stacked, single), m.name
+
+    def test_period_directional(self, tmp_path):
+        rng = np.random.default_rng(9)
+        for m in stacked_models(tmp_path) + transformed_models():
+            pts = points(m.chart)
+            vs = rng.standard_normal(pts.shape)
+            stacked = m.period_directional(pts, vs)
+            single = np.array([m.period_directional(p, v) for p, v in zip(pts, vs)])
+            assert close(stacked, single), m.name
+
+    def test_coordinate_directions_broadcast(self, tmp_path):
+        # the layout used along a scalar map: every point times every unit vector
+        for m in stacked_models(tmp_path) + transformed_models():
+            pts = points(m.chart, 12)
+            units = np.eye(m.chart.dim)
+            stacked = m.period_directional(pts[:, None, :], units)
+            single = np.array([[m.period_directional(p, e) for e in units] for p in pts])
+            assert stacked.shape == (len(pts), m.chart.dim, m.n_v, m.n_v)
+            assert close(stacked, single), m.name
+
+    def test_checked_periods_match_period(self, tmp_path):
+        for m in stacked_models(tmp_path):
+            pts = points(m.chart, 16)
+            single = np.array([m.period(p).tau for p in pts])
+            assert close(md.checked_periods(m, pts), single), m.name
+
+    def test_checked_periods_flags_siegel_exit(self):
+        m = md.parse_model("nv=1\nchart=poincare\nN[1,1] = conj(tau)")
+        with pytest.raises(md.ModelInvalidError):
+            md.checked_periods(m, points(m.chart, 8))
+
+
+class TestStackedIsometries:
+    @pytest.mark.parametrize("spec", ["translate:0.4", "scale:1.3", "mobius:1,0.3,-0.2,1"])
+    def test_mobius(self, spec):
+        chart = md.ScalarChart("poincare", 2)
+        f = md.parse_isometry(spec, chart)
+        pts = points(chart)
+        assert close(f.apply(pts), np.array([f.apply(p) for p in pts]))
+        assert close(f.jacobian(pts), np.array([f.jacobian(p) for p in pts]))
+
+    def test_flat(self):
+        chart = md.ScalarChart("flat", 3)
+        c, s = np.cos(0.4), np.sin(0.4)
+        f = md.FlatIsometry(np.array([[c, -s, 0], [s, c, 0], [0, 0, 1.0]]),
+                            np.array([0.1, -0.2, 0.3]))
+        pts = points(chart)
+        assert close(f.apply(pts), np.array([f.apply(p) for p in pts]))
+        assert close(f.jacobian(pts), np.array([f.jacobian(p) for p in pts]))
+
+
+class TestStackedChart:
+    @pytest.mark.parametrize("chart", [md.ScalarChart("poincare", 2),
+                                       md.ScalarChart("flat", 3)])
+    def test_geometry_matches_single_points(self, chart):
+        pts = points(chart)
+        for name in ("metric", "metric_deriv", "christoffels"):
+            method = getattr(chart, name)
+            assert close(method(pts), np.array([method(p) for p in pts])), name
+
+    @pytest.mark.parametrize("chart", [md.ScalarChart("poincare", 2),
+                                       md.ScalarChart("flat", 3)])
+    def test_christoffels_koszul(self, chart):
+        pts = points(chart).reshape(5, 8, chart.dim)
+        ginv = np.linalg.inv(chart.metric(pts))
+        dg = chart.metric_deriv(pts)  # (..., k, i, j) = d_k G_ij
+        bracket = (np.einsum("...ilj->...lij", dg) + np.einsum("...jli->...lij", dg) - dg)
+        koszul = 0.5 * np.einsum("...kl,...lij->...kij", ginv, bracket)
+        assert close(chart.christoffels(pts), koszul)
+
+    def test_in_domain_per_point(self):
+        chart = md.ScalarChart("poincare", 2)
+        pts = np.array([[0.0, 1.0], [0.3, -0.1], [0.2, 0.0], [1.0, 2.0]])
+        assert list(chart.in_domain(pts)) == [bool(chart.in_domain(p)) for p in pts]
+        assert chart.first_outside(pts) == 1
+        assert chart.first_outside(pts[[0, 3]]) is None
+
+
+class TestStackedKillingFields:
+    @pytest.mark.parametrize("chart", [md.ScalarChart("poincare", 2),
+                                       md.ScalarChart("flat", 3)])
+    def test_matches_single_points(self, chart):
+        pts = points(chart)
+        for kf in du.killing_basis(chart):
+            for name in ("value", "jacobian", "lie_derivative_metric"):
+                method = getattr(kf, name)
+                assert close(method(pts), np.array([method(p) for p in pts])), name
+
+
+class TestStackedPoles:
+    def test_one_error_class(self):
+        assert ex.ExprPoleError is sp.PoleError
+        assert md.PoleError is sp.PoleError
+
+    def test_expression_stack_with_one_pole(self):
+        e = ex.parse("1/(tau - i)")
+        tau = np.array([0.5 + 1j, 1j, 2j])
+        with pytest.raises(ex.ExprPoleError):
+            ex.evaluate(e, {"tau": tau})
+        with pytest.raises(ex.ExprPoleError):
+            ex.derivative(e, {"tau": tau}, {"tau": np.ones(3, dtype=complex)})
+
+    def test_model_stack_with_one_pole(self):
+        m = md.parse_model("nv=1\nchart=poincare\nN[1,1] = i + 1/(tau - i)")
+        pts = np.array([[0.5, 1.0], [0.0, 1.0], [0.0, 2.0]])
+        m.period_matrix(pts[[0, 2]])
+        with pytest.raises(md.PoleError):
+            m.period_matrix(pts)
+        with pytest.raises(md.PoleError):
+            m.period_directional(pts, np.array([1.0, 0.0]))
+
+    def test_fractional_action_stack_with_one_pole(self):
+        taus = np.array([[[1j]], [[0.0 + 1e-16j]], [[2j]]])
+        single = np.array([sp.fractional_action(sp.omega(1), t, check=False)
+                           for t in taus[[0, 2]]])
+        assert close(sp.fractional_action(sp.omega(1), taus[[0, 2]], check=False), single)
+        with pytest.raises(sp.PoleError):
+            sp.fractional_action(sp.omega(1), taus, check=False)
+
+    def test_mobius_differential_stack(self):
+        rng = np.random.default_rng(2)
+        a = sp.random_sp(2, rng, scale=0.3)
+        taus = np.array([sp.mu(sp.random_taming(2, rng)).tau for _ in range(6)])
+        hs = rng.standard_normal(taus.shape) + 1j * rng.standard_normal(taus.shape)
+        single = np.array([sp.mobius_differential(a, t, h) for t, h in zip(taus, hs)])
+        assert close(sp.mobius_differential(a, taus, hs), single)
+
+
+class TestGridCouplings:
+    def test_configuration_matches_per_node_calls(self):
+        grid = gr.GridPatch(((-0.4, 0.4),) * 4, (7,) * 4)
+        rng = np.random.default_rng(6)
+        for m in [md.builtin("t3")] + transformed_models()[2:]:
+            phi = gr.phi_linear(grid, [0.05, 1.1], 0.1 * rng.standard_normal((4, 2)))
+            f = gr.random_polynomial_fieldstrength(grid, m.n_v, rng, amp=0.2)
+            cfg = gr.make_configuration(grid, m, gr.metric_minkowski(grid), phi, f)
+            flat = phi.reshape(-1, 2)
+            tau = np.array([m.period_matrix(p) for p in flat]).reshape(cfg.R.shape)
+            dtau = np.array([[m.period_directional(p, e) for e in np.eye(2)]
+                             for p in flat]).reshape(cfg.dR.shape)
+            assert close(cfg.R + 1j * cfg.I, tau)
+            assert close(cfg.dR + 1j * cfg.dI, dtau)
+
+    def test_domain_exit_names_first_bad_node(self):
+        grid = gr.GridPatch(((-0.4, 0.4),) * 4, (7,) * 4)
+        slopes = np.zeros((4, 2))
+        slopes[3, 1] = -1.0                      # y = 0.2 - z leaves where z > 0.2
+        phi = gr.phi_linear(grid, [0.0, 0.2], slopes)
+        first = int(np.argmax(phi.reshape(-1, 2)[:, 1] <= 0))
+        assert first == 5
+        with pytest.raises(gr.DomainExitError, match=rf"at node {first}:"):
+            gr.make_configuration(grid, md.builtin("identity-tau"),
+                                  gr.metric_minkowski(grid), phi,
+                                  np.zeros(grid.shape + (1, 4, 4)))
