@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass
+from functools import cache, cached_property
 
 import numpy as np
 
@@ -31,8 +32,17 @@ class FrameError(ValueError):
     pass
 
 
+def _table(a: np.ndarray) -> np.ndarray:
+    a = np.ascontiguousarray(a)
+    a.setflags(write=False)
+    return a
+
+
 @dataclass(frozen=True)
 class CliffordRep:
+    """Gamma matrices and the Clifford tables the spinor kernels contract
+    with.  Each table is built on first use and kept read-only."""
+
     gamma: np.ndarray  # (4, 4, 4), gamma[a] real
     eta: np.ndarray
 
@@ -44,16 +54,56 @@ class CliffordRep:
     def gamma_upper(self) -> np.ndarray:
         return np.einsum("ab,bij->aij", np.linalg.inv(self.eta), self.gamma)
 
+    @cached_property
+    def spin_table(self) -> np.ndarray:
+        """(16, 16): row (a, b) is -(1/4) gamma^a gamma^b flattened over (i, k),
+        so that w_ab (flattened) @ table = -(1/4) w_ab gamma^a gamma^b."""
+        gup = self.gamma_upper()
+        return _table(-0.25 * (gup[:, None] @ gup[None, :]).reshape(16, 16))
 
+    @cached_property
+    def pairing(self) -> np.ndarray:
+        """The Majorana pairing C used by ``killing_bilinears``: the
+        sigma = -1 invariant bilinear (gamma_a^T C = -C gamma_a), for which
+        C gamma_a is symmetric and the vector bilinear is a nonzero quadratic
+        form."""
+        mats = invariant_bilinears(self)[-1]
+        if len(mats) != 1:
+            raise RuntimeError(f"expected one sigma=-1 invariant bilinear, got {len(mats)}")
+        m = mats[0]
+        return _table(m / np.max(np.abs(m)))
+
+    @cached_property
+    def bilinear_tables(self) -> tuple[np.ndarray, np.ndarray]:
+        """Tables of C gamma_a and C gamma_{[a} gamma_{b]}, rows i and columns
+        (a, k) or (a, b, k), shapes (4, 16) and (4, 64): the bilinears are
+        eps @ table @ eps with the columns reshaped."""
+        gam = self.gamma
+        gg = gam[:, None] @ gam[None, :]
+        gab = 0.5 * (gg - np.swapaxes(gg, 0, 1))
+        c = self.pairing
+        vec = np.moveaxis(c @ gam, -2, 0).reshape(4, 16)
+        ten = np.moveaxis(c @ gab, -2, 0).reshape(4, 64)
+        return _table(vec), _table(ten)
+
+    def slash(self, v: np.ndarray) -> np.ndarray:
+        """gamma(v) = v^a gamma_a for frame vectors v of shape (..., 4)."""
+        v = np.asarray(v)
+        return (v @ self.gamma.reshape(4, 16)).reshape(v.shape[:-1] + (4, 4))
+
+
+@cache
 def clifford_rep() -> CliffordRep:
-    """The fixed real Majorana representation of the (3,1) Clifford relations."""
+    """The fixed real Majorana representation of the (3,1) Clifford relations.
+
+    One shared instance with read-only arrays, so its tables are built once."""
     eps = np.array([[0.0, 1.0], [-1.0, 0.0]])
     s1 = np.array([[0.0, 1.0], [1.0, 0.0]])
     s3 = np.array([[1.0, 0.0], [0.0, -1.0]])
     one = np.eye(2)
     gamma = np.stack([np.kron(eps, one), np.kron(s1, one),
                       np.kron(s3, s1), np.kron(s3, s3)])
-    return CliffordRep(gamma=gamma, eta=ETA.copy())
+    return CliffordRep(gamma=_table(gamma), eta=_table(ETA.copy()))
 
 
 # ------------------------------------------------------------------- frames
@@ -78,7 +128,7 @@ class FramePatch:
 
     def metric(self) -> np.ndarray:
         """g_{mu nu} = e^a_mu eta_ab e^b_nu per node."""
-        return np.einsum("...am,ab,...bn->...mn", self.e, ETA, self.e)
+        return np.swapaxes(self.e, -1, -2) @ (ETA @ self.e)
 
     def inverse(self) -> np.ndarray:
         """e^mu_a, shape grid + (mu, a)."""
@@ -147,13 +197,19 @@ def spin_connection(fr: FramePatch) -> np.ndarray:
     """
     e = fr.e
     einv = fr.inverse()
-    e_low = np.einsum("ab,...bm->...am", ETA, e)          # e_{a mu}
-    de = partials(e_low, fr.grid)                         # (..., a, m, n) = d_n e_{a m}
-    c = np.einsum("...anm->...amn", de) - de              # C[a, m, n] = d_m e_{a n} - d_n e_{a m}
-    t1 = np.einsum("...na,...bmn->...mab", einv, c)       # e^n_a C[b, m, n]
-    t2 = np.einsum("...nb,...amn->...mab", einv, c)
-    t3 = np.einsum("...ra,...sb,...crs,...cm->...mab", einv, einv, c, e)
-    w = 0.5 * (t1 - t2 - t3)
+    de = partials(ETA @ e, fr.grid)                       # (..., a, m, n) = d_n e_{a m}
+    c = np.swapaxes(de, -1, -2) - de                      # C[a, m, n] = d_m e_{a n} - d_n e_{a m}
+    del de
+    lead = e.shape[:-2]
+    # t1[m, a, b] = e^n_a C[b, m, n]; t2[m, a, b] = e^n_b C[a, m, n] = t1[m, b, a]
+    t1 = np.moveaxis((c.reshape(lead + (16, 4)) @ einv).reshape(lead + (4, 4, 4)), -3, -1)
+    # t3[m, a, b] = e^c_m (e^r_a C[c, r, s] e^s_b): a frame rotation of C
+    rot = np.swapaxes(einv, -1, -2)[..., None, :, :] @ c
+    del c
+    rot = rot @ einv[..., None, :, :]
+    t3 = (np.swapaxes(e, -1, -2) @ rot.reshape(lead + (4, 16))).reshape(lead + (4, 4, 4))
+    del rot
+    w = 0.5 * (t1 - np.swapaxes(t1, -1, -2) - t3)
     return (w - np.swapaxes(w, -1, -2)) / 2
 
 
@@ -171,13 +227,25 @@ def metric_compatibility_residual(fr: FramePatch, w: np.ndarray) -> float:
 
 # ---------------------------------------------------------- killing spinors
 
-def _transport_generator(rep: CliffordRep, w_mab: np.ndarray, e_am: np.ndarray,
+def _transport_generator(rep: CliffordRep, w_ab: np.ndarray, e_a: np.ndarray,
                          lam: float) -> np.ndarray:
-    """M_mu = -(1/4) w_{mu a b} gamma^a gamma^b + (lam/2) gamma_mu, batched."""
-    gup = rep.gamma_upper()
-    quarter = 0.25 * np.einsum("...mab,aij,bjk->...mik", w_mab, gup, gup)
-    gamma_mu = np.einsum("...am,aij->...mij", e_am, rep.gamma)
-    return -quarter + 0.5 * lam * gamma_mu
+    """M_mu = -(1/4) w_{mu a b} gamma^a gamma^b + (lam/2) e^a_mu gamma_a for one
+    direction mu, stacked over the leading axes of w_ab (..., a, b) and
+    e_a (..., a): one matmul with each Clifford table.  All four directions
+    of a node are the stack (w_{mu a b}, e^a_mu transposed to (mu, a))."""
+    m = (w_ab.reshape(e_a.shape[:-1] + (16,)) @ rep.spin_table).reshape(w_ab.shape)
+    gamma_e = rep.slash(e_a)
+    gamma_e *= 0.5 * lam
+    m += gamma_e
+    return m
+
+
+def _axis_generator(fr: FramePatch, rep: CliffordRep, lam: float,
+                    pts: np.ndarray, axis: int) -> np.ndarray:
+    """M_axis at off-node points from the analytic frame and connection:
+    only the swept direction is built."""
+    w = np.asarray(fr.conn_fn(pts))[..., axis, :, :]
+    return _transport_generator(rep, w, fr.frame_fn(pts)[..., :, axis], lam)
 
 
 def killing_residual(fr: FramePatch, eps: np.ndarray, lam: float,
@@ -192,8 +260,8 @@ def killing_residual(fr: FramePatch, eps: np.ndarray, lam: float,
     rep = rep or clifford_rep()
     w = spin_connection(fr)
     deps = np.moveaxis(partials(eps, fr.grid), -1, -2)    # (..., mu, comp)
-    m = _transport_generator(rep, w, fr.e, lam)
-    return deps - np.einsum("...mij,...j->...mi", m, eps)
+    m = _transport_generator(rep, w, np.swapaxes(fr.e, -1, -2), lam)
+    return deps - (m @ eps[..., None, :, None])[..., 0]
 
 
 def killing_residual_max(fr: FramePatch, eps: np.ndarray, lam: float) -> float:
@@ -202,7 +270,7 @@ def killing_residual_max(fr: FramePatch, eps: np.ndarray, lam: float) -> float:
 
 def _rk4_step(m_of_s, y0: np.ndarray, h: float) -> np.ndarray:
     def apply(m, y):
-        return np.einsum("...ij,...j->...i", m, y)
+        return (m @ y[..., None])[..., 0]
 
     m0 = m_of_s(0.0)
     m_half = m_of_s(h / 2)  # shared by the two middle stages
@@ -234,11 +302,6 @@ def integrate_killing(fr: FramePatch, lam: float, eps0: np.ndarray,
     eps = np.zeros(shape + (4,))
     eps[(0,) * 4] = np.asarray(eps0, dtype=float)
 
-    def m_axis(pts, axis):
-        w = np.asarray(fr.conn_fn(pts))
-        m = _transport_generator(rep, w, fr.frame_fn(pts), lam)
-        return m[..., axis, :, :]
-
     for pos, axis in enumerate(axis_order):
         idx = [slice(0, 1)] * 4
         for done in axis_order[:pos]:
@@ -252,7 +315,7 @@ def integrate_killing(fr: FramePatch, lam: float, eps0: np.ndarray,
             def m_of_s(s, axis=axis, pts=pts):
                 q = pts.copy()
                 q[..., axis] += s
-                return m_axis(q, axis)
+                return _axis_generator(fr, rep, lam, q, axis)
 
             eps[tuple(nxt)] = _rk4_step(m_of_s, eps[tuple(cur)], float(h[axis]))
     return eps
@@ -307,34 +370,27 @@ def killing_bilinears(fr: FramePatch, eps: np.ndarray,
     search found the normalisation to be exactly 1 already).
     """
     rep = rep or clifford_rep()
-    c = _PAIRING(rep)
-    gam = rep.gamma
-    u_frame = np.einsum("...i,ij,ajk,...k->...a", eps, c, gam, eps)
-    gab = 0.5 * (np.einsum("aij,bjk->abik", gam, gam)
-                 - np.einsum("bij,ajk->abik", gam, gam))
-    om_frame = np.einsum("...i,ij,abjk,...k->...ab", eps, c, gab, eps)
+    vec, ten = rep.bilinear_tables
+    lead = eps.shape[:-1]
+    col = eps[..., :, None]
+    u_frame = ((eps @ vec).reshape(lead + (4, 4)) @ col)[..., 0]
+    om_frame = ((eps @ ten).reshape(lead + (16, 4)) @ col).reshape(lead + (4, 4))
     u = np.einsum("...am,...a->...m", fr.e, u_frame)
-    om = np.einsum("...am,...bn,...ab->...mn", fr.e, fr.e, om_frame)
+    om = np.swapaxes(fr.e, -1, -2) @ om_frame @ fr.e
     uu = np.maximum(np.einsum("...m,...m->...", u, u), 1e-300)
     l_raw = -np.einsum("...m,...mn->...n", u, om) / uu[..., None]
     g = fr.metric()
     ginv = np.linalg.inv(g)
-    norm_sq = np.einsum("...mn,...m,...n->...", ginv, l_raw, l_raw)
+    norm_sq = _quadratic(ginv, l_raw, l_raw)
     if np.min(norm_sq) <= 0:
         warnings.warn("spacelike bilinear is not spacelike everywhere", stacklevel=2)
     l = l_raw / np.sqrt(np.abs(norm_sq))[..., None]
     return u, l
 
 
-def _PAIRING(rep: CliffordRep) -> np.ndarray:
-    """Majorana pairing used by ``killing_bilinears``: the sigma = -1
-    invariant bilinear (gamma_a^T C = -C gamma_a), for which C gamma_a is
-    symmetric and the vector bilinear is a nonzero quadratic form."""
-    mats = invariant_bilinears(rep)[-1]
-    if len(mats) != 1:
-        raise RuntimeError(f"expected one sigma=-1 invariant bilinear, got {len(mats)}")
-    m = mats[0]
-    return m / np.max(np.abs(m))
+def _quadratic(ginv: np.ndarray, a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """g^{mn} a_m b_n per node."""
+    return ((ginv @ a[..., :, None])[..., 0] * b).sum(axis=-1)
 
 
 # ------------------------------------------------- first-order system check
@@ -394,9 +450,9 @@ def verify_thm53(u: np.ndarray, l: np.ndarray, kappa: np.ndarray, lam: float,
     res_l = grad_l - np.einsum("...m,...n->...mn", kappa, u) \
         - lam * (np.einsum("...m,...n->...mn", l, l) - g)
 
-    uu = np.einsum("...mn,...m,...n->...", ginv, u, u)
-    ll = np.einsum("...mn,...m,...n->...", ginv, l, l)
-    ul = np.einsum("...mn,...m,...n->...", ginv, u, l)
+    uu = _quadratic(ginv, u, u)
+    ll = _quadratic(ginv, l, l)
+    ul = _quadratic(ginv, u, l)
 
     killing = grad_u + np.swapaxes(grad_u, -1, -2)
 
@@ -429,7 +485,7 @@ def t_w(rep: CliffordRep, w: complex, eps: np.ndarray, v: np.ndarray) -> np.ndar
     """Chiral Killing endomorphism: T_w(eps)(v) = gamma(v)(w P+ eps + conj(w) P- eps)
     for a frame vector v (components in the orthonormal frame)."""
     p_plus, p_minus = chiral_projectors(rep)
-    gv = np.einsum("a,aij->ij", np.asarray(v, dtype=float), rep.gamma)
+    gv = rep.slash(np.asarray(v, dtype=float))
     return gv @ (w * (p_plus @ eps) + np.conj(w) * (p_minus @ eps))
 
 
@@ -474,6 +530,6 @@ def chiral_operator_check(w: complex, eps1: np.ndarray, eps2: np.ndarray,
             real_eps = eps + np.conj(eps)  # a c-real spinor
             red = max(red, float(np.max(np.abs(
                 t_w(rep, w, real_eps, v)
-                - w.real * np.einsum("a,aij,j->i", v, rep.gamma, real_eps)))))
+                - w.real * (rep.slash(v) @ real_eps)))))
         out["real_w_reduction"] = red
     return out

@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 
@@ -327,3 +329,159 @@ class TestChiralAlgebra:
         eps = rng.standard_normal(4) + 1j * rng.standard_normal(4)
         with pytest.warns(UserWarning):
             sn.chiral_operator_check(0.2, eps, eps, rep)
+
+
+# ------------------------------------------------------------ einsum oracles
+# The contraction kernels written out as the multi-operand einsums they were
+# first written as, one formula each.  The stacked-matmul kernels of the
+# module must agree with them to roundoff.
+
+def oracle_generator(rep, w_mab, e_am, lam):
+    gup = np.einsum("ab,bij->aij", np.linalg.inv(rep.eta), rep.gamma)
+    quarter = 0.25 * np.einsum("...mab,aij,bjk->...mik", w_mab, gup, gup)
+    gamma_mu = np.einsum("...am,aij->...mij", e_am, rep.gamma)
+    return -quarter + 0.5 * lam * gamma_mu
+
+
+def oracle_metric(e):
+    return np.einsum("...am,ab,...bn->...mn", e, sn.ETA, e)
+
+
+def oracle_spin_connection(fr):
+    e = fr.e
+    einv = np.linalg.inv(e)
+    e_low = np.einsum("ab,...bm->...am", sn.ETA, e)
+    de = gr.partials(e_low, fr.grid)
+    c = np.einsum("...anm->...amn", de) - de
+    t1 = np.einsum("...na,...bmn->...mab", einv, c)
+    t2 = np.einsum("...nb,...amn->...mab", einv, c)
+    t3 = np.einsum("...ra,...sb,...crs,...cm->...mab", einv, einv, c, e)
+    w = 0.5 * (t1 - t2 - t3)
+    return (w - np.swapaxes(w, -1, -2)) / 2
+
+
+def oracle_bilinears(fr, eps, rep):
+    c = sn.invariant_bilinears(rep)[-1][0]
+    c = c / np.max(np.abs(c))
+    gam = rep.gamma
+    u_frame = np.einsum("...i,ij,ajk,...k->...a", eps, c, gam, eps)
+    gab = 0.5 * (np.einsum("aij,bjk->abik", gam, gam)
+                 - np.einsum("bij,ajk->abik", gam, gam))
+    om_frame = np.einsum("...i,ij,abjk,...k->...ab", eps, c, gab, eps)
+    u = np.einsum("...am,...a->...m", fr.e, u_frame)
+    om = np.einsum("...am,...bn,...ab->...mn", fr.e, fr.e, om_frame)
+    uu = np.maximum(np.einsum("...m,...m->...", u, u), 1e-300)
+    l_raw = -np.einsum("...m,...mn->...n", u, om) / uu[..., None]
+    ginv = np.linalg.inv(oracle_metric(fr.e))
+    norm_sq = np.einsum("...mn,...m,...n->...", ginv, l_raw, l_raw)
+    return u, l_raw / np.sqrt(np.abs(norm_sq))[..., None]
+
+
+def oracle_integrate(fr, lam, eps0, rep, axis_order):
+    # all four directions built at every RK4 stage, the unused three dropped
+    coords = fr.grid.coords()
+    eps = np.zeros(fr.grid.shape + (4,))
+    eps[(0,) * 4] = eps0
+
+    def m_at(q, axis):
+        return oracle_generator(rep, fr.conn_fn(q), fr.frame_fn(q), lam)[..., axis, :, :]
+
+    def apply(m, y):
+        return np.einsum("...ij,...j->...i", m, y)
+
+    for pos, axis in enumerate(axis_order):
+        idx = [slice(0, 1)] * 4
+        for done in axis_order[:pos]:
+            idx[done] = slice(None)
+        h = float(fr.grid.h[axis])
+        for k in range(fr.grid.shape[axis] - 1):
+            cur, nxt = list(idx), list(idx)
+            cur[axis] = slice(k, k + 1)
+            nxt[axis] = slice(k + 1, k + 2)
+            pts = coords[tuple(cur)]
+            shifted = [pts.copy() for _ in range(3)]
+            for q, s in zip(shifted, (0.0, h / 2, h)):
+                q[..., axis] += s
+            m0, m_half, m1 = (m_at(q, axis) for q in shifted)
+            y0 = eps[tuple(cur)]
+            k1 = apply(m0, y0)
+            k2 = apply(m_half, y0 + h / 2 * k1)
+            k3 = apply(m_half, y0 + h / 2 * k2)
+            k4 = apply(m1, y0 + h * k3)
+            eps[tuple(nxt)] = y0 + h / 6 * (k1 + 2 * k2 + 2 * k3 + k4)
+    return eps
+
+
+def rel_err(new, old):
+    return float(np.max(np.abs(new - old)) / np.max(np.abs(old)))
+
+
+@pytest.fixture(scope="module")
+def wavy9():
+    """A non-conformal frame e = I + 0.1 sin(K x + phi) on a 9^4 grid, with an
+    analytic (not torsion-free, only antisymmetric) connection evaluator for
+    the generator tests."""
+    rng = np.random.default_rng(11)
+    k_e, phi_e = rng.uniform(-3, 3, (4, 4, 4)), rng.uniform(0, 2 * np.pi, (4, 4))
+    k_w, phi_w = rng.uniform(-3, 3, (4, 4, 4, 4)), rng.uniform(0, 2 * np.pi, (4, 4, 4))
+
+    def frame_fn(pts):
+        return np.eye(4) + 0.1 * np.sin(np.einsum("...n,amn->...am", pts, k_e) + phi_e)
+
+    def conn_fn(pts):
+        w = 0.3 * np.cos(np.einsum("...n,mabn->...mab", pts, k_w) + phi_w)
+        return w - np.swapaxes(w, -1, -2)
+
+    grid = gr.GridPatch(((-0.4, 0.4),) * 4, (9,) * 4)
+    return sn.FramePatch(grid, frame_fn(grid.coords()), name="wavy",
+                         frame_fn=frame_fn, conn_fn=conn_fn)
+
+
+class TestKernelOracles:
+    def test_transport_generator_all_directions(self, wavy9, rep):
+        x = wavy9.grid.coords()
+        w, e = wavy9.conn_fn(x), wavy9.e
+        for lam in (0.0, 0.7):
+            new = sn._transport_generator(rep, w, np.swapaxes(e, -1, -2), lam)
+            assert rel_err(new, oracle_generator(rep, w, e, lam)) < 1e-13
+
+    def test_axis_generator_is_slice_of_full(self, wavy9, rep):
+        pts = wavy9.grid.coords()[:, 2, :, 3]
+        full = oracle_generator(rep, wavy9.conn_fn(pts), wavy9.frame_fn(pts), 0.7)
+        for axis in range(4):
+            one = sn._axis_generator(wavy9, rep, 0.7, pts, axis)
+            assert rel_err(one, full[..., axis, :, :]) < 1e-13
+
+    def test_spin_connection(self, wavy9):
+        assert rel_err(sn.spin_connection(wavy9), oracle_spin_connection(wavy9)) < 1e-13
+
+    def test_metric(self, wavy9):
+        assert rel_err(wavy9.metric(), oracle_metric(wavy9.e)) < 1e-13
+
+    def test_killing_bilinears(self, wavy9, ads9, rep):
+        _, _, eps = ads9
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", UserWarning)
+            u, l = sn.killing_bilinears(wavy9, eps)
+            u_old, l_old = oracle_bilinears(wavy9, eps, rep)
+        assert rel_err(u, u_old) < 1e-13
+        assert rel_err(l, l_old) < 1e-13
+
+    @pytest.mark.parametrize("order", [(0, 1, 2, 3), (3, 2, 1, 0)])
+    def test_integrate_killing(self, ads9, rep, order):
+        _, fr, _ = ads9
+        new = sn.integrate_killing(fr, LAM, EPS0, axis_order=order)
+        assert rel_err(new, oracle_integrate(fr, LAM, EPS0, rep, order)) < 1e-13
+
+    def test_tables_built_once_and_read_only(self, rep):
+        assert sn.clifford_rep() is rep
+        assert rep.spin_table is rep.spin_table
+        assert rep.pairing is rep.pairing
+        for table in (rep.gamma, rep.spin_table, rep.pairing,
+                      *rep.bilinear_tables):
+            assert not table.flags.writeable
+
+    def test_pairing_requires_one_invariant_bilinear(self):
+        broken = sn.CliffordRep(gamma=np.zeros((4, 4, 4)), eta=sn.ETA)
+        with pytest.raises(RuntimeError):
+            broken.pairing
