@@ -56,9 +56,8 @@ print(f"path defect with lam' = 1.3: {path_defect(fr, 1.3, eps0):.3f}")
 print("\n== the lightlike/spacelike pair from bilinears ==")
 eps = integrate_killing(fr, lam, eps0)
 u, l = killing_bilinears(fr, eps)
-g = fr.metric()
-kappa = extract_kappa(u, l, lam, g, grid)
-out = verify_thm53(u, l, kappa, lam, g, grid)
+kappa = extract_kappa(u, l, lam, fr.geometry, grid)
+out = verify_thm53(u, l, kappa, lam, fr.geometry, grid)
 print(f"g(u,u) = {out.u_norm_violation:.1e}   g(l,l)-1 = {out.l_norm_violation:.1e}"
       f"   g(u,l) = {out.orthogonality_violation:.1e}")
 print(f"grad-u equation residual {out.du_residual:.2e}, grad-l equation "

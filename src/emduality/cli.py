@@ -24,6 +24,7 @@ from . import holonomy as ho
 from . import models as md
 from . import spinors as sn
 from . import symplectic as sp
+from .textio import numbers
 
 SCHEMA = "emduality-report/1"
 
@@ -87,7 +88,7 @@ def _read_text(path: str) -> str:
 
 
 def _read_matrix(path: str, dim: int | None = None) -> np.ndarray:
-    vals = np.array([float(s) for s in _read_text(path).split()])
+    vals = np.array(numbers(_read_text(path), FileInputError))
     n = int(round(np.sqrt(vals.size)))
     if n * n != vals.size:
         raise FileInputError(f"{path!r} does not contain a square matrix")
@@ -380,9 +381,8 @@ def cmd_thm53(args) -> tuple[int, Report]:
     for fr in (fr9, fr13):
         eps = sn.integrate_killing(fr, args.lam, eps0)
         u, l = sn.killing_bilinears(fr, eps)
-        g = fr.metric()
-        kappa = sn.extract_kappa(u, l, args.lam, g, fr.grid)
-        out = sn.verify_thm53(u, l, kappa, args.lam, g, fr.grid)
+        kappa = sn.extract_kappa(u, l, args.lam, fr.geometry, fr.grid)
+        out = sn.verify_thm53(u, l, kappa, args.lam, fr.geometry, fr.grid)
         maxima.append(out)
     fine = maxima[1]
     rep.add("nontrivial", fine.nontrivial, passed=fine.nontrivial)

@@ -11,6 +11,7 @@ result then has the broadcast shape.
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
 
 import numpy as np
@@ -232,64 +233,25 @@ class _Tok:
     col: int
 
 
+_TOKEN = re.compile(r"(?P<num>(?:\d+(?:\.\d*)?|\.\d+)(?:[eE][+-]?\d+)?)"
+                    r"|(?P<ident>[^\W\d]\w*)|(?P<op>\*\*|[-+*/^])"
+                    r"|(?P<lparen>\()|(?P<rparen>\))|(?P<space>\s)")
+
+
 def _tokenize(src: str, line_offset: int = 1) -> list[_Tok]:
     toks = []
-    line, col = line_offset, 1
-    i = 0
-    while i < len(src):
-        ch = src[i]
-        if ch == "\n":
-            line += 1
-            col = 1
-            i += 1
-            continue
-        if ch.isspace():
-            i += 1
-            col += 1
-            continue
-        if ch.isdigit() or (ch == "." and i + 1 < len(src) and src[i + 1].isdigit()):
-            j = i
-            seen_dot = False
-            while j < len(src) and (src[j].isdigit() or (src[j] == "." and not seen_dot)):
-                seen_dot = seen_dot or src[j] == "."
-                j += 1
-            if j < len(src) and src[j] in "eE":
-                k = j + 1
-                if k < len(src) and src[k] in "+-":
-                    k += 1
-                if k < len(src) and src[k].isdigit():
-                    j = k
-                    while j < len(src) and src[j].isdigit():
-                        j += 1
-            toks.append(_Tok("num", src[i:j], line, col))
-            col += j - i
-            i = j
-            continue
-        if ch.isalpha() or ch == "_":
-            j = i
-            while j < len(src) and (src[j].isalnum() or src[j] == "_"):
-                j += 1
-            toks.append(_Tok("ident", src[i:j], line, col))
-            col += j - i
-            i = j
-            continue
-        if src.startswith("**", i):
-            toks.append(_Tok("op", "^", line, col))
-            i += 2
-            col += 2
-            continue
-        if ch in "+-*/^":
-            toks.append(_Tok("op", ch, line, col))
-        elif ch == "(":
-            toks.append(_Tok("lparen", ch, line, col))
-        elif ch == ")":
-            toks.append(_Tok("rparen", ch, line, col))
-        else:
-            raise ExprSyntaxError(f"unexpected character {ch!r}", line, col)
-        i += 1
-        col += 1
-    toks.append(_Tok("eof", "", line, col))
-    return toks
+    pos = 0
+    while True:
+        line = line_offset + src.count("\n", 0, pos)
+        col = pos - src.rfind("\n", 0, pos)
+        if pos == len(src):
+            return toks + [_Tok("eof", "", line, col)]
+        m = _TOKEN.match(src, pos)
+        if m is None:
+            raise ExprSyntaxError(f"unexpected character {src[pos]!r}", line, col)
+        if m.lastgroup != "space":
+            toks.append(_Tok(m.lastgroup, "^" if m.group() == "**" else m.group(), line, col))
+        pos = m.end()
 
 
 class _Parser:

@@ -69,7 +69,7 @@ class MetricPoint:
 
     @property
     def det(self) -> float:
-        return float(np.linalg.det(self.g))
+        return float(invert_metric(self.g)[1])
 
 
 def _as_metric(g) -> np.ndarray:
@@ -80,29 +80,73 @@ def _as_taming(j) -> np.ndarray:
     return j.J if isinstance(j, Taming) else np.asarray(j, dtype=float)
 
 
+# ------------------------------------------------------------ metric geometry
+#
+# The one path from a metric to g^-1 and sqrt(-det g), and the index raising
+# built on it.  Every kernel takes metrics stacked over leading axes.
+
+def invert_metric(g) -> tuple[np.ndarray, np.ndarray]:
+    """(g^-1, det g) of a metric or a stack of metrics.
+
+    A node is singular when |det g| <= 1e-14 max|g_mn|^4: the threshold scales
+    with the metric, so c * eta is regular for every c > 0.
+    """
+    gm = _as_metric(g)
+    det = np.linalg.det(gm)
+    singular = np.abs(det) <= 1e-14 * np.max(np.abs(gm), axis=(-2, -1)) ** 4
+    if np.any(singular):
+        raise SingularMetricError(
+            f"metric singular at node index {tuple(np.argwhere(singular)[0].tolist())}")
+    return np.linalg.inv(gm), det
+
+
+def volume(det: np.ndarray) -> np.ndarray:
+    """sqrt(-det g) of a Lorentzian metric (or stack) with determinant det."""
+    if np.any(det > 0):
+        raise SingularMetricError("metric must have Lorentzian (negative) determinant")
+    return np.sqrt(-det)
+
+
+def raise2(ginv: np.ndarray, w: np.ndarray) -> np.ndarray:
+    """w^{ab} = g^{ac} w_cd g^{db} of two-index tensors w."""
+    return ginv @ w @ ginv
+
+
+def contract(ginv: np.ndarray, a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """a_{ac} g^{cd} b_{bd}: two-index tensors contracted in their second slot."""
+    return a @ ginv @ np.swapaxes(b, -1, -2)
+
+
+def trace(ginv: np.ndarray, t: np.ndarray) -> np.ndarray:
+    """g^{ab} t_ab."""
+    return (ginv * t).sum(axis=(-2, -1))
+
+
+EPS16 = EPS4.reshape(16, 16)
+
+
+def star(ginv: np.ndarray, vol: np.ndarray, w: np.ndarray) -> np.ndarray:
+    """Hodge dual (1/2) sqrt(-det g) eps_{mn rs} w^{rs} from a metric's
+    inverse and volume, each broadcastable against w's leading shape."""
+    up = raise2(ginv, w)
+    dual = (up.reshape(up.shape[:-2] + (16,)) @ EPS16).reshape(up.shape)
+    return (0.5 * np.asarray(vol))[..., None, None] * dual
+
+
 def hodge2(g, w: np.ndarray) -> np.ndarray:
     """Hodge dual of two-form component matrices; broadcasts over leading axes.
 
     g may be a single 4x4 metric or a stack broadcastable against w's leading
     shape.  Satisfies hodge2(g, hodge2(g, w)) = -w.
     """
-    gm = _as_metric(g)
-    w = np.asarray(w, dtype=w.dtype if np.iscomplexobj(w) else float)
-    det = np.linalg.det(gm)
-    if np.any(np.abs(det) < 1e-300):
-        raise SingularMetricError("metric is degenerate")
-    if np.any(det >= 0):
-        raise SingularMetricError("metric must have Lorentzian (negative) determinant")
-    ginv = np.linalg.inv(gm)
-    dual = 0.5 * np.einsum("mnrs,...ra,...sb,...ab->...mn", EPS4, ginv, ginv, w)
-    return np.sqrt(-det)[..., None, None] * dual if det.ndim else np.sqrt(-det) * dual
+    ginv, det = invert_metric(g)
+    return star(ginv, volume(det), np.asarray(w))
 
 
 def form_inner(g, a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """(a, b)_g = (1/2) a_{mu nu} b^{mu nu}; broadcasts over leading axes."""
-    gm = _as_metric(g)
-    ginv = np.linalg.inv(gm)
-    return 0.5 * np.einsum("...ab,...ra,...sb,...rs->...", a, ginv, ginv, b)
+    ginv, _ = invert_metric(g)
+    return 0.5 * (a * raise2(ginv, b)).sum(axis=(-2, -1))
 
 
 def twisted_star(g, j, v: np.ndarray) -> np.ndarray:
@@ -115,8 +159,7 @@ def twisted_star(g, j, v: np.ndarray) -> np.ndarray:
     if gm.ndim > 2:
         gm = gm[..., None, :, :]  # broadcast one metric across the fiber index
     starred = hodge2(gm, v)
-    return np.einsum("AB,...Bmn->...Amn", jm, starred) if jm.ndim == 2 else \
-        np.einsum("...AB,...Bmn->...Amn", jm, starred)
+    return np.einsum("...AB,...Bmn->...Amn", jm, starred)
 
 
 def project_sd(g, j, v: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -173,9 +216,8 @@ def twisted_pairing(g, j, a: np.ndarray, b: np.ndarray) -> float:
 
 def oslash_g(g, r1: np.ndarray, r2: np.ndarray) -> np.ndarray:
     """Inner g-contraction of two-forms: (r1 oslash r2)_{ab} = r1_{ac} r2_b{}^c."""
-    gm = _as_metric(g)
-    ginv = np.linalg.inv(gm)
-    return np.einsum("...ac,...cd,...bd->...ab", r1, ginv, r2)
+    ginv, _ = invert_metric(g)
+    return contract(ginv, r1, r2)
 
 
 def oslash_Q(g, j, v: np.ndarray, w: np.ndarray) -> np.ndarray:
@@ -184,8 +226,7 @@ def oslash_Q(g, j, v: np.ndarray, w: np.ndarray) -> np.ndarray:
     For twisted self-dual v = w this is exactly the gauge stress tensor."""
     jm = _as_taming(j)
     q = omega(jm.shape[0] // 2) @ jm
-    contracted = oslash_g(g, v[:, None, :, :], w[None, :, :, :])  # (A, B, a, b)
-    return np.einsum("AB,ABab->ab", q, contracted)
+    return oslash_g(g, v, np.einsum("AB,Bmn->Amn", q, w)).sum(axis=0)
 
 
 def stress_gauge(g, j, v: np.ndarray, check: bool = True) -> np.ndarray:
@@ -206,12 +247,9 @@ def stress_gauge(g, j, v: np.ndarray, check: bool = True) -> np.ndarray:
 
 def stress_gauge_couplings(g, em: ElectromagneticPair, f: np.ndarray) -> np.ndarray:
     """Gauge stress in coupling form: 2 I F_{ac} F_b{}^c - (1/2) g_ab I F.F."""
-    gm = _as_metric(g)
-    ginv = np.linalg.inv(gm)
-    fup = np.einsum("Lab,ca,db->Lcd", f, ginv, ginv)
-    t = 2.0 * np.einsum("LS,Lac,Sbd,cd->ab", em.I, f, f, ginv)
-    trace_part = np.einsum("LS,Lab,Sab->", em.I, f, fup)
-    return t - 0.5 * gm * trace_part
+    ginv, _ = invert_metric(g)
+    x = contract(ginv, f, np.einsum("LS,Smn->Lmn", em.I, f)).sum(axis=0)
+    return 2.0 * x - 0.5 * _as_metric(g) * trace(ginv, x)
 
 
 def stress_scalar(g, chart_metric: np.ndarray, dphi: np.ndarray) -> np.ndarray:
@@ -219,13 +257,10 @@ def stress_scalar(g, chart_metric: np.ndarray, dphi: np.ndarray) -> np.ndarray:
 
     dphi has shape (4, n_s): dphi[a, i] = d_a phi^i.
     """
-    gm = _as_metric(g)
-    ginv = np.linalg.inv(gm)
-    cm = np.asarray(chart_metric, dtype=float)
+    ginv, _ = invert_metric(g)
     dphi = np.asarray(dphi, dtype=float)
-    t = np.einsum("ij,ai,bj->ab", cm, dphi, dphi)
-    trace = np.einsum("ij,ai,bj,ab->", cm, dphi, dphi, ginv)
-    return t - 0.5 * gm * trace
+    t = dphi @ np.asarray(chart_metric, dtype=float) @ dphi.T
+    return t - 0.5 * _as_metric(g) * trace(ginv, t)
 
 
 # ------------------------------------------------------------ random helpers

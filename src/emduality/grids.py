@@ -16,11 +16,14 @@ from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
 from . import fields as fl
 from .models import Model, TransformedModel, load_model
+from .symplectic import omega
+from .textio import key_values, numbers
 
 MARGIN = 2
 
@@ -91,61 +94,70 @@ def partials2(f: np.ndarray, grid: GridPatch) -> np.ndarray:
 
 # ------------------------------------------------------------- curvature ops
 
-def _check_invertible(g: np.ndarray):
-    det = np.linalg.det(g)
-    if np.any(np.abs(det) < 1e-14):
-        bad = np.argwhere(np.abs(det) < 1e-14)
-        raise fl.SingularMetricError(f"metric singular at node index {tuple(bad[0])}")
+@dataclass(frozen=True)
+class Geometry:
+    """A metric field that passed the metric check, with g^-1, sqrt(-det g)
+    and the Christoffel symbols: computed once, shared by every consumer."""
+
+    g: np.ndarray         # grid + (4, 4)
+    ginv: np.ndarray
+    vol: np.ndarray       # grid
+    gamma: np.ndarray     # grid + (r, m, n) = Gamma^r_{mn}
 
 
-def christoffel(g: np.ndarray, grid: GridPatch) -> np.ndarray:
+def _bracket(dg: np.ndarray) -> np.ndarray:
+    """B[s, m, n] = d_m g_sn + d_n g_sm - d_s g_mn from dg[s, n, m] = d_m g_sn,
+    the layout of ``partials(g)``; leading axes pass through."""
+    return np.swapaxes(dg, -1, -2) + dg - np.moveaxis(dg, -1, -3)
+
+
+def metric_geometry(g, grid: GridPatch) -> Geometry:
+    """The geometry of a metric field: the metric check, g^-1, sqrt(-det g)
+    and Gamma^r_{mn} = (1/2) g^{rs} B_{smn}.  A Geometry passes through."""
+    if isinstance(g, Geometry):
+        return g
+    ginv, det = fl.invert_metric(g)
+    bracket = _bracket(partials(g, grid))
+    gamma = 0.5 * (ginv @ bracket.reshape(bracket.shape[:-2] + (16,))).reshape(bracket.shape)
+    return Geometry(g, ginv, fl.volume(det), gamma)
+
+
+def christoffel(g, grid: GridPatch) -> np.ndarray:
     """Gamma^r_{mn} per node, shape grid + (4, 4, 4)."""
-    _check_invertible(g)
-    ginv = np.linalg.inv(g)
-    dg = partials(g, grid)  # (..., m, n, r) = d_r g_{mn}
-    dg = np.moveaxis(dg, -1, -3)  # (..., r, m, n)
-    # G[r, m, n] = 1/2 g^{rs} (d_m g_{sn} + d_n g_{sm} - d_s g_{mn})
-    term = (np.einsum("...msn->...smn", dg) + np.einsum("...nsm->...smn", dg) - dg)
-    return 0.5 * np.einsum("...rs,...smn->...rmn", ginv, term)
+    return metric_geometry(g, grid).gamma
 
 
-def _christoffel_and_derivative(g: np.ndarray, grid: GridPatch):
-    """Gamma and d_l Gamma^r_{mn}, both assembled algebraically from the
-    finite-difference first and second metric derivatives (no nested FD of
-    Gamma itself, so polynomial metrics of degree <= 2 are stencil-exact)."""
-    _check_invertible(g)
-    ginv = np.linalg.inv(g)
-    dg = np.moveaxis(partials(g, grid), -1, -3)       # (..., r, m, n) = d_r g_{mn}
-    d2g = partials2(g, grid)                          # (..., m, n, a, b) = d_b d_a g_{mn}
-    d2g = np.moveaxis(np.moveaxis(d2g, -1, -4), -1, -4)  # (..., b, a, m, n)
-    # symmetrised bracket B[s, m, n] = d_m g_{sn} + d_n g_{sm} - d_s g_{mn}
-    bracket = (np.einsum("...msn->...smn", dg) + np.einsum("...nsm->...smn", dg) - dg)
-    gamma = 0.5 * np.einsum("...rs,...smn->...rmn", ginv, bracket)
-    # d_l bracket
-    dbracket = (np.einsum("...lmsn->...lsmn", d2g) + np.einsum("...lnsm->...lsmn", d2g)
-                - np.einsum("...lsmn->...lsmn", d2g))
-    dginv = -np.einsum("...ra,...lab,...bs->...lrs", ginv, dg, ginv)
-    dgamma = (0.5 * np.einsum("...lrs,...smn->...lrmn", dginv, bracket)
-              + 0.5 * np.einsum("...rs,...lsmn->...lrmn", ginv, dbracket))
-    return gamma, dgamma
+def ricci(g, grid: GridPatch) -> np.ndarray:
+    """Ricci tensor per node (valid on margin-2 interior).
+
+    d_l Gamma is assembled algebraically from the finite-difference first and
+    second metric derivatives (no nested FD of Gamma itself, so polynomial
+    metrics of degree <= 2 are stencil-exact):
+    d_l Gamma = g^-1 ((1/2) d_l B - d_l g Gamma).
+    """
+    geo = metric_geometry(g, grid)
+    gamma = geo.gamma
+    dg = partials(geo.g, grid)                          # (..., m, n, l) = d_l g_mn
+    d2g = np.moveaxis(partials(dg, grid), -1, -4)       # (..., k, m, n, l) = d_k d_l g_mn
+    lead = gamma.shape[:-3]
+    inner = (0.5 * _bracket(d2g).reshape(lead + (4, 4, 16))
+             - np.moveaxis(dg, -1, -3) @ gamma.reshape(lead + (1, 4, 16)))
+    dgamma = (geo.ginv[..., None, :, :] @ inner).reshape(lead + (4, 4, 4, 4))
+    del d2g, inner
+    # R_mn = d_r G^r_mn - d_n G^r_rm + G^r_rl G^l_mn - G^r_nl G^l_rm
+    swapped = np.swapaxes(gamma, -3, -2)                # (..., n, r, l) = G^r_nl
+    return (np.einsum("...rrmn->...mn", dgamma)
+            - np.einsum("...nrrm->...mn", dgamma)
+            + (np.einsum("...rrl->...l", gamma)[..., None, :]
+               @ gamma.reshape(lead + (4, 16))).reshape(lead + (4, 4))
+            - swapped.reshape(lead + (4, 16)) @ swapped.reshape(lead + (16, 4)))
 
 
-def ricci(g: np.ndarray, grid: GridPatch) -> np.ndarray:
-    """Ricci tensor per node (valid on margin-2 interior)."""
-    gamma, dgamma = _christoffel_and_derivative(g, grid)
-    r = (np.einsum("...rrmn->...mn", dgamma)
-         - np.einsum("...nrrm->...mn", dgamma)
-         + np.einsum("...rrl,...lmn->...mn", gamma, gamma)
-         - np.einsum("...rnl,...lrm->...mn", gamma, gamma))
-    return r
-
-
-def einstein(g: np.ndarray, grid: GridPatch) -> np.ndarray:
+def einstein(g, grid: GridPatch) -> np.ndarray:
     """Einstein tensor G_{mn} = R_{mn} - (1/2) g_{mn} R per node."""
-    ric = ricci(g, grid)
-    ginv = np.linalg.inv(g)
-    scal = np.einsum("...mn,...mn->...", ginv, ric)
-    return ric - 0.5 * g * scal[..., None, None]
+    geo = metric_geometry(g, grid)
+    ric = ricci(geo, grid)
+    return ric - 0.5 * geo.g * fl.trace(geo.ginv, ric)[..., None, None]
 
 
 # --------------------------------------------------------------- field data
@@ -155,8 +167,10 @@ class FieldConfiguration:
     """Grid-sampled triple (metric, scalar map, symplectic field strength)
     together with the model supplying couplings along the scalar map.
 
-    Cached per-node coupling data (R, I, their chart derivatives and the
-    taming) is evaluated once at construction.
+    Cached per-node coupling data (R, I, their chart derivatives, I^-1, the
+    taming J and Q = Omega J) is evaluated once at construction; the metric
+    geometry and *V are computed on first use and dropped when g or V is
+    reassigned.
     """
 
     grid: GridPatch
@@ -168,7 +182,9 @@ class FieldConfiguration:
     I: np.ndarray = field(init=False)
     dR: np.ndarray = field(init=False)   # grid + (n_s, n_v, n_v)
     dI: np.ndarray = field(init=False)
+    I_inv: np.ndarray = field(init=False)
     J: np.ndarray = field(init=False)    # grid + (2 n_v, 2 n_v)
+    Q: np.ndarray = field(init=False)
 
     def __post_init__(self):
         shape = self.grid.shape
@@ -202,9 +218,29 @@ class FieldConfiguration:
         self.I = tau.imag.reshape(shape + tau.shape[1:])
         self.dR = dtau.real.reshape(shape + dtau.shape[1:])
         self.dI = dtau.imag.reshape(shape + dtau.shape[1:])
-        iinv = np.linalg.inv(self.I)
+        self.I_inv = iinv = np.linalg.inv(self.I)
         ru = self.R @ iinv
         self.J = np.block([[-iinv @ self.R, iinv], [-self.I - ru @ self.R, ru]])
+        self.Q = omega(self.n_v) @ self.J
+
+    def __setattr__(self, name, value):
+        super().__setattr__(name, value)
+        for key in {"g": ("geometry", "star_v"), "V": ("star_v",)}.get(name, ()):
+            self.__dict__.pop(key, None)  # computed from the old array
+
+    @cached_property
+    def geometry(self) -> Geometry:
+        return metric_geometry(self.g, self.grid)
+
+    def star(self, w: np.ndarray) -> np.ndarray:
+        """Hodge dual of fiber-valued two-forms w, grid + (k, 4, 4)."""
+        geo = self.geometry
+        return fl.star(geo.ginv[..., None, :, :], geo.vol[..., None], w)
+
+    @cached_property
+    def star_v(self) -> np.ndarray:
+        """*V per node, grid + (2 n_v, 4, 4)."""
+        return self.star(self.V)
 
     @property
     def n_v(self) -> int:
@@ -217,10 +253,8 @@ class FieldConfiguration:
     def selfduality_violation(self) -> float:
         """Max over interior nodes of | *V + J V |."""
         inner = self.grid.interior()
-        g = self.g[inner][..., None, :, :]
-        sv = fl.hodge2(g, self.V[inner])
         jv = np.einsum("...AB,...Bmn->...Amn", self.J[inner], self.V[inner])
-        return float(np.max(np.abs(sv + jv)))
+        return float(np.max(np.abs(self.star_v[inner] + jv)))
 
 
 def _validate_siegel_bulk(im_parts: np.ndarray):
@@ -237,9 +271,8 @@ def assemble_field_block(cfg: FieldConfiguration) -> np.ndarray:
     """(F, R F - I *F) from the upper block F of cfg and its couplings: twisted
     self-dual by construction."""
     f = cfg.F
-    sf = fl.hodge2(cfg.g[..., None, :, :], f)
     lower = (np.einsum("...LS,...Smn->...Lmn", cfg.R, f)
-             - np.einsum("...LS,...Smn->...Lmn", cfg.I, sf))
+             - np.einsum("...LS,...Smn->...Lmn", cfg.I, cfg.star(f)))
     return np.concatenate([f, lower], axis=-3)
 
 
@@ -261,32 +294,31 @@ def einstein_residual(cfg: FieldConfiguration, check: bool = True) -> np.ndarray
         if viol > 1e-8 * max(1.0, float(np.max(np.abs(cfg.V)))):
             warnings.warn(f"configuration is not twisted self-dual (violation {viol:.2e})",
                           stacklevel=2)
-    g = cfg.g
-    ginv = np.linalg.inv(g)
-    gt = einstein(g, cfg.grid)
-    # scalar stress from FD scalar-map derivatives
+    geo = cfg.geometry
+    gt = einstein(geo, cfg.grid)
+    # scalar stress from FD scalar-map derivatives: G_ij d_a phi^i d_b phi^j
     dphi = partials(cfg.phi, cfg.grid)  # (..., i, a)
-    cm = cfg.model.chart.metric(cfg.phi)
-    t_scal = (np.einsum("...ij,...ia,...jb->...ab", cm, dphi, dphi)
-              - 0.5 * g * np.einsum("...ij,...ia,...jb,...ab->...", cm, dphi, dphi,
-                                    ginv)[..., None, None])
-    # gauge stress: omega(V_{ac}, J V_b^c) symmetrised
-    from .symplectic import omega
-    q = np.einsum("AB,...BC->...AC", omega(cfg.n_v), cfg.J)
-    t_gauge = np.einsum("...AB,...Aac,...cd,...Bbd->...ab", q, cfg.V, ginv, cfg.V)
+    kin = np.swapaxes(dphi, -1, -2) @ cfg.model.chart.metric(cfg.phi) @ dphi
+    t_scal = kin - 0.5 * cfg.g * fl.trace(geo.ginv, kin)[..., None, None]
+    # gauge stress: omega(V_{ac}, J V_b^c) = sum_A V^A_ac g^cd (Q V)^A_bd, symmetrised
+    qv = np.einsum("...AB,...Bmn->...Amn", cfg.Q, cfg.V)
+    t_gauge = fl.contract(geo.ginv[..., None, :, :], cfg.V, qv).sum(axis=-3)
     t_gauge = (t_gauge + np.swapaxes(t_gauge, -1, -2)) / 2
     return gt - t_scal - t_gauge
 
 
+def _pairings(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """sum_mn a^A_mn b^C_mn for every pair of fiber indices: (..., A, C)."""
+    lead = a.shape[:-3]
+    return (a.reshape(lead + (a.shape[-3], 16))
+            @ np.swapaxes(b.reshape(lead + (b.shape[-3], 16)), -1, -2))
+
+
 def _field_contractions(cfg: FieldConfiguration):
     """F.F and F.*F contractions per node: (..., L, S) arrays."""
-    g = cfg.g
-    ginv = np.linalg.inv(g)
     f = cfg.F
-    sf = fl.hodge2(g[..., None, :, :], f)
-    ff = np.einsum("...Lab,...ra,...sb,...Srs->...LS", f, ginv, ginv, f)
-    fsf = np.einsum("...Lab,...ra,...sb,...Srs->...LS", f, ginv, ginv, sf)
-    return ff, fsf
+    fup = fl.raise2(cfg.geometry.ginv[..., None, :, :], f)
+    return _pairings(f, fup), _pairings(fup, cfg.star_v[..., : cfg.n_v, :, :])
 
 
 def local_gauge_source(cfg: FieldConfiguration) -> np.ndarray:
@@ -299,21 +331,13 @@ def local_gauge_source(cfg: FieldConfiguration) -> np.ndarray:
 def _taming_derivative(cfg: FieldConfiguration) -> np.ndarray:
     """d J / d x^k along the scalar map from the coupling derivatives,
     shape grid + (n_s, 2n, 2n)."""
-    iinv = np.linalg.inv(cfg.I)
-    r = cfg.R
+    iinv = cfg.I_inv[..., None, :, :]
+    r = cfg.R[..., None, :, :]
     dr, di = cfg.dR, cfg.dI
-    diinv = -np.einsum("...ab,...kbc,...cd->...kad", iinv, di, iinv)
-    tl = -(np.einsum("...kab,...bc->...kac", diinv, r)
-           + np.einsum("...ab,...kbc->...kac", iinv, dr))
-    tr = diinv
-    ru_d = np.einsum("...kab,...bc->...kac", dr, iinv) + np.einsum(
-        "...ab,...kbc->...kac", r, diinv)
-    bl = -(di + np.einsum("...kab,...bc,...cd->...kad", dr, iinv, r)
-           + np.einsum("...ab,...kbc,...cd->...kad", r, diinv, r)
-           + np.einsum("...ab,...bc,...kcd->...kad", r, iinv, dr))
-    br = ru_d
-    top = np.concatenate([tl, tr], axis=-1)
-    bot = np.concatenate([bl, br], axis=-1)
+    diinv = -(iinv @ di @ iinv)
+    ru_d = dr @ iinv + r @ diinv
+    top = np.concatenate([-(diinv @ r + iinv @ dr), diinv], axis=-1)
+    bot = np.concatenate([-(di + ru_d @ r + r @ iinv @ dr), ru_d], axis=-1)
     return np.concatenate([top, bot], axis=-2)
 
 
@@ -325,16 +349,11 @@ def psi_form_source(cfg: FieldConfiguration) -> np.ndarray:
     self-dual V this equals minus the coupling-form source (empirically
     calibrated constant -1 in these conventions; see tests).
     """
-    g = cfg.g
-    ginv = np.linalg.inv(g)
-    dj = _taming_derivative(cfg)
-    sv = fl.hodge2(g[..., None, :, :], cfg.V)
-    djv = np.einsum("...kAB,...Bmn->...kAmn", dj, cfg.V)
-    from .symplectic import omega
-    q = np.einsum("AB,...BC->...AC", omega(cfg.n_v), cfg.J)
-    # (a, b)_g = 1/2 a_{mn} b^{mn}; pairing contracts the fiber index with Q
-    inner = 0.5 * np.einsum("...Amn,...rm,...sn,...kBrs->...kAB", sv, ginv, ginv, djv)
-    return 0.5 * np.einsum("...AB,...kAB->...k", q, inner)
+    # (a, b)_g = 1/2 a_{mn} b^{mn}; the pairing contracts the fiber index with Q:
+    # (1/4) sum_{A,B,C} Q_AB (dJ_k)_BC (*V^A, V^C)
+    vup = fl.raise2(cfg.geometry.ginv[..., None, :, :], cfg.V)
+    pairs = _pairings(cfg.star_v, vup)[..., None, :, :]
+    return 0.25 * ((cfg.Q[..., None, :, :] @ _taming_derivative(cfg)) * pairs).sum(axis=(-2, -1))
 
 
 def scalar_residual(cfg: FieldConfiguration, assembly: str = "local") -> np.ndarray:
@@ -346,17 +365,17 @@ def scalar_residual(cfg: FieldConfiguration, assembly: str = "local") -> np.ndar
     fundamental-form source.  They agree pointwise up to roundoff.
     """
     grid = cfg.grid
-    g = cfg.g
-    ginv = np.linalg.inv(g)
-    gamma = christoffel(g, grid)
+    geo = cfg.geometry
     dphi = partials(cfg.phi, grid)          # (..., i, a)
     d2phi = partials2(cfg.phi, grid)        # (..., i, a, b)
     chart = cfg.model.chart
     cm = chart.metric(cfg.phi)
     dcm = chart.metric_deriv(cfg.phi)       # (..., k, i, j)
-    box_phi = (np.einsum("...ab,...iab->...i", ginv, d2phi)
-               - np.einsum("...ab,...cab,...ic->...i", ginv, gamma, dphi))
-    grad_sq = np.einsum("...ia,...jb,...ab->...ij", dphi, dphi, ginv)  # (i, j)
+    # box phi^i = g^ab d_a d_b phi^i - g^ab Gamma^c_ab d_c phi^i
+    ginv = geo.ginv[..., None, :, :]  # broadcast over the first index of d2phi and Gamma
+    box_phi = (fl.trace(ginv, d2phi)
+               - (dphi @ fl.trace(ginv, geo.gamma)[..., :, None])[..., 0])
+    grad_sq = fl.contract(geo.ginv, dphi, dphi)  # (i, j)
 
     if assembly == "local":
         lhs = (np.einsum("...ik,...i->...k", cm, box_phi)
@@ -439,8 +458,9 @@ def transport_config(f, a: np.ndarray, cfg: FieldConfiguration) -> FieldConfigur
     if bad is not None:
         raise DomainExitError(f"transported scalar map leaves the chart at node {bad}")
     new_v = np.einsum("AB,...Bmn->...Amn", np.asarray(a, dtype=float), cfg.V)
-    new_model = TransformedModel(cfg.model, f, a)
-    return FieldConfiguration(cfg.grid, new_model, cfg.g.copy(), new_phi, new_v)
+    out = FieldConfiguration(cfg.grid, TransformedModel(cfg.model, f, a), cfg.g, new_phi, new_v)
+    out.geometry = cfg.geometry  # the metric is unchanged
+    return out
 
 
 @dataclass
@@ -545,18 +565,10 @@ def random_polynomial_fieldstrength(grid: GridPatch, n_v: int,
     for ell in range(n_v):
         for mu in range(4):
             for nu in range(mu + 1, 4):
-                terms.append((ell, mu, nu, amp * rng.standard_normal(), (0, 0, 0, 0)))
-                if degree >= 1:
-                    a = int(rng.integers(0, 4))
-                    powers = [0, 0, 0, 0]
-                    powers[a] = 1
-                    terms.append((ell, mu, nu, amp * rng.standard_normal(), tuple(powers)))
-                if degree >= 2:
-                    a, b = rng.integers(0, 4, size=2)
-                    powers = [0, 0, 0, 0]
-                    powers[a] += 1
-                    powers[b] += 1
-                    terms.append((ell, mu, nu, amp * rng.standard_normal(), tuple(powers)))
+                for deg in range(min(degree, 2) + 1):  # a monomial of each degree
+                    axes = rng.integers(0, 4, size=deg) if deg else []
+                    powers = tuple(int(k) for k in np.bincount(axes, minlength=4))
+                    terms.append((ell, mu, nu, amp * rng.standard_normal(), powers))
     return field_strength_polynomial(grid, n_v, terms)
 
 
@@ -573,24 +585,17 @@ def parse_grid_config(text: str, resolution: tuple[int, ...] | None = None
     field_term 'L mu nu c p0 p1 p2 p3').  A resolution argument overrides the
     file's resolution (used for refinement studies).
     """
-    entries: list[tuple[str, str]] = []
-    for raw in text.splitlines():
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
-        key, sep, val = line.partition("=")
-        if not sep:
-            raise GridError(f"cannot parse config line {raw!r}")
-        entries.append((key.strip().lower(), val.strip()))
+    entries = [(key, val) for _, key, val in key_values(text, GridError)]
     kv = dict(entries)
 
     model = load_model(kv.get("model", "identity-tau"))
-    ext = []
-    for part in kv.get("extents", "-0.5:0.5 -0.5:0.5 -0.5:0.5 -0.5:0.5").split():
-        lo, _, hi = part.partition(":")
-        ext.append((float(lo), float(hi)))
-    res = resolution or tuple(int(s) for s in kv.get("resolution", "9 9 9 9").split())
-    grid = GridPatch(tuple(ext), tuple(res))
+    ext = [part.partition(":") for part in
+           kv.get("extents", "-0.5:0.5 -0.5:0.5 -0.5:0.5 -0.5:0.5").split()]
+    if not all(sep for _, sep, _ in ext):
+        raise GridError("extents entries must be 'lo:hi'")
+    ext = _numbers("extents", " ".join(f"{lo} {hi}" for lo, _, hi in ext), 8)
+    res = resolution or _numbers("resolution", kv.get("resolution", "9 9 9 9"), 4, int)
+    grid = GridPatch(tuple(zip(ext[::2], ext[1::2])), tuple(res))
 
     metric_kind = kv.get("metric", "minkowski")
     if metric_kind == "minkowski":
@@ -599,45 +604,57 @@ def parse_grid_config(text: str, resolution: tuple[int, ...] | None = None
         terms = []
         for key, val in entries:
             if key == "metric_coeff":
-                mu, nu, a, b, c = val.split()
-                terms.append((int(mu), int(nu), int(a), int(b), float(c)))
+                *idx, c = val.split() or [""]
+                terms.append((*_numbers("metric_coeff 'mu nu a b'", " ".join(idx), 4, int, 4),
+                              *_numbers("metric_coeff c", c, 1)))
         g = metric_quadratic(grid, terms)
     else:
         raise GridError(f"unknown metric spec {metric_kind!r}")
 
-    phi_spec = kv.get("phi", "constant 0.0 1.0").split()
+    kind, rest = (kv.get("phi", "constant 0.0 1.0").split(None, 1) + ["", ""])[:2]
     n_s = model.chart.dim
-    if phi_spec[0] == "constant":
-        vals = [float(s) for s in phi_spec[1:]]
-        if len(vals) != n_s:
-            raise GridError(f"phi constant needs {n_s} values")
-        phi = phi_constant(grid, vals)
-    elif phi_spec[0] == "linear":
-        rest = " ".join(phi_spec[1:])
-        base_s, _, slope_s = rest.partition("|")
-        base = [float(s) for s in base_s.split()]
-        slopes = np.array([float(s) for s in slope_s.split()]).reshape(4, n_s)
-        phi = phi_linear(grid, base, slopes)
+    if kind == "constant":
+        phi = phi_constant(grid, _numbers("phi constant", rest, n_s))
+    elif kind == "linear":
+        base, _, slopes = rest.partition("|")
+        phi = phi_linear(grid, _numbers("phi linear base", base, n_s), np.reshape(
+            _numbers("phi linear slopes", slopes, 4 * n_s), (4, n_s)))
     else:
-        raise GridError(f"unknown phi spec {phi_spec[0]!r}")
+        raise GridError(f"unknown phi spec {kind!r}")
 
-    field_kind = kv.get("field", "zero").split()
-    if field_kind[0] == "zero":
+    kind, rest = (kv.get("field", "zero").split(None, 1) + ["", ""])[:2]
+    if kind == "zero":
         f = np.zeros(grid.shape + (model.n_v, 4, 4))
-    elif field_kind[0] == "random":
-        amp = float(field_kind[1]) if len(field_kind) > 1 else 0.1
-        seed = int(field_kind[2]) if len(field_kind) > 2 else 0
+    elif kind == "random":
+        args = rest.split()
+        amp = _numbers("field random amp", args[0], 1)[0] if args else 0.1
+        seed = _numbers("field random seed", args[1], 1, int)[0] if len(args) > 1 else 0
         f = random_polynomial_fieldstrength(grid, model.n_v,
                                             np.random.default_rng(seed), amp)
-    elif field_kind[0] == "terms":
+    elif kind == "terms":
         terms = []
         for key, val in entries:
             if key == "field_term":
                 parts = val.split()
-                terms.append((int(parts[0]), int(parts[1]), int(parts[2]),
-                              float(parts[3]), tuple(int(s) for s in parts[4:8])))
+                if len(parts) != 8:
+                    raise GridError(f"field_term needs 'L mu nu c p0 p1 p2 p3', got {val!r}")
+                (ell,) = _numbers("field_term L", parts[0], 1, int, model.n_v)
+                mu, nu = _numbers("field_term mu nu", " ".join(parts[1:3]), 2, int, 4)
+                (c,) = _numbers("field_term c", parts[3], 1)
+                powers = _numbers("field_term powers", " ".join(parts[4:]), 4, int)
+                terms.append((ell, mu, nu, c, tuple(powers)))
         f = field_strength_polynomial(grid, model.n_v, terms)
     else:
-        raise GridError(f"unknown field spec {field_kind[0]!r}")
+        raise GridError(f"unknown field spec {kind!r}")
 
     return make_configuration(grid, model, g, phi, f)
+
+
+def _numbers(key: str, text: str, count: int, kind=float, bound: int | None = None) -> list:
+    """The count numbers of a config value: finite floats, or ints in [0, bound)."""
+    vals = numbers(text, GridError, kind)
+    if len(vals) != count:
+        raise GridError(f"{key} needs {count} numbers, got {text!r}")
+    if kind is int and any(v < 0 or (bound is not None and v >= bound) for v in vals):
+        raise GridError(f"{key}: {text!r} is out of range")
+    return vals

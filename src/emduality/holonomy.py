@@ -12,6 +12,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .symplectic import Taming, null_space, sp_basis, sp_check
+from .textio import key_values, numbers
 
 MAX_WORD_LEN = 6
 RELATION_TOL = 1e-10
@@ -158,28 +159,23 @@ def parse_bundle(text: str) -> BundlePresentation:
     n_v = None
     gens: list[np.ndarray] = []
     rels: list[list[int]] = []
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
-        key, sep, val = line.partition("=")
-        if not sep:
-            raise PresentationError(f"cannot parse line {lineno}: {raw!r}")
-        key = key.strip().lower()
-        val = val.strip()
+    for lineno, key, val in key_values(text, PresentationError):
         if key == "nv":
-            n_v = int(val)
+            vals = numbers(val, PresentationError, int)
+            if len(vals) != 1 or vals[0] < 1:
+                raise PresentationError(f"nv on line {lineno} must be one positive integer")
+            n_v = vals[0]
         elif key == "generator":
             if n_v is None:
                 raise PresentationError("nv must come before generators")
-            vals = [float(s) for s in val.replace(",", " ").split()]
+            vals = numbers(val.replace(",", " "), PresentationError)
             d = 2 * n_v
             if len(vals) != d * d:
                 raise PresentationError(
                     f"generator on line {lineno} needs {d * d} entries, got {len(vals)}")
             gens.append(np.array(vals).reshape(d, d))
         elif key == "relation":
-            rels.append([int(s) for s in val.replace(",", " ").split()])
+            rels.append(numbers(val.replace(",", " "), PresentationError, int))
         else:
             raise PresentationError(f"unknown key {key!r} on line {lineno}")
     if n_v is None:

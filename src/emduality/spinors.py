@@ -25,7 +25,7 @@ from functools import cache, cached_property
 import numpy as np
 
 from .fields import ETA
-from .grids import GridPatch, christoffel, partials
+from .grids import Geometry, GridPatch, christoffel, metric_geometry, partials
 
 
 class FrameError(ValueError):
@@ -108,7 +108,7 @@ def clifford_rep() -> CliffordRep:
 
 # ------------------------------------------------------------------- frames
 
-@dataclass
+@dataclass(frozen=True)
 class FramePatch:
     """Grid-sampled vierbein e^a_mu (frame index first), with optional
     analytic evaluators for the vierbein and spin connection (the built-in
@@ -129,6 +129,11 @@ class FramePatch:
     def metric(self) -> np.ndarray:
         """g_{mu nu} = e^a_mu eta_ab e^b_nu per node."""
         return np.swapaxes(self.e, -1, -2) @ (ETA @ self.e)
+
+    @cached_property
+    def geometry(self) -> Geometry:
+        """The metric's inverse, volume and Christoffel symbols, computed once."""
+        return metric_geometry(self.metric(), self.grid)
 
     def inverse(self) -> np.ndarray:
         """e^mu_a, shape grid + (mu, a)."""
@@ -155,38 +160,29 @@ def builtin_frame(name: str, grid: GridPatch, lam: float = 1.0) -> FramePatch:
     """'minkowski', or 'ads4-poincare': conformal factor 1/(lam z) with z the
     fourth coordinate; the grid must keep z > 0."""
     x = grid.coords()
-    if name == "minkowski":
-        def frame_fn(pts):
-            pts = np.asarray(pts, dtype=float)
-            return np.broadcast_to(np.eye(4), pts.shape[:-1] + (4, 4)).copy()
+    if name not in ("minkowski", "ads4-poincare"):
+        raise FrameError(f"unknown builtin frame {name!r}")
+    ads = name == "ads4-poincare"
+    if ads and lam <= 0:
+        raise FrameError("lam must be positive")
+    if ads and np.min(x[..., 3]) <= 0:
+        raise FrameError("ads4-poincare frame needs z > 0 on the whole grid")
 
-        def dln(pts):
-            pts = np.asarray(pts, dtype=float)
-            return np.zeros(pts.shape[:-1] + (4,))
+    def frame_fn(pts):
+        pts = np.asarray(pts, dtype=float)
+        scale = 1.0 / (lam * pts[..., 3]) if ads else np.ones(pts.shape[:-1])
+        return scale[..., None, None] * np.eye(4)
 
-        return FramePatch(grid, frame_fn(x), name="minkowski",
-                          frame_fn=frame_fn, conn_fn=conformal_connection(dln))
-    if name == "ads4-poincare":
-        if lam <= 0:
-            raise FrameError("lam must be positive")
-        if np.min(x[..., 3]) <= 0:
-            raise FrameError("ads4-poincare frame needs z > 0 on the whole grid")
-
-        def frame_fn(pts):
-            pts = np.asarray(pts, dtype=float)
-            scale = 1.0 / (lam * pts[..., 3])
-            return np.einsum("...,am->...am", scale, np.eye(4))
-
-        def dln(pts):
-            # ln(Omega) = -ln(lam z)
-            pts = np.asarray(pts, dtype=float)
-            out = np.zeros(pts.shape[:-1] + (4,))
+    def dln(pts):
+        # gradient of ln(Omega) = -ln(lam z) (ads) or 0 (minkowski)
+        pts = np.asarray(pts, dtype=float)
+        out = np.zeros(pts.shape[:-1] + (4,))
+        if ads:
             out[..., 3] = -1.0 / pts[..., 3]
-            return out
+        return out
 
-        return FramePatch(grid, frame_fn(x), name="ads4-poincare",
-                          frame_fn=frame_fn, conn_fn=conformal_connection(dln))
-    raise FrameError(f"unknown builtin frame {name!r}")
+    return FramePatch(grid, frame_fn(x), name=name, frame_fn=frame_fn,
+                      conn_fn=conformal_connection(dln))
 
 
 def spin_connection(fr: FramePatch) -> np.ndarray:
@@ -216,8 +212,7 @@ def spin_connection(fr: FramePatch) -> np.ndarray:
 def metric_compatibility_residual(fr: FramePatch, w: np.ndarray) -> float:
     """Max norm over the margin-2 interior of
     d_mu e^a_nu + w_mu^a_b e^b_nu - Gam^l_{mu nu} e^a_l  (second order)."""
-    g = fr.metric()
-    gam = christoffel(g, fr.grid)
+    gam = christoffel(fr.geometry, fr.grid)
     de = np.moveaxis(partials(fr.e, fr.grid), -1, -3)     # (..., mu, a, nu)
     wu = np.einsum("ac,...mcb->...mab", np.linalg.inv(ETA), w)
     term = (de + np.einsum("...mab,...bn->...man", wu, fr.e)
@@ -379,9 +374,7 @@ def killing_bilinears(fr: FramePatch, eps: np.ndarray,
     om = np.swapaxes(fr.e, -1, -2) @ om_frame @ fr.e
     uu = np.maximum(np.einsum("...m,...m->...", u, u), 1e-300)
     l_raw = -np.einsum("...m,...mn->...n", u, om) / uu[..., None]
-    g = fr.metric()
-    ginv = np.linalg.inv(g)
-    norm_sq = _quadratic(ginv, l_raw, l_raw)
+    norm_sq = _quadratic(fr.geometry.ginv, l_raw, l_raw)
     if np.min(norm_sq) <= 0:
         warnings.warn("spacelike bilinear is not spacelike everywhere", stacklevel=2)
     l = l_raw / np.sqrt(np.abs(norm_sq))[..., None]
@@ -406,53 +399,47 @@ class FirstOrderReport:
     dkappa_max: float              # reported, not asserted
     nontrivial: bool
 
-    @property
-    def max_residual(self) -> float:
-        return max(self.du_residual, self.dl_residual, self.u_norm_violation,
-                   self.l_norm_violation, self.orthogonality_violation)
+
+def _nabla(w: np.ndarray, geo: Geometry, grid: GridPatch) -> np.ndarray:
+    """Covariant derivative nabla_m w_n = d_m w_n - Gamma^l_{mn} w_l of a one-form."""
+    return np.moveaxis(partials(w, grid), -1, -2) - np.einsum("...lmn,...l->...mn", geo.gamma, w)
 
 
-def extract_kappa(u: np.ndarray, l: np.ndarray, lam: float, g: np.ndarray,
+def extract_kappa(u: np.ndarray, l: np.ndarray, lam: float, g,
                   grid: GridPatch) -> np.ndarray:
     """Least-squares one-form kappa with grad l = kappa (x) u + lam (l (x) l - g).
 
-    Componentwise least squares per node; meaningful wherever u is nonzero.
+    g is the metric or its ``Geometry``.  Componentwise least squares per
+    node; meaningful wherever u is nonzero.
     """
-    gam = christoffel(g, grid)
-    dl = np.moveaxis(partials(l, grid), -1, -2)            # (..., m, n) = d_m l_n
-    grad_l = dl - np.einsum("...lmn,...l->...mn", gam, l)
-    w = grad_l - lam * (np.einsum("...m,...n->...mn", l, l) - g)
+    geo = metric_geometry(g, grid)
+    w = _nabla(l, geo, grid) - lam * (np.einsum("...m,...n->...mn", l, l) - geo.g)
     denom = np.maximum(np.einsum("...n,...n->...", u, u), 1e-300)
     return np.einsum("...mn,...n->...m", w, u) / denom[..., None]
 
 
 def verify_thm53(u: np.ndarray, l: np.ndarray, kappa: np.ndarray, lam: float,
-                 g: np.ndarray, grid: GridPatch) -> FirstOrderReport:
+                 g, grid: GridPatch) -> FirstOrderReport:
     """Residuals of the first-order system for the lightlike/spacelike pair:
 
         grad u = lam u ^ l,    grad l = kappa (x) u + lam (l (x) l - g),
 
     plus the algebraic constraints g(u,u) = 0, g(l,l) = 1, g(u,l) = 0, the
     Killing check for the vector dual to u, and the (reported, not asserted)
-    size of d kappa.
+    size of d kappa.  g is the metric or its ``Geometry``.
     """
     inner = grid.interior()
-    gam = christoffel(g, grid)
-    ginv = np.linalg.inv(g)
+    geo = metric_geometry(g, grid)
 
-    du = np.moveaxis(partials(u, grid), -1, -2)
-    grad_u = du - np.einsum("...lmn,...l->...mn", gam, u)
+    grad_u = _nabla(u, geo, grid)
     wedge = np.einsum("...m,...n->...mn", u, l) - np.einsum("...m,...n->...mn", l, u)
     res_u = grad_u - lam * wedge
+    res_l = _nabla(l, geo, grid) - np.einsum("...m,...n->...mn", kappa, u) \
+        - lam * (np.einsum("...m,...n->...mn", l, l) - geo.g)
 
-    dl = np.moveaxis(partials(l, grid), -1, -2)
-    grad_l = dl - np.einsum("...lmn,...l->...mn", gam, l)
-    res_l = grad_l - np.einsum("...m,...n->...mn", kappa, u) \
-        - lam * (np.einsum("...m,...n->...mn", l, l) - g)
-
-    uu = _quadratic(ginv, u, u)
-    ll = _quadratic(ginv, l, l)
-    ul = _quadratic(ginv, u, l)
+    uu = _quadratic(geo.ginv, u, u)
+    ll = _quadratic(geo.ginv, l, l)
+    ul = _quadratic(geo.ginv, u, l)
 
     killing = grad_u + np.swapaxes(grad_u, -1, -2)
 

@@ -188,9 +188,50 @@ class TestMalformedGridInputs:
         model = self.model_file(tmp_path, "tau +")
         self.assert_bad_input(self.config(tmp_path, model=model))
 
+    def test_superscript_digit_in_model_expression(self, tmp_path):
+        model = tmp_path / "bad.model"
+        model.write_text("nv = 1\nchart = poincare\nN[1,1] = i + 2 * \u00b2\n", encoding="utf-8")
+        self.assert_bad_input(self.config(tmp_path, model=str(model)))
+
     def test_model_pole_on_the_scalar_map(self, tmp_path):
         model = self.model_file(tmp_path, "i + 1/(tau - i)")
         self.assert_bad_input(self.config(tmp_path, model=model, phi="constant 0.0 1.0"))
+
+
+MALFORMED_CONFIGS = {
+    "resolution": {"resolution": "9 9 x 9"},
+    "extents": {"extents": "a:b -0.4:0.4 -0.4:0.4 -0.4:0.4"},
+    "slope count": {"phi": "linear 0.0 1.2 | 0.01 0 0 0.02 0 0 0"},
+    "metric_coeff": {"metric": "quadratic", "metric_coeff": "0 1 0.02"},
+    "field_term index": {"field": "terms", "field_term": "1 0 1 0.3 0 0 0 0"},
+}
+
+
+class TestMalformedNumbers:
+    """Malformed numbers in input files: exit 3 with an error report."""
+
+    @staticmethod
+    def assert_bad_input(argv):
+        code, text = run(argv)
+        assert code == 3
+        assert "error = " in text
+        assert "result = FAIL" in text
+
+    @pytest.mark.parametrize("keys", MALFORMED_CONFIGS.values(), ids=MALFORMED_CONFIGS)
+    def test_config(self, tmp_path, keys):
+        self.assert_bad_input(["residuals", "--config",
+                               TestMalformedGridInputs.config(tmp_path, **keys)])
+
+    def test_matrix(self, config_file, tmp_path):
+        a = tmp_path / "a.txt"
+        a.write_text("1 0\nx 1\n")
+        self.assert_bad_input(["transport", "--config", config_file,
+                               "--f", "translate:1.0", "--A", str(a)])
+
+    def test_bundle(self, tmp_path):
+        path = tmp_path / "bundle.txt"
+        path.write_text("nv = 1\ngenerator = 1 0 q 1\n")
+        self.assert_bad_input(["centralizer", "--bundle", str(path)])
 
 
 class TestSpinorCommands:

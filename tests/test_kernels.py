@@ -10,7 +10,7 @@ from pathlib import Path
 import pytest
 
 SRC = Path(__file__).resolve().parents[1] / "src" / "emduality"
-CHECKED = ["spinors.py"]
+CHECKED = ["spinors.py", "grids.py", "fields.py"]
 
 
 def naive_einsums(source: str) -> list[tuple[int, int]]:
