@@ -11,7 +11,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .symplectic import Taming, null_space, sp_basis, sp_check
+from .symplectic import MAX_N, Taming, null_space, sp_basis, sp_check
 from .textio import key_values, numbers
 
 MAX_WORD_LEN = 6
@@ -162,8 +162,8 @@ def parse_bundle(text: str) -> BundlePresentation:
     for lineno, key, val in key_values(text, PresentationError):
         if key == "nv":
             vals = numbers(val, PresentationError, int)
-            if len(vals) != 1 or vals[0] < 1:
-                raise PresentationError(f"nv on line {lineno} must be one positive integer")
+            if len(vals) != 1 or not 1 <= vals[0] <= MAX_N:
+                raise PresentationError(f"nv on line {lineno} must be one integer in 1..{MAX_N}")
             n_v = vals[0]
         elif key == "generator":
             if n_v is None:

@@ -7,10 +7,9 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.stats import qmc
 
 from . import expressions as ex
-from .symplectic import (DomainError, PoleError, SiegelPoint, fractional_action,
+from .symplectic import (MAX_N, DomainError, PoleError, SiegelPoint, fractional_action,
                          min_eig_ratio, mobius_differential)
 
 
@@ -22,7 +21,44 @@ class ModelInvalidError(ModelError):
     """A model evaluated outside Siegel space."""
 
 
+# Largest chart dimension: a flat chart has dim(dim + 1)/2 Killing fields,
+# each evaluated at every sample point by ``uduality``.
+MAX_DIM = 64
+
+
 # ------------------------------------------------------------------ charts
+
+def _primes(count: int) -> np.ndarray:
+    """The first count primes, from a sieve doubled until it holds enough."""
+    limit = 16
+    while True:
+        sieve = np.ones(limit, dtype=bool)
+        sieve[:2] = False
+        for k in range(2, int(limit ** 0.5) + 1):
+            if sieve[k]:
+                sieve[k * k::k] = False
+        primes = np.flatnonzero(sieve)
+        if len(primes) >= count:
+            return primes[:count]
+        limit *= 2
+
+
+def halton(dim: int, count: int) -> np.ndarray:
+    """Points 1..count of the unscrambled Halton sequence in [0, 1)^dim:
+    radical inverses of the indices in the first dim primes.  Index 0, the
+    origin, is skipped.  Digits are added from the least significant one, the
+    order of scipy.stats.qmc.Halton(dim, scramble=False) after fast_forward(1),
+    so the points agree with it bit for bit."""
+    index = np.arange(1, count + 1)
+    out = np.zeros((count, dim))
+    for k, base in enumerate(_primes(dim)):
+        q, weight = index, 1.0 / base
+        while q.any():
+            out[:, k] += (q % base) * weight
+            q = q // base
+            weight /= base
+    return out
+
 
 def _tau(p: np.ndarray) -> np.ndarray:
     """Half-plane point(s) (..., 2) as complex tau = x + i y."""
@@ -44,6 +80,8 @@ class ScalarChart:
     box: tuple[tuple[float, float], ...] = ()
 
     def __post_init__(self):
+        if not 0 <= self.dim <= MAX_DIM:
+            raise ModelError(f"chart dim must be in 0..{MAX_DIM}, got {self.dim}")
         if self.kind not in ("flat", "poincare"):
             raise ModelError(f"unsupported chart kind {self.kind!r}")
         if self.kind == "poincare" and self.dim != 2:
@@ -113,9 +151,7 @@ class ScalarChart:
 
     def sample_points(self, count: int) -> np.ndarray:
         """Deterministic quasi-random points in the sampling box (Halton)."""
-        sampler = qmc.Halton(d=self.dim, scramble=False)
-        sampler.fast_forward(1)  # skip the degenerate first point
-        unit = sampler.random(count)
+        unit = halton(self.dim, count)
         lo = np.array([b[0] for b in self.box])
         hi = np.array([b[1] for b in self.box])
         return lo + unit * (hi - lo)
@@ -237,6 +273,10 @@ class Model:
     chart: ScalarChart
     entries: dict[tuple[int, int], ex.Expr] = field(default_factory=dict)
 
+    def __post_init__(self):
+        if not 1 <= self.n_v <= MAX_N:
+            raise ModelError(f"model {self.name!r} needs nv in 1..{MAX_N}, got {self.n_v}")
+
     def entry(self, i: int, j: int) -> ex.Expr:
         key = (i, j) if i <= j else (j, i)
         return self.entries.get(key, ex.Num(0j))
@@ -351,10 +391,11 @@ def parse_model(text: str) -> Model:
         n_v = int(header.get("nv", "0"))
     except ValueError:
         raise ModelError(f"bad nv value {header.get('nv')!r}")
-    if n_v < 1:
-        raise ModelError("model needs nv >= 1")
     kind = header.get("chart", "poincare")
-    dim = int(header.get("dim", "2" if kind == "poincare" else "1"))
+    try:
+        dim = int(header.get("dim", "2" if kind == "poincare" else "1"))
+    except ValueError:
+        raise ModelError(f"bad dim value {header.get('dim')!r}")
     chart = ScalarChart(kind, dim)
 
     entries: dict[tuple[int, int], ex.Expr] = {}
@@ -432,8 +473,6 @@ def builtin(name: str) -> Model:
             k = int(name.split(":", 1)[1])
         except ValueError:
             raise ModelError(f"bad constant-i spec {name!r}")
-        if k < 1:
-            raise ModelError("constant-i needs at least one gauge field")
         return _constant_i(k)
     texts = {"identity-tau": _IDENTITY_TEXT, "axio-dilaton": _AXIO_TEXT, "t3": _T3_TEXT}
     if name not in texts:

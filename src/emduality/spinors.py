@@ -26,6 +26,7 @@ import numpy as np
 
 from .fields import ETA
 from .grids import Geometry, GridPatch, christoffel, metric_geometry, partials
+from .symplectic import null_space
 
 
 class FrameError(ValueError):
@@ -340,8 +341,7 @@ def invariant_bilinears(rep: CliffordRep | None = None) -> dict[int, list[np.nda
             ga = rep.gamma[a]
             # row-major vec: vec(G^T C - sigma C G) = (G^T kron I - sigma I kron G^T) vec C
             rows.append(np.kron(ga.T, np.eye(4)) - sigma * np.kron(np.eye(4), ga.T))
-        import scipy.linalg
-        null = scipy.linalg.null_space(np.vstack(rows), rcond=1e-12)
+        null = null_space(np.vstack(rows), 1e-12)
         out[sigma] = [null[:, k].reshape(4, 4) for k in range(null.shape[1])]
     return out
 

@@ -19,12 +19,16 @@ import functools
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg
 
 # Tolerances for exact-algebra identities in double precision.  The looser
 # value covers identities that pass through a matrix inversion.
 TOL_ALG = 1e-10
 TOL_ALG_INV = 1e-8
+
+# Largest n accepted from model and bundle input: sp(2n, R) has n(2n+1) basis
+# matrices of size 2n x 2n, and the stabilizer system grows as n^4 (at
+# n = 12 it already peaks near 150 MB on 16 samples).
+MAX_N = 12
 
 
 class DimensionError(ValueError):
@@ -346,7 +350,12 @@ def random_taming(n: int, rng: np.random.Generator) -> Taming:
 
 
 def random_sp(n: int, rng: np.random.Generator, scale: float = 0.5) -> np.ndarray:
-    """Random element of Sp(2n, R) as the exponential of a random sp element."""
+    """Random element of Sp(2n, R) as the exponential of a random sp element.
+
+    Needs scipy (``scipy.linalg.expm``), imported here on the first call: the
+    package and the command line otherwise import numpy alone."""
+    import scipy.linalg
+
     basis = sp_basis(n)
     coeff = rng.standard_normal(len(basis)) * scale
     x = sum(c * b for c, b in zip(coeff, basis))

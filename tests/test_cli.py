@@ -1,3 +1,7 @@
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -93,6 +97,15 @@ class TestAlgebraCommands:
     def test_model_file_missing_exit_3(self):
         code, _ = run(["stabilizer", "--model", "no-such-model-or-file"])
         assert code == 3
+
+    @pytest.mark.parametrize("dim", ["x", "-1"])
+    def test_model_file_bad_dim_exit_3(self, tmp_path, dim):
+        path = tmp_path / "bad.model"
+        path.write_text(f"nv = 1\nchart = flat\ndim = {dim}\nN[1,1] = i\n")
+        code, text = run(["stabilizer", "--model", str(path)])
+        assert code == 3
+        assert "error = " in text and "dim" in text
+        assert "result = FAIL" in text
 
 
 class TestBundleCommands:
@@ -266,3 +279,19 @@ class TestDeterminism:
         monkeypatch.setenv("EMDUALITY_SEED", "7")
         _, text = run(["models", "list"])
         assert "seed = 7" in text
+
+
+class TestImports:
+    def test_cli_runs_without_scipy(self):
+        """The command line imports numpy only: scipy stays unloaded through a
+        U-duality and a spinor check in a fresh interpreter."""
+        src = str(Path(__file__).resolve().parents[1] / "src")
+        code = ("import sys\n"
+                f"sys.path.insert(0, {src!r})\n"
+                "from emduality import cli\n"
+                "assert cli.run(['uduality', '--model', 't3'])[0] == 0\n"
+                "assert cli.run(['spinor-check', '--frame', 'minkowski'])[0] == 0\n"
+                "print('scipy' in sys.modules)\n")
+        out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                             check=True)
+        assert out.stdout.strip() == "False"

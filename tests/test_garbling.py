@@ -1,7 +1,7 @@
 """Garbled input files never crash the command line: characters of small
-valid config, matrix and bundle files are deleted or replaced, and every run
-ends with exit 0, 1 or 3, exit 3 with an error report.  The resolution line
-is never edited, so every grid stays at 7^4."""
+valid config, matrix, bundle and model files are deleted or replaced, and
+every run ends with exit 0, 1 or 3, exit 3 with an error report.  The
+resolution line is never edited, so every grid stays at 7^4."""
 
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
@@ -21,6 +21,11 @@ BUNDLE = ("nv = 1\n"
           "generator = 0.8 -0.6 0.6 0.8\n"
           "generator = 2 0 0 0.5\n"
           "relation = 1 2 -1 -2\n")
+MODEL = ("name = garbled\n"
+         "nv = 1\n"
+         "chart = flat\n"
+         "dim = 1\n"
+         "N[1,1] = x1 + i*(2 + x1^2)\n")
 
 # (position, replacement); a replacement of None deletes the character
 EDITS = st.lists(st.tuples(st.integers(0, 10 ** 6),
@@ -74,3 +79,11 @@ def test_garbled_bundle(tmp_path, edits):
     path.write_text(garble(BUNDLE, edits))
     assert_contract(["centralizer", "--bundle", str(path)])
     assert_contract(["invariants", "--bundle", str(path), "--maxlen", "3"])
+
+
+@settings(SETTINGS, max_examples=40)
+@given(edits=EDITS)
+def test_garbled_model(tmp_path, edits):
+    path = tmp_path / "model.txt"
+    path.write_text(garble(MODEL, edits))
+    assert_contract(["stabilizer", "--model", str(path)])

@@ -186,6 +186,11 @@ class TestBundleFile:
             assert np.array_equal(a, b)
         assert q.relations == p.relations
 
+    @pytest.mark.parametrize("nv", ["0", "13"])
+    def test_nv_out_of_range(self, nv):
+        with pytest.raises(ho.PresentationError, match="nv"):
+            ho.parse_bundle(f"nv = {nv}")
+
     def test_bad_entry_count(self):
         with pytest.raises(ho.PresentationError):
             ho.parse_bundle("nv = 1\ngenerator = 1 0 0")

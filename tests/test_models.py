@@ -1,7 +1,9 @@
 import numpy as np
 import pytest
+from scipy.stats import qmc
 
 from emduality import models as md
+from emduality.cli import run
 from emduality.symplectic import fractional_action, min_eig_ratio
 
 
@@ -36,6 +38,25 @@ class TestParseModel:
     def test_comments_and_whitespace(self):
         m = md.parse_model("# a model\n nv = 1 \nchart=poincare\n\nN[1,1] = tau # entry\n")
         assert m.n_v == 1
+
+    @pytest.mark.parametrize("dim", ["x", "-1", "1.5", "65"])
+    def test_bad_dim(self, dim):
+        with pytest.raises(md.ModelError, match="dim"):
+            md.parse_model(f"nv=1\nchart=flat\ndim={dim}\nN[1,1] = i")
+
+    def test_zero_dim_flat_chart(self):
+        m = md.parse_model("nv=1\nchart=flat\ndim=0\nN[1,1] = 2*i")
+        assert m.chart.sample_points(4).shape == (4, 0)
+
+    @pytest.mark.parametrize("nv", ["0", "13"])
+    def test_nv_out_of_range(self, nv):
+        with pytest.raises(md.ModelError, match="nv"):
+            md.parse_model(f"nv={nv}\nchart=poincare\nN[1,1] = tau")
+
+    def test_constant_i_nv_out_of_range(self):
+        for spec in ("constant-i:0", "constant-i:13"):
+            with pytest.raises(md.ModelError, match="nv"):
+                md.builtin(spec)
 
     def test_print_parse_round_trip_builtins(self):
         for name in md.BUILTIN_NAMES:
@@ -218,3 +239,41 @@ class TestTransformedModel:
             d = tm.period_directional(p, v)
             fd = (tm.period(p + h * v).tau - tm.period(p - h * v).tau) / (2 * h)
             assert np.max(np.abs(d - fd)) < 1e-6 * max(1.0, np.max(np.abs(d)))
+
+
+def scipy_halton(dim, count):
+    sampler = qmc.Halton(d=dim, scramble=False)
+    sampler.fast_forward(1)
+    return sampler.random(count)
+
+
+class TestHalton:
+    """The numpy Halton points against scipy's unscrambled Halton sampler,
+    which computed the sample points before: equal bit for bit."""
+
+    @pytest.mark.parametrize("dim", [1, 2, 3, 4, 13])
+    @pytest.mark.parametrize("count", [1, 16, 1000])
+    def test_matches_scipy(self, dim, count):
+        assert np.array_equal(md.halton(dim, count), scipy_halton(dim, count))
+
+    def test_primes(self):
+        assert md._primes(10).tolist() == [2, 3, 5, 7, 11, 13, 17, 19, 23, 29]
+        assert md._primes(1000)[-1] == 7919      # the 1000th prime
+        assert md._primes(0).size == 0
+
+    @pytest.mark.parametrize("model", ["t3", "axio-dilaton"])
+    def test_reports_match_scipy_sample_points(self, monkeypatch, model):
+        """uduality, stabilizer and lift reports are the same text whether the
+        sample points come from numpy or from scipy."""
+        argvs = [["uduality", "--model", model], ["stabilizer", "--model", model]]
+        argvs += [["lift", "--model", model, "--killing", k] for k in ("dx", "scale", "special")]
+        ours = [run(argv) for argv in argvs]
+        calls = []
+
+        def halton(dim, count):
+            calls.append((dim, count))
+            return scipy_halton(dim, count)
+
+        monkeypatch.setattr(md, "halton", halton)
+        assert [run(argv) for argv in argvs] == ours
+        assert len(calls) == len(argvs)
