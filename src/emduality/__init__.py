@@ -4,6 +4,7 @@ group algebras, twisted self-dual field algebra, finite-difference
 equation-of-motion residuals, flat-bundle centralizers and real Killing
 spinor verification."""
 
+from .errors import EmdualityError, InputError, UsageError
 from .symplectic import (DimensionError, DomainError, ElectromagneticPair,
                          PoleError, SiegelPoint, Taming, conjugate_taming,
                          fractional_action, gamma, gamma_inv,

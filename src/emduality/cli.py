@@ -2,8 +2,11 @@
 computations, bundle centralizers, grid residual evaluation and the spinor
 verification suites, each emitting a deterministic structured-text report.
 
-Exit codes: 0 all checks passed, 1 tolerance failure (report still emitted),
-2 usage errors, 3 unreadable or malformed input files.
+Exit codes: 0 all checks passed; 1 a failed check, a tolerance failure or
+an unstable sample count (the report is still emitted); 2 a bad command-line
+value; 3 unreadable, malformed or out-of-domain input data.  ``run`` alone
+maps library errors to codes: ``UsageError`` to 2, ``InputError`` to 3 and
+any other ``EmdualityError`` to 1.
 """
 
 from __future__ import annotations
@@ -18,12 +21,12 @@ import numpy as np
 
 from . import duality as du
 from . import expressions as ex
-from . import fields as fl
 from . import grids as gr
 from . import holonomy as ho
 from . import models as md
 from . import spinors as sn
 from . import symplectic as sp
+from .errors import EmdualityError, InputError, UsageError
 from .textio import numbers
 
 SCHEMA = "emduality-report/1"
@@ -75,33 +78,30 @@ class Report:
         return "\n".join(lines) + "\n"
 
 
-class FileInputError(Exception):
-    pass
-
-
 def _read_text(path: str) -> str:
     try:
         with open(path, "r", encoding="utf-8") as fh:
             return fh.read()
     except OSError as err:
-        raise FileInputError(f"cannot read {path!r}: {err}") from err
+        raise InputError(f"cannot read {path!r}: {err}") from err
 
 
 def _read_matrix(path: str, dim: int | None = None) -> np.ndarray:
-    vals = np.array(numbers(_read_text(path), FileInputError))
+    vals = np.array(numbers(_read_text(path), InputError))
     n = int(round(np.sqrt(vals.size)))
     if n * n != vals.size:
-        raise FileInputError(f"{path!r} does not contain a square matrix")
+        raise InputError(f"{path!r} does not contain a square matrix")
     if dim is not None and n != dim:
-        raise FileInputError(f"{path!r}: expected {dim}x{dim}, got {n}x{n}")
+        raise InputError(f"{path!r}: expected {dim}x{dim}, got {n}x{n}")
     return vals.reshape(n, n)
 
 
-def _load_model_cli(name: str):
+def _isometry(spec: str, chart: md.ScalarChart):
+    """The isometry of an --f value; a bad spec is a bad command-line value."""
     try:
-        return md.load_model(name)
+        return md.parse_isometry(spec, chart)
     except md.ModelError as err:
-        raise FileInputError(str(err)) from err
+        raise UsageError(str(err)) from err
 
 
 def _seed() -> int:
@@ -117,19 +117,18 @@ def _digest(*parts: str) -> str:
 
 # ------------------------------------------------------------- subcommands
 
-def cmd_models(args) -> tuple[int, Report]:
+def cmd_models(args) -> Report:
     rep = Report("models", _seed())
     if args.action == "list":
         for name in md.BUILTIN_NAMES:
             m = md.builtin(name)
             rep.info(f"model {name}", f"nv={m.n_v} chart={m.chart.kind}")
         rep.add("builtins", len(md.BUILTIN_NAMES))
-        return 0, rep
+        return rep
     try:
         m = md.builtin(args.name)
-    except md.ModelError:
-        rep.info("error", f"unknown model {args.name!r}")
-        return 2, rep
+    except md.ModelError as err:
+        raise UsageError(f"unknown model {args.name!r}") from err
     rep.info("model", m.name)
     rep.info("input_digest", _digest(md.print_model(m)))
     rep.info("nv", m.n_v)
@@ -144,11 +143,11 @@ def cmd_models(args) -> tuple[int, Report]:
     rep.info("N(sample) im", " ".join(format(v, ".12g") for v in tau.imag.ravel()))
     min_eig = md.check_siegel_on_grid(m, per_axis=8)
     rep.add("siegel_min_eig", min_eig, tol=None, passed=min_eig > 0)
-    return 0 if rep.all_passed else 1, rep
+    return rep
 
 
-def cmd_stabilizer(args) -> tuple[int, Report]:
-    model = _load_model_cli(args.model)
+def cmd_stabilizer(args) -> Report:
+    model = md.load_model(args.model)
     rep = Report("stabilizer", _seed(), {"model": model.name,
                                          "input_digest": _digest(md.print_model(model))})
     samples = model.chart.sample_points(args.samples)
@@ -161,11 +160,11 @@ def cmd_stabilizer(args) -> tuple[int, Report]:
     rep.info("notes", out.notes)
     for k, x in enumerate(out.basis):
         rep.info(f"basis[{k}]", " ".join(format(v, ".12g") for v in x.ravel()))
-    return 0 if rep.all_passed else 1, rep
+    return rep
 
 
-def cmd_uduality(args) -> tuple[int, Report]:
-    model = _load_model_cli(args.model)
+def cmd_uduality(args) -> Report:
+    model = md.load_model(args.model)
     rep = Report("uduality", _seed(), {"model": model.name})
     out = du.uduality_algebra(model)
     rep.add("dim_u", out.dim_u)
@@ -176,14 +175,14 @@ def cmd_uduality(args) -> tuple[int, Report]:
     for name, x, res in out.lift_table:
         rep.add(f"lift[{name}] residual", res, tol=du.TOL_LIFT,
                 passed=x is not None)
-    return 0 if rep.all_passed else 1, rep
+    return rep
 
 
 KILLING_ALIASES = {"dx": 0, "scale": 1, "special": 2}
 
 
-def cmd_lift(args) -> tuple[int, Report]:
-    model = _load_model_cli(args.model)
+def cmd_lift(args) -> Report:
+    model = md.load_model(args.model)
     rep = Report("lift", _seed(), {"model": model.name})
     fields = du.killing_basis(model.chart)
     key = args.killing
@@ -192,11 +191,9 @@ def cmd_lift(args) -> tuple[int, Report]:
         try:
             idx = int(key)
         except ValueError:
-            rep.info("error", f"unknown killing spec {key!r}")
-            return 2, rep
+            raise UsageError(f"unknown killing spec {key!r}") from None
     if not 0 <= idx < len(fields):
-        rep.info("error", f"killing index {idx} out of range")
-        return 2, rep
+        raise UsageError(f"killing index {idx} out of range")
     xi = fields[idx]
     rep.info("killing", xi.name)
     x, res = du.lift_killing_field(model, xi)
@@ -205,26 +202,22 @@ def cmd_lift(args) -> tuple[int, Report]:
         rep.info("lift", " ".join(format(v, ".12g") for v in x.ravel()))
     else:
         rep.info("lift", "no lift")
-    return 0 if rep.all_passed else 1, rep
+    return rep
 
 
-def cmd_pair_check(args) -> tuple[int, Report]:
-    model = _load_model_cli(args.model)
+def cmd_pair_check(args) -> Report:
+    model = md.load_model(args.model)
+    f = _isometry(args.f, model.chart)
     rep = Report("pair-check", _seed(), {"model": model.name, "f": args.f})
-    try:
-        f = md.parse_isometry(args.f, model.chart)
-    except md.ModelError as err:
-        rep.info("error", str(err))
-        return 2, rep
     a = _read_matrix(args.A, 2 * model.n_v)
     ok, viol = sp.sp_check(a, 1e-8)
     rep.add("A_symplectic_violation", viol, tol=1e-8, passed=ok)
     res = du.check_uduality_pair(f, a, model)
     rep.add("pair_residual", res, tol=args.tol)
-    return 0 if rep.all_passed else 1, rep
+    return rep
 
 
-def cmd_centralizer(args) -> tuple[int, Report]:
+def cmd_centralizer(args) -> Report:
     text = _read_text(args.bundle)
     pres = ho.parse_bundle(text)
     rep = Report("centralizer", _seed(), {"bundle": args.bundle,
@@ -242,36 +235,32 @@ def cmd_centralizer(args) -> tuple[int, Report]:
         j0 = sp.Taming(_read_matrix(args.taming, 2 * pres.n_v))
         _, tdim = ho.autb_theta_algebra(pres, j0)
         rep.add("dim_autb_theta", tdim, passed=tdim <= dim)
-    return 0 if rep.all_passed else 1, rep
+    return rep
 
 
-def cmd_invariants(args) -> tuple[int, Report]:
+def cmd_invariants(args) -> Report:
     text = _read_text(args.bundle)
     pres = ho.parse_bundle(text)
     rep = Report("invariants", _seed(), {"bundle": args.bundle,
                                          "input_digest": _digest(text)})
-    try:
-        vec = ho.conjugacy_invariants(pres, args.maxlen)
-    except ho.PresentationError as err:
-        rep.info("error", str(err))
-        return 2, rep
+    vec = ho.conjugacy_invariants(pres, args.maxlen)
     rep.info("count", len(vec))
     rep.info("traces", " ".join(format(v, ".12g") for v in vec))
     rep.add("computed", True, passed=True)
-    return 0, rep
+    return rep
 
 
-def cmd_selfdual(args) -> tuple[int, Report]:
+def cmd_selfdual(args) -> Report:
     text = _read_text(args.config)
     cfg = gr.parse_grid_config(text)
     rep = Report("selfdual", _seed(), {"config": args.config,
                                        "input_digest": _digest(text),
                                        "model": cfg.model.name})
     rep.add("selfdual_violation", cfg.selfduality_violation(), tol=args.tol)
-    return 0 if rep.all_passed else 1, rep
+    return rep
 
 
-def cmd_residuals(args) -> tuple[int, Report]:
+def cmd_residuals(args) -> Report:
     text = _read_text(args.config)
     cfg = gr.parse_grid_config(text)
     rep = Report("residuals", _seed(), {"config": args.config,
@@ -298,20 +287,16 @@ def cmd_residuals(args) -> tuple[int, Report]:
             for name, value in fine.rows():
                 if name.endswith("_max"):
                     rep.info(f"refine[{k + 1}] {name}", value)
-    return 0 if rep.all_passed else 1, rep
+    return rep
 
 
-def cmd_transport(args) -> tuple[int, Report]:
+def cmd_transport(args) -> Report:
     text = _read_text(args.config)
     cfg = gr.parse_grid_config(text)
+    f = _isometry(args.f, cfg.model.chart)
     rep = Report("transport", _seed(), {"config": args.config,
                                         "input_digest": _digest(text),
                                         "f": args.f})
-    try:
-        f = md.parse_isometry(args.f, cfg.model.chart)
-    except md.ModelError as err:
-        rep.info("error", str(err))
-        return 2, rep
     a = _read_matrix(args.A, 2 * cfg.model.n_v)
     out = gr.equivariance_harness(cfg, f, a)
     rep.add("einstein_discrepancy", out.einstein_discrepancy, tol=args.tol)
@@ -319,7 +304,7 @@ def cmd_transport(args) -> tuple[int, Report]:
     rep.add("maxwell_discrepancy", out.maxwell_discrepancy, tol=args.tol)
     rep.info("einstein_max_before", out.before.einstein_max)
     rep.info("einstein_max_after", out.after.einstein_max)
-    return 0 if rep.all_passed else 1, rep
+    return rep
 
 
 def _spinor_frames(name: str, lam: float, sizes=(9, 13)):
@@ -334,7 +319,7 @@ def _spinor_frames(name: str, lam: float, sizes=(9, 13)):
     return frames
 
 
-def cmd_spinor_check(args) -> tuple[int, Report]:
+def cmd_spinor_check(args) -> Report:
     rep = Report("spinor-check", _seed(), {"frame": args.frame,
                                            "lambda": args.lam})
     eps0 = np.array([0.9, -0.4, 0.3, 1.1])
@@ -346,10 +331,9 @@ def cmd_spinor_check(args) -> tuple[int, Report]:
         rep.add("parallel_residual", sn.killing_residual_max(fr, eps, 0.0),
                 tol=1e-14)
         rep.add("path_defect", sn.path_defect(fr, 0.0, eps0), tol=1e-14)
-        return 0 if rep.all_passed else 1, rep
+        return rep
     if args.frame != "ads4-poincare":
-        rep.info("error", f"unknown frame {args.frame!r}")
-        return 2, rep
+        raise UsageError(f"unknown frame {args.frame!r}")
     fr9, fr13 = _spinor_frames(args.frame, args.lam)
     # both residual maxima are taken over one region, the coarse grid's
     # margin-2 interior, so their ratio measures convergence at fixed points
@@ -367,14 +351,13 @@ def cmd_spinor_check(args) -> tuple[int, Report]:
     rep.add("residual_order", order, tol=None, passed=1.5 <= order <= 2.5)
     rep.add("path_defect_shrinks", defects[1] / defects[0], tol=None,
             passed=defects[1] < defects[0])
-    return 0 if rep.all_passed else 1, rep
+    return rep
 
 
-def cmd_thm53(args) -> tuple[int, Report]:
-    rep = Report("thm53", _seed(), {"frame": args.frame, "lambda": args.lam})
+def cmd_thm53(args) -> Report:
     if args.frame != "ads4-poincare":
-        rep.info("error", "thm53 verification runs on the ads4-poincare frame")
-        return 2, rep
+        raise UsageError("thm53 verification runs on the ads4-poincare frame")
+    rep = Report("thm53", _seed(), {"frame": args.frame, "lambda": args.lam})
     eps0 = np.array([0.9, -0.4, 0.3, 1.1])
     fr9, fr13 = _spinor_frames(args.frame, args.lam)
     maxima = []
@@ -395,10 +378,24 @@ def cmd_thm53(args) -> tuple[int, Report]:
             tol=None, passed=fine.dl_residual < maxima[0].dl_residual)
     rep.info("u_killing_residual", fine.u_killing_residual)
     rep.info("dkappa_max", fine.dkappa_max)
-    return 0 if rep.all_passed else 1, rep
+    return rep
 
 
 # ------------------------------------------------------------------ parser
+
+def _count(low: int, high: int | None = None):
+    """argparse type: an integer in low..high (no upper bound if high is None)."""
+    def parse(text: str) -> int:
+        try:
+            value = int(text)
+        except ValueError:
+            raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+        if value < low or (high is not None and value > high):
+            bound = f"in {low}..{high}" if high is not None else f"at least {low}"
+            raise argparse.ArgumentTypeError(f"must be {bound}, got {value}")
+        return value
+    return parse
+
 
 def build_parser() -> argparse.ArgumentParser:
     p = argparse.ArgumentParser(prog="emduality",
@@ -412,7 +409,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     stp = sub.add_parser("stabilizer", help="stabilizer algebra of a model")
     stp.add_argument("--model", required=True)
-    stp.add_argument("--samples", type=int, default=16)
+    stp.add_argument("--samples", type=_count(1), default=16)
     stp.add_argument("--tol", type=float, default=1e-8)
     stp.set_defaults(func=cmd_stabilizer)
 
@@ -440,7 +437,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     ip = sub.add_parser("invariants", help="conjugacy trace invariants")
     ip.add_argument("--bundle", required=True)
-    ip.add_argument("--maxlen", type=int, required=True)
+    ip.add_argument("--maxlen", type=_count(1, ho.MAX_WORD_LEN), required=True)
     ip.set_defaults(func=cmd_invariants)
 
     sdp = sub.add_parser("selfdual", help="twisted self-duality of a configuration")
@@ -450,7 +447,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     rp = sub.add_parser("residuals", help="equation-of-motion residual report")
     rp.add_argument("--config", required=True)
-    rp.add_argument("--refine", type=int, default=0,
+    rp.add_argument("--refine", type=_count(0), default=0,
                     help="emit a convergence table over this many halvings")
     rp.set_defaults(func=cmd_residuals)
 
@@ -482,15 +479,15 @@ def run(argv: list[str]) -> tuple[int, str]:
         return int(err.code or 0), ""
     t0 = time.time()
     try:
-        code, rep = args.func(args)
-    except (FileInputError, ho.PresentationError, gr.GridError, gr.DomainExitError,
-            md.ModelError, fl.SingularMetricError, ex.ExprSyntaxError, sp.PoleError) as err:
+        rep = args.func(args)
+    except EmdualityError as err:
         rep = Report(args.command, _seed())
         rep.info("error", str(err))
-        return 3, rep.text()
+        return (2 if isinstance(err, UsageError) else
+                3 if isinstance(err, InputError) else 1), rep.text()
     print(f"[emduality] {args.command} finished in {time.time() - t0:.2f}s",
           file=sys.stderr)
-    return code, rep.text()
+    return 0 if rep.all_passed else 1, rep.text()
 
 
 def main() -> int:

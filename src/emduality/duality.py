@@ -13,6 +13,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 from . import expressions as ex
+from .errors import EmdualityError
 from .models import ScalarChart, checked_periods
 from .symplectic import (fractional_action, infinitesimal_fractional_action,
                          null_space, sp_basis)
@@ -22,7 +23,7 @@ TOL_LIFT = 1e-8        # normalized residual below which a lift is accepted
 MIN_SAMPLES = 8
 
 
-class SampleInstabilityError(RuntimeError):
+class SampleInstabilityError(RuntimeError, EmdualityError):
     """Reported dimension changed when the sample set was doubled."""
 
 

@@ -16,12 +16,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .errors import InputError
 from .symplectic import PoleError as ExprPoleError
 
 POLE_EPS = 1e-13
 
 
-class ExprSyntaxError(ValueError):
+class ExprSyntaxError(ValueError, InputError):
     def __init__(self, message: str, line: int, col: int):
         super().__init__(f"{message} (line {line}, column {col})")
         self.line = line

@@ -23,6 +23,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .errors import InputError
 from .symplectic import ElectromagneticPair, Taming, omega
 
 
@@ -48,7 +49,7 @@ EPS4 = _levi_civita_4()
 ETA = np.diag([-1.0, 1.0, 1.0, 1.0])
 
 
-class SingularMetricError(ValueError):
+class SingularMetricError(ValueError, InputError):
     pass
 
 

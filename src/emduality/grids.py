@@ -21,6 +21,7 @@ from functools import cached_property
 import numpy as np
 
 from . import fields as fl
+from .errors import InputError
 from .models import Model, TransformedModel, load_model
 from .symplectic import omega
 from .textio import key_values, numbers
@@ -28,11 +29,11 @@ from .textio import key_values, numbers
 MARGIN = 2
 
 
-class GridError(ValueError):
+class GridError(ValueError, InputError):
     pass
 
 
-class DomainExitError(ValueError):
+class DomainExitError(ValueError, InputError):
     pass
 
 

@@ -11,6 +11,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .errors import InputError
 from .symplectic import MAX_N, Taming, null_space, sp_basis, sp_check
 from .textio import key_values, numbers
 
@@ -19,7 +20,7 @@ RELATION_TOL = 1e-10
 RANK_RTOL = 1e-10      # relative singular value threshold for centralizer ranks
 
 
-class PresentationError(ValueError):
+class PresentationError(ValueError, InputError):
     pass
 
 

@@ -9,11 +9,12 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import expressions as ex
+from .errors import InputError
 from .symplectic import (MAX_N, DomainError, PoleError, SiegelPoint, fractional_action,
                          min_eig_ratio, mobius_differential)
 
 
-class ModelError(ValueError):
+class ModelError(ValueError, InputError):
     pass
 
 

@@ -24,12 +24,13 @@ from functools import cache, cached_property
 
 import numpy as np
 
+from .errors import InputError
 from .fields import ETA
 from .grids import Geometry, GridPatch, christoffel, metric_geometry, partials
 from .symplectic import null_space
 
 
-class FrameError(ValueError):
+class FrameError(ValueError, InputError):
     pass
 
 

@@ -20,6 +20,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .errors import InputError
+
 # Tolerances for exact-algebra identities in double precision.  The looser
 # value covers identities that pass through a matrix inversion.
 TOL_ALG = 1e-10
@@ -31,15 +33,15 @@ TOL_ALG_INV = 1e-8
 MAX_N = 12
 
 
-class DimensionError(ValueError):
+class DimensionError(ValueError, InputError):
     """Matrix has the wrong shape for the requested symplectic operation."""
 
 
-class DomainError(ValueError):
+class DomainError(ValueError, InputError):
     """Input fails the invariants of its declared domain type."""
 
 
-class PoleError(ArithmeticError):
+class PoleError(ArithmeticError, InputError):
     """A fractional transformation or a model expression hit a (near-)singular
     denominator."""
 

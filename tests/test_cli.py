@@ -5,7 +5,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from emduality.cli import run
+from emduality.cli import build_parser, run
 
 
 @pytest.fixture
@@ -94,6 +94,20 @@ class TestAlgebraCommands:
         assert code == 1
         assert "FAIL" in text
 
+    def test_unstable_sample_count_exit_1(self, tmp_path):
+        """16 default samples under-determine the 55 Killing fields of a
+        10-dimensional flat chart: a failed check with a report."""
+        path = tmp_path / "flat10.model"
+        path.write_text("nv = 1\nchart = flat\ndim = 10\nN[1,1] = x1 + i*(2 + x1^2)\n")
+        code, text = run(["uduality", "--model", str(path)])
+        assert code == 1
+        assert "error = U-duality dim changed" in text and "result = FAIL" in text
+
+    @pytest.mark.parametrize("samples", ["0", "-3"])
+    def test_stabilizer_bad_sample_count_exit_2(self, samples):
+        code, text = run(["stabilizer", "--model", "identity-tau", "--samples", samples])
+        assert (code, text) == (2, "")
+
     def test_model_file_missing_exit_3(self):
         code, _ = run(["stabilizer", "--model", "no-such-model-or-file"])
         assert code == 3
@@ -135,6 +149,21 @@ class TestBundleCommands:
         code, _ = run(["centralizer", "--bundle", "/nonexistent/b.txt"])
         assert code == 3
 
+    def test_improper_taming_exit_3(self, bundle_file, tmp_path):
+        """J = diag(1, -1) is not a complex structure: bad input, no traceback."""
+        j = tmp_path / "taming.txt"
+        j.write_text("1 0\n0 -1\n")
+        code, text = run(["centralizer", "--bundle", bundle_file, "--taming", str(j)])
+        assert code == 3
+        assert "error = J^2 != -Id" in text and "result = FAIL" in text
+
+    def test_maxlen_checked_by_the_parser(self):
+        for maxlen in ("0", "7"):
+            with pytest.raises(SystemExit) as err:
+                build_parser().parse_args(["invariants", "--bundle", "b.txt",
+                                           "--maxlen", maxlen])
+            assert err.value.code == 2
+
 
 class TestGridCommands:
     def test_selfdual(self, config_file):
@@ -158,6 +187,10 @@ class TestGridCommands:
                           "--f", "translate:1.0", "--A", a_translation])
         assert code == 0
         assert "einstein_discrepancy" in text
+
+    def test_negative_refine_exit_2(self, config_file):
+        code, text = run(["residuals", "--config", config_file, "--refine", "-1"])
+        assert (code, text) == (2, "")
 
     def test_missing_config_exit_3(self):
         code, _ = run(["residuals", "--config", "/nonexistent/x.cfg"])

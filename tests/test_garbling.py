@@ -1,7 +1,7 @@
 """Garbled input files never crash the command line: characters of small
-valid config, matrix, bundle and model files are deleted or replaced, and
-every run ends with exit 0, 1 or 3, exit 3 with an error report.  The
-resolution line is never edited, so every grid stays at 7^4."""
+valid config, matrix, bundle, taming and model files are deleted or
+replaced, and every run ends with exit 0, 1 or 3, exit 3 with an error
+report.  The resolution line is never edited, so every grid stays at 7^4."""
 
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
@@ -21,6 +21,7 @@ BUNDLE = ("nv = 1\n"
           "generator = 0.8 -0.6 0.6 0.8\n"
           "generator = 2 0 0 0.5\n"
           "relation = 1 2 -1 -2\n")
+TAMING = "0 1\n-1 0\n"
 MODEL = ("name = garbled\n"
          "nv = 1\n"
          "chart = flat\n"
@@ -87,3 +88,12 @@ def test_garbled_model(tmp_path, edits):
     path = tmp_path / "model.txt"
     path.write_text(garble(MODEL, edits))
     assert_contract(["stabilizer", "--model", str(path)])
+
+
+@settings(SETTINGS, max_examples=20)
+@given(edits=EDITS)
+def test_garbled_taming(tmp_path, edits):
+    bundle, j = tmp_path / "bundle.txt", tmp_path / "taming.txt"
+    bundle.write_text("nv = 1\ngenerator = 0.8 -0.6 0.6 0.8\n")
+    j.write_text(garble(TAMING, edits))
+    assert_contract(["centralizer", "--bundle", str(bundle), "--taming", str(j)])
