@@ -30,7 +30,7 @@ frm = builtin_frame("minkowski", gridm)
 eps = integrate_killing(frm, 0.0, eps0)
 print(f"transported spinor stays constant; residual "
       f"{killing_residual_max(frm, eps, 0.0):.1e}, path defect "
-      f"{path_defect(frm, 0.0, eps0):.1e}")
+      f"{path_defect(frm, 0.0, eps):.1e}")
 
 print("\n== the curved patch ==")
 for n in (9, 17):
@@ -42,7 +42,7 @@ for n in (9, 17):
     einstein_gap = np.max(np.abs((ric + 3 * lam ** 2 * g)[inner]))
     eps = integrate_killing(fr, lam, eps0)
     res = killing_residual_max(fr, eps, lam)
-    pd = path_defect(fr, lam, eps0)
+    pd = path_defect(fr, lam, eps)
     print(f"n = {n:2d}: Ric + 3 lam^2 g = {einstein_gap:.2e}   "
           f"Killing residual {res:.2e}   path defect {pd:.2e}")
 print("(residual and Einstein gap shrink ~4x per refinement; the path defect,")
@@ -51,7 +51,8 @@ print(" a pure integrability measure, shrinks ~16x: the connection is flat)")
 print("\n== wrong Killing constant: the connection curves ==")
 grid = GridPatch(((-0.4, 0.4), (-0.4, 0.4), (-0.4, 0.4), (0.8, 1.6)), (9,) * 4)
 fr = builtin_frame("ads4-poincare", grid, lam=lam)
-print(f"path defect with lam' = 1.3: {path_defect(fr, 1.3, eps0):.3f}")
+print(f"path defect with lam' = 1.3: "
+      f"{path_defect(fr, 1.3, integrate_killing(fr, 1.3, eps0)):.3f}")
 
 print("\n== the lightlike/spacelike pair from bilinears ==")
 eps = integrate_killing(fr, lam, eps0)

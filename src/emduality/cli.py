@@ -307,45 +307,46 @@ def cmd_transport(args) -> Report:
     return rep
 
 
-def _spinor_frames(name: str, lam: float, sizes=(9, 13)):
-    frames = []
-    for n in sizes:
-        if name == "minkowski":
-            grid = gr.GridPatch(((-0.4, 0.4),) * 4, (n,) * 4)
-        else:
-            grid = gr.GridPatch(((-0.4, 0.4), (-0.4, 0.4), (-0.4, 0.4),
-                                 (0.8, 1.6)), (n,) * 4)
-        frames.append(sn.builtin_frame(name, grid, lam=lam if lam > 0 else 1.0))
-    return frames
+EPS0 = np.array([0.9, -0.4, 0.3, 1.1])
+
+
+def _ads_frames(lam: float) -> list[sn.FramePatch]:
+    """AdS4 frames on the 9^4 and 13^4 grids of the z in [0.8, 1.6] patch.
+    The Einstein constant -3 lam^2 fixes lam up to sign, so the frame is
+    built at |lam| and both signs have Killing spinors."""
+    if lam == 0:
+        raise UsageError("the ads4-poincare frame needs lambda != 0")
+    box = ((-0.4, 0.4), (-0.4, 0.4), (-0.4, 0.4), (0.8, 1.6))
+    return [sn.builtin_frame("ads4-poincare", gr.GridPatch(box, (n,) * 4), lam=abs(lam))
+            for n in (9, 13)]
 
 
 def cmd_spinor_check(args) -> Report:
     rep = Report("spinor-check", _seed(), {"frame": args.frame,
                                            "lambda": args.lam})
-    eps0 = np.array([0.9, -0.4, 0.3, 1.1])
     if args.frame == "minkowski":
         if args.lam != 0.0:
             rep.info("note", "minkowski check runs the parallel case lambda=0")
-        (fr,) = _spinor_frames("minkowski", 0.0, sizes=(9,))
-        eps = sn.integrate_killing(fr, 0.0, eps0)
+        fr = sn.builtin_frame("minkowski", gr.GridPatch(((-0.4, 0.4),) * 4, (9,) * 4))
+        eps = sn.integrate_killing(fr, 0.0, EPS0)
         rep.add("parallel_residual", sn.killing_residual_max(fr, eps, 0.0),
                 tol=1e-14)
-        rep.add("path_defect", sn.path_defect(fr, 0.0, eps0), tol=1e-14)
+        rep.add("path_defect", sn.path_defect(fr, 0.0, eps), tol=1e-14)
         return rep
     if args.frame != "ads4-poincare":
         raise UsageError(f"unknown frame {args.frame!r}")
-    fr9, fr13 = _spinor_frames(args.frame, args.lam)
+    fr9, fr13 = _ads_frames(args.lam)
     # both residual maxima are taken over one region, the coarse grid's
     # margin-2 interior, so their ratio measures convergence at fixed points
     region = fr9.grid.coords()[fr9.grid.interior()].reshape(-1, 4)
     lo, hi = region.min(axis=0) - 1e-9, region.max(axis=0) + 1e-9
     res, defects = [], []
     for fr in (fr9, fr13):
-        eps = sn.integrate_killing(fr, args.lam, eps0)
+        eps = sn.integrate_killing(fr, args.lam, EPS0)
         x = fr.grid.coords()
         inside = np.all((x >= lo) & (x <= hi), axis=-1)
         res.append(float(np.max(np.abs(sn.killing_residual(fr, eps, args.lam)[inside]))))
-        defects.append(sn.path_defect(fr, args.lam, eps0))
+        defects.append(sn.path_defect(fr, args.lam, eps))
     order = float(np.log(res[0] / res[1]) / np.log(fr9.grid.h[0] / fr13.grid.h[0]))
     rep.add("residual_coarse", res[0], tol=None, passed=res[0] < 1.0)
     rep.add("residual_order", order, tol=None, passed=1.5 <= order <= 2.5)
@@ -358,11 +359,10 @@ def cmd_thm53(args) -> Report:
     if args.frame != "ads4-poincare":
         raise UsageError("thm53 verification runs on the ads4-poincare frame")
     rep = Report("thm53", _seed(), {"frame": args.frame, "lambda": args.lam})
-    eps0 = np.array([0.9, -0.4, 0.3, 1.1])
-    fr9, fr13 = _spinor_frames(args.frame, args.lam)
+    fr9, fr13 = _ads_frames(args.lam)
     maxima = []
     for fr in (fr9, fr13):
-        eps = sn.integrate_killing(fr, args.lam, eps0)
+        eps = sn.integrate_killing(fr, args.lam, EPS0)
         u, l = sn.killing_bilinears(fr, eps)
         kappa = sn.extract_kappa(u, l, args.lam, fr.geometry, fr.grid)
         out = sn.verify_thm53(u, l, kappa, args.lam, fr.geometry, fr.grid)

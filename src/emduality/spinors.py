@@ -318,15 +318,16 @@ def integrate_killing(fr: FramePatch, lam: float, eps0: np.ndarray,
     return eps
 
 
-def path_defect(fr: FramePatch, lam: float, eps0: np.ndarray,
+def path_defect(fr: FramePatch, lam: float, eps: np.ndarray,
                 rep: CliffordRep | None = None) -> float:
-    """Far-corner disagreement between two axis sweep orders: an integrability
-    measure of the Killing transport (zero for a flat connection up to the
-    integrator error)."""
-    e1 = integrate_killing(fr, lam, eps0, rep, axis_order=(0, 1, 2, 3))
-    e2 = integrate_killing(fr, lam, eps0, rep, axis_order=(3, 2, 1, 0))
+    """Far-corner disagreement between two axis sweep orders: eps is the
+    (0, 1, 2, 3) sweep ``integrate_killing`` returns, and the (3, 2, 1, 0)
+    sweep starts from its origin value.  An integrability measure of the
+    Killing transport (zero for a flat connection up to the integrator
+    error)."""
+    back = integrate_killing(fr, lam, eps[(0,) * 4], rep, axis_order=(3, 2, 1, 0))
     corner = tuple(n - 1 for n in fr.grid.shape)
-    return float(np.max(np.abs(e1[corner] - e2[corner])))
+    return float(np.max(np.abs(eps[corner] - back[corner])))
 
 
 # -------------------------------------------------------- bilinear one-forms

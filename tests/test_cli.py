@@ -291,6 +291,18 @@ class TestSpinorCommands:
         assert code == 0
         assert "result = pass" in text
 
+    def test_spinor_check_ads_negative_lambda(self):
+        """The frame is built at |lambda|: a negative lambda has Killing spinors too."""
+        code, text = run(["spinor-check", "--frame", "ads4-poincare", "--lambda", "-0.5"])
+        assert code == 0
+        assert "result = pass" in text
+
+    @pytest.mark.parametrize("command", ["spinor-check", "thm53"])
+    def test_ads_lambda_zero_exit_2(self, command):
+        code, text = run([command, "--frame", "ads4-poincare", "--lambda", "0"])
+        assert code == 2
+        assert "error = " in text and "lambda" in text
+
     def test_spinor_check_unknown_frame_exit_2(self):
         code, _ = run(["spinor-check", "--frame", "rindler"])
         assert code == 2

@@ -164,7 +164,7 @@ class TestKillingTransport:
         fr = sn.builtin_frame("minkowski", grid)
         eps = sn.integrate_killing(fr, 0.0, EPS0)
         assert np.max(np.abs(eps - EPS0)) == 0.0
-        assert sn.path_defect(fr, 0.0, EPS0) == 0.0
+        assert sn.path_defect(fr, 0.0, eps) == 0.0
 
     def test_ads_residual_second_order(self, ads9, ads17):
         errs = []
@@ -176,14 +176,14 @@ class TestKillingTransport:
 
     def test_ads_path_defect_shrinks(self, ads9, ads17):
         defects = []
-        for grid, fr, _ in (ads9, ads17):
-            defects.append(sn.path_defect(fr, LAM, EPS0))
+        for grid, fr, eps in (ads9, ads17):
+            defects.append(sn.path_defect(fr, LAM, eps))
         assert defects[0] < 1e-5
         assert defects[1] < 0.3 * defects[0]
 
     def test_wrong_killing_constant_negative_control(self, ads9):
         _, fr, _ = ads9
-        assert sn.path_defect(fr, 1.3, EPS0) > 1e-2
+        assert sn.path_defect(fr, 1.3, sn.integrate_killing(fr, 1.3, EPS0)) > 1e-2
 
     def test_random_field_negative_control(self, ads9):
         grid, fr, _ = ads9
