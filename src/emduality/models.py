@@ -490,7 +490,7 @@ def load_model(name_or_path: str) -> Model:
     try:
         with open(name_or_path, "r", encoding="utf-8") as fh:
             return parse_model(fh.read())
-    except FileNotFoundError:
+    except (OSError, UnicodeDecodeError):
         raise ModelError(f"{name_or_path!r} is neither a built-in model nor a readable file")
 
 

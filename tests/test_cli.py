@@ -108,6 +108,14 @@ class TestAlgebraCommands:
         code, text = run(["stabilizer", "--model", "identity-tau", "--samples", samples])
         assert (code, text) == (2, "")
 
+    def test_unreadable_model_file_exit_3(self, tmp_path):
+        binary = tmp_path / "binary.model"
+        binary.write_bytes(b"\xff\xfe\x00nv = 1")
+        for path in (binary, tmp_path):
+            code, text = run(["stabilizer", "--model", str(path)])
+            assert code == 3
+            assert "readable file" in text and "result = FAIL" in text
+
     def test_model_file_missing_exit_3(self):
         code, _ = run(["stabilizer", "--model", "no-such-model-or-file"])
         assert code == 3
@@ -191,6 +199,13 @@ class TestGridCommands:
     def test_negative_refine_exit_2(self, config_file):
         code, text = run(["residuals", "--config", config_file, "--refine", "-1"])
         assert (code, text) == (2, "")
+
+    def test_binary_config_exit_3(self, tmp_path):
+        path = tmp_path / "binary.cfg"
+        path.write_bytes(b"\xff\xfe\x00model = identity-tau")
+        code, text = run(["residuals", "--config", str(path)])
+        assert code == 3
+        assert "cannot read" in text and "result = FAIL" in text
 
     def test_missing_config_exit_3(self):
         code, _ = run(["residuals", "--config", "/nonexistent/x.cfg"])
