@@ -128,7 +128,8 @@ def cmd_models(args) -> Report:
     try:
         m = md.builtin(args.name)
     except md.ModelError as err:
-        raise UsageError(f"unknown model {args.name!r}") from err
+        cause = str(err) if md.is_builtin_spec(args.name) else f"unknown model {args.name!r}"
+        raise UsageError(cause) from err
     rep.info("model", m.name)
     rep.info("input_digest", _digest(md.print_model(m)))
     rep.info("nv", m.n_v)

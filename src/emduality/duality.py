@@ -109,29 +109,77 @@ def killing_residual(field_: KillingField, points: np.ndarray) -> float:
 
 # ------------------------------------------------------------ linear systems
 
-def _sym_upper_rows(m: np.ndarray) -> np.ndarray:
-    """Real rows from the upper triangles of complex symmetric matrices
-    (..., n, n): real parts, then imaginary parts."""
+def _columns(m: np.ndarray) -> np.ndarray:
+    """One column per entry of a stack (k, npts, n, n) of complex symmetric matrices;
+    rows are point-major, n(n+1) per point: Re, then Im of the upper triangle."""
     iu = np.triu_indices(m.shape[-1])
     vals = m[..., iu[0], iu[1]]
-    return np.concatenate([vals.real, vals.imag], axis=-1)
+    return np.concatenate([vals.real, vals.imag], axis=-1).reshape(len(m), -1).T
 
 
-def _stab_rows(model, basis, points) -> np.ndarray:
-    """Rows of the linearized stabilizer condition at the sample points:
-    n(n+1) equations per point, one column per basis element."""
-    tau = checked_periods(model, points)
-    cols = [_sym_upper_rows(infinitesimal_fractional_action(b, tau)) for b in basis]
-    return np.stack(cols, axis=-1).reshape(-1, len(basis))
+def _sample_set(model, samples: np.ndarray | None, n_fields: int = 0) -> np.ndarray:
+    """The samples as a stack (count, dim).  By default max(16, 2 ceil(u / n(n+1)))
+    points for u = dim sp(2n, R) + n_fields unknowns, so that the half set alone
+    has as many equations as unknowns."""
+    if samples is None:
+        unknowns = model.n_v * (2 * model.n_v + 1) + n_fields
+        per_point = model.n_v * (model.n_v + 1)
+        samples = model.chart.sample_points(max(16, 2 * -(-unknowns // per_point)))
+    return np.atleast_2d(np.asarray(samples, dtype=float))
 
 
-def _period_rows(model, xi: KillingField, points) -> np.ndarray:
-    """Period derivative along xi at the sample points, in stabilizer row order."""
-    return _sym_upper_rows(model.period_directional(points, xi.value(points))).ravel()
+@dataclass(frozen=True)
+class _System:
+    """Linearized conditions at the samples; the first half's rows are rows[:half]."""
+
+    samples: np.ndarray
+    tau: np.ndarray      # checked period matrices, (npts, n, n)
+    basis: np.ndarray    # sp(2n, R) basis, (m, 2n, 2n)
+    stab: np.ndarray     # S: infinitesimal action of each basis element, (rows, m)
+    periods: np.ndarray  # P: period derivative along each field, (rows, k)
+    half: int
 
 
-def _default_samples(model, count: int = 16) -> np.ndarray:
-    return model.chart.sample_points(count)
+def _system(model, samples, fields=(), what: str | None = None) -> _System:
+    """Periods, S and P, each from one evaluation of the model; warns that
+    ``what`` may be under-determined below MIN_SAMPLES samples."""
+    samples = _sample_set(model, samples, len(fields))
+    if what and len(samples) < MIN_SAMPLES:
+        warnings.warn(f"only {len(samples)} samples; {what} may be under-determined",
+                      stacklevel=3)
+    tau = checked_periods(model, samples)
+    basis = np.stack(sp_basis(model.n_v))
+    stab = _columns(infinitesimal_fractional_action(basis[:, None], tau))
+    periods = np.zeros((len(stab), 0))
+    if fields:
+        # dN along each chart axis once, then dN[xi] = xi^j d_j N field by field:
+        # a (k, npts, dim) stack of field values would grow as dim^5 with the
+        # default sample count (6.6 GB with its direction environment at dim 64)
+        partials = model.period_directional(samples[:, None, :], np.eye(samples.shape[1]))
+        periods = _columns(np.stack([np.einsum("pj,pjab->pab", kf.value(samples), partials)
+                                     for kf in fields]))
+    half = max(len(samples) // 2, 1) * model.n_v * (model.n_v + 1)
+    return _System(samples, tau, basis, stab, periods, half)
+
+
+def _stable_null_space(rows: np.ndarray, half: int, what: str) -> np.ndarray:
+    """Null space of the rows, whose dimension must equal that of rows[:half]."""
+    null_half = null_space(rows[:half], RANK_RTOL)
+    null_full = null_space(rows, RANK_RTOL)
+    if null_half.shape[1] != null_full.shape[1]:
+        raise SampleInstabilityError(f"{what} dim changed {null_half.shape[1]} -> "
+                                     f"{null_full.shape[1]} when doubling samples")
+    return null_full
+
+
+def _lifts(system: _System, tol: float) -> list[tuple[np.ndarray | None, float]]:
+    """(X, normalized residual) per field, from one least-squares solve; X is
+    None when the residual exceeds tol."""
+    sol, *_ = np.linalg.lstsq(system.stab, system.periods, rcond=None)
+    scale = np.maximum(1.0, np.max(np.abs(system.periods), axis=0))
+    residual = np.max(np.abs(system.stab @ sol - system.periods), axis=0) / scale
+    mats = np.tensordot(sol.T, system.basis, axes=1)
+    return [(x if r <= tol else None, float(r)) for x, r in zip(mats, residual)]
 
 
 @dataclass
@@ -150,31 +198,17 @@ def stab_sp_algebra(model, samples: np.ndarray | None = None) -> StabilizerRepor
     Null space of the stacked linearized fixing condition; the dimension must
     be stable under halving the sample set or SampleInstabilityError is raised.
     """
-    if samples is None:
-        samples = _default_samples(model)
-    samples = np.atleast_2d(np.asarray(samples, dtype=float))
-    if len(samples) < MIN_SAMPLES:
-        warnings.warn(f"only {len(samples)} samples; stabilizer may be under-determined",
-                      stacklevel=2)
-    basis = sp_basis(model.n_v)
-    rows_half = _stab_rows(model, basis, samples[: max(len(samples) // 2, 1)])
-    rows_full = _stab_rows(model, basis, samples)
-    null_half = null_space(rows_half, RANK_RTOL)
-    null_full = null_space(rows_full, RANK_RTOL)
-    if null_half.shape[1] != null_full.shape[1]:
-        raise SampleInstabilityError(
-            f"stabilizer dim changed {null_half.shape[1]} -> {null_full.shape[1]} when doubling samples")
-    mats = [sum(c * b for c, b in zip(col, basis)) for col in null_full.T]
-    residual = 0.0
-    if mats:
-        residual = float(max(np.max(np.abs(rows_full @ null_full)), 0.0))
+    system = _system(model, samples, what="stabilizer")
+    null = _stable_null_space(system.stab, system.half, "stabilizer")
+    residual = float(np.max(np.abs(system.stab @ null), initial=0.0))
     # exact check that -Id fixes every sampled period value
-    tau = checked_periods(model, samples)
+    tau = system.tau
     out = fractional_action(-np.eye(2 * model.n_v), tau, check=False)
     minus_ok = bool(np.all(np.max(np.abs(out - tau), axis=(-2, -1))
                            <= 1e-14 * np.maximum(1.0, np.max(np.abs(tau), axis=(-2, -1)))))
-    return StabilizerReport(dim_stab_sp=null_full.shape[1], basis=mats,
-                            residual=residual, samples_used=len(samples),
+    return StabilizerReport(dim_stab_sp=null.shape[1],
+                            basis=list(np.tensordot(null.T, system.basis, axes=1)),
+                            residual=residual, samples_used=len(system.samples),
                             minus_id_fixes_period=minus_ok)
 
 
@@ -186,17 +220,8 @@ def lift_killing_field(model, xi: KillingField, samples: np.ndarray | None = Non
     (the field does not lift).  X always satisfies the sp condition exactly
     since it is built in sp coordinates.
     """
-    if samples is None:
-        samples = _default_samples(model)
-    samples = np.atleast_2d(np.asarray(samples, dtype=float))
-    basis = sp_basis(model.n_v)
-    rows = _stab_rows(model, basis, samples)
-    rhs = _period_rows(model, xi, samples)
-    sol, *_ = np.linalg.lstsq(rows, rhs, rcond=None)
-    scale = max(1.0, float(np.max(np.abs(rhs))))
-    residual = float(np.max(np.abs(rows @ sol - rhs))) / scale
-    x = sum(c * b for c, b in zip(sol, basis))
-    return (x if residual <= tol else None), residual
+    [(x, residual)] = _lifts(_system(model, samples, (xi,)), tol)
+    return x, residual
 
 
 @dataclass
@@ -219,45 +244,22 @@ def uduality_algebra(model, samples: np.ndarray | None = None) -> UDualityReport
     exactly when the two factors assemble into a short exact sequence at the
     algebra level.
     """
-    if samples is None:
-        samples = _default_samples(model)
-    samples = np.atleast_2d(np.asarray(samples, dtype=float))
-    if len(samples) < MIN_SAMPLES:
-        warnings.warn(f"only {len(samples)} samples; result may be under-determined",
-                      stacklevel=2)
-    basis = sp_basis(model.n_v)
     kfields = killing_basis(model.chart)
-    k = len(kfields)
+    system = _system(model, samples, kfields, what="result")
+    null = _stable_null_space(np.column_stack([system.stab, -system.periods]),
+                              system.half, "U-duality")
+    dim_u = null.shape[1]
+    dim_stab = _stable_null_space(system.stab, system.half, "stabilizer").shape[1]
+    iso_proj = null[len(system.basis):]
+    s = np.linalg.svd(iso_proj, compute_uv=False) if iso_proj.size else np.zeros(0)
+    dim_iso_pr = int(np.sum(s > RANK_RTOL * max(np.max(s, initial=0.0), 1.0)))
 
-    def joint_rows(pts):
-        iso_part = [-_period_rows(model, kf, pts) for kf in kfields]
-        return np.column_stack([_stab_rows(model, basis, pts)] + iso_part)
-
-    null_half = null_space(joint_rows(samples[: max(len(samples) // 2, 1)]), RANK_RTOL)
-    null_full = null_space(joint_rows(samples), RANK_RTOL)
-    if null_half.shape[1] != null_full.shape[1]:
-        raise SampleInstabilityError(
-            f"U-duality dim changed {null_half.shape[1]} -> {null_full.shape[1]} when doubling samples")
-    dim_u = null_full.shape[1]
-
-    stab = stab_sp_algebra(model, samples)
-    iso_proj = null_full[len(basis):, :]
-    if iso_proj.size:
-        s = np.linalg.svd(iso_proj, compute_uv=False)
-        dim_iso_pr = int(np.sum(s > RANK_RTOL * max(s[0] if s.size else 0.0, 1.0)))
-    else:
-        dim_iso_pr = 0
-
-    table = []
-    for kf in kfields:
-        x, res = lift_killing_field(model, kf, samples)
-        table.append((kf.name, x, res))
+    table = [(kf.name, x, res) for kf, (x, res) in zip(kfields, _lifts(system, TOL_LIFT))]
     lifted = sum(1 for _, x, _ in table if x is not None)
-    notes = f"{lifted}/{k} Killing basis fields admit lifts"
-    return UDualityReport(dim_u=dim_u, dim_stab_sp=stab.dim_stab_sp,
-                          dim_iso_pr=dim_iso_pr,
-                          exactness_gap=dim_u - stab.dim_stab_sp - dim_iso_pr,
-                          lift_table=table, samples_used=len(samples), notes=notes)
+    return UDualityReport(dim_u=dim_u, dim_stab_sp=dim_stab, dim_iso_pr=dim_iso_pr,
+                          exactness_gap=dim_u - dim_stab - dim_iso_pr, lift_table=table,
+                          samples_used=len(system.samples),
+                          notes=f"{lifted}/{len(kfields)} Killing basis fields admit lifts")
 
 
 def check_uduality_pair(f, a: np.ndarray, model, samples: np.ndarray | None = None) -> float:
@@ -266,9 +268,7 @@ def check_uduality_pair(f, a: np.ndarray, model, samples: np.ndarray | None = No
     A small value certifies (f, A) as a finite duality transformation of the
     model.  Raises the underlying pole error if the action hits a pole.
     """
-    if samples is None:
-        samples = _default_samples(model)
-    samples = np.atleast_2d(np.asarray(samples, dtype=float))
+    samples = _sample_set(model, samples)
     lhs = fractional_action(a, checked_periods(model, samples), check=False)
     rhs = checked_periods(model, f.apply(samples))
     return float(np.max(np.abs(lhs - rhs), initial=0.0))

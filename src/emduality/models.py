@@ -481,12 +481,16 @@ def builtin(name: str) -> Model:
     return parse_model(texts[name])
 
 
+def is_builtin_spec(name: str) -> bool:
+    """Whether the name selects a built-in model; a 'constant-i:k' spec does
+    so even when k is out of range."""
+    return name in BUILTIN_NAMES or name.startswith("constant-i:")
+
+
 def load_model(name_or_path: str) -> Model:
-    """Built-in name, or path to a model file."""
-    try:
+    """Built-in name, or path to a model file; a built-in spec keeps its own error."""
+    if is_builtin_spec(name_or_path):
         return builtin(name_or_path)
-    except ModelError:
-        pass
     try:
         with open(name_or_path, "r", encoding="utf-8") as fh:
             return parse_model(fh.read())

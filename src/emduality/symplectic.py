@@ -29,7 +29,7 @@ TOL_ALG_INV = 1e-8
 
 # Largest n accepted from model and bundle input: sp(2n, R) has n(2n+1) basis
 # matrices of size 2n x 2n, and the stabilizer system grows as n^4 (at
-# n = 12 it already peaks near 150 MB on 16 samples).
+# n = 12 the stabilizer command peaks near 70 MB on 16 samples).
 MAX_N = 12
 
 
@@ -65,18 +65,20 @@ def null_space(a: np.ndarray, rtol: float) -> np.ndarray:
     R^k as its null space."""
     if a.size == 0:
         return np.eye(a.shape[1])
-    _, s, vh = np.linalg.svd(a, full_matrices=True)
+    # a wide a needs the full V; for a tall one full_matrices would only add an m x m U
+    _, s, vh = np.linalg.svd(a, full_matrices=a.shape[0] < a.shape[1])
     tol = rtol * (s[0] if s[0] > 0 else 1.0)
     return vh[int(np.sum(s > tol)):].T
 
 
 def blocks(a: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """Split a 2n x 2n matrix into the n x n blocks (a, b, c, d)."""
+    """Split a 2n x 2n matrix, or a stack of them, into the n x n blocks
+    (a, b, c, d)."""
     m = np.asarray(a)
-    if m.ndim != 2 or m.shape[0] != m.shape[1] or m.shape[0] % 2:
+    if m.ndim < 2 or m.shape[-1] != m.shape[-2] or m.shape[-1] % 2:
         raise DimensionError(f"expected square even-dimensional matrix, got {m.shape}")
-    n = m.shape[0] // 2
-    return m[:n, :n], m[:n, n:], m[n:, :n], m[n:, n:]
+    n = m.shape[-1] // 2
+    return m[..., :n, :n], m[..., :n, n:], m[..., n:, :n], m[..., n:, n:]
 
 
 def _transpose(m: np.ndarray) -> np.ndarray:
@@ -128,10 +130,12 @@ def sp_basis(n: int) -> list[np.ndarray]:
     return out
 
 
-def in_sp_algebra(x: np.ndarray, tol: float = TOL_ALG) -> bool:
+def in_sp_algebra(x: np.ndarray, tol: float | np.ndarray = TOL_ALG) -> bool:
+    """Test X^T Omega + Omega X = 0 for a matrix or every matrix of a stack;
+    tol may give one bound per matrix."""
     x = np.asarray(x, dtype=float)
-    om = omega(x.shape[0] // 2)
-    return float(np.max(np.abs(x.T @ om + om @ x))) <= tol
+    om = omega(x.shape[-1] // 2)
+    return bool(np.all(np.max(np.abs(_transpose(x) @ om + om @ x), axis=(-2, -1)) <= tol))
 
 
 def _is_symmetric(m: np.ndarray, tol: float) -> bool:
@@ -304,10 +308,11 @@ def infinitesimal_fractional_action(x: np.ndarray, tau: SiegelPoint | np.ndarray
     """Derivative at the identity of the fractional action along X in sp(2n, R).
 
     Equals (X_c + X_d tau) - tau (X_a + X_b tau); symmetric whenever X lies
-    in sp(2n, R) and tau is symmetric.
+    in sp(2n, R) and tau is symmetric.  X may be a stack (..., 2n, 2n) and
+    tau a stack (..., n, n); the two stacks broadcast.
     """
     x = np.asarray(x, dtype=float)
-    if not in_sp_algebra(x, TOL_ALG * max(1.0, float(np.max(np.abs(x))))):
+    if not in_sp_algebra(x, TOL_ALG * np.maximum(1.0, np.max(np.abs(x), axis=(-2, -1)))):
         raise DomainError("X is not in sp(2n, R)")
     t = tau.tau if isinstance(tau, SiegelPoint) else np.asarray(tau, dtype=complex)
     xa, xb, xc, xd = blocks(x)

@@ -94,14 +94,39 @@ class TestAlgebraCommands:
         assert code == 1
         assert "FAIL" in text
 
+    FLAT10 = "nv = 1\nchart = flat\ndim = 10\nN[1,1] = x1 + i*(2 + x1^2)\n"
+
     def test_unstable_sample_count_exit_1(self, tmp_path):
-        """16 default samples under-determine the 55 Killing fields of a
-        10-dimensional flat chart: a failed check with a report."""
+        """Two samples leave the stabilizer of a model on a 10-dimensional flat
+        chart unstable under doubling: a failed check with a report."""
         path = tmp_path / "flat10.model"
-        path.write_text("nv = 1\nchart = flat\ndim = 10\nN[1,1] = x1 + i*(2 + x1^2)\n")
-        code, text = run(["uduality", "--model", str(path)])
+        path.write_text(self.FLAT10)
+        with pytest.warns(UserWarning, match="only 2 samples"):
+            code, text = run(["stabilizer", "--model", str(path), "--samples", "2"])
         assert code == 1
-        assert "error = U-duality dim changed" in text and "result = FAIL" in text
+        assert "error = stabilizer dim changed 1 -> 0" in text and "result = FAIL" in text
+
+    def test_default_samples_grow_with_killing_fields(self, tmp_path):
+        """The 55 Killing fields of a 10-dimensional flat chart get 58 default
+        samples, so the dimensions are stable; the 10 fields that move x1 do
+        not lift and fail their lift rows."""
+        path = tmp_path / "flat10.model"
+        path.write_text(self.FLAT10)
+        code, text = run(["uduality", "--model", str(path)])
+        assert "error" not in text
+        for row in ("dim_u = 45", "dim_stab_sp = 0", "dim_iso_pr = 45", "exactness_gap = 0"):
+            assert f"check {row} " in text
+        assert "notes = 45/55 Killing basis fields admit lifts" in text
+        assert (code, text.count(" tol 1e-08 FAIL\n")) == (1, 10)
+
+    @pytest.mark.parametrize("argv,code", [(["stabilizer", "--model"], 3),
+                                           (["models", "show"], 2)])
+    def test_builtin_spec_keeps_its_error(self, argv, code):
+        """A constant-i spec with nv out of range reports that cause, not a
+        missing file or an unknown name."""
+        got, text = run(argv + ["constant-i:13"])
+        assert got == code
+        assert "error = model 'constant-i:13' needs nv in 1..12, got 13" in text
 
     @pytest.mark.parametrize("samples", ["0", "-3"])
     def test_stabilizer_bad_sample_count_exit_2(self, samples):

@@ -4,7 +4,19 @@ import scipy.linalg
 
 from emduality import duality as du
 from emduality import models as md
-from emduality.symplectic import in_sp_algebra, omega
+from emduality.symplectic import (in_sp_algebra, infinitesimal_fractional_action,
+                                  omega, sp_basis)
+
+FLAT2 = md.parse_model("nv=2\nchart=flat\ndim=2\n"
+                       "N[1,1] = i*(2 + x1^2)\nN[1,2] = x2\nN[2,2] = 3*i + x1")
+# 55 Killing fields on a 10-dimensional flat chart (tests/golden/unstable.model)
+FLAT10 = md.parse_model("nv=1\nchart=flat\ndim=10\nN[1,1] = x1 + i*(2 + x1^2)")
+T3 = md.builtin("t3")
+T3_IMAGE = md.TransformedModel(T3, md.parse_isometry("scale:1.3", T3.chart),
+                               np.array([[1.0, 0.0, 0.0, 0.0], [0.0, 1.0, 0.0, 0.0],
+                                         [0.5, 0.1, 1.0, 0.0], [0.1, 0.2, 0.0, 1.0]]))
+SYSTEM_MODELS = ([md.builtin(name) for name in md.BUILTIN_NAMES + ("constant-i:2",)]
+                 + [FLAT2, T3_IMAGE])
 
 
 @pytest.fixture
@@ -211,3 +223,75 @@ class TestPairCheck:
             f = md.parse_isometry(f"translate:{t}", m.chart)
             a = scipy.linalg.expm(t * x)
             assert du.check_uduality_pair(f, a, m) <= 1e-10
+
+
+class TestLinearSystem:
+    @pytest.mark.parametrize("model", SYSTEM_MODELS, ids=lambda m: m.name)
+    def test_stacked_rows_match_per_basis_oracle(self, model):
+        # oracle: the infinitesimal action of one basis element at a time,
+        # its upper triangle as Re rows then Im rows at each point
+        system = du._system(model, None, du.killing_basis(model.chart))
+        iu = np.triu_indices(model.n_v)
+        cols = []
+        for b in sp_basis(model.n_v):
+            act = infinitesimal_fractional_action(b, system.tau)[:, iu[0], iu[1]]
+            cols.append(np.concatenate([act.real, act.imag], axis=-1).ravel())
+        oracle = np.stack(cols, axis=-1)
+        assert system.stab.shape == oracle.shape
+        assert np.max(np.abs(system.stab - oracle)) <= 1e-13 * max(1.0, np.max(np.abs(oracle)))
+
+    @pytest.mark.parametrize("model", SYSTEM_MODELS, ids=lambda m: m.name)
+    def test_period_columns_match_per_field_oracle(self, model):
+        # oracle: the directional derivative along each field's values
+        fields = du.killing_basis(model.chart)
+        system = du._system(model, None, fields)
+        iu = np.triu_indices(model.n_v)
+        for col, kf in zip(system.periods.T, fields):
+            d = model.period_directional(system.samples, kf.value(system.samples))[:, iu[0], iu[1]]
+            oracle = np.concatenate([d.real, d.imag], axis=-1).ravel()
+            assert np.max(np.abs(col - oracle)) <= 1e-13 * max(1.0, np.max(np.abs(oracle)))
+
+    @pytest.mark.parametrize("model", SYSTEM_MODELS, ids=lambda m: m.name)
+    def test_half_sample_set_is_a_row_prefix(self, model):
+        fields = du.killing_basis(model.chart)
+        full = du._system(model, None, fields)
+        half = du._system(model, full.samples[: len(full.samples) // 2], fields)
+        assert np.array_equal(full.stab[: full.half], half.stab)
+        assert np.array_equal(full.periods[: full.half], half.periods)
+
+    def test_one_period_evaluation_per_uduality_call(self, monkeypatch):
+        counts = {"checked_periods": 0, "period_directional": 0}
+
+        def counted(name, fn):
+            def wrapper(*args, **kwargs):
+                counts[name] += 1
+                return fn(*args, **kwargs)
+            return wrapper
+
+        monkeypatch.setattr(du, "checked_periods", counted("checked_periods", du.checked_periods))
+        monkeypatch.setattr(md.Model, "period_directional",
+                            counted("period_directional", md.Model.period_directional))
+        rep = du.uduality_algebra(md.builtin("t3"))
+        assert (rep.dim_u, rep.dim_stab_sp, rep.dim_iso_pr) == (3, 0, 3)
+        assert counts == {"checked_periods": 1, "period_directional": 1}
+
+    def test_default_samples_grow_with_unknowns(self):
+        for name in md.BUILTIN_NAMES + ("constant-i:12",):
+            m = md.builtin(name)
+            assert len(du._sample_set(m, None, len(du.killing_basis(m.chart)))) == 16
+        # (3 + 55) unknowns over 2 equations per point, doubled
+        assert len(du._sample_set(FLAT10, None, 55)) == 58
+
+    def test_default_samples_stabilize_many_killing_fields(self):
+        rep = du.uduality_algebra(FLAT10)
+        assert (rep.dim_u, rep.dim_stab_sp, rep.dim_iso_pr) == (45, 0, 45)
+        assert rep.samples_used == 58
+        assert rep.notes == "45/55 Killing basis fields admit lifts"
+
+    def test_zero_dim_flat_chart_has_no_fields(self):
+        rep = du.uduality_algebra(md.parse_model("nv=1\nchart=flat\ndim=0\nN[1,1] = i"))
+        assert (rep.dim_u, rep.dim_stab_sp, rep.dim_iso_pr, rep.lift_table) == (1, 1, 0, [])
+
+    def test_too_few_samples_are_unstable(self):
+        with pytest.raises(du.SampleInstabilityError, match="U-duality dim changed"):
+            du.uduality_algebra(FLAT10, FLAT10.chart.sample_points(16))

@@ -1,8 +1,8 @@
 """Tooling check on the contraction kernels: numpy ``einsum`` with three or
 more array operands and no ``optimize`` runs as one naive nested loop over
 every index, which made those calls the slowest part of the spinor pipeline.
-The modules listed here must contract through matmuls, two-operand einsums
-or an einsum that is told to optimize."""
+Every module of the package must contract through matmuls, two-operand
+einsums or an einsum that is told to optimize."""
 
 import ast
 from pathlib import Path
@@ -10,7 +10,7 @@ from pathlib import Path
 import pytest
 
 SRC = Path(__file__).resolve().parents[1] / "src" / "emduality"
-CHECKED = ["spinors.py", "grids.py", "fields.py"]
+CHECKED = sorted(path.name for path in SRC.glob("*.py"))
 
 
 def naive_einsums(source: str) -> list[tuple[int, int]]:
@@ -54,3 +54,7 @@ def test_no_naive_multi_operand_einsum(name):
     assert not found, "".join(
         f"\n{name}:{line}: np.einsum with {n} operands and no optimize"
         for line, n in found)
+
+
+def test_every_module_is_scanned():
+    assert {"duality.py", "fields.py", "grids.py", "spinors.py", "symplectic.py"} <= set(CHECKED)

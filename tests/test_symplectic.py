@@ -210,6 +210,17 @@ class TestInfinitesimalAction:
         with pytest.raises(sp.DomainError):
             sp.infinitesimal_fractional_action(np.diag([1.0, 1.0]), sp.SiegelPoint(1j * np.eye(1)))
 
+    def test_stack_of_x_matches_one_at_a_time(self, rng):
+        xs = np.stack([sp.random_sp_algebra(2, rng) for _ in range(5)])
+        t = sp.mu(sp.random_taming(2, rng))
+        one_at_a_time = np.stack([sp.infinitesimal_fractional_action(x, t) for x in xs])
+        assert np.array_equal(sp.infinitesimal_fractional_action(xs, t), one_at_a_time)
+
+    def test_rejects_a_stack_with_one_non_sp(self, rng):
+        xs = np.stack([sp.random_sp_algebra(1, rng), np.diag([1.0, 1.0])])
+        with pytest.raises(sp.DomainError):
+            sp.infinitesimal_fractional_action(xs, sp.SiegelPoint(1j * np.eye(1)))
+
 
 class TestConjugateTaming:
     def test_identity(self, rng):
