@@ -203,7 +203,7 @@ def stab_sp_algebra(model, samples: np.ndarray | None = None) -> StabilizerRepor
     residual = float(np.max(np.abs(system.stab @ null), initial=0.0))
     # exact check that -Id fixes every sampled period value
     tau = system.tau
-    out = fractional_action(-np.eye(2 * model.n_v), tau, check=False)
+    out = fractional_action(-np.eye(2 * model.n_v), tau)
     minus_ok = bool(np.all(np.max(np.abs(out - tau), axis=(-2, -1))
                            <= 1e-14 * np.maximum(1.0, np.max(np.abs(tau), axis=(-2, -1)))))
     return StabilizerReport(dim_stab_sp=null.shape[1],
@@ -269,6 +269,6 @@ def check_uduality_pair(f, a: np.ndarray, model, samples: np.ndarray | None = No
     model.  Raises the underlying pole error if the action hits a pole.
     """
     samples = _sample_set(model, samples)
-    lhs = fractional_action(a, checked_periods(model, samples), check=False)
+    lhs = fractional_action(a, checked_periods(model, samples))
     rhs = checked_periods(model, f.apply(samples))
     return float(np.max(np.abs(lhs - rhs), initial=0.0))

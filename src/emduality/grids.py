@@ -22,8 +22,8 @@ import numpy as np
 
 from . import fields as fl
 from .errors import InputError
-from .models import Model, TransformedModel, load_model
-from .symplectic import omega
+from .models import Model, TransformedModel, checked_periods, load_model
+from .symplectic import omega, taming_matrix
 from .textio import key_values, numbers
 
 MARGIN = 2
@@ -98,12 +98,20 @@ def partials2(f: np.ndarray, grid: GridPatch) -> np.ndarray:
 @dataclass(frozen=True)
 class Geometry:
     """A metric field that passed the metric check, with g^-1, sqrt(-det g)
-    and the Christoffel symbols: computed once, shared by every consumer."""
+    and the Christoffel symbols: computed once, shared by every consumer.
+    The Einstein tensor is computed on first use and kept."""
 
     g: np.ndarray         # grid + (4, 4)
     ginv: np.ndarray
     vol: np.ndarray       # grid
     gamma: np.ndarray     # grid + (r, m, n) = Gamma^r_{mn}
+    grid: GridPatch
+
+    @cached_property
+    def einstein_tensor(self) -> np.ndarray:
+        out = einstein(self, self.grid)
+        out.flags.writeable = False
+        return out
 
 
 def _bracket(dg: np.ndarray) -> np.ndarray:
@@ -120,7 +128,7 @@ def metric_geometry(g, grid: GridPatch) -> Geometry:
     ginv, det = fl.invert_metric(g)
     bracket = _bracket(partials(g, grid))
     gamma = 0.5 * (ginv @ bracket.reshape(bracket.shape[:-2] + (16,))).reshape(bracket.shape)
-    return Geometry(g, ginv, fl.volume(det), gamma)
+    return Geometry(g, ginv, fl.volume(det), gamma, grid)
 
 
 def christoffel(g, grid: GridPatch) -> np.ndarray:
@@ -211,17 +219,15 @@ class FieldConfiguration:
         bad = self.model.chart.first_outside(flat_phi)
         if bad is not None:
             raise DomainExitError(f"scalar map leaves the chart at node {bad}: {flat_phi[bad]}")
-        tau = self.model.period_matrix(flat_phi)
+        tau = checked_periods(self.model, flat_phi)
         # derivatives along the n_s coordinate directions at every node
         dtau = self.model.period_directional(flat_phi[:, None, :], np.eye(n_s))
-        _validate_siegel_bulk(tau.imag)
         self.R = tau.real.reshape(shape + tau.shape[1:])
         self.I = tau.imag.reshape(shape + tau.shape[1:])
         self.dR = dtau.real.reshape(shape + dtau.shape[1:])
         self.dI = dtau.imag.reshape(shape + dtau.shape[1:])
-        self.I_inv = iinv = np.linalg.inv(self.I)
-        ru = self.R @ iinv
-        self.J = np.block([[-iinv @ self.R, iinv], [-self.I - ru @ self.R, ru]])
+        self.J = taming_matrix(self.R, self.I)
+        self.I_inv = self.J[..., : self.n_v, self.n_v:]
         self.Q = omega(self.n_v) @ self.J
 
     def __setattr__(self, name, value):
@@ -258,16 +264,6 @@ class FieldConfiguration:
         return float(np.max(np.abs(self.star_v[inner] + jv)))
 
 
-def _validate_siegel_bulk(im_parts: np.ndarray):
-    """Vectorized Siegel membership over stacked imaginary parts."""
-    ev = np.linalg.eigvalsh((im_parts + np.swapaxes(im_parts, -1, -2)) / 2)
-    worst = np.min(ev[..., 0])
-    if worst <= 1e-12 * max(1.0, float(np.max(np.abs(im_parts)))):
-        bad = int(np.argmin(ev[..., 0]))
-        raise GridError(f"period map leaves Siegel space along the scalar map "
-                        f"(node {bad}, min eigenvalue {worst:.3e})")
-
-
 def assemble_field_block(cfg: FieldConfiguration) -> np.ndarray:
     """(F, R F - I *F) from the upper block F of cfg and its couplings: twisted
     self-dual by construction."""
@@ -296,7 +292,7 @@ def einstein_residual(cfg: FieldConfiguration, check: bool = True) -> np.ndarray
             warnings.warn(f"configuration is not twisted self-dual (violation {viol:.2e})",
                           stacklevel=2)
     geo = cfg.geometry
-    gt = einstein(geo, cfg.grid)
+    gt = geo.einstein_tensor
     # scalar stress from FD scalar-map derivatives: G_ij d_a phi^i d_b phi^j
     dphi = partials(cfg.phi, cfg.grid)  # (..., i, a)
     kin = np.swapaxes(dphi, -1, -2) @ cfg.model.chart.metric(cfg.phi) @ dphi
@@ -453,11 +449,9 @@ def residual_report(cfg: FieldConfiguration, assembly: str = "local") -> Residua
 def transport_config(f, a: np.ndarray, cfg: FieldConfiguration) -> FieldConfiguration:
     """Duality transport (g, phi, V) -> (g, f(phi), A V), returned as a
     configuration of the transformed theory (same chart metric for isometric
-    f, transformed period map A . N(f^-1))."""
+    f, transformed period map A . N(f^-1)).  Building it checks that f(phi)
+    stays in the chart and the transformed periods in Siegel space."""
     new_phi = f.apply(cfg.phi)
-    bad = cfg.model.chart.first_outside(new_phi.reshape(-1, cfg.model.chart.dim))
-    if bad is not None:
-        raise DomainExitError(f"transported scalar map leaves the chart at node {bad}")
     new_v = np.einsum("AB,...Bmn->...Amn", np.asarray(a, dtype=float), cfg.V)
     out = FieldConfiguration(cfg.grid, TransformedModel(cfg.model, f, a), cfg.g, new_phi, new_v)
     out.geometry = cfg.geometry  # the metric is unchanged

@@ -10,8 +10,9 @@ import numpy as np
 
 from . import expressions as ex
 from .errors import InputError
-from .symplectic import (MAX_N, DomainError, PoleError, SiegelPoint, fractional_action,
+from .symplectic import (MAX_N, PD_RTOL, PoleError, SiegelPoint, fractional_action,
                          min_eig_ratio, mobius_differential)
+from .textio import key_values
 
 
 class ModelError(ValueError, InputError):
@@ -293,11 +294,8 @@ class Model:
         return out
 
     def period(self, p: np.ndarray) -> SiegelPoint:
-        """Evaluate the map; checks Siegel membership at the point."""
-        try:
-            return SiegelPoint(self.period_matrix(p))
-        except DomainError as err:
-            raise ModelInvalidError(f"model {self.name!r} leaves Siegel space at {p}: {err}")
+        """Evaluate the map at a point, checked by ``checked_periods``."""
+        return SiegelPoint(checked_periods(self, p))
 
     def period_matrix(self, p: np.ndarray) -> np.ndarray:
         """Raw matrix value at a point, or the matrix stack at a stack of points,
@@ -335,12 +333,11 @@ class TransformedModel:
         self.chart = base.chart
 
     def period(self, p: np.ndarray) -> SiegelPoint:
-        q = self.f_inv.apply(p)
-        return fractional_action(self.a, self.base.period(q))
+        return SiegelPoint(checked_periods(self, p))
 
     def period_matrix(self, p: np.ndarray) -> np.ndarray:
         q = self.f_inv.apply(p)
-        return fractional_action(self.a, self.base.period_matrix(q), check=False)
+        return fractional_action(self.a, self.base.period_matrix(q))
 
     def period_directional(self, p: np.ndarray, v: np.ndarray) -> np.ndarray:
         q = self.f_inv.apply(p)
@@ -350,15 +347,21 @@ class TransformedModel:
 
 
 def checked_periods(model, p: np.ndarray) -> np.ndarray:
-    """Period matrices at a stack of points (n, dim), symmetrised and checked
-    for Siegel membership point by point as ``Model.period`` checks one."""
+    """Period matrices at a point (dim,) or a stack of points (..., dim),
+    symmetrised and checked for Siegel membership by the one rule: at every
+    point the smallest eigenvalue of Im(tau) over its largest exceeds PD_RTOL.
+    The error names the first point that fails, by its index in the
+    flattened stack and its coordinates."""
+    p = np.asarray(p, dtype=float)
     tau = model.period_matrix(p)
     tau = (tau + np.swapaxes(tau, -1, -2)) / 2
-    ratio = min_eig_ratio(tau.imag)
-    if not np.all(ratio > 1e-12):
-        bad = int(np.argmin(ratio))
-        raise ModelInvalidError(f"model {model.name!r} leaves Siegel space at {p[bad]}: "
-                                "Im(tau) must be positive definite")
+    ratio = np.reshape(min_eig_ratio(tau.imag), -1)
+    if not np.all(ratio > PD_RTOL):
+        bad = int(np.argmin(ratio > PD_RTOL))
+        raise ModelInvalidError(
+            f"model {model.name!r} leaves Siegel space at point {bad} "
+            f"{p.reshape(-1, p.shape[-1])[bad]}: relative min eigenvalue of Im(tau) "
+            f"{ratio[bad]:.3e}")
     return tau
 
 
@@ -370,22 +373,9 @@ def parse_model(text: str) -> Model:
     Header lines ``name=``, ``nv=``, ``chart=poincare|flat``, ``dim=`` followed
     by entry lines ``N[i,j] = <expr>``.  ``#`` starts a comment.
     """
-    header: dict[str, str] = {}
-    entry_lines: list[tuple[int, str, str]] = []
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
-        if line.startswith("N[") or line.startswith("N ["):
-            lhs, _, rhs = line.partition("=")
-            if not rhs.strip():
-                raise ex.ExprSyntaxError("entry line needs '= <expr>'", lineno, len(line))
-            entry_lines.append((lineno, lhs.strip(), rhs.strip()))
-            continue
-        key, sep, val = line.partition("=")
-        if not sep:
-            raise ex.ExprSyntaxError(f"cannot parse line {raw!r}", lineno, 1)
-        header[key.strip().lower()] = val.strip()
+    lines = key_values(text, ModelError)
+    entry_lines = [line for line in lines if line[1].startswith(("n[", "n ["))]
+    header = {key: val for _, key, val in lines if not key.startswith(("n[", "n ["))}
 
     name = header.get("name", "unnamed")
     try:
@@ -401,6 +391,8 @@ def parse_model(text: str) -> Model:
 
     entries: dict[tuple[int, int], ex.Expr] = {}
     for lineno, lhs, rhs in entry_lines:
+        if not rhs:
+            raise ex.ExprSyntaxError("entry line needs '= <expr>'", lineno, len(lhs) + 2)
         body = lhs[lhs.index("[") + 1:]
         if "]" not in body:
             raise ex.ExprSyntaxError("missing ']' in entry index", lineno, len(lhs))

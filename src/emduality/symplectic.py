@@ -27,6 +27,11 @@ from .errors import InputError
 TOL_ALG = 1e-10
 TOL_ALG_INV = 1e-8
 
+# The one positive-definiteness rule, for Im(tau), the coupling I and a
+# taming's I^-1 block alike: the smallest eigenvalue over the largest must
+# exceed it.
+PD_RTOL = 1e-12
+
 # Largest n accepted from model and bundle input: sp(2n, R) has n(2n+1) basis
 # matrices of size 2n x 2n, and the stabilizer system grows as n^4 (at
 # n = 12 the stabilizer command peaks near 70 MB on 16 samples).
@@ -150,7 +155,7 @@ def min_eig_ratio(s: np.ndarray) -> float | np.ndarray:
     return w[..., 0] / scale
 
 
-def is_positive_definite(s: np.ndarray, rel_tol: float = 1e-12) -> bool:
+def is_positive_definite(s: np.ndarray, rel_tol: float = PD_RTOL) -> bool:
     """Scale-invariant positive definiteness test via the eigenvalue bound."""
     return bool(min_eig_ratio(s) > rel_tol)
 
@@ -206,8 +211,10 @@ class Taming:
             raise DomainError("J^2 != -Id")
         if float(np.max(np.abs(j.T @ om @ j - om))) > TOL_ALG * scale ** 2:
             raise DomainError("J does not preserve omega")
-        gram = om @ j
-        if not _is_symmetric(gram, TOL_ALG) or not is_positive_definite(gram):
+        # with the two laws above, a symmetric Gram matrix is positive definite
+        # exactly when its lower right block, J's upper right block I^-1, is:
+        # testing that block applies the rule Im(tau) is held to
+        if not _is_symmetric(om @ j, TOL_ALG) or not is_positive_definite(j[:n, n:]):
             raise DomainError("omega(., J.) is not symmetric positive definite")
 
     @property
@@ -244,12 +251,19 @@ class SiegelPoint:
         return ElectromagneticPair(self.tau.real.copy(), self.tau.imag.copy())
 
 
-def gamma(em: ElectromagneticPair) -> Taming:
-    """Taming associated to the couplings: [[-I^-1 R, I^-1], [-I - R I^-1 R, R I^-1]]."""
-    r, i = em.R, em.I
+def taming_matrix(r: np.ndarray, i: np.ndarray) -> np.ndarray:
+    """The taming [[-I^-1 R, I^-1], [-I - R I^-1 R, R I^-1]] of couplings (R, I),
+    or the stack of tamings of stacks (..., n, n), unvalidated; its upper right
+    block is I^-1."""
     iinv = np.linalg.inv(i)
-    j = np.block([[-iinv @ r, iinv], [-i - r @ iinv @ r, r @ iinv]])
-    return Taming(j)
+    ri = r @ iinv
+    return np.concatenate([np.concatenate([-iinv @ r, iinv], axis=-1),
+                           np.concatenate([-i - ri @ r, ri], axis=-1)], axis=-2)
+
+
+def gamma(em: ElectromagneticPair) -> Taming:
+    """Taming associated to the couplings, see ``taming_matrix``."""
+    return Taming(taming_matrix(em.R, em.I))
 
 
 def gamma_inv(j: Taming) -> ElectromagneticPair:
@@ -282,13 +296,14 @@ def mu_inv(tau: SiegelPoint) -> Taming:
     return gamma(tau.couplings())
 
 
-def fractional_action(a: np.ndarray, tau: SiegelPoint | np.ndarray,
-                      check: bool = True) -> SiegelPoint:
+def fractional_action(a: np.ndarray, tau: SiegelPoint | np.ndarray
+                      ) -> SiegelPoint | np.ndarray:
     """Left action of Sp(2n, R) on Siegel space: A . tau = (c + d tau)(a + b tau)^-1.
 
     Blocks follow the layout A = [[a, b], [c, d]].  Raises PoleError when
-    a + b tau is singular.  With check=False, tau may be a stack of matrices
-    (..., n, n) and the result is the stack of images.
+    a + b tau is singular.  The result type follows the input: a SiegelPoint
+    gives a validated SiegelPoint, a matrix or a stack of matrices (..., n, n)
+    gives the unchecked matrix or stack of images.
     """
     t = tau.tau if isinstance(tau, SiegelPoint) else np.asarray(tau, dtype=complex)
     ab, bb, cb, db = blocks(np.asarray(a, dtype=float))
@@ -299,9 +314,7 @@ def fractional_action(a: np.ndarray, tau: SiegelPoint | np.ndarray,
     if np.any(sv[..., -1] <= 1e-13 * np.maximum(sv[..., 0], 1.0)):
         raise PoleError("a + b tau is singular at this point")
     out = _transpose(np.linalg.solve(_transpose(den), _transpose(num)))  # num @ den^-1
-    if not check:
-        return SiegelPoint(out) if isinstance(tau, SiegelPoint) else out
-    return SiegelPoint((out + out.T) / 2)
+    return SiegelPoint(out) if isinstance(tau, SiegelPoint) else out
 
 
 def infinitesimal_fractional_action(x: np.ndarray, tau: SiegelPoint | np.ndarray) -> np.ndarray:

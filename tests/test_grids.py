@@ -460,6 +460,21 @@ class TestEquivarianceHarness:
                                       np.eye(4))
         assert rep.max_discrepancy <= 1e-12
 
+    def test_one_einstein_tensor_per_shared_geometry(self, rng, monkeypatch):
+        calls = []
+
+        def counted(g, grid):
+            calls.append(g)
+            return einstein(g, grid)
+
+        einstein = gr.einstein
+        monkeypatch.setattr(gr, "einstein", counted)
+        cfg = TestTransport().make_cfg(rng, "axio-dilaton")
+        gr.equivariance_harness(cfg, md.parse_isometry("translate:0.2", cfg.model.chart),
+                                np.eye(4))
+        assert len(calls) == 1 and calls[0] is cfg.geometry
+        assert not cfg.geometry.einstein_tensor.flags.writeable
+
     def test_random_sp_on_constant_model(self, rng):
         grid = small_grid()
         model = md.builtin("constant-i:2")

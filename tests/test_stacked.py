@@ -167,11 +167,11 @@ class TestStackedPoles:
 
     def test_fractional_action_stack_with_one_pole(self):
         taus = np.array([[[1j]], [[0.0 + 1e-16j]], [[2j]]])
-        single = np.array([sp.fractional_action(sp.omega(1), t, check=False)
+        single = np.array([sp.fractional_action(sp.omega(1), t)
                            for t in taus[[0, 2]]])
-        assert close(sp.fractional_action(sp.omega(1), taus[[0, 2]], check=False), single)
+        assert close(sp.fractional_action(sp.omega(1), taus[[0, 2]]), single)
         with pytest.raises(sp.PoleError):
-            sp.fractional_action(sp.omega(1), taus, check=False)
+            sp.fractional_action(sp.omega(1), taus)
 
     def test_mobius_differential_stack(self):
         rng = np.random.default_rng(2)
@@ -208,3 +208,50 @@ class TestGridCouplings:
             gr.make_configuration(grid, md.builtin("identity-tau"),
                                   gr.metric_minkowski(grid), phi,
                                   np.zeros(grid.shape + (1, 4, 4)))
+
+
+class TestSiegelRule:
+    """One rule decides Siegel membership for single points, sample stacks
+    and grids: the smallest eigenvalue of Im N over its largest exceeds
+    PD_RTOL, whatever the scale of Im N."""
+
+    @staticmethod
+    def model(c, sign=1):
+        return md.parse_model(f"nv = 2\nchart = poincare\n"
+                              f"N[1,1] = (tau + conj(tau))/2 + {c}*i\n"
+                              f"N[1,2] = 0.25\nN[2,2] = -0.5 + {sign * c}*i")
+
+    @staticmethod
+    def configuration(m):
+        grid = gr.GridPatch(((-0.4, 0.4),) * 4, (7,) * 4)
+        slopes = np.zeros((4, 2))
+        slopes[1, 0] = 0.5                  # Re tau = 0.1 + x/2: R varies, Im N does not
+        phi = gr.phi_linear(grid, [0.1, 1.0], slopes)
+        return gr.make_configuration(grid, m, gr.metric_minkowski(grid), phi,
+                                     np.zeros(grid.shape + (2, 4, 4)))
+
+    @pytest.mark.parametrize("c", [1e-14, 1.0, 1e6])
+    def test_scaled_identity_accepted_everywhere(self, c):
+        m = self.model(c)
+        pts = points(m.chart, 8)
+        tau = md.checked_periods(m, pts)
+        assert np.array_equal(tau.imag, np.broadcast_to(c * np.eye(2), tau.shape))
+        assert np.array_equal(m.period(pts[3]).tau, tau[3])
+        cfg = self.configuration(m)
+        assert np.array_equal(cfg.I, np.broadcast_to(c * np.eye(2), cfg.I.shape))
+        # the grid's J against the independent route back to the couplings
+        flat_r, flat_j = cfg.R.reshape(-1, 2, 2), cfg.J.reshape(-1, 4, 4)
+        for node in (0, 1200, 2400):
+            em = sp.gamma_inv(sp.Taming(flat_j[node]))
+            r = flat_r[node]
+            assert np.max(np.abs(em.R - r)) <= 1e-12 * np.max(np.abs(r))
+            assert np.max(np.abs(em.I - c * np.eye(2))) <= 1e-12 * c
+
+    @pytest.mark.parametrize("c", [1e-14, 1.0, 1e6])
+    def test_one_negative_direction_rejected_everywhere(self, c):
+        m = self.model(c, sign=-1)
+        pts = points(m.chart, 8)
+        for check in (lambda: md.checked_periods(m, pts), lambda: m.period(pts[0]),
+                      lambda: self.configuration(m)):
+            with pytest.raises(md.ModelInvalidError, match="at point 0 "):
+                check()

@@ -141,7 +141,7 @@ class TestFractionalAction:
 
     def test_minus_identity_fixed_point_exact(self, rng):
         t = sp.mu(sp.random_taming(2, rng))
-        out = sp.fractional_action(-np.eye(4), t, check=False)
+        out = sp.fractional_action(-np.eye(4), t)
         assert np.max(np.abs(out.tau - t.tau)) < 1e-14
 
     @pytest.mark.parametrize("n", [1, 2])
@@ -157,7 +157,7 @@ class TestFractionalAction:
         for _ in range(100):
             a = sp.random_sp(2, rng)
             t = sp.mu(sp.random_taming(2, rng))
-            out = sp.fractional_action(a, t, check=False)
+            out = sp.fractional_action(a, t)
             assert np.max(np.abs(out.tau - out.tau.T)) < 1e-12 * max(1, np.max(np.abs(out.tau)))
             assert sp.min_eig_ratio(out.tau.imag) > 0
 
