@@ -250,9 +250,7 @@ def uduality_algebra(model, samples: np.ndarray | None = None) -> UDualityReport
                               system.half, "U-duality")
     dim_u = null.shape[1]
     dim_stab = _stable_null_space(system.stab, system.half, "stabilizer").shape[1]
-    iso_proj = null[len(system.basis):]
-    s = np.linalg.svd(iso_proj, compute_uv=False) if iso_proj.size else np.zeros(0)
-    dim_iso_pr = int(np.sum(s > RANK_RTOL * max(np.max(s, initial=0.0), 1.0)))
+    dim_iso_pr = dim_u - null_space(null[len(system.basis):], RANK_RTOL).shape[1]
 
     table = [(kf.name, x, res) for kf, (x, res) in zip(kfields, _lifts(system, TOL_LIFT))]
     lifted = sum(1 for _, x, _ in table if x is not None)

@@ -19,7 +19,8 @@ eigenvalue.
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -54,27 +55,39 @@ class SingularMetricError(ValueError, InputError):
 
 
 @dataclass(frozen=True)
-class MetricPoint:
-    """Lorentzian metric value at a point, signature (-, +, +, +)."""
+class Metric:
+    """A metric or a stack of metrics, lead + (4, 4), that passed the metric
+    check, with g^-1 and det g.  Every kernel below accepts it in place of g,
+    so nothing inverts a checked metric again."""
 
     g: np.ndarray
+    ginv: np.ndarray
+    det: np.ndarray       # lead
+
+    @cached_property
+    def vol(self) -> np.ndarray:
+        """sqrt(-det g); taking it checks that the metric is Lorentzian."""
+        return volume(self.det)
+
+
+@dataclass(frozen=True)
+class MetricPoint(Metric):
+    """Lorentzian metric value at a point, signature (-, +, +, +)."""
+
+    ginv: np.ndarray = field(init=False)
+    det: np.ndarray = field(init=False)
 
     def __post_init__(self):
         g = np.asarray(self.g, dtype=float)
-        object.__setattr__(self, "g", (g + g.T) / 2)
         if g.shape != (4, 4):
             raise SingularMetricError(f"metric must be 4x4, got {g.shape}")
-        w = np.linalg.eigvalsh(self.g)
+        g = (g + g.T) / 2
+        w = np.linalg.eigvalsh(g)
         if not (w[0] < 0 and w[1] > 0):
             raise SingularMetricError("metric must have signature (-, +, +, +)")
-
-    @property
-    def det(self) -> float:
-        return float(invert_metric(self.g)[1])
-
-
-def _as_metric(g) -> np.ndarray:
-    return g.g if isinstance(g, MetricPoint) else np.asarray(g, dtype=float)
+        ginv, det = invert_metric(g)
+        for name, value in (("g", g), ("ginv", ginv), ("det", det)):
+            object.__setattr__(self, name, value)
 
 
 def _as_taming(j) -> np.ndarray:
@@ -84,7 +97,10 @@ def _as_taming(j) -> np.ndarray:
 # ------------------------------------------------------------ metric geometry
 #
 # The one path from a metric to g^-1 and sqrt(-det g), and the index raising
-# built on it.  Every kernel takes metrics stacked over leading axes.
+# built on it.  Every kernel takes metrics stacked over leading axes.  A
+# fiber-valued two-form has shape lead + (k, 4, 4) against a metric lead +
+# (4, 4), couplings lead + (n, n) and a taming lead + (2n, 2n); lead is ()
+# at a point and the grid shape on a grid.
 
 def invert_metric(g) -> tuple[np.ndarray, np.ndarray]:
     """(g^-1, det g) of a metric or a stack of metrics.
@@ -92,13 +108,20 @@ def invert_metric(g) -> tuple[np.ndarray, np.ndarray]:
     A node is singular when |det g| <= 1e-14 max|g_mn|^4: the threshold scales
     with the metric, so c * eta is regular for every c > 0.
     """
-    gm = _as_metric(g)
-    det = np.linalg.det(gm)
-    singular = np.abs(det) <= 1e-14 * np.max(np.abs(gm), axis=(-2, -1)) ** 4
+    det = np.linalg.det(g)
+    singular = np.abs(det) <= 1e-14 * np.max(np.abs(g), axis=(-2, -1)) ** 4
     if np.any(singular):
         raise SingularMetricError(
             f"metric singular at node index {tuple(np.argwhere(singular)[0].tolist())}")
-    return np.linalg.inv(gm), det
+    return np.linalg.inv(g), det
+
+
+def checked_metric(g) -> Metric:
+    """g as a checked Metric; a Metric passes through."""
+    if isinstance(g, Metric):
+        return g
+    g = np.asarray(g, dtype=float)
+    return Metric(g, *invert_metric(g))
 
 
 def volume(det: np.ndarray) -> np.ndarray:
@@ -140,27 +163,36 @@ def hodge2(g, w: np.ndarray) -> np.ndarray:
     g may be a single 4x4 metric or a stack broadcastable against w's leading
     shape.  Satisfies hodge2(g, hodge2(g, w)) = -w.
     """
-    ginv, det = invert_metric(g)
-    return star(ginv, volume(det), np.asarray(w))
+    m = checked_metric(g)
+    return star(m.ginv, m.vol, np.asarray(w))
+
+
+def star_fibers(g, v: np.ndarray) -> np.ndarray:
+    """Hodge dual on the form index of fiber-valued two-forms v, lead + (k, 4, 4)."""
+    m = checked_metric(g)
+    return star(m.ginv[..., None, :, :], m.vol[..., None], v)
+
+
+def fiber_action(a, w: np.ndarray, rank: int = 2) -> np.ndarray:
+    """a_AB w^B: matrices a, lead + (k, k), acting on the fiber index of
+    fiber-valued rank-forms w, lead + (k,) + (4,) * rank."""
+    w = np.asarray(w)
+    cut = w.ndim - rank
+    out = np.asarray(a) @ w.reshape(w.shape[:cut] + (4 ** rank,))
+    return out.reshape(out.shape[:-1] + w.shape[cut:])
 
 
 def form_inner(g, a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """(a, b)_g = (1/2) a_{mu nu} b^{mu nu}; broadcasts over leading axes."""
-    ginv, _ = invert_metric(g)
-    return 0.5 * (a * raise2(ginv, b)).sum(axis=(-2, -1))
+    return 0.5 * (a * raise2(checked_metric(g).ginv, b)).sum(axis=(-2, -1))
 
 
 def twisted_star(g, j, v: np.ndarray) -> np.ndarray:
     """Hodge dual on the form index combined with the taming on the fiber index.
 
-    v has shape (..., 2n, 4, 4); squares to +Id on two-forms.
+    v has shape lead + (2n, 4, 4); squares to +Id on two-forms.
     """
-    jm = _as_taming(j)
-    gm = _as_metric(g)
-    if gm.ndim > 2:
-        gm = gm[..., None, :, :]  # broadcast one metric across the fiber index
-    starred = hodge2(gm, v)
-    return np.einsum("...AB,...Bmn->...Amn", jm, starred)
+    return fiber_action(_as_taming(j), star_fibers(g, v))
 
 
 def project_sd(g, j, v: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -173,24 +205,21 @@ def project_sd(g, j, v: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return (v + sv) / 2, (v - sv) / 2
 
 
-def assemble_V(f: np.ndarray, em: ElectromagneticPair, g) -> np.ndarray:
+def assemble_V(f: np.ndarray, em, g) -> np.ndarray:
     """Stack (F, R F - I * F) into a twisted self-dual symplectic block.
 
-    f has shape (n, 4, 4); the output (2n, 4, 4) satisfies *V = -gamma(em)(V)
+    f has shape lead + (n, 4, 4) and em carries the couplings em.R, em.I,
+    lead + (n, n); the output lead + (2n, 4, 4) satisfies *V = -gamma(em)(V)
     up to roundoff.
     """
     f = np.asarray(f, dtype=float)
-    sf = hodge2(g, f)
-    lower = np.einsum("LS,Smn->Lmn", em.R, f) - np.einsum("LS,Smn->Lmn", em.I, sf)
-    return np.concatenate([f, lower], axis=0)
+    lower = fiber_action(em.R, f) - fiber_action(em.I, star_fibers(g, f))
+    return np.concatenate([f, lower], axis=-3)
 
 
 def selfduality_violation(g, j, v: np.ndarray) -> float:
     """Max-norm of *V + J(V); zero exactly on twisted self-dual blocks."""
-    jm = _as_taming(j)
-    sv = hodge2(g, v)
-    jv = np.einsum("AB,...Bmn->...Amn", jm, v)
-    return float(np.max(np.abs(sv + jv)))
+    return float(np.max(np.abs(star_fibers(g, v) + fiber_action(_as_taming(j), v))))
 
 
 def complexify_plus(v: np.ndarray, g) -> np.ndarray:
@@ -217,8 +246,7 @@ def twisted_pairing(g, j, a: np.ndarray, b: np.ndarray) -> float:
 
 def oslash_g(g, r1: np.ndarray, r2: np.ndarray) -> np.ndarray:
     """Inner g-contraction of two-forms: (r1 oslash r2)_{ab} = r1_{ac} r2_b{}^c."""
-    ginv, _ = invert_metric(g)
-    return contract(ginv, r1, r2)
+    return contract(checked_metric(g).ginv, r1, r2)
 
 
 def oslash_Q(g, j, v: np.ndarray, w: np.ndarray) -> np.ndarray:
@@ -226,8 +254,9 @@ def oslash_Q(g, j, v: np.ndarray, w: np.ndarray) -> np.ndarray:
 
     For twisted self-dual v = w this is exactly the gauge stress tensor."""
     jm = _as_taming(j)
-    q = omega(jm.shape[0] // 2) @ jm
-    return oslash_g(g, v, np.einsum("AB,Bmn->Amn", q, w)).sum(axis=0)
+    q = omega(jm.shape[-1] // 2) @ jm
+    ginv = checked_metric(g).ginv[..., None, :, :]  # one metric across the fiber index
+    return contract(ginv, v, fiber_action(q, w)).sum(axis=-3)
 
 
 def stress_gauge(g, j, v: np.ndarray, check: bool = True) -> np.ndarray:
@@ -236,32 +265,34 @@ def stress_gauge(g, j, v: np.ndarray, check: bool = True) -> np.ndarray:
     Warns when v is not twisted self-dual for (g, j), since the formula
     represents the physical stress only on that subspace.
     """
+    m = checked_metric(g)
     jm = _as_taming(j)
     if check:
-        viol = selfduality_violation(g, jm, v)
+        viol = selfduality_violation(m, jm, v)
         if viol > 1e-8 * max(1.0, float(np.max(np.abs(v)))):
             warnings.warn(f"stress_gauge input is not twisted self-dual "
                           f"(violation {viol:.2e})", stacklevel=2)
-    t = oslash_Q(g, jm, v, v)
-    return (t + t.T) / 2
+    t = oslash_Q(m, jm, v, v)
+    return (t + np.swapaxes(t, -1, -2)) / 2
 
 
 def stress_gauge_couplings(g, em: ElectromagneticPair, f: np.ndarray) -> np.ndarray:
     """Gauge stress in coupling form: 2 I F_{ac} F_b{}^c - (1/2) g_ab I F.F."""
-    ginv, _ = invert_metric(g)
-    x = contract(ginv, f, np.einsum("LS,Smn->Lmn", em.I, f)).sum(axis=0)
-    return 2.0 * x - 0.5 * _as_metric(g) * trace(ginv, x)
+    m = checked_metric(g)
+    x = contract(m.ginv, f, fiber_action(em.I, f)).sum(axis=0)
+    return 2.0 * x - 0.5 * m.g * trace(m.ginv, x)
 
 
 def stress_scalar(g, chart_metric: np.ndarray, dphi: np.ndarray) -> np.ndarray:
     """Scalar stress G_ij dphi^i dphi^j - (1/2) g G_ij dphi^i . dphi^j.
 
-    dphi has shape (4, n_s): dphi[a, i] = d_a phi^i.
+    dphi has shape lead + (4, n_s): dphi[..., a, i] = d_a phi^i; the chart
+    metric has shape lead + (n_s, n_s).
     """
-    ginv, _ = invert_metric(g)
+    m = checked_metric(g)
     dphi = np.asarray(dphi, dtype=float)
-    t = dphi @ np.asarray(chart_metric, dtype=float) @ dphi.T
-    return t - 0.5 * _as_metric(g) * trace(ginv, t)
+    t = dphi @ np.asarray(chart_metric, dtype=float) @ np.swapaxes(dphi, -1, -2)
+    return t - 0.5 * m.g * trace(m.ginv, t)[..., None, None]
 
 
 # ------------------------------------------------------------ random helpers

@@ -14,7 +14,6 @@ source; see ``psi_form_source``).
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass, field
 from functools import cached_property
 
@@ -96,14 +95,11 @@ def partials2(f: np.ndarray, grid: GridPatch) -> np.ndarray:
 # ------------------------------------------------------------- curvature ops
 
 @dataclass(frozen=True)
-class Geometry:
-    """A metric field that passed the metric check, with g^-1, sqrt(-det g)
-    and the Christoffel symbols: computed once, shared by every consumer.
-    The Einstein tensor is computed on first use and kept."""
+class Geometry(fl.Metric):
+    """A checked Lorentzian metric field, grid + (4, 4), with its Christoffel
+    symbols: computed once, shared by every consumer.  The Einstein tensor is
+    computed on first use and kept."""
 
-    g: np.ndarray         # grid + (4, 4)
-    ginv: np.ndarray
-    vol: np.ndarray       # grid
     gamma: np.ndarray     # grid + (r, m, n) = Gamma^r_{mn}
     grid: GridPatch
 
@@ -125,10 +121,12 @@ def metric_geometry(g, grid: GridPatch) -> Geometry:
     and Gamma^r_{mn} = (1/2) g^{rs} B_{smn}.  A Geometry passes through."""
     if isinstance(g, Geometry):
         return g
-    ginv, det = fl.invert_metric(g)
-    bracket = _bracket(partials(g, grid))
-    gamma = 0.5 * (ginv @ bracket.reshape(bracket.shape[:-2] + (16,))).reshape(bracket.shape)
-    return Geometry(g, ginv, fl.volume(det), gamma, grid)
+    m = fl.checked_metric(g)
+    bracket = _bracket(partials(m.g, grid))
+    gamma = 0.5 * (m.ginv @ bracket.reshape(bracket.shape[:-2] + (16,))).reshape(bracket.shape)
+    geo = Geometry(m.g, m.ginv, m.det, gamma, grid)
+    geo.vol  # a grid metric is Lorentzian: take the volume, and its check, now
+    return geo
 
 
 def christoffel(g, grid: GridPatch) -> np.ndarray:
@@ -239,15 +237,10 @@ class FieldConfiguration:
     def geometry(self) -> Geometry:
         return metric_geometry(self.g, self.grid)
 
-    def star(self, w: np.ndarray) -> np.ndarray:
-        """Hodge dual of fiber-valued two-forms w, grid + (k, 4, 4)."""
-        geo = self.geometry
-        return fl.star(geo.ginv[..., None, :, :], geo.vol[..., None], w)
-
     @cached_property
     def star_v(self) -> np.ndarray:
         """*V per node, grid + (2 n_v, 4, 4)."""
-        return self.star(self.V)
+        return fl.star_fibers(self.geometry, self.V)
 
     @property
     def n_v(self) -> int:
@@ -260,17 +253,15 @@ class FieldConfiguration:
     def selfduality_violation(self) -> float:
         """Max over interior nodes of | *V + J V |."""
         inner = self.grid.interior()
-        jv = np.einsum("...AB,...Bmn->...Amn", self.J[inner], self.V[inner])
-        return float(np.max(np.abs(self.star_v[inner] + jv)))
+        geo = self.geometry
+        return fl.selfduality_violation(fl.Metric(geo.g[inner], geo.ginv[inner], geo.det[inner]),
+                                        self.J[inner], self.V[inner])
 
 
 def assemble_field_block(cfg: FieldConfiguration) -> np.ndarray:
     """(F, R F - I *F) from the upper block F of cfg and its couplings: twisted
     self-dual by construction."""
-    f = cfg.F
-    lower = (np.einsum("...LS,...Smn->...Lmn", cfg.R, f)
-             - np.einsum("...LS,...Smn->...Lmn", cfg.I, cfg.star(f)))
-    return np.concatenate([f, lower], axis=-3)
+    return fl.assemble_V(cfg.F, cfg, cfg.geometry)
 
 
 def make_configuration(grid: GridPatch, model, g: np.ndarray, phi: np.ndarray,
@@ -285,23 +276,12 @@ def make_configuration(grid: GridPatch, model, g: np.ndarray, phi: np.ndarray,
 # ---------------------------------------------------------------- residuals
 
 def einstein_residual(cfg: FieldConfiguration, check: bool = True) -> np.ndarray:
-    """G_{ab} - scalar stress - gauge stress per node (valid margin-2)."""
-    if check:
-        viol = cfg.selfduality_violation()
-        if viol > 1e-8 * max(1.0, float(np.max(np.abs(cfg.V)))):
-            warnings.warn(f"configuration is not twisted self-dual (violation {viol:.2e})",
-                          stacklevel=2)
+    """G_{ab} - scalar stress - gauge stress per node (valid margin-2); with
+    check, warns when the field block is not twisted self-dual."""
     geo = cfg.geometry
-    gt = geo.einstein_tensor
-    # scalar stress from FD scalar-map derivatives: G_ij d_a phi^i d_b phi^j
-    dphi = partials(cfg.phi, cfg.grid)  # (..., i, a)
-    kin = np.swapaxes(dphi, -1, -2) @ cfg.model.chart.metric(cfg.phi) @ dphi
-    t_scal = kin - 0.5 * cfg.g * fl.trace(geo.ginv, kin)[..., None, None]
-    # gauge stress: omega(V_{ac}, J V_b^c) = sum_A V^A_ac g^cd (Q V)^A_bd, symmetrised
-    qv = np.einsum("...AB,...Bmn->...Amn", cfg.Q, cfg.V)
-    t_gauge = fl.contract(geo.ginv[..., None, :, :], cfg.V, qv).sum(axis=-3)
-    t_gauge = (t_gauge + np.swapaxes(t_gauge, -1, -2)) / 2
-    return gt - t_scal - t_gauge
+    dphi = np.swapaxes(partials(cfg.phi, cfg.grid), -1, -2)  # (..., a, i) = d_a phi^i
+    return (geo.einstein_tensor - fl.stress_scalar(geo, cfg.model.chart.metric(cfg.phi), dphi)
+            - fl.stress_gauge(geo, cfg.J, cfg.V, check))
 
 
 def _pairings(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -452,7 +432,7 @@ def transport_config(f, a: np.ndarray, cfg: FieldConfiguration) -> FieldConfigur
     f, transformed period map A . N(f^-1)).  Building it checks that f(phi)
     stays in the chart and the transformed periods in Siegel space."""
     new_phi = f.apply(cfg.phi)
-    new_v = np.einsum("AB,...Bmn->...Amn", np.asarray(a, dtype=float), cfg.V)
+    new_v = fl.fiber_action(np.asarray(a, dtype=float), cfg.V)
     out = FieldConfiguration(cfg.grid, TransformedModel(cfg.model, f, a), cfg.g, new_phi, new_v)
     out.geometry = cfg.geometry  # the metric is unchanged
     return out
@@ -491,7 +471,7 @@ def equivariance_harness(cfg: FieldConfiguration, f, a: np.ndarray) -> Equivaria
 
     m0 = maxwell_residual(cfg)[inner]
     m1 = maxwell_residual(tcfg)[inner]
-    mapped = np.einsum("AB,...Bamn->...Aamn", a, m0)
+    mapped = fl.fiber_action(a, m0, rank=3)
     m_disc = float(np.max(np.abs(m1 - mapped)))
 
     s0 = scalar_residual(cfg)[inner]

@@ -78,15 +78,18 @@ def presentation_check(p: BundlePresentation, tol: float = RELATION_TOL) -> Pres
     return PresentationDiagnostics(gen_viol, rel_viol, ok)
 
 
-def _commutant_rows(mats: list[np.ndarray], basis: list[np.ndarray]) -> np.ndarray:
-    """Rows of the conditions X H = H X over the given sp basis coordinates."""
-    rows = []
-    for h in mats:
-        cols = [(b @ h - h @ b).ravel() for b in basis]
-        rows.append(np.stack(cols, axis=1))
-    if not rows:
-        return np.zeros((0, len(basis)))
-    return np.vstack(rows)
+def _commutant_rows(mats: list[np.ndarray], basis: np.ndarray) -> np.ndarray:
+    """Rows of the conditions X H = H X, H in mats, over the sp basis
+    coordinates: 4n^2 rows per H, one column per basis element."""
+    h = np.reshape(mats, (-1, 1) + basis.shape[1:])
+    return np.moveaxis(basis @ h - h @ basis, 1, -1).reshape(-1, len(basis))
+
+
+def _centralizer(n_v: int, mats: list[np.ndarray]) -> tuple[list[np.ndarray], int]:
+    """Basis and dimension of the elements of sp(2n, R) commuting with every H in mats."""
+    basis = np.stack(sp_basis(n_v))
+    null = null_space(_commutant_rows(mats, basis), RANK_RTOL)
+    return list(np.tensordot(null.T, basis, 1)), null.shape[1]
 
 
 def centralizer_algebra(p: BundlePresentation) -> tuple[list[np.ndarray], int]:
@@ -95,24 +98,14 @@ def centralizer_algebra(p: BundlePresentation) -> tuple[list[np.ndarray], int]:
     With no generators this is all of sp(2n, R); the dimension can never
     exceed n(2n+1).
     """
-    basis = sp_basis(p.n_v)
-    null = null_space(_commutant_rows(p.generators, basis), RANK_RTOL)
-    mats = [sum(c * b for c, b in zip(col, basis)) for col in null.T]
-    return mats, null.shape[1]
+    return _centralizer(p.n_v, p.generators)
 
 
 def autb_theta_algebra(p: BundlePresentation, j0: Taming) -> tuple[list[np.ndarray], int]:
     """Centralizer elements additionally commuting with the fiber taming J0."""
     if j0.n != p.n_v:
         raise PresentationError("taming rank does not match the presentation")
-    basis = sp_basis(p.n_v)
-    rows = np.vstack([
-        _commutant_rows(p.generators, basis),
-        _commutant_rows([j0.J], basis),
-    ])
-    null = null_space(rows, RANK_RTOL)
-    mats = [sum(c * b for c, b in zip(col, basis)) for col in null.T]
-    return mats, null.shape[1]
+    return _centralizer(p.n_v, [*p.generators, j0.J])
 
 
 def _reduced_words(n_gen: int, max_len: int):

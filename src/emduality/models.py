@@ -195,10 +195,6 @@ class MobiusIsometry:
         return np.stack([np.stack([fp.real, -fp.imag], axis=-1),
                          np.stack([fp.imag, fp.real], axis=-1)], axis=-2)
 
-    @property
-    def is_affine(self) -> bool:
-        return abs(self.m[1, 0]) < 1e-15
-
 
 @dataclass(frozen=True)
 class FlatIsometry:
@@ -226,10 +222,6 @@ class FlatIsometry:
 
     def jacobian(self, p: np.ndarray) -> np.ndarray:
         return self.q + np.zeros(np.shape(p)[:-1] + (1, 1))
-
-    @property
-    def is_affine(self) -> bool:
-        return True
 
 
 def identity_isometry(chart: ScalarChart):

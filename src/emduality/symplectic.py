@@ -65,15 +65,19 @@ def omega(n: int) -> np.ndarray:
 
 
 def null_space(a: np.ndarray, rtol: float) -> np.ndarray:
-    """Orthonormal null-space basis (columns) of a; the rank counts singular
-    values above rtol times the largest.  A matrix with no entries has all of
-    R^k as its null space."""
+    """Orthonormal null-space basis (columns) of a.  The rank counts the
+    singular values above rtol times the largest of a with its columns scaled
+    to unit norm, so it does not depend on the scale of each unknown; the
+    basis is the matching tail of a's own right singular vectors.  A matrix
+    with no entries has all of R^k as its null space."""
     if a.size == 0:
         return np.eye(a.shape[1])
+    norms = np.linalg.norm(a, axis=0)
+    s = np.linalg.svd(a / np.where(norms > 0, norms, 1.0), compute_uv=False)
+    rank = int(np.sum(s > rtol * s[0]))
     # a wide a needs the full V; for a tall one full_matrices would only add an m x m U
-    _, s, vh = np.linalg.svd(a, full_matrices=a.shape[0] < a.shape[1])
-    tol = rtol * (s[0] if s[0] > 0 else 1.0)
-    return vh[int(np.sum(s > tol)):].T
+    vh = np.linalg.svd(a, full_matrices=a.shape[0] < a.shape[1])[2]
+    return vh[rank:].T
 
 
 def blocks(a: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:

@@ -109,7 +109,7 @@ class TestAlgebraCommands:
     def test_default_samples_grow_with_killing_fields(self, tmp_path):
         """The 55 Killing fields of a 10-dimensional flat chart get 58 default
         samples, so the dimensions are stable; the 10 fields that move x1 do
-        not lift and fail their lift rows."""
+        not lift, which their info rows report without failing the command."""
         path = tmp_path / "flat10.model"
         path.write_text(self.FLAT10)
         code, text = run(["uduality", "--model", str(path)])
@@ -117,7 +117,7 @@ class TestAlgebraCommands:
         for row in ("dim_u = 45", "dim_stab_sp = 0", "dim_iso_pr = 45", "exactness_gap = 0"):
             assert f"check {row} " in text
         assert "notes = 45/55 Killing basis fields admit lifts" in text
-        assert (code, text.count(" tol 1e-08 FAIL\n")) == (1, 10)
+        assert (code, text.count("FAIL"), text.count("\nno_lift[")) == (0, 0, 10)
 
     @pytest.mark.parametrize("argv,code", [(["stabilizer", "--model"], 3),
                                            (["models", "show"], 2)])

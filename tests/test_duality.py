@@ -295,3 +295,16 @@ class TestLinearSystem:
     def test_too_few_samples_are_unstable(self):
         with pytest.raises(du.SampleInstabilityError, match="U-duality dim changed"):
             du.uduality_algebra(FLAT10, FLAT10.chart.sample_points(16))
+
+
+class TestRankRule:
+    """Ranks are decided on columns scaled to unit norm, so the algebras of
+    N = c i do not depend on c: the stabilizer of a point of the upper half
+    plane is one-dimensional, and the three Killing fields all lift."""
+
+    @pytest.mark.parametrize("c", [1e-14, 1e-9, 1e-6, 1.0, 1e6, 1e9])
+    def test_scaled_point_of_the_half_plane(self, c):
+        m = md.parse_model(f"nv = 1\nchart = poincare\nN[1,1] = {c!r}*i")
+        assert du.stab_sp_algebra(m).dim_stab_sp == 1
+        rep = du.uduality_algebra(m)
+        assert (rep.dim_u, rep.dim_stab_sp, rep.dim_iso_pr, rep.exactness_gap) == (4, 1, 3, 0)

@@ -7,6 +7,7 @@ import pytest
 
 from emduality import duality as du
 from emduality import expressions as ex
+from emduality import fields as fl
 from emduality import grids as gr
 from emduality import models as md
 from emduality import symplectic as sp
@@ -255,3 +256,92 @@ class TestSiegelRule:
                       lambda: self.configuration(m)):
             with pytest.raises(md.ModelInvalidError, match="at point 0 "):
                 check()
+
+
+class TestStackedFieldKernels:
+    """The fields kernels on a grid, lead = grid shape, against per-node
+    calls with an ElectromagneticPair and a Taming."""
+
+    NODES = (0, 613, 1200, 1777, 2400)
+
+    @staticmethod
+    def configuration():
+        grid = gr.GridPatch(((-0.4, 0.4),) * 4, (7,) * 4)
+        rng = np.random.default_rng(23)
+        g = gr.metric_quadratic(grid, [(0, 3, 2, 2, 0.015), (1, 2, 0, 1, -0.022),
+                                       (3, 3, 1, 3, 0.018), (0, 0, 0, 1, 0.02)])
+        phi = gr.phi_linear(grid, [0.05, 1.2], 0.08 * rng.standard_normal((4, 2)))
+        f = gr.random_polynomial_fieldstrength(grid, 2, rng, amp=0.3)
+        return gr.make_configuration(grid, md.builtin("t3"), g, phi, f)
+
+    @classmethod
+    def nodes(cls, cfg, *arrays):
+        """Per node: (g, pair, taming) and the node's entries of arrays."""
+        lead = cfg.grid.shape
+        for node in cls.NODES:
+            idx = np.unravel_index(node, lead)
+            yield ((cfg.g[idx], sp.ElectromagneticPair(cfg.R[idx], cfg.I[idx]),
+                    sp.Taming(cfg.J[idx])) + tuple(a[idx] for a in arrays))
+
+    def test_assemble_V_and_twisted_star(self):
+        cfg = self.configuration()
+        for metric in (cfg.g, cfg.geometry):
+            v = fl.assemble_V(cfg.F, cfg, metric)
+            ts = fl.twisted_star(metric, cfg.J, v)
+            for g, em, j, f, v_node, ts_node in self.nodes(cfg, cfg.F, v, ts):
+                single = fl.assemble_V(f, em, g)
+                assert close(v_node, single)
+                assert close(ts_node, fl.twisted_star(g, j, single))
+        assert np.array_equal(v, cfg.V)
+
+    def test_selfduality_violation(self):
+        cfg = self.configuration()
+        w = cfg.V + 0.1 * fl.random_two_forms(4, np.random.default_rng(5))
+        idx = np.unravel_index(np.array(self.NODES), cfg.grid.shape)
+        stacked = fl.selfduality_violation(cfg.g[idx], cfg.J[idx], w[idx])
+        single = max(fl.selfduality_violation(g, j, w_node)
+                     for g, _, j, w_node in self.nodes(cfg, w))
+        assert stacked > 1e-3 and close(stacked, single)
+
+    def test_stresses(self):
+        cfg = self.configuration()
+        dphi = np.swapaxes(gr.partials(cfg.phi, cfg.grid), -1, -2)
+        cm = cfg.model.chart.metric(cfg.phi)
+        t_gauge = fl.stress_gauge(cfg.g, cfg.J, cfg.V)
+        t_scal = fl.stress_scalar(cfg.geometry, cm, dphi)
+        for g, _, j, v, tg, ts, dp, c in self.nodes(cfg, cfg.V, t_gauge, t_scal, dphi, cm):
+            assert close(tg, fl.stress_gauge(g, j, v))
+            assert close(ts, fl.stress_scalar(g, c, dp))
+
+
+class TestOneMetricInversion:
+    """A checked metric is inverted once: by stress_gauge for a raw metric,
+    and never again for a grid whose geometry is built."""
+
+    @pytest.fixture
+    def counted(self, monkeypatch):
+        calls = []
+        original = fl.invert_metric
+
+        def invert_metric(g):
+            calls.append(np.shape(g))
+            return original(g)
+
+        monkeypatch.setattr(fl, "invert_metric", invert_metric)
+        return calls
+
+    def test_stress_gauge_inverts_once(self, counted):
+        rng = np.random.default_rng(8)
+        g = fl.random_lorentz_metric(rng)
+        em = sp.random_couplings(2, rng)
+        v = fl.assemble_V(fl.random_two_forms(2, rng), em, g)
+        counted.clear()
+        fl.stress_gauge(g, sp.gamma(em), v)
+        assert len(counted) == 1
+
+    def test_einstein_residual_reuses_the_geometry(self, counted):
+        cfg = TestStackedFieldKernels.configuration()
+        cfg.geometry
+        counted.clear()
+        gr.einstein_residual(cfg)
+        assert counted == []

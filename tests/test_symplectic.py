@@ -249,3 +249,19 @@ class TestConjugateTaming:
         lhs = sp.gamma_inv(sp.conjugate_taming(a, j)).alt_period()
         rhs = sp.fractional_action(a, sp.SiegelPoint(sp.gamma_inv(j).alt_period())).tau
         assert np.max(np.abs(lhs - rhs)) > 1e-3
+
+
+class TestNullSpace:
+    def test_rank_ignores_column_scales(self, rng):
+        """A rank-2 matrix with columns scaled by 1, 1e-12 and 1e-24 keeps a
+        one-dimensional null space, and its basis is a's own null vector."""
+        a = rng.standard_normal((2, 3)) * np.array([1.0, 1e-12, 1e-24])
+        null = sp.null_space(a, 1e-8)
+        assert null.shape == (3, 1)
+        assert np.max(np.abs(a @ null)) <= 1e-15
+
+    def test_zero_columns_are_null_directions(self):
+        a = np.array([[1.0, 0.0, 2.0], [0.0, 0.0, 1.0]])
+        null = sp.null_space(a, 1e-10)
+        assert null.shape == (3, 1)
+        assert np.allclose(np.abs(null[:, 0]), [0.0, 1.0, 0.0])
