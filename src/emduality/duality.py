@@ -250,7 +250,13 @@ def uduality_algebra(model, samples: np.ndarray | None = None) -> UDualityReport
                               system.half, "U-duality")
     dim_u = null.shape[1]
     dim_stab = _stable_null_space(system.stab, system.half, "stabilizer").shape[1]
-    dim_iso_pr = dim_u - null_space(null[len(system.basis):], RANK_RTOL).shape[1]
+    # rank of the isometry rows of the orthonormal null basis, on an absolute
+    # threshold: their singular values are at most 1, so it is scale-free, where
+    # unit-norm columns would turn roundoff into rank.  Off the row space vs of the
+    # sp rows they are an isometry, so only the columns along vs need an SVD.
+    vs = np.linalg.svd(null[:len(system.basis)], full_matrices=False)[2]
+    dim_iso_pr = dim_u - len(vs) + int(np.linalg.matrix_rank(null[len(system.basis):] @ vs.T,
+                                                              tol=RANK_RTOL))
 
     table = [(kf.name, x, res) for kf, (x, res) in zip(kfields, _lifts(system, TOL_LIFT))]
     lifted = sum(1 for _, x, _ in table if x is not None)

@@ -85,8 +85,7 @@ class MetricPoint(Metric):
         w = np.linalg.eigvalsh(g)
         if not (w[0] < 0 and w[1] > 0):
             raise SingularMetricError("metric must have signature (-, +, +, +)")
-        ginv, det = invert_metric(g)
-        for name, value in (("g", g), ("ginv", ginv), ("det", det)):
+        for name, value in zip(("g", "ginv", "det"), (g, *invert_metric(g))):
             object.__setattr__(self, name, value)
 
 
@@ -219,7 +218,19 @@ def assemble_V(f: np.ndarray, em, g) -> np.ndarray:
 
 def selfduality_violation(g, j, v: np.ndarray) -> float:
     """Max-norm of *V + J(V); zero exactly on twisted self-dual blocks."""
-    return float(np.max(np.abs(star_fibers(g, v) + fiber_action(_as_taming(j), v))))
+    return selfduality_defect(star_fibers(g, v), j, v)
+
+
+def selfduality_defect(star_v: np.ndarray, j, v: np.ndarray) -> float:
+    """Max-norm of *V + J(V), given the Hodge dual star_v of v."""
+    return float(np.max(np.abs(star_v + fiber_action(_as_taming(j), v))))
+
+
+def warn_if_not_selfdual(viol: float, v: np.ndarray, what: str, stacklevel: int) -> None:
+    """Warn, stacklevel frames above the caller, when viol is not roundoff against v."""
+    if viol > 1e-8 * max(1.0, float(np.max(np.abs(v)))):
+        warnings.warn(f"{what} is not twisted self-dual (violation {viol:.2e})",
+                      stacklevel=stacklevel + 1)
 
 
 def complexify_plus(v: np.ndarray, g) -> np.ndarray:
@@ -268,10 +279,7 @@ def stress_gauge(g, j, v: np.ndarray, check: bool = True) -> np.ndarray:
     m = checked_metric(g)
     jm = _as_taming(j)
     if check:
-        viol = selfduality_violation(m, jm, v)
-        if viol > 1e-8 * max(1.0, float(np.max(np.abs(v)))):
-            warnings.warn(f"stress_gauge input is not twisted self-dual "
-                          f"(violation {viol:.2e})", stacklevel=2)
+        warn_if_not_selfdual(selfduality_violation(m, jm, v), v, "stress_gauge input", 2)
     t = oslash_Q(m, jm, v, v)
     return (t + np.swapaxes(t, -1, -2)) / 2
 

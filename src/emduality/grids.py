@@ -253,9 +253,7 @@ class FieldConfiguration:
     def selfduality_violation(self) -> float:
         """Max over interior nodes of | *V + J V |."""
         inner = self.grid.interior()
-        geo = self.geometry
-        return fl.selfduality_violation(fl.Metric(geo.g[inner], geo.ginv[inner], geo.det[inner]),
-                                        self.J[inner], self.V[inner])
+        return fl.selfduality_defect(self.star_v[inner], self.J[inner], self.V[inner])
 
 
 def assemble_field_block(cfg: FieldConfiguration) -> np.ndarray:
@@ -277,11 +275,13 @@ def make_configuration(grid: GridPatch, model, g: np.ndarray, phi: np.ndarray,
 
 def einstein_residual(cfg: FieldConfiguration, check: bool = True) -> np.ndarray:
     """G_{ab} - scalar stress - gauge stress per node (valid margin-2); with
-    check, warns when the field block is not twisted self-dual."""
+    check, warns when the field block is not twisted self-dual on the interior."""
+    if check:  # from the cached *V, so the gauge stress need not dualize V again
+        fl.warn_if_not_selfdual(cfg.selfduality_violation(), cfg.V, "configuration", 2)
     geo = cfg.geometry
     dphi = np.swapaxes(partials(cfg.phi, cfg.grid), -1, -2)  # (..., a, i) = d_a phi^i
     return (geo.einstein_tensor - fl.stress_scalar(geo, cfg.model.chart.metric(cfg.phi), dphi)
-            - fl.stress_gauge(geo, cfg.J, cfg.V, check))
+            - fl.stress_gauge(geo, cfg.J, cfg.V, check=False))
 
 
 def _pairings(a: np.ndarray, b: np.ndarray) -> np.ndarray:

@@ -65,19 +65,20 @@ def omega(n: int) -> np.ndarray:
 
 
 def null_space(a: np.ndarray, rtol: float) -> np.ndarray:
-    """Orthonormal null-space basis (columns) of a.  The rank counts the
-    singular values above rtol times the largest of a with its columns scaled
-    to unit norm, so it does not depend on the scale of each unknown; the
-    basis is the matching tail of a's own right singular vectors.  A matrix
-    with no entries has all of R^k as its null space."""
-    if a.size == 0:
-        return np.eye(a.shape[1])
+    """Orthonormal null-space basis (columns) of a.  One SVD of a with its
+    columns scaled to unit norm decides the rank, so it does not depend on the
+    scale of each unknown.  The null vectors, put in column echelon form over
+    the coordinates by scale and mapped back, are orthonormalized by QR, which
+    then mixes no large entry into a small coordinate.  A matrix with no
+    entries has all of R^k as its null space."""
     norms = np.linalg.norm(a, axis=0)
-    s = np.linalg.svd(a / np.where(norms > 0, norms, 1.0), compute_uv=False)
-    rank = int(np.sum(s > rtol * s[0]))
+    norms = np.where(norms > 0, norms, 1.0)
     # a wide a needs the full V; for a tall one full_matrices would only add an m x m U
-    vh = np.linalg.svd(a, full_matrices=a.shape[0] < a.shape[1])[2]
-    return vh[rank:].T
+    _, s, vh = np.linalg.svd(a / norms, full_matrices=a.shape[0] < a.shape[1])
+    rank = int(np.sum(s > rtol * np.max(s, initial=0.0)))
+    order = np.argsort(norms, kind="stable")   # largest 1/norm first
+    echelon = np.linalg.qr(vh[rank:, order], mode="r").T   # lower trapezoidal basis
+    return np.linalg.qr(echelon / norms[order, None])[0][np.argsort(order)]
 
 
 def blocks(a: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:

@@ -308,3 +308,12 @@ class TestRankRule:
         assert du.stab_sp_algebra(m).dim_stab_sp == 1
         rep = du.uduality_algebra(m)
         assert (rep.dim_u, rep.dim_stab_sp, rep.dim_iso_pr, rep.exactness_gap) == (4, 1, 3, 0)
+
+    def test_no_field_lifts_with_a_stabilizer(self):
+        """N = diag(i(1 + x1^2), i): the translation does not lift and the
+        stabilizer is one-dimensional.  The isometry rows of the orthonormal
+        null basis are roundoff, so the projection has rank 0."""
+        m = md.parse_model("nv = 2\nchart = flat\ndim = 1\nN[1,1] = i*(1 + x1^2)\nN[2,2] = i")
+        rep = du.uduality_algebra(m)
+        assert (rep.dim_u, rep.dim_stab_sp, rep.dim_iso_pr, rep.exactness_gap) == (1, 1, 0, 0)
+        assert rep.notes == "0/1 Killing basis fields admit lifts"

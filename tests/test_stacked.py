@@ -345,3 +345,27 @@ class TestOneMetricInversion:
         counted.clear()
         gr.einstein_residual(cfg)
         assert counted == []
+
+
+class TestSelfdualWarning:
+    """The not-self-dual warning is raised at the caller of stress_gauge and
+    of einstein_residual, and einstein_residual checks the interior nodes."""
+
+    @staticmethod
+    def configuration():
+        cfg = TestStackedFieldKernels.configuration()
+        cfg.V = cfg.V + 0.1 * fl.random_two_forms(4, np.random.default_rng(5))
+        return cfg
+
+    def test_stress_gauge(self):
+        cfg = self.configuration()
+        with pytest.warns(UserWarning, match="stress_gauge input is not twisted self-dual") as rec:
+            fl.stress_gauge(cfg.geometry, cfg.J, cfg.V)
+        assert [w.filename for w in rec] == [__file__]
+
+    def test_einstein_residual(self):
+        cfg = self.configuration()
+        with pytest.warns(UserWarning, match="configuration is not twisted self-dual") as rec:
+            gr.einstein_residual(cfg)
+        assert [w.filename for w in rec] == [__file__]
+        assert f"{cfg.selfduality_violation():.2e}" in str(rec[0].message)

@@ -260,6 +260,27 @@ class TestNullSpace:
         assert null.shape == (3, 1)
         assert np.max(np.abs(a @ null)) <= 1e-15
 
+    def test_badly_scaled_basis_is_orthonormal(self, rng):
+        """Columns scaled by 1, 1e-12, 1e-24 and 1: a two-dimensional null
+        space whose basis is orthonormal and annihilated by a."""
+        a = rng.standard_normal((2, 4)) * np.array([1.0, 1e-12, 1e-24, 1.0])
+        null = sp.null_space(a, 1e-8)
+        assert null.shape == (4, 2)
+        assert np.allclose(null.T @ null, np.eye(2), atol=1e-14)
+        assert np.max(np.abs(a @ null)) <= 1e-15
+
+    @pytest.mark.parametrize("seed", range(8))
+    def test_mixed_scales_rank_deficient(self, seed):
+        """Rank-deficient matrices whose columns span 1e-24 to 1e6: the basis
+        is orthonormal and annihilated by a to roundoff against max|a|."""
+        rng = np.random.default_rng(seed)
+        scales = 10.0 ** rng.choice([6, 0, -6, -12, -24], size=30)
+        a = rng.standard_normal((12, 9)) @ rng.standard_normal((9, 30)) * scales
+        null = sp.null_space(a, 1e-10)
+        assert null.shape == (30, 21)
+        assert np.allclose(null.T @ null, np.eye(21), atol=1e-14)
+        assert np.max(np.abs(a @ null)) <= 1e-13 * np.max(np.abs(a))
+
     def test_zero_columns_are_null_directions(self):
         a = np.array([[1.0, 0.0, 2.0], [0.0, 0.0, 1.0]])
         null = sp.null_space(a, 1e-10)
