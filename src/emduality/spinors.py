@@ -26,7 +26,9 @@ import numpy as np
 
 from .errors import InputError
 from .fields import ETA
-from .grids import Geometry, GridPatch, christoffel, metric_geometry, partials
+# christoffel is unused here but stays importable: bench/spans.py wraps
+# spinors.christoffel
+from .grids import Geometry, GridPatch, christoffel, metric_geometry, partials  # noqa: F401
 from .symplectic import null_space
 
 
@@ -120,12 +122,15 @@ class FramePatch:
     e: np.ndarray                    # grid + (a, mu)
     name: str = "custom"
     frame_fn: object = None          # x (..., 4) -> e (..., a, mu)
-    conn_fn: object = None           # x (..., 4) -> w (..., mu, a, b)
+    conn_fn: object = None           # (x (..., 4), mu) -> w_mu (..., a, b), one direction
 
     def __post_init__(self):
         if self.e.shape != self.grid.shape + (4, 4):
             raise FrameError(f"vierbein shape {self.e.shape} does not match grid")
-        if np.min(np.abs(np.linalg.det(self.e))) < 1e-12:
+        # scale-free: |det e| against its Hadamard bound, the product of the
+        # row norms (a node with a zero row fails the comparison too)
+        bound = np.prod(np.linalg.norm(self.e, axis=-1), axis=-1)
+        if not np.all(np.abs(np.linalg.det(self.e)) > 1e-12 * bound):
             raise FrameError("singular frame")
 
     def metric(self) -> np.ndarray:
@@ -143,17 +148,21 @@ class FramePatch:
 
 
 def conformal_connection(dln_omega) -> object:
-    """Analytic spin connection of a conformal frame e^a_mu = Omega delta^a_mu:
+    """Analytic spin connection of a conformal frame e^a_mu = Omega delta^a_mu,
+    one direction mu at a time:
     w_{mu a b} = eta_{a mu} d_b ln(Omega) - eta_{b mu} d_a ln(Omega).
 
     dln_omega(x) must return the coordinate gradient of ln(Omega), shape
-    (..., 4)."""
+    (..., 4).  eta is diagonal, so w_mu is row mu and column mu of the
+    gradient, shape (..., a, b)."""
 
-    def conn(pts):
-        pts = np.asarray(pts, dtype=float)
-        d = np.asarray(dln_omega(pts))
-        t1 = np.einsum("am,...b->...mab", ETA, d)
-        return t1 - np.swapaxes(t1, -1, -2)
+    def conn(pts, mu):
+        d = np.asarray(dln_omega(np.asarray(pts, dtype=float)))
+        w = np.zeros(d.shape + (4,))
+        w[..., mu, :] = ETA[mu, mu] * d
+        w[..., :, mu] = -ETA[mu, mu] * d
+        w[..., mu, mu] = 0.0
+        return w
 
     return conn
 
@@ -211,17 +220,6 @@ def spin_connection(fr: FramePatch) -> np.ndarray:
     return (w - np.swapaxes(w, -1, -2)) / 2
 
 
-def metric_compatibility_residual(fr: FramePatch, w: np.ndarray) -> float:
-    """Max norm over the margin-2 interior of
-    d_mu e^a_nu + w_mu^a_b e^b_nu - Gam^l_{mu nu} e^a_l  (second order)."""
-    gam = christoffel(fr.geometry, fr.grid)
-    de = np.moveaxis(partials(fr.e, fr.grid), -1, -3)     # (..., mu, a, nu)
-    wu = np.einsum("ac,...mcb->...mab", np.linalg.inv(ETA), w)
-    term = (de + np.einsum("...mab,...bn->...man", wu, fr.e)
-            - np.einsum("...lmn,...al->...man", gam, fr.e))
-    return float(np.max(np.abs(term[fr.grid.interior()])))
-
-
 # ---------------------------------------------------------- killing spinors
 
 def _transport_generator(rep: CliffordRep, w_ab: np.ndarray, e_a: np.ndarray,
@@ -241,7 +239,7 @@ def _axis_generator(fr: FramePatch, rep: CliffordRep, lam: float,
                     pts: np.ndarray, axis: int) -> np.ndarray:
     """M_axis at off-node points from the analytic frame and connection:
     only the swept direction is built."""
-    w = np.asarray(fr.conn_fn(pts))[..., axis, :, :]
+    w = np.asarray(fr.conn_fn(pts, axis))
     return _transport_generator(rep, w, fr.frame_fn(pts)[..., :, axis], lam)
 
 
@@ -265,18 +263,29 @@ def killing_residual_max(fr: FramePatch, eps: np.ndarray, lam: float) -> float:
     return float(np.max(np.abs(killing_residual(fr, eps, lam)[fr.grid.interior()])))
 
 
-def _rk4_step(m_of_s, y0: np.ndarray, h: float) -> np.ndarray:
-    def apply(m, y):
-        return (m @ y[..., None])[..., 0]
+def _edge_propagators(fr: FramePatch, rep: CliffordRep, lam: float,
+                      nodes: np.ndarray, axis: int, h: float) -> np.ndarray:
+    """RK4 propagators P_k with eps_{k+1} = P_k eps_k along lines of nodes,
+    shape lines + (n, 4) -> lines + (n - 1, 4, 4).
 
-    m0 = m_of_s(0.0)
-    m_half = m_of_s(h / 2)  # shared by the two middle stages
-    m1 = m_of_s(h)
-    k1 = apply(m0, y0)
-    k2 = apply(m_half, y0 + h / 2 * k1)
-    k3 = apply(m_half, y0 + h / 2 * k2)
-    k4 = apply(m1, y0 + h * k3)
-    return y0 + h / 6 * (k1 + 2 * k2 + 2 * k3 + k4)
+    The transport is linear in eps, so the classical RK4 stages compose into
+    one matrix per edge: with M0, Mh, M1 the generator at the edge's start,
+    midpoint and end, K2 = Mh (I + h/2 M0), K3 = Mh (I + h/2 K2),
+    K4 = M1 (I + h K3) and P = I + h/6 (M0 + 2 K2 + 2 K3 + K4).  The
+    generator is evaluated once, at the 2n - 1 nodes and midpoints of every
+    line: the end of edge k is the start of edge k + 1."""
+    n = nodes.shape[-2]
+    pts = np.empty(nodes.shape[:-2] + (2 * n - 1, 4))
+    pts[..., 0::2, :] = nodes
+    pts[..., 1::2, :] = nodes[..., :-1, :]
+    pts[..., 1::2, axis] += h / 2
+    m = _axis_generator(fr, rep, lam, pts, axis)
+    m0, mh, m1 = m[..., 0:-1:2, :, :], m[..., 1::2, :, :], m[..., 2::2, :, :]
+    eye = np.eye(4)
+    k2 = mh @ (eye + h / 2 * m0)
+    k3 = mh @ (eye + h / 2 * k2)
+    k4 = m1 @ (eye + h * k3)
+    return eye + h / 6 * (m0 + 2 * k2 + 2 * k3 + k4)
 
 
 def integrate_killing(fr: FramePatch, lam: float, eps0: np.ndarray,
@@ -285,36 +294,29 @@ def integrate_killing(fr: FramePatch, lam: float, eps0: np.ndarray,
     """Fill the grid with the Killing transport of eps0 from the origin corner,
     sweeping one axis at a time in the given order (RK4 per edge).
 
-    Needs the analytic frame/connection evaluators of a built-in frame: RK4
-    samples them between nodes.
+    Each swept axis makes one generator call, stacked over the nodes and
+    midpoints of all its lines, and one batch of edge propagators; the sweep
+    then applies them edge by edge.  Needs the analytic frame/connection
+    evaluators of a built-in frame: RK4 samples them between nodes.
     """
     rep = rep or clifford_rep()
     if fr.conn_fn is None or fr.frame_fn is None:
         raise FrameError("integrate_killing needs a frame with analytic "
                          "evaluators (use builtin_frame)")
     grid = fr.grid
-    h = grid.h
-    shape = grid.shape
     coords = grid.coords()
-    eps = np.zeros(shape + (4,))
+    eps = np.zeros(grid.shape + (4,))
     eps[(0,) * 4] = np.asarray(eps0, dtype=float)
 
     for pos, axis in enumerate(axis_order):
-        idx = [slice(0, 1)] * 4
-        for done in axis_order[:pos]:
-            idx[done] = slice(None)
-        for k in range(shape[axis] - 1):
-            cur, nxt = list(idx), list(idx)
-            cur[axis] = slice(k, k + 1)
-            nxt[axis] = slice(k + 1, k + 2)
-            pts = coords[tuple(cur)]
-
-            def m_of_s(s, axis=axis, pts=pts):
-                q = pts.copy()
-                q[..., axis] += s
-                return _axis_generator(fr, rep, lam, q, axis)
-
-            eps[tuple(nxt)] = _rk4_step(m_of_s, eps[tuple(cur)], float(h[axis]))
+        # the lines along `axis` through the block the earlier sweeps filled
+        sel = tuple(slice(None) if a in axis_order[:pos + 1] else slice(0, 1)
+                    for a in range(4))
+        props = _edge_propagators(fr, rep, lam, np.moveaxis(coords[sel], axis, -2),
+                                  axis, float(grid.h[axis]))
+        lines = np.moveaxis(eps[sel], axis, -2)          # a view into eps
+        for k in range(grid.shape[axis] - 1):
+            lines[..., k + 1, :] = (props[..., k, :, :] @ lines[..., k, :, None])[..., 0]
     return eps
 
 

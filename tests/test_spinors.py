@@ -120,6 +120,19 @@ class TestFrames:
         with pytest.raises(sn.FrameError):
             sn.FramePatch(grid, bad)
 
+    def test_singular_frame_check_is_scale_free(self):
+        # |det e| is compared with the product of the row norms, so a small
+        # regular frame passes and one degenerate node still fails
+        grid = gr.GridPatch(((-0.4, 0.4),) * 4, (7,) * 4)
+        small = np.broadcast_to(1e-4 * np.eye(4), grid.shape + (4, 4)).copy()
+        sn.FramePatch(grid, small)
+        degenerate = np.broadcast_to(np.eye(4), grid.shape + (4, 4)).copy()
+        degenerate[3, 2, 1, 4, 1] = degenerate[3, 2, 1, 4, 0]
+        with pytest.raises(sn.FrameError, match="singular frame"):
+            sn.FramePatch(grid, degenerate)
+        with pytest.raises(sn.FrameError, match="singular frame"):
+            sn.FramePatch(grid, 1e-4 * degenerate)
+
 
 class TestSpinConnection:
     def test_minkowski_zero_exact(self):
@@ -138,7 +151,7 @@ class TestSpinConnection:
         errs = []
         for grid, fr, _ in (ads9, ads17):
             w_fd = sn.spin_connection(fr)
-            w_an = fr.conn_fn(grid.coords())
+            w_an = full_connection(fr, grid.coords())
             m = region_mask(grid)
             errs.append(float(np.max(np.abs(w_fd[m] - w_an[m]))))
         assert errs[0] < 2e-2
@@ -147,7 +160,7 @@ class TestSpinConnection:
     def test_metric_compatibility(self, ads9, ads17):
         errs = []
         for _, fr, _ in (ads9, ads17):
-            errs.append(sn.metric_compatibility_residual(fr, sn.spin_connection(fr)))
+            errs.append(metric_compatibility_residual(fr, sn.spin_connection(fr)))
         assert errs[1] < errs[0]
         assert errs[1] < 5e-3
 
@@ -336,6 +349,22 @@ class TestChiralAlgebra:
 # first written as, one formula each.  The stacked-matmul kernels of the
 # module must agree with them to roundoff.
 
+def full_connection(fr, pts):
+    """w (..., mu, a, b): the direction-only evaluator stacked over mu."""
+    return np.stack([fr.conn_fn(pts, mu) for mu in range(4)], axis=-3)
+
+
+def metric_compatibility_residual(fr, w):
+    """Max norm over the margin-2 interior of
+    d_mu e^a_nu + w_mu^a_b e^b_nu - Gam^l_{mu nu} e^a_l  (second order)."""
+    gam = gr.christoffel(fr.geometry, fr.grid)
+    de = np.moveaxis(gr.partials(fr.e, fr.grid), -1, -3)     # (..., mu, a, nu)
+    wu = np.einsum("ac,...mcb->...mab", np.linalg.inv(sn.ETA), w)
+    term = (de + np.einsum("...mab,...bn->...man", wu, fr.e)
+            - np.einsum("...lmn,...al->...man", gam, fr.e))
+    return float(np.max(np.abs(term[fr.grid.interior()])))
+
+
 def oracle_generator(rep, w_mab, e_am, lam):
     gup = np.einsum("ab,bij->aij", np.linalg.inv(rep.eta), rep.gamma)
     quarter = 0.25 * np.einsum("...mab,aij,bjk->...mik", w_mab, gup, gup)
@@ -378,13 +407,15 @@ def oracle_bilinears(fr, eps, rep):
 
 
 def oracle_integrate(fr, lam, eps0, rep, axis_order):
-    # all four directions built at every RK4 stage, the unused three dropped
+    # one RK4 step per edge, three generator evaluations each, all four
+    # directions built at every stage and the unused three dropped
     coords = fr.grid.coords()
     eps = np.zeros(fr.grid.shape + (4,))
     eps[(0,) * 4] = eps0
 
     def m_at(q, axis):
-        return oracle_generator(rep, fr.conn_fn(q), fr.frame_fn(q), lam)[..., axis, :, :]
+        return oracle_generator(rep, full_connection(fr, q), fr.frame_fn(q),
+                                lam)[..., axis, :, :]
 
     def apply(m, y):
         return np.einsum("...ij,...j->...i", m, y)
@@ -428,8 +459,8 @@ def wavy9():
     def frame_fn(pts):
         return np.eye(4) + 0.1 * np.sin(np.einsum("...n,amn->...am", pts, k_e) + phi_e)
 
-    def conn_fn(pts):
-        w = 0.3 * np.cos(np.einsum("...n,mabn->...mab", pts, k_w) + phi_w)
+    def conn_fn(pts, mu):
+        w = 0.3 * np.cos(np.einsum("...n,abn->...ab", pts, k_w[mu]) + phi_w[mu])
         return w - np.swapaxes(w, -1, -2)
 
     grid = gr.GridPatch(((-0.4, 0.4),) * 4, (9,) * 4)
@@ -440,14 +471,14 @@ def wavy9():
 class TestKernelOracles:
     def test_transport_generator_all_directions(self, wavy9, rep):
         x = wavy9.grid.coords()
-        w, e = wavy9.conn_fn(x), wavy9.e
+        w, e = full_connection(wavy9, x), wavy9.e
         for lam in (0.0, 0.7):
             new = sn._transport_generator(rep, w, np.swapaxes(e, -1, -2), lam)
             assert rel_err(new, oracle_generator(rep, w, e, lam)) < 1e-13
 
     def test_axis_generator_is_slice_of_full(self, wavy9, rep):
         pts = wavy9.grid.coords()[:, 2, :, 3]
-        full = oracle_generator(rep, wavy9.conn_fn(pts), wavy9.frame_fn(pts), 0.7)
+        full = oracle_generator(rep, full_connection(wavy9, pts), wavy9.frame_fn(pts), 0.7)
         for axis in range(4):
             one = sn._axis_generator(wavy9, rep, 0.7, pts, axis)
             assert rel_err(one, full[..., axis, :, :]) < 1e-13
@@ -472,6 +503,46 @@ class TestKernelOracles:
         _, fr, _ = ads9
         new = sn.integrate_killing(fr, LAM, EPS0, axis_order=order)
         assert rel_err(new, oracle_integrate(fr, LAM, EPS0, rep, order)) < 1e-13
+
+    @pytest.mark.parametrize("order", [(0, 1, 2, 3), (3, 2, 1, 0), (2, 0, 3, 1)])
+    def test_integrate_killing_noncubic(self, rep, order):
+        grid = gr.GridPatch(((-0.4, 0.4), (-0.3, 0.5), (-0.4, 0.6), (0.8, 1.6)),
+                            (7, 9, 11, 8))
+        fr = sn.builtin_frame("ads4-poincare", grid, lam=LAM)
+        new = sn.integrate_killing(fr, LAM, EPS0, axis_order=order)
+        assert rel_err(new, oracle_integrate(fr, LAM, EPS0, rep, order)) < 1e-13
+
+    def test_integrate_killing_wavy(self, wavy9, rep):
+        # a generator that varies along every axis, in every direction
+        order = (1, 3, 0, 2)
+        new = sn.integrate_killing(wavy9, 0.7, EPS0, axis_order=order)
+        assert rel_err(new, oracle_integrate(wavy9, 0.7, EPS0, rep, order)) < 1e-13
+
+    def test_one_connection_call_per_axis(self, ads9):
+        _, fr, _ = ads9
+        calls = []
+
+        def counted(pts, mu):
+            calls.append((np.shape(pts), mu))
+            return fr.conn_fn(pts, mu)
+
+        spy = sn.FramePatch(fr.grid, fr.e, frame_fn=fr.frame_fn, conn_fn=counted)
+        order = (2, 0, 3, 1)
+        eps = sn.integrate_killing(spy, LAM, EPS0, axis_order=order)
+        assert [mu for _, mu in calls] == list(order)
+        # 2n - 1 nodes and midpoints on each line of the swept block
+        assert [shape[-2:] for shape, _ in calls] == [(17, 4)] * 4
+        assert np.array_equal(eps, sn.integrate_killing(fr, LAM, EPS0, axis_order=order))
+
+    def test_conformal_connection_formula(self):
+        rng = np.random.default_rng(12)
+        grad = rng.standard_normal((5, 3, 4))
+        conn = sn.conformal_connection(lambda pts: grad)
+        pts = np.zeros((5, 3, 4))
+        for mu in range(4):
+            expect = (np.einsum("a,...b->...ab", sn.ETA[:, mu], grad)
+                      - np.einsum("b,...a->...ab", sn.ETA[:, mu], grad))
+            assert np.array_equal(conn(pts, mu), expect)
 
     def test_tables_built_once_and_read_only(self, rep):
         assert sn.clifford_rep() is rep
