@@ -13,9 +13,9 @@ from .symplectic import (DimensionError, DomainError, ElectromagneticPair,
                          sp_check)
 from .models import (Model, ScalarChart, TransformedModel, builtin,
                      load_model, parse_isometry, parse_model, print_model)
-from .duality import (KillingField, StabilizerReport, UDualityReport,
-                      check_uduality_pair, killing_basis, killing_residual,
-                      lift_killing_field, stab_sp_algebra, uduality_algebra)
+from .duality import (KillingBasis, StabilizerReport, UDualityReport,
+                      check_uduality_pair, killing_basis, lift_killing_field,
+                      stab_sp_algebra, uduality_algebra)
 from .holonomy import (BundlePresentation, autb_theta_algebra,
                        centralizer_algebra, conjugacy_invariants, parse_bundle,
                        presentation_check)

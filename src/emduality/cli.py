@@ -200,7 +200,7 @@ def cmd_lift(args) -> Report:
     if not 0 <= idx < len(fields):
         raise UsageError(f"killing index {idx} out of range")
     xi = fields[idx]
-    rep.info("killing", xi.name)
+    rep.info("killing", xi.names[0])
     x, res = du.lift_killing_field(model, xi)
     rep.add("lift_residual", res, tol=du.TOL_LIFT, passed=x is not None)
     if x is not None:

@@ -12,11 +12,11 @@ import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
-from . import expressions as ex
 from .errors import EmdualityError
 from .models import ScalarChart, checked_periods
-from .symplectic import (fractional_action, infinitesimal_fractional_action,
-                         null_space, sp_basis)
+from .symplectic import (column_rank, fractional_action,
+                         infinitesimal_fractional_action, null_space, sp_basis,
+                         unit_columns)
 
 RANK_RTOL = 1e-8       # relative singular value threshold for rank decisions
 TOL_LIFT = 1e-8        # normalized residual below which a lift is accepted
@@ -27,84 +27,48 @@ class SampleInstabilityError(RuntimeError, EmdualityError):
     """Reported dimension changed when the sample set was doubled."""
 
 
-def _coord_env(chart: ScalarChart, p: np.ndarray) -> dict[str, np.ndarray]:
-    """Symbol environment for Killing field components at a point or a stack
-    of points: x, y on the half plane, x1..xk on flat charts."""
-    if chart.kind == "poincare":
-        p = np.asarray(p, dtype=float)
-        return {"x": p[..., 0] + 0j, "y": p[..., 1] + 0j}
-    return chart.env(p)
-
-
 @dataclass(frozen=True)
-class KillingField:
-    """Isometry generator of a chart metric with expression components."""
+class KillingBasis:
+    """Isometry generators of a chart metric in closed form, or a run of them:
+    d_x, x d_x + y d_y and (x^2 - y^2) d_x + 2xy d_y on the half plane;
+    the translations d_xi, then the rotations xi d_xj - xj d_xi (i < j), on a
+    flat chart."""
 
-    name: str
     chart: ScalarChart
-    components: tuple[ex.Expr, ...]
+    names: tuple[str, ...]
+    first: int = 0   # position of names[0] among the chart's generators
 
-    # value, jacobian and lie_derivative_metric take a point (dim,) or a
-    # stack of points (..., dim).
+    def __len__(self) -> int:
+        return len(self.names)
 
-    def _stack(self, value, shape: tuple[int, ...], axis: int) -> np.ndarray:
-        return np.stack([np.broadcast_to(np.real(value(c)), shape)
-                         for c in self.components], axis=axis)
+    def __getitem__(self, k: int) -> KillingBasis:
+        """Field k alone, as a basis of one."""
+        k = range(len(self.names))[k]
+        return KillingBasis(self.chart, self.names[k:k + 1], self.first + k)
 
-    def value(self, p: np.ndarray) -> np.ndarray:
-        p = np.asarray(p, dtype=float)
-        env = _coord_env(self.chart, p)
-        return self._stack(lambda c: ex.evaluate(c, env), p.shape[:-1], -1)
-
-    def jacobian(self, p: np.ndarray) -> np.ndarray:
-        """d xi^i / d x^j, exact from the expression derivative."""
-        p = np.asarray(p, dtype=float)
-        dim = self.chart.dim
-        env = _coord_env(self.chart, p[..., None, :])     # axis j: direction
-        denv = _coord_env(self.chart, np.eye(dim))
-        return self._stack(lambda c: ex.derivative(c, env, denv), p.shape[:-1] + (dim,), -2)
-
-    def lie_derivative_metric(self, p: np.ndarray) -> np.ndarray:
-        """(L_xi G)_ij = xi^k dG_ij/dx^k + G_kj dxi^k/dx^i + G_ik dxi^k/dx^j."""
-        g = self.chart.metric(p)
-        dxi = self.jacobian(p)
-        return (np.einsum("...k,...kij->...ij", self.value(p), self.chart.metric_deriv(p))
-                + np.swapaxes(dxi, -1, -2) @ g + g @ dxi)
+    def along(self, p: np.ndarray, dn: np.ndarray) -> np.ndarray:
+        """Period derivative along every field, a stack (k, npts, n, n), at the
+        points p (npts, dim) from the partials dn (npts, dim, n, n) of N along
+        the chart axes: dN[xi] = xi^j d_j N."""
+        d = np.moveaxis(dn, 1, 0)            # d[j] = d_j N, (dim, npts, n, n)
+        coords = p.T[..., None, None]        # coords[j] = x^j, broadcast with d[j]
+        if self.chart.kind == "poincare":
+            (x, y), (dx, dy) = coords, d
+            out = np.stack([dx, x * dx + y * dy, (x * x - y * y) * dx + 2 * x * y * dy])
+        else:
+            i, j = np.triu_indices(self.chart.dim, 1)
+            out = np.concatenate([d, coords[i] * d[j] - coords[j] * d[i]])
+        return out[self.first:self.first + len(self)]
 
 
-def killing_basis(chart: ScalarChart) -> list[KillingField]:
+def killing_basis(chart: ScalarChart) -> KillingBasis:
     """Basis of the isometry algebra: sl(2, R) generators on the half plane,
     translations + rotations on flat charts."""
     if chart.kind == "poincare":
-        one = ex.Num(1 + 0j)
-        return [
-            KillingField("d_x", chart, (one, ex.Num(0j))),
-            KillingField("x d_x + y d_y", chart, (ex.parse("x", {"x"}), ex.parse("y", {"y"}))),
-            KillingField("(x^2 - y^2) d_x + 2xy d_y", chart,
-                         (ex.parse("x^2 - y^2", {"x", "y"}), ex.parse("2*x*y", {"x", "y"}))),
-        ]
-    if chart.kind == "flat":
-        out = []
-        for i in range(chart.dim):
-            comps = [ex.Num(0j)] * chart.dim
-            comps[i] = ex.Num(1 + 0j)
-            out.append(KillingField(f"d_x{i + 1}", chart, tuple(comps)))
-        syms = {f"x{i + 1}" for i in range(chart.dim)}
-        for i in range(chart.dim):
-            for j in range(i + 1, chart.dim):
-                comps = [ex.Num(0j)] * chart.dim
-                comps[i] = ex.parse(f"-x{j + 1}", syms)
-                comps[j] = ex.parse(f"x{i + 1}", syms)
-                out.append(KillingField(f"x{i + 1} d_x{j + 1} - x{j + 1} d_x{i + 1}",
-                                        chart, tuple(comps)))
-        return out
-    raise ValueError(f"unsupported chart kind {chart.kind!r}")
-
-
-def killing_residual(field_: KillingField, points: np.ndarray) -> float:
-    """Max-norm of the metric Lie derivative over the points."""
-    lie = field_.lie_derivative_metric(np.atleast_2d(points))
-    return float(np.max(np.abs(lie), initial=0.0))
+        return KillingBasis(chart, ("d_x", "x d_x + y d_y", "(x^2 - y^2) d_x + 2xy d_y"))
+    x = [f"x{i + 1}" for i in range(chart.dim)]
+    return KillingBasis(chart, tuple(f"d_{a}" for a in x) + tuple(
+        f"{x[i]} d_{x[j]} - {x[j]} d_{x[i]}" for i, j in zip(*np.triu_indices(chart.dim, 1))))
 
 
 # ------------------------------------------------------------ linear systems
@@ -152,33 +116,37 @@ def _system(model, samples, fields=(), what: str | None = None) -> _System:
     stab = _columns(infinitesimal_fractional_action(basis[:, None], tau))
     periods = np.zeros((len(stab), 0))
     if fields:
-        # dN along each chart axis once, then dN[xi] = xi^j d_j N field by field:
-        # a (k, npts, dim) stack of field values would grow as dim^5 with the
-        # default sample count (6.6 GB with its direction environment at dim 64)
         partials = model.period_directional(samples[:, None, :], np.eye(samples.shape[1]))
-        periods = _columns(np.stack([np.einsum("pj,pjab->pab", kf.value(samples), partials)
-                                     for kf in fields]))
+        periods = _columns(fields.along(samples, partials))
     half = max(len(samples) // 2, 1) * model.n_v * (model.n_v + 1)
     return _System(samples, tau, basis, stab, periods, half)
 
 
-def _stable_null_space(rows: np.ndarray, half: int, what: str) -> np.ndarray:
-    """Null space of the rows, whose dimension must equal that of rows[:half]."""
-    null_half = null_space(rows[:half], RANK_RTOL)
-    null_full = null_space(rows, RANK_RTOL)
-    if null_half.shape[1] != null_full.shape[1]:
-        raise SampleInstabilityError(f"{what} dim changed {null_half.shape[1]} -> "
-                                     f"{null_full.shape[1]} when doubling samples")
-    return null_full
+def _nullity(rows: np.ndarray) -> int:
+    return rows.shape[1] - column_rank(rows, RANK_RTOL)
+
+
+def _stable(dim: int, rows: np.ndarray, half: int, what: str) -> int:
+    """dim, the null-space dimension of the rows, checked equal to that of
+    rows[:half], which is counted by rank alone."""
+    dim_half = _nullity(rows[:half])
+    if dim_half != dim:
+        raise SampleInstabilityError(f"{what} dim changed {dim_half} -> {dim} "
+                                     "when doubling samples")
+    return dim
 
 
 def _lifts(system: _System, tol: float) -> list[tuple[np.ndarray | None, float]]:
-    """(X, normalized residual) per field, from one least-squares solve; X is
-    None when the residual exceeds tol."""
-    sol, *_ = np.linalg.lstsq(system.stab, system.periods, rcond=None)
-    scale = np.maximum(1.0, np.max(np.abs(system.periods), axis=0))
-    residual = np.max(np.abs(system.stab @ sol - system.periods), axis=0) / scale
-    mats = np.tensordot(sol.T, system.basis, axes=1)
+    """(X, residual) per field, from one least-squares solve on the stabilizer
+    columns scaled to unit norm.  Each residual is relative to the largest
+    entry of the field's own P column (0 for a zero column), so it does not
+    depend on the scale of N; X is None when it exceeds tol."""
+    scaled, norms = unit_columns(system.stab)
+    sol, *_ = np.linalg.lstsq(scaled, system.periods, rcond=None)
+    peak = np.max(np.abs(system.periods), axis=0, initial=0.0)
+    residual = (np.max(np.abs(scaled @ sol - system.periods), axis=0, initial=0.0)
+                / np.where(peak > 0, peak, 1.0))
+    mats = np.tensordot(sol.T / norms, system.basis, axes=1)
     return [(x if r <= tol else None, float(r)) for x, r in zip(mats, residual)]
 
 
@@ -199,7 +167,8 @@ def stab_sp_algebra(model, samples: np.ndarray | None = None) -> StabilizerRepor
     be stable under halving the sample set or SampleInstabilityError is raised.
     """
     system = _system(model, samples, what="stabilizer")
-    null = _stable_null_space(system.stab, system.half, "stabilizer")
+    null = null_space(system.stab, RANK_RTOL)
+    _stable(null.shape[1], system.stab, system.half, "stabilizer")
     residual = float(np.max(np.abs(system.stab @ null), initial=0.0))
     # exact check that -Id fixes every sampled period value
     tau = system.tau
@@ -212,15 +181,16 @@ def stab_sp_algebra(model, samples: np.ndarray | None = None) -> StabilizerRepor
                             minus_id_fixes_period=minus_ok)
 
 
-def lift_killing_field(model, xi: KillingField, samples: np.ndarray | None = None,
+def lift_killing_field(model, xi: KillingBasis, samples: np.ndarray | None = None,
                        tol: float = TOL_LIFT) -> tuple[np.ndarray | None, float]:
-    """Least-squares sp(2n, R) element matching the period derivative along xi.
+    """Least-squares sp(2n, R) element matching the period derivative along xi,
+    a basis of one field (``killing_basis(chart)[k]``).
 
     Returns (X, residual); X is None when the normalized residual exceeds tol
     (the field does not lift).  X always satisfies the sp condition exactly
     since it is built in sp coordinates.
     """
-    [(x, residual)] = _lifts(_system(model, samples, (xi,)), tol)
+    [(x, residual)] = _lifts(_system(model, samples, xi), tol)
     return x, residual
 
 
@@ -246,10 +216,10 @@ def uduality_algebra(model, samples: np.ndarray | None = None) -> UDualityReport
     """
     kfields = killing_basis(model.chart)
     system = _system(model, samples, kfields, what="result")
-    null = _stable_null_space(np.column_stack([system.stab, -system.periods]),
-                              system.half, "U-duality")
-    dim_u = null.shape[1]
-    dim_stab = _stable_null_space(system.stab, system.half, "stabilizer").shape[1]
+    joint = np.column_stack([system.stab, -system.periods])
+    null = null_space(joint, RANK_RTOL)
+    dim_u = _stable(null.shape[1], joint, system.half, "U-duality")
+    dim_stab = _stable(_nullity(system.stab), system.stab, system.half, "stabilizer")
     # rank of the isometry rows of the orthonormal null basis, on an absolute
     # threshold: their singular values are at most 1, so it is scale-free, where
     # unit-norm columns would turn roundoff into rank.  Off the row space vs of the
@@ -258,7 +228,7 @@ def uduality_algebra(model, samples: np.ndarray | None = None) -> UDualityReport
     dim_iso_pr = dim_u - len(vs) + int(np.linalg.matrix_rank(null[len(system.basis):] @ vs.T,
                                                               tol=RANK_RTOL))
 
-    table = [(kf.name, x, res) for kf, (x, res) in zip(kfields, _lifts(system, TOL_LIFT))]
+    table = [(name, x, res) for name, (x, res) in zip(kfields.names, _lifts(system, TOL_LIFT))]
     lifted = sum(1 for _, x, _ in table if x is not None)
     return UDualityReport(dim_u=dim_u, dim_stab_sp=dim_stab, dim_iso_pr=dim_iso_pr,
                           exactness_gap=dim_u - dim_stab - dim_iso_pr, lift_table=table,

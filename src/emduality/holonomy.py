@@ -176,11 +176,3 @@ def parse_bundle(text: str) -> BundlePresentation:
         raise PresentationError("file must set nv")
     return BundlePresentation(n_v, gens, rels)
 
-
-def print_bundle(p: BundlePresentation) -> str:
-    lines = [f"nv = {p.n_v}"]
-    for g in p.generators:
-        lines.append("generator = " + " ".join(repr(float(v)) for v in g.ravel()))
-    for w in p.relations:
-        lines.append("relation = " + " ".join(str(i) for i in w))
-    return "\n".join(lines) + "\n"

@@ -64,18 +64,36 @@ def omega(n: int) -> np.ndarray:
     return out
 
 
-def null_space(a: np.ndarray, rtol: float) -> np.ndarray:
-    """Orthonormal null-space basis (columns) of a.  One SVD of a with its
-    columns scaled to unit norm decides the rank, so it does not depend on the
-    scale of each unknown.  The null vectors, put in column echelon form over
-    the coordinates by scale and mapped back, are orthonormalized by QR, which
-    then mixes no large entry into a small coordinate.  A matrix with no
-    entries has all of R^k as its null space."""
+def unit_columns(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """a with each nonzero column scaled to unit norm, and the column scales
+    (1 for a zero column)."""
     norms = np.linalg.norm(a, axis=0)
     norms = np.where(norms > 0, norms, 1.0)
+    return a / norms, norms
+
+
+def _rank(s: np.ndarray, rtol: float) -> int:
+    return int(np.sum(s > rtol * np.max(s, initial=0.0)))
+
+
+def column_rank(a: np.ndarray, rtol: float) -> int:
+    """Rank of a by the rule of ``null_space``: the singular values of a with
+    unit-norm columns above rtol times the largest, from one SVD without
+    singular vectors."""
+    return _rank(np.linalg.svd(unit_columns(a)[0], compute_uv=False), rtol)
+
+
+def null_space(a: np.ndarray, rtol: float) -> np.ndarray:
+    """Orthonormal null-space basis (columns) of a.  One SVD of a with its
+    columns scaled to unit norm decides the rank (``column_rank``), so it does
+    not depend on the scale of each unknown.  The null vectors, put in column
+    echelon form over the coordinates by scale and mapped back, are
+    orthonormalized by QR, which then mixes no large entry into a small
+    coordinate.  A matrix with no entries has all of R^k as its null space."""
+    scaled, norms = unit_columns(a)
     # a wide a needs the full V; for a tall one full_matrices would only add an m x m U
-    _, s, vh = np.linalg.svd(a / norms, full_matrices=a.shape[0] < a.shape[1])
-    rank = int(np.sum(s > rtol * np.max(s, initial=0.0)))
+    _, s, vh = np.linalg.svd(scaled, full_matrices=a.shape[0] < a.shape[1])
+    rank = _rank(s, rtol)
     order = np.argsort(norms, kind="stable")   # largest 1/norm first
     echelon = np.linalg.qr(vh[rank:, order], mode="r").T   # lower trapezoidal basis
     return np.linalg.qr(echelon / norms[order, None])[0][np.argsort(order)]
@@ -225,10 +243,6 @@ class Taming:
     @property
     def n(self) -> int:
         return self.J.shape[0] // 2
-
-    def gram(self) -> np.ndarray:
-        """Positive-definite Gram matrix Q with Q(s, t) = omega(s, J t)."""
-        return omega(self.n) @ self.J
 
 
 @dataclass(frozen=True)
@@ -386,9 +400,3 @@ def random_sp(n: int, rng: np.random.Generator, scale: float = 0.5) -> np.ndarra
     x = sum(c * b for c, b in zip(coeff, basis))
     return scipy.linalg.expm(x)
 
-
-def random_sp_algebra(n: int, rng: np.random.Generator, scale: float = 1.0) -> np.ndarray:
-    """Random element of the Lie algebra sp(2n, R)."""
-    basis = sp_basis(n)
-    coeff = rng.standard_normal(len(basis)) * scale
-    return sum(c * b for c, b in zip(coeff, basis))

@@ -1,8 +1,10 @@
 import numpy as np
 import pytest
 import scipy.linalg
+from killing_oracle import killing_residual, oracle_basis
 
 from emduality import duality as du
+from emduality import expressions as ex
 from emduality import models as md
 from emduality.symplectic import (in_sp_algebra, infinitesimal_fractional_action,
                                   omega, sp_basis)
@@ -10,7 +12,7 @@ from emduality.symplectic import (in_sp_algebra, infinitesimal_fractional_action
 FLAT2 = md.parse_model("nv=2\nchart=flat\ndim=2\n"
                        "N[1,1] = i*(2 + x1^2)\nN[1,2] = x2\nN[2,2] = 3*i + x1")
 # 55 Killing fields on a 10-dimensional flat chart (tests/golden/unstable.model)
-FLAT10 = md.parse_model("nv=1\nchart=flat\ndim=10\nN[1,1] = x1 + i*(2 + x1^2)")
+FLAT10 = md.parse_model("name=flat10\nnv=1\nchart=flat\ndim=10\nN[1,1] = x1 + i*(2 + x1^2)")
 T3 = md.builtin("t3")
 T3_IMAGE = md.TransformedModel(T3, md.parse_isometry("scale:1.3", T3.chart),
                                np.array([[1.0, 0.0, 0.0, 0.0], [0.0, 1.0, 0.0, 0.0],
@@ -29,11 +31,13 @@ class TestKillingBasis:
         chart = md.ScalarChart("poincare", 2)
         assert len(du.killing_basis(chart)) == 3
 
-    def test_flat_dim1_single_translation(self):
+    def test_flat_dim1_single_translation(self, rng):
         chart = md.ScalarChart("flat", 1)
         fields = du.killing_basis(chart)
-        assert len(fields) == 1
-        assert np.allclose(fields[0].value(np.array([0.3])), [1.0])
+        assert fields.names == ("d_x1",)
+        assert np.allclose(oracle_basis(chart)[0].value(np.array([0.3])), [1.0])
+        dn = rng.standard_normal((4, 1, 2, 2))
+        assert np.array_equal(fields.along(rng.standard_normal((4, 1)), dn), dn[None, :, 0])
 
     def test_flat_counts(self):
         assert len(du.killing_basis(md.ScalarChart("flat", 3))) == 3 + 3
@@ -42,14 +46,16 @@ class TestKillingBasis:
     def test_killing_equation_residual(self, kind, dim):
         chart = md.ScalarChart(kind, dim)
         pts = chart.sample_points(100)
-        for kf in du.killing_basis(chart):
-            assert du.killing_residual(kf, pts) <= 1e-8
+        oracle = oracle_basis(chart)
+        assert tuple(kf.name for kf in oracle) == du.killing_basis(chart).names
+        for kf in oracle:
+            assert killing_residual(kf, pts) <= 1e-8
 
     def test_lie_derivative_matches_fd_oracle(self):
         # oracle: central finite differences of the pulled-back metric along
         # the flow, phi_t(p) ~ p + t xi(p)
         chart = md.ScalarChart("poincare", 2)
-        kf = du.killing_basis(chart)[2]
+        kf = oracle_basis(chart)[2]
         h = 1e-6
         for p in chart.sample_points(10):
             xi = kf.value(p)
@@ -240,16 +246,32 @@ class TestLinearSystem:
         assert system.stab.shape == oracle.shape
         assert np.max(np.abs(system.stab - oracle)) <= 1e-13 * max(1.0, np.max(np.abs(oracle)))
 
-    @pytest.mark.parametrize("model", SYSTEM_MODELS, ids=lambda m: m.name)
+    @pytest.mark.parametrize("model", SYSTEM_MODELS + [FLAT10], ids=lambda m: m.name)
     def test_period_columns_match_per_field_oracle(self, model):
-        # oracle: the directional derivative along each field's values
+        # oracle: the directional derivative along the values of each
+        # expression-tree field, against KillingBasis.along and the P columns
         fields = du.killing_basis(model.chart)
         system = du._system(model, None, fields)
+        along = fields.along(system.samples, model.period_directional(
+            system.samples[:, None, :], np.eye(model.chart.dim)))
         iu = np.triu_indices(model.n_v)
-        for col, kf in zip(system.periods.T, fields):
-            d = model.period_directional(system.samples, kf.value(system.samples))[:, iu[0], iu[1]]
-            oracle = np.concatenate([d.real, d.imag], axis=-1).ravel()
-            assert np.max(np.abs(col - oracle)) <= 1e-13 * max(1.0, np.max(np.abs(oracle)))
+        for col, dn, kf in zip(system.periods.T, along, oracle_basis(model.chart), strict=True):
+            d = model.period_directional(system.samples, kf.value(system.samples))
+            scale = max(1.0, np.max(np.abs(d)))
+            assert np.max(np.abs(dn - d)) <= 1e-13 * scale
+            d = d[:, iu[0], iu[1]]
+            assert np.max(np.abs(col - np.concatenate([d.real, d.imag], axis=-1).ravel())
+                          ) <= 1e-13 * scale
+
+    def test_one_field_is_a_run_of_the_basis(self, rng):
+        fields = du.killing_basis(md.ScalarChart("flat", 4))
+        p, dn = rng.standard_normal((5, 4)), rng.standard_normal((5, 4, 2, 2))
+        whole = fields.along(p, dn)
+        for k in (0, 3, 4, 9, -1):
+            assert fields[k].names == (fields.names[k],)
+            assert np.array_equal(fields[k].along(p, dn), whole[k][None])
+        with pytest.raises(IndexError):
+            fields[10]
 
     @pytest.mark.parametrize("model", SYSTEM_MODELS, ids=lambda m: m.name)
     def test_half_sample_set_is_a_row_prefix(self, model):
@@ -260,7 +282,10 @@ class TestLinearSystem:
         assert np.array_equal(full.periods[: full.half], half.periods)
 
     def test_one_period_evaluation_per_uduality_call(self, monkeypatch):
-        counts = {"checked_periods": 0, "period_directional": 0}
+        """One evaluation of the model per call, and as many expression
+        evaluations for 55 Killing fields (FLAT10) as for 3 (the same N on a
+        2-dimensional chart): nothing is evaluated field by field."""
+        counts = {}
 
         def counted(name, fn):
             def wrapper(*args, **kwargs):
@@ -271,9 +296,19 @@ class TestLinearSystem:
         monkeypatch.setattr(du, "checked_periods", counted("checked_periods", du.checked_periods))
         monkeypatch.setattr(md.Model, "period_directional",
                             counted("period_directional", md.Model.period_directional))
-        rep = du.uduality_algebra(md.builtin("t3"))
-        assert (rep.dim_u, rep.dim_stab_sp, rep.dim_iso_pr) == (3, 0, 3)
-        assert counts == {"checked_periods": 1, "period_directional": 1}
+        monkeypatch.setattr(ex, "evaluate", counted("evaluate", ex.evaluate))
+        monkeypatch.setattr(ex, "derivative", counted("derivative", ex.derivative))
+        flat2 = md.parse_model("nv=1\nchart=flat\ndim=2\nN[1,1] = x1 + i*(2 + x1^2)")
+        seen = []
+        for model, dims in ((md.builtin("t3"), (3, 0, 3)), (FLAT10, (45, 0, 45)),
+                            (flat2, (1, 0, 1))):
+            counts.update(dict.fromkeys(("checked_periods", "period_directional",
+                                         "evaluate", "derivative"), 0))
+            rep = du.uduality_algebra(model)
+            assert (rep.dim_u, rep.dim_stab_sp, rep.dim_iso_pr) == dims
+            assert (counts["checked_periods"], counts["period_directional"]) == (1, 1)
+            seen.append((counts["evaluate"], counts["derivative"]))
+        assert seen[1] == seen[2]
 
     def test_default_samples_grow_with_unknowns(self):
         for name in md.BUILTIN_NAMES + ("constant-i:12",):
@@ -283,10 +318,17 @@ class TestLinearSystem:
         assert len(du._sample_set(FLAT10, None, 55)) == 58
 
     def test_default_samples_stabilize_many_killing_fields(self):
-        rep = du.uduality_algebra(FLAT10)
-        assert (rep.dim_u, rep.dim_stab_sp, rep.dim_iso_pr) == (45, 0, 45)
-        assert rep.samples_used == 58
-        assert rep.notes == "45/55 Killing basis fields admit lifts"
+        # closed form on a d-dimensional flat chart with N = x1 + i(2 + x1^2):
+        # the d(d-1)/2 fields that fix x1 lift, and nothing else is in u
+        for d, samples in ((10, 58), (48, 1180)):
+            model = FLAT10 if d == 10 else md.parse_model(
+                f"nv=1\nchart=flat\ndim={d}\nN[1,1] = x1 + i*(2 + x1^2)")
+            rep = du.uduality_algebra(model)
+            rot = d * (d - 1) // 2
+            assert (rep.dim_u, rep.dim_stab_sp, rep.dim_iso_pr, rep.exactness_gap) == (
+                rot, 0, rot, 0)
+            assert rep.samples_used == samples
+            assert rep.notes == f"{rot}/{rot + d} Killing basis fields admit lifts"
 
     def test_zero_dim_flat_chart_has_no_fields(self):
         rep = du.uduality_algebra(md.parse_model("nv=1\nchart=flat\ndim=0\nN[1,1] = i"))
@@ -317,3 +359,24 @@ class TestRankRule:
         rep = du.uduality_algebra(m)
         assert (rep.dim_u, rep.dim_stab_sp, rep.dim_iso_pr, rep.exactness_gap) == (1, 1, 0, 0)
         assert rep.notes == "0/1 Killing basis fields admit lifts"
+
+    @pytest.mark.parametrize("c", [1e-9, 1.0, 1e6])
+    def test_lifts_do_not_depend_on_the_scale_of_n(self, c):
+        """N = c (x1 + 2i): the fields that fix x1 (d_x2, d_x3 and the
+        rotation in the (x2, x3) plane) lift, as does d_x1; the rotations
+        that move x1 do not, whatever c."""
+        m = md.parse_model(f"nv = 1\nchart = flat\ndim = 3\nN[1,1] = {c!r}*(x1 + 2*i)")
+        rep = du.uduality_algebra(m)
+        assert (rep.dim_u, rep.dim_stab_sp, rep.dim_iso_pr, rep.exactness_gap) == (4, 0, 4, 0)
+        assert rep.notes == "4/6 Killing basis fields admit lifts"
+        assert [name for name, x, _ in rep.lift_table if x is None] == [
+            "x1 d_x2 - x2 d_x1", "x1 d_x3 - x3 d_x1"]
+
+    def test_a_large_entry_leaves_the_translation_lift(self):
+        """N = diag(x1 + 2i, 1e6 i): d_x1 lifts to the translation of N11
+        although the stabilizer columns of the second entry are 1e12 larger,
+        so the lifts count dim_iso_pr."""
+        m = md.parse_model("nv = 2\nchart = flat\ndim = 2\nN[1,1] = x1 + 2*i\nN[2,2] = 1e6*i")
+        rep = du.uduality_algebra(m)
+        assert rep.dim_iso_pr == 2
+        assert rep.notes == "2/3 Killing basis fields admit lifts"
