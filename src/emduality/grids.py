@@ -1,8 +1,12 @@
 """Finite-difference residuals of the Einstein, scalar and field-strength
 closure equations on a 4d coordinate patch, plus the duality transport harness.
 
-Discretization: second-order central differences (nested for second
-derivatives), residuals valid on interior nodes with margin 2.  Residuals are
+Discretization: second-order central differences, one grid direction per
+stencil (``partial``, with ``np.gradient``'s arithmetic; ``partials`` stacks
+the four), nested for second derivatives; residuals valid on interior nodes
+with margin 2.  Curvature and closure run one stencil direction at a time and
+keep only what their formulas read: the Ricci tensor two traces of d Gamma,
+the closure residual the four independent components of dV.  Residuals are
 evaluated, never solved: no boundary conditions enter anywhere.
 
 The scalar equation is assembled in two ways from the same discrete
@@ -76,20 +80,38 @@ class GridPatch:
         return GridPatch(self.extents, tuple(2 * (n - 1) + 1 for n in self.resolution))
 
 
+def partial(f: np.ndarray, grid: GridPatch, axis: int, out: np.ndarray | None = None
+            ) -> np.ndarray:
+    """Central difference of f along one grid axis, with ``np.gradient``'s
+    arithmetic (one-sided at the two end nodes), written into out if given.
+
+    f has shape grid + extra, and so has the result.  Valid on margin-1
+    interior nodes.
+    """
+    h = grid.h[axis]
+    if out is None:
+        out = np.empty(f.shape, np.result_type(f, 1.0))
+    f = np.moveaxis(f, axis, 0)
+    o = np.moveaxis(out, axis, 0)
+    np.subtract(f[2:], f[:-2], out=o[1:-1])
+    o[1:-1] /= 2.0 * h
+    np.subtract(f[1], f[0], out=o[0])
+    o[0] /= h
+    np.subtract(f[-1], f[-2], out=o[-1])
+    o[-1] /= h
+    return out
+
+
 def partials(f: np.ndarray, grid: GridPatch) -> np.ndarray:
     """Central-difference first derivatives, appended as a trailing axis.
 
     f has shape grid + extra; output grid + extra + (4,), last index the
     derivative direction.  Valid on margin-1 interior nodes.
     """
-    h = grid.h
-    return np.stack([np.gradient(f, h[a], axis=a) for a in range(4)], axis=-1)
-
-
-def partials2(f: np.ndarray, grid: GridPatch) -> np.ndarray:
-    """Nested central differences: output grid + extra + (4, 4), exact for
-    polynomials of degree <= 2, valid on margin-2 interior nodes."""
-    return partials(partials(f, grid), grid)
+    out = np.empty(f.shape + (4,), np.result_type(f, 1.0))
+    for a in range(4):
+        partial(f, grid, a, out[..., a])
+    return out
 
 
 # ------------------------------------------------------------- curvature ops
@@ -110,10 +132,13 @@ class Geometry(fl.Metric):
         return out
 
 
-def _bracket(dg: np.ndarray) -> np.ndarray:
+def _bracket(dg: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
     """B[s, m, n] = d_m g_sn + d_n g_sm - d_s g_mn from dg[s, n, m] = d_m g_sn,
-    the layout of ``partials(g)``; leading axes pass through."""
-    return np.swapaxes(dg, -1, -2) + dg - np.moveaxis(dg, -1, -3)
+    the layout of ``partials(g)``; leading axes pass through.  Written into
+    out if given."""
+    out = np.add(np.swapaxes(dg, -1, -2), dg, out=out)
+    out -= np.moveaxis(dg, -1, -3)
+    return out
 
 
 def metric_geometry(g, grid: GridPatch) -> Geometry:
@@ -134,27 +159,45 @@ def christoffel(g, grid: GridPatch) -> np.ndarray:
     return metric_geometry(g, grid).gamma
 
 
-def ricci(g, grid: GridPatch) -> np.ndarray:
-    """Ricci tensor per node (valid on margin-2 interior).
+def _gamma_traces(geo: Geometry, grid: GridPatch) -> tuple[np.ndarray, np.ndarray]:
+    """The two traces of d_l Gamma^r_mn that the Ricci tensor reads,
+    d_r Gamma^r_mn and d_n Gamma^r_rm, each grid + (m, n).
 
-    d_l Gamma is assembled algebraically from the finite-difference first and
-    second metric derivatives (no nested FD of Gamma itself, so polynomial
-    metrics of degree <= 2 are stencil-exact):
-    d_l Gamma = g^-1 ((1/2) d_l B - d_l g Gamma).
+    d_l Gamma = g^-1 ((1/2) d_l B - d_l g Gamma) is assembled algebraically
+    from the finite-difference first and second metric derivatives (no nested
+    FD of Gamma itself, so polynomial metrics of degree <= 2 are
+    stencil-exact), one derivative direction l at a time: row r = l of it
+    adds to the first trace, and its r-trace is column n = l of the second.
     """
+    lead = geo.gamma.shape[:-3]
+    flat_gamma = geo.gamma.reshape(lead + (4, 16))
+    dg = partials(geo.g, grid)                          # (..., m, n, k) = d_k g_mn
+    ddg = np.empty_like(dg)                             # d_l d_k g_mn, then scratch
+    scratch = ddg.reshape(lead + (4, 16))
+    inner = np.empty_like(dg)
+    flat_inner = inner.reshape(lead + (4, 16))
+    div = np.zeros(lead + (16,))
+    grad = np.empty(lead + (4, 4))
+    for l in range(4):
+        _bracket(partial(dg, grid, l, ddg), inner)      # d_l B_smn
+        inner *= 0.5
+        flat_inner -= np.matmul(dg[..., l], flat_gamma, out=scratch)  # d_l g_sr Gamma^r_mn
+        dgamma = np.matmul(geo.ginv, flat_inner, out=scratch)  # (..., r, mn) = d_l Gamma^r_mn
+        div += dgamma[..., l, :]
+        grad[..., l] = np.einsum("...rrm->...m", dgamma.reshape(lead + (4, 4, 4)))
+    return div.reshape(lead + (4, 4)), grad
+
+
+def ricci(g, grid: GridPatch) -> np.ndarray:
+    """Ricci tensor per node (valid on margin-2 interior), from the two
+    traces of d Gamma of ``_gamma_traces``: no rank-5 array is formed."""
     geo = metric_geometry(g, grid)
     gamma = geo.gamma
-    dg = partials(geo.g, grid)                          # (..., m, n, l) = d_l g_mn
-    d2g = np.moveaxis(partials(dg, grid), -1, -4)       # (..., k, m, n, l) = d_k d_l g_mn
     lead = gamma.shape[:-3]
-    inner = (0.5 * _bracket(d2g).reshape(lead + (4, 4, 16))
-             - np.moveaxis(dg, -1, -3) @ gamma.reshape(lead + (1, 4, 16)))
-    dgamma = (geo.ginv[..., None, :, :] @ inner).reshape(lead + (4, 4, 4, 4))
-    del d2g, inner
+    div, grad = _gamma_traces(geo, grid)
     # R_mn = d_r G^r_mn - d_n G^r_rm + G^r_rl G^l_mn - G^r_nl G^l_rm
     swapped = np.swapaxes(gamma, -3, -2)                # (..., n, r, l) = G^r_nl
-    return (np.einsum("...rrmn->...mn", dgamma)
-            - np.einsum("...nrrm->...mn", dgamma)
+    return (div - grad
             + (np.einsum("...rrl->...l", gamma)[..., None, :]
                @ gamma.reshape(lead + (4, 16))).reshape(lead + (4, 4))
             - swapped.reshape(lead + (4, 16)) @ swapped.reshape(lead + (16, 4)))
@@ -344,7 +387,7 @@ def scalar_residual(cfg: FieldConfiguration, assembly: str = "local") -> np.ndar
     grid = cfg.grid
     geo = cfg.geometry
     dphi = partials(cfg.phi, grid)          # (..., i, a)
-    d2phi = partials2(cfg.phi, grid)        # (..., i, a, b)
+    d2phi = partials(dphi, grid)            # (..., i, a, b)
     chart = cfg.model.chart
     cm = chart.metric(cfg.phi)
     dcm = chart.metric_deriv(cfg.phi)       # (..., k, i, j)
@@ -368,13 +411,22 @@ def scalar_residual(cfg: FieldConfiguration, assembly: str = "local") -> np.ndar
     raise ValueError(f"unknown assembly {assembly!r}")
 
 
+CLOSURE_TRIPLES = ((0, 1, 2), (0, 1, 3), (0, 2, 3), (1, 2, 3))
+
+
 def maxwell_residual(cfg: FieldConfiguration) -> np.ndarray:
-    """Componentwise exterior derivative of the field block (closure residual),
-    shape grid + (2 n_v, 4, 4, 4): antisymmetrised d_a V_{mn}."""
-    dv = partials(cfg.V, cfg.grid)  # (..., A, m, n, a)
-    dv = np.moveaxis(dv, -1, -3)    # (..., A, a, m, n) = d_a V_{mn}
-    return (dv + np.einsum("...Amna->...Aamn", dv)
-            + np.einsum("...Anam->...Aamn", dv))
+    """Exterior derivative of the field block (closure residual) on its
+    independent components, shape grid + (2 n_v, 4): entry t is
+    (dV)_{amn} = d_a V_{mn} + d_m V_{na} + d_n V_{am} for the triple
+    (a, m, n) = CLOSURE_TRIPLES[t], a < m < n.  Of the 64 entries of dV per
+    fiber index, 24 are +- one of these and 40 vanish."""
+    v, grid = cfg.V, cfg.grid
+    out = np.empty(v.shape[:-2] + (4,))
+    for t, (a, m, n) in enumerate(CLOSURE_TRIPLES):
+        dv = partial(v[..., m, n], grid, a, out[..., t])
+        dv += partial(v[..., n, a], grid, m)
+        dv += partial(v[..., a, m], grid, n)
+    return out
 
 
 # ------------------------------------------------------------------ reports
@@ -403,8 +455,9 @@ class ResidualReport:
     @classmethod
     def from_fields(cls, cfg: FieldConfiguration, e: np.ndarray, s: np.ndarray,
                     m: np.ndarray) -> "ResidualReport":
-        """Report on the Einstein, scalar and Maxwell residual fields of cfg,
-        each restricted to the margin-2 interior."""
+        """Report on the Einstein, scalar and closure residual fields of cfg
+        (m in the layout of ``maxwell_residual``), each restricted to the
+        margin-2 interior."""
         eabs = np.abs(e)
         worst = np.unravel_index(int(np.argmax(eabs.reshape(-1, 16).max(axis=1))),
                                  e.shape[:4])
@@ -412,7 +465,9 @@ class ResidualReport:
         return cls(
             einstein_max=float(eabs.max()), scalar_max=float(np.abs(s).max()),
             maxwell_max=float(np.abs(m).max()), einstein_mean=float(eabs.mean()),
-            scalar_mean=float(np.abs(s).mean()), maxwell_mean=float(np.abs(m).mean()),
+            scalar_mean=float(np.abs(s).mean()),
+            # the mean over all 64 entries of dV: 24 are +- the 4 components of m
+            maxwell_mean=24 / 64 * float(np.abs(m).mean()),
             selfdual_violation=cfg.selfduality_violation(),
             worst_einstein_node=worst, grid_shape=cfg.grid.shape)
 
@@ -471,7 +526,7 @@ def equivariance_harness(cfg: FieldConfiguration, f, a: np.ndarray) -> Equivaria
 
     m0 = maxwell_residual(cfg)[inner]
     m1 = maxwell_residual(tcfg)[inner]
-    mapped = fl.fiber_action(a, m0, rank=3)
+    mapped = fl.fiber_action(a, m0, rank=1)
     m_disc = float(np.max(np.abs(m1 - mapped)))
 
     s0 = scalar_residual(cfg)[inner]

@@ -33,10 +33,16 @@ def old_form_inner(g, a, b):
     return 0.5 * np.einsum("...ab,...ra,...sb,...rs->...", a, ginv, ginv, b)
 
 
+def partials2(f, grid):
+    """Nested central differences: output grid + extra + (4, 4), exact for
+    polynomials of degree <= 2, valid on margin-2 interior nodes."""
+    return gr.partials(gr.partials(f, grid), grid)
+
+
 def old_christoffel_and_derivative(g, grid):
     ginv = np.linalg.inv(g)
     dg = np.moveaxis(gr.partials(g, grid), -1, -3)
-    d2g = gr.partials2(g, grid)
+    d2g = partials2(g, grid)
     d2g = np.moveaxis(np.moveaxis(d2g, -1, -4), -1, -4)
     bracket = (np.einsum("...msn->...smn", dg) + np.einsum("...nsm->...smn", dg) - dg)
     gamma = 0.5 * np.einsum("...rs,...smn->...rmn", ginv, bracket)
@@ -151,6 +157,33 @@ class TestOracles:
         gamma, _ = old_christoffel_and_derivative(metric, grid)
         assert close(gr.christoffel(metric, grid), gamma)
         assert close(gr.ricci(metric, grid), old_ricci(metric, grid))
+
+    def test_christoffel_and_ricci_anisotropic(self):
+        # four different spacings and lengths: a derivative taken along the
+        # wrong axis, or with another axis' spacing, does not cancel here
+        grid = gr.GridPatch(((-0.5, 0.5), (-0.3, 0.6), (-0.7, 0.1), (0.0, 0.8)),
+                            (7, 9, 11, 8))
+        x = grid.coords()
+        metric = gr.metric_quadratic(grid, QUADRATIC)
+        metric += (0.02 * np.sin(3 * x[..., 0] + x[..., 2])[..., None, None]
+                   * np.ones((4, 4)) + 0.03 * np.diag([0.0, 1, 2, 3])
+                   * np.cos(2 * x[..., 1] - x[..., 3])[..., None, None])
+        assert len(set(grid.h)) == 4
+        gamma, _ = old_christoffel_and_derivative(metric, grid)
+        assert close(gr.christoffel(metric, grid), gamma)
+        ric = gr.ricci(metric, grid)
+        assert float(np.max(np.abs(ric))) > 0.1
+        assert close(ric, old_ricci(metric, grid))
+
+    def test_partials_is_numpy_gradient(self):
+        grid = gr.GridPatch(((-0.5, 0.5), (-0.3, 0.6), (-0.7, 0.1), (0.0, 0.8)),
+                            (7, 9, 11, 8))
+        f = np.random.default_rng(3).standard_normal(grid.shape + (3, 2))
+        h = grid.h
+        grad = np.stack([np.gradient(f, h[a], axis=a) for a in range(4)], axis=-1)
+        assert np.array_equal(gr.partials(f, grid), grad)
+        for a in range(4):
+            assert np.array_equal(gr.partial(f[..., 1, 0], grid, a), grad[..., 1, 0, a])
 
     def test_stresses(self, grid, metric, cfg):
         t_scal, t_gauge = old_stresses(cfg)

@@ -1,3 +1,6 @@
+import itertools
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -22,6 +25,15 @@ def rng():
 
 
 # ------------------------------------------------- exact-derivative oracles
+
+def old_maxwell_residual(v, grid):
+    """All 64 entries of dV per fiber index, grid + (2 n_v, 4, 4, 4): the
+    antisymmetrised d_a V_{mn} of the rank-5 formula the compact residual
+    replaced."""
+    dv = np.moveaxis(gr.partials(v, grid), -1, -3)  # (..., A, a, m, n) = d_a V_{mn}
+    return (dv + np.einsum("...Amna->...Aamn", dv)
+            + np.einsum("...Anam->...Aamn", dv))
+
 
 def einstein_oracle(g0, dg, d2g):
     """Direct index-summation Einstein tensor from exact derivative values.
@@ -385,10 +397,76 @@ class TestMaxwellResidual:
         cfg = gr.make_configuration(grid, model, gr.metric_minkowski(grid),
                                     gr.phi_constant(grid, [0.0, 1.0]), f)
         res = gr.maxwell_residual(cfg)[grid.interior()]
-        # the (F-block, a=2, m=0, n=1) component is dF(dy, dt, dx) = 1
-        assert np.max(np.abs(res[..., 0, 2, 0, 1])) == pytest.approx(1.0)
+        # the (F-block, a=0, m=1, n=2) component is dF(dt, dx, dy) = 1
+        assert np.max(np.abs(res[..., 0, 0])) == pytest.approx(1.0)
         # the lower block picks up the matching R F - I *F derivative, nonzero
         assert np.max(np.abs(res)) > 0.5
+
+    @pytest.mark.parametrize("resolution", [(7, 7, 7, 7), (7, 9, 11, 8)])
+    def test_compact_components_match_64_entry_oracle(self, resolution):
+        grid = gr.GridPatch(((-0.4, 0.4), (-0.3, 0.5), (-0.6, 0.2), (0.0, 0.9)), resolution)
+        model = md.builtin("t3")
+        rng = np.random.default_rng(5)
+        g = gr.metric_quadratic(grid, [(0, 1, 1, 1, 0.03), (2, 3, 0, 2, 0.02),
+                                       (1, 1, 2, 2, 0.01), (0, 0, 3, 3, -0.02)])
+        phi = gr.phi_linear(grid, [0.05, 1.2], 0.08 * rng.standard_normal((4, 2)))
+        f = gr.random_polynomial_fieldstrength(grid, model.n_v, rng, amp=0.3)
+        cfg = gr.make_configuration(grid, model, g, phi, f)
+        res = gr.maxwell_residual(cfg)
+        old = old_maxwell_residual(cfg.V, grid)
+        assert res.shape == grid.shape + (2 * model.n_v, 4)
+        scale = float(np.max(np.abs(old)))
+        assert scale > 0.1
+        tol = 1e-13 * scale
+        expected = np.zeros_like(old)
+        for t, triple in enumerate(gr.CLOSURE_TRIPLES):
+            for perm in itertools.permutations(range(3)):
+                inversions = sum(p > q for p, q in itertools.combinations(perm, 2))
+                a, m, n = (triple[k] for k in perm)
+                expected[..., a, m, n] = (-1) ** inversions * res[..., t]
+        assert np.max(np.abs(old - expected)) <= tol
+        repeated = [i for i in itertools.product(range(4), repeat=3) if len(set(i)) < 3]
+        assert len(repeated) == 40
+        assert all(np.all(old[(..., *i)] == 0) for i in repeated)
+        inner = grid.interior()
+        new_rep = gr.residual_report(cfg)
+        m = old[inner]
+        assert abs(new_rep.maxwell_max - float(np.abs(m).max())) <= tol
+        assert new_rep.maxwell_mean == pytest.approx(float(np.abs(m).mean()), rel=1e-13)
+
+
+class TestMemory:
+    """Transient tracemalloc peaks of the curvature and closure kernels at 13^4,
+    as multiples of the size of dg (grid + (4, 4, 4)) and of V.  A rank-5
+    temporary (4x dg, or 4x V) does not fit under either bound."""
+
+    @staticmethod
+    def transient_mb(fn, *args):
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            fn(*args)
+            return (tracemalloc.get_traced_memory()[1] - base) / 2 ** 20
+        finally:
+            tracemalloc.stop()
+
+    def test_ricci_and_closure_transients(self, rng):
+        grid = small_grid(13)
+        g = gr.metric_quadratic(grid, [(0, 1, 1, 1, 0.03), (2, 3, 0, 2, 0.02),
+                                       (1, 1, 2, 2, 0.01), (0, 0, 3, 3, -0.02)])
+        geo = gr.metric_geometry(g, grid)
+        dg_mb = 4 * g.nbytes / 2 ** 20
+        assert self.transient_mb(gr.ricci, geo, grid) <= 4.5 * dg_mb
+
+        class Holder:
+            pass
+
+        cfg = Holder()
+        cfg.grid = grid
+        v = rng.standard_normal(grid.shape + (4, 4, 4))
+        cfg.V = v - np.swapaxes(v, -1, -2)
+        del v
+        assert self.transient_mb(gr.maxwell_residual, cfg) <= 0.5 * cfg.V.nbytes / 2 ** 20
 
 
 class TestTransport:
