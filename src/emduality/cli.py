@@ -12,6 +12,7 @@ any other ``EmdualityError`` to 1.
 from __future__ import annotations
 
 import argparse
+import functools
 import hashlib
 import os
 import sys
@@ -402,6 +403,7 @@ def _count(low: int, high: int | None = None):
     return parse
 
 
+@functools.cache   # built on the first call, shared by every run
 def build_parser() -> argparse.ArgumentParser:
     p = argparse.ArgumentParser(prog="emduality",
                                 description=__doc__.splitlines()[0])

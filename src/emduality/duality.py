@@ -112,7 +112,7 @@ def _system(model, samples, fields=(), what: str | None = None) -> _System:
         warnings.warn(f"only {len(samples)} samples; {what} may be under-determined",
                       stacklevel=3)
     tau = checked_periods(model, samples)
-    basis = np.stack(sp_basis(model.n_v))
+    basis = sp_basis(model.n_v)
     stab = _columns(infinitesimal_fractional_action(basis[:, None], tau))
     periods = np.zeros((len(stab), 0))
     if fields:

@@ -2,7 +2,8 @@
 
 A presentation is a list of Sp(2n, R) generator matrices together with group
 relation words.  The based automorphism algebras are computed as matrix
-centralizers; conjugation invariants are trace vectors of reduced words.
+centralizers; conjugation invariants are trace vectors of reduced words, formed
+level by level as stacked products over one letter table, in bounded chunks.
 """
 
 from __future__ import annotations
@@ -18,6 +19,8 @@ from .textio import key_values, numbers
 MAX_WORD_LEN = 6
 RELATION_TOL = 1e-10
 RANK_RTOL = 1e-10      # relative singular value threshold for centralizer ranks
+# matrix entries of one stacked product of conjugacy_invariants (32 MB)
+CHUNK_ENTRIES = 1 << 22
 
 
 class PresentationError(ValueError, InputError):
@@ -29,14 +32,15 @@ class BundlePresentation:
     """Holonomy data: images of fundamental-group generators plus relations.
 
     Relation words are lists of signed 1-based generator indices; -k means the
-    inverse of generator k.
+    inverse of generator k.  ``letters`` stacks the generators, then their
+    inverses, (2g, 2n, 2n); letter j has inverse letter ``inverse[j]``.
     """
 
     n_v: int
     generators: list[np.ndarray] = field(default_factory=list)
     relations: list[list[int]] = field(default_factory=list)
-    _inverses: dict[int, np.ndarray] = field(default_factory=dict, init=False,
-                                             repr=False, compare=False)
+    letters: np.ndarray = field(init=False, repr=False, compare=False)
+    inverse: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         self.generators = [np.asarray(g, dtype=float) for g in self.generators]
@@ -48,18 +52,20 @@ class BundlePresentation:
             for idx in word:
                 if idx == 0 or abs(idx) > len(self.generators):
                     raise PresentationError(f"relation index {idx} out of range")
+        gens = np.reshape(self.generators, (-1, 2 * self.n_v, 2 * self.n_v))
+        try:
+            self.letters = np.concatenate([gens, np.linalg.inv(gens)])
+        except np.linalg.LinAlgError:
+            raise PresentationError("a generator is singular, so not a holonomy "
+                                    "matrix: it has no inverse") from None
+        self.inverse = np.roll(np.arange(len(self.letters)), len(gens))
 
     def word_matrix(self, word: list[int]) -> np.ndarray:
+        """Product of the word's letters, left to right from the identity."""
         out = np.eye(2 * self.n_v)
         for idx in word:
-            out = out @ (self.generators[idx - 1] if idx > 0 else self._inverse(-idx))
+            out = out @ self.letters[idx - 1 if idx > 0 else len(self.generators) - idx - 1]
         return out
-
-    def _inverse(self, k: int) -> np.ndarray:
-        """Inverse of generator k, computed once on first use."""
-        if k not in self._inverses:
-            self._inverses[k] = np.linalg.inv(self.generators[k - 1])
-        return self._inverses[k]
 
 
 @dataclass
@@ -87,7 +93,7 @@ def _commutant_rows(mats: list[np.ndarray], basis: np.ndarray) -> np.ndarray:
 
 def _centralizer(n_v: int, mats: list[np.ndarray]) -> tuple[list[np.ndarray], int]:
     """Basis and dimension of the elements of sp(2n, R) commuting with every H in mats."""
-    basis = np.stack(sp_basis(n_v))
+    basis = sp_basis(n_v)
     null = null_space(_commutant_rows(mats, basis), RANK_RTOL)
     return list(np.tensordot(null.T, basis, 1)), null.shape[1]
 
@@ -108,23 +114,6 @@ def autb_theta_algebra(p: BundlePresentation, j0: Taming) -> tuple[list[np.ndarr
     return _centralizer(p.n_v, [*p.generators, j0.J])
 
 
-def _reduced_words(n_gen: int, max_len: int):
-    """Freely reduced words over generators and inverses, lengths 1..max_len."""
-    letters = [k for k in range(1, n_gen + 1)] + [-k for k in range(1, n_gen + 1)]
-    frontier = [[l] for l in letters]
-    for w in frontier:
-        yield w
-    for _ in range(max_len - 1):
-        new = []
-        for w in frontier:
-            for l in letters:
-                if l != -w[-1]:
-                    new.append(w + [l])
-        for w in new:
-            yield w
-        frontier = new
-
-
 def conjugacy_invariants(p: BundlePresentation, max_word_len: int) -> np.ndarray:
     """Sorted trace vector of all reduced holonomy words up to the given length.
 
@@ -138,11 +127,25 @@ def conjugacy_invariants(p: BundlePresentation, max_word_len: int) -> np.ndarray
         raise PresentationError(f"max_word_len capped at {MAX_WORD_LEN} "
                                 "(word count grows exponentially)")
     if not p.generators:
-        # only the empty word: trace of Id repeated once per requested length
+        # only the empty word: the trace of Id, once
         return np.array([2.0 * p.n_v])
-    traces = [float(np.trace(p.word_matrix(w)))
-              for w in _reduced_words(len(p.generators), max_word_len)]
-    return np.sort(np.array(traces))
+    levels: list[list[np.ndarray]] = [[] for _ in range(max_word_len)]
+    _extend(p, np.eye(2 * p.n_v) @ p.letters, np.arange(len(p.letters)), levels)
+    return np.sort(np.concatenate([t for level in levels for t in level]))
+
+
+def _extend(p: BundlePresentation, words: np.ndarray, last: np.ndarray,
+            levels: list[list[np.ndarray]], depth: int = 0):
+    """Append the traces of ``words`` (last letters ``last``) to levels[depth],
+    then recurse on each word times each letter not cancelling its last, in
+    chunks of CHUNK_ENTRIES entries taken in order, as one level would list them."""
+    levels[depth].append(np.trace(words, axis1=-2, axis2=-1))
+    if depth + 1 == len(levels):
+        return
+    rows = max(1, CHUNK_ENTRIES // (words[0].size * (len(p.letters) - 1)))
+    for start in range(0, len(words), rows):
+        word, letter = np.nonzero(last[start:start + rows, None] != p.inverse)
+        _extend(p, words[start + word] @ p.letters[letter], letter, levels, depth + 1)
 
 
 # ---------------------------------------------------------------- file format

@@ -128,33 +128,26 @@ def sp_check(a: np.ndarray, tol: float = TOL_ALG) -> tuple[bool, float]:
     return viol <= tol, viol
 
 
-def sp_basis(n: int) -> list[np.ndarray]:
-    """Basis of the Lie algebra sp(2n, R) = {X : X^T Omega + Omega X = 0}.
+@functools.lru_cache(maxsize=None)
+def sp_basis(n: int) -> np.ndarray:
+    """Basis of the Lie algebra sp(2n, R) = {X : X^T Omega + Omega X = 0}, as
+    one (n(2n+1), 2n, 2n) array, built once per n and returned read-only.
 
     Elements have block form [[A, B], [C, -A^T]] with B, C symmetric, so the
-    dimension is n^2 + n(n+1) = n(2n+1).
+    dimension is n^2 + n(n+1) = n(2n+1).  In order: A = E_ij for all (i, j),
+    then B = E_ij + E_ji, then C = E_ij + E_ji, for i <= j; row-major each.
     """
     if n < 1:
         raise DimensionError(f"need n >= 1, got {n}")
-    out = []
-    for i in range(n):
-        for j in range(n):
-            x = np.zeros((2 * n, 2 * n))
-            x[i, j] = 1.0
-            x[n + j, n + i] = -1.0
-            out.append(x)
-    for i in range(n):
-        for j in range(i, n):
-            x = np.zeros((2 * n, 2 * n))
-            x[i, n + j] = 1.0
-            x[j, n + i] = 1.0
-            out.append(x)
-    for i in range(n):
-        for j in range(i, n):
-            x = np.zeros((2 * n, 2 * n))
-            x[n + i, j] = 1.0
-            x[n + j, i] = 1.0
-            out.append(x)
+    a = np.arange(n * n)
+    i, j = np.divmod(a, n)
+    iu, ju = np.triu_indices(n)
+    b = n * n + np.arange(len(iu))
+    out = np.zeros((n * (2 * n + 1), 2 * n, 2 * n))
+    out[a, i, j], out[a, n + j, n + i] = 1.0, -1.0
+    out[b, iu, n + ju], out[b, ju, n + iu] = 1.0, 1.0
+    out[b + len(iu), n + iu, ju], out[b + len(iu), n + ju, iu] = 1.0, 1.0
+    out.flags.writeable = False
     return out
 
 

@@ -190,6 +190,14 @@ class TestBundleCommands:
         assert code == 3
         assert "error = J^2 != -Id" in text and "result = FAIL" in text
 
+    def test_singular_generator_exit_3(self, tmp_path):
+        path = tmp_path / "singular.bundle"
+        path.write_text("nv = 1\ngenerator = 0 0 0 0\nrelation = 1 -1\n")
+        for argv in (["centralizer"], ["invariants", "--maxlen", "2"]):
+            code, text = run(argv + ["--bundle", str(path)])
+            assert code == 3
+            assert "singular" in text and "result = FAIL" in text
+
     def test_maxlen_checked_by_the_parser(self):
         for maxlen in ("0", "7"):
             with pytest.raises(SystemExit) as err:
@@ -380,3 +388,16 @@ class TestImports:
         out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                              check=True)
         assert out.stdout.strip() == "False"
+
+
+class TestParser:
+    def test_built_once(self):
+        assert build_parser() is build_parser()
+
+    def test_usage_error_leaves_the_parser_usable(self):
+        sys.path.insert(0, str(Path(__file__).resolve().parent / "golden"))
+        from regenerate import REPORTS, run_case
+
+        assert run(["frobnicate"]) == (2, "")
+        assert run_case(["stabilizer", "--model", "identity-tau"]) == (
+            REPORTS / "stabilizer-identity-tau.txt").read_text(encoding="utf-8")

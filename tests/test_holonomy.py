@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -17,6 +19,31 @@ def print_bundle(p: ho.BundlePresentation) -> str:
 
 def rotation(theta):
     return np.array([[np.cos(theta), -np.sin(theta)], [np.sin(theta), np.cos(theta)]])
+
+
+def reduced_words(n_gen: int, max_len: int):
+    """Freely reduced words over generators and inverses, lengths 1..max_len,
+    level by level."""
+    letters = [k for k in range(1, n_gen + 1)] + [-k for k in range(1, n_gen + 1)]
+    frontier = [[l] for l in letters]
+    yield from frontier
+    for _ in range(max_len - 1):
+        frontier = [w + [l] for w in frontier for l in letters if l != -w[-1]]
+        yield from frontier
+
+
+def per_word_traces(p: ho.BundlePresentation, max_len: int) -> list[tuple[int, float]]:
+    """(length, trace) of every reduced word, each word multiplied from
+    scratch left to right from the identity, with one np.linalg.inv per
+    generator: the per-word oracle of the stacked invariants."""
+    inverses = [np.linalg.inv(g) for g in p.generators]
+    out = []
+    for w in reduced_words(len(p.generators), max_len):
+        m = np.eye(2 * p.n_v)
+        for idx in w:
+            m = m @ (p.generators[idx - 1] if idx > 0 else inverses[-idx - 1])
+        out.append((len(w), float(np.trace(m))))
+    return out
 
 
 @pytest.fixture
@@ -178,6 +205,41 @@ class TestConjugacyInvariants:
         with pytest.raises(ho.PresentationError):
             ho.conjugacy_invariants(p, 7)
 
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    @pytest.mark.parametrize("g", [1, 2, 3])
+    def test_stacked_equals_per_word_oracle(self, n, g):
+        rng = np.random.default_rng([n, g])
+        p = ho.BundlePresentation(n, [random_sp(n, rng) for _ in range(g)])
+        max_len = 6 if g < 3 else 5
+        oracle = per_word_traces(p, max_len)
+        for length in range(1, max_len + 1):
+            count = sum(1 for l, _ in oracle if l == length)
+            assert count == 2 * g * (2 * g - 1) ** (length - 1)
+            want = np.sort(np.array([t for l, t in oracle if l <= length]))
+            assert np.array_equal(ho.conjugacy_invariants(p, length), want)
+
+    def test_split_chunks_equal_oracle(self, rng, monkeypatch):
+        # 40 entries: 2 words of 4 entries per chunk, so every level splits
+        monkeypatch.setattr(ho, "CHUNK_ENTRIES", 40)
+        p = ho.BundlePresentation(1, [random_sp(1, rng) for _ in range(3)])
+        want = np.sort(np.array([t for _, t in per_word_traces(p, 4)]))
+        assert np.array_equal(ho.conjugacy_invariants(p, 4), want)
+
+    def test_memory_bounded_by_chunk(self, rng):
+        # 5 generators of Sp(4) at length 6: 664300 words, 10.6M matrix
+        # entries at the last level; one stacked level would take about 6.7
+        # chunks of transient, the chunked expansion takes about 3.2
+        p = ho.BundlePresentation(2, [random_sp(2, rng) for _ in range(5)])
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            out = ho.conjugacy_invariants(p, 6)
+            peak = tracemalloc.get_traced_memory()[1] - before
+        finally:
+            tracemalloc.stop()
+        assert len(out) == sum(10 * 9 ** (k - 1) for k in range(1, 7))
+        assert peak <= 4 * ho.CHUNK_ENTRIES * out.itemsize + 2 * out.nbytes
+
     def test_word_count(self):
         # 1 generator: freely reduced words over {g, g^-1} with no gg^-1: per
         # length L there are exactly 2 words (g^L and g^-L)
@@ -208,3 +270,18 @@ class TestBundleFile:
     def test_index_out_of_range(self):
         with pytest.raises(ho.PresentationError):
             ho.BundlePresentation(1, [rotation(1.0)], relations=[[2]])
+
+    def test_singular_generator_rejected(self):
+        with pytest.raises(ho.PresentationError, match="singular"):
+            ho.parse_bundle("nv = 1\ngenerator = 0 0 0 0\nrelation = 1 -1")
+
+    def test_letter_table(self, rng):
+        gens = [random_sp(2, rng), random_sp(2, rng)]
+        p = ho.BundlePresentation(2, gens, relations=[[1, -2]])
+        assert p.letters.shape == (4, 4, 4)
+        assert np.array_equal(p.inverse, [2, 3, 0, 1])
+        for k, g in enumerate(gens):
+            assert np.array_equal(p.letters[k], g)
+            assert np.array_equal(p.letters[2 + k], np.linalg.inv(g))
+        assert np.array_equal(p.word_matrix([1, -2]),
+                              np.eye(4) @ gens[0] @ np.linalg.inv(gens[1]))

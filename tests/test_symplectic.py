@@ -48,7 +48,43 @@ class TestOmegaAndChecks:
             assert np.linalg.det(a) == pytest.approx(1.0, abs=1e-9)
 
 
+def list_sp_basis(n: int) -> list[np.ndarray]:
+    """The sp(2n, R) basis built element by element: A blocks E_ij for all
+    (i, j), then symmetric B and C blocks for i <= j."""
+    out = []
+    for i in range(n):
+        for j in range(n):
+            x = np.zeros((2 * n, 2 * n))
+            x[i, j] = 1.0
+            x[n + j, n + i] = -1.0
+            out.append(x)
+    for i in range(n):
+        for j in range(i, n):
+            x = np.zeros((2 * n, 2 * n))
+            x[i, n + j] = 1.0
+            x[j, n + i] = 1.0
+            out.append(x)
+    for i in range(n):
+        for j in range(i, n):
+            x = np.zeros((2 * n, 2 * n))
+            x[n + i, j] = 1.0
+            x[n + j, i] = 1.0
+            out.append(x)
+    return out
+
+
 class TestSpBasis:
+    @pytest.mark.parametrize("n", [1, 2, 3, 5, 12])
+    def test_equals_list_builder(self, n):
+        assert np.array_equal(sp.sp_basis(n), np.stack(list_sp_basis(n)))
+
+    def test_cached_read_only(self):
+        basis = sp.sp_basis(2)
+        assert sp.sp_basis(2) is basis
+        assert not basis.flags.writeable
+        with pytest.raises(sp.DimensionError):
+            sp.sp_basis(0)
+
     @pytest.mark.parametrize("n,dim", [(1, 3), (2, 10), (3, 21)])
     def test_dimension(self, n, dim):
         assert len(sp.sp_basis(n)) == dim
