@@ -60,12 +60,23 @@ class BundlePresentation:
                                     "matrix: it has no inverse") from None
         self.inverse = np.roll(np.arange(len(self.letters)), len(gens))
 
+    def __eq__(self, other):
+        """Value equality of n_v, generators and relations; never raises."""
+        if not isinstance(other, BundlePresentation):
+            return NotImplemented
+        return (self.n_v == other.n_v and _same(self.generators, other.generators)
+                and _same(self.relations, other.relations))
+
     def word_matrix(self, word: list[int]) -> np.ndarray:
         """Product of the word's letters, left to right from the identity."""
         out = np.eye(2 * self.n_v)
         for idx in word:
             out = out @ self.letters[idx - 1 if idx > 0 else len(self.generators) - idx - 1]
         return out
+
+
+def _same(a: list, b: list) -> bool:
+    return len(a) == len(b) and all(map(np.array_equal, a, b))
 
 
 @dataclass

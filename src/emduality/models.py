@@ -74,12 +74,10 @@ class ScalarChart:
 
     kind "poincare": upper half plane, coordinates (x, y) with y > 0 and
     metric (dx^2 + dy^2) / y^2.  kind "flat": R^dim with the Euclidean metric.
-    The box is the compact sampling domain used for rank decisions.
     """
 
     kind: str
     dim: int
-    box: tuple[tuple[float, float], ...] = ()
 
     def __post_init__(self):
         if not 0 <= self.dim <= MAX_DIM:
@@ -88,13 +86,13 @@ class ScalarChart:
             raise ModelError(f"unsupported chart kind {self.kind!r}")
         if self.kind == "poincare" and self.dim != 2:
             raise ModelError("poincare chart requires dim 2")
-        if not self.box:
-            if self.kind == "poincare":
-                object.__setattr__(self, "box", ((-1.0, 1.0), (0.5, 2.0)))
-            else:
-                object.__setattr__(self, "box", tuple((-1.0, 1.0) for _ in range(self.dim)))
-        if self.kind == "poincare" and self.box[1][0] <= 0:
-            raise ModelError("poincare sampling box must have y > 0")
+
+    @property
+    def box(self) -> tuple[tuple[float, float], ...]:
+        """The compact sampling domain used for rank decisions."""
+        if self.kind == "poincare":
+            return ((-1.0, 1.0), (0.5, 2.0))
+        return ((-1.0, 1.0),) * self.dim
 
     def symbols(self) -> set[str]:
         if self.kind == "poincare":
@@ -123,7 +121,8 @@ class ScalarChart:
         return np.ones(p.shape[:-1], dtype=bool)
 
     def first_outside(self, p: np.ndarray) -> int | None:
-        """Index of the first point of a stack (n, dim) outside the domain."""
+        """Index of the first point of a stack (..., dim) outside the domain,
+        in the flattened stack."""
         inside = np.atleast_1d(self.in_domain(p))
         return None if inside.all() else int(np.argmin(inside))
 
@@ -293,8 +292,11 @@ class Model:
         """Raw matrix value at a point, or the matrix stack at a stack of points,
         without the Siegel membership check (see ``checked_periods``)."""
         p = np.asarray(p, dtype=float)
-        if not np.all(self.chart.in_domain(p)):
-            raise ModelError(f"point {p} outside chart domain")
+        bad = self.chart.first_outside(p)
+        if bad is not None:
+            point = p.reshape(-1, p.shape[-1])[bad] if p.ndim else p
+            raise ModelError(f"model {self.name!r}: point {bad} {point.tolist()} "
+                             "outside chart domain")
         env = self.chart.env(p)
         return self._symmetric(p.shape[:-1], lambda e: ex.evaluate(e, env))
 

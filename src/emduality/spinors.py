@@ -71,7 +71,7 @@ class CliffordRep:
         sigma = -1 invariant bilinear (gamma_a^T C = -C gamma_a), for which
         C gamma_a is symmetric and the vector bilinear is a nonzero quadratic
         form."""
-        mats = invariant_bilinears(self)[-1]
+        mats = _bilinear_space(self.gamma, -1)
         if len(mats) != 1:
             raise RuntimeError(f"expected one sigma=-1 invariant bilinear, got {len(mats)}")
         m = mats[0]
@@ -114,15 +114,14 @@ def clifford_rep() -> CliffordRep:
 
 @dataclass(frozen=True)
 class FramePatch:
-    """Grid-sampled vierbein e^a_mu (frame index first), with optional
-    analytic evaluators for the vierbein and spin connection (the built-in
-    frames provide them; path integration needs them at off-node points)."""
+    """Grid-sampled vierbein e^a_mu (frame index first), with an optional
+    analytic evaluator of one direction of the vierbein and spin connection
+    (the built-in frames provide it; path integration needs it at off-node
+    points)."""
 
     grid: GridPatch
     e: np.ndarray                    # grid + (a, mu)
-    name: str = "custom"
-    frame_fn: object = None          # x (..., 4) -> e (..., a, mu)
-    conn_fn: object = None           # (x (..., 4), mu) -> w_mu (..., a, b), one direction
+    along: object = None             # (x (..., 4), mu) -> (e^a_mu (..., a), w_mu (..., a, b))
 
     def __post_init__(self):
         if self.e.shape != self.grid.shape + (4, 4):
@@ -147,26 +146,6 @@ class FramePatch:
         return np.linalg.inv(self.e)
 
 
-def conformal_connection(dln_omega) -> object:
-    """Analytic spin connection of a conformal frame e^a_mu = Omega delta^a_mu,
-    one direction mu at a time:
-    w_{mu a b} = eta_{a mu} d_b ln(Omega) - eta_{b mu} d_a ln(Omega).
-
-    dln_omega(x) must return the coordinate gradient of ln(Omega), shape
-    (..., 4).  eta is diagonal, so w_mu is row mu and column mu of the
-    gradient, shape (..., a, b)."""
-
-    def conn(pts, mu):
-        d = np.asarray(dln_omega(np.asarray(pts, dtype=float)))
-        w = np.zeros(d.shape + (4,))
-        w[..., mu, :] = ETA[mu, mu] * d
-        w[..., :, mu] = -ETA[mu, mu] * d
-        w[..., mu, mu] = 0.0
-        return w
-
-    return conn
-
-
 def builtin_frame(name: str, grid: GridPatch, lam: float = 1.0) -> FramePatch:
     """'minkowski', or 'ads4-poincare': conformal factor 1/(lam z) with z the
     fourth coordinate; the grid must keep z > 0."""
@@ -179,21 +158,27 @@ def builtin_frame(name: str, grid: GridPatch, lam: float = 1.0) -> FramePatch:
     if ads and np.min(x[..., 3]) <= 0:
         raise FrameError("ads4-poincare frame needs z > 0 on the whole grid")
 
-    def frame_fn(pts):
+    def along(pts, mu):
+        # the conformal frame e^a_mu = Omega delta^a_mu has the connection
+        # w_{mu a b} = eta_{a mu} d_b ln(Omega) - eta_{b mu} d_a ln(Omega):
+        # eta is diagonal, so w_mu is row mu and column mu of the gradient
+        # d ln(Omega), which is -dz / z (ads) or 0 (minkowski)
         pts = np.asarray(pts, dtype=float)
-        scale = 1.0 / (lam * pts[..., 3]) if ads else np.ones(pts.shape[:-1])
-        return scale[..., None, None] * np.eye(4)
-
-    def dln(pts):
-        # gradient of ln(Omega) = -ln(lam z) (ads) or 0 (minkowski)
-        pts = np.asarray(pts, dtype=float)
-        out = np.zeros(pts.shape[:-1] + (4,))
+        e = np.zeros(pts.shape[:-1] + (4,))
+        d = np.zeros(pts.shape[:-1] + (4,))
         if ads:
-            out[..., 3] = -1.0 / pts[..., 3]
-        return out
+            e[..., mu] = 1.0 / (lam * pts[..., 3])
+            d[..., 3] = -1.0 / pts[..., 3]
+        else:
+            e[..., mu] = 1.0
+        w = np.zeros(d.shape + (4,))
+        w[..., mu, :] = ETA[mu, mu] * d
+        w[..., :, mu] = -ETA[mu, mu] * d
+        w[..., mu, mu] = 0.0
+        return e, w
 
-    return FramePatch(grid, frame_fn(x), name=name, frame_fn=frame_fn,
-                      conn_fn=conformal_connection(dln))
+    return FramePatch(grid, np.stack([along(x, mu)[0] for mu in range(4)], axis=-1),
+                      along=along)
 
 
 def spin_connection(fr: FramePatch) -> np.ndarray:
@@ -222,12 +207,12 @@ def spin_connection(fr: FramePatch) -> np.ndarray:
 
 # ---------------------------------------------------------- killing spinors
 
-def _transport_generator(rep: CliffordRep, w_ab: np.ndarray, e_a: np.ndarray,
-                         lam: float) -> np.ndarray:
+def _transport_generator(w_ab: np.ndarray, e_a: np.ndarray, lam: float) -> np.ndarray:
     """M_mu = -(1/4) w_{mu a b} gamma^a gamma^b + (lam/2) e^a_mu gamma_a for one
     direction mu, stacked over the leading axes of w_ab (..., a, b) and
     e_a (..., a): one matmul with each Clifford table.  All four directions
     of a node are the stack (w_{mu a b}, e^a_mu transposed to (mu, a))."""
+    rep = clifford_rep()
     m = (w_ab.reshape(e_a.shape[:-1] + (16,)) @ rep.spin_table).reshape(w_ab.shape)
     gamma_e = rep.slash(e_a)
     gamma_e *= 0.5 * lam
@@ -235,16 +220,14 @@ def _transport_generator(rep: CliffordRep, w_ab: np.ndarray, e_a: np.ndarray,
     return m
 
 
-def _axis_generator(fr: FramePatch, rep: CliffordRep, lam: float,
-                    pts: np.ndarray, axis: int) -> np.ndarray:
-    """M_axis at off-node points from the analytic frame and connection:
-    only the swept direction is built."""
-    w = np.asarray(fr.conn_fn(pts, axis))
-    return _transport_generator(rep, w, fr.frame_fn(pts)[..., :, axis], lam)
+def _axis_generator(fr: FramePatch, lam: float, pts: np.ndarray, axis: int) -> np.ndarray:
+    """M_axis at off-node points from the analytic evaluator, one call that
+    builds only the swept direction."""
+    e_a, w = fr.along(pts, axis)
+    return _transport_generator(np.asarray(w), np.asarray(e_a), lam)
 
 
-def killing_residual(fr: FramePatch, eps: np.ndarray, lam: float,
-                     rep: CliffordRep | None = None) -> np.ndarray:
+def killing_residual(fr: FramePatch, eps: np.ndarray, lam: float) -> np.ndarray:
     """d_mu eps + (1/4) w_{mu a b} gamma^a gamma^b eps - (lam/2) gamma_mu eps
     per node and direction, shape grid + (mu, component).
 
@@ -252,10 +235,9 @@ def killing_residual(fr: FramePatch, eps: np.ndarray, lam: float,
     on spinor fields produced by ``integrate_killing`` (which integrates the
     analytic connection).  Valid on the margin-2 interior.
     """
-    rep = rep or clifford_rep()
     w = spin_connection(fr)
     deps = np.moveaxis(partials(eps, fr.grid), -1, -2)    # (..., mu, comp)
-    m = _transport_generator(rep, w, np.swapaxes(fr.e, -1, -2), lam)
+    m = _transport_generator(w, np.swapaxes(fr.e, -1, -2), lam)
     return deps - (m @ eps[..., None, :, None])[..., 0]
 
 
@@ -263,8 +245,8 @@ def killing_residual_max(fr: FramePatch, eps: np.ndarray, lam: float) -> float:
     return float(np.max(np.abs(killing_residual(fr, eps, lam)[fr.grid.interior()])))
 
 
-def _edge_propagators(fr: FramePatch, rep: CliffordRep, lam: float,
-                      nodes: np.ndarray, axis: int, h: float) -> np.ndarray:
+def _edge_propagators(fr: FramePatch, lam: float, nodes: np.ndarray, axis: int,
+                      h: float) -> np.ndarray:
     """RK4 propagators P_k with eps_{k+1} = P_k eps_k along lines of nodes,
     shape lines + (n, 4) -> lines + (n - 1, 4, 4).
 
@@ -279,7 +261,7 @@ def _edge_propagators(fr: FramePatch, rep: CliffordRep, lam: float,
     pts[..., 0::2, :] = nodes
     pts[..., 1::2, :] = nodes[..., :-1, :]
     pts[..., 1::2, axis] += h / 2
-    m = _axis_generator(fr, rep, lam, pts, axis)
+    m = _axis_generator(fr, lam, pts, axis)
     m0, mh, m1 = m[..., 0:-1:2, :, :], m[..., 1::2, :, :], m[..., 2::2, :, :]
     eye = np.eye(4)
     k2 = mh @ (eye + h / 2 * m0)
@@ -289,20 +271,18 @@ def _edge_propagators(fr: FramePatch, rep: CliffordRep, lam: float,
 
 
 def integrate_killing(fr: FramePatch, lam: float, eps0: np.ndarray,
-                      rep: CliffordRep | None = None,
                       axis_order: tuple[int, ...] = (0, 1, 2, 3)) -> np.ndarray:
     """Fill the grid with the Killing transport of eps0 from the origin corner,
     sweeping one axis at a time in the given order (RK4 per edge).
 
     Each swept axis makes one generator call, stacked over the nodes and
     midpoints of all its lines, and one batch of edge propagators; the sweep
-    then applies them edge by edge.  Needs the analytic frame/connection
-    evaluators of a built-in frame: RK4 samples them between nodes.
+    then applies them edge by edge.  Needs the analytic evaluator of a
+    built-in frame: RK4 samples it between nodes.
     """
-    rep = rep or clifford_rep()
-    if fr.conn_fn is None or fr.frame_fn is None:
-        raise FrameError("integrate_killing needs a frame with analytic "
-                         "evaluators (use builtin_frame)")
+    if fr.along is None:
+        raise FrameError("integrate_killing needs a frame with an analytic "
+                         "evaluator (use builtin_frame)")
     grid = fr.grid
     coords = grid.coords()
     eps = np.zeros(grid.shape + (4,))
@@ -312,7 +292,7 @@ def integrate_killing(fr: FramePatch, lam: float, eps0: np.ndarray,
         # the lines along `axis` through the block the earlier sweeps filled
         sel = tuple(slice(None) if a in axis_order[:pos + 1] else slice(0, 1)
                     for a in range(4))
-        props = _edge_propagators(fr, rep, lam, np.moveaxis(coords[sel], axis, -2),
+        props = _edge_propagators(fr, lam, np.moveaxis(coords[sel], axis, -2),
                                   axis, float(grid.h[axis]))
         lines = np.moveaxis(eps[sel], axis, -2)          # a view into eps
         for k in range(grid.shape[axis] - 1):
@@ -320,38 +300,35 @@ def integrate_killing(fr: FramePatch, lam: float, eps0: np.ndarray,
     return eps
 
 
-def path_defect(fr: FramePatch, lam: float, eps: np.ndarray,
-                rep: CliffordRep | None = None) -> float:
+def path_defect(fr: FramePatch, lam: float, eps: np.ndarray) -> float:
     """Far-corner disagreement between two axis sweep orders: eps is the
     (0, 1, 2, 3) sweep ``integrate_killing`` returns, and the (3, 2, 1, 0)
     sweep starts from its origin value.  An integrability measure of the
     Killing transport (zero for a flat connection up to the integrator
     error)."""
-    back = integrate_killing(fr, lam, eps[(0,) * 4], rep, axis_order=(3, 2, 1, 0))
+    back = integrate_killing(fr, lam, eps[(0,) * 4], axis_order=(3, 2, 1, 0))
     corner = tuple(n - 1 for n in fr.grid.shape)
     return float(np.max(np.abs(eps[corner] - back[corner])))
 
 
 # -------------------------------------------------------- bilinear one-forms
 
-def invariant_bilinears(rep: CliffordRep | None = None) -> dict[int, list[np.ndarray]]:
+def _bilinear_space(gamma: np.ndarray, sigma: int) -> list[np.ndarray]:
+    """Basis of {C : gamma_a^T C = sigma C gamma_a for all a}, by brute-force
+    null space."""
+    # row-major vec: vec(G^T C - sigma C G) = (G^T kron I - sigma I kron G^T) vec C
+    rows = [np.kron(ga.T, np.eye(4)) - sigma * np.kron(np.eye(4), ga.T) for ga in gamma]
+    null = null_space(np.vstack(rows), 1e-12)
+    return [null[:, k].reshape(4, 4) for k in range(null.shape[1])]
+
+
+def invariant_bilinears() -> dict[int, list[np.ndarray]]:
     """Bases of the spaces {C : gamma_a^T C = sigma C gamma_a for all a},
-    keyed by sigma in {+1, -1}; computed by brute-force null space."""
-    rep = rep or clifford_rep()
-    out = {}
-    for sigma in (1, -1):
-        rows = []
-        for a in range(4):
-            ga = rep.gamma[a]
-            # row-major vec: vec(G^T C - sigma C G) = (G^T kron I - sigma I kron G^T) vec C
-            rows.append(np.kron(ga.T, np.eye(4)) - sigma * np.kron(np.eye(4), ga.T))
-        null = null_space(np.vstack(rows), 1e-12)
-        out[sigma] = [null[:, k].reshape(4, 4) for k in range(null.shape[1])]
-    return out
+    keyed by sigma in {+1, -1}."""
+    return {sigma: _bilinear_space(clifford_rep().gamma, sigma) for sigma in (1, -1)}
 
 
-def killing_bilinears(fr: FramePatch, eps: np.ndarray,
-                      rep: CliffordRep | None = None):
+def killing_bilinears(fr: FramePatch, eps: np.ndarray):
     """One-forms (u, l) built from a real spinor field: for Killing spinors,
     u is lightlike and l unit spacelike with g(u, l) = 0.
 
@@ -368,8 +345,7 @@ def killing_bilinears(fr: FramePatch, eps: np.ndarray,
     system absorbs into its free one-form; l is normalised per node (the
     search found the normalisation to be exactly 1 already).
     """
-    rep = rep or clifford_rep()
-    vec, ten = rep.bilinear_tables
+    vec, ten = clifford_rep().bilinear_tables
     lead = eps.shape[:-1]
     col = eps[..., :, None]
     u_frame = ((eps @ vec).reshape(lead + (4, 4)) @ col)[..., 0]
@@ -464,24 +440,22 @@ def verify_thm53(u: np.ndarray, l: np.ndarray, kappa: np.ndarray, lam: float,
 
 # ----------------------------------------------------------- chiral algebra
 
-def chiral_projectors(rep: CliffordRep | None = None) -> tuple[np.ndarray, np.ndarray]:
+def chiral_projectors() -> tuple[np.ndarray, np.ndarray]:
     """Projectors onto the eigenspaces of the complex volume element i gamma5."""
-    rep = rep or clifford_rep()
-    nu_c = 1j * rep.gamma5
+    nu_c = 1j * clifford_rep().gamma5
     ident = np.eye(4, dtype=complex)
     return (ident + nu_c) / 2, (ident - nu_c) / 2
 
 
-def t_w(rep: CliffordRep, w: complex, eps: np.ndarray, v: np.ndarray) -> np.ndarray:
+def t_w(w: complex, eps: np.ndarray, v: np.ndarray) -> np.ndarray:
     """Chiral Killing endomorphism: T_w(eps)(v) = gamma(v)(w P+ eps + conj(w) P- eps)
     for a frame vector v (components in the orthonormal frame)."""
-    p_plus, p_minus = chiral_projectors(rep)
-    gv = rep.slash(np.asarray(v, dtype=float))
+    p_plus, p_minus = chiral_projectors()
+    gv = clifford_rep().slash(np.asarray(v, dtype=float))
     return gv @ (w * (p_plus @ eps) + np.conj(w) * (p_minus @ eps))
 
 
 def chiral_operator_check(w: complex, eps1: np.ndarray, eps2: np.ndarray,
-                          rep: CliffordRep | None = None,
                           rng: np.random.Generator | None = None) -> dict[str, float]:
     """Pointwise verification of the chiral endomorphism algebra.
 
@@ -490,9 +464,8 @@ def chiral_operator_check(w: complex, eps1: np.ndarray, eps2: np.ndarray,
     real structure (componentwise conjugation), and the reduction to the real
     Killing endomorphism with lam = 2w for real w.
     """
-    rep = rep or clifford_rep()
     rng = rng or np.random.default_rng(0)
-    p_plus, p_minus = chiral_projectors(rep)
+    p_plus, p_minus = chiral_projectors()
     eps1 = np.asarray(eps1, dtype=complex)
     eps2 = np.asarray(eps2, dtype=complex)
     if np.max(np.abs(p_minus @ eps1)) > 1e-10 * max(1.0, np.max(np.abs(eps1))):
@@ -508,11 +481,11 @@ def chiral_operator_check(w: complex, eps1: np.ndarray, eps2: np.ndarray,
     lin = 0.0
     conj_comp = 0.0
     for v in vs:
-        t_val = t_w(rep, w, eps, v)
-        lin = max(lin, float(np.max(np.abs(t_w(rep, w, 2.5 * eps, v) - 2.5 * t_val))))
+        t_val = t_w(w, eps, v)
+        lin = max(lin, float(np.max(np.abs(t_w(w, 2.5 * eps, v) - 2.5 * t_val))))
         # real structure: conjugation swaps the chiral halves and w <-> conj w
         conj_comp = max(conj_comp, float(np.max(np.abs(
-            np.conj(t_val) - t_w(rep, w, np.conj(eps), v)))))
+            np.conj(t_val) - t_w(w, np.conj(eps), v)))))
     out["linearity"] = lin
     out["real_structure"] = conj_comp
     if abs(w.imag) < 1e-14:
@@ -520,7 +493,7 @@ def chiral_operator_check(w: complex, eps1: np.ndarray, eps2: np.ndarray,
         for v in vs:
             real_eps = eps + np.conj(eps)  # a c-real spinor
             red = max(red, float(np.max(np.abs(
-                t_w(rep, w, real_eps, v)
-                - w.real * (rep.slash(v) @ real_eps)))))
+                t_w(w, real_eps, v)
+                - w.real * (clifford_rep().slash(v) @ real_eps)))))
         out["real_w_reduction"] = red
     return out

@@ -258,6 +258,17 @@ class TestBundleFile:
             assert np.array_equal(a, b)
         assert q.relations == p.relations
 
+    def test_equality_by_value(self, rng):
+        p = ho.BundlePresentation(1, [random_sp(1, rng), random_sp(1, rng)],
+                                  relations=[[1, 2, -1, -2]])
+        assert ho.parse_bundle(print_bundle(p)) == p
+        assert p != ho.BundlePresentation(1, p.generators, relations=[[1, -1]])
+        assert p != ho.BundlePresentation(1, p.generators[:1])
+        assert p != ho.BundlePresentation(1, [2 * p.generators[0], p.generators[1]],
+                                          relations=p.relations)
+        assert p != ho.BundlePresentation(2)
+        assert p != "nv = 1"
+
     @pytest.mark.parametrize("nv", ["0", "13"])
     def test_nv_out_of_range(self, nv):
         with pytest.raises(ho.PresentationError, match="nv"):

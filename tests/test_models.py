@@ -116,6 +116,14 @@ class TestEvalPeriod:
         with pytest.raises(md.ModelError):
             m.period(pt(0.0, -1.0))
 
+    def test_outside_domain_names_first_bad_point(self):
+        m = md.builtin("identity-tau")
+        pts = np.array([[[0.0, 1.0], [0.5, 2.0]], [[0.25, -0.5], [1.0, 1.0]]])
+        with pytest.raises(md.ModelError) as err:
+            m.period_matrix(pts)
+        assert str(err.value) == ("model 'identity-tau': point 2 [0.25, -0.5] "
+                                  "outside chart domain")
+
 
 class TestPeriodDerivative:
     def test_identity_tau_partials(self):

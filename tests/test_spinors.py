@@ -83,7 +83,7 @@ class TestCliffordRep:
                         assert np.max(np.abs(lhs - rhs)) <= 1e-14
 
     def test_invariant_bilinear_spaces(self, rep):
-        bil = sn.invariant_bilinears(rep)
+        bil = sn.invariant_bilinears()
         assert len(bil[1]) == 1 and len(bil[-1]) == 1
         for sigma in (1, -1):
             c = bil[sigma][0]
@@ -302,18 +302,18 @@ class TestThm53Checks:
 
 
 class TestChiralAlgebra:
-    def test_projectors(self, rep):
-        p_plus, p_minus = sn.chiral_projectors(rep)
+    def test_projectors(self):
+        p_plus, p_minus = sn.chiral_projectors()
         assert np.max(np.abs(p_plus @ p_plus - p_plus)) < 1e-14
         assert np.max(np.abs(p_plus + p_minus - np.eye(4))) < 1e-14
         assert np.max(np.abs(p_plus @ p_minus)) < 1e-14
 
-    def test_zero_w(self, rep):
+    def test_zero_w(self):
         rng = np.random.default_rng(0)
         eps = rng.standard_normal(4) + 1j * rng.standard_normal(4)
         for _ in range(5):
             v = rng.standard_normal(4)
-            assert np.max(np.abs(sn.t_w(rep, 0.0, eps, v))) == 0.0
+            assert np.max(np.abs(sn.t_w(0.0, eps, v))) == 0.0
 
     def test_real_w_reduction(self, rep):
         # real w on a conjugation-real spinor reduces to the real Killing
@@ -323,25 +323,25 @@ class TestChiralAlgebra:
         w = 0.45
         for _ in range(10):
             v = rng.standard_normal(4)
-            lhs = sn.t_w(rep, w, eps_real, v)
+            lhs = sn.t_w(w, eps_real, v)
             rhs = w * np.einsum("a,aij,j->i", v, rep.gamma, eps_real)
             assert np.max(np.abs(lhs - rhs)) < 1e-13
 
-    def test_check_report(self, rep):
+    def test_check_report(self):
         rng = np.random.default_rng(2)
-        p_plus, p_minus = sn.chiral_projectors(rep)
+        p_plus, p_minus = sn.chiral_projectors()
         eps = rng.standard_normal(4) + 1j * rng.standard_normal(4)
-        out = sn.chiral_operator_check(0.3 + 0.7j, p_plus @ eps, p_minus @ eps, rep)
+        out = sn.chiral_operator_check(0.3 + 0.7j, p_plus @ eps, p_minus @ eps)
         assert out["linearity"] < 1e-13
         assert out["real_structure"] < 1e-13
-        out2 = sn.chiral_operator_check(0.5, p_plus @ eps, p_minus @ eps, rep)
+        out2 = sn.chiral_operator_check(0.5, p_plus @ eps, p_minus @ eps)
         assert out2["real_w_reduction"] < 1e-13
 
-    def test_non_chiral_input_warns(self, rep):
+    def test_non_chiral_input_warns(self):
         rng = np.random.default_rng(3)
         eps = rng.standard_normal(4) + 1j * rng.standard_normal(4)
         with pytest.warns(UserWarning):
-            sn.chiral_operator_check(0.2, eps, eps, rep)
+            sn.chiral_operator_check(0.2, eps, eps)
 
 
 # ------------------------------------------------------------ einsum oracles
@@ -349,9 +349,14 @@ class TestChiralAlgebra:
 # first written as, one formula each.  The stacked-matmul kernels of the
 # module must agree with them to roundoff.
 
+def full_frame(fr, pts):
+    """e (..., a, mu): the direction-only evaluator's columns stacked over mu."""
+    return np.stack([fr.along(pts, mu)[0] for mu in range(4)], axis=-1)
+
+
 def full_connection(fr, pts):
     """w (..., mu, a, b): the direction-only evaluator stacked over mu."""
-    return np.stack([fr.conn_fn(pts, mu) for mu in range(4)], axis=-3)
+    return np.stack([fr.along(pts, mu)[1] for mu in range(4)], axis=-3)
 
 
 def metric_compatibility_residual(fr, w):
@@ -390,7 +395,7 @@ def oracle_spin_connection(fr):
 
 
 def oracle_bilinears(fr, eps, rep):
-    c = sn.invariant_bilinears(rep)[-1][0]
+    c = sn.invariant_bilinears()[-1][0]
     c = c / np.max(np.abs(c))
     gam = rep.gamma
     u_frame = np.einsum("...i,ij,ajk,...k->...a", eps, c, gam, eps)
@@ -414,7 +419,7 @@ def oracle_integrate(fr, lam, eps0, rep, axis_order):
     eps[(0,) * 4] = eps0
 
     def m_at(q, axis):
-        return oracle_generator(rep, full_connection(fr, q), fr.frame_fn(q),
+        return oracle_generator(rep, full_connection(fr, q), full_frame(fr, q),
                                 lam)[..., axis, :, :]
 
     def apply(m, y):
@@ -463,9 +468,11 @@ def wavy9():
         w = 0.3 * np.cos(np.einsum("...n,abn->...ab", pts, k_w[mu]) + phi_w[mu])
         return w - np.swapaxes(w, -1, -2)
 
+    def along(pts, mu):
+        return frame_fn(pts)[..., :, mu], conn_fn(pts, mu)
+
     grid = gr.GridPatch(((-0.4, 0.4),) * 4, (9,) * 4)
-    return sn.FramePatch(grid, frame_fn(grid.coords()), name="wavy",
-                         frame_fn=frame_fn, conn_fn=conn_fn)
+    return sn.FramePatch(grid, frame_fn(grid.coords()), along=along)
 
 
 class TestKernelOracles:
@@ -473,14 +480,14 @@ class TestKernelOracles:
         x = wavy9.grid.coords()
         w, e = full_connection(wavy9, x), wavy9.e
         for lam in (0.0, 0.7):
-            new = sn._transport_generator(rep, w, np.swapaxes(e, -1, -2), lam)
+            new = sn._transport_generator(w, np.swapaxes(e, -1, -2), lam)
             assert rel_err(new, oracle_generator(rep, w, e, lam)) < 1e-13
 
     def test_axis_generator_is_slice_of_full(self, wavy9, rep):
         pts = wavy9.grid.coords()[:, 2, :, 3]
-        full = oracle_generator(rep, full_connection(wavy9, pts), wavy9.frame_fn(pts), 0.7)
+        full = oracle_generator(rep, full_connection(wavy9, pts), full_frame(wavy9, pts), 0.7)
         for axis in range(4):
-            one = sn._axis_generator(wavy9, rep, 0.7, pts, axis)
+            one = sn._axis_generator(wavy9, 0.7, pts, axis)
             assert rel_err(one, full[..., axis, :, :]) < 1e-13
 
     def test_spin_connection(self, wavy9):
@@ -524,9 +531,9 @@ class TestKernelOracles:
 
         def counted(pts, mu):
             calls.append((np.shape(pts), mu))
-            return fr.conn_fn(pts, mu)
+            return fr.along(pts, mu)
 
-        spy = sn.FramePatch(fr.grid, fr.e, frame_fn=fr.frame_fn, conn_fn=counted)
+        spy = sn.FramePatch(fr.grid, fr.e, along=counted)
         order = (2, 0, 3, 1)
         eps = sn.integrate_killing(spy, LAM, EPS0, axis_order=order)
         assert [mu for _, mu in calls] == list(order)
@@ -534,15 +541,23 @@ class TestKernelOracles:
         assert [shape[-2:] for shape, _ in calls] == [(17, 4)] * 4
         assert np.array_equal(eps, sn.integrate_killing(fr, LAM, EPS0, axis_order=order))
 
-    def test_conformal_connection_formula(self):
-        rng = np.random.default_rng(12)
-        grad = rng.standard_normal((5, 3, 4))
-        conn = sn.conformal_connection(lambda pts: grad)
-        pts = np.zeros((5, 3, 4))
-        for mu in range(4):
-            expect = (np.einsum("a,...b->...ab", sn.ETA[:, mu], grad)
-                      - np.einsum("b,...a->...ab", sn.ETA[:, mu], grad))
-            assert np.array_equal(conn(pts, mu), expect)
+    def test_builtin_evaluator_matches_samples_and_spin_connection(self):
+        # the evaluator's columns are the sampled frame to the last bit; its
+        # connection agrees with the finite-difference one on the interior,
+        # exactly on minkowski and at second order on ads
+        errs = {}
+        for name in ("minkowski", "ads4-poincare"):
+            for k, n in ((1, 9), (2, 17)):
+                grid = ads_grid(n)
+                fr = sn.builtin_frame(name, grid, lam=0.7)
+                x = grid.coords()
+                assert np.array_equal(full_frame(fr, x), fr.e)
+                # the nodes of the 9^4 grid's margin-2 interior, on both grids
+                inner = (slice(2 * k, n - 2 * k, k),) * 4
+                w_fd = sn.spin_connection(fr)[inner]
+                errs[name, n] = float(np.max(np.abs(full_connection(fr, x)[inner] - w_fd)))
+        assert errs["minkowski", 9] == errs["minkowski", 17] == 0.0
+        assert 1.8 <= np.log2(errs["ads4-poincare", 9] / errs["ads4-poincare", 17]) <= 2.2
 
     def test_tables_built_once_and_read_only(self, rep):
         assert sn.clifford_rep() is rep
