@@ -294,7 +294,7 @@ class Model:
         p = np.asarray(p, dtype=float)
         bad = self.chart.first_outside(p)
         if bad is not None:
-            point = p.reshape(-1, p.shape[-1])[bad] if p.ndim else p
+            point = p[np.unravel_index(bad, p.shape[:-1])]
             raise ModelError(f"model {self.name!r}: point {bad} {point.tolist()} "
                              "outside chart domain")
         env = self.chart.env(p)
