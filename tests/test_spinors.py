@@ -542,8 +542,8 @@ class TestKernelOracles:
         assert np.array_equal(eps, sn.integrate_killing(fr, LAM, EPS0, axis_order=order))
 
     def test_builtin_evaluator_matches_samples_and_spin_connection(self):
-        # the evaluator's columns are the sampled frame to the last bit; its
-        # connection agrees with the finite-difference one on the interior,
+        # the sampled frame is Omega delta^a_mu and the evaluator's columns
+        # to the last bit; its connection agrees with the finite-difference one on the interior,
         # exactly on minkowski and at second order on ads
         errs = {}
         for name in ("minkowski", "ads4-poincare"):
@@ -551,6 +551,8 @@ class TestKernelOracles:
                 grid = ads_grid(n)
                 fr = sn.builtin_frame(name, grid, lam=0.7)
                 x = grid.coords()
+                omega = 1.0 / (0.7 * x[..., 3]) if name != "minkowski" else np.ones(grid.shape)
+                assert np.array_equal(fr.e, omega[..., None, None] * np.eye(4))
                 assert np.array_equal(full_frame(fr, x), fr.e)
                 # the nodes of the 9^4 grid's margin-2 interior, on both grids
                 inner = (slice(2 * k, n - 2 * k, k),) * 4
