@@ -316,15 +316,34 @@ def cmd_transport(args) -> Report:
 EPS0 = np.array([0.9, -0.4, 0.3, 1.1])
 
 
-def _ads_frames(lam: float) -> list[sn.FramePatch]:
-    """AdS4 frames on the 9^4 and 13^4 grids of the z in [0.8, 1.6] patch.
-    The Einstein constant -3 lam^2 fixes lam up to sign, so the frame is
-    built at |lam| and both signs have Killing spinors."""
+def _ads_grid(n: int) -> gr.GridPatch:
+    """The n^4 grid of the z in [0.8, 1.6] patch."""
+    return gr.GridPatch(((-0.4, 0.4), (-0.4, 0.4), (-0.4, 0.4), (0.8, 1.6)), (n,) * 4)
+
+
+def _ads_frame(lam: float, n: int) -> sn.FramePatch:
+    """AdS4 frame on the n^4 grid.  The Einstein constant -3 lam^2 fixes lam
+    up to sign, so the frame is built at |lam| and both signs have Killing
+    spinors."""
     if lam == 0:
         raise UsageError("the ads4-poincare frame needs lambda != 0")
-    box = ((-0.4, 0.4), (-0.4, 0.4), (-0.4, 0.4), (0.8, 1.6))
-    return [sn.builtin_frame("ads4-poincare", gr.GridPatch(box, (n,) * 4), lam=abs(lam))
-            for n in (9, 13)]
+    return sn.builtin_frame("ads4-poincare", _ads_grid(n), lam=abs(lam))
+
+
+# The AdS checks compare a 9^4 and a 13^4 grid.  Each grid's frame and fields
+# are built and dropped inside one call, so the two never coexist.
+ADS_SIZES = (9, 13)
+
+
+def _ads_killing(lam: float, n: int, region) -> tuple[float, float, float]:
+    """(max Killing residual over the box region = (lo, hi), path defect,
+    spacing) of the swept spinor on the n^4 AdS grid."""
+    fr = _ads_frame(lam, n)
+    eps = sn.integrate_killing(fr, lam, EPS0)
+    x = fr.grid.coords()
+    inside = np.all((x >= region[0]) & (x <= region[1]), axis=-1)
+    res = float(np.max(np.abs(sn.killing_residual(fr, eps, lam)[inside])))
+    return res, sn.path_defect(fr, lam, eps), float(fr.grid.h[0])
 
 
 def cmd_spinor_check(args) -> Report:
@@ -341,47 +360,43 @@ def cmd_spinor_check(args) -> Report:
         return rep
     if args.frame != "ads4-poincare":
         raise UsageError(f"unknown frame {args.frame!r}")
-    fr9, fr13 = _ads_frames(args.lam)
     # both residual maxima are taken over one region, the coarse grid's
     # margin-2 interior, so their ratio measures convergence at fixed points
-    region = fr9.grid.coords()[fr9.grid.interior()].reshape(-1, 4)
-    lo, hi = region.min(axis=0) - 1e-9, region.max(axis=0) + 1e-9
-    res, defects = [], []
-    for fr in (fr9, fr13):
-        eps = sn.integrate_killing(fr, args.lam, EPS0)
-        x = fr.grid.coords()
-        inside = np.all((x >= lo) & (x <= hi), axis=-1)
-        res.append(float(np.max(np.abs(sn.killing_residual(fr, eps, args.lam)[inside]))))
-        defects.append(sn.path_defect(fr, args.lam, eps))
-    order = float(np.log(res[0] / res[1]) / np.log(fr9.grid.h[0] / fr13.grid.h[0]))
-    rep.add("residual_coarse", res[0], tol=None, passed=res[0] < 1.0)
+    coarse = _ads_grid(ADS_SIZES[0])
+    inner = coarse.coords()[coarse.interior()].reshape(-1, 4)
+    region = (inner.min(axis=0) - 1e-9, inner.max(axis=0) + 1e-9)
+    (res0, defect0, h0), (res1, defect1, h1) = (
+        _ads_killing(args.lam, n, region) for n in ADS_SIZES)
+    order = float(np.log(res0 / res1) / np.log(h0 / h1))
+    rep.add("residual_coarse", res0, tol=None, passed=res0 < 1.0)
     rep.add("residual_order", order, tol=None, passed=1.5 <= order <= 2.5)
-    rep.add("path_defect_shrinks", defects[1] / defects[0], tol=None,
-            passed=defects[1] < defects[0])
+    rep.add("path_defect_shrinks", defect1 / defect0, tol=None,
+            passed=defect1 < defect0)
     return rep
+
+
+def _ads_first_order(lam: float, n: int) -> sn.FirstOrderReport:
+    """The first-order system of the swept spinor's bilinears on the n^4 AdS grid."""
+    fr = _ads_frame(lam, n)
+    eps = sn.integrate_killing(fr, lam, EPS0)
+    u, l = sn.killing_bilinears(fr, eps)
+    kappa = sn.extract_kappa(u, l, lam, fr.geometry, fr.grid)
+    return sn.verify_thm53(u, l, kappa, lam, fr.geometry, fr.grid)
 
 
 def cmd_thm53(args) -> Report:
     if args.frame != "ads4-poincare":
         raise UsageError("thm53 verification runs on the ads4-poincare frame")
     rep = Report("thm53", _seed(), {"frame": args.frame, "lambda": args.lam})
-    fr9, fr13 = _ads_frames(args.lam)
-    maxima = []
-    for fr in (fr9, fr13):
-        eps = sn.integrate_killing(fr, args.lam, EPS0)
-        u, l = sn.killing_bilinears(fr, eps)
-        kappa = sn.extract_kappa(u, l, args.lam, fr.geometry, fr.grid)
-        out = sn.verify_thm53(u, l, kappa, args.lam, fr.geometry, fr.grid)
-        maxima.append(out)
-    fine = maxima[1]
+    coarse, fine = (_ads_first_order(args.lam, n) for n in ADS_SIZES)
     rep.add("nontrivial", fine.nontrivial, passed=fine.nontrivial)
     rep.add("u_norm_violation", fine.u_norm_violation, tol=1e-8)
     rep.add("l_norm_violation", fine.l_norm_violation, tol=1e-8)
     rep.add("orthogonality_violation", fine.orthogonality_violation, tol=1e-8)
-    rep.add("du_residual_shrinks", fine.du_residual / maxima[0].du_residual,
-            tol=None, passed=fine.du_residual < maxima[0].du_residual)
-    rep.add("dl_residual_shrinks", fine.dl_residual / maxima[0].dl_residual,
-            tol=None, passed=fine.dl_residual < maxima[0].dl_residual)
+    rep.add("du_residual_shrinks", fine.du_residual / coarse.du_residual,
+            tol=None, passed=fine.du_residual < coarse.du_residual)
+    rep.add("dl_residual_shrinks", fine.dl_residual / coarse.dl_residual,
+            tol=None, passed=fine.dl_residual < coarse.dl_residual)
     rep.info("u_killing_residual", fine.u_killing_residual)
     rep.info("dkappa_max", fine.dkappa_max)
     return rep

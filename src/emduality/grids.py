@@ -25,7 +25,7 @@ import numpy as np
 
 from . import fields as fl
 from .errors import InputError
-from .models import Model, TransformedModel, checked_periods, load_model
+from .models import Model, TransformedModel, checked_periods, load_model, point_text
 from .symplectic import omega, taming_matrix
 from .textio import key_values, numbers
 
@@ -141,14 +141,30 @@ def _bracket(dg: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
     return out
 
 
+NODE_BLOCK = 2048   # nodes per block of the pointwise kernels on a grid
+
+
+def node_blocks(count: int, per: int = 1) -> list[slice]:
+    """Consecutive slices covering range(count), each of at most NODE_BLOCK
+    nodes when one item holds per nodes (and of at least one item)."""
+    step = max(1, NODE_BLOCK // per)
+    return [slice(i, min(i + step, count)) for i in range(0, count, step)]
+
+
 def metric_geometry(g, grid: GridPatch) -> Geometry:
     """The geometry of a metric field: the metric check, g^-1, sqrt(-det g)
-    and Gamma^r_{mn} = (1/2) g^{rs} B_{smn}.  A Geometry passes through."""
+    and Gamma^r_{mn} = (1/2) g^{rs} B_{smn}.  A Geometry passes through.
+    B is formed one block of nodes at a time, and Gamma overwrites the metric
+    derivative it is built from."""
     if isinstance(g, Geometry):
         return g
     m = fl.checked_metric(g)
-    bracket = _bracket(partials(m.g, grid))
-    gamma = 0.5 * (m.ginv @ bracket.reshape(bracket.shape[:-2] + (16,))).reshape(bracket.shape)
+    gamma = partials(m.g, grid)                 # d_k g_mn, then Gamma^r_mn
+    flat, ginv = gamma.reshape(-1, 4, 16), m.ginv.reshape(-1, 4, 4)
+    for s in node_blocks(len(flat)):
+        bracket = _bracket(gamma.reshape(-1, 4, 4, 4)[s])
+        np.matmul(ginv[s], bracket.reshape(-1, 4, 16), out=flat[s])
+    gamma *= 0.5
     geo = Geometry(m.g, m.ginv, m.det, gamma, grid)
     geo.vol  # a grid metric is Lorentzian: take the volume, and its check, now
     return geo
@@ -259,7 +275,8 @@ class FieldConfiguration:
         flat_phi = self.phi.reshape(-1, n_s)
         bad = self.model.chart.first_outside(flat_phi)
         if bad is not None:
-            raise DomainExitError(f"scalar map leaves the chart at node {bad}: {flat_phi[bad]}")
+            raise DomainExitError(f"scalar map leaves the chart at node {bad}: "
+                                  f"{point_text(flat_phi, bad)}")
         tau = checked_periods(self.model, flat_phi)
         # derivatives along the n_s coordinate directions at every node
         dtau = self.model.period_directional(flat_phi[:, None, :], np.eye(n_s))

@@ -294,8 +294,7 @@ class Model:
         p = np.asarray(p, dtype=float)
         bad = self.chart.first_outside(p)
         if bad is not None:
-            point = p[np.unravel_index(bad, p.shape[:-1])]
-            raise ModelError(f"model {self.name!r}: point {bad} {point.tolist()} "
+            raise ModelError(f"model {self.name!r}: point {bad} {point_text(p, bad)} "
                              "outside chart domain")
         env = self.chart.env(p)
         return self._symmetric(p.shape[:-1], lambda e: ex.evaluate(e, env))
@@ -340,6 +339,14 @@ class TransformedModel:
         return mobius_differential(self.a, self.base.period_matrix(q), dn)
 
 
+def point_text(stack, index: int) -> str:
+    """The coordinates of the point at a flattened index of a stack (..., dim)
+    as one list in full precision, for error rows (numpy's str wraps a wide
+    point over lines and rounds it)."""
+    stack = np.atleast_1d(np.asarray(stack, dtype=float))
+    return str(stack.reshape(-1, stack.shape[-1])[index].tolist())
+
+
 def checked_periods(model, p: np.ndarray) -> np.ndarray:
     """Period matrices at a point (dim,) or a stack of points (..., dim),
     symmetrised and checked for Siegel membership by the one rule: at every
@@ -354,7 +361,7 @@ def checked_periods(model, p: np.ndarray) -> np.ndarray:
         bad = int(np.argmin(ratio > PD_RTOL))
         raise ModelInvalidError(
             f"model {model.name!r} leaves Siegel space at point {bad} "
-            f"{p.reshape(-1, p.shape[-1])[bad]}: relative min eigenvalue of Im(tau) "
+            f"{point_text(p, bad)}: relative min eigenvalue of Im(tau) "
             f"{ratio[bad]:.3e}")
     return tau
 

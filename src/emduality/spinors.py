@@ -28,7 +28,8 @@ from .errors import InputError
 from .fields import ETA
 # christoffel is unused here but stays importable: bench/spans.py wraps
 # spinors.christoffel
-from .grids import Geometry, GridPatch, christoffel, metric_geometry, partials  # noqa: F401
+from .grids import (Geometry, GridPatch, christoffel, metric_geometry,  # noqa: F401
+                    node_blocks, partials)
 from .symplectic import null_space
 
 
@@ -141,10 +142,6 @@ class FramePatch:
         """The metric's inverse, volume and Christoffel symbols, computed once."""
         return metric_geometry(self.metric(), self.grid)
 
-    def inverse(self) -> np.ndarray:
-        """e^mu_a, shape grid + (mu, a)."""
-        return np.linalg.inv(self.e)
-
 
 def builtin_frame(name: str, grid: GridPatch, lam: float = 1.0) -> FramePatch:
     """'minkowski', or 'ads4-poincare': conformal factor 1/(lam z) with z the
@@ -158,6 +155,9 @@ def builtin_frame(name: str, grid: GridPatch, lam: float = 1.0) -> FramePatch:
     if ads and np.min(x[..., 3]) <= 0:
         raise FrameError("ads4-poincare frame needs z > 0 on the whole grid")
 
+    def omega(pts):
+        return 1.0 / (lam * pts[..., 3]) if ads else np.ones(pts.shape[:-1])
+
     def along(pts, mu):
         # the conformal frame e^a_mu = Omega delta^a_mu has the connection
         # w_{mu a b} = eta_{a mu} d_b ln(Omega) - eta_{b mu} d_a ln(Omega):
@@ -165,44 +165,45 @@ def builtin_frame(name: str, grid: GridPatch, lam: float = 1.0) -> FramePatch:
         # d ln(Omega), which is -dz / z (ads) or 0 (minkowski)
         pts = np.asarray(pts, dtype=float)
         e = np.zeros(pts.shape[:-1] + (4,))
+        e[..., mu] = omega(pts)
         d = np.zeros(pts.shape[:-1] + (4,))
         if ads:
-            e[..., mu] = 1.0 / (lam * pts[..., 3])
             d[..., 3] = -1.0 / pts[..., 3]
-        else:
-            e[..., mu] = 1.0
         w = np.zeros(d.shape + (4,))
         w[..., mu, :] = ETA[mu, mu] * d
         w[..., :, mu] = -ETA[mu, mu] * d
         w[..., mu, mu] = 0.0
         return e, w
 
-    return FramePatch(grid, np.stack([along(x, mu)[0] for mu in range(4)], axis=-1),
-                      along=along)
+    # the nodes sample Omega delta^a_mu, the evaluator's columns, directly
+    return FramePatch(grid, omega(x)[..., None, None] * np.eye(4), along=along)
 
 
 def spin_connection(fr: FramePatch) -> np.ndarray:
     """Torsion-free metric spin connection w_{mu a b} from the sampled frame.
 
     Finite differences of the frame (margin-1 interior); the output is
-    antisymmetrised in (a, b) so that property holds to the last bit.
+    antisymmetrised in (a, b) so that property holds to the last bit.  After
+    the derivative, the formula is pointwise: it runs on blocks of nodes and
+    writes each block's connection over that block's derivative, so the
+    result is the only full-size array.
     """
-    e = fr.e
-    einv = fr.inverse()
-    de = partials(ETA @ e, fr.grid)                       # (..., a, m, n) = d_n e_{a m}
-    c = np.swapaxes(de, -1, -2) - de                      # C[a, m, n] = d_m e_{a n} - d_n e_{a m}
-    del de
-    lead = e.shape[:-2]
-    # t1[m, a, b] = e^n_a C[b, m, n]; t2[m, a, b] = e^n_b C[a, m, n] = t1[m, b, a]
-    t1 = np.moveaxis((c.reshape(lead + (16, 4)) @ einv).reshape(lead + (4, 4, 4)), -3, -1)
-    # t3[m, a, b] = e^c_m (e^r_a C[c, r, s] e^s_b): a frame rotation of C
-    rot = np.swapaxes(einv, -1, -2)[..., None, :, :] @ c
-    del c
-    rot = rot @ einv[..., None, :, :]
-    t3 = (np.swapaxes(e, -1, -2) @ rot.reshape(lead + (4, 16))).reshape(lead + (4, 4, 4))
-    del rot
-    w = 0.5 * (t1 - np.swapaxes(t1, -1, -2) - t3)
-    return (w - np.swapaxes(w, -1, -2)) / 2
+    e = fr.e.reshape(-1, 4, 4)
+    einv = np.linalg.inv(e)                               # e^mu_a
+    w = partials(ETA @ fr.e, fr.grid)                     # d_n e_{a m}, then w_{m a b}
+    flat = w.reshape(-1, 4, 4, 4)
+    for s in node_blocks(len(flat)):
+        de = flat[s]                                      # (a, m, n) = d_n e_{a m}
+        c = np.swapaxes(de, -1, -2) - de                  # C[a, m, n] = d_m e_{a n} - d_n e_{a m}
+        # t1[m, a, b] = e^n_a C[b, m, n]; t2[m, a, b] = e^n_b C[a, m, n] = t1[m, b, a]
+        t1 = np.moveaxis((c.reshape(-1, 16, 4) @ einv[s]).reshape(-1, 4, 4, 4), -3, -1)
+        # t3[m, a, b] = e^c_m (e^r_a C[c, r, s] e^s_b): a frame rotation of C
+        rot = np.swapaxes(einv[s], -1, -2)[:, None] @ c @ einv[s][:, None]
+        t3 = (np.swapaxes(e[s], -1, -2) @ rot.reshape(-1, 4, 16)).reshape(-1, 4, 4, 4)
+        wb = 0.5 * (t1 - np.swapaxes(t1, -1, -2) - t3)
+        np.subtract(wb, np.swapaxes(wb, -1, -2), out=de)
+        de /= 2
+    return w
 
 
 # ---------------------------------------------------------- killing spinors
@@ -233,12 +234,15 @@ def killing_residual(fr: FramePatch, eps: np.ndarray, lam: float) -> np.ndarray:
 
     Uses the finite-difference spin connection, so it is an independent check
     on spinor fields produced by ``integrate_killing`` (which integrates the
-    analytic connection).  Valid on the margin-2 interior.
+    analytic connection).  The generator is built for one direction at a
+    time.  Valid on the margin-2 interior.
     """
     w = spin_connection(fr)
-    deps = np.moveaxis(partials(eps, fr.grid), -1, -2)    # (..., mu, comp)
-    m = _transport_generator(w, np.swapaxes(fr.e, -1, -2), lam)
-    return deps - (m @ eps[..., None, :, None])[..., 0]
+    res = np.moveaxis(partials(eps, fr.grid), -1, -2)     # (..., mu, comp) = d_mu eps
+    for mu in range(4):
+        m = _transport_generator(w[..., mu, :, :], fr.e[..., mu], lam)
+        res[..., mu, :] -= (m @ eps[..., None])[..., 0]
+    return res
 
 
 def killing_residual_max(fr: FramePatch, eps: np.ndarray, lam: float) -> float:
@@ -275,10 +279,11 @@ def integrate_killing(fr: FramePatch, lam: float, eps0: np.ndarray,
     """Fill the grid with the Killing transport of eps0 from the origin corner,
     sweeping one axis at a time in the given order (RK4 per edge).
 
-    Each swept axis makes one generator call, stacked over the nodes and
-    midpoints of all its lines, and one batch of edge propagators; the sweep
-    then applies them edge by edge.  Needs the analytic evaluator of a
-    built-in frame: RK4 samples it between nodes.
+    Each swept axis runs in slabs of rows of its first line axis, about
+    ``grids.NODE_BLOCK`` nodes each.  A slab makes one generator call,
+    stacked over the nodes and midpoints of its lines, and one batch of edge
+    propagators, which the sweep then applies edge by edge.  Needs the
+    analytic evaluator of a built-in frame: RK4 samples it between nodes.
     """
     if fr.along is None:
         raise FrameError("integrate_killing needs a frame with an analytic "
@@ -292,11 +297,14 @@ def integrate_killing(fr: FramePatch, lam: float, eps0: np.ndarray,
         # the lines along `axis` through the block the earlier sweeps filled
         sel = tuple(slice(None) if a in axis_order[:pos + 1] else slice(0, 1)
                     for a in range(4))
-        props = _edge_propagators(fr, lam, np.moveaxis(coords[sel], axis, -2),
-                                  axis, float(grid.h[axis]))
+        nodes = np.moveaxis(coords[sel], axis, -2)
         lines = np.moveaxis(eps[sel], axis, -2)          # a view into eps
-        for k in range(grid.shape[axis] - 1):
-            lines[..., k + 1, :] = (props[..., k, :, :] @ lines[..., k, :, None])[..., 0]
+        n = lines.shape[-2]
+        for rows in node_blocks(lines.shape[0], n * int(np.prod(lines.shape[1:-2]))):
+            props = _edge_propagators(fr, lam, nodes[rows], axis, float(grid.h[axis]))
+            slab = lines[rows]
+            for k in range(n - 1):
+                slab[..., k + 1, :] = (props[..., k, :, :] @ slab[..., k, :, None])[..., 0]
     return eps
 
 
@@ -322,12 +330,6 @@ def _bilinear_space(gamma: np.ndarray, sigma: int) -> list[np.ndarray]:
     return [null[:, k].reshape(4, 4) for k in range(null.shape[1])]
 
 
-def invariant_bilinears() -> dict[int, list[np.ndarray]]:
-    """Bases of the spaces {C : gamma_a^T C = sigma C gamma_a for all a},
-    keyed by sigma in {+1, -1}."""
-    return {sigma: _bilinear_space(clifford_rep().gamma, sigma) for sigma in (1, -1)}
-
-
 def killing_bilinears(fr: FramePatch, eps: np.ndarray):
     """One-forms (u, l) built from a real spinor field: for Killing spinors,
     u is lightlike and l unit spacelike with g(u, l) = 0.
@@ -349,7 +351,10 @@ def killing_bilinears(fr: FramePatch, eps: np.ndarray):
     lead = eps.shape[:-1]
     col = eps[..., :, None]
     u_frame = ((eps @ vec).reshape(lead + (4, 4)) @ col)[..., 0]
-    om_frame = ((eps @ ten).reshape(lead + (16, 4)) @ col).reshape(lead + (4, 4))
+    om_frame = np.empty(lead + (4, 4))
+    for a in range(4):                   # the 64-column table, 16 columns at a time
+        om_frame[..., a, :] = ((eps @ ten[:, 16 * a:16 * (a + 1)]).reshape(lead + (4, 4))
+                               @ col)[..., 0]
     u = np.einsum("...am,...a->...m", fr.e, u_frame)
     om = np.swapaxes(fr.e, -1, -2) @ om_frame @ fr.e
     uu = np.maximum(np.einsum("...m,...m->...", u, u), 1e-300)
@@ -411,31 +416,27 @@ def verify_thm53(u: np.ndarray, l: np.ndarray, kappa: np.ndarray, lam: float,
     inner = grid.interior()
     geo = metric_geometry(g, grid)
 
+    def peak(a: np.ndarray) -> float:
+        return float(np.max(np.abs(a[inner])))
+
+    # each residual is reduced to its interior maximum as soon as it is formed
     grad_u = _nabla(u, geo, grid)
+    killing = peak(grad_u + np.swapaxes(grad_u, -1, -2))
     wedge = np.einsum("...m,...n->...mn", u, l) - np.einsum("...m,...n->...mn", l, u)
-    res_u = grad_u - lam * wedge
-    res_l = _nabla(l, geo, grid) - np.einsum("...m,...n->...mn", kappa, u) \
-        - lam * (np.einsum("...m,...n->...mn", l, l) - geo.g)
-
-    uu = _quadratic(geo.ginv, u, u)
-    ll = _quadratic(geo.ginv, l, l)
-    ul = _quadratic(geo.ginv, u, l)
-
-    killing = grad_u + np.swapaxes(grad_u, -1, -2)
-
+    du = peak(grad_u - lam * wedge)
+    del grad_u, wedge
+    dl = peak(_nabla(l, geo, grid) - np.einsum("...m,...n->...mn", kappa, u)
+              - lam * (np.einsum("...m,...n->...mn", l, l) - geo.g))
     dkappa = np.moveaxis(partials(kappa, grid), -1, -2)
-    dkappa = dkappa - np.swapaxes(dkappa, -1, -2)
-
-    nontrivial = bool(np.max(np.abs(u[inner])) > 1e-10)
     return FirstOrderReport(
-        du_residual=float(np.max(np.abs(res_u[inner]))),
-        dl_residual=float(np.max(np.abs(res_l[inner]))),
-        u_norm_violation=float(np.max(np.abs(uu[inner]))),
-        l_norm_violation=float(np.max(np.abs(ll[inner] - 1.0))),
-        orthogonality_violation=float(np.max(np.abs(ul[inner]))),
-        u_killing_residual=float(np.max(np.abs(killing[inner]))),
-        dkappa_max=float(np.max(np.abs(dkappa[inner]))),
-        nontrivial=nontrivial)
+        du_residual=du,
+        dl_residual=dl,
+        u_norm_violation=peak(_quadratic(geo.ginv, u, u)),
+        l_norm_violation=float(np.max(np.abs(_quadratic(geo.ginv, l, l)[inner] - 1.0))),
+        orthogonality_violation=peak(_quadratic(geo.ginv, u, l)),
+        u_killing_residual=killing,
+        dkappa_max=peak(dkappa - np.swapaxes(dkappa, -1, -2)),
+        nontrivial=bool(np.max(np.abs(u[inner])) > 1e-10))
 
 
 # ----------------------------------------------------------- chiral algebra

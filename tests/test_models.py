@@ -1,3 +1,5 @@
+import ast
+
 import numpy as np
 import pytest
 from scipy.stats import qmc
@@ -123,6 +125,19 @@ class TestEvalPeriod:
             m.period_matrix(pts)
         assert str(err.value) == ("model 'identity-tau': point 2 [0.25, -0.5] "
                                   "outside chart domain")
+
+    def test_wide_point_leaving_siegel_is_one_full_precision_line(self):
+        m = md.parse_model("name = wide\nnv = 1\nchart = flat\ndim = 12\n"
+                           "N[1,1] = x1 + i*x2")
+        pts = np.random.default_rng(4).uniform(0.1, 1.0, (2, 3, 12))
+        pts[1, 0, 1] = -1 / 3          # flat index 3
+        with pytest.raises(md.ModelInvalidError) as err:
+            md.checked_periods(m, pts)
+        msg = str(err.value)
+        assert "\n" not in msg
+        head, _, coords = msg.partition(" at point 3 ")
+        assert head == "model 'wide' leaves Siegel space"
+        assert ast.literal_eval(coords.split("]")[0] + "]") == pts[1, 0].tolist()
 
 
 class TestPeriodDerivative:

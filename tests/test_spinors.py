@@ -1,3 +1,4 @@
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -83,7 +84,7 @@ class TestCliffordRep:
                         assert np.max(np.abs(lhs - rhs)) <= 1e-14
 
     def test_invariant_bilinear_spaces(self, rep):
-        bil = sn.invariant_bilinears()
+        bil = invariant_bilinears()
         assert len(bil[1]) == 1 and len(bil[-1]) == 1
         for sigma in (1, -1):
             c = bil[sigma][0]
@@ -349,6 +350,12 @@ class TestChiralAlgebra:
 # first written as, one formula each.  The stacked-matmul kernels of the
 # module must agree with them to roundoff.
 
+def invariant_bilinears():
+    """Bases of the spaces {C : gamma_a^T C = sigma C gamma_a for all a},
+    keyed by sigma in {+1, -1}."""
+    return {sigma: sn._bilinear_space(sn.clifford_rep().gamma, sigma) for sigma in (1, -1)}
+
+
 def full_frame(fr, pts):
     """e (..., a, mu): the direction-only evaluator's columns stacked over mu."""
     return np.stack([fr.along(pts, mu)[0] for mu in range(4)], axis=-1)
@@ -394,8 +401,33 @@ def oracle_spin_connection(fr):
     return (w - np.swapaxes(w, -1, -2)) / 2
 
 
+def allatonce_spin_connection(fr):
+    """The connection formula on every node at once, with full-size rank-5
+    temporaries: the oracle of the node-block kernel."""
+    e = fr.e
+    einv = np.linalg.inv(e)
+    de = gr.partials(sn.ETA @ e, fr.grid)
+    c = np.swapaxes(de, -1, -2) - de
+    lead = e.shape[:-2]
+    t1 = np.moveaxis((c.reshape(lead + (16, 4)) @ einv).reshape(lead + (4, 4, 4)), -3, -1)
+    rot = np.swapaxes(einv, -1, -2)[..., None, :, :] @ c
+    rot = rot @ einv[..., None, :, :]
+    t3 = (np.swapaxes(e, -1, -2) @ rot.reshape(lead + (4, 16))).reshape(lead + (4, 4, 4))
+    w = 0.5 * (t1 - np.swapaxes(t1, -1, -2) - t3)
+    return (w - np.swapaxes(w, -1, -2)) / 2
+
+
+def allatonce_killing_residual(fr, eps, lam):
+    """The Killing residual with the generators of all four directions stacked:
+    the oracle of the one-direction kernel."""
+    w = allatonce_spin_connection(fr)
+    deps = np.moveaxis(gr.partials(eps, fr.grid), -1, -2)
+    m = sn._transport_generator(w, np.swapaxes(fr.e, -1, -2), lam)
+    return deps - (m @ eps[..., None, :, None])[..., 0]
+
+
 def oracle_bilinears(fr, eps, rep):
-    c = sn.invariant_bilinears()[-1][0]
+    c = invariant_bilinears()[-1][0]
     c = c / np.max(np.abs(c))
     gam = rep.gamma
     u_frame = np.einsum("...i,ij,ajk,...k->...a", eps, c, gam, eps)
@@ -525,7 +557,7 @@ class TestKernelOracles:
         new = sn.integrate_killing(wavy9, 0.7, EPS0, axis_order=order)
         assert rel_err(new, oracle_integrate(wavy9, 0.7, EPS0, rep, order)) < 1e-13
 
-    def test_one_connection_call_per_axis(self, ads9):
+    def test_one_connection_call_per_slab(self, ads9):
         _, fr, _ = ads9
         calls = []
 
@@ -536,9 +568,19 @@ class TestKernelOracles:
         spy = sn.FramePatch(fr.grid, fr.e, along=counted)
         order = (2, 0, 3, 1)
         eps = sn.integrate_killing(spy, LAM, EPS0, axis_order=order)
-        assert [mu for _, mu in calls] == list(order)
-        # 2n - 1 nodes and midpoints on each line of the swept block
-        assert [shape[-2:] for shape, _ in calls] == [(17, 4)] * 4
+        # the axes are swept in order, each in slabs of lines
+        mus = [mu for _, mu in calls]
+        assert [mu for k, mu in enumerate(mus) if k == 0 or mus[k - 1] != mu] == list(order)
+        lines = 1
+        for mu in order:
+            shapes = [shape for shape, m in calls if m == mu]
+            # 2n - 1 nodes and midpoints on each line; every line of the
+            # swept block once; at most NODE_BLOCK nodes per slab
+            assert all(shape[-2:] == (17, 4) for shape in shapes)
+            assert sum(int(np.prod(shape[:-2])) for shape in shapes) == lines
+            assert all(9 * np.prod(shape[:-2]) <= gr.NODE_BLOCK for shape in shapes)
+            lines *= 9
+        assert len(calls) > 4
         assert np.array_equal(eps, sn.integrate_killing(fr, LAM, EPS0, axis_order=order))
 
     def test_builtin_evaluator_matches_samples_and_spin_connection(self):
@@ -561,6 +603,39 @@ class TestKernelOracles:
         assert errs["minkowski", 9] == errs["minkowski", 17] == 0.0
         assert 1.8 <= np.log2(errs["ads4-poincare", 9] / errs["ads4-poincare", 17]) <= 2.2
 
+    @pytest.mark.parametrize("n", [9, 13])
+    @pytest.mark.parametrize("name, lam", [("minkowski", 0.0), ("ads4-poincare", 0.7),
+                                           ("ads4-poincare", 1.0), ("ads4-poincare", 1e4)])
+    def test_lean_kernels_match_all_at_once_bytes(self, name, lam, n):
+        fr = sn.builtin_frame(name, ads_grid(n), lam=lam or 1.0)
+        eps = sn.integrate_killing(fr, lam, EPS0)
+        assert sn.spin_connection(fr).tobytes() == allatonce_spin_connection(fr).tobytes()
+        assert (sn.killing_residual(fr, eps, lam).tobytes()
+                == allatonce_killing_residual(fr, eps, lam).tobytes())
+
+    def test_lean_kernels_match_all_at_once_wavy(self, wavy9, ads9):
+        _, _, eps = ads9
+        assert rel_err(sn.spin_connection(wavy9), allatonce_spin_connection(wavy9)) <= 1e-15
+        assert rel_err(sn.killing_residual(wavy9, eps, 0.7),
+                       allatonce_killing_residual(wavy9, eps, 0.7)) <= 1e-15
+
+    @pytest.mark.parametrize("block", [1, 100, 10 ** 9])
+    def test_node_blocks_do_not_change_the_kernels(self, wavy9, ads9, monkeypatch, block):
+        # every node, and every propagator of the sweep, is computed by the
+        # same arithmetic in any block or slab
+        _, fr, _ = ads9
+        g = wavy9.metric()
+
+        def outputs():
+            sweeps = [sn.integrate_killing(f, 0.7, EPS0, axis_order=(1, 3, 0, 2))
+                      for f in (fr, wavy9)]
+            return [sn.spin_connection(wavy9), gr.metric_geometry(g, wavy9.grid).gamma,
+                    *sweeps]
+
+        before = outputs()
+        monkeypatch.setattr(gr, "NODE_BLOCK", block)
+        assert all(a.tobytes() == b.tobytes() for a, b in zip(outputs(), before))
+
     def test_tables_built_once_and_read_only(self, rep):
         assert sn.clifford_rep() is rep
         assert rep.spin_table is rep.spin_table
@@ -573,3 +648,33 @@ class TestKernelOracles:
         broken = sn.CliffordRep(gamma=np.zeros((4, 4, 4)), eta=sn.ETA)
         with pytest.raises(RuntimeError):
             broken.pairing
+
+
+class TestMemory:
+    """Transient tracemalloc peaks of the spinor kernels at 13^4, against the
+    size of one grid + (4, 4, 4) array (14.6 MB)."""
+
+    @staticmethod
+    def transient(fn, *args):
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            fn(*args)
+            return tracemalloc.get_traced_memory()[1] - base
+        finally:
+            tracemalloc.stop()
+
+    @pytest.fixture(scope="class")
+    def ads13(self):
+        fr = sn.builtin_frame("ads4-poincare", ads_grid(13), lam=LAM)
+        return fr, np.prod(fr.grid.shape) * 64 * 8
+
+    def test_spin_connection_and_geometry(self, ads13):
+        fr, full = ads13
+        assert self.transient(sn.spin_connection, fr) <= 2.5 * full
+        # Gamma, with g, g^-1 and det g (1.5 arrays), and no full-size bracket
+        assert self.transient(gr.metric_geometry, fr.metric(), fr.grid) <= 1.75 * full
+
+    def test_sweep(self, ads13):
+        fr, _ = ads13
+        assert self.transient(sn.integrate_killing, fr, LAM, EPS0) <= 10 * 2 ** 20
