@@ -19,11 +19,10 @@ from .duality import (KillingBasis, StabilizerReport, UDualityReport,
 from .holonomy import (BundlePresentation, autb_theta_algebra,
                        centralizer_algebra, conjugacy_invariants, parse_bundle,
                        presentation_check)
-from .fields import (MetricPoint, assemble_V, complexify_minus,
-                     complexify_plus, hodge2, oslash_Q, oslash_g, project_sd,
-                     selfduality_violation, stress_gauge,
-                     stress_gauge_couplings, stress_scalar, twisted_pairing,
-                     twisted_star)
+from .fields import (assemble_V, complexify_minus, complexify_plus, hodge2,
+                     oslash_Q, oslash_g, project_sd, selfduality_violation,
+                     stress_gauge, stress_gauge_couplings, stress_scalar,
+                     twisted_pairing, twisted_star)
 from .grids import (FieldConfiguration, GridPatch, christoffel, einstein,
                     einstein_residual, equivariance_harness,
                     make_configuration, maxwell_residual, parse_grid_config,

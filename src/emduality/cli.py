@@ -418,6 +418,14 @@ def _count(low: int, high: int | None = None):
     return parse
 
 
+def _finite(text: str) -> float:
+    """argparse type: one finite float."""
+    vals = numbers(text, argparse.ArgumentTypeError)
+    if len(vals) != 1:
+        raise argparse.ArgumentTypeError(f"needs one number, got {text!r}")
+    return vals[0]
+
+
 @functools.cache   # built on the first call, shared by every run
 def build_parser() -> argparse.ArgumentParser:
     p = argparse.ArgumentParser(prog="emduality",
@@ -432,7 +440,7 @@ def build_parser() -> argparse.ArgumentParser:
     stp = sub.add_parser("stabilizer", help="stabilizer algebra of a model")
     stp.add_argument("--model", required=True)
     stp.add_argument("--samples", type=_count(1), default=16)
-    stp.add_argument("--tol", type=float, default=1e-8)
+    stp.add_argument("--tol", type=_finite, default=1e-8)
     stp.set_defaults(func=cmd_stabilizer)
 
     up = sub.add_parser("uduality", help="duality algebra dimensions")
@@ -449,7 +457,7 @@ def build_parser() -> argparse.ArgumentParser:
     pp.add_argument("--model", required=True)
     pp.add_argument("--f", required=True)
     pp.add_argument("--A", required=True)
-    pp.add_argument("--tol", type=float, default=1e-10)
+    pp.add_argument("--tol", type=_finite, default=1e-10)
     pp.set_defaults(func=cmd_pair_check)
 
     cp = sub.add_parser("centralizer", help="holonomy centralizer algebra")
@@ -464,7 +472,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     sdp = sub.add_parser("selfdual", help="twisted self-duality of a configuration")
     sdp.add_argument("--config", required=True)
-    sdp.add_argument("--tol", type=float, default=1e-10)
+    sdp.add_argument("--tol", type=_finite, default=1e-10)
     sdp.set_defaults(func=cmd_selfdual)
 
     rp = sub.add_parser("residuals", help="equation-of-motion residual report")
@@ -477,17 +485,17 @@ def build_parser() -> argparse.ArgumentParser:
     tp.add_argument("--config", required=True)
     tp.add_argument("--f", required=True)
     tp.add_argument("--A", required=True)
-    tp.add_argument("--tol", type=float, default=1e-9)
+    tp.add_argument("--tol", type=_finite, default=1e-9)
     tp.set_defaults(func=cmd_transport)
 
     scp = sub.add_parser("spinor-check", help="Killing spinor transport checks")
     scp.add_argument("--frame", required=True)
-    scp.add_argument("--lambda", dest="lam", type=float, default=1.0)
+    scp.add_argument("--lambda", dest="lam", type=_finite, default=1.0)
     scp.set_defaults(func=cmd_spinor_check)
 
     t53 = sub.add_parser("thm53", help="first-order one-form system checks")
     t53.add_argument("--frame", required=True)
-    t53.add_argument("--lambda", dest="lam", type=float, default=1.0)
+    t53.add_argument("--lambda", dest="lam", type=_finite, default=1.0)
     t53.set_defaults(func=cmd_thm53)
     return p
 

@@ -19,7 +19,7 @@ eigenvalue.
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
@@ -66,27 +66,12 @@ class Metric:
 
     @cached_property
     def vol(self) -> np.ndarray:
-        """sqrt(-det g); taking it checks that the metric is Lorentzian."""
-        return volume(self.det)
-
-
-@dataclass(frozen=True)
-class MetricPoint(Metric):
-    """Lorentzian metric value at a point, signature (-, +, +, +)."""
-
-    ginv: np.ndarray = field(init=False)
-    det: np.ndarray = field(init=False)
-
-    def __post_init__(self):
-        g = np.asarray(self.g, dtype=float)
-        if g.shape != (4, 4):
-            raise SingularMetricError(f"metric must be 4x4, got {g.shape}")
-        g = (g + g.T) / 2
-        w = np.linalg.eigvalsh(g)
-        if not (w[0] < 0 and w[1] > 0):
-            raise SingularMetricError("metric must have signature (-, +, +, +)")
-        for name, value in zip(("g", "ginv", "det"), (g, *invert_metric(g))):
-            object.__setattr__(self, name, value)
+        """sqrt(-det g), taken only where the metric is Lorentzian: the one
+        signature check, w0 < 0 < w1 for the ascending eigenvalues w of every
+        node.  Index raising alone accepts any nonsingular metric."""
+        w = np.linalg.eigvalsh(self.g)
+        _reject_nodes(~((w[..., 0] < 0) & (w[..., 1] > 0)), "not Lorentzian (-, +, +, +)")
+        return np.sqrt(-self.det)
 
 
 def _as_taming(j) -> np.ndarray:
@@ -104,15 +89,20 @@ def _as_taming(j) -> np.ndarray:
 def invert_metric(g) -> tuple[np.ndarray, np.ndarray]:
     """(g^-1, det g) of a metric or a stack of metrics.
 
-    A node is singular when |det g| <= 1e-14 max|g_mn|^4: the threshold scales
-    with the metric, so c * eta is regular for every c > 0.
+    A node is singular unless |det g| > 1e-14 max|g_mn|^4 (so a NaN node is
+    singular): the threshold scales with the metric, so c * eta is regular
+    for every c > 0.
     """
     det = np.linalg.det(g)
-    singular = np.abs(det) <= 1e-14 * np.max(np.abs(g), axis=(-2, -1)) ** 4
-    if np.any(singular):
-        raise SingularMetricError(
-            f"metric singular at node index {tuple(np.argwhere(singular)[0].tolist())}")
+    _reject_nodes(~(np.abs(det) > 1e-14 * np.max(np.abs(g), axis=(-2, -1)) ** 4), "singular")
     return np.linalg.inv(g), det
+
+
+def _reject_nodes(bad: np.ndarray, what: str) -> None:
+    """Raise SingularMetricError naming the first node index where bad holds."""
+    if np.any(bad):
+        raise SingularMetricError(
+            f"metric {what} at node index {tuple(np.argwhere(bad)[0].tolist())}")
 
 
 def checked_metric(g) -> Metric:
@@ -121,13 +111,6 @@ def checked_metric(g) -> Metric:
         return g
     g = np.asarray(g, dtype=float)
     return Metric(g, *invert_metric(g))
-
-
-def volume(det: np.ndarray) -> np.ndarray:
-    """sqrt(-det g) of a Lorentzian metric (or stack) with determinant det."""
-    if np.any(det > 0):
-        raise SingularMetricError("metric must have Lorentzian (negative) determinant")
-    return np.sqrt(-det)
 
 
 def raise2(ginv: np.ndarray, w: np.ndarray) -> np.ndarray:

@@ -235,8 +235,8 @@ class FieldConfiguration:
 
     Cached per-node coupling data (R, I, their chart derivatives, I^-1, the
     taming J and Q = Omega J) is evaluated once at construction; the metric
-    geometry and *V are computed on first use and dropped when g or V is
-    reassigned.
+    geometry, which carries the metric check, and *V are computed on first
+    use and dropped when g or V is reassigned.
     """
 
     grid: GridPatch
@@ -264,9 +264,6 @@ class FieldConfiguration:
             raise GridError(f"field block shape {self.V.shape} does not match grid/model")
         if np.max(np.abs(self.V + np.swapaxes(self.V, -1, -2))) > 0:
             raise GridError("field strength block must be exactly antisymmetric")
-        ev = np.linalg.eigvalsh(self.g)
-        if not (np.all(ev[..., 0] < 0) and np.all(ev[..., 1] > 0)):
-            raise GridError("metric signature must be (-, +, +, +) at every node")
         self._evaluate_couplings()
 
     def _evaluate_couplings(self):

@@ -12,7 +12,7 @@ from . import expressions as ex
 from .errors import InputError
 from .symplectic import (MAX_N, PD_RTOL, PoleError, SiegelPoint, fractional_action,
                          min_eig_ratio, mobius_differential)
-from .textio import key_values
+from .textio import key_values, numbers
 
 
 class ModelError(ValueError, InputError):
@@ -237,7 +237,7 @@ def parse_isometry(spec: str, chart: ScalarChart):
     if ":" not in spec:
         raise ModelError(f"bad isometry spec {spec!r}")
     kind, _, rest = spec.partition(":")
-    vals = [float(s) for s in rest.split(",") if s.strip()]
+    vals = numbers(rest.replace(",", " "), ModelError)
     if chart.kind == "poincare":
         if kind == "translate" and len(vals) == 1:
             return MobiusIsometry(np.array([[1.0, vals[0]], [0.0, 1.0]]))

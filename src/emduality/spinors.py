@@ -450,7 +450,7 @@ def chiral_projectors() -> tuple[np.ndarray, np.ndarray]:
 
 def t_w(w: complex, eps: np.ndarray, v: np.ndarray) -> np.ndarray:
     """Chiral Killing endomorphism: T_w(eps)(v) = gamma(v)(w P+ eps + conj(w) P- eps)
-    for a frame vector v (components in the orthonormal frame)."""
+    for frame vectors v, shape (..., 4) (components in the orthonormal frame)."""
     p_plus, p_minus = chiral_projectors()
     gv = clifford_rep().slash(np.asarray(v, dtype=float))
     return gv @ (w * (p_plus @ eps) + np.conj(w) * (p_minus @ eps))
@@ -477,24 +477,13 @@ def chiral_operator_check(w: complex, eps1: np.ndarray, eps2: np.ndarray,
         eps2 = p_minus @ eps2
     eps = eps1 + eps2
 
-    out = {}
-    vs = rng.standard_normal((8, 4))
-    lin = 0.0
-    conj_comp = 0.0
-    for v in vs:
-        t_val = t_w(w, eps, v)
-        lin = max(lin, float(np.max(np.abs(t_w(w, 2.5 * eps, v) - 2.5 * t_val))))
-        # real structure: conjugation swaps the chiral halves and w <-> conj w
-        conj_comp = max(conj_comp, float(np.max(np.abs(
-            np.conj(t_val) - t_w(w, np.conj(eps), v)))))
-    out["linearity"] = lin
-    out["real_structure"] = conj_comp
+    vs = rng.standard_normal((8, 4))   # the sample frame vectors, one stacked call each
+    t_val = t_w(w, eps, vs)
+    out = {"linearity": float(np.max(np.abs(t_w(w, 2.5 * eps, vs) - 2.5 * t_val))),
+           # real structure: conjugation swaps the chiral halves and w <-> conj w
+           "real_structure": float(np.max(np.abs(np.conj(t_val) - t_w(w, np.conj(eps), vs))))}
     if abs(w.imag) < 1e-14:
-        red = 0.0
-        for v in vs:
-            real_eps = eps + np.conj(eps)  # a c-real spinor
-            red = max(red, float(np.max(np.abs(
-                t_w(w, real_eps, v)
-                - w.real * (clifford_rep().slash(v) @ real_eps)))))
-        out["real_w_reduction"] = red
+        real_eps = eps + np.conj(eps)  # a c-real spinor
+        out["real_w_reduction"] = float(np.max(np.abs(
+            t_w(w, real_eps, vs) - w.real * (clifford_rep().slash(vs) @ real_eps))))
     return out

@@ -328,6 +328,32 @@ class TestMalformedNumbers:
         self.assert_bad_input(["centralizer", "--bundle", str(path)])
 
 
+class TestMalformedArguments:
+    """Non-numeric or non-finite numeric arguments: exit 2, never a traceback."""
+
+    @pytest.mark.parametrize("f", ["translate:abc", "translate:nan", "scale:inf",
+                                   "mobius:1,0,x,1"])
+    @pytest.mark.parametrize("command", ["pair-check", "transport"])
+    def test_isometry_numbers(self, config_file, a_translation, command, f):
+        source = (["--model", "identity-tau"] if command == "pair-check"
+                  else ["--config", config_file])
+        code, text = run([command, *source, "--f", f, "--A", a_translation])
+        assert code == 2
+        assert "number in" in text and "result = FAIL" in text
+
+    @pytest.mark.parametrize("value", ["nan", "inf", "1e999", "abc", "1 2"])
+    @pytest.mark.parametrize("argv", [
+        ["spinor-check", "--frame", "ads4-poincare", "--lambda"],
+        ["thm53", "--frame", "ads4-poincare", "--lambda"],
+        ["stabilizer", "--model", "identity-tau", "--tol"],
+        ["pair-check", "--model", "identity-tau", "--f", "id", "--A", "a.txt", "--tol"],
+        ["selfdual", "--config", "grid.cfg", "--tol"],
+        ["transport", "--config", "grid.cfg", "--f", "id", "--A", "a.txt", "--tol"]],
+        ids=lambda argv: f"{argv[0]} {argv[-1]}")
+    def test_finite_floats(self, argv, value):
+        assert run(argv + [value]) == (2, "")
+
+
 class TestSpinorCommands:
     def test_spinor_check_minkowski(self):
         code, text = run(["spinor-check", "--frame", "minkowski", "--lambda", "0"])

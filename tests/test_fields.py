@@ -37,11 +37,12 @@ class TestHodge:
         with pytest.raises(fl.SingularMetricError):
             fl.hodge2(np.eye(4), two_form(0, 1))
 
-    def test_metric_point_validation(self):
-        with pytest.raises(fl.SingularMetricError):
-            fl.MetricPoint(np.diag([-1.0, -1.0, 1.0, 1.0]))
-        mp = fl.MetricPoint(fl.ETA)
-        assert mp.det == pytest.approx(-1.0)
+    def test_checked_metric_validation(self):
+        with pytest.raises(fl.SingularMetricError, match="Lorentzian"):
+            fl.checked_metric(np.diag([-1.0, -1.0, 1.0, 1.0])).vol
+        m = fl.checked_metric(fl.ETA)
+        assert m.det == pytest.approx(-1.0)
+        assert m.vol == pytest.approx(1.0)
 
     def test_star_antisymmetric_in_form_index(self, rng):
         g = fl.random_lorentz_metric(rng)

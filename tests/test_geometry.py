@@ -230,6 +230,43 @@ class TestSingularMetric:
         with pytest.raises(fl.SingularMetricError, match="Lorentzian"):
             gr.christoffel(g, grid)
 
+    def test_nan_node_is_singular(self, grid):
+        g = gr.metric_minkowski(grid)
+        g[1, 2, 3, 4, 0, 0] = np.nan
+        named = r"singular at node index \(1, 2, 3, 4\)"
+        with np.errstate(invalid="ignore"), pytest.raises(fl.SingularMetricError, match=named):
+            gr.christoffel(g, grid)
+
+    # det g < 0 with the wrong signature: a determinant test lets these pass
+    WRONG_SIGNATURE = {"minus-eta": -fl.ETA, "three-minus": np.diag([-1.0, -1.0, -1.0, 1.0])}
+
+    @pytest.mark.parametrize("name", WRONG_SIGNATURE)
+    def test_wrong_signature_rejected_at_a_point(self, name):
+        bad = self.WRONG_SIGNATURE[name]
+        assert np.linalg.det(bad) < 0
+        w = np.zeros((4, 4))
+        w[0, 1], w[1, 0] = 1.0, -1.0
+        with pytest.raises(fl.SingularMetricError, match=r"Lorentzian .* node index \(\)"):
+            fl.hodge2(bad, w)
+        with pytest.raises(fl.SingularMetricError, match="Lorentzian"):
+            fl.star_fibers(bad, w[None])
+
+    @pytest.mark.parametrize("name", WRONG_SIGNATURE)
+    def test_wrong_signature_node_named(self, grid, name):
+        g = gr.metric_minkowski(grid)
+        g[3, 1, 4, 0] = self.WRONG_SIGNATURE[name]
+        with pytest.raises(fl.SingularMetricError, match=r"node index \(3, 1, 4, 0\)"):
+            gr.christoffel(g, grid)
+        with pytest.raises(fl.SingularMetricError, match=r"node index \(3, 1, 4, 0\)"):
+            configuration(grid, g, "t3")
+
+    @pytest.mark.parametrize("c", [1e-6, 1.0, 1e6])
+    def test_scaled_eta_is_lorentzian(self, grid, c):
+        assert fl.checked_metric(c * fl.ETA).vol == pytest.approx(c * c)
+        geo = gr.metric_geometry(c * gr.metric_minkowski(grid), grid)
+        assert np.all(geo.vol == geo.vol.flat[0])
+        assert geo.vol.flat[0] == pytest.approx(c * c)
+
 
 # ---------------------------------------------------------------- caches
 

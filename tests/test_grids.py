@@ -173,10 +173,15 @@ class TestConfiguration:
         grid = small_grid()
         g = gr.metric_minkowski(grid)
         g[2, 2, 2, 2] = np.diag([1.0, 1.0, 1.0, 1.0])
-        with pytest.raises(gr.GridError):
-            gr.FieldConfiguration(grid, md.builtin("identity-tau"), g,
-                                  gr.phi_constant(grid, [0.0, 1.0]),
-                                  np.zeros(grid.shape + (2, 4, 4)))
+        phi = gr.phi_constant(grid, [0.0, 1.0])
+        model = md.builtin("identity-tau")
+        named = r"not Lorentzian .* node index \(2, 2, 2, 2\)"
+        with pytest.raises(fl.SingularMetricError, match=named):
+            gr.make_configuration(grid, model, g, phi, np.zeros(grid.shape + (1, 4, 4)))
+        # a bare configuration is checked with its geometry, on first use
+        cfg = gr.FieldConfiguration(grid, model, g, phi, np.zeros(grid.shape + (2, 4, 4)))
+        with pytest.raises(fl.SingularMetricError, match=named):
+            cfg.geometry
 
     def test_domain_exit_flagged(self):
         grid = small_grid()

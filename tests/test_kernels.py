@@ -1,8 +1,14 @@
-"""Tooling check on the contraction kernels: numpy ``einsum`` with three or
-more array operands and no ``optimize`` runs as one naive nested loop over
-every index, which made those calls the slowest part of the spinor pipeline.
-Every module of the package must contract through matmuls, two-operand
-einsums or an einsum that is told to optimize."""
+"""Tooling checks on the package source.
+
+The contraction kernels: numpy ``einsum`` with three or more array operands
+and no ``optimize`` runs as one naive nested loop over every index, which
+made those calls the slowest part of the spinor pipeline.  Every module of
+the package must contract through matmuls, two-operand einsums or an einsum
+that is told to optimize.
+
+Imports: a module reads every name it imports, so a deletion leaves no
+stale import behind.  The package ``__init__.py`` re-exports, and a line
+marked ``# noqa: F401`` keeps a name importable on purpose."""
 
 import ast
 from pathlib import Path
@@ -58,3 +64,43 @@ def test_no_naive_multi_operand_einsum(name):
 
 def test_every_module_is_scanned():
     assert {"duality.py", "fields.py", "grids.py", "spinors.py", "symplectic.py"} <= set(CHECKED)
+
+
+def unused_imports(source: str) -> list[tuple[int, str]]:
+    """(line, name) of each name the source imports and never reads, except
+    ``__future__`` features and names on a line marked ``# noqa: F401``."""
+    tree = ast.parse(source)
+    lines = source.splitlines()
+    read = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    found = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import) or (isinstance(node, ast.ImportFrom)
+                                            and node.module != "__future__"):
+            for alias in node.names:
+                name = alias.asname or alias.name.split(".")[0]
+                if name not in read and "# noqa: F401" not in lines[alias.lineno - 1]:
+                    found.append((alias.lineno, name))
+    return sorted(found)
+
+
+def test_unused_import_detector():
+    source = "\n".join([
+        "from __future__ import annotations",
+        "import os.path",
+        "import numpy as np",
+        "from dataclasses import (dataclass,",
+        "                         field)",
+        "from itertools import chain  # noqa: F401",
+        "from math import pi as PI",
+        "def f():",
+        "    from functools import cache",
+        "    return np.zeros(1), dataclass, PI",
+    ])
+    assert unused_imports(source) == [(2, "os"), (5, "field"), (9, "cache")]
+
+
+@pytest.mark.parametrize("name", [n for n in CHECKED if n != "__init__.py"])
+def test_no_unused_imports(name):
+    found = unused_imports((SRC / name).read_text(encoding="utf-8"))
+    assert not found, "".join(f"\n{name}:{line}: {imported} is imported and never used"
+                              for line, imported in found)

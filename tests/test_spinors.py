@@ -338,6 +338,36 @@ class TestChiralAlgebra:
         out2 = sn.chiral_operator_check(0.5, p_plus @ eps, p_minus @ eps)
         assert out2["real_w_reduction"] < 1e-13
 
+    @staticmethod
+    def loop_check(w, eps1, eps2, rng):
+        """The residuals of ``chiral_operator_check`` for chiral halves eps1,
+        eps2, one sample frame vector at a time: the reference for its
+        stacked calls."""
+        out = {"linearity": 0.0, "real_structure": 0.0}
+        eps = eps1 + eps2
+        real_eps = eps + np.conj(eps)
+        for v in rng.standard_normal((8, 4)):
+            t_val = sn.t_w(w, eps, v)
+            out["linearity"] = max(out["linearity"], float(np.max(np.abs(
+                sn.t_w(w, 2.5 * eps, v) - 2.5 * t_val))))
+            out["real_structure"] = max(out["real_structure"], float(np.max(np.abs(
+                np.conj(t_val) - sn.t_w(w, np.conj(eps), v)))))
+            if abs(w.imag) < 1e-14:
+                out["real_w_reduction"] = max(out.get("real_w_reduction", 0.0), float(
+                    np.max(np.abs(sn.t_w(w, real_eps, v)
+                                  - w.real * (sn.clifford_rep().slash(v) @ real_eps)))))
+        return out
+
+    @pytest.mark.parametrize("w", [0.3 + 0.7j, 0.5, -1.2, 2j])
+    def test_stacked_check_matches_loop(self, w):
+        p_plus, p_minus = sn.chiral_projectors()
+        for seed in range(3):
+            rng = np.random.default_rng(seed)
+            eps = rng.standard_normal(4) + 1j * rng.standard_normal(4)
+            halves = p_plus @ eps, p_minus @ eps
+            got = sn.chiral_operator_check(w, *halves, np.random.default_rng(seed + 10))
+            assert got == self.loop_check(w, *halves, np.random.default_rng(seed + 10))
+
     def test_non_chiral_input_warns(self):
         rng = np.random.default_rng(3)
         eps = rng.standard_normal(4) + 1j * rng.standard_normal(4)
