@@ -240,9 +240,8 @@ class TestSingularMetric:
     # det g < 0 with the wrong signature: a determinant test lets these pass
     WRONG_SIGNATURE = {"minus-eta": -fl.ETA, "three-minus": np.diag([-1.0, -1.0, -1.0, 1.0])}
 
-    @pytest.mark.parametrize("name", WRONG_SIGNATURE)
-    def test_wrong_signature_rejected_at_a_point(self, name):
-        bad = self.WRONG_SIGNATURE[name]
+    @pytest.mark.parametrize("bad", WRONG_SIGNATURE.values(), ids=WRONG_SIGNATURE)
+    def test_wrong_signature_rejected_at_a_point(self, bad):
         assert np.linalg.det(bad) < 0
         w = np.zeros((4, 4))
         w[0, 1], w[1, 0] = 1.0, -1.0
@@ -251,10 +250,10 @@ class TestSingularMetric:
         with pytest.raises(fl.SingularMetricError, match="Lorentzian"):
             fl.star_fibers(bad, w[None])
 
-    @pytest.mark.parametrize("name", WRONG_SIGNATURE)
-    def test_wrong_signature_node_named(self, grid, name):
+    @pytest.mark.parametrize("bad", WRONG_SIGNATURE.values(), ids=WRONG_SIGNATURE)
+    def test_wrong_signature_node_named(self, grid, bad):
         g = gr.metric_minkowski(grid)
-        g[3, 1, 4, 0] = self.WRONG_SIGNATURE[name]
+        g[3, 1, 4, 0] = bad
         with pytest.raises(fl.SingularMetricError, match=r"node index \(3, 1, 4, 0\)"):
             gr.christoffel(g, grid)
         with pytest.raises(fl.SingularMetricError, match=r"node index \(3, 1, 4, 0\)"):
