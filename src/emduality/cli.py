@@ -88,7 +88,7 @@ def _read_text(path: str) -> str:
 
 
 def _read_matrix(path: str, dim: int | None = None) -> np.ndarray:
-    vals = np.array(numbers(_read_text(path), InputError))
+    vals = np.array(numbers(_read_text(path), InputError, repr(path)))
     n = int(round(np.sqrt(vals.size)))
     if n * n != vals.size:
         raise InputError(f"{path!r} does not contain a square matrix")
@@ -420,7 +420,7 @@ def _count(low: int, high: int | None = None):
 
 def _finite(text: str) -> float:
     """argparse type: one finite float."""
-    vals = numbers(text, argparse.ArgumentTypeError)
+    vals = numbers(text, argparse.ArgumentTypeError, None)  # argparse names the option
     if len(vals) != 1:
         raise argparse.ArgumentTypeError(f"needs one number, got {text!r}")
     return vals[0]

@@ -105,6 +105,30 @@ def _reject_nodes(bad: np.ndarray, what: str) -> None:
             f"metric {what} at node index {tuple(np.argwhere(bad)[0].tolist())}")
 
 
+NODE_BLOCK = 2048   # nodes per block of the pointwise kernels on a grid
+
+
+def node_blocks(count: int, per: int = 1) -> list[slice]:
+    """Consecutive slices covering range(count), each of at most NODE_BLOCK
+    nodes when one item holds per nodes (and of at least one item)."""
+    step = max(1, NODE_BLOCK // per)
+    return [slice(i, min(i + step, count)) for i in range(0, count, step)]
+
+
+def _node_stacks(*arrays: tuple[np.ndarray, int]) -> tuple[tuple[int, ...], list[np.ndarray]]:
+    """(lead, stacks) of (array, tail rank) pairs: lead is the broadcast of
+    the arrays' leading shapes, and each stack is its array broadcast to lead
+    + its tail and flattened to (N,) + tail, a copy only where it broadcasts.
+    A point is a stack of one node."""
+    arrays = [(np.asarray(a), rank) for a, rank in arrays]
+    lead = np.broadcast_shapes(*(a.shape[:a.ndim - rank] for a, rank in arrays))
+    stacks = []
+    for a, rank in arrays:
+        tail = a.shape[a.ndim - rank:]
+        stacks.append(np.broadcast_to(a, lead + tail).reshape((-1,) + tail))
+    return lead, stacks
+
+
 def checked_metric(g) -> Metric:
     """g as a checked Metric; a Metric passes through."""
     if isinstance(g, Metric):
@@ -150,9 +174,14 @@ def hodge2(g, w: np.ndarray) -> np.ndarray:
 
 
 def star_fibers(g, v: np.ndarray) -> np.ndarray:
-    """Hodge dual on the form index of fiber-valued two-forms v, lead + (k, 4, 4)."""
+    """Hodge dual on the form index of fiber-valued two-forms v, lead + (k, 4, 4),
+    written one node block at a time."""
     m = checked_metric(g)
-    return star(m.ginv[..., None, :, :], m.vol[..., None], v)
+    lead, (ginv, vol, v) = _node_stacks((m.ginv, 2), (m.vol, 0), (v, 3))
+    out = np.empty(v.shape, np.result_type(ginv, v))
+    for s in node_blocks(len(v)):
+        out[s] = star(ginv[s, None], vol[s, None], v[s])
+    return out.reshape(lead + v.shape[1:])
 
 
 def fiber_action(a, w: np.ndarray, rank: int = 2) -> np.ndarray:
@@ -247,10 +276,7 @@ def oslash_Q(g, j, v: np.ndarray, w: np.ndarray) -> np.ndarray:
     """Twisted inner contraction sum_{A,B} Q_{AB} (v^A oslash_g w^B).
 
     For twisted self-dual v = w this is exactly the gauge stress tensor."""
-    jm = _as_taming(j)
-    q = omega(jm.shape[-1] // 2) @ jm
-    ginv = checked_metric(g).ginv[..., None, :, :]  # one metric across the fiber index
-    return contract(ginv, v, fiber_action(q, w)).sum(axis=-3)
+    return _q_contraction(g, j, v, w, symmetrise=False)
 
 
 def stress_gauge(g, j, v: np.ndarray, check: bool = True) -> np.ndarray:
@@ -263,8 +289,21 @@ def stress_gauge(g, j, v: np.ndarray, check: bool = True) -> np.ndarray:
     jm = _as_taming(j)
     if check:
         warn_if_not_selfdual(selfduality_violation(m, jm, v), v, "stress_gauge input", 2)
-    t = oslash_Q(m, jm, v, v)
-    return (t + np.swapaxes(t, -1, -2)) / 2
+    return _q_contraction(m, jm, v, v, symmetrise=True)
+
+
+def _q_contraction(g, j, v, w, symmetrise: bool) -> np.ndarray:
+    """oslash_Q, optionally symmetrised, one node block at a time: Q = Omega J
+    and J(w) exist for one block only."""
+    lead, (ginv, jm, v, w) = _node_stacks((checked_metric(g).ginv, 2), (_as_taming(j), 2),
+                                         (v, 3), (w, 3))
+    om = omega(jm.shape[-1] // 2)
+    out = np.empty((len(v), 4, 4), np.result_type(ginv, jm, v, w))
+    for s in node_blocks(len(v)):
+        # one metric across the fiber index
+        t = contract(ginv[s, None], v[s], fiber_action(om @ jm[s], w[s])).sum(axis=-3)
+        out[s] = (t + np.swapaxes(t, -1, -2)) / 2 if symmetrise else t
+    return out.reshape(lead + (4, 4))
 
 
 def stress_gauge_couplings(g, em: ElectromagneticPair, f: np.ndarray) -> np.ndarray:
@@ -283,7 +322,11 @@ def stress_scalar(g, chart_metric: np.ndarray, dphi: np.ndarray) -> np.ndarray:
     m = checked_metric(g)
     dphi = np.asarray(dphi, dtype=float)
     t = dphi @ np.asarray(chart_metric, dtype=float) @ np.swapaxes(dphi, -1, -2)
-    return t - 0.5 * m.g * trace(m.ginv, t)[..., None, None]
+    # (1/2) g tr is formed in one array, after the trace's own temporary is gone
+    tr = trace(m.ginv, t)[..., None, None]
+    trace_part = np.multiply(0.5, m.g, out=np.empty(np.broadcast_shapes(m.g.shape, tr.shape)))
+    trace_part *= tr
+    return np.subtract(t, trace_part, out=trace_part)
 
 
 # ------------------------------------------------------------ random helpers

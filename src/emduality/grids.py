@@ -141,16 +141,6 @@ def _bracket(dg: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
     return out
 
 
-NODE_BLOCK = 2048   # nodes per block of the pointwise kernels on a grid
-
-
-def node_blocks(count: int, per: int = 1) -> list[slice]:
-    """Consecutive slices covering range(count), each of at most NODE_BLOCK
-    nodes when one item holds per nodes (and of at least one item)."""
-    step = max(1, NODE_BLOCK // per)
-    return [slice(i, min(i + step, count)) for i in range(0, count, step)]
-
-
 def metric_geometry(g, grid: GridPatch) -> Geometry:
     """The geometry of a metric field: the metric check, g^-1, sqrt(-det g)
     and Gamma^r_{mn} = (1/2) g^{rs} B_{smn}.  A Geometry passes through.
@@ -161,7 +151,7 @@ def metric_geometry(g, grid: GridPatch) -> Geometry:
     m = fl.checked_metric(g)
     gamma = partials(m.g, grid)                 # d_k g_mn, then Gamma^r_mn
     flat, ginv = gamma.reshape(-1, 4, 16), m.ginv.reshape(-1, 4, 4)
-    for s in node_blocks(len(flat)):
+    for s in fl.node_blocks(len(flat)):
         bracket = _bracket(gamma.reshape(-1, 4, 4, 4)[s])
         np.matmul(ginv[s], bracket.reshape(-1, 4, 16), out=flat[s])
     gamma *= 0.5
@@ -262,7 +252,9 @@ class FieldConfiguration:
             raise GridError(f"scalar map shape {self.phi.shape} does not match grid/chart")
         if self.V.shape != shape + (2 * n_v, 4, 4):
             raise GridError(f"field block shape {self.V.shape} does not match grid/model")
-        if np.max(np.abs(self.V + np.swapaxes(self.V, -1, -2))) > 0:
+        v = self.V.reshape((-1,) + self.V.shape[-3:])
+        if any(np.max(np.abs(v[s] + np.swapaxes(v[s], -1, -2))) > 0
+               for s in fl.node_blocks(len(v))):
             raise GridError("field strength block must be exactly antisymmetric")
         self._evaluate_couplings()
 
@@ -337,8 +329,9 @@ def einstein_residual(cfg: FieldConfiguration, check: bool = True) -> np.ndarray
         fl.warn_if_not_selfdual(cfg.selfduality_violation(), cfg.V, "configuration", 2)
     geo = cfg.geometry
     dphi = np.swapaxes(partials(cfg.phi, cfg.grid), -1, -2)  # (..., a, i) = d_a phi^i
-    return (geo.einstein_tensor - fl.stress_scalar(geo, cfg.model.chart.metric(cfg.phi), dphi)
-            - fl.stress_gauge(geo, cfg.J, cfg.V, check=False))
+    out = geo.einstein_tensor - fl.stress_scalar(geo, cfg.model.chart.metric(cfg.phi), dphi)
+    out -= fl.stress_gauge(geo, cfg.J, cfg.V, check=False)
+    return out
 
 
 def _pairings(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -348,11 +341,27 @@ def _pairings(a: np.ndarray, b: np.ndarray) -> np.ndarray:
             @ np.swapaxes(b.reshape(lead + (b.shape[-3], 16)), -1, -2))
 
 
+def _form_stacks(cfg: FieldConfiguration, k: int):
+    """g^-1 (N, 1, 4, 4) and the first k fiber indices of V and *V (N, k, 4, 4),
+    as stacks of the N grid nodes: views, for the pairings to run one node
+    block at a time."""
+    ginv = cfg.geometry.ginv.reshape(-1, 1, 4, 4)
+    return (ginv, cfg.V[..., :k, :, :].reshape(-1, k, 4, 4),
+            cfg.star_v[..., :k, :, :].reshape(-1, k, 4, 4))
+
+
 def _field_contractions(cfg: FieldConfiguration):
-    """F.F and F.*F contractions per node: (..., L, S) arrays."""
-    f = cfg.F
-    fup = fl.raise2(cfg.geometry.ginv[..., None, :, :], f)
-    return _pairings(f, fup), _pairings(fup, cfg.star_v[..., : cfg.n_v, :, :])
+    """F.F and F.*F contractions per node: (..., L, S) arrays, with F raised
+    one node block at a time."""
+    n = cfg.n_v
+    ginv, f, sf = _form_stacks(cfg, n)
+    ff, fsf = np.empty((2, len(f), n, n))
+    for s in fl.node_blocks(len(f)):
+        fup = fl.raise2(ginv[s], f[s])
+        ff[s] = _pairings(f[s], fup)
+        fsf[s] = _pairings(fup, sf[s])
+    lead = cfg.grid.shape + (n, n)
+    return ff.reshape(lead), fsf.reshape(lead)
 
 
 def local_gauge_source(cfg: FieldConfiguration) -> np.ndarray:
@@ -384,10 +393,24 @@ def psi_form_source(cfg: FieldConfiguration) -> np.ndarray:
     calibrated constant -1 in these conventions; see tests).
     """
     # (a, b)_g = 1/2 a_{mn} b^{mn}; the pairing contracts the fiber index with Q:
-    # (1/4) sum_{A,B,C} Q_AB (dJ_k)_BC (*V^A, V^C)
-    vup = fl.raise2(cfg.geometry.ginv[..., None, :, :], cfg.V)
-    pairs = _pairings(cfg.star_v, vup)[..., None, :, :]
+    # (1/4) sum_{A,B,C} Q_AB (dJ_k)_BC (*V^A, V^C), with V raised one node block at a time
+    k = 2 * cfg.n_v
+    ginv, v, sv = _form_stacks(cfg, k)
+    pairs = np.empty((len(v), k, k))
+    for s in fl.node_blocks(len(v)):
+        pairs[s] = _pairings(sv[s], fl.raise2(ginv[s], v[s]))
+    pairs = pairs.reshape(cfg.grid.shape + (1, k, k))
     return 0.25 * ((cfg.Q[..., None, :, :] @ _taming_derivative(cfg)) * pairs).sum(axis=(-2, -1))
+
+
+def _gamma_trace(geo: Geometry) -> np.ndarray:
+    """g^ab Gamma^c_ab per node, grid + (4,), one node block at a time: the
+    rank-5 product g^ab Gamma^c_ab before the sum exists for one block only."""
+    ginv, gamma = geo.ginv.reshape(-1, 1, 4, 4), geo.gamma.reshape(-1, 4, 4, 4)
+    out = np.empty((len(gamma), 4))
+    for s in fl.node_blocks(len(out)):
+        out[s] = fl.trace(ginv[s], gamma[s])
+    return out.reshape(geo.gamma.shape[:-2])
 
 
 def scalar_residual(cfg: FieldConfiguration, assembly: str = "local") -> np.ndarray:
@@ -406,9 +429,8 @@ def scalar_residual(cfg: FieldConfiguration, assembly: str = "local") -> np.ndar
     cm = chart.metric(cfg.phi)
     dcm = chart.metric_deriv(cfg.phi)       # (..., k, i, j)
     # box phi^i = g^ab d_a d_b phi^i - g^ab Gamma^c_ab d_c phi^i
-    ginv = geo.ginv[..., None, :, :]  # broadcast over the first index of d2phi and Gamma
-    box_phi = (fl.trace(ginv, d2phi)
-               - (dphi @ fl.trace(ginv, geo.gamma)[..., :, None])[..., 0])
+    ginv = geo.ginv[..., None, :, :]  # broadcast over the first index of d2phi
+    box_phi = (fl.trace(ginv, d2phi) - (dphi @ _gamma_trace(geo)[..., :, None])[..., 0])
     grad_sq = fl.contract(geo.ginv, dphi, dphi)  # (i, j)
 
     if assembly == "local":
@@ -534,12 +556,13 @@ def equivariance_harness(cfg: FieldConfiguration, f, a: np.ndarray) -> Equivaria
     tcfg = transport_config(f, a, cfg)
     inner = cfg.grid.interior()
 
-    e0 = einstein_residual(cfg, check=False)[inner]
-    e1 = einstein_residual(tcfg, check=False)[inner]
+    # copies of the interiors, so no full-size residual outlives its step
+    e0 = einstein_residual(cfg, check=False)[inner].copy()
+    e1 = einstein_residual(tcfg, check=False)[inner].copy()
     e_disc = float(np.max(np.abs(e1 - e0)))
 
-    m0 = maxwell_residual(cfg)[inner]
-    m1 = maxwell_residual(tcfg)[inner]
+    m0 = maxwell_residual(cfg)[inner].copy()
+    m1 = maxwell_residual(tcfg)[inner].copy()
     mapped = fl.fiber_action(a, m0, rank=1)
     m_disc = float(np.max(np.abs(m1 - mapped)))
 
@@ -651,7 +674,12 @@ def parse_grid_config(text: str, resolution: tuple[int, ...] | None = None
                 *idx, c = val.split() or [""]
                 terms.append((*_numbers("metric_coeff 'mu nu a b'", " ".join(idx), 4, int, 4),
                               *_numbers("metric_coeff c", c, 1)))
-        g = metric_quadratic(grid, terms)
+        with np.errstate(over="ignore", invalid="ignore"):
+            g = metric_quadratic(grid, terms)
+        bad = np.argwhere(~np.isfinite(g).all(axis=(-2, -1)))
+        if len(bad):
+            raise GridError(f"metric not finite at node index {tuple(bad[0].tolist())}: "
+                            "the extents or metric_coeff are out of range")
     else:
         raise GridError(f"unknown metric spec {metric_kind!r}")
 
@@ -696,7 +724,7 @@ def parse_grid_config(text: str, resolution: tuple[int, ...] | None = None
 
 def _numbers(key: str, text: str, count: int, kind=float, bound: int | None = None) -> list:
     """The count numbers of a config value: finite floats, or ints in [0, bound)."""
-    vals = numbers(text, GridError, kind)
+    vals = numbers(text, GridError, key, kind)
     if len(vals) != count:
         raise GridError(f"{key} needs {count} numbers, got {text!r}")
     if kind is int and any(v < 0 or (bound is not None and v >= bound) for v in vals):

@@ -169,21 +169,23 @@ def parse_bundle(text: str) -> BundlePresentation:
     rels: list[list[int]] = []
     for lineno, key, val in key_values(text, PresentationError):
         if key == "nv":
-            vals = numbers(val, PresentationError, int)
+            vals = numbers(val, PresentationError, f"nv on line {lineno}", int)
             if len(vals) != 1 or not 1 <= vals[0] <= MAX_N:
                 raise PresentationError(f"nv on line {lineno} must be one integer in 1..{MAX_N}")
             n_v = vals[0]
         elif key == "generator":
             if n_v is None:
                 raise PresentationError("nv must come before generators")
-            vals = numbers(val.replace(",", " "), PresentationError)
+            vals = numbers(val.replace(",", " "), PresentationError,
+                           f"generator on line {lineno}")
             d = 2 * n_v
             if len(vals) != d * d:
                 raise PresentationError(
                     f"generator on line {lineno} needs {d * d} entries, got {len(vals)}")
             gens.append(np.array(vals).reshape(d, d))
         elif key == "relation":
-            rels.append(numbers(val.replace(",", " "), PresentationError, int))
+            rels.append(numbers(val.replace(",", " "), PresentationError,
+                                f"relation on line {lineno}", int))
         else:
             raise PresentationError(f"unknown key {key!r} on line {lineno}")
     if n_v is None:

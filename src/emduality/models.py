@@ -237,7 +237,7 @@ def parse_isometry(spec: str, chart: ScalarChart):
     if ":" not in spec:
         raise ModelError(f"bad isometry spec {spec!r}")
     kind, _, rest = spec.partition(":")
-    vals = numbers(rest.replace(",", " "), ModelError)
+    vals = numbers(rest.replace(",", " "), ModelError, f"isometry spec {spec!r}")
     if chart.kind == "poincare":
         if kind == "translate" and len(vals) == 1:
             return MobiusIsometry(np.array([[1.0, vals[0]], [0.0, 1.0]]))

@@ -25,11 +25,11 @@ from functools import cache, cached_property
 import numpy as np
 
 from .errors import InputError
-from .fields import ETA
+from .fields import ETA, node_blocks
 # christoffel is unused here but stays importable: bench/spans.py wraps
 # spinors.christoffel
 from .grids import (Geometry, GridPatch, christoffel, metric_geometry,  # noqa: F401
-                    node_blocks, partials)
+                    partials)
 from .symplectic import null_space
 
 
@@ -280,7 +280,7 @@ def integrate_killing(fr: FramePatch, lam: float, eps0: np.ndarray,
     sweeping one axis at a time in the given order (RK4 per edge).
 
     Each swept axis runs in slabs of rows of its first line axis, about
-    ``grids.NODE_BLOCK`` nodes each.  A slab makes one generator call,
+    ``fields.NODE_BLOCK`` nodes each.  A slab makes one generator call,
     stacked over the nodes and midpoints of its lines, and one batch of edge
     propagators, which the sweep then applies edge by edge.  Needs the
     analytic evaluator of a built-in frame: RK4 samples it between nodes.

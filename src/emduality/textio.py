@@ -5,7 +5,7 @@ input."""
 
 from __future__ import annotations
 
-import numpy as np
+import math
 
 
 def key_values(text: str, error: type[Exception]) -> list[tuple[int, str, str]]:
@@ -21,12 +21,18 @@ def key_values(text: str, error: type[Exception]) -> list[tuple[int, str, str]]:
     return out
 
 
-def numbers(text: str, error: type[Exception], kind=float) -> list:
-    """The whitespace-separated numbers of text: finite floats, or ints."""
-    try:
-        vals = [kind(s) for s in text.split()]
-    except ValueError:
-        raise error(f"malformed number in {text!r}") from None
-    if kind is float and not np.all(np.isfinite(vals)):
-        raise error(f"non-finite number in {text!r}")
+def numbers(text: str, error: type[Exception], where: str | None, kind=float) -> list:
+    """The whitespace-separated numbers of text: finite floats, or ints.
+
+    The error names where, the option, key or file that text came from (None
+    when the caller names it, as argparse does), and the first bad token."""
+    source = f" in {where}" if where else ""
+    vals = []
+    for token in text.split():
+        try:
+            vals.append(kind(token))
+        except ValueError:
+            raise error(f"malformed number{source}: {token!r}") from None
+        if kind is float and not math.isfinite(vals[-1]):
+            raise error(f"non-finite number{source}: {token!r}")
     return vals

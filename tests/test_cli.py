@@ -1,5 +1,6 @@
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -326,6 +327,68 @@ class TestMalformedNumbers:
         path = tmp_path / "bundle.txt"
         path.write_text("nv = 1\ngenerator = 1 0 q 1\n")
         self.assert_bad_input(["centralizer", "--bundle", str(path)])
+
+
+class TestNumberErrorsNameTheirSource:
+    """A bad number is reported with the option, key or file it came from and
+    the first bad token."""
+
+    @staticmethod
+    def error(argv):
+        code, text = run(argv)
+        return code, next(line for line in text.splitlines() if line.startswith("error = "))
+
+    @pytest.mark.parametrize("key, value, where, token", [
+        ("resolution", "7 7 x 7", "resolution", "'x'"),
+        ("extents", "-0.4:0.4 -0.4:y -0.4:0.4 -0.4:0.4", "extents", "'y'"),
+        ("phi", "constant 0.1 nan", "phi constant", "'nan'"),
+        ("phi", "constant 1e999 abc", "phi constant", "'1e999'")])
+    def test_config_key(self, tmp_path, key, value, where, token):
+        cfg = TestMalformedGridInputs.config(tmp_path, **{key: value})
+        code, line = self.error(["residuals", "--config", cfg])
+        assert code == 3
+        assert f"number in {where}: {token}" in line
+
+    def test_matrix_file(self, config_file, tmp_path):
+        a = tmp_path / "a.txt"
+        a.write_text("1 0\nx 1\n")
+        code, line = self.error(["transport", "--config", config_file,
+                                 "--f", "id", "--A", str(a)])
+        assert code == 3
+        assert line == f"error = malformed number in {str(a)!r}: 'x'"
+
+    @pytest.mark.parametrize("body, where, token", [
+        ("nv = 1\ngenerator = 1 0 q 1\n", "generator on line 2", "'q'"),
+        ("nv = 1\ngenerator = 1 0 0 1\nrelation = 1 z\n", "relation on line 3", "'z'"),
+        ("nv = x\n", "nv on line 1", "'x'")])
+    def test_bundle_key(self, tmp_path, body, where, token):
+        path = tmp_path / "bundle.txt"
+        path.write_text(body)
+        code, line = self.error(["centralizer", "--bundle", str(path)])
+        assert code == 3
+        assert f"number in {where}: {token}" in line
+
+    @pytest.mark.parametrize("f, token", [("translate:abc", "'abc'"),
+                                          ("mobius:1,0,inf,x", "'inf'")])
+    def test_isometry_spec(self, f, token):
+        code, line = self.error(["pair-check", "--model", "identity-tau", "--f", f,
+                                 "--A", "unused.A"])
+        assert code == 2
+        assert f"number in isometry spec {f!r}: {token}" in line
+
+
+def test_overflowing_metric_is_bad_input(tmp_path):
+    """A metric that overflows to inf is out-of-range input, named at its first
+    node, and numpy's overflow warning does not reach the user."""
+    cfg = TestMalformedGridInputs.config(
+        tmp_path, extents=" ".join(["-1e200:1e200"] * 4), metric="quadratic",
+        metric_coeff="1 2 0 0 1.0")
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code, text = run(["residuals", "--config", cfg])
+    assert code == 3
+    assert ("error = metric not finite at node index (0, 0, 0, 0): "
+            "the extents or metric_coeff are out of range") in text
 
 
 class TestMalformedArguments:

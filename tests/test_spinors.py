@@ -1,14 +1,17 @@
 import tracemalloc
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+from emduality import fields as fl
 from emduality import grids as gr
 from emduality import spinors as sn
 
 
 LAM = 1.0
+GOLDEN_T3 = Path(__file__).resolve().parent / "golden" / "t3.cfg"
 
 
 def ads_grid(n):
@@ -608,7 +611,7 @@ class TestKernelOracles:
             # swept block once; at most NODE_BLOCK nodes per slab
             assert all(shape[-2:] == (17, 4) for shape in shapes)
             assert sum(int(np.prod(shape[:-2])) for shape in shapes) == lines
-            assert all(9 * np.prod(shape[:-2]) <= gr.NODE_BLOCK for shape in shapes)
+            assert all(9 * np.prod(shape[:-2]) <= fl.NODE_BLOCK for shape in shapes)
             lines *= 9
         assert len(calls) > 4
         assert np.array_equal(eps, sn.integrate_killing(fr, LAM, EPS0, axis_order=order))
@@ -652,19 +655,31 @@ class TestKernelOracles:
     @pytest.mark.parametrize("block", [1, 100, 10 ** 9])
     def test_node_blocks_do_not_change_the_kernels(self, wavy9, ads9, monkeypatch, block):
         # every node, and every propagator of the sweep, is computed by the
-        # same arithmetic in any block or slab
+        # same arithmetic in any block or slab; fields.NODE_BLOCK is the one
+        # block size, of the spinor and the gauge kernels alike
         _, fr, _ = ads9
         g = wavy9.metric()
+        cfg = gr.parse_grid_config(GOLDEN_T3.read_text(encoding="utf-8"))
 
         def outputs():
             sweeps = [sn.integrate_killing(f, 0.7, EPS0, axis_order=(1, 3, 0, 2))
                       for f in (fr, wavy9)]
+            geo = cfg.geometry
+            gauge = [fl.star_fibers(geo, cfg.V), fl.stress_gauge(geo, cfg.J, cfg.V, check=False),
+                     fl.oslash_Q(geo, cfg.J, cfg.V, cfg.V), *gr._field_contractions(cfg),
+                     gr.psi_form_source(cfg), gr.einstein_residual(cfg, check=False),
+                     gr._gamma_trace(geo)]
             return [sn.spin_connection(wavy9), gr.metric_geometry(g, wavy9.grid).gamma,
-                    *sweeps]
+                    *sweeps, *gauge]
 
         before = outputs()
-        monkeypatch.setattr(gr, "NODE_BLOCK", block)
+        monkeypatch.setattr(fl, "NODE_BLOCK", block)
         assert all(a.tobytes() == b.tobytes() for a, b in zip(outputs(), before))
+        # the blocked antisymmetry check of a configuration still finds one bad node
+        v = cfg.V.copy()
+        v[3, 1, 4, 0, 1, 2, 3] += 1e-300
+        with pytest.raises(gr.GridError, match="exactly antisymmetric"):
+            gr.FieldConfiguration(cfg.grid, cfg.model, cfg.g, cfg.phi, v)
 
     def test_tables_built_once_and_read_only(self, rep):
         assert sn.clifford_rep() is rep
