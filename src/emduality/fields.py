@@ -110,23 +110,36 @@ NODE_BLOCK = 2048   # nodes per block of the pointwise kernels on a grid
 
 def node_blocks(count: int, per: int = 1) -> list[slice]:
     """Consecutive slices covering range(count), each of at most NODE_BLOCK
-    nodes when one item holds per nodes (and of at least one item)."""
+    nodes when one item holds per nodes (and of at least one item); one
+    empty slice when count is 0."""
     step = max(1, NODE_BLOCK // per)
-    return [slice(i, min(i + step, count)) for i in range(0, count, step)]
+    return [slice(i, min(i + step, count)) for i in range(0, count or 1, step)]
 
 
-def _node_stacks(*arrays: tuple[np.ndarray, int]) -> tuple[tuple[int, ...], list[np.ndarray]]:
-    """(lead, stacks) of (array, tail rank) pairs: lead is the broadcast of
-    the arrays' leading shapes, and each stack is its array broadcast to lead
-    + its tail and flattened to (N,) + tail, a copy only where it broadcasts.
-    A point is a stack of one node."""
-    arrays = [(np.asarray(a), rank) for a, rank in arrays]
-    lead = np.broadcast_shapes(*(a.shape[:a.ndim - rank] for a, rank in arrays))
-    stacks = []
-    for a, rank in arrays:
-        tail = a.shape[a.ndim - rank:]
-        stacks.append(np.broadcast_to(a, lead + tail).reshape((-1,) + tail))
-    return lead, stacks
+def blockwise(kernel, *operands: tuple[np.ndarray, int], out: np.ndarray | None = None
+              ) -> np.ndarray:
+    """kernel on one block of nodes at a time: the one node-block path.
+
+    operands are (array, tail rank) pairs.  Each array is broadcast to the
+    common leading shape lead and flattened to a read-only stack (N,) + its
+    tail: a point is a stack of one node, and zero nodes make one empty
+    block.  kernel maps blocks (n,) + tails to a new array (n,) + result
+    tail, written into out (lead + result tail) or into an array allocated
+    from the first block.  Returns the result as lead + result tail.
+    """
+    arrays = [np.asarray(a) for a, _ in operands]
+    tails = [a.shape[a.ndim - rank:] for a, (_, rank) in zip(arrays, operands)]
+    lead = np.broadcast_shapes(*(a.shape[:a.ndim - len(t)] for a, t in zip(arrays, tails)))
+    count = int(np.prod(lead))
+    stacks = [np.broadcast_to(a, lead + t).reshape((count,) + t) for a, t in zip(arrays, tails)]
+    flat = None if out is None else out.reshape((count,) + out.shape[len(lead):])
+    for s in node_blocks(count):
+        block = kernel(*(a[s] for a in stacks))
+        if flat is None:
+            flat = np.empty((count,) + block.shape[1:], block.dtype)
+        flat[s] = block
+        del block  # so that it is not alive while the next block is computed
+    return flat.reshape(lead + flat.shape[1:])
 
 
 def checked_metric(g) -> Metric:
@@ -177,11 +190,8 @@ def star_fibers(g, v: np.ndarray) -> np.ndarray:
     """Hodge dual on the form index of fiber-valued two-forms v, lead + (k, 4, 4),
     written one node block at a time."""
     m = checked_metric(g)
-    lead, (ginv, vol, v) = _node_stacks((m.ginv, 2), (m.vol, 0), (v, 3))
-    out = np.empty(v.shape, np.result_type(ginv, v))
-    for s in node_blocks(len(v)):
-        out[s] = star(ginv[s, None], vol[s, None], v[s])
-    return out.reshape(lead + v.shape[1:])
+    return blockwise(lambda ginv, vol, v: star(ginv[:, None], vol[:, None], v),
+                     (m.ginv, 2), (m.vol, 0), (v, 3))
 
 
 def fiber_action(a, w: np.ndarray, rank: int = 2) -> np.ndarray:
@@ -295,15 +305,15 @@ def stress_gauge(g, j, v: np.ndarray, check: bool = True) -> np.ndarray:
 def _q_contraction(g, j, v, w, symmetrise: bool) -> np.ndarray:
     """oslash_Q, optionally symmetrised, one node block at a time: Q = Omega J
     and J(w) exist for one block only."""
-    lead, (ginv, jm, v, w) = _node_stacks((checked_metric(g).ginv, 2), (_as_taming(j), 2),
-                                         (v, 3), (w, 3))
+    jm = _as_taming(j)
     om = omega(jm.shape[-1] // 2)
-    out = np.empty((len(v), 4, 4), np.result_type(ginv, jm, v, w))
-    for s in node_blocks(len(v)):
+
+    def kernel(ginv, jm, v, w):
         # one metric across the fiber index
-        t = contract(ginv[s, None], v[s], fiber_action(om @ jm[s], w[s])).sum(axis=-3)
-        out[s] = (t + np.swapaxes(t, -1, -2)) / 2 if symmetrise else t
-    return out.reshape(lead + (4, 4))
+        t = contract(ginv[:, None], v, fiber_action(om @ jm, w)).sum(axis=-3)
+        return (t + np.swapaxes(t, -1, -2)) / 2 if symmetrise else t
+
+    return blockwise(kernel, (checked_metric(g).ginv, 2), (jm, 2), (v, 3), (w, 3))
 
 
 def stress_gauge_couplings(g, em: ElectromagneticPair, f: np.ndarray) -> np.ndarray:

@@ -150,10 +150,8 @@ def metric_geometry(g, grid: GridPatch) -> Geometry:
         return g
     m = fl.checked_metric(g)
     gamma = partials(m.g, grid)                 # d_k g_mn, then Gamma^r_mn
-    flat, ginv = gamma.reshape(-1, 4, 16), m.ginv.reshape(-1, 4, 4)
-    for s in fl.node_blocks(len(flat)):
-        bracket = _bracket(gamma.reshape(-1, 4, 4, 4)[s])
-        np.matmul(ginv[s], bracket.reshape(-1, 4, 16), out=flat[s])
+    fl.blockwise(lambda ginv, dg: (ginv @ _bracket(dg).reshape(-1, 4, 16)).reshape(dg.shape),
+                 (m.ginv, 2), (gamma, 3), out=gamma)
     gamma *= 0.5
     geo = Geometry(m.g, m.ginv, m.det, gamma, grid)
     geo.vol  # a grid metric is Lorentzian: take the volume, and its check, now
@@ -252,9 +250,8 @@ class FieldConfiguration:
             raise GridError(f"scalar map shape {self.phi.shape} does not match grid/chart")
         if self.V.shape != shape + (2 * n_v, 4, 4):
             raise GridError(f"field block shape {self.V.shape} does not match grid/model")
-        v = self.V.reshape((-1,) + self.V.shape[-3:])
-        if any(np.max(np.abs(v[s] + np.swapaxes(v[s], -1, -2))) > 0
-               for s in fl.node_blocks(len(v))):
+        if np.any(fl.blockwise(lambda v: np.max(np.abs(v + np.swapaxes(v, -1, -2)),
+                                                axis=(-3, -2, -1)) > 0, (self.V, 3))):
             raise GridError("field strength block must be exactly antisymmetric")
         self._evaluate_couplings()
 
@@ -341,27 +338,16 @@ def _pairings(a: np.ndarray, b: np.ndarray) -> np.ndarray:
             @ np.swapaxes(b.reshape(lead + (b.shape[-3], 16)), -1, -2))
 
 
-def _form_stacks(cfg: FieldConfiguration, k: int):
-    """g^-1 (N, 1, 4, 4) and the first k fiber indices of V and *V (N, k, 4, 4),
-    as stacks of the N grid nodes: views, for the pairings to run one node
-    block at a time."""
-    ginv = cfg.geometry.ginv.reshape(-1, 1, 4, 4)
-    return (ginv, cfg.V[..., :k, :, :].reshape(-1, k, 4, 4),
-            cfg.star_v[..., :k, :, :].reshape(-1, k, 4, 4))
-
-
 def _field_contractions(cfg: FieldConfiguration):
     """F.F and F.*F contractions per node: (..., L, S) arrays, with F raised
     one node block at a time."""
-    n = cfg.n_v
-    ginv, f, sf = _form_stacks(cfg, n)
-    ff, fsf = np.empty((2, len(f), n, n))
-    for s in fl.node_blocks(len(f)):
-        fup = fl.raise2(ginv[s], f[s])
-        ff[s] = _pairings(f[s], fup)
-        fsf[s] = _pairings(fup, sf[s])
-    lead = cfg.grid.shape + (n, n)
-    return ff.reshape(lead), fsf.reshape(lead)
+    def kernel(ginv, f, sf):
+        fup = fl.raise2(ginv[:, None], f)
+        return np.stack([_pairings(f, fup), _pairings(fup, sf)], axis=1)
+
+    pairs = fl.blockwise(kernel, (cfg.geometry.ginv, 2), (cfg.F, 3),
+                         (cfg.star_v[..., : cfg.n_v, :, :], 3))
+    return pairs[..., 0, :, :], pairs[..., 1, :, :]
 
 
 def local_gauge_source(cfg: FieldConfiguration) -> np.ndarray:
@@ -394,23 +380,10 @@ def psi_form_source(cfg: FieldConfiguration) -> np.ndarray:
     """
     # (a, b)_g = 1/2 a_{mn} b^{mn}; the pairing contracts the fiber index with Q:
     # (1/4) sum_{A,B,C} Q_AB (dJ_k)_BC (*V^A, V^C), with V raised one node block at a time
-    k = 2 * cfg.n_v
-    ginv, v, sv = _form_stacks(cfg, k)
-    pairs = np.empty((len(v), k, k))
-    for s in fl.node_blocks(len(v)):
-        pairs[s] = _pairings(sv[s], fl.raise2(ginv[s], v[s]))
-    pairs = pairs.reshape(cfg.grid.shape + (1, k, k))
-    return 0.25 * ((cfg.Q[..., None, :, :] @ _taming_derivative(cfg)) * pairs).sum(axis=(-2, -1))
-
-
-def _gamma_trace(geo: Geometry) -> np.ndarray:
-    """g^ab Gamma^c_ab per node, grid + (4,), one node block at a time: the
-    rank-5 product g^ab Gamma^c_ab before the sum exists for one block only."""
-    ginv, gamma = geo.ginv.reshape(-1, 1, 4, 4), geo.gamma.reshape(-1, 4, 4, 4)
-    out = np.empty((len(gamma), 4))
-    for s in fl.node_blocks(len(out)):
-        out[s] = fl.trace(ginv[s], gamma[s])
-    return out.reshape(geo.gamma.shape[:-2])
+    pairs = fl.blockwise(lambda ginv, v, sv: _pairings(sv, fl.raise2(ginv[:, None], v)),
+                         (cfg.geometry.ginv, 2), (cfg.V, 3), (cfg.star_v, 3))
+    return 0.25 * ((cfg.Q[..., None, :, :] @ _taming_derivative(cfg))
+                   * pairs[..., None, :, :]).sum(axis=(-2, -1))
 
 
 def scalar_residual(cfg: FieldConfiguration, assembly: str = "local") -> np.ndarray:
@@ -428,9 +401,13 @@ def scalar_residual(cfg: FieldConfiguration, assembly: str = "local") -> np.ndar
     chart = cfg.model.chart
     cm = chart.metric(cfg.phi)
     dcm = chart.metric_deriv(cfg.phi)       # (..., k, i, j)
-    # box phi^i = g^ab d_a d_b phi^i - g^ab Gamma^c_ab d_c phi^i
+    # box phi^i = g^ab d_a d_b phi^i - g^ab Gamma^c_ab d_c phi^i, with the
+    # rank-5 product g^ab Gamma^c_ab before its sum formed for one node block only
+    gamma_trace = fl.blockwise(lambda ginv, gamma: fl.trace(ginv[:, None], gamma),
+                               (geo.ginv, 2), (geo.gamma, 3))[..., :, None]
     ginv = geo.ginv[..., None, :, :]  # broadcast over the first index of d2phi
-    box_phi = (fl.trace(ginv, d2phi) - (dphi @ _gamma_trace(geo)[..., :, None])[..., 0])
+    box_phi = fl.trace(ginv, d2phi) - (dphi @ gamma_trace)[..., 0]
+    del gamma_trace  # not alive while the gauge sources run, which may form *V
     grad_sq = fl.contract(geo.ginv, dphi, dphi)  # (i, j)
 
     if assembly == "local":

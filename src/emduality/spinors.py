@@ -25,7 +25,7 @@ from functools import cache, cached_property
 import numpy as np
 
 from .errors import InputError
-from .fields import ETA, node_blocks
+from .fields import ETA, blockwise, node_blocks
 # christoffel is unused here but stays importable: bench/spans.py wraps
 # spinors.christoffel
 from .grids import (Geometry, GridPatch, christoffel, metric_geometry,  # noqa: F401
@@ -129,8 +129,9 @@ class FramePatch:
             raise FrameError(f"vierbein shape {self.e.shape} does not match grid")
         # scale-free: |det e| against its Hadamard bound, the product of the
         # row norms (a node with a zero row fails the comparison too)
-        bound = np.prod(np.linalg.norm(self.e, axis=-1), axis=-1)
-        if not np.all(np.abs(np.linalg.det(self.e)) > 1e-12 * bound):
+        if not np.all(blockwise(lambda e: np.abs(np.linalg.det(e))
+                                > 1e-12 * np.prod(np.linalg.norm(e, axis=-1), axis=-1),
+                                (self.e, 2))):
             raise FrameError("singular frame")
 
     def metric(self) -> np.ndarray:
@@ -184,26 +185,23 @@ def spin_connection(fr: FramePatch) -> np.ndarray:
 
     Finite differences of the frame (margin-1 interior); the output is
     antisymmetrised in (a, b) so that property holds to the last bit.  After
-    the derivative, the formula is pointwise: it runs on blocks of nodes and
+    the derivative, the formula is pointwise: it runs on node blocks and
     writes each block's connection over that block's derivative, so the
     result is the only full-size array.
     """
-    e = fr.e.reshape(-1, 4, 4)
-    einv = np.linalg.inv(e)                               # e^mu_a
-    w = partials(ETA @ fr.e, fr.grid)                     # d_n e_{a m}, then w_{m a b}
-    flat = w.reshape(-1, 4, 4, 4)
-    for s in node_blocks(len(flat)):
-        de = flat[s]                                      # (a, m, n) = d_n e_{a m}
+    def kernel(e, de):                                    # (a, m, n) = d_n e_{a m}
+        einv = np.linalg.inv(e)                           # e^mu_a
         c = np.swapaxes(de, -1, -2) - de                  # C[a, m, n] = d_m e_{a n} - d_n e_{a m}
         # t1[m, a, b] = e^n_a C[b, m, n]; t2[m, a, b] = e^n_b C[a, m, n] = t1[m, b, a]
-        t1 = np.moveaxis((c.reshape(-1, 16, 4) @ einv[s]).reshape(-1, 4, 4, 4), -3, -1)
+        t1 = np.moveaxis((c.reshape(-1, 16, 4) @ einv).reshape(-1, 4, 4, 4), -3, -1)
         # t3[m, a, b] = e^c_m (e^r_a C[c, r, s] e^s_b): a frame rotation of C
-        rot = np.swapaxes(einv[s], -1, -2)[:, None] @ c @ einv[s][:, None]
-        t3 = (np.swapaxes(e[s], -1, -2) @ rot.reshape(-1, 4, 16)).reshape(-1, 4, 4, 4)
+        rot = np.swapaxes(einv, -1, -2)[:, None] @ c @ einv[:, None]
+        t3 = (np.swapaxes(e, -1, -2) @ rot.reshape(-1, 4, 16)).reshape(-1, 4, 4, 4)
         wb = 0.5 * (t1 - np.swapaxes(t1, -1, -2) - t3)
-        np.subtract(wb, np.swapaxes(wb, -1, -2), out=de)
-        de /= 2
-    return w
+        return (wb - np.swapaxes(wb, -1, -2)) / 2
+
+    w = partials(ETA @ fr.e, fr.grid)                     # d_n e_{a m}, then w_{m a b}
+    return blockwise(kernel, (fr.e, 2), (w, 3), out=w)
 
 
 # ---------------------------------------------------------- killing spinors
@@ -385,9 +383,9 @@ class FirstOrderReport:
     nontrivial: bool
 
 
-def _nabla(w: np.ndarray, geo: Geometry, grid: GridPatch) -> np.ndarray:
-    """Covariant derivative nabla_m w_n = d_m w_n - Gamma^l_{mn} w_l of a one-form."""
-    return np.moveaxis(partials(w, grid), -1, -2) - np.einsum("...lmn,...l->...mn", geo.gamma, w)
+def _nabla(dw: np.ndarray, gamma: np.ndarray, w: np.ndarray) -> np.ndarray:
+    """nabla_m w_n = d_m w_n - Gamma^l_{mn} w_l of a one-form w, from its partials dw."""
+    return np.moveaxis(dw, -1, -2) - np.einsum("...lmn,...l->...mn", gamma, w)
 
 
 def extract_kappa(u: np.ndarray, l: np.ndarray, lam: float, g,
@@ -395,12 +393,15 @@ def extract_kappa(u: np.ndarray, l: np.ndarray, lam: float, g,
     """Least-squares one-form kappa with grad l = kappa (x) u + lam (l (x) l - g).
 
     g is the metric or its ``Geometry``.  Componentwise least squares per
-    node; meaningful wherever u is nonzero.
+    node, one node block at a time; meaningful wherever u is nonzero.
     """
+    def kernel(dl, gamma, l, u, g):
+        w = _nabla(dl, gamma, l) - lam * (np.einsum("...m,...n->...mn", l, l) - g)
+        denom = np.maximum(np.einsum("...n,...n->...", u, u), 1e-300)
+        return np.einsum("...mn,...n->...m", w, u) / denom[..., None]
+
     geo = metric_geometry(g, grid)
-    w = _nabla(l, geo, grid) - lam * (np.einsum("...m,...n->...mn", l, l) - geo.g)
-    denom = np.maximum(np.einsum("...n,...n->...", u, u), 1e-300)
-    return np.einsum("...mn,...n->...m", w, u) / denom[..., None]
+    return blockwise(kernel, (partials(l, grid), 2), (geo.gamma, 3), (l, 1), (u, 1), (geo.g, 2))
 
 
 def verify_thm53(u: np.ndarray, l: np.ndarray, kappa: np.ndarray, lam: float,
@@ -420,12 +421,12 @@ def verify_thm53(u: np.ndarray, l: np.ndarray, kappa: np.ndarray, lam: float,
         return float(np.max(np.abs(a[inner])))
 
     # each residual is reduced to its interior maximum as soon as it is formed
-    grad_u = _nabla(u, geo, grid)
+    grad_u = _nabla(partials(u, grid), geo.gamma, u)
     killing = peak(grad_u + np.swapaxes(grad_u, -1, -2))
     wedge = np.einsum("...m,...n->...mn", u, l) - np.einsum("...m,...n->...mn", l, u)
     du = peak(grad_u - lam * wedge)
     del grad_u, wedge
-    dl = peak(_nabla(l, geo, grid) - np.einsum("...m,...n->...mn", kappa, u)
+    dl = peak(_nabla(partials(l, grid), geo.gamma, l) - np.einsum("...m,...n->...mn", kappa, u)
               - lam * (np.einsum("...m,...n->...mn", l, l) - geo.g))
     dkappa = np.moveaxis(partials(kappa, grid), -1, -2)
     return FirstOrderReport(

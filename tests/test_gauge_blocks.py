@@ -99,11 +99,14 @@ class TestAllAtOnceBytes:
         assert same_bytes(gr.psi_form_source(cfg), allatonce_psi_form_source(cfg))
 
     def test_gamma_trace_of_scalar_residual(self, cfg):
-        # g^ab Gamma^c_ab of scalar_residual, summed as the all-at-once trace
-        # did (np.einsum sums it in another order: it differs by ~1e-20 on
-        # 20 entries of the axio-dilaton config)
+        # g^ab Gamma^c_ab as scalar_residual forms it, node block by node
+        # block, summed as the all-at-once trace did (np.einsum sums it in
+        # another order: it differs by ~1e-20 on 20 entries of the
+        # axio-dilaton config)
         geo = cfg.geometry
-        assert same_bytes(gr._gamma_trace(geo), fl.trace(geo.ginv[..., None, :, :], geo.gamma))
+        blocked = fl.blockwise(lambda ginv, gamma: fl.trace(ginv[:, None], gamma),
+                               (geo.ginv, 2), (geo.gamma, 3))
+        assert same_bytes(blocked, fl.trace(geo.ginv[..., None, :, :], geo.gamma))
 
     def test_random_lorentzian_stack(self, stack):
         g, v, j = stack
@@ -121,6 +124,58 @@ class TestAllAtOnceBytes:
         assert same_bytes(fl.star_fibers(g[7], v), allatonce_star_fibers(g[7], v))
         assert same_bytes(fl.stress_gauge(g, j[7], v, check=False),
                           allatonce_stress_gauge(g, j[7], v))
+
+
+class TestBlockwise:
+    """fields.blockwise itself, on elementwise kernels: the shapes it
+    broadcasts and flattens, the blocks it runs and the empty stacks."""
+
+    @staticmethod
+    def kernel(a, b):
+        # a metric-like (n, 4, 4) block against a form-like (n, k, 4, 4) block
+        return a[:, None] * b + 1.0
+
+    @pytest.fixture(params=[1, 7, 10 ** 9])
+    def block(self, request, monkeypatch):
+        monkeypatch.setattr(fl, "NODE_BLOCK", request.param)
+        return request.param
+
+    def test_point_is_a_stack_of_one(self, stack, block):
+        g, v, _ = stack
+        out = fl.blockwise(self.kernel, (g[5], 2), (v[5], 3))
+        assert same_bytes(out, g[5] * v[5] + 1.0)
+
+    def test_one_metric_against_a_stack_of_forms(self, stack, block):
+        g, v, _ = stack
+        assert same_bytes(fl.blockwise(self.kernel, (g[7], 2), (v[:100], 3)),
+                          g[7] * v[:100] + 1.0)
+        assert same_bytes(fl.blockwise(self.kernel, (g[:100], 2), (v[7], 3)),
+                          g[:100, None] * v[7] + 1.0)
+        # leading shapes that broadcast on two axes
+        a, b = g[:5, None], v[None, :6, :2]
+        assert same_bytes(fl.blockwise(self.kernel, (a, 2), (b, 3)),
+                          a[..., None, :, :] * b + 1.0)
+
+    def test_result_tail_and_out(self, stack, block):
+        g, v, _ = stack
+        sums = fl.blockwise(lambda v: v.sum(axis=(-2, -1)), (v[:50].reshape(5, 10, 4, 4, 4), 3))
+        assert same_bytes(sums, v[:50].reshape(5, 10, 4, 4, 4).sum(axis=(-2, -1)))
+        # a kernel may read the block it is written over
+        w = v[:100].copy()
+        out = fl.blockwise(lambda a, w: a[:, None] * w, (g[:100], 2), (w, 3), out=w)
+        assert np.shares_memory(out, w) and same_bytes(w, g[:100, None] * v[:100])
+
+    def test_zero_nodes(self, block):
+        out = fl.blockwise(self.kernel, (fl.ETA, 2), (np.zeros((0, 2, 4, 4)), 3))
+        assert out.shape == (0, 2, 4, 4)
+        assert fl.star_fibers(fl.ETA, np.zeros((0, 2, 4, 4))).shape == (0, 2, 4, 4)
+        assert fl.star_fibers(fl.ETA, np.zeros((3, 0, 2, 4, 4))).shape == (3, 0, 2, 4, 4)
+
+    def test_zero_fibers(self, block):
+        out = fl.blockwise(self.kernel, (fl.ETA, 2), (np.zeros((3, 0, 4, 4)), 3))
+        assert out.shape == (3, 0, 4, 4)
+        assert fl.star_fibers(fl.ETA, np.zeros((3, 0, 4, 4))).shape == (3, 0, 4, 4)
+        assert fl.star_fibers(fl.ETA, np.zeros((0, 4, 4))).shape == (0, 4, 4)
 
 
 class TestMemory:

@@ -1,0 +1,49 @@
+"""One node-block path.  ``fields.blockwise`` is the only reader of
+``fields.node_blocks`` apart from ``spinors.integrate_killing``, whose slabs
+are sequential sweeps of rows that hold several nodes each, and
+``fields.NODE_BLOCK`` is read only by ``node_blocks``.  A pointwise kernel
+with a block loop of its own fails here: route it through
+``fields.blockwise``.  The node-blocked kernels are listed by the
+top-level function or class that calls ``blockwise``."""
+
+import ast
+from pathlib import Path
+
+SRC = Path(__file__).resolve().parent.parent / "src" / "emduality"
+
+BLOCKED = {("fields", "star_fibers"), ("fields", "_q_contraction"),
+           ("grids", "metric_geometry"), ("grids", "FieldConfiguration"),
+           ("grids", "_field_contractions"), ("grids", "psi_form_source"),
+           ("grids", "scalar_residual"), ("spinors", "spin_connection"),
+           ("spinors", "FramePatch"), ("spinors", "extract_kappa")}
+
+
+def loads(names):
+    """(name, module, top-level owner) of every read of one of names in the
+    package; the owner is None at module level."""
+    found = set()
+    for path in sorted(SRC.glob("*.py")):
+        for top in ast.parse(path.read_text(encoding="utf-8")).body:
+            owner = getattr(top, "name", None)
+            for node in ast.walk(top):
+                if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                    name = node.id
+                elif isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
+                    name = node.attr
+                else:
+                    continue
+                if name in names:
+                    found.add((name, path.stem, owner))
+    return found
+
+
+def test_node_blocks_read_only_by_blockwise_and_the_sweep():
+    assert loads({"node_blocks", "NODE_BLOCK"}) == {
+        ("node_blocks", "fields", "blockwise"),
+        ("node_blocks", "spinors", "integrate_killing"),
+        ("NODE_BLOCK", "fields", "node_blocks")}
+
+
+def test_every_node_blocked_kernel_calls_blockwise():
+    callers = {(module, owner) for _, module, owner in loads({"blockwise"})}
+    assert callers == BLOCKED

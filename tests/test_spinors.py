@@ -459,6 +459,16 @@ def allatonce_killing_residual(fr, eps, lam):
     return deps - (m @ eps[..., None, :, None])[..., 0]
 
 
+def allatonce_extract_kappa(u, l, lam, geo, grid):
+    """kappa on every node at once, with full-size temporaries: the oracle of
+    the node-block kernel."""
+    nabla = (np.moveaxis(gr.partials(l, grid), -1, -2)
+             - np.einsum("...lmn,...l->...mn", geo.gamma, l))
+    w = nabla - lam * (np.einsum("...m,...n->...mn", l, l) - geo.g)
+    denom = np.maximum(np.einsum("...n,...n->...", u, u), 1e-300)
+    return np.einsum("...mn,...n->...m", w, u) / denom[..., None]
+
+
 def oracle_bilinears(fr, eps, rep):
     c = invariant_bilinears()[-1][0]
     c = c / np.max(np.abs(c))
@@ -645,6 +655,9 @@ class TestKernelOracles:
         assert sn.spin_connection(fr).tobytes() == allatonce_spin_connection(fr).tobytes()
         assert (sn.killing_residual(fr, eps, lam).tobytes()
                 == allatonce_killing_residual(fr, eps, lam).tobytes())
+        u, l = sn.killing_bilinears(fr, eps)
+        assert (sn.extract_kappa(u, l, lam, fr.geometry, fr.grid).tobytes()
+                == allatonce_extract_kappa(u, l, lam, fr.geometry, fr.grid).tobytes())
 
     def test_lean_kernels_match_all_at_once_wavy(self, wavy9, ads9):
         _, _, eps = ads9
@@ -668,9 +681,11 @@ class TestKernelOracles:
             gauge = [fl.star_fibers(geo, cfg.V), fl.stress_gauge(geo, cfg.J, cfg.V, check=False),
                      fl.oslash_Q(geo, cfg.J, cfg.V, cfg.V), *gr._field_contractions(cfg),
                      gr.psi_form_source(cfg), gr.einstein_residual(cfg, check=False),
-                     gr._gamma_trace(geo)]
+                     gr.scalar_residual(cfg, "local"), gr.scalar_residual(cfg, "global")]
+            u, l = sn.killing_bilinears(fr, sweeps[0])
+            kappa = sn.extract_kappa(u, l, 0.7, fr.geometry, fr.grid)
             return [sn.spin_connection(wavy9), gr.metric_geometry(g, wavy9.grid).gamma,
-                    *sweeps, *gauge]
+                    *sweeps, *gauge, kappa]
 
         before = outputs()
         monkeypatch.setattr(fl, "NODE_BLOCK", block)
@@ -680,6 +695,11 @@ class TestKernelOracles:
         v[3, 1, 4, 0, 1, 2, 3] += 1e-300
         with pytest.raises(gr.GridError, match="exactly antisymmetric"):
             gr.FieldConfiguration(cfg.grid, cfg.model, cfg.g, cfg.phi, v)
+        # and the blocked singular-frame check still finds one singular node
+        e = wavy9.e.copy()
+        e[3, 1, 4, 0, 2] = e[3, 1, 4, 0, 1]
+        with pytest.raises(sn.FrameError, match="singular frame"):
+            sn.FramePatch(wavy9.grid, e)
 
     def test_tables_built_once_and_read_only(self, rep):
         assert sn.clifford_rep() is rep
@@ -723,3 +743,16 @@ class TestMemory:
     def test_sweep(self, ads13):
         fr, _ = ads13
         assert self.transient(sn.integrate_killing, fr, LAM, EPS0) <= 10 * 2 ** 20
+
+    def test_frame_check(self, ads13):
+        # the singular-frame check runs in node blocks: 4.8 MiB for a 3.5 MiB
+        # frame, where the whole-stack check took 9.6 MiB
+        fr, _ = ads13
+        assert self.transient(sn.builtin_frame, "ads4-poincare", fr.grid, LAM) <= 1.75 * fr.e.nbytes
+
+    def test_extract_kappa(self, ads13):
+        # only partials(l) is full-size, a grid + (4, 4) array like e: 5.1 MiB,
+        # where the whole-grid formula took 10.5 MiB
+        fr, _ = ads13
+        u, l = sn.killing_bilinears(fr, sn.integrate_killing(fr, LAM, EPS0))
+        assert self.transient(sn.extract_kappa, u, l, LAM, fr.geometry, fr.grid) <= 2 * fr.e.nbytes
