@@ -136,18 +136,18 @@ def _stable(dim: int, rows: np.ndarray, half: int, what: str) -> int:
     return dim
 
 
-def _lifts(system: _System, tol: float) -> list[tuple[np.ndarray | None, float]]:
+def _lifts(system: _System) -> list[tuple[np.ndarray | None, float]]:
     """(X, residual) per field, from one least-squares solve on the stabilizer
     columns scaled to unit norm.  Each residual is relative to the largest
     entry of the field's own P column (0 for a zero column), so it does not
-    depend on the scale of N; X is None when it exceeds tol."""
+    depend on the scale of N; X is None when it exceeds TOL_LIFT."""
     scaled, norms = unit_columns(system.stab)
     sol, *_ = np.linalg.lstsq(scaled, system.periods, rcond=None)
     peak = np.max(np.abs(system.periods), axis=0, initial=0.0)
     residual = (np.max(np.abs(scaled @ sol - system.periods), axis=0, initial=0.0)
                 / np.where(peak > 0, peak, 1.0))
     mats = np.tensordot(sol.T / norms, system.basis, axes=1)
-    return [(x if r <= tol else None, float(r)) for x, r in zip(mats, residual)]
+    return [(x if r <= TOL_LIFT else None, float(r)) for x, r in zip(mats, residual)]
 
 
 @dataclass
@@ -181,16 +181,16 @@ def stab_sp_algebra(model, samples: np.ndarray | None = None) -> StabilizerRepor
                             minus_id_fixes_period=minus_ok)
 
 
-def lift_killing_field(model, xi: KillingBasis, samples: np.ndarray | None = None,
-                       tol: float = TOL_LIFT) -> tuple[np.ndarray | None, float]:
+def lift_killing_field(model, xi: KillingBasis, samples: np.ndarray | None = None
+                       ) -> tuple[np.ndarray | None, float]:
     """Least-squares sp(2n, R) element matching the period derivative along xi,
     a basis of one field (``killing_basis(chart)[k]``).
 
-    Returns (X, residual); X is None when the normalized residual exceeds tol
+    Returns (X, residual); X is None when the normalized residual exceeds TOL_LIFT
     (the field does not lift).  X always satisfies the sp condition exactly
     since it is built in sp coordinates.
     """
-    [(x, residual)] = _lifts(_system(model, samples, xi), tol)
+    [(x, residual)] = _lifts(_system(model, samples, xi))
     return x, residual
 
 
@@ -228,7 +228,7 @@ def uduality_algebra(model, samples: np.ndarray | None = None) -> UDualityReport
     dim_iso_pr = dim_u - len(vs) + int(np.linalg.matrix_rank(null[len(system.basis):] @ vs.T,
                                                               tol=RANK_RTOL))
 
-    table = [(name, x, res) for name, (x, res) in zip(kfields.names, _lifts(system, TOL_LIFT))]
+    table = [(name, x, res) for name, (x, res) in zip(kfields.names, _lifts(system))]
     lifted = sum(1 for _, x, _ in table if x is not None)
     return UDualityReport(dim_u=dim_u, dim_stab_sp=dim_stab, dim_iso_pr=dim_iso_pr,
                           exactness_gap=dim_u - dim_stab - dim_iso_pr, lift_table=table,
@@ -236,13 +236,13 @@ def uduality_algebra(model, samples: np.ndarray | None = None) -> UDualityReport
                           notes=f"{lifted}/{len(kfields)} Killing basis fields admit lifts")
 
 
-def check_uduality_pair(f, a: np.ndarray, model, samples: np.ndarray | None = None) -> float:
-    """Max deviation of A . N(p) from N(f(p)) over the samples.
+def check_uduality_pair(f, a: np.ndarray, model) -> float:
+    """Max deviation of A . N(p) from N(f(p)) over the model's default samples.
 
     A small value certifies (f, A) as a finite duality transformation of the
     model.  Raises the underlying pole error if the action hits a pole.
     """
-    samples = _sample_set(model, samples)
+    samples = _sample_set(model, None)
     lhs = fractional_action(a, checked_periods(model, samples))
     rhs = checked_periods(model, f.apply(samples))
     return float(np.max(np.abs(lhs - rhs), initial=0.0))

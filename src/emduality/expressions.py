@@ -269,12 +269,11 @@ class _Parser:
         self.pos += 1
         return t
 
-    def expect(self, kind: str, text: str | None = None) -> _Tok:
+    def expect(self, kind: str) -> _Tok:
         t = self.peek()
-        if t.kind != kind or (text is not None and t.text != text):
-            want = text or kind
+        if t.kind != kind:
             got = t.text or "end of input"
-            raise ExprSyntaxError(f"expected {want!r}, got {got!r}", t.line, t.col)
+            raise ExprSyntaxError(f"expected {kind!r}, got {got!r}", t.line, t.col)
         return self.next()
 
     def parse(self) -> Expr:

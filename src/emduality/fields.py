@@ -177,13 +177,10 @@ def star(ginv: np.ndarray, vol: np.ndarray, w: np.ndarray) -> np.ndarray:
 
 
 def hodge2(g, w: np.ndarray) -> np.ndarray:
-    """Hodge dual of two-form component matrices; broadcasts over leading axes.
-
-    g may be a single 4x4 metric or a stack broadcastable against w's leading
-    shape.  Satisfies hodge2(g, hodge2(g, w)) = -w.
-    """
-    m = checked_metric(g)
-    return star(m.ginv, m.vol, np.asarray(w))
+    """Hodge dual of two-form component matrices, the one-fiber case of
+    ``star_fibers``: g may be a single 4x4 metric or a stack broadcastable
+    against w's leading shape.  Satisfies hodge2(g, hodge2(g, w)) = -w."""
+    return star_fibers(g, np.asarray(w)[..., None, :, :])[..., 0, :, :]
 
 
 def star_fibers(g, v: np.ndarray) -> np.ndarray:
@@ -203,9 +200,20 @@ def fiber_action(a, w: np.ndarray, rank: int = 2) -> np.ndarray:
     return out.reshape(out.shape[:-1] + w.shape[cut:])
 
 
+def pairings(g, a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """a^A_mn b^C mn of fiber-valued two-forms a, lead + (A, 4, 4), and b,
+    lead + (C, 4, 4), as lead + (A, C): b is raised one node block at a time."""
+    def kernel(ginv, a, b):
+        a, up = (w.reshape(w.shape[:2] + (16,)) for w in (a, raise2(ginv[:, None], b)))
+        return a @ np.swapaxes(up, -1, -2)
+
+    return blockwise(kernel, (checked_metric(g).ginv, 2), (a, 3), (b, 3))
+
+
 def form_inner(g, a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """(a, b)_g = (1/2) a_{mu nu} b^{mu nu}; broadcasts over leading axes."""
-    return 0.5 * (a * raise2(checked_metric(g).ginv, b)).sum(axis=(-2, -1))
+    a, b = (np.asarray(w)[..., None, :, :] for w in (a, b))
+    return 0.5 * pairings(g, a, b)[..., 0, 0]
 
 
 def twisted_star(g, j, v: np.ndarray) -> np.ndarray:
@@ -248,11 +256,11 @@ def selfduality_defect(star_v: np.ndarray, j, v: np.ndarray) -> float:
     return float(np.max(np.abs(star_v + fiber_action(_as_taming(j), v))))
 
 
-def warn_if_not_selfdual(viol: float, v: np.ndarray, what: str, stacklevel: int) -> None:
-    """Warn, stacklevel frames above the caller, when viol is not roundoff against v."""
+def warn_if_not_selfdual(viol: float, v: np.ndarray, what: str) -> None:
+    """Warn, on behalf of the caller's caller, when viol is not roundoff against v."""
     if viol > 1e-8 * max(1.0, float(np.max(np.abs(v)))):
         warnings.warn(f"{what} is not twisted self-dual (violation {viol:.2e})",
-                      stacklevel=stacklevel + 1)
+                      stacklevel=3)
 
 
 def complexify_plus(v: np.ndarray, g) -> np.ndarray:
@@ -273,8 +281,7 @@ def twisted_pairing(g, j, a: np.ndarray, b: np.ndarray) -> float:
     if a.shape != b.shape:
         raise ValueError(f"rank mismatch: {a.shape} vs {b.shape}")
     q = omega(jm.shape[0] // 2) @ jm
-    inner = form_inner(g, a[:, None, :, :], b[None, :, :, :])  # (A, B)
-    return float(np.einsum("AB,AB->", q, inner))
+    return 0.5 * float(np.einsum("AB,AB->", q, pairings(g, a, b)))
 
 
 def oslash_g(g, r1: np.ndarray, r2: np.ndarray) -> np.ndarray:
@@ -298,7 +305,7 @@ def stress_gauge(g, j, v: np.ndarray, check: bool = True) -> np.ndarray:
     m = checked_metric(g)
     jm = _as_taming(j)
     if check:
-        warn_if_not_selfdual(selfduality_violation(m, jm, v), v, "stress_gauge input", 2)
+        warn_if_not_selfdual(selfduality_violation(m, jm, v), v, "stress_gauge input")
     return _q_contraction(m, jm, v, v, symmetrise=True)
 
 
@@ -319,8 +326,8 @@ def _q_contraction(g, j, v, w, symmetrise: bool) -> np.ndarray:
 def stress_gauge_couplings(g, em: ElectromagneticPair, f: np.ndarray) -> np.ndarray:
     """Gauge stress in coupling form: 2 I F_{ac} F_b{}^c - (1/2) g_ab I F.F."""
     m = checked_metric(g)
-    x = contract(m.ginv, f, fiber_action(em.I, f)).sum(axis=0)
-    return 2.0 * x - 0.5 * m.g * trace(m.ginv, x)
+    x = contract(m.ginv[..., None, :, :], f, fiber_action(em.I, f)).sum(axis=-3)
+    return 2.0 * x - 0.5 * m.g * trace(m.ginv, x)[..., None, None]
 
 
 def stress_scalar(g, chart_metric: np.ndarray, dphi: np.ndarray) -> np.ndarray:
@@ -341,11 +348,11 @@ def stress_scalar(g, chart_metric: np.ndarray, dphi: np.ndarray) -> np.ndarray:
 
 # ------------------------------------------------------------ random helpers
 
-def random_lorentz_metric(rng: np.random.Generator, scale: float = 0.3) -> np.ndarray:
+def random_lorentz_metric(rng: np.random.Generator) -> np.ndarray:
     """Random metric of signature (-, +, +, +): e^T eta e for e near Id."""
-    e = np.eye(4) + scale * rng.standard_normal((4, 4))
+    e = np.eye(4) + 0.3 * rng.standard_normal((4, 4))
     while abs(np.linalg.det(e)) < 0.1:
-        e = np.eye(4) + scale * rng.standard_normal((4, 4))
+        e = np.eye(4) + 0.3 * rng.standard_normal((4, 4))
     if np.linalg.det(e) < 0:
         e[0] = -e[0]
     return e.T @ ETA @ e

@@ -72,8 +72,8 @@ class GridPatch:
         """Node coordinates, shape grid + (4,)."""
         return np.stack(np.meshgrid(*self.axes, indexing="ij"), axis=-1)
 
-    def interior(self, margin: int = MARGIN) -> tuple[slice, ...]:
-        return tuple(slice(margin, n - margin) for n in self.resolution)
+    def interior(self) -> tuple[slice, ...]:
+        return tuple(slice(MARGIN, n - MARGIN) for n in self.resolution)
 
     def refine(self) -> "GridPatch":
         """Halve the spacing (nodes of this grid are a subset of the new one)."""
@@ -323,7 +323,7 @@ def einstein_residual(cfg: FieldConfiguration, check: bool = True) -> np.ndarray
     """G_{ab} - scalar stress - gauge stress per node (valid margin-2); with
     check, warns when the field block is not twisted self-dual on the interior."""
     if check:  # from the cached *V, so the gauge stress need not dualize V again
-        fl.warn_if_not_selfdual(cfg.selfduality_violation(), cfg.V, "configuration", 2)
+        fl.warn_if_not_selfdual(cfg.selfduality_violation(), cfg.V, "configuration")
     geo = cfg.geometry
     dphi = np.swapaxes(partials(cfg.phi, cfg.grid), -1, -2)  # (..., a, i) = d_a phi^i
     out = geo.einstein_tensor - fl.stress_scalar(geo, cfg.model.chart.metric(cfg.phi), dphi)
@@ -331,30 +331,12 @@ def einstein_residual(cfg: FieldConfiguration, check: bool = True) -> np.ndarray
     return out
 
 
-def _pairings(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """sum_mn a^A_mn b^C_mn for every pair of fiber indices: (..., A, C)."""
-    lead = a.shape[:-3]
-    return (a.reshape(lead + (a.shape[-3], 16))
-            @ np.swapaxes(b.reshape(lead + (b.shape[-3], 16)), -1, -2))
-
-
-def _field_contractions(cfg: FieldConfiguration):
-    """F.F and F.*F contractions per node: (..., L, S) arrays, with F raised
-    one node block at a time."""
-    def kernel(ginv, f, sf):
-        fup = fl.raise2(ginv[:, None], f)
-        return np.stack([_pairings(f, fup), _pairings(fup, sf)], axis=1)
-
-    pairs = fl.blockwise(kernel, (cfg.geometry.ginv, 2), (cfg.F, 3),
-                         (cfg.star_v[..., : cfg.n_v, :, :], 3))
-    return pairs[..., 0, :, :], pairs[..., 1, :, :]
-
-
 def local_gauge_source(cfg: FieldConfiguration) -> np.ndarray:
     """(1/2) d_k R . F *F + (1/2) d_k I . F F per node, shape grid + (n_s,)."""
-    ff, fsf = _field_contractions(cfg)
-    return 0.5 * (np.einsum("...kLS,...LS->...k", cfg.dR, fsf)
-                  + np.einsum("...kLS,...LS->...k", cfg.dI, ff))
+    geo, f = cfg.geometry, cfg.F
+    sf_f = fl.pairings(geo, cfg.star_v[..., : cfg.n_v, :, :], f)  # (..., S, L) = *F^S . F^L
+    return 0.5 * (np.einsum("...kLS,...SL->...k", cfg.dR, sf_f)
+                  + np.einsum("...kLS,...LS->...k", cfg.dI, fl.pairings(geo, f, f)))
 
 
 def _taming_derivative(cfg: FieldConfiguration) -> np.ndarray:
@@ -379,9 +361,8 @@ def psi_form_source(cfg: FieldConfiguration) -> np.ndarray:
     calibrated constant -1 in these conventions; see tests).
     """
     # (a, b)_g = 1/2 a_{mn} b^{mn}; the pairing contracts the fiber index with Q:
-    # (1/4) sum_{A,B,C} Q_AB (dJ_k)_BC (*V^A, V^C), with V raised one node block at a time
-    pairs = fl.blockwise(lambda ginv, v, sv: _pairings(sv, fl.raise2(ginv[:, None], v)),
-                         (cfg.geometry.ginv, 2), (cfg.V, 3), (cfg.star_v, 3))
+    # (1/4) sum_{A,B,C} Q_AB (dJ_k)_BC (*V^A, V^C)
+    pairs = fl.pairings(cfg.geometry, cfg.star_v, cfg.V)
     return 0.25 * ((cfg.Q[..., None, :, :] @ _taming_derivative(cfg))
                    * pairs[..., None, :, :]).sum(axis=(-2, -1))
 
@@ -485,10 +466,10 @@ class ResidualReport:
             worst_einstein_node=worst, grid_shape=cfg.grid.shape)
 
 
-def residual_report(cfg: FieldConfiguration, assembly: str = "local") -> ResidualReport:
+def residual_report(cfg: FieldConfiguration) -> ResidualReport:
     inner = cfg.grid.interior()
     return ResidualReport.from_fields(cfg, einstein_residual(cfg, check=False)[inner],
-                                      scalar_residual(cfg, assembly)[inner],
+                                      scalar_residual(cfg)[inner],
                                       maxwell_residual(cfg)[inner])
 
 
@@ -604,12 +585,12 @@ def field_strength_polynomial(grid: GridPatch, n_v: int, terms) -> np.ndarray:
 
 def random_polynomial_fieldstrength(grid: GridPatch, n_v: int,
                                     rng: np.random.Generator,
-                                    amp: float = 0.1, degree: int = 2):
+                                    amp: float = 0.1):
     terms = []
     for ell in range(n_v):
         for mu in range(4):
             for nu in range(mu + 1, 4):
-                for deg in range(min(degree, 2) + 1):  # a monomial of each degree
+                for deg in range(3):  # a monomial of each degree <= 2
                     axes = rng.integers(0, 4, size=deg) if deg else []
                     powers = tuple(int(k) for k in np.bincount(axes, minlength=4))
                     terms.append((ell, mu, nu, amp * rng.standard_normal(), powers))

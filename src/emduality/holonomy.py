@@ -86,12 +86,12 @@ class PresentationDiagnostics:
     ok: bool
 
 
-def presentation_check(p: BundlePresentation, tol: float = RELATION_TOL) -> PresentationDiagnostics:
+def presentation_check(p: BundlePresentation) -> PresentationDiagnostics:
     """Per-generator symplectic violation and per-relation deviation from Id."""
-    gen_viol = [sp_check(g, tol)[1] for g in p.generators]
+    gen_viol = [sp_check(g, RELATION_TOL)[1] for g in p.generators]
     rel_viol = [float(np.max(np.abs(p.word_matrix(w) - np.eye(2 * p.n_v))))
                 for w in p.relations]
-    ok = all(v <= tol for v in gen_viol) and all(v <= tol for v in rel_viol)
+    ok = all(v <= RELATION_TOL for v in gen_viol + rel_viol)
     return PresentationDiagnostics(gen_viol, rel_viol, ok)
 
 

@@ -171,9 +171,9 @@ def min_eig_ratio(s: np.ndarray) -> float | np.ndarray:
     return w[..., 0] / scale
 
 
-def is_positive_definite(s: np.ndarray, rel_tol: float = PD_RTOL) -> bool:
+def is_positive_definite(s: np.ndarray) -> bool:
     """Scale-invariant positive definiteness test via the eigenvalue bound."""
-    return bool(min_eig_ratio(s) > rel_tol)
+    return bool(min_eig_ratio(s) > PD_RTOL)
 
 
 @dataclass(frozen=True)
@@ -367,12 +367,12 @@ def conjugate_taming(a: np.ndarray, j: Taming) -> Taming:
     return Taming(m @ j.J @ np.linalg.inv(m))
 
 
-def random_couplings(n: int, rng: np.random.Generator, eps: float = 0.1) -> ElectromagneticPair:
-    """Random valid couplings: R symmetric Gaussian, I = M^T M + eps*Id."""
+def random_couplings(n: int, rng: np.random.Generator) -> ElectromagneticPair:
+    """Random valid couplings: R symmetric Gaussian, I = M^T M + 0.1 Id."""
     r = rng.standard_normal((n, n))
     r = (r + r.T) / 2
     m = rng.standard_normal((n, n))
-    i = m.T @ m + eps * np.eye(n)
+    i = m.T @ m + 0.1 * np.eye(n)
     return ElectromagneticPair(r, i)
 
 

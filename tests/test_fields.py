@@ -185,6 +185,44 @@ class TestComplexify:
             assert np.max(np.abs(vp[2:] - pred)) < 1e-10 * max(1, np.max(np.abs(vp)))
 
 
+class TestPairings:
+    """fields.pairings, the one pairing of fiber-valued two-forms."""
+
+    def test_point_is_twice_form_inner(self, rng):
+        for _ in range(20):
+            g = fl.random_lorentz_metric(rng)
+            a, b = fl.random_two_forms(3, rng), fl.random_two_forms(2, rng)
+            p = fl.pairings(g, a, b)
+            ginv = np.linalg.inv(g)
+            oracle = np.einsum("Aab,ra,sb,Crs->AC", a, ginv, ginv, b)
+            assert p.shape == (3, 2)
+            assert np.max(np.abs(p - oracle)) <= 1e-13 * np.max(np.abs(oracle))
+            for i, j in np.ndindex(p.shape):
+                assert p[i, j] == pytest.approx(2 * fl.form_inner(g, a[i], b[j]), rel=1e-13)
+
+    def test_one_metric_against_a_stack_of_forms(self, rng):
+        g = fl.random_lorentz_metric(rng)
+        a = fl.random_two_forms(15, rng).reshape(5, 3, 4, 4)
+        b = fl.random_two_forms(10, rng).reshape(5, 2, 4, 4)
+        p = fl.pairings(g, a, b)
+        assert p.shape == (5, 3, 2)
+        for k in range(5):
+            assert np.array_equal(p[k], fl.pairings(g, a[k], b[k]))
+        # and a stack of metrics against one pair of forms
+        gs = np.stack([fl.random_lorentz_metric(rng) for _ in range(4)])
+        p = fl.pairings(gs, a[0], b[0])
+        assert p.shape == (4, 3, 2)
+        for k in range(4):
+            assert np.array_equal(p[k], fl.pairings(gs[k], a[0], b[0]))
+
+    def test_zero_fibers(self):
+        two = np.zeros((3, 2, 4, 4))
+        none = np.zeros((3, 0, 4, 4))
+        assert fl.pairings(fl.ETA, none, two).shape == (3, 0, 2)
+        assert fl.pairings(fl.ETA, two, none).shape == (3, 2, 0)
+        assert fl.pairings(fl.ETA, none[0], none[0]).shape == (0, 0)
+
+
 class TestTwistedPairing:
     def test_zero(self, rng):
         g = fl.random_lorentz_metric(rng)
@@ -290,6 +328,23 @@ class TestStressGauge:
             t1 = fl.stress_gauge(g, sp.gamma(em), v)
             t2 = fl.stress_gauge_couplings(g, em, f)
             assert np.max(np.abs(t1 - t2)) < 1e-10 * max(1, np.max(np.abs(t1)))
+
+    def test_stacks_equal_points(self, rng):
+        # one metric against a stack of forms, and a stack of metrics with
+        # forms of their own, each node as at a point
+        em = sp.random_couplings(2, rng)
+        g = fl.random_lorentz_metric(rng)
+        f = fl.random_two_forms(6, rng).reshape(3, 2, 4, 4)
+        t = fl.stress_gauge_couplings(g, em, f)
+        assert t.shape == (3, 4, 4)
+        for k in range(3):
+            assert np.array_equal(t[k], fl.stress_gauge_couplings(g, em, f[k]))
+        gs = np.stack([fl.random_lorentz_metric(rng) for _ in range(2)])
+        f = fl.random_two_forms(2, rng)
+        t = fl.stress_gauge_couplings(gs, em, np.stack([f, 2 * f]))
+        assert t.shape == (2, 4, 4)
+        for k, c in enumerate((1, 2)):
+            assert np.array_equal(t[k], fl.stress_gauge_couplings(gs[k], em, c * f))
 
     def test_traceless(self, rng):
         for _ in range(50):

@@ -1,6 +1,6 @@
 """The node-blocked gauge kernels against the all-at-once formulas they
 replaced, kept here as oracles: the Hodge dual of fiber-valued forms, the
-gauge stress and the raised-form pairings give the same bytes.  Tracemalloc
+gauge stress and the pairings of two-forms give the same bytes.  Tracemalloc
 bounds at 13^4 and on a whole ``transport`` command keep the transient of
 each kernel at one node block above its result."""
 
@@ -43,16 +43,30 @@ def allatonce_stress_gauge(g, j, v):
     return (t + np.swapaxes(t, -1, -2)) / 2
 
 
-def allatonce_field_contractions(cfg):
+def flat_pairings(a, b):
+    """sum_mn a^A_mn b^C_mn for every pair of fiber indices: (..., A, C)."""
+    lead = a.shape[:-3]
+    return (a.reshape(lead + (a.shape[-3], 16))
+            @ np.swapaxes(b.reshape(lead + (b.shape[-3], 16)), -1, -2))
+
+
+def allatonce_pairings(g, a, b):
+    return flat_pairings(a, fl.raise2(fl.checked_metric(g).ginv[..., None, :, :], b))
+
+
+def allatonce_local_gauge_source(cfg):
+    # F.F and F.*F all at once, with the raised F on the left of F.*F:
+    # local_gauge_source, which raises F in *F.F instead, gives these bytes
     f = cfg.F
     fup = fl.raise2(cfg.geometry.ginv[..., None, :, :], f)
-    return (gr._pairings(f, fup),
-            gr._pairings(fup, cfg.star_v[..., : cfg.n_v, :, :]))
+    ff = flat_pairings(f, fup)
+    fsf = flat_pairings(fup, cfg.star_v[..., : cfg.n_v, :, :])
+    return 0.5 * (np.einsum("...kLS,...LS->...k", cfg.dR, fsf)
+                  + np.einsum("...kLS,...LS->...k", cfg.dI, ff))
 
 
 def allatonce_psi_form_source(cfg):
-    vup = fl.raise2(cfg.geometry.ginv[..., None, :, :], cfg.V)
-    pairs = gr._pairings(cfg.star_v, vup)[..., None, :, :]
+    pairs = allatonce_pairings(cfg.geometry, cfg.star_v, cfg.V)[..., None, :, :]
     return 0.25 * ((cfg.Q[..., None, :, :] @ gr._taming_derivative(cfg)) * pairs).sum(
         axis=(-2, -1))
 
@@ -94,9 +108,20 @@ class TestAllAtOnceBytes:
                           allatonce_oslash_Q(geo, cfg.J, cfg.V, cfg.star_v))
 
     def test_field_contractions_and_psi_source(self, cfg):
-        for new, old in zip(gr._field_contractions(cfg), allatonce_field_contractions(cfg)):
-            assert same_bytes(new, old)
+        # F.F, *F.F and *V.V by fields.pairings, and the two scalar sources built on them
+        geo, f, sf = cfg.geometry, cfg.F, cfg.star_v[..., : cfg.n_v, :, :]
+        for a, b in ((f, f), (sf, f), (cfg.star_v, cfg.V)):
+            assert same_bytes(fl.pairings(geo, a, b), allatonce_pairings(geo, a, b))
+        assert same_bytes(gr.local_gauge_source(cfg), allatonce_local_gauge_source(cfg))
         assert same_bytes(gr.psi_form_source(cfg), allatonce_psi_form_source(cfg))
+
+    def test_hodge2(self, cfg):
+        # the one-fiber case of star_fibers, on one form per node and on a
+        # stack of forms against a metric with a fiber axis
+        geo = cfg.geometry
+        w = cfg.F[..., 1, :, :]
+        assert same_bytes(fl.hodge2(geo, w), fl.star(geo.ginv, geo.vol, w))
+        assert same_bytes(fl.hodge2(cfg.g[..., None, :, :], cfg.V), cfg.star_v)
 
     def test_gamma_trace_of_scalar_residual(self, cfg):
         # g^ab Gamma^c_ab as scalar_residual forms it, node block by node
@@ -124,6 +149,16 @@ class TestAllAtOnceBytes:
         assert same_bytes(fl.star_fibers(g[7], v), allatonce_star_fibers(g[7], v))
         assert same_bytes(fl.stress_gauge(g, j[7], v, check=False),
                           allatonce_stress_gauge(g, j[7], v))
+
+
+def test_coupling_form_of_the_gauge_stress_on_a_grid(cfg):
+    # 2 I F F - (1/2) g I F.F with the configuration as its coupling pair,
+    # against the omega form omega(V, J V) of the Einstein residual
+    geo = cfg.geometry
+    t = fl.stress_gauge(geo, cfg.J, cfg.V, check=False)
+    t2 = fl.stress_gauge_couplings(geo, cfg, cfg.F)
+    assert t2.shape == t.shape
+    assert np.max(np.abs(t2 - t)) <= 1e-12 * np.max(np.abs(t))
 
 
 class TestBlockwise:
@@ -207,6 +242,13 @@ class TestMemory:
         cfg, full = t3_13
         assert self.transient(fl.stress_gauge, cfg.geometry, cfg.J, cfg.V,
                               check=False) <= 0.6 * full
+
+    def test_hodge2(self, t3_13):
+        # the one-fiber case of star_fibers: 4.3 MiB for a 3.5 MiB result,
+        # where the all-at-once dual took 10.7 MiB
+        cfg, _ = t3_13
+        w = cfg.F[..., 0, :, :]
+        assert self.transient(fl.hodge2, cfg.geometry, w) <= 1.5 * w.nbytes
 
     def test_einstein_residual(self, t3_13):
         cfg, full = t3_13

@@ -195,7 +195,11 @@ class TestOracles:
         assert close(gr.einstein(metric, grid) - gr.einstein_residual(vacuum), t_scal0)
 
     def test_field_contractions(self, cfg):
-        for new, old in zip(gr._field_contractions(cfg), old_field_contractions(cfg)):
+        # F.F and F.*F as fields.pairings gives them, *F.F transposed to (L, S)
+        geo, f = cfg.geometry, cfg.F
+        ff = fl.pairings(geo, f, f)
+        fsf = np.swapaxes(fl.pairings(geo, cfg.star_v[..., : cfg.n_v, :, :], f), -1, -2)
+        for new, old in zip((ff, fsf), old_field_contractions(cfg)):
             assert close(new, old)
 
     def test_taming_derivative(self, cfg):

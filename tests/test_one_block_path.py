@@ -4,16 +4,18 @@ are sequential sweeps of rows that hold several nodes each, and
 ``fields.NODE_BLOCK`` is read only by ``node_blocks``.  A pointwise kernel
 with a block loop of its own fails here: route it through
 ``fields.blockwise``.  The node-blocked kernels are listed by the
-top-level function or class that calls ``blockwise``."""
+top-level function or class that calls ``blockwise``.  Index raising of
+two-forms, ``fields.raise2``, is read only by the Hodge dual ``star`` and
+the two-form pairing ``pairings``: every other pairing or dual goes through
+those two."""
 
 import ast
 from pathlib import Path
 
 SRC = Path(__file__).resolve().parent.parent / "src" / "emduality"
 
-BLOCKED = {("fields", "star_fibers"), ("fields", "_q_contraction"),
+BLOCKED = {("fields", "star_fibers"), ("fields", "_q_contraction"), ("fields", "pairings"),
            ("grids", "metric_geometry"), ("grids", "FieldConfiguration"),
-           ("grids", "_field_contractions"), ("grids", "psi_form_source"),
            ("grids", "scalar_residual"), ("spinors", "spin_connection"),
            ("spinors", "FramePatch"), ("spinors", "extract_kappa")}
 
@@ -47,3 +49,8 @@ def test_node_blocks_read_only_by_blockwise_and_the_sweep():
 def test_every_node_blocked_kernel_calls_blockwise():
     callers = {(module, owner) for _, module, owner in loads({"blockwise"})}
     assert callers == BLOCKED
+
+
+def test_two_forms_raised_only_by_star_and_pairings():
+    assert loads({"raise2"}) == {("raise2", "fields", "star"),
+                                 ("raise2", "fields", "pairings")}

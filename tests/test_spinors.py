@@ -679,8 +679,10 @@ class TestKernelOracles:
                       for f in (fr, wavy9)]
             geo = cfg.geometry
             gauge = [fl.star_fibers(geo, cfg.V), fl.stress_gauge(geo, cfg.J, cfg.V, check=False),
-                     fl.oslash_Q(geo, cfg.J, cfg.V, cfg.V), *gr._field_contractions(cfg),
-                     gr.psi_form_source(cfg), gr.einstein_residual(cfg, check=False),
+                     fl.oslash_Q(geo, cfg.J, cfg.V, cfg.V), fl.pairings(geo, cfg.F, cfg.F),
+                     fl.pairings(geo, cfg.star_v, cfg.V), fl.hodge2(geo, cfg.F[..., 0, :, :]),
+                     gr.local_gauge_source(cfg), gr.psi_form_source(cfg),
+                     gr.einstein_residual(cfg, check=False),
                      gr.scalar_residual(cfg, "local"), gr.scalar_residual(cfg, "global")]
             u, l = sn.killing_bilinears(fr, sweeps[0])
             kappa = sn.extract_kappa(u, l, 0.7, fr.geometry, fr.grid)
