@@ -11,6 +11,7 @@ result then has the broadcast shape.
 
 from __future__ import annotations
 
+import cmath
 import re
 from dataclasses import dataclass
 
@@ -127,18 +128,6 @@ def derivative(e: Expr, env: dict[str, Value], denv: dict[str, Value]) -> Value:
     return (ld * rv - lv * rd) / (rv * rv)
 
 
-def symbols_of(e: Expr) -> set[str]:
-    if isinstance(e, Num):
-        return set()
-    if isinstance(e, Sym):
-        return {e.name}
-    if isinstance(e, Neg):
-        return symbols_of(e.arg)
-    if isinstance(e, Pow):
-        return symbols_of(e.base)
-    return symbols_of(e.left) | symbols_of(e.right)
-
-
 # ---------------------------------------------------------------- printing
 
 _PREC = {"+": 1, "-": 1, "*": 2, "/": 2, "neg": 3, "pow": 4, "atom": 5}
@@ -194,34 +183,34 @@ def to_text(e: Expr) -> str:
 
 # ------------------------------------------------------- smart constructors
 #
-# The parser folds constant subtrees, so parsed expressions are in a normal
-# form with no Num-only arithmetic left (except divisions by ~0, which stay
-# unfolded and raise at evaluation time per the pole policy).
+# The parser folds constant subtrees through ``evaluate``, so parsed
+# expressions are in a normal form with no Num-only arithmetic left (except
+# poles, which stay unfolded and raise at evaluation time per the pole policy).
+
+def _folded(e: Expr, *operands: Expr) -> Expr:
+    """Num(value of e) when every operand of e is a Num, else e.  A folded
+    constant that is not finite raises OverflowError."""
+    if not all(isinstance(o, Num) for o in operands):
+        return e
+    try:
+        value = evaluate(e, {})
+    except ExprPoleError:
+        return e
+    if not cmath.isfinite(value):
+        raise OverflowError("constant is not finite")
+    return Num(value)
+
 
 def make_neg(arg: Expr) -> Expr:
-    if isinstance(arg, Num):
-        return Num(-arg.value)
-    return Neg(arg)
+    return _folded(Neg(arg), arg)
 
 
 def make_pow(base: Expr, exponent: int) -> Expr:
-    if isinstance(base, Num):
-        if exponent >= 0 or abs(base.value) >= POLE_EPS:
-            return Num(base.value ** exponent)
-    return Pow(base, exponent)
+    return _folded(Pow(base, exponent), base)
 
 
 def make_binop(op: str, left: Expr, right: Expr) -> Expr:
-    if isinstance(left, Num) and isinstance(right, Num):
-        if op == "+":
-            return Num(left.value + right.value)
-        if op == "-":
-            return Num(left.value - right.value)
-        if op == "*":
-            return Num(left.value * right.value)
-        if abs(right.value) >= POLE_EPS:
-            return Num(left.value / right.value)
-    return BinOp(op, left, right)
+    return _folded(BinOp(op, left, right), left, right)
 
 
 # ---------------------------------------------------------------- tokenizer
@@ -269,6 +258,12 @@ class _Parser:
         self.pos += 1
         return t
 
+    def accept(self, text: str) -> bool:
+        """Take the next token when its text is text."""
+        taken = self.peek().text == text
+        self.pos += taken
+        return taken
+
     def expect(self, kind: str) -> _Tok:
         t = self.peek()
         if t.kind != kind:
@@ -277,7 +272,11 @@ class _Parser:
         return self.next()
 
     def parse(self) -> Expr:
-        e = self.expr()
+        try:
+            e = self.expr()
+        except OverflowError:
+            t = self.toks[self.pos - 1]
+            raise ExprSyntaxError("constant is not finite", t.line, t.col) from None
         t = self.peek()
         if t.kind != "eof":
             raise ExprSyntaxError(f"trailing input {t.text!r}", t.line, t.col)
@@ -298,45 +297,34 @@ class _Parser:
         return e
 
     def factor(self) -> Expr:
-        if self.peek().kind == "op" and self.peek().text == "-":
-            self.next()
+        if self.accept("-"):
             return make_neg(self.factor())
-        if self.peek().kind == "op" and self.peek().text == "+":
-            self.next()
+        if self.accept("+"):
             return self.factor()
         return self.power()
 
     def power(self) -> Expr:
         base = self.atom()
-        if self.peek().kind == "op" and self.peek().text == "^":
-            self.next()
-            sign = 1
-            t = self.peek()
-            if t.kind == "op" and t.text == "-":
-                self.next()
-                sign = -1
-                t = self.peek()
-            if t.kind == "lparen":
-                self.next()
-                inner_sign = 1
-                t = self.peek()
-                if t.kind == "op" and t.text == "-":
-                    self.next()
-                    inner_sign = -1
-                    t = self.peek()
-                numtok = self.expect("num")
-                self.expect("rparen")
-                return make_pow(base, sign * inner_sign * self._int_of(numtok))
-            numtok = self.expect("num")
-            return make_pow(base, sign * self._int_of(numtok))
-        return base
+        if not self.accept("^"):
+            return base
+        sign = -1 if self.accept("-") else 1
+        paren = self.accept("(")
+        if paren and self.accept("-"):
+            sign = -sign
+        numtok = self.expect("num")
+        if paren:
+            self.expect("rparen")
+        return make_pow(base, sign * self._int_of(numtok))
 
     @staticmethod
-    def _int_of(t: _Tok) -> int:
-        try:
-            val = float(t.text)
-        except ValueError:
-            raise ExprSyntaxError(f"bad number {t.text!r}", t.line, t.col)
+    def _number(t: _Tok) -> float:
+        val = float(t.text)
+        if not cmath.isfinite(val):
+            raise ExprSyntaxError(f"non-finite number {t.text!r}", t.line, t.col)
+        return val
+
+    def _int_of(self, t: _Tok) -> int:
+        val = self._number(t)
         if val != int(val):
             raise ExprSyntaxError("exponent must be an integer", t.line, t.col)
         return int(val)
@@ -344,7 +332,7 @@ class _Parser:
     def atom(self) -> Expr:
         t = self.next()
         if t.kind == "num":
-            return Num(complex(float(t.text)))
+            return Num(complex(self._number(t)))
         if t.kind == "ident":
             if t.text == "i":
                 return Num(1j)

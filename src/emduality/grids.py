@@ -607,10 +607,12 @@ def parse_grid_config(text: str, resolution: tuple[int, ...] | None = None
     resolution (4 ints), metric ('minkowski' or 'quadratic'), metric_coeff
     (repeats: 'mu nu a b c'), phi ('constant v...' or 'linear base... | slopes
     row-major 4 x n_s'), field ('zero' or 'random amp seed' or repeated
-    field_term 'L mu nu c p0 p1 p2 p3').  A resolution argument overrides the
-    file's resolution (used for refinement studies).
+    field_term 'L mu nu c p0 p1 p2 p3'); any other key appears once.  A
+    resolution argument overrides the file's resolution (refinement studies).
     """
-    entries = [(key, val) for _, key, val in key_values(text, GridError)]
+    keys = {"model", "extents", "resolution", "metric", "metric_coeff", "phi", "field",
+            "field_term"}
+    entries = [(key, val) for _, key, val in key_values(text, GridError, keys)]
     kv = dict(entries)
 
     model = load_model(kv.get("model", "identity-tau"))

@@ -163,11 +163,12 @@ def _extend(p: BundlePresentation, words: np.ndarray, last: np.ndarray,
 
 def parse_bundle(text: str) -> BundlePresentation:
     """Bundle presentation file: 'nv = k', 'generator = <4k^2 row-major floats>'
-    lines and 'relation = i j -i -j' lines; '#' comments."""
+    lines and 'relation = i j -i -j' lines; '#' comments.  nv appears once."""
     n_v = None
     gens: list[np.ndarray] = []
     rels: list[list[int]] = []
-    for lineno, key, val in key_values(text, PresentationError):
+    for lineno, key, val in key_values(text, PresentationError,
+                                       {"nv", "generator", "relation"}):
         if key == "nv":
             vals = numbers(val, PresentationError, f"nv on line {lineno}", int)
             if len(vals) != 1 or not 1 <= vals[0] <= MAX_N:
@@ -183,11 +184,9 @@ def parse_bundle(text: str) -> BundlePresentation:
                 raise PresentationError(
                     f"generator on line {lineno} needs {d * d} entries, got {len(vals)}")
             gens.append(np.array(vals).reshape(d, d))
-        elif key == "relation":
+        else:  # relation
             rels.append(numbers(val.replace(",", " "), PresentationError,
                                 f"relation on line {lineno}", int))
-        else:
-            raise PresentationError(f"unknown key {key!r} on line {lineno}")
     if n_v is None:
         raise PresentationError("file must set nv")
     return BundlePresentation(n_v, gens, rels)

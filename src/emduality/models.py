@@ -109,9 +109,6 @@ class ScalarChart:
             return {"tau": tau, "ctau": tau.conj()}
         return {f"x{i + 1}": p[..., i] + 0j for i in range(self.dim)}
 
-    def denv(self, v: np.ndarray) -> dict[str, np.ndarray]:
-        return self.env(v)
-
     def in_domain(self, p: np.ndarray) -> bool | np.ndarray:
         p = np.asarray(p, dtype=float)
         if p.ndim == 0 or p.shape[-1] != self.dim:
@@ -303,7 +300,7 @@ class Model:
         """Directional derivative of the matrix map at p along the chart vector
         v; p and v may be broadcastable stacks."""
         p, v = np.asarray(p, dtype=float), np.asarray(v, dtype=float)
-        env, denv = self.chart.env(p), self.chart.denv(v)
+        env, denv = self.chart.env(p), self.chart.env(v)  # chart symbols are linear
         shape = np.broadcast_shapes(p.shape[:-1], v.shape[:-1])
         return self._symmetric(shape, lambda e: ex.derivative(e, env, denv))
 
@@ -372,11 +369,12 @@ def parse_model(text: str) -> Model:
     """Parse the plain-text model format.
 
     Header lines ``name=``, ``nv=``, ``chart=poincare|flat``, ``dim=`` followed
-    by entry lines ``N[i,j] = <expr>``.  ``#`` starts a comment.
+    by entry lines ``N[i,j] = <expr>``.  ``#`` starts a comment.  A key or an
+    entry given twice, or a key the format does not know, is an error.
     """
-    lines = key_values(text, ModelError)
-    entry_lines = [line for line in lines if line[1].startswith(("n[", "n ["))]
-    header = {key: val for _, key, val in lines if not key.startswith(("n[", "n ["))}
+    lines = key_values(text, ModelError, {"name", "nv", "chart", "dim", "n["})
+    entry_lines = [line for line in lines if "[" in line[1]]
+    header = {key: val for _, key, val in lines if "[" not in key}
 
     name = header.get("name", "unnamed")
     try:
@@ -409,6 +407,8 @@ def parse_model(text: str) -> Model:
             raise ModelError(f"entry N[{i},{j}] outside declared nv={n_v} (line {lineno})")
         if i > j:
             raise ModelError(f"store only the upper triangle: N[{i},{j}] (line {lineno})")
+        if (i - 1, j - 1) in entries:
+            raise ModelError(f"repeated entry N[{i},{j}] (line {lineno})")
         entries[(i - 1, j - 1)] = ex.parse(rhs, chart.symbols(), line_offset=lineno)
     return Model(name, n_v, chart, entries)
 

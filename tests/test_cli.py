@@ -391,6 +391,63 @@ def test_overflowing_metric_is_bad_input(tmp_path):
             "the extents or metric_coeff are out of range") in text
 
 
+@pytest.mark.parametrize("entry", ["tau + 10^400", "(1/3)^-700", "tau + 1e999",
+                                   "tau + 1e308*10", "tau + 1e999*i", "tau^1e400"])
+def test_non_finite_constant_is_bad_input(tmp_path, entry):
+    """A literal, an exponent or a folded constant that is not finite is a
+    syntax error at its line and column, not a traceback."""
+    model = tmp_path / "big.model"
+    model.write_text(f"nv = 1\nN[1,1] = {entry}\n")
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code, text = run(["stabilizer", "--model", str(model)])
+    assert code == 3
+    error = next(line for line in text.splitlines() if line.startswith("error = "))
+    assert "finite" in error and "(line 2, column " in error
+    assert "result = FAIL" in text
+
+
+class TestUnknownAndRepeatedKeys:
+    """A key the format does not know, or a key given twice that may not
+    repeat, is bad input named by its key and line."""
+
+    CONFIG = ("model = identity-tau\nextents = -0.4:0.4 -0.4:0.4 -0.4:0.4 -0.4:0.4\n"
+              "resolution = 7 7 7 7\n")
+
+    @pytest.mark.parametrize("command, body, error", [
+        ("residuals --config", CONFIG + "resoluton = 7 7 7 7\n",
+         "unknown key 'resoluton' on line 4"),
+        ("residuals --config", CONFIG + "resolution = 7 7 7 7\n",
+         "repeated key 'resolution' on line 4"),
+        ("residuals --config", CONFIG + "resolution[1] = 7\n",
+         "unknown key 'resolution[1]' on line 4"),
+        ("stabilizer --model", "nv = 1\nchrat = flat\nN[1,1] = tau\n",
+         "unknown key 'chrat' on line 2"),
+        ("stabilizer --model", "nv = 1\nN[1,1] = tau\nnv = 1\n", "repeated key 'nv' on line 3"),
+        ("stabilizer --model", "nv = 1\nN[1,1] = tau\nN[1,1] = 2*tau\n",
+         "repeated key 'n[1,1]' on line 3"),
+        ("stabilizer --model", "nv = 1\nN[1,1] = tau\nN [1, 1] = 2*tau\n",
+         "repeated entry N[1,1] (line 3)"),
+        ("stabilizer --model", "nv = 1\nN = tau\n", "unknown key 'n' on line 2"),
+        ("centralizer --bundle", "nv = 1\nnv = 1\ngenerator = 1 0 0 1\n",
+         "repeated key 'nv' on line 2"),
+        ("centralizer --bundle", "nv = 1\ngenrator = 1 0 0 1\n",
+         "unknown key 'genrator' on line 2")])
+    def test_bad_key(self, tmp_path, command, body, error):
+        path = tmp_path / "input.txt"
+        path.write_text(body)
+        code, text = run(command.split() + [str(path)])
+        assert code == 3
+        assert f"error = {error}" in text.splitlines()
+        assert "result = FAIL" in text
+
+    def test_repeating_keys_repeat(self, tmp_path):
+        path = tmp_path / "grid.cfg"
+        path.write_text(self.CONFIG + "field = terms\nfield_term = 0 0 1 0.3 0 0 0 0\n"
+                        "field_term = 0 0 2 0.1 1 0 0 0\n")
+        assert run(["selfdual", "--config", str(path)])[0] == 0
+
+
 class TestMalformedArguments:
     """Non-numeric or non-finite numeric arguments: exit 2, never a traceback."""
 

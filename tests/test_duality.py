@@ -285,6 +285,8 @@ class TestLinearSystem:
         """One evaluation of the model per call, and as many expression
         evaluations for 55 Killing fields (FLAT10) as for 3 (the same N on a
         2-dimensional chart): nothing is evaluated field by field."""
+        flat2 = md.parse_model("nv=1\nchart=flat\ndim=2\nN[1,1] = x1 + i*(2 + x1^2)")
+        cases = ((md.builtin("t3"), (3, 0, 3)), (FLAT10, (45, 0, 45)), (flat2, (1, 0, 1)))
         counts = {}
 
         def counted(name, fn):
@@ -298,10 +300,8 @@ class TestLinearSystem:
                             counted("period_directional", md.Model.period_directional))
         monkeypatch.setattr(ex, "evaluate", counted("evaluate", ex.evaluate))
         monkeypatch.setattr(ex, "derivative", counted("derivative", ex.derivative))
-        flat2 = md.parse_model("nv=1\nchart=flat\ndim=2\nN[1,1] = x1 + i*(2 + x1^2)")
         seen = []
-        for model, dims in ((md.builtin("t3"), (3, 0, 3)), (FLAT10, (45, 0, 45)),
-                            (flat2, (1, 0, 1))):
+        for model, dims in cases:
             counts.update(dict.fromkeys(("checked_periods", "period_directional",
                                          "evaluate", "derivative"), 0))
             rep = du.uduality_algebra(model)

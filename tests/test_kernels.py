@@ -8,14 +8,21 @@ that is told to optimize.
 
 Imports: a module reads every name it imports, so a deletion leaves no
 stale import behind.  The package ``__init__.py`` re-exports, and a line
-marked ``# noqa: F401`` keeps a name importable on purpose."""
+marked ``# noqa: F401`` keeps a name importable on purpose.
+
+Definitions: every function, class and method of the package is read
+somewhere outside its own body, in the package, its tests, demos or
+benchmark, so code that nothing calls is deleted.  Dunders are exempt, and
+a name the package ``__init__.py`` exports counts as read."""
 
 import ast
+from collections import Counter
 from pathlib import Path
 
 import pytest
 
-SRC = Path(__file__).resolve().parents[1] / "src" / "emduality"
+ROOT = Path(__file__).resolve().parents[1]
+SRC = ROOT / "src" / "emduality"
 CHECKED = sorted(path.name for path in SRC.glob("*.py"))
 
 
@@ -104,3 +111,52 @@ def test_no_unused_imports(name):
     found = unused_imports((SRC / name).read_text(encoding="utf-8"))
     assert not found, "".join(f"\n{name}:{line}: {imported} is imported and never used"
                               for line, imported in found)
+
+
+def name_reads(tree: ast.AST) -> Counter:
+    """How often each name is read in tree, as a name or as an attribute."""
+    return Counter(node.id if isinstance(node, ast.Name) else node.attr
+                   for node in ast.walk(tree)
+                   if isinstance(node, (ast.Name, ast.Attribute))
+                   and isinstance(node.ctx, ast.Load))
+
+
+def unreferenced(source: str, reads: Counter) -> list[tuple[int, str]]:
+    """(line, name) of each function, class or method of source that is read
+    only inside its own body; reads counts the reads of the whole code base,
+    source included.  Dunders are exempt."""
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            name = node.name
+            dunder = name.startswith("__") and name.endswith("__")
+            if not dunder and reads[name] <= name_reads(node)[name]:
+                found.append((node.lineno, name))
+    return found
+
+
+def test_unreferenced_definition_detector():
+    source = "\n".join([
+        "def used(): return 1",
+        "def recursive(n): return recursive(n - 1) if n else used()",
+        "class Box:",
+        "    def __len__(self): return 0",
+        "    def method(self): return self.method",
+        "    def read(self): return 2",
+        "x = Box().read()",
+    ])
+    assert unreferenced(source, name_reads(ast.parse(source))) == [(2, "recursive"),
+                                                                   (5, "method")]
+
+
+def test_no_unreferenced_definitions():
+    reads = Counter()
+    for path in (p for d in ("src", "tests", "demos", "bench") for p in (ROOT / d).rglob("*.py")):
+        reads += name_reads(ast.parse(path.read_text(encoding="utf-8")))
+    init = ast.parse((SRC / "__init__.py").read_text(encoding="utf-8"))
+    reads.update(alias.name for node in init.body if isinstance(node, ast.ImportFrom)
+                 for alias in node.names)
+    found = [(name, line, defined) for name in CHECKED
+             for line, defined in unreferenced((SRC / name).read_text(encoding="utf-8"), reads)]
+    assert not found, "".join(f"\n{name}:{line}: {defined} is never read outside its body"
+                              for name, line, defined in found)
