@@ -228,12 +228,12 @@ _TOKEN = re.compile(r"(?P<num>(?:\d+(?:\.\d*)?|\.\d+)(?:[eE][+-]?\d+)?)"
                     r"|(?P<lparen>\()|(?P<rparen>\))|(?P<space>\s)")
 
 
-def _tokenize(src: str, line_offset: int = 1) -> list[_Tok]:
+def _tokenize(src: str, line_offset: int = 1, col_offset: int = 0) -> list[_Tok]:
     toks = []
     pos = 0
     while True:
         line = line_offset + src.count("\n", 0, pos)
-        col = pos - src.rfind("\n", 0, pos)
+        col = pos - src.rfind("\n", 0, pos) + (col_offset if line == line_offset else 0)
         if pos == len(src):
             return toks + [_Tok("eof", "", line, col)]
         m = _TOKEN.match(src, pos)
@@ -357,8 +357,11 @@ class _Parser:
         raise ExprSyntaxError(f"expected an operand, got {got!r}", t.line, t.col)
 
 
-def parse(src: str, allowed: set[str] | None = None, line_offset: int = 1) -> Expr:
-    """Parse an expression; allowed lists the free symbols permitted."""
+def parse(src: str, allowed: set[str] | None = None, line_offset: int = 1,
+          col_offset: int = 0) -> Expr:
+    """Parse an expression; allowed lists the free symbols permitted.  Errors
+    count lines from line_offset, and columns of the first line from
+    col_offset + 1 (the expression's place in a file)."""
     if allowed is None:
         allowed = {"tau"}
-    return _Parser(_tokenize(src, line_offset), allowed).parse()
+    return _Parser(_tokenize(src, line_offset, col_offset), allowed).parse()

@@ -388,6 +388,7 @@ def parse_model(text: str) -> Model:
         raise ModelError(f"bad dim value {header.get('dim')!r}")
     chart = ScalarChart(kind, dim)
 
+    raw = text.splitlines()
     entries: dict[tuple[int, int], ex.Expr] = {}
     for lineno, lhs, rhs in entry_lines:
         if not rhs:
@@ -409,7 +410,10 @@ def parse_model(text: str) -> Model:
             raise ModelError(f"store only the upper triangle: N[{i},{j}] (line {lineno})")
         if (i - 1, j - 1) in entries:
             raise ModelError(f"repeated entry N[{i},{j}] (line {lineno})")
-        entries[(i - 1, j - 1)] = ex.parse(rhs, chart.symbols(), line_offset=lineno)
+        # the stripped expression's place in its file line, for error columns
+        line = raw[lineno - 1]
+        start = line.index(rhs, line.index("=") + 1)
+        entries[(i - 1, j - 1)] = ex.parse(rhs, chart.symbols(), lineno, start)
     return Model(name, n_v, chart, entries)
 
 

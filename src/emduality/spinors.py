@@ -243,8 +243,32 @@ def killing_residual(fr: FramePatch, eps: np.ndarray, lam: float) -> np.ndarray:
     return res
 
 
-def killing_residual_max(fr: FramePatch, eps: np.ndarray, lam: float) -> float:
-    return float(np.max(np.abs(killing_residual(fr, eps, lam)[fr.grid.interior()])))
+def killing_residual_max(fr: FramePatch, eps: np.ndarray, lam: float,
+                         inside: np.ndarray | None = None) -> float:
+    """Max |killing_residual| over the nodes of the boolean grid mask inside
+    (default: the margin-2 interior).
+
+    The residual is formed on a window only: the node box of the mask with a
+    one-node stencil halo (clipped at the grid faces), widened to the 7 nodes
+    per axis a ``GridPatch`` needs.  Every stencil of a mask node lies in the
+    window, so the maximum is the full-grid one up to the window's spacing,
+    which may differ from the grid's by an ulp.
+    """
+    grid = fr.grid
+    if inside is None:
+        inside = np.zeros(grid.shape, bool)
+        inside[grid.interior()] = True
+    window = []
+    for axis, n in enumerate(grid.shape):
+        hit = np.flatnonzero(np.any(inside, axis=tuple(b for b in range(4) if b != axis)))
+        hi = min(hit[-1] + 1, n - 1)
+        lo = max(0, min(hit[0] - 1, hi - 6))
+        window.append(slice(lo, max(hi, lo + 6) + 1))
+    window = tuple(window)
+    sub = GridPatch(tuple((ax[s][0], ax[s][-1]) for ax, s in zip(grid.axes, window)),
+                    tuple(s.stop - s.start for s in window))
+    res = killing_residual(FramePatch(sub, fr.e[window], along=fr.along), eps[window], lam)
+    return float(np.max(np.abs(res[inside[window]])))
 
 
 def _edge_propagators(fr: FramePatch, lam: float, nodes: np.ndarray, axis: int,
@@ -272,20 +296,29 @@ def _edge_propagators(fr: FramePatch, lam: float, nodes: np.ndarray, axis: int,
     return eye + h / 6 * (m0 + 2 * k2 + 2 * k3 + k4)
 
 
+def _sweep(fr: FramePatch, lam: float, nodes: np.ndarray, lines: np.ndarray,
+           axis: int) -> None:
+    """Transport the first spinor of each line along axis, edge by edge, in
+    place: nodes and lines are lines + (n, 4), the coordinates and spinors of
+    the nodes.  One generator call and one batch of RK4 propagators serve all
+    the lines.  Needs the analytic evaluator of a built-in frame: RK4 samples
+    it between nodes."""
+    if fr.along is None:
+        raise FrameError("Killing transport needs a frame with an analytic "
+                         "evaluator (use builtin_frame)")
+    props = _edge_propagators(fr, lam, nodes, axis, float(fr.grid.h[axis]))
+    for k in range(lines.shape[-2] - 1):
+        lines[..., k + 1, :] = (props[..., k, :, :] @ lines[..., k, :, None])[..., 0]
+
+
 def integrate_killing(fr: FramePatch, lam: float, eps0: np.ndarray,
                       axis_order: tuple[int, ...] = (0, 1, 2, 3)) -> np.ndarray:
     """Fill the grid with the Killing transport of eps0 from the origin corner,
     sweeping one axis at a time in the given order (RK4 per edge).
 
     Each swept axis runs in slabs of rows of its first line axis, about
-    ``fields.NODE_BLOCK`` nodes each.  A slab makes one generator call,
-    stacked over the nodes and midpoints of its lines, and one batch of edge
-    propagators, which the sweep then applies edge by edge.  Needs the
-    analytic evaluator of a built-in frame: RK4 samples it between nodes.
+    ``fields.NODE_BLOCK`` nodes each; ``_sweep`` transports a slab's lines.
     """
-    if fr.along is None:
-        raise FrameError("integrate_killing needs a frame with an analytic "
-                         "evaluator (use builtin_frame)")
     grid = fr.grid
     coords = grid.coords()
     eps = np.zeros(grid.shape + (4,))
@@ -297,12 +330,8 @@ def integrate_killing(fr: FramePatch, lam: float, eps0: np.ndarray,
                     for a in range(4))
         nodes = np.moveaxis(coords[sel], axis, -2)
         lines = np.moveaxis(eps[sel], axis, -2)          # a view into eps
-        n = lines.shape[-2]
-        for rows in node_blocks(lines.shape[0], n * int(np.prod(lines.shape[1:-2]))):
-            props = _edge_propagators(fr, lam, nodes[rows], axis, float(grid.h[axis]))
-            slab = lines[rows]
-            for k in range(n - 1):
-                slab[..., k + 1, :] = (props[..., k, :, :] @ slab[..., k, :, None])[..., 0]
+        for rows in node_blocks(lines.shape[0], int(np.prod(lines.shape[1:-1]))):
+            _sweep(fr, lam, nodes[rows], lines[rows], axis)
     return eps
 
 
@@ -311,10 +340,23 @@ def path_defect(fr: FramePatch, lam: float, eps: np.ndarray) -> float:
     (0, 1, 2, 3) sweep ``integrate_killing`` returns, and the (3, 2, 1, 0)
     sweep starts from its origin value.  An integrability measure of the
     Killing transport (zero for a flat connection up to the integrator
-    error)."""
-    back = integrate_killing(fr, lam, eps[(0,) * 4], axis_order=(3, 2, 1, 0))
-    corner = tuple(n - 1 for n in fr.grid.shape)
-    return float(np.max(np.abs(eps[corner] - back[corner])))
+    error).
+
+    The (3, 2, 1, 0) sweep is walked only along the one line per axis that
+    reaches the far corner, 4 (n - 1) edges: each is the line the full sweep
+    transports into the corner, by the same ``_sweep``, so the corner is the
+    full sweep's to the last bit.
+    """
+    point = np.array([ax[0] for ax in fr.grid.axes])
+    spinor = eps[(0,) * 4]
+    for axis, ax in zip((3, 2, 1, 0), reversed(fr.grid.axes)):
+        nodes = np.repeat(point[None], len(ax), axis=0)
+        nodes[:, axis] = ax
+        line = np.zeros((len(ax), 4))
+        line[0] = spinor
+        _sweep(fr, lam, nodes, line, axis)
+        point, spinor = nodes[-1], line[-1]
+    return float(np.max(np.abs(eps[(-1,) * 4] - spinor)))
 
 
 # -------------------------------------------------------- bilinear one-forms

@@ -407,6 +407,20 @@ def test_non_finite_constant_is_bad_input(tmp_path, entry):
     assert "result = FAIL" in text
 
 
+@pytest.mark.parametrize("body, error", [
+    ("nv = 1\nN[1,1] = tau + 10^400\n", "constant is not finite (line 2, column 19)"),
+    ("name = x\nnv = 1\n  N[1, 1] =   tau + foo  # c\n", "unknown symbol 'foo' (line 3, column 21)"),
+    ("nv=1\nN[1,1]=tau)\n", "trailing input ')' (line 2, column 11)")])
+def test_expression_error_columns_count_from_the_file_line(tmp_path, body, error):
+    """An expression error in a model entry is placed at its column in the
+    file line, not in the expression."""
+    model = tmp_path / "entry.model"
+    model.write_text(body)
+    code, text = run(["stabilizer", "--model", str(model)])
+    assert code == 3
+    assert f"error = {error}" in text.splitlines()
+
+
 class TestUnknownAndRepeatedKeys:
     """A key the format does not know, or a key given twice that may not
     repeat, is bad input named by its key and line."""

@@ -7,7 +7,10 @@ with a block loop of its own fails here: route it through
 top-level function or class that calls ``blockwise``.  Index raising of
 two-forms, ``fields.raise2``, is read only by the Hodge dual ``star`` and
 the two-form pairing ``pairings``: every other pairing or dual goes through
-those two."""
+those two.  The RK4 edge loop is written once, in ``spinors._sweep``: it
+alone reads ``spinors._edge_propagators`` and returns no propagators, and
+both sweeps, ``integrate_killing`` and the corner path of ``path_defect``,
+run through it."""
 
 import ast
 from pathlib import Path
@@ -54,3 +57,13 @@ def test_every_node_blocked_kernel_calls_blockwise():
 def test_two_forms_raised_only_by_star_and_pairings():
     assert loads({"raise2"}) == {("raise2", "fields", "star"),
                                  ("raise2", "fields", "pairings")}
+
+
+def test_one_edge_loop():
+    assert loads({"_edge_propagators"}) == {("_edge_propagators", "spinors", "_sweep")}
+    assert loads({"_sweep"}) == {("_sweep", "spinors", "integrate_killing"),
+                                 ("_sweep", "spinors", "path_defect")}
+    tree = ast.parse((SRC / "spinors.py").read_text(encoding="utf-8"))
+    sweep = next(top for top in tree.body if getattr(top, "name", None) == "_sweep")
+    assert not any(isinstance(node, ast.Return) and node.value is not None
+                   for node in ast.walk(sweep))

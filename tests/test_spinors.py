@@ -5,6 +5,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from emduality import cli
 from emduality import fields as fl
 from emduality import grids as gr
 from emduality import spinors as sn
@@ -213,6 +214,112 @@ class TestKillingTransport:
         bare = sn.FramePatch(grid, fr.e.copy())
         with pytest.raises(sn.FrameError):
             sn.integrate_killing(bare, LAM, EPS0)
+
+
+def full_reverse_defect(fr, lam, eps):
+    """The far-corner defect from the full (3, 2, 1, 0) sweep of every node:
+    the oracle of the corner-path ``path_defect``."""
+    back = sn.integrate_killing(fr, lam, eps[(0,) * 4], axis_order=(3, 2, 1, 0))
+    corner = tuple(n - 1 for n in fr.grid.shape)
+    return float(np.max(np.abs(eps[corner] - back[corner])))
+
+
+def cli_region_mask(grid):
+    """The coordinate box ``spinor-check`` reads: the 9^4 grid's margin-2
+    interior, widened by 1e-9."""
+    coarse = ads_grid(9)
+    inner = coarse.coords()[coarse.interior()].reshape(-1, 4)
+    x = grid.coords()
+    return np.all((x >= inner.min(axis=0) - 1e-9) & (x <= inner.max(axis=0) + 1e-9), axis=-1)
+
+
+def box_mask(shape, *box):
+    inside = np.zeros(shape, bool)
+    inside[box] = True
+    return inside
+
+
+class TestComputeOnlyWhatIsRead:
+    """``path_defect`` walks the corner path and ``killing_residual_max`` forms
+    the residual on a window of its mask; the full-field sweep and residual
+    are their oracles."""
+
+    @pytest.mark.parametrize("shape", [(9,) * 4, (13,) * 4, (7, 9, 8, 11)])
+    @pytest.mark.parametrize("name, lam", [("minkowski", 0.0), ("ads4-poincare", 0.7),
+                                           ("ads4-poincare", 1.0), ("ads4-poincare", 1e4)])
+    def test_corner_path_is_the_full_sweep_corner(self, name, lam, shape):
+        grid = gr.GridPatch(((-0.4, 0.4), (-0.3, 0.5), (-0.4, 0.6), (0.8, 1.6)), shape)
+        fr = sn.builtin_frame(name, grid, lam=lam or 1.0)
+        eps = sn.integrate_killing(fr, lam, EPS0)
+        defect = sn.path_defect(fr, lam, eps)
+        assert defect == full_reverse_defect(fr, lam, eps)
+        if name == "minkowski":
+            assert defect == 0.0
+
+    @pytest.mark.parametrize("n", [9, 13])
+    @pytest.mark.parametrize("mask", ["interior", "cli region", "face", "one node",
+                                      "one corner node"])
+    def test_windowed_residual_matches_full_grid(self, monkeypatch, n, mask):
+        fr = sn.builtin_frame("ads4-poincare", ads_grid(n), lam=LAM)
+        eps = sn.integrate_killing(fr, LAM, EPS0)
+        inside = {"interior": box_mask(fr.grid.shape, *fr.grid.interior()),
+                  "cli region": cli_region_mask(fr.grid),
+                  # touches the t = min face: the halo is clipped there
+                  "face": box_mask(fr.grid.shape, slice(0, 3), slice(2, 7), 4, slice(1, 4)),
+                  # one node: its 3-node window is widened to 7 per axis
+                  "one node": box_mask(fr.grid.shape, 5, 5, 5, 5),
+                  "one corner node": box_mask(fr.grid.shape, 0, 0, 0, 0)}[mask]
+        full = float(np.max(np.abs(sn.killing_residual(fr, eps, LAM)[inside])))
+        shapes = []
+        connection = sn.spin_connection
+
+        def spy(f):
+            shapes.append(f.grid.shape)
+            return connection(f)
+
+        monkeypatch.setattr(sn, "spin_connection", spy)
+        arg = None if mask == "interior" else inside
+        assert abs(sn.killing_residual_max(fr, eps, LAM, arg) - full) <= 1e-12 * full
+        # the window: the mask's box and a one-node halo, at least 7 per axis
+        side = {"interior": n - 2, "cli region": {9: 7, 13: 9}[n]}.get(mask, 7)
+        assert shapes == [(side,) * 4]
+
+    def test_windowed_residual_minkowski_exactly_zero(self):
+        fr = sn.builtin_frame("minkowski", ads_grid(9))
+        eps = sn.integrate_killing(fr, 0.0, EPS0)
+        for inside in (None, cli_region_mask(fr.grid), box_mask(fr.grid.shape, 0, 4, 8, 2)):
+            assert sn.killing_residual_max(fr, eps, 0.0, inside) == 0.0
+
+    def test_one_spinor_round_computes_only_what_it_reads(self, monkeypatch):
+        # spinor-check on ads4 builds the spin connection on the window of the
+        # coarse interior (7^4 and 9^4 nodes, not the 9^4 and 13^4 grids), and
+        # each path defect hands the propagators one line per axis
+        connections, paths, running = [], [], []
+        connection, propagators, defect = sn.spin_connection, sn._edge_propagators, sn.path_defect
+
+        def spy_connection(fr):
+            connections.append(fr.grid.shape)
+            return connection(fr)
+
+        def spy_propagators(fr, lam, nodes, axis, h):
+            if running:
+                paths[-1].append((nodes.shape, axis))
+            return propagators(fr, lam, nodes, axis, h)
+
+        def spy_defect(fr, lam, eps):
+            paths.append([])
+            running.append(True)
+            try:
+                return defect(fr, lam, eps)
+            finally:
+                running.pop()
+
+        monkeypatch.setattr(sn, "spin_connection", spy_connection)
+        monkeypatch.setattr(sn, "_edge_propagators", spy_propagators)
+        monkeypatch.setattr(sn, "path_defect", spy_defect)
+        assert cli.run(["spinor-check", "--frame", "ads4-poincare", "--lambda", "1.0"])[0] == 0
+        assert connections == [(7,) * 4, (9,) * 4]
+        assert paths == [[((n, 4), axis) for axis in (3, 2, 1, 0)] for n in cli.ADS_SIZES]
 
 
 class TestEinsteinProperty:
