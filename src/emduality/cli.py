@@ -332,8 +332,8 @@ def _ads_frame(lam: float, n: int) -> sn.FramePatch:
 
 # The AdS checks compare a 9^4 and a 13^4 grid.  Each grid's frame and fields
 # are built and dropped inside one call, so the two never coexist.  The
-# spinor check forms its Killing residual only on a window of the region it
-# reads (7^4 and 9^4 nodes) and its path defect only along the corner path.
+# spinor check runs the connection formula only on the node box of the region
+# it reads (5^4 and 7^4 nodes), and its path defect only along the corner path.
 ADS_SIZES = (9, 13)
 
 
@@ -342,9 +342,9 @@ def _ads_killing(lam: float, n: int, region) -> tuple[float, float, float]:
     spacing) of the swept spinor on the n^4 AdS grid."""
     fr = _ads_frame(lam, n)
     eps = sn.integrate_killing(fr, lam, EPS0)
-    x = fr.grid.coords()
-    inside = np.all((x >= region[0]) & (x <= region[1]), axis=-1)
-    return (sn.killing_residual_max(fr, eps, lam, inside), sn.path_defect(fr, lam, eps),
+    box = tuple(slice(np.searchsorted(ax, lo), np.searchsorted(ax, hi, side="right"))
+                for ax, lo, hi in zip(fr.grid.axes, *region))
+    return (sn.killing_residual_max(fr, eps, lam, box), sn.path_defect(fr, lam, eps),
             float(fr.grid.h[0]))
 
 

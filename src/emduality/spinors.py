@@ -127,11 +127,13 @@ class FramePatch:
     def __post_init__(self):
         if self.e.shape != self.grid.shape + (4, 4):
             raise FrameError(f"vierbein shape {self.e.shape} does not match grid")
-        # scale-free: |det e| against its Hadamard bound, the product of the
-        # row norms (a node with a zero row fails the comparison too)
-        if not np.all(blockwise(lambda e: np.abs(np.linalg.det(e))
-                                > 1e-12 * np.prod(np.linalg.norm(e, axis=-1), axis=-1),
-                                (self.e, 2))):
+        # scale-free: |det e| with each row scaled to unit norm (a zero row
+        # stays zero, so it fails the comparison too)
+        def unit_rows_det(e):
+            norm = np.linalg.norm(e, axis=-1, keepdims=True)
+            return np.abs(np.linalg.det(e / np.where(norm > 0, norm, 1.0))) > 1e-12
+
+        if not np.all(blockwise(unit_rows_det, (self.e, 2))):
             raise FrameError("singular frame")
 
     def metric(self) -> np.ndarray:
@@ -180,28 +182,31 @@ def builtin_frame(name: str, grid: GridPatch, lam: float = 1.0) -> FramePatch:
     return FramePatch(grid, omega(x)[..., None, None] * np.eye(4), along=along)
 
 
+def _connection(e: np.ndarray, de: np.ndarray) -> np.ndarray:
+    """The pointwise connection formula on a block of nodes: w_{m a b} from
+    e (n, a, m) and its derivative de (n, a, m, k) = d_k e_{a m}."""
+    einv = np.linalg.inv(e)                               # e^mu_a
+    c = np.swapaxes(de, -1, -2) - de                      # C[a, m, n] = d_m e_{a n} - d_n e_{a m}
+    # t1[m, a, b] = e^n_a C[b, m, n]; t2[m, a, b] = e^n_b C[a, m, n] = t1[m, b, a]
+    t1 = np.moveaxis((c.reshape(-1, 16, 4) @ einv).reshape(-1, 4, 4, 4), -3, -1)
+    # t3[m, a, b] = e^c_m (e^r_a C[c, r, s] e^s_b): a frame rotation of C
+    rot = np.swapaxes(einv, -1, -2)[:, None] @ c @ einv[:, None]
+    t3 = (np.swapaxes(e, -1, -2) @ rot.reshape(-1, 4, 16)).reshape(-1, 4, 4, 4)
+    wb = 0.5 * (t1 - np.swapaxes(t1, -1, -2) - t3)
+    return (wb - np.swapaxes(wb, -1, -2)) / 2
+
+
 def spin_connection(fr: FramePatch) -> np.ndarray:
     """Torsion-free metric spin connection w_{mu a b} from the sampled frame.
 
     Finite differences of the frame (margin-1 interior); the output is
     antisymmetrised in (a, b) so that property holds to the last bit.  After
-    the derivative, the formula is pointwise: it runs on node blocks and
-    writes each block's connection over that block's derivative, so the
-    result is the only full-size array.
+    the derivative, the formula ``_connection`` is pointwise: it runs on node
+    blocks and writes each block's connection over that block's derivative,
+    so the result is the only full-size array.
     """
-    def kernel(e, de):                                    # (a, m, n) = d_n e_{a m}
-        einv = np.linalg.inv(e)                           # e^mu_a
-        c = np.swapaxes(de, -1, -2) - de                  # C[a, m, n] = d_m e_{a n} - d_n e_{a m}
-        # t1[m, a, b] = e^n_a C[b, m, n]; t2[m, a, b] = e^n_b C[a, m, n] = t1[m, b, a]
-        t1 = np.moveaxis((c.reshape(-1, 16, 4) @ einv).reshape(-1, 4, 4, 4), -3, -1)
-        # t3[m, a, b] = e^c_m (e^r_a C[c, r, s] e^s_b): a frame rotation of C
-        rot = np.swapaxes(einv, -1, -2)[:, None] @ c @ einv[:, None]
-        t3 = (np.swapaxes(e, -1, -2) @ rot.reshape(-1, 4, 16)).reshape(-1, 4, 4, 4)
-        wb = 0.5 * (t1 - np.swapaxes(t1, -1, -2) - t3)
-        return (wb - np.swapaxes(wb, -1, -2)) / 2
-
     w = partials(ETA @ fr.e, fr.grid)                     # d_n e_{a m}, then w_{m a b}
-    return blockwise(kernel, (fr.e, 2), (w, 3), out=w)
+    return blockwise(_connection, (fr.e, 2), (w, 3), out=w)
 
 
 # ---------------------------------------------------------- killing spinors
@@ -226,49 +231,47 @@ def _axis_generator(fr: FramePatch, lam: float, pts: np.ndarray, axis: int) -> n
     return _transport_generator(np.asarray(w), np.asarray(e_a), lam)
 
 
+def _killing(deps: np.ndarray, w: np.ndarray, e: np.ndarray, eps: np.ndarray,
+             lam: float) -> np.ndarray:
+    """The Killing residual from d eps (..., comp, mu), the connection, the
+    frame and eps on the same nodes: the generator of one direction mu at a
+    time is applied to eps and subtracted from d_mu eps, in place."""
+    res = np.moveaxis(deps, -1, -2)                       # (..., mu, comp) = d_mu eps
+    for mu in range(4):
+        m = _transport_generator(w[..., mu, :, :], e[..., mu], lam)
+        res[..., mu, :] -= (m @ eps[..., None])[..., 0]
+    return res
+
+
 def killing_residual(fr: FramePatch, eps: np.ndarray, lam: float) -> np.ndarray:
     """d_mu eps + (1/4) w_{mu a b} gamma^a gamma^b eps - (lam/2) gamma_mu eps
     per node and direction, shape grid + (mu, component).
 
     Uses the finite-difference spin connection, so it is an independent check
     on spinor fields produced by ``integrate_killing`` (which integrates the
-    analytic connection).  The generator is built for one direction at a
-    time.  Valid on the margin-2 interior.
+    analytic connection).  Valid on the margin-2 interior.
     """
-    w = spin_connection(fr)
-    res = np.moveaxis(partials(eps, fr.grid), -1, -2)     # (..., mu, comp) = d_mu eps
-    for mu in range(4):
-        m = _transport_generator(w[..., mu, :, :], fr.e[..., mu], lam)
-        res[..., mu, :] -= (m @ eps[..., None])[..., 0]
-    return res
+    return _killing(partials(eps, fr.grid), spin_connection(fr), fr.e, eps, lam)
 
 
 def killing_residual_max(fr: FramePatch, eps: np.ndarray, lam: float,
-                         inside: np.ndarray | None = None) -> float:
-    """Max |killing_residual| over the nodes of the boolean grid mask inside
-    (default: the margin-2 interior).
-
-    The residual is formed on a window only: the node box of the mask with a
-    one-node stencil halo (clipped at the grid faces), widened to the 7 nodes
-    per axis a ``GridPatch`` needs.  Every stencil of a mask node lies in the
-    window, so the maximum is the full-grid one up to the window's spacing,
-    which may differ from the grid's by an ulp.
+                         box: tuple[slice, ...] | None = None) -> float:
+    """Max |killing_residual| over a node box, one slice per axis (default:
+    the margin-2 interior).  The frame and eps are sliced to the box with a
+    one-node stencil halo, clipped at the grid faces, and differenced with
+    the grid's own spacing; the connection formula runs on the box nodes
+    only, so the maximum is the full-grid one to the last bit.
     """
     grid = fr.grid
-    if inside is None:
-        inside = np.zeros(grid.shape, bool)
-        inside[grid.interior()] = True
-    window = []
-    for axis, n in enumerate(grid.shape):
-        hit = np.flatnonzero(np.any(inside, axis=tuple(b for b in range(4) if b != axis)))
-        hi = min(hit[-1] + 1, n - 1)
-        lo = max(0, min(hit[0] - 1, hi - 6))
-        window.append(slice(lo, max(hi, lo + 6) + 1))
-    window = tuple(window)
-    sub = GridPatch(tuple((ax[s][0], ax[s][-1]) for ax, s in zip(grid.axes, window)),
-                    tuple(s.stop - s.start for s in window))
-    res = killing_residual(FramePatch(sub, fr.e[window], along=fr.along), eps[window], lam)
-    return float(np.max(np.abs(res[inside[window]])))
+    bounds = [s.indices(n)[:2] for s, n in zip(box or grid.interior(), grid.shape)]
+    window = tuple(slice(max(lo - 1, 0), min(hi + 1, n))
+                   for (lo, hi), n in zip(bounds, grid.shape))
+    inner = tuple(slice(lo - w.start, hi - w.start) for (lo, hi), w in zip(bounds, window))
+    e, eps = fr.e[window], eps[window]
+    # blockwise returns the connection: the sliced derivative is a view, and
+    # a view passed as out would not receive it
+    w = blockwise(_connection, (e[inner], 2), (partials(ETA @ e, grid)[inner], 3))
+    return float(np.max(np.abs(_killing(partials(eps, grid)[inner], w, e[inner], eps[inner], lam))))
 
 
 def _edge_propagators(fr: FramePatch, lam: float, nodes: np.ndarray, axis: int,

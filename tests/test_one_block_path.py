@@ -10,7 +10,9 @@ the two-form pairing ``pairings``: every other pairing or dual goes through
 those two.  The RK4 edge loop is written once, in ``spinors._sweep``: it
 alone reads ``spinors._edge_propagators`` and returns no propagators, and
 both sweeps, ``integrate_killing`` and the corner path of ``path_defect``,
-run through it."""
+run through it.  ``spinors`` builds a ``GridPatch`` or a ``FramePatch``
+only in ``builtin_frame``: the Killing residual of a node box slices the
+checked frame on its own grid, with no sub-grid and no second frame."""
 
 import ast
 from pathlib import Path
@@ -20,7 +22,8 @@ SRC = Path(__file__).resolve().parent.parent / "src" / "emduality"
 BLOCKED = {("fields", "star_fibers"), ("fields", "_q_contraction"), ("fields", "pairings"),
            ("grids", "metric_geometry"), ("grids", "FieldConfiguration"),
            ("grids", "scalar_residual"), ("spinors", "spin_connection"),
-           ("spinors", "FramePatch"), ("spinors", "extract_kappa")}
+           ("spinors", "killing_residual_max"), ("spinors", "FramePatch"),
+           ("spinors", "extract_kappa")}
 
 
 def loads(names):
@@ -67,3 +70,15 @@ def test_one_edge_loop():
     sweep = next(top for top in tree.body if getattr(top, "name", None) == "_sweep")
     assert not any(isinstance(node, ast.Return) and node.value is not None
                    for node in ast.walk(sweep))
+
+
+def test_spinors_builds_grids_and_frames_only_in_builtin_frame():
+    tree = ast.parse((SRC / "spinors.py").read_text(encoding="utf-8"))
+    built = set()
+    for top in tree.body:
+        for node in ast.walk(top):
+            if isinstance(node, ast.Call):
+                name = getattr(node.func, "id", getattr(node.func, "attr", None))
+                if name in ("GridPatch", "FramePatch"):
+                    built.add((name, getattr(top, "name", None)))
+    assert built == {("FramePatch", "builtin_frame")}

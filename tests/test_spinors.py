@@ -125,18 +125,46 @@ class TestFrames:
         with pytest.raises(sn.FrameError):
             sn.FramePatch(grid, bad)
 
+    @pytest.mark.filterwarnings("error")
     def test_singular_frame_check_is_scale_free(self):
-        # |det e| is compared with the product of the row norms, so a small
-        # regular frame passes and one degenerate node still fails
+        # |det e| is taken with the rows of e scaled to unit norm, so a small
+        # or huge regular frame passes (det e itself would over- or
+        # underflow), and one degenerate node or a zero row fails, all
+        # without a numpy warning
         grid = gr.GridPatch(((-0.4, 0.4),) * 4, (7,) * 4)
-        small = np.broadcast_to(1e-4 * np.eye(4), grid.shape + (4, 4)).copy()
-        sn.FramePatch(grid, small)
-        degenerate = np.broadcast_to(np.eye(4), grid.shape + (4, 4)).copy()
+        eye = np.broadcast_to(np.eye(4), grid.shape + (4, 4))
+        for scale in (1e-4, 1e-150, 1e-80, 1e80, 1e150):
+            sn.FramePatch(grid, scale * eye)
+        degenerate = eye.copy()
         degenerate[3, 2, 1, 4, 1] = degenerate[3, 2, 1, 4, 0]
-        with pytest.raises(sn.FrameError, match="singular frame"):
-            sn.FramePatch(grid, degenerate)
-        with pytest.raises(sn.FrameError, match="singular frame"):
-            sn.FramePatch(grid, 1e-4 * degenerate)
+        zero_row = eye.copy()
+        zero_row[1, 2, 3, 4, 2] = 0.0
+        for bad in (degenerate, 1e-4 * degenerate, zero_row):
+            with pytest.raises(sn.FrameError, match="singular frame"):
+                sn.FramePatch(grid, bad)
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("lam", [-1e-150, 1e-150, -1e-80, 1e-80, 1e-12, 1e12, 1e80, 1e150])
+    def test_spinor_check_reads_as_unit_lambda(self, lam):
+        # the AdS4 Killing spinors do not depend on lambda, and every row of
+        # spinor-check is scale-free: each lambda gives the rows of +-1
+        def rows(value):
+            # one argument: argparse reads a separate "-1e-80" as an option
+            code, text = cli.run(["spinor-check", "--frame", "ads4-poincare",
+                                  f"--lambda={value!r}"])
+            checks = dict(line.split(" = ", 1) for line in text.splitlines()
+                          if line.startswith(("check ", "result ")))
+            return code, checks
+
+        code, checks = rows(lam)
+        unit_code, unit = rows(float(np.copysign(1.0, lam)))
+        assert (code, checks.keys()) == (unit_code, unit.keys()) and code == 0
+        for key, line in checks.items():
+            value, *rest = line.split()
+            expected, *unit_rest = unit[key].split()
+            assert rest == unit_rest
+            if rest:
+                assert float(value) == pytest.approx(float(expected), rel=1e-6)
 
 
 class TestSpinConnection:
@@ -233,16 +261,21 @@ def cli_region_mask(grid):
     return np.all((x >= inner.min(axis=0) - 1e-9) & (x <= inner.max(axis=0) + 1e-9), axis=-1)
 
 
-def box_mask(shape, *box):
-    inside = np.zeros(shape, bool)
-    inside[box] = True
-    return inside
+def cli_box(grid):
+    """The node box of ``cli_region_mask``: one slice per axis, from the
+    mask's extent along that axis."""
+    inside = cli_region_mask(grid)
+    box = []
+    for axis in range(4):
+        hit = np.flatnonzero(np.any(inside, axis=tuple(b for b in range(4) if b != axis)))
+        box.append(slice(int(hit[0]), int(hit[-1]) + 1))
+    return tuple(box)
 
 
 class TestComputeOnlyWhatIsRead:
-    """``path_defect`` walks the corner path and ``killing_residual_max`` forms
-    the residual on a window of its mask; the full-field sweep and residual
-    are their oracles."""
+    """``path_defect`` walks the corner path and ``killing_residual_max`` runs
+    the connection formula on its node box only; the full-field sweep and
+    residual are their oracles."""
 
     @pytest.mark.parametrize("shape", [(9,) * 4, (13,) * 4, (7, 9, 8, 11)])
     @pytest.mark.parametrize("name, lam", [("minkowski", 0.0), ("ads4-poincare", 0.7),
@@ -257,49 +290,53 @@ class TestComputeOnlyWhatIsRead:
             assert defect == 0.0
 
     @pytest.mark.parametrize("n", [9, 13])
-    @pytest.mark.parametrize("mask", ["interior", "cli region", "face", "one node",
-                                      "one corner node"])
-    def test_windowed_residual_matches_full_grid(self, monkeypatch, n, mask):
+    @pytest.mark.parametrize("box", ["interior", "cli region", "face", "one node",
+                                     "one corner node"])
+    def test_windowed_residual_matches_full_grid(self, monkeypatch, n, box):
         fr = sn.builtin_frame("ads4-poincare", ads_grid(n), lam=LAM)
         eps = sn.integrate_killing(fr, LAM, EPS0)
-        inside = {"interior": box_mask(fr.grid.shape, *fr.grid.interior()),
-                  "cli region": cli_region_mask(fr.grid),
-                  # touches the t = min face: the halo is clipped there
-                  "face": box_mask(fr.grid.shape, slice(0, 3), slice(2, 7), 4, slice(1, 4)),
-                  # one node: its 3-node window is widened to 7 per axis
-                  "one node": box_mask(fr.grid.shape, 5, 5, 5, 5),
-                  "one corner node": box_mask(fr.grid.shape, 0, 0, 0, 0)}[mask]
-        full = float(np.max(np.abs(sn.killing_residual(fr, eps, LAM)[inside])))
-        shapes = []
-        connection = sn.spin_connection
+        nodes = {"interior": fr.grid.interior(),
+                 "cli region": cli_box(fr.grid),
+                 # touches the t = min face: the halo is clipped there
+                 "face": (slice(0, 3), slice(2, 7), slice(4, 5), slice(1, 4)),
+                 "one node": (slice(5, 6),) * 4,
+                 # the far corner: the halo is clipped at four faces
+                 "one corner node": (slice(n - 1, n),) * 4}[box]
+        full = float(np.max(np.abs(sn.killing_residual(fr, eps, LAM)[nodes])))
+        counts = []
+        connection = sn._connection
 
-        def spy(f):
-            shapes.append(f.grid.shape)
-            return connection(f)
+        def spy(e, de):
+            counts.append(len(e))
+            return connection(e, de)
 
-        monkeypatch.setattr(sn, "spin_connection", spy)
-        arg = None if mask == "interior" else inside
-        assert abs(sn.killing_residual_max(fr, eps, LAM, arg) - full) <= 1e-12 * full
-        # the window: the mask's box and a one-node halo, at least 7 per axis
-        side = {"interior": n - 2, "cli region": {9: 7, 13: 9}[n]}.get(mask, 7)
-        assert shapes == [(side,) * 4]
+        monkeypatch.setattr(sn, "_connection", spy)
+        arg = None if box == "interior" else nodes
+        assert sn.killing_residual_max(fr, eps, LAM, arg) == full
+        # the connection formula runs on the box nodes only
+        assert sum(counts) == np.prod([s.stop - s.start for s in nodes])
 
     def test_windowed_residual_minkowski_exactly_zero(self):
         fr = sn.builtin_frame("minkowski", ads_grid(9))
         eps = sn.integrate_killing(fr, 0.0, EPS0)
-        for inside in (None, cli_region_mask(fr.grid), box_mask(fr.grid.shape, 0, 4, 8, 2)):
-            assert sn.killing_residual_max(fr, eps, 0.0, inside) == 0.0
+        for box in (None, cli_box(fr.grid), (slice(0, 1), slice(4, 5), slice(8, 9), slice(2, 3))):
+            assert sn.killing_residual_max(fr, eps, 0.0, box) == 0.0
 
     def test_one_spinor_round_computes_only_what_it_reads(self, monkeypatch):
-        # spinor-check on ads4 builds the spin connection on the window of the
-        # coarse interior (7^4 and 9^4 nodes, not the 9^4 and 13^4 grids), and
-        # each path defect hands the propagators one line per axis
+        # spinor-check on ads4 runs the connection formula on the node box of
+        # the coarse interior (5^4 and 7^4 nodes, not the 9^4 and 13^4 grids),
+        # and each path defect hands the propagators one line per axis
         connections, paths, running = [], [], []
-        connection, propagators, defect = sn.spin_connection, sn._edge_propagators, sn.path_defect
+        connection, residual = sn._connection, sn.killing_residual_max
+        propagators, defect = sn._edge_propagators, sn.path_defect
 
-        def spy_connection(fr):
-            connections.append(fr.grid.shape)
-            return connection(fr)
+        def spy_connection(e, de):
+            connections[-1] += len(e)
+            return connection(e, de)
+
+        def spy_residual(fr, eps, lam, box=None):
+            connections.append(0)
+            return residual(fr, eps, lam, box)
 
         def spy_propagators(fr, lam, nodes, axis, h):
             if running:
@@ -314,11 +351,12 @@ class TestComputeOnlyWhatIsRead:
             finally:
                 running.pop()
 
-        monkeypatch.setattr(sn, "spin_connection", spy_connection)
+        monkeypatch.setattr(sn, "_connection", spy_connection)
+        monkeypatch.setattr(sn, "killing_residual_max", spy_residual)
         monkeypatch.setattr(sn, "_edge_propagators", spy_propagators)
         monkeypatch.setattr(sn, "path_defect", spy_defect)
         assert cli.run(["spinor-check", "--frame", "ads4-poincare", "--lambda", "1.0"])[0] == 0
-        assert connections == [(7,) * 4, (9,) * 4]
+        assert connections == [5 ** 4, 7 ** 4]
         assert paths == [[((n, 4), axis) for axis in (3, 2, 1, 0)] for n in cli.ADS_SIZES]
 
 
