@@ -15,6 +15,7 @@ import argparse
 import functools
 import hashlib
 import os
+import re
 import sys
 import time
 
@@ -499,6 +500,8 @@ def build_parser() -> argparse.ArgumentParser:
     t53.add_argument("--frame", required=True)
     t53.add_argument("--lambda", dest="lam", type=_finite, default=1.0)
     t53.set_defaults(func=cmd_thm53)
+    for lam in (scp, t53):   # argparse's own pattern takes "--lambda -1e-80" for an option
+        lam._negative_number_matcher = re.compile(r"^-(\d+\.?\d*|\.\d+)([eE][+-]?\d+)?$")
     return p
 
 

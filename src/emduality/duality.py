@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 from .errors import EmdualityError
-from .models import ScalarChart, checked_periods
+from .models import ScalarChart, checked_partials, checked_periods
 from .symplectic import (column_rank, fractional_action,
                          infinitesimal_fractional_action, null_space, sp_basis,
                          unit_columns)
@@ -105,19 +105,19 @@ class _System:
 
 
 def _system(model, samples, fields=(), what: str | None = None) -> _System:
-    """Periods, S and P, each from one evaluation of the model; warns that
+    """Periods, S and P, from one evaluation of the model; warns that
     ``what`` may be under-determined below MIN_SAMPLES samples."""
     samples = _sample_set(model, samples, len(fields))
     if what and len(samples) < MIN_SAMPLES:
         warnings.warn(f"only {len(samples)} samples; {what} may be under-determined",
                       stacklevel=3)
-    tau = checked_periods(model, samples)
+    if fields:
+        tau, partials = checked_partials(model, samples)
+    else:
+        tau = checked_periods(model, samples)
     basis = sp_basis(model.n_v)
     stab = _columns(infinitesimal_fractional_action(basis[:, None], tau))
-    periods = np.zeros((len(stab), 0))
-    if fields:
-        partials = model.period_directional(samples[:, None, :], np.eye(samples.shape[1]))
-        periods = _columns(fields.along(samples, partials))
+    periods = _columns(fields.along(samples, partials)) if fields else np.zeros((len(stab), 0))
     half = max(len(samples) // 2, 1) * model.n_v * (model.n_v + 1)
     return _System(samples, tau, basis, stab, periods, half)
 

@@ -76,56 +76,44 @@ Expr = Num | Sym | Neg | BinOp | Pow
 Value = complex | np.ndarray
 
 
-def evaluate(e: Expr, env: dict[str, Value]) -> Value:
+def walk(e: Expr, env: dict[str, Value], denv: dict[str, Value] | None = None
+         ) -> tuple[Value, Value | None]:
+    """(value, directional derivative) of e from one walk of the tree: each
+    operator, the integer power and the pole rule are written here once.  denv
+    gives the derivative of each symbol; with no denv no derivative is formed
+    and the second item is None."""
     if isinstance(e, Num):
-        return e.value
+        return e.value, None if denv is None else 0j
     if isinstance(e, Sym):
-        return env[e.name]
+        return env[e.name], None if denv is None else denv.get(e.name, 0j)
     if isinstance(e, Neg):
-        return -evaluate(e.arg, env)
+        v, d = walk(e.arg, env, denv)
+        return -v, None if denv is None else -d
     if isinstance(e, Pow):
-        b = evaluate(e.base, env)
-        if e.exponent < 0:
-            _guard_pole(b, f"base ~ 0 raised to power {e.exponent}")
-        return b ** e.exponent
-    l = evaluate(e.left, env)
-    r = evaluate(e.right, env)
+        (b, db), k = walk(e.base, env, denv), e.exponent
+        if k < 0:
+            _guard_pole(b, f"base ~ 0 raised to power {k}")
+        return b ** k, None if denv is None else (0j if k == 0 else k * b ** (k - 1) * db)
+    (l, ld), (r, rd) = walk(e.left, env, denv), walk(e.right, env, denv)
     if e.op == "+":
-        return l + r
+        return l + r, None if denv is None else ld + rd
     if e.op == "-":
-        return l - r
+        return l - r, None if denv is None else ld - rd
     if e.op == "*":
-        return l * r
+        return l * r, None if denv is None else ld * r + l * rd
     _guard_pole(r, "division by ~ 0")
-    return l / r
+    return l / r, None if denv is None else (ld * r - l * rd) / (r * r)
+
+
+def evaluate(e: Expr, env: dict[str, Value]) -> Value:
+    """The value of ``walk``."""
+    return walk(e, env)[0]
 
 
 def derivative(e: Expr, env: dict[str, Value], denv: dict[str, Value]) -> Value:
-    """Directional derivative; denv gives the derivative of each symbol."""
-    if isinstance(e, Num):
-        return 0j
-    if isinstance(e, Sym):
-        return denv.get(e.name, 0j)
-    if isinstance(e, Neg):
-        return -derivative(e.arg, env, denv)
-    if isinstance(e, Pow):
-        if e.exponent == 0:
-            return 0j
-        b = evaluate(e.base, env)
-        if e.exponent < 1:
-            _guard_pole(b, f"base ~ 0 raised to power {e.exponent - 1}")
-        return e.exponent * b ** (e.exponent - 1) * derivative(e.base, env, denv)
-    l, r = e.left, e.right
-    if e.op == "+":
-        return derivative(l, env, denv) + derivative(r, env, denv)
-    if e.op == "-":
-        return derivative(l, env, denv) - derivative(r, env, denv)
-    lv, rv = evaluate(l, env), evaluate(r, env)
-    ld, rd = derivative(l, env, denv), derivative(r, env, denv)
-    if e.op == "*":
-        return ld * rv + lv * rd
-    _guard_pole(rv, "division by ~ 0")
-    return (ld * rv - lv * rd) / (rv * rv)
+    """The directional derivative of ``walk``; denv gives the derivative of
+    each symbol."""
+    return walk(e, env, denv)[1]
 
 
 # ---------------------------------------------------------------- printing

@@ -25,7 +25,7 @@ import numpy as np
 
 from . import fields as fl
 from .errors import InputError
-from .models import Model, TransformedModel, checked_periods, load_model, point_text
+from .models import Model, TransformedModel, checked_partials, load_model, point_text
 from .symplectic import omega, taming_matrix
 from .textio import key_values, numbers
 
@@ -256,20 +256,13 @@ class FieldConfiguration:
         self._evaluate_couplings()
 
     def _evaluate_couplings(self):
-        shape = self.grid.shape
-        n_s = self.model.chart.dim
-        flat_phi = self.phi.reshape(-1, n_s)
-        bad = self.model.chart.first_outside(flat_phi)
+        bad = self.model.chart.first_outside(self.phi)
         if bad is not None:
             raise DomainExitError(f"scalar map leaves the chart at node {bad}: "
-                                  f"{point_text(flat_phi, bad)}")
-        tau = checked_periods(self.model, flat_phi)
-        # derivatives along the n_s coordinate directions at every node
-        dtau = self.model.period_directional(flat_phi[:, None, :], np.eye(n_s))
-        self.R = tau.real.reshape(shape + tau.shape[1:])
-        self.I = tau.imag.reshape(shape + tau.shape[1:])
-        self.dR = dtau.real.reshape(shape + dtau.shape[1:])
-        self.dI = dtau.imag.reshape(shape + dtau.shape[1:])
+                                  f"{point_text(self.phi, bad)}")
+        tau, dtau = checked_partials(self.model, self.phi)
+        self.R, self.I = tau.real, tau.imag
+        self.dR, self.dI = dtau.real, dtau.imag
         self.J = taming_matrix(self.R, self.I)
         self.I_inv = self.J[..., : self.n_v, self.n_v:]
         self.Q = omega(self.n_v) @ self.J

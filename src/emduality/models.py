@@ -267,19 +267,26 @@ class Model:
         if not 1 <= self.n_v <= MAX_N:
             raise ModelError(f"model {self.name!r} needs nv in 1..{MAX_N}, got {self.n_v}")
 
-    def entry(self, i: int, j: int) -> ex.Expr:
-        key = (i, j) if i <= j else (j, i)
-        return self.entries.get(key, ex.Num(0j))
-
-    def _symmetric(self, shape: tuple[int, ...], value) -> np.ndarray:
-        """Matrix stack shape + (n_v, n_v) with entries value(expression)."""
-        out = np.zeros(shape + (self.n_v, self.n_v), dtype=complex)
+    def _symmetric(self, walk, *shapes: tuple[int, ...]) -> tuple[np.ndarray, ...]:
+        """Matrix stacks shape + (n_v, n_v), one per shape, with the (i, j)
+        entries of stack k the k-th value walk(expression) returns."""
+        out = tuple(np.zeros(shape + (self.n_v, self.n_v), dtype=complex) for shape in shapes)
         for (i, j), e in self.entries.items():
             try:
-                out[..., i, j] = out[..., j, i] = value(e)
+                values = walk(e)
             except PoleError as err:
                 raise PoleError(f"model {self.name!r}: {err}") from err
+            for stack, value in zip(out, values):
+                stack[..., i, j] = stack[..., j, i] = value
         return out
+
+    def _env(self, p: np.ndarray) -> dict[str, np.ndarray]:
+        """Symbol values at points inside the chart domain."""
+        bad = self.chart.first_outside(p)
+        if bad is not None:
+            raise ModelError(f"model {self.name!r}: point {bad} {point_text(p, bad)} "
+                             "outside chart domain")
+        return self.chart.env(p)
 
     def period(self, p: np.ndarray) -> SiegelPoint:
         """Evaluate the map at a point, checked by ``checked_periods``."""
@@ -289,20 +296,17 @@ class Model:
         """Raw matrix value at a point, or the matrix stack at a stack of points,
         without the Siegel membership check (see ``checked_periods``)."""
         p = np.asarray(p, dtype=float)
-        bad = self.chart.first_outside(p)
-        if bad is not None:
-            raise ModelError(f"model {self.name!r}: point {bad} {point_text(p, bad)} "
-                             "outside chart domain")
-        env = self.chart.env(p)
-        return self._symmetric(p.shape[:-1], lambda e: ex.evaluate(e, env))
+        env = self._env(p)
+        return self._symmetric(lambda e: (ex.evaluate(e, env),), p.shape[:-1])[0]
 
-    def period_directional(self, p: np.ndarray, v: np.ndarray) -> np.ndarray:
-        """Directional derivative of the matrix map at p along the chart vector
-        v; p and v may be broadcastable stacks."""
+    def period_directional(self, p: np.ndarray, v: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """(N, dN): the raw matrices at p, with p's stack shape, and their
+        derivative along the chart vector v, from one walk of each entry; p and
+        v may be broadcastable stacks."""
         p, v = np.asarray(p, dtype=float), np.asarray(v, dtype=float)
-        env, denv = self.chart.env(p), self.chart.env(v)  # chart symbols are linear
+        env, denv = self._env(p), self.chart.env(v)  # chart symbols are linear
         shape = np.broadcast_shapes(p.shape[:-1], v.shape[:-1])
-        return self._symmetric(shape, lambda e: ex.derivative(e, env, denv))
+        return self._symmetric(lambda e: ex.walk(e, env, denv), p.shape[:-1], shape)
 
 
 class TransformedModel:
@@ -315,7 +319,6 @@ class TransformedModel:
 
     def __init__(self, base, f, a: np.ndarray):
         self.base = base
-        self.f = f
         self.f_inv = f.inverse()
         self.a = np.asarray(a, dtype=float)
         self.name = f"{base.name}|transformed"
@@ -326,14 +329,12 @@ class TransformedModel:
         return SiegelPoint(checked_periods(self, p))
 
     def period_matrix(self, p: np.ndarray) -> np.ndarray:
-        q = self.f_inv.apply(p)
-        return fractional_action(self.a, self.base.period_matrix(q))
+        return fractional_action(self.a, self.base.period_matrix(self.f_inv.apply(p)))
 
-    def period_directional(self, p: np.ndarray, v: np.ndarray) -> np.ndarray:
-        q = self.f_inv.apply(p)
+    def period_directional(self, p: np.ndarray, v: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """(A . N, its derivative along v) from one evaluation of the base at f^-1(p)."""
         w = np.einsum("...ij,...j->...i", self.f_inv.jacobian(p), np.asarray(v, dtype=float))
-        dn = self.base.period_directional(q, w)
-        return mobius_differential(self.a, self.base.period_matrix(q), dn)
+        return mobius_differential(self.a, *self.base.period_directional(self.f_inv.apply(p), w))
 
 
 def point_text(stack, index: int) -> str:
@@ -346,12 +347,24 @@ def point_text(stack, index: int) -> str:
 
 def checked_periods(model, p: np.ndarray) -> np.ndarray:
     """Period matrices at a point (dim,) or a stack of points (..., dim),
-    symmetrised and checked for Siegel membership by the one rule: at every
-    point the smallest eigenvalue of Im(tau) over its largest exceeds PD_RTOL.
-    The error names the first point that fails, by its index in the
-    flattened stack and its coordinates."""
+    checked by the one Siegel rule, ``_siegel_checked``."""
     p = np.asarray(p, dtype=float)
-    tau = model.period_matrix(p)
+    return _siegel_checked(model, p, model.period_matrix(p))
+
+
+def checked_partials(model, p: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """``checked_periods`` at p (..., dim) and the partials of the raw matrices
+    along every chart axis, (..., dim, n, n), from one evaluation of the model."""
+    p = np.asarray(p, dtype=float)
+    tau, dtau = model.period_directional(p[..., None, :], np.eye(p.shape[-1]))
+    return _siegel_checked(model, p, tau[..., 0, :, :]), dtau
+
+
+def _siegel_checked(model, p: np.ndarray, tau: np.ndarray) -> np.ndarray:
+    """tau, the period matrices of the model at p, symmetrised and checked by
+    the one Siegel rule: at every point the smallest eigenvalue of Im(tau)
+    over its largest exceeds PD_RTOL.  The error names the first point that
+    fails, by its index in the flattened stack and its coordinates."""
     tau = (tau + np.swapaxes(tau, -1, -2)) / 2
     ratio = np.reshape(min_eig_ratio(tau.imag), -1)
     if not np.all(ratio > PD_RTOL):

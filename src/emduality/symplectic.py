@@ -308,6 +308,20 @@ def mu_inv(tau: SiegelPoint) -> Taming:
     return gamma(tau.couplings())
 
 
+def _action(a: np.ndarray, tau: np.ndarray) -> tuple[np.ndarray, ...]:
+    """A . tau by one solve, after the one pole rule (PoleError when a + b tau
+    is near-singular anywhere), with the blocks b and d of A = [[a, b], [c, d]],
+    the numerator c + d tau and the denominator a + b tau."""
+    t = np.asarray(tau, dtype=complex)
+    ab, bb, cb, db = blocks(np.asarray(a, dtype=float))
+    den, num = ab + bb @ t, cb + db @ t
+    sv = np.linalg.svd(den, compute_uv=False)
+    if np.any(sv[..., -1] <= 1e-13 * np.maximum(sv[..., 0], 1.0)):
+        raise PoleError("a + b tau is singular at this point")
+    out = _transpose(np.linalg.solve(_transpose(den), _transpose(num)))  # num @ den^-1
+    return out, bb, db, num, den
+
+
 def fractional_action(a: np.ndarray, tau: SiegelPoint | np.ndarray
                       ) -> SiegelPoint | np.ndarray:
     """Left action of Sp(2n, R) on Siegel space: A . tau = (c + d tau)(a + b tau)^-1.
@@ -317,15 +331,7 @@ def fractional_action(a: np.ndarray, tau: SiegelPoint | np.ndarray
     gives a validated SiegelPoint, a matrix or a stack of matrices (..., n, n)
     gives the unchecked matrix or stack of images.
     """
-    t = tau.tau if isinstance(tau, SiegelPoint) else np.asarray(tau, dtype=complex)
-    ab, bb, cb, db = blocks(np.asarray(a, dtype=float))
-    den = ab + bb @ t
-    num = cb + db @ t
-    # Guard against a genuinely singular denominator before solving.
-    sv = np.linalg.svd(den, compute_uv=False)
-    if np.any(sv[..., -1] <= 1e-13 * np.maximum(sv[..., 0], 1.0)):
-        raise PoleError("a + b tau is singular at this point")
-    out = _transpose(np.linalg.solve(_transpose(den), _transpose(num)))  # num @ den^-1
+    out = _action(a, tau.tau if isinstance(tau, SiegelPoint) else tau)[0]
     return SiegelPoint(out) if isinstance(tau, SiegelPoint) else out
 
 
@@ -344,18 +350,16 @@ def infinitesimal_fractional_action(x: np.ndarray, tau: SiegelPoint | np.ndarray
     return (xc + xd @ t) - t @ (xa + xb @ t)
 
 
-def mobius_differential(a: np.ndarray, tau: np.ndarray, h: np.ndarray) -> np.ndarray:
-    """Differential of tau -> A . tau at tau applied to a tangent matrix h.
-
-    d(A.tau)[h] = (d - (A.tau) b) h (a + b tau)^-1 for A = [[a, b], [c, d]].
-    tau and h may be broadcastable stacks of matrices.
+def mobius_differential(a: np.ndarray, tau: np.ndarray, h: np.ndarray
+                        ) -> tuple[np.ndarray, np.ndarray]:
+    """(A . tau, d(A.tau)[h]) under one decision of the pole rule: the matrices
+    of ``fractional_action`` at tau, and the differential of tau -> A . tau at
+    tau applied to a tangent matrix h, d(A.tau)[h] = (d - (A.tau) b) h (a + b tau)^-1
+    for A = [[a, b], [c, d]].  tau and h may be broadcastable stacks of matrices.
     """
-    t = np.asarray(tau, dtype=complex)
-    ab, bb, cb, db = blocks(np.asarray(a, dtype=float))
-    den = ab + bb @ t
+    out, bb, db, num, den = _action(a, tau)
     deninv = np.linalg.inv(den)
-    atau = (cb + db @ t) @ deninv
-    return (db - atau @ bb) @ np.asarray(h, dtype=complex) @ deninv
+    return out, (db - num @ deninv @ bb) @ np.asarray(h, dtype=complex) @ deninv
 
 
 def conjugate_taming(a: np.ndarray, j: Taming) -> Taming:

@@ -505,6 +505,15 @@ class TestSpinorCommands:
         assert code == 0
         assert "result = pass" in text
 
+    @pytest.mark.parametrize("argv", [["spinor-check", "--lambda", "-1e-80"],
+                                      ["thm53", "--lambda", "-5e-1"]], ids=lambda a: a[0])
+    def test_negative_lambda_in_exponent_form(self, argv):
+        """A separate negative value in exponent form is a number, not an option."""
+        code, text = run(argv[:1] + ["--frame", "ads4-poincare"] + argv[1:])
+        assert code == 0
+        assert "result = pass" in text
+        assert run(argv[:1] + ["--frame", "ads4-poincare", "--lambda", "-x"]) == (2, "")
+
     @pytest.mark.parametrize("command", ["spinor-check", "thm53"])
     def test_ads_lambda_zero_exit_2(self, command):
         code, text = run([command, "--frame", "ads4-poincare", "--lambda", "0"])

@@ -253,10 +253,10 @@ class TestLinearSystem:
         fields = du.killing_basis(model.chart)
         system = du._system(model, None, fields)
         along = fields.along(system.samples, model.period_directional(
-            system.samples[:, None, :], np.eye(model.chart.dim)))
+            system.samples[:, None, :], np.eye(model.chart.dim))[1])
         iu = np.triu_indices(model.n_v)
         for col, dn, kf in zip(system.periods.T, along, oracle_basis(model.chart), strict=True):
-            d = model.period_directional(system.samples, kf.value(system.samples))
+            d = model.period_directional(system.samples, kf.value(system.samples))[1]
             scale = max(1.0, np.max(np.abs(d)))
             assert np.max(np.abs(dn - d)) <= 1e-13 * scale
             d = d[:, iu[0], iu[1]]
@@ -282,9 +282,10 @@ class TestLinearSystem:
         assert np.array_equal(full.periods[: full.half], half.periods)
 
     def test_one_period_evaluation_per_uduality_call(self, monkeypatch):
-        """One evaluation of the model per call, and as many expression
-        evaluations for 55 Killing fields (FLAT10) as for 3 (the same N on a
-        2-dimensional chart): nothing is evaluated field by field."""
+        """One evaluation of the model per call, N and its partials together
+        from ``checked_partials``, and as many expression walks for 55 Killing
+        fields (FLAT10) as for 3 (the same N on a 2-dimensional chart): nothing
+        is evaluated field by field."""
         flat2 = md.parse_model("nv=1\nchart=flat\ndim=2\nN[1,1] = x1 + i*(2 + x1^2)")
         cases = ((md.builtin("t3"), (3, 0, 3)), (FLAT10, (45, 0, 45)), (flat2, (1, 0, 1)))
         counts = {}
@@ -296,19 +297,23 @@ class TestLinearSystem:
             return wrapper
 
         monkeypatch.setattr(du, "checked_periods", counted("checked_periods", du.checked_periods))
+        monkeypatch.setattr(du, "checked_partials",
+                            counted("checked_partials", du.checked_partials))
+        monkeypatch.setattr(md.Model, "period_matrix",
+                            counted("period_matrix", md.Model.period_matrix))
         monkeypatch.setattr(md.Model, "period_directional",
                             counted("period_directional", md.Model.period_directional))
-        monkeypatch.setattr(ex, "evaluate", counted("evaluate", ex.evaluate))
-        monkeypatch.setattr(ex, "derivative", counted("derivative", ex.derivative))
+        monkeypatch.setattr(ex, "walk", counted("walk", ex.walk))
         seen = []
         for model, dims in cases:
-            counts.update(dict.fromkeys(("checked_periods", "period_directional",
-                                         "evaluate", "derivative"), 0))
+            counts.update(dict.fromkeys(("checked_periods", "checked_partials", "period_matrix",
+                                         "period_directional", "walk"), 0))
             rep = du.uduality_algebra(model)
             assert (rep.dim_u, rep.dim_stab_sp, rep.dim_iso_pr) == dims
-            assert (counts["checked_periods"], counts["period_directional"]) == (1, 1)
-            seen.append((counts["evaluate"], counts["derivative"]))
-        assert seen[1] == seen[2]
+            assert (counts["checked_periods"], counts["checked_partials"],
+                    counts["period_matrix"], counts["period_directional"]) == (0, 1, 0, 1)
+            seen.append(counts["walk"])
+        assert seen[1] == seen[2] > 0
 
     def test_default_samples_grow_with_unknowns(self):
         for name in md.BUILTIN_NAMES + ("constant-i:12",):

@@ -1,12 +1,15 @@
 import ast
+from collections import Counter
 
 import numpy as np
 import pytest
 from scipy.stats import qmc
 
+from emduality import expressions as ex
+from emduality import grids as gr
 from emduality import models as md
 from emduality.cli import run
-from emduality.symplectic import fractional_action, min_eig_ratio
+from emduality.symplectic import fractional_action, min_eig_ratio, random_sp
 
 
 def pt(x, y):
@@ -143,8 +146,8 @@ class TestEvalPeriod:
 class TestPeriodDerivative:
     def test_identity_tau_partials(self):
         m = md.builtin("identity-tau")
-        assert np.allclose(m.period_directional(pt(0.1, 0.9), [1, 0]), [[1.0]])
-        assert np.allclose(m.period_directional(pt(0.1, 0.9), [0, 1]), [[1j]])
+        assert np.allclose(m.period_directional(pt(0.1, 0.9), [1, 0]), ([[0.1 + 0.9j]], [[1.0]]))
+        assert np.allclose(m.period_directional(pt(0.1, 0.9), [0, 1]), ([[0.1 + 0.9j]], [[1j]]))
 
     @pytest.mark.parametrize("name", md.BUILTIN_NAMES)
     def test_matches_central_differences(self, name):
@@ -154,7 +157,7 @@ class TestPeriodDerivative:
         for _ in range(50):
             p = np.array([rng.uniform(-1, 1), rng.uniform(0.6, 1.9)])
             v = rng.standard_normal(2)
-            d = m.period_directional(p, v)
+            d = m.period_directional(p, v)[1]
             fd = (m.period(p + h * v).tau - m.period(p - h * v).tau) / (2 * h)
             scale = max(1.0, float(np.max(np.abs(d))))
             assert np.max(np.abs(d - fd)) < 1e-7 * scale
@@ -259,9 +262,58 @@ class TestTransformedModel:
         h = 1e-6
         for p in base.chart.sample_points(5):
             v = rng.standard_normal(2)
-            d = tm.period_directional(p, v)
+            d = tm.period_directional(p, v)[1]
             fd = (tm.period(p + h * v).tau - tm.period(p - h * v).tau) / (2 * h)
             assert np.max(np.abs(d - fd)) < 1e-6 * max(1.0, np.max(np.abs(d)))
+
+
+class TestOneWalkPerConfiguration:
+    """A configuration evaluates its model once: N and its partials along the
+    chart axes come from one walk of each entry, and a transported
+    configuration evaluates its base model once, at f^-1 of the scalar map,
+    and decides the pole rule of A . N there once."""
+
+    @pytest.fixture
+    def calls(self, monkeypatch):
+        calls = Counter()
+
+        def counted(name, fn):
+            def wrapper(*args, **kwargs):
+                calls[name] += 1
+                return fn(*args, **kwargs)
+            return wrapper
+
+        for name in ("period_matrix", "period_directional"):
+            monkeypatch.setattr(md.Model, name, counted(name, getattr(md.Model, name)))
+        for name in ("evaluate", "derivative"):
+            monkeypatch.setattr(ex, name, counted(name, getattr(ex, name)))
+        monkeypatch.setattr(np.linalg, "svd", counted("svd", np.linalg.svd))
+        return calls
+
+    @staticmethod
+    def configuration():
+        grid = gr.GridPatch(((-0.4, 0.4),) * 4, (7,) * 4)
+        rng = np.random.default_rng(6)
+        phi = gr.phi_linear(grid, [0.05, 1.1], 0.1 * rng.standard_normal((4, 2)))
+        f = gr.random_polynomial_fieldstrength(grid, 2, rng, amp=0.2)
+        return grid, phi, f, random_sp(2, rng, 0.3)
+
+    def test_one_walk_per_configuration(self, calls):
+        grid, phi, f, _ = self.configuration()
+        base = md.builtin("t3")
+        calls.clear()
+        gr.make_configuration(grid, base, gr.metric_minkowski(grid), phi, f)
+        assert calls == {"period_directional": 1}
+
+    @pytest.mark.parametrize("spec", ["id", "translate:0.3", "mobius:1,0.3,-0.2,1"])
+    def test_one_base_walk_per_transported_configuration(self, calls, spec):
+        grid, phi, f, a = self.configuration()
+        base = md.builtin("t3")
+        cfg = gr.make_configuration(grid, base, gr.metric_minkowski(grid), phi, f)
+        iso = md.parse_isometry(spec, base.chart)
+        calls.clear()
+        gr.transport_config(iso, a, cfg)
+        assert calls == {"period_directional": 1, "svd": 1}
 
 
 def scipy_halton(dim, count):

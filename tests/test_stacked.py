@@ -61,17 +61,20 @@ class TestStackedPeriods:
         for m in stacked_models(tmp_path) + transformed_models():
             pts = points(m.chart)
             vs = rng.standard_normal(pts.shape)
-            stacked = m.period_directional(pts, vs)
-            single = np.array([m.period_directional(p, v) for p, v in zip(pts, vs)])
-            assert close(stacked, single), m.name
+            n, d = m.period_directional(pts, vs)
+            single = [m.period_directional(p, v) for p, v in zip(pts, vs)]
+            assert close(n, np.array([s[0] for s in single])), m.name
+            assert close(d, np.array([s[1] for s in single])), m.name
+            assert np.array_equal(n, m.period_matrix(pts)), m.name
 
     def test_coordinate_directions_broadcast(self, tmp_path):
         # the layout used along a scalar map: every point times every unit vector
         for m in stacked_models(tmp_path) + transformed_models():
             pts = points(m.chart, 12)
             units = np.eye(m.chart.dim)
-            stacked = m.period_directional(pts[:, None, :], units)
-            single = np.array([[m.period_directional(p, e) for e in units] for p in pts])
+            n, stacked = m.period_directional(pts[:, None, :], units)
+            single = np.array([[m.period_directional(p, e)[1] for e in units] for p in pts])
+            assert n.shape == (len(pts), 1, m.n_v, m.n_v)
             assert stacked.shape == (len(pts), m.chart.dim, m.n_v, m.n_v)
             assert close(stacked, single), m.name
 
@@ -174,13 +177,32 @@ class TestStackedPoles:
         with pytest.raises(sp.PoleError):
             sp.fractional_action(sp.omega(1), taus)
 
+    @pytest.mark.parametrize("taus", [np.zeros((1, 1), dtype=complex),
+                                      np.zeros((3, 1, 1), dtype=complex),
+                                      np.array([[[1j]], [[0j]], [[0.5 + 2j]]])],
+                             ids=["point", "singular-stack", "one-singular-member"])
+    def test_action_and_differential_share_the_pole_rule(self, taus):
+        """a + b tau = tau for A = [[0, 1], [-1, 0]], singular at tau = 0."""
+        a = np.array([[0.0, 1.0], [-1.0, 0.0]])
+        hs = np.ones_like(taus)
+        with pytest.raises(sp.PoleError, match=r"a \+ b tau is singular"):
+            sp.fractional_action(a, taus)
+        with pytest.raises(sp.PoleError, match=r"a \+ b tau is singular"):
+            sp.mobius_differential(a, taus, hs)
+        atau, d = sp.mobius_differential(a, taus + 1j, hs)
+        assert np.array_equal(atau, sp.fractional_action(a, taus + 1j))
+        assert close(d, hs / (taus + 1j) ** 2)   # A . tau = -1/tau
+
     def test_mobius_differential_stack(self):
         rng = np.random.default_rng(2)
         a = sp.random_sp(2, rng, scale=0.3)
         taus = np.array([sp.mu(sp.random_taming(2, rng)).tau for _ in range(6)])
         hs = rng.standard_normal(taus.shape) + 1j * rng.standard_normal(taus.shape)
-        single = np.array([sp.mobius_differential(a, t, h) for t, h in zip(taus, hs)])
-        assert close(sp.mobius_differential(a, taus, hs), single)
+        single = [sp.mobius_differential(a, t, h) for t, h in zip(taus, hs)]
+        atau, d = sp.mobius_differential(a, taus, hs)
+        assert np.array_equal(atau, sp.fractional_action(a, taus))
+        assert close(atau, np.array([s[0] for s in single]))
+        assert close(d, np.array([s[1] for s in single]))
 
 
 class TestGridCouplings:
@@ -193,7 +215,7 @@ class TestGridCouplings:
             cfg = gr.make_configuration(grid, m, gr.metric_minkowski(grid), phi, f)
             flat = phi.reshape(-1, 2)
             tau = np.array([m.period_matrix(p) for p in flat]).reshape(cfg.R.shape)
-            dtau = np.array([[m.period_directional(p, e) for e in np.eye(2)]
+            dtau = np.array([[m.period_directional(p, e)[1] for e in np.eye(2)]
                              for p in flat]).reshape(cfg.dR.shape)
             assert close(cfg.R + 1j * cfg.I, tau)
             assert close(cfg.dR + 1j * cfg.dI, dtau)
