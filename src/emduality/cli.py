@@ -51,6 +51,8 @@ class Report:
             return str(int(value))
         if isinstance(value, (float, np.floating)):
             return format(float(value), ".12g")
+        if isinstance(value, np.ndarray):
+            return " ".join(format(v, ".12g") for v in value.ravel())
         return str(value)
 
     def add(self, name: str, value, tol: float | None = None,
@@ -98,12 +100,25 @@ def _read_matrix(path: str, dim: int | None = None) -> np.ndarray:
     return vals.reshape(n, n)
 
 
+def _symplectic_matrix(rep: Report, path: str, n_v: int) -> np.ndarray:
+    """The 2n_v x 2n_v matrix of path, with the row that checks it is in Sp(2n_v, R)."""
+    a = _read_matrix(path, 2 * n_v)
+    ok, viol = sp.sp_check(a, 1e-8)
+    rep.add("A_symplectic_violation", viol, tol=1e-8, passed=ok)
+    return a
+
+
 def _isometry(spec: str, chart: md.ScalarChart):
     """The isometry of an --f value; a bad spec is a bad command-line value."""
     try:
         return md.parse_isometry(spec, chart)
     except md.ModelError as err:
         raise UsageError(str(err)) from err
+
+
+def _interior_extents(grid: gr.GridPatch) -> tuple[tuple[float, float], ...]:
+    """The coordinate box of a grid's margin-2 interior nodes."""
+    return tuple((ax[s][0], ax[s][-1]) for ax, s in zip(grid.axes, grid.interior()))
 
 
 def _seed() -> int:
@@ -142,8 +157,8 @@ def cmd_models(args) -> Report:
     p0 = np.array([0.0, 1.0]) if m.chart.kind == "poincare" else \
         np.zeros(m.chart.dim)
     tau = m.period(p0).tau
-    rep.info("N(sample) re", " ".join(format(v, ".12g") for v in tau.real.ravel()))
-    rep.info("N(sample) im", " ".join(format(v, ".12g") for v in tau.imag.ravel()))
+    rep.info("N(sample) re", tau.real)
+    rep.info("N(sample) im", tau.imag)
     min_eig = md.check_siegel_on_grid(m, per_axis=8)
     rep.add("siegel_min_eig", min_eig, tol=None, passed=min_eig > 0)
     return rep
@@ -162,7 +177,7 @@ def cmd_stabilizer(args) -> Report:
     rep.info("samples", out.samples_used)
     rep.info("notes", out.notes)
     for k, x in enumerate(out.basis):
-        rep.info(f"basis[{k}]", " ".join(format(v, ".12g") for v in x.ravel()))
+        rep.info(f"basis[{k}]", x)
     return rep
 
 
@@ -205,10 +220,7 @@ def cmd_lift(args) -> Report:
     rep.info("killing", xi.names[0])
     x, res = du.lift_killing_field(model, xi)
     rep.add("lift_residual", res, tol=du.TOL_LIFT, passed=x is not None)
-    if x is not None:
-        rep.info("lift", " ".join(format(v, ".12g") for v in x.ravel()))
-    else:
-        rep.info("lift", "no lift")
+    rep.info("lift", "no lift" if x is None else x)
     return rep
 
 
@@ -216,9 +228,7 @@ def cmd_pair_check(args) -> Report:
     model = md.load_model(args.model)
     f = _isometry(args.f, model.chart)
     rep = Report("pair-check", _seed(), {"model": model.name, "f": args.f})
-    a = _read_matrix(args.A, 2 * model.n_v)
-    ok, viol = sp.sp_check(a, 1e-8)
-    rep.add("A_symplectic_violation", viol, tol=1e-8, passed=ok)
+    a = _symplectic_matrix(rep, args.A, model.n_v)
     res = du.check_uduality_pair(f, a, model)
     rep.add("pair_residual", res, tol=args.tol)
     return rep
@@ -252,7 +262,7 @@ def cmd_invariants(args) -> Report:
                                          "input_digest": _digest(text)})
     vec = ho.conjugacy_invariants(pres, args.maxlen)
     rep.info("count", len(vec))
-    rep.info("traces", " ".join(format(v, ".12g") for v in vec))
+    rep.info("traces", vec)
     rep.add("computed", True, passed=True)
     return rep
 
@@ -274,26 +284,24 @@ def cmd_residuals(args) -> Report:
                                         "input_digest": _digest(text),
                                         "model": cfg.model.name,
                                         "grid": "x".join(map(str, cfg.grid.shape))})
-    inner = cfg.grid.interior()
-    loc = gr.scalar_residual(cfg, "local")[inner]
-    out = gr.ResidualReport.from_fields(cfg, gr.einstein_residual(cfg, check=False)[inner],
-                                        loc, gr.maxwell_residual(cfg)[inner])
+    out = gr.residual_report(cfg)
     for name, value in out.rows():
         rep.info(name, value)
     # consistency of the two scalar assemblies is the pass/fail content
-    glo = gr.scalar_residual(cfg, "global")[inner]
-    rep.add("scalar_assembly_gap", float(np.max(np.abs(loc - glo))), tol=1e-9)
+    glo = gr.scalar_residual(cfg, "global")[cfg.grid.interior()]
+    rep.add("scalar_assembly_gap", float(np.max(np.abs(out.scalar - glo))), tol=1e-9)
     rep.add("selfdual_violation", out.selfdual_violation, tol=1e-8)
-    if args.refine > 0:
-        # convergence table: residual maxima on successive spacing halvings
-        grid = cfg.grid
-        for k in range(args.refine):
-            grid = grid.refine()
-            fine = gr.residual_report(gr.parse_grid_config(text, grid.resolution))
-            rep.info(f"refine[{k + 1}] grid", "x".join(map(str, grid.shape)))
-            for name, value in fine.rows():
-                if name.endswith("_max"):
-                    rep.info(f"refine[{k + 1}] {name}", value)
+    # convergence table: residual maxima on successive spacing halvings, each
+    # over the nodes of the coarse interior, so every row reads the same region
+    region = _interior_extents(cfg.grid)
+    grid = cfg.grid
+    for k in range(args.refine):
+        grid = grid.refine()
+        fine = gr.residual_report(gr.parse_grid_config(text, grid.resolution))
+        rep.info(f"refine[{k + 1}] grid", "x".join(map(str, grid.shape)))
+        for name, value in zip(("einstein_max", "scalar_max", "maxwell_max"),
+                               fine.maxima(grid.node_box(region))):
+            rep.info(f"refine[{k + 1}] {name}", value)
     return rep
 
 
@@ -304,7 +312,7 @@ def cmd_transport(args) -> Report:
     rep = Report("transport", _seed(), {"config": args.config,
                                         "input_digest": _digest(text),
                                         "f": args.f})
-    a = _read_matrix(args.A, 2 * cfg.model.n_v)
+    a = _symplectic_matrix(rep, args.A, cfg.model.n_v)
     out = gr.equivariance_harness(cfg, f, a)
     rep.add("einstein_discrepancy", out.einstein_discrepancy, tol=args.tol)
     rep.add("scalar_discrepancy", out.scalar_discrepancy, tol=args.tol)
@@ -339,14 +347,12 @@ ADS_SIZES = (9, 13)
 
 
 def _ads_killing(lam: float, n: int, region) -> tuple[float, float, float]:
-    """(max Killing residual over the box region = (lo, hi), path defect,
-    spacing) of the swept spinor on the n^4 AdS grid."""
+    """(max Killing residual over the nodes of the coordinate box region,
+    path defect, spacing) of the swept spinor on the n^4 AdS grid."""
     fr = _ads_frame(lam, n)
     eps = sn.integrate_killing(fr, lam, EPS0)
-    box = tuple(slice(np.searchsorted(ax, lo), np.searchsorted(ax, hi, side="right"))
-                for ax, lo, hi in zip(fr.grid.axes, *region))
-    return (sn.killing_residual_max(fr, eps, lam, box), sn.path_defect(fr, lam, eps),
-            float(fr.grid.h[0]))
+    return (sn.killing_residual_max(fr, eps, lam, fr.grid.node_box(region)),
+            sn.path_defect(fr, lam, eps), float(fr.grid.h[0]))
 
 
 def cmd_spinor_check(args) -> Report:
@@ -365,9 +371,7 @@ def cmd_spinor_check(args) -> Report:
         raise UsageError(f"unknown frame {args.frame!r}")
     # both residual maxima are taken over one region, the coarse grid's
     # margin-2 interior, so their ratio measures convergence at fixed points
-    coarse = _ads_grid(ADS_SIZES[0])
-    inner = coarse.coords()[coarse.interior()].reshape(-1, 4)
-    region = (inner.min(axis=0) - 1e-9, inner.max(axis=0) + 1e-9)
+    region = _interior_extents(_ads_grid(ADS_SIZES[0]))
     (res0, defect0, h0), (res1, defect1, h1) = (
         _ads_killing(args.lam, n, region) for n in ADS_SIZES)
     order = float(np.log(res0 / res1) / np.log(h0 / h1))

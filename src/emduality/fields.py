@@ -21,6 +21,7 @@ from __future__ import annotations
 import warnings
 from dataclasses import dataclass
 from functools import cached_property
+from itertools import combinations, permutations
 
 import numpy as np
 
@@ -29,20 +30,11 @@ from .symplectic import ElectromagneticPair, Taming, omega
 
 
 def _levi_civita_4() -> np.ndarray:
+    """eps[p] = the sign of the permutation p of (0, 1, 2, 3), its parity
+    the number of inversions; zero on repeated indices."""
     eps = np.zeros((4, 4, 4, 4))
-    from itertools import permutations
-
-    def sign(p):
-        s = 1
-        p = list(p)
-        for i in range(len(p)):
-            for j in range(i + 1, len(p)):
-                if p[i] > p[j]:
-                    s = -s
-        return s
-
     for p in permutations(range(4)):
-        eps[p] = sign(p)
+        eps[p] = (-1) ** sum(a > b for a, b in combinations(p, 2))
     return eps
 
 

@@ -75,6 +75,14 @@ class GridPatch:
     def interior(self) -> tuple[slice, ...]:
         return tuple(slice(MARGIN, n - MARGIN) for n in self.resolution)
 
+    def node_box(self, extents) -> tuple[slice, ...]:
+        """The nodes inside a coordinate box, given as one (lo, hi) pair per
+        axis, as one slice per axis.  A node within a millionth of a spacing
+        of a face counts as inside, so a node shared with another grid of the
+        same extents is found however its coordinate was rounded."""
+        return tuple(slice(np.searchsorted(ax, lo - tol), np.searchsorted(ax, hi + tol, "right"))
+                     for ax, (lo, hi), tol in zip(self.axes, extents, 1e-6 * self.h))
+
     def refine(self) -> "GridPatch":
         """Halve the spacing (nodes of this grid are a subset of the new one)."""
         return GridPatch(self.extents, tuple(2 * (n - 1) + 1 for n in self.resolution))
@@ -418,17 +426,31 @@ def maxwell_residual(cfg: FieldConfiguration) -> np.ndarray:
 
 # ------------------------------------------------------------------ reports
 
-@dataclass
+@dataclass(eq=False)
 class ResidualReport:
-    einstein_max: float
-    scalar_max: float
-    maxwell_max: float
-    einstein_mean: float
-    scalar_mean: float
-    maxwell_mean: float
+    """The residual rows of a configuration, read from its Einstein, local
+    scalar and closure residuals on the margin-2 interior, which it keeps:
+    grid + (4, 4), grid + (n_s,) and the layout of ``maxwell_residual``."""
+
+    einstein: np.ndarray
+    scalar: np.ndarray
+    maxwell: np.ndarray
     selfdual_violation: float
-    worst_einstein_node: tuple[int, ...]
-    grid_shape: tuple[int, ...]
+
+    def __post_init__(self):
+        self.einstein_max, self.scalar_max, self.maxwell_max = self.maxima()
+        self.einstein_mean, self.scalar_mean, maxwell_mean = (
+            float(np.abs(r).mean()) for r in (self.einstein, self.scalar, self.maxwell))
+        # the mean over all 64 entries of dV: 24 are +- the 4 components kept
+        self.maxwell_mean = 24 / 64 * maxwell_mean
+
+    def maxima(self, box: tuple[slice, ...] | None = None) -> tuple[float, float, float]:
+        """Max |residual| of each equation over the interior, or over a node
+        box of the grid that lies inside it."""
+        box = ... if box is None else tuple(slice(s.start - MARGIN, s.stop - MARGIN)
+                                            for s in box)
+        return tuple(float(np.abs(r[box]).max())
+                     for r in (self.einstein, self.scalar, self.maxwell))
 
     def rows(self):
         return [("einstein_max", self.einstein_max),
@@ -439,31 +461,16 @@ class ResidualReport:
                 ("maxwell_mean", self.maxwell_mean),
                 ("selfdual_violation", self.selfdual_violation)]
 
-    @classmethod
-    def from_fields(cls, cfg: FieldConfiguration, e: np.ndarray, s: np.ndarray,
-                    m: np.ndarray) -> "ResidualReport":
-        """Report on the Einstein, scalar and closure residual fields of cfg
-        (m in the layout of ``maxwell_residual``), each restricted to the
-        margin-2 interior."""
-        eabs = np.abs(e)
-        worst = np.unravel_index(int(np.argmax(eabs.reshape(-1, 16).max(axis=1))),
-                                 e.shape[:4])
-        worst = tuple(int(w) + MARGIN for w in worst)
-        return cls(
-            einstein_max=float(eabs.max()), scalar_max=float(np.abs(s).max()),
-            maxwell_max=float(np.abs(m).max()), einstein_mean=float(eabs.mean()),
-            scalar_mean=float(np.abs(s).mean()),
-            # the mean over all 64 entries of dV: 24 are +- the 4 components of m
-            maxwell_mean=24 / 64 * float(np.abs(m).mean()),
-            selfdual_violation=cfg.selfduality_violation(),
-            worst_einstein_node=worst, grid_shape=cfg.grid.shape)
-
 
 def residual_report(cfg: FieldConfiguration) -> ResidualReport:
+    """The one residual pass of a grid report: each residual of cfg is cut to
+    the margin-2 interior as a copy, so no full-size residual outlives its
+    step."""
     inner = cfg.grid.interior()
-    return ResidualReport.from_fields(cfg, einstein_residual(cfg, check=False)[inner],
-                                      scalar_residual(cfg)[inner],
-                                      maxwell_residual(cfg)[inner])
+    return ResidualReport(einstein_residual(cfg, check=False)[inner].copy(),
+                          scalar_residual(cfg)[inner].copy(),
+                          maxwell_residual(cfg)[inner].copy(),
+                          cfg.selfduality_violation())
 
 
 # ---------------------------------------------------------------- transport
@@ -504,27 +511,15 @@ def equivariance_harness(cfg: FieldConfiguration, f, a: np.ndarray) -> Equivaria
     second-order mismatch that shrinks under grid refinement.
     """
     a = np.asarray(a, dtype=float)
-    tcfg = transport_config(f, a, cfg)
-    inner = cfg.grid.interior()
-
-    # copies of the interiors, so no full-size residual outlives its step
-    e0 = einstein_residual(cfg, check=False)[inner].copy()
-    e1 = einstein_residual(tcfg, check=False)[inner].copy()
-    e_disc = float(np.max(np.abs(e1 - e0)))
-
-    m0 = maxwell_residual(cfg)[inner].copy()
-    m1 = maxwell_residual(tcfg)[inner].copy()
-    mapped = fl.fiber_action(a, m0, rank=1)
-    m_disc = float(np.max(np.abs(m1 - mapped)))
-
-    s0 = scalar_residual(cfg)[inner]
-    s1 = scalar_residual(tcfg)[inner]
-    pulled = np.einsum("...kl,...k->...l", f.jacobian(cfg.phi[inner]), s1)  # df at phi(x)
-    s_disc = float(np.max(np.abs(pulled - s0)))
-
-    return EquivarianceReport(e_disc, s_disc, m_disc,
-                              ResidualReport.from_fields(cfg, e0, s0, m0),
-                              ResidualReport.from_fields(tcfg, e1, s1, m1))
+    tcfg = transport_config(f, a, cfg)  # the transported domain is checked first
+    before, after = residual_report(cfg), residual_report(tcfg)
+    mapped = fl.fiber_action(a, before.maxwell, rank=1)
+    jac = f.jacobian(cfg.phi[cfg.grid.interior()])  # df at phi(x)
+    pulled = np.einsum("...kl,...k->...l", jac, after.scalar)
+    return EquivarianceReport(float(np.max(np.abs(after.einstein - before.einstein))),
+                              float(np.max(np.abs(pulled - before.scalar))),
+                              float(np.max(np.abs(after.maxwell - mapped))),
+                              before, after)
 
 
 # ----------------------------------------------------- manufactured builders

@@ -1,3 +1,4 @@
+import re
 import subprocess
 import sys
 import warnings
@@ -6,7 +7,10 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from emduality import grids as gr
 from emduality.cli import build_parser, run
+
+GOLDEN = Path(__file__).resolve().parent / "golden"
 
 
 @pytest.fixture
@@ -229,6 +233,36 @@ class TestGridCommands:
                           "--f", "translate:1.0", "--A", a_translation])
         assert code == 0
         assert "einstein_discrepancy" in text
+
+    @pytest.mark.parametrize("keys", [
+        {}, {"extents": "-0.4:0.4 -0.3:0.5 -0.4:0.2 -0.2:0.4", "resolution": "7 8 9 7"}])
+    def test_refine_rows_read_the_coarse_interior(self, tmp_path, keys):
+        # each refine[1] row is the refined residual's maximum over the fine
+        # nodes inside the coarse interior's coordinate box, found by coordinate
+        lines = (GOLDEN / "t3.cfg").read_text(encoding="utf-8").splitlines()
+        text = "\n".join(f"{key} = {keys[key]}" if (key := line.split(" = ")[0]) in keys
+                         else line for line in lines) + "\n"
+        path = tmp_path / "grid.cfg"
+        path.write_text(text)
+        code, report = run(["residuals", "--config", str(path), "--refine", "1"])
+        assert code == 0
+        coarse = gr.parse_grid_config(text).grid
+        fine = gr.parse_grid_config(text, coarse.refine().resolution)
+        inside = np.ix_(*[(ax >= c[s][0] - 1e-12) & (ax <= c[s][-1] + 1e-12) for ax, c, s
+                          in zip(fine.grid.axes, coarse.axes, coarse.interior())])
+        for name, res in [("einstein_max", gr.einstein_residual(fine, check=False)),
+                          ("scalar_max", gr.scalar_residual(fine)),
+                          ("maxwell_max", gr.maxwell_residual(fine))]:
+            value = format(float(np.abs(res[inside]).max()), ".12g")
+            assert f"\nrefine[1] {name} = {value}\n" in report
+
+    def test_transport_checks_that_a_is_symplectic(self, config_file, tmp_path):
+        path = tmp_path / "a.txt"
+        path.write_text("2 0\n0 1\n")
+        code, text = run(["transport", "--config", config_file, "--f", "id",
+                          "--A", str(path)])
+        assert code == 1
+        assert re.search(r"^check A_symplectic_violation = \S+ tol 1e-08 FAIL$", text, re.M)
 
     def test_negative_refine_exit_2(self, config_file):
         code, text = run(["residuals", "--config", config_file, "--refine", "-1"])

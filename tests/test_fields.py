@@ -1,3 +1,6 @@
+import hashlib
+import itertools
+
 import numpy as np
 import pytest
 
@@ -15,6 +18,15 @@ def two_form(mu, nu, val=1.0):
     w[mu, nu] = val
     w[nu, mu] = -val
     return w
+
+
+def test_levi_civita_symbol_keeps_its_bytes():
+    assert hashlib.sha256(fl.EPS4.tobytes()).hexdigest() == \
+        "a37e5e4e33ef7483856bf32a4aa0cad5adcb8a1f102d9b111afc8959e9f982ef"
+    # the sign of a permutation is the determinant of its permutation matrix
+    for idx in itertools.product(range(4), repeat=4):
+        want = round(np.linalg.det(np.eye(4)[list(idx)])) if len(set(idx)) == 4 else 0
+        assert fl.EPS4[idx] == want
 
 
 class TestHodge:

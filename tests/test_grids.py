@@ -147,6 +147,20 @@ class TestCurvature:
             gr.christoffel(g, grid)
 
 
+def test_node_box_of_a_coordinate_box():
+    grid = gr.GridPatch(((-0.4, 0.4), (0.0, 1.0), (1.0, 2.2), (-1.0, -0.5)), (9, 11, 7, 8))
+    axes = grid.axes
+    inner = tuple((ax[s][0], ax[s][-1]) for ax, s in zip(axes, grid.interior()))
+    assert grid.node_box(inner) == grid.interior()
+    assert grid.node_box(grid.extents) == tuple(slice(0, n) for n in grid.shape)
+    fine = grid.refine()
+    assert fine.node_box(inner) == tuple(slice(2 * gr.MARGIN, n - 2 * gr.MARGIN)
+                                         for n in fine.shape)
+    # faces between nodes: the nodes strictly inside
+    between = tuple((ax[1] + 0.5 * h, ax[4] - 0.5 * h) for ax, h in zip(axes, grid.h))
+    assert grid.node_box(between) == (slice(2, 4),) * 4
+
+
 class TestConfiguration:
     def test_vacuum_minkowski_all_zero(self):
         grid = small_grid()

@@ -12,7 +12,11 @@ alone reads ``spinors._edge_propagators`` and returns no propagators, and
 both sweeps, ``integrate_killing`` and the corner path of ``path_defect``,
 run through it.  ``spinors`` builds a ``GridPatch`` or a ``FramePatch``
 only in ``builtin_frame``: the Killing residual of a node box slices the
-checked frame on its own grid, with no sub-grid and no second frame."""
+checked frame on its own grid, with no sub-grid and no second frame.  The
+residual fields of a configuration are evaluated by one pass,
+``grids.residual_report``: every grid report reads them from its interior
+arrays, and only ``cli.cmd_residuals`` runs the global scalar assembly of
+its own, to compare it with the local one."""
 
 import ast
 from pathlib import Path
@@ -82,3 +86,15 @@ def test_spinors_builds_grids_and_frames_only_in_builtin_frame():
                 if name in ("GridPatch", "FramePatch"):
                     built.add((name, getattr(top, "name", None)))
     assert built == {("FramePatch", "builtin_frame")}
+
+
+def test_one_residual_pass():
+    assert loads({"einstein_residual", "maxwell_residual", "scalar_residual"}) == {
+        ("einstein_residual", "grids", "residual_report"),
+        ("maxwell_residual", "grids", "residual_report"),
+        ("scalar_residual", "grids", "residual_report"),
+        ("scalar_residual", "cli", "cmd_residuals")}
+    tree = ast.parse((SRC / "cli.py").read_text(encoding="utf-8"))
+    calls = [node for node in ast.walk(tree) if isinstance(node, ast.Call)
+             and getattr(node.func, "attr", None) == "scalar_residual"]
+    assert [[arg.value for arg in call.args[1:]] for call in calls] == [["global"]]
