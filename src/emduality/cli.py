@@ -37,9 +37,9 @@ SCHEMA = "emduality-report/1"
 class Report:
     """Accumulates named checks; renders to a deterministic text block."""
 
-    def __init__(self, command: str, seed: int, meta: dict | None = None):
+    def __init__(self, command: str, meta: dict | None = None):
         self.command = command
-        self.seed = seed
+        self.seed = int(os.environ.get("EMDUALITY_SEED", "0"))
         self.meta = dict(meta or {})
         self.checks: list[tuple[str, str, str, bool]] = []
 
@@ -121,10 +121,6 @@ def _interior_extents(grid: gr.GridPatch) -> tuple[tuple[float, float], ...]:
     return tuple((ax[s][0], ax[s][-1]) for ax, s in zip(grid.axes, grid.interior()))
 
 
-def _seed() -> int:
-    return int(os.environ.get("EMDUALITY_SEED", "0"))
-
-
 def _digest(*parts: str) -> str:
     h = hashlib.sha256()
     for p in parts:
@@ -135,7 +131,7 @@ def _digest(*parts: str) -> str:
 # ------------------------------------------------------------- subcommands
 
 def cmd_models(args) -> Report:
-    rep = Report("models", _seed())
+    rep = Report("models")
     if args.action == "list":
         for name in md.BUILTIN_NAMES:
             m = md.builtin(name)
@@ -166,8 +162,8 @@ def cmd_models(args) -> Report:
 
 def cmd_stabilizer(args) -> Report:
     model = md.load_model(args.model)
-    rep = Report("stabilizer", _seed(), {"model": model.name,
-                                         "input_digest": _digest(md.print_model(model))})
+    rep = Report("stabilizer", {"model": model.name,
+                                "input_digest": _digest(md.print_model(model))})
     samples = model.chart.sample_points(args.samples)
     out = du.stab_sp_algebra(model, samples)
     rep.add("dim_stab_sp", out.dim_stab_sp)
@@ -183,7 +179,7 @@ def cmd_stabilizer(args) -> Report:
 
 def cmd_uduality(args) -> Report:
     model = md.load_model(args.model)
-    rep = Report("uduality", _seed(), {"model": model.name})
+    rep = Report("uduality", {"model": model.name})
     out = du.uduality_algebra(model)
     rep.add("dim_u", out.dim_u)
     rep.add("dim_stab_sp", out.dim_stab_sp)
@@ -205,7 +201,7 @@ KILLING_ALIASES = {"dx": 0, "scale": 1, "special": 2}
 
 def cmd_lift(args) -> Report:
     model = md.load_model(args.model)
-    rep = Report("lift", _seed(), {"model": model.name})
+    rep = Report("lift", {"model": model.name})
     fields = du.killing_basis(model.chart)
     key = args.killing
     idx = KILLING_ALIASES.get(key)
@@ -227,7 +223,7 @@ def cmd_lift(args) -> Report:
 def cmd_pair_check(args) -> Report:
     model = md.load_model(args.model)
     f = _isometry(args.f, model.chart)
-    rep = Report("pair-check", _seed(), {"model": model.name, "f": args.f})
+    rep = Report("pair-check", {"model": model.name, "f": args.f})
     a = _symplectic_matrix(rep, args.A, model.n_v)
     res = du.check_uduality_pair(f, a, model)
     rep.add("pair_residual", res, tol=args.tol)
@@ -237,9 +233,9 @@ def cmd_pair_check(args) -> Report:
 def cmd_centralizer(args) -> Report:
     text = _read_text(args.bundle)
     pres = ho.parse_bundle(text)
-    rep = Report("centralizer", _seed(), {"bundle": args.bundle,
-                                          "input_digest": _digest(text),
-                                          "nv": pres.n_v})
+    rep = Report("centralizer", {"bundle": args.bundle,
+                                 "input_digest": _digest(text),
+                                 "nv": pres.n_v})
     diag = ho.presentation_check(pres)
     rep.add("presentation_ok", diag.ok, passed=diag.ok)
     for k, v in enumerate(diag.generator_violations):
@@ -258,8 +254,8 @@ def cmd_centralizer(args) -> Report:
 def cmd_invariants(args) -> Report:
     text = _read_text(args.bundle)
     pres = ho.parse_bundle(text)
-    rep = Report("invariants", _seed(), {"bundle": args.bundle,
-                                         "input_digest": _digest(text)})
+    rep = Report("invariants", {"bundle": args.bundle,
+                                "input_digest": _digest(text)})
     vec = ho.conjugacy_invariants(pres, args.maxlen)
     rep.info("count", len(vec))
     rep.info("traces", vec)
@@ -270,9 +266,9 @@ def cmd_invariants(args) -> Report:
 def cmd_selfdual(args) -> Report:
     text = _read_text(args.config)
     cfg = gr.parse_grid_config(text)
-    rep = Report("selfdual", _seed(), {"config": args.config,
-                                       "input_digest": _digest(text),
-                                       "model": cfg.model.name})
+    rep = Report("selfdual", {"config": args.config,
+                              "input_digest": _digest(text),
+                              "model": cfg.model.name})
     rep.add("selfdual_violation", cfg.selfduality_violation(), tol=args.tol)
     return rep
 
@@ -280,10 +276,10 @@ def cmd_selfdual(args) -> Report:
 def cmd_residuals(args) -> Report:
     text = _read_text(args.config)
     cfg = gr.parse_grid_config(text)
-    rep = Report("residuals", _seed(), {"config": args.config,
-                                        "input_digest": _digest(text),
-                                        "model": cfg.model.name,
-                                        "grid": "x".join(map(str, cfg.grid.shape))})
+    rep = Report("residuals", {"config": args.config,
+                               "input_digest": _digest(text),
+                               "model": cfg.model.name,
+                               "grid": "x".join(map(str, cfg.grid.shape))})
     out = gr.residual_report(cfg)
     for name, value in out.rows():
         rep.info(name, value)
@@ -309,9 +305,9 @@ def cmd_transport(args) -> Report:
     text = _read_text(args.config)
     cfg = gr.parse_grid_config(text)
     f = _isometry(args.f, cfg.model.chart)
-    rep = Report("transport", _seed(), {"config": args.config,
-                                        "input_digest": _digest(text),
-                                        "f": args.f})
+    rep = Report("transport", {"config": args.config,
+                               "input_digest": _digest(text),
+                               "f": args.f})
     a = _symplectic_matrix(rep, args.A, cfg.model.n_v)
     out = gr.equivariance_harness(cfg, f, a)
     rep.add("einstein_discrepancy", out.einstein_discrepancy, tol=args.tol)
@@ -356,8 +352,8 @@ def _ads_killing(lam: float, n: int, region) -> tuple[float, float, float]:
 
 
 def cmd_spinor_check(args) -> Report:
-    rep = Report("spinor-check", _seed(), {"frame": args.frame,
-                                           "lambda": args.lam})
+    rep = Report("spinor-check", {"frame": args.frame,
+                                  "lambda": args.lam})
     if args.frame == "minkowski":
         if args.lam != 0.0:
             rep.info("note", "minkowski check runs the parallel case lambda=0")
@@ -394,7 +390,7 @@ def _ads_first_order(lam: float, n: int) -> sn.FirstOrderReport:
 def cmd_thm53(args) -> Report:
     if args.frame != "ads4-poincare":
         raise UsageError("thm53 verification runs on the ads4-poincare frame")
-    rep = Report("thm53", _seed(), {"frame": args.frame, "lambda": args.lam})
+    rep = Report("thm53", {"frame": args.frame, "lambda": args.lam})
     coarse, fine = (_ads_first_order(args.lam, n) for n in ADS_SIZES)
     rep.add("nontrivial", fine.nontrivial, passed=fine.nontrivial)
     rep.add("u_norm_violation", fine.u_norm_violation, tol=1e-8)
@@ -520,7 +516,7 @@ def run(argv: list[str]) -> tuple[int, str]:
     try:
         rep = args.func(args)
     except EmdualityError as err:
-        rep = Report(args.command, _seed())
+        rep = Report(args.command)
         rep.info("error", str(err))
         return (2 if isinstance(err, UsageError) else
                 3 if isinstance(err, InputError) else 1), rep.text()

@@ -308,18 +308,21 @@ def mu_inv(tau: SiegelPoint) -> Taming:
     return gamma(tau.couplings())
 
 
-def _action(a: np.ndarray, tau: np.ndarray) -> tuple[np.ndarray, ...]:
-    """A . tau by one solve, after the one pole rule (PoleError when a + b tau
-    is near-singular anywhere), with the blocks b and d of A = [[a, b], [c, d]],
-    the numerator c + d tau and the denominator a + b tau."""
+def _action(a: np.ndarray, tau: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """A . tau = (c + d tau) inv, with inv = (a + b tau)^-1 formed once.  The pole
+    rule reads the same inverse: PoleError where it is missing or not finite,
+    or where |inv|_F max(|a + b tau|_F, 1) >= 1e13."""
     t = np.asarray(tau, dtype=complex)
     ab, bb, cb, db = blocks(np.asarray(a, dtype=float))
-    den, num = ab + bb @ t, cb + db @ t
-    sv = np.linalg.svd(den, compute_uv=False)
-    if np.any(sv[..., -1] <= 1e-13 * np.maximum(sv[..., 0], 1.0)):
+    den = ab + bb @ t
+    try:
+        inv = np.linalg.inv(den)
+    except np.linalg.LinAlgError:   # an exactly singular member fails the whole stack
+        inv = None
+    if inv is None or not np.all(np.linalg.norm(inv, axis=(-2, -1)) * np.maximum(
+            np.linalg.norm(den, axis=(-2, -1)), 1.0) < 1e13):   # NaN fails too
         raise PoleError("a + b tau is singular at this point")
-    out = _transpose(np.linalg.solve(_transpose(den), _transpose(num)))  # num @ den^-1
-    return out, bb, db, num, den
+    return (cb + db @ t) @ inv, inv
 
 
 def fractional_action(a: np.ndarray, tau: SiegelPoint | np.ndarray
@@ -352,14 +355,13 @@ def infinitesimal_fractional_action(x: np.ndarray, tau: SiegelPoint | np.ndarray
 
 def mobius_differential(a: np.ndarray, tau: np.ndarray, h: np.ndarray
                         ) -> tuple[np.ndarray, np.ndarray]:
-    """(A . tau, d(A.tau)[h]) under one decision of the pole rule: the matrices
-    of ``fractional_action`` at tau, and the differential of tau -> A . tau at
-    tau applied to a tangent matrix h, d(A.tau)[h] = (d - (A.tau) b) h (a + b tau)^-1
-    for A = [[a, b], [c, d]].  tau and h may be broadcastable stacks of matrices.
-    """
-    out, bb, db, num, den = _action(a, tau)
-    deninv = np.linalg.inv(den)
-    return out, (db - num @ deninv @ bb) @ np.asarray(h, dtype=complex) @ deninv
+    """(A . tau, d(A.tau)[h]) from the one inverse of ``fractional_action``: the
+    differential of tau -> A . tau at tau along a tangent matrix h,
+    d(A.tau)[h] = (d - (A.tau) b) h (a + b tau)^-1 for any A = [[a, b], [c, d]].
+    tau and h may be broadcastable stacks of matrices."""
+    out, inv = _action(a, tau)
+    _, bb, _, db = blocks(np.asarray(a, dtype=float))
+    return out, (db - out @ bb) @ np.asarray(h, dtype=complex) @ inv
 
 
 def conjugate_taming(a: np.ndarray, j: Taming) -> Taming:
