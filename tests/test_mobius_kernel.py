@@ -89,12 +89,10 @@ def svd_pole(den):
 
 
 def kernel_pole(den):
-    """The kernel's decision at one point, with A = [[0, Id], [-Id, 0]], for
-    which a + b tau is tau itself."""
-    n = den.shape[-1]
-    a = np.block([[np.zeros((n, n)), np.eye(n)], [-np.eye(n), np.zeros((n, n))]])
+    """The kernel's decision at one point, with A = -Omega = [[0, Id], [-Id, 0]],
+    for which a + b tau is tau itself."""
     try:
-        sp.fractional_action(a, den)
+        sp.fractional_action(-sp.omega(den.shape[-1]), den)
     except sp.PoleError:
         return True
     return False
