@@ -196,6 +196,7 @@ def cmd_uduality(args) -> Report:
     return rep
 
 
+# the three Killing fields of the half plane (a flat chart takes an index)
 KILLING_ALIASES = {"dx": 0, "scale": 1, "special": 2}
 
 
@@ -205,6 +206,9 @@ def cmd_lift(args) -> Report:
     fields = du.killing_basis(model.chart)
     key = args.killing
     idx = KILLING_ALIASES.get(key)
+    if idx is not None and model.chart.kind != "poincare":
+        raise UsageError(f"killing alias {key!r} names a half-plane field; "
+                         f"give an index on the {model.chart.kind} chart")
     if idx is None:
         try:
             idx = int(key)
@@ -309,6 +313,8 @@ def cmd_transport(args) -> Report:
                                "input_digest": _digest(text),
                                "f": args.f})
     a = _symplectic_matrix(rep, args.A, cfg.model.n_v)
+    if not rep.all_passed:   # the transported couplings need A in Sp(2n, R)
+        return rep
     out = gr.equivariance_harness(cfg, f, a)
     rep.add("einstein_discrepancy", out.einstein_discrepancy, tol=args.tol)
     rep.add("scalar_discrepancy", out.scalar_discrepancy, tol=args.tol)
@@ -453,7 +459,7 @@ def build_parser() -> argparse.ArgumentParser:
     lp = sub.add_parser("lift", help="lift a Killing field to sp(2n, R)")
     lp.add_argument("--model", required=True)
     lp.add_argument("--killing", required=True,
-                    help="index or alias dx|scale|special")
+                    help="index, or on the half plane an alias dx|scale|special")
     lp.set_defaults(func=cmd_lift)
 
     pp = sub.add_parser("pair-check", help="test a finite duality pair (f, A)")

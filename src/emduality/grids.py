@@ -595,13 +595,18 @@ def parse_grid_config(text: str, resolution: tuple[int, ...] | None = None
     resolution (4 ints), metric ('minkowski' or 'quadratic'), metric_coeff
     (repeats: 'mu nu a b c'), phi ('constant v...' or 'linear base... | slopes
     row-major 4 x n_s'), field ('zero' or 'random amp seed' or repeated
-    field_term 'L mu nu c p0 p1 p2 p3'); any other key appears once.  A
+    field_term 'L mu nu c p0 p1 p2 p3'); any other key appears once.
+    metric_coeff needs 'metric = quadratic' and field_term 'field = terms'.  A
     resolution argument overrides the file's resolution (refinement studies).
     """
     keys = {"model", "extents", "resolution", "metric", "metric_coeff", "phi", "field",
             "field_term"}
     entries = [(key, val) for _, key, val in key_values(text, GridError, keys)]
     kv = dict(entries)
+    for key, selector, value in (("metric_coeff", "metric", "quadratic"),
+                                 ("field_term", "field", "terms")):
+        if key in kv and kv.get(selector, "").split()[:1] != [value]:
+            raise GridError(f"{key} needs '{selector} = {value}'")
 
     model = load_model(kv.get("model", "identity-tau"))
     ext = [part.partition(":") for part in

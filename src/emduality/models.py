@@ -10,8 +10,8 @@ import numpy as np
 
 from . import expressions as ex
 from .errors import InputError
-from .symplectic import (MAX_N, PD_RTOL, PoleError, SiegelPoint, fractional_action,
-                         min_eig_ratio, mobius_differential)
+from .symplectic import (MAX_N, PD_RTOL, PoleError, SiegelPoint, _symplectic_checked,
+                         fractional_action, min_eig_ratio, mobius_differential)
 from .textio import key_values, numbers
 
 
@@ -269,11 +269,14 @@ class Model:
 
     def _symmetric(self, walk, *shapes: tuple[int, ...]) -> tuple[np.ndarray, ...]:
         """Matrix stacks shape + (n_v, n_v), one per shape, with the (i, j)
-        entries of stack k the k-th value walk(expression) returns."""
+        entries of stack k the k-th value walk(expression) returns.  An entry
+        that overflows is left inf or NaN, without a numpy warning, for
+        ``_siegel_checked`` to name."""
         out = tuple(np.zeros(shape + (self.n_v, self.n_v), dtype=complex) for shape in shapes)
         for (i, j), e in self.entries.items():
             try:
-                values = walk(e)
+                with np.errstate(over="ignore", invalid="ignore"):
+                    values = walk(e)
             except PoleError as err:
                 raise PoleError(f"model {self.name!r}: {err}") from err
             for stack, value in zip(out, values):
@@ -310,7 +313,8 @@ class Model:
 
 
 class TransformedModel:
-    """Image of a model under a duality pair: p -> A . N(f^-1(p)).
+    """Image of a model under a duality pair: p -> A . N(f^-1(p)), for A in
+    Sp(2n, R) (DomainError otherwise).
 
     Provides the same evaluation protocol as Model.  Derivatives chain the
     inverse isometry Jacobian with the differential of the fractional action,
@@ -320,7 +324,7 @@ class TransformedModel:
     def __init__(self, base, f, a: np.ndarray):
         self.base = base
         self.f_inv = f.inverse()
-        self.a = np.asarray(a, dtype=float)
+        self.a = _symplectic_checked(a)
         self.name = f"{base.name}|transformed"
         self.n_v = base.n_v
         self.chart = base.chart
@@ -354,17 +358,28 @@ def checked_periods(model, p: np.ndarray) -> np.ndarray:
 
 def checked_partials(model, p: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """``checked_periods`` at p (..., dim) and the partials of the raw matrices
-    along every chart axis, (..., dim, n, n), from one evaluation of the model."""
+    along every chart axis, (..., dim, n, n), from one evaluation of the model;
+    the partials are checked finite with the matrices."""
     p = np.asarray(p, dtype=float)
     tau, dtau = model.period_directional(p[..., None, :], np.eye(p.shape[-1]))
-    return _siegel_checked(model, p, tau[..., 0, :, :]), dtau
+    return _siegel_checked(model, p, tau[..., 0, :, :], dtau), dtau
 
 
-def _siegel_checked(model, p: np.ndarray, tau: np.ndarray) -> np.ndarray:
+def _siegel_checked(model, p: np.ndarray, tau: np.ndarray,
+                    dtau: np.ndarray | None = None) -> np.ndarray:
     """tau, the period matrices of the model at p, symmetrised and checked by
-    the one Siegel rule: at every point the smallest eigenvalue of Im(tau)
-    over its largest exceeds PD_RTOL.  The error names the first point that
-    fails, by its index in the flattened stack and its coordinates."""
+    the one Siegel rule: at every point tau (and dtau, its partials, if
+    given) is finite and the smallest eigenvalue of Im(tau) over its largest
+    exceeds PD_RTOL.  The error names the first point that fails, by its
+    index in the flattened stack and its coordinates."""
+    finite = np.all(np.isfinite(tau), axis=(-2, -1))
+    if dtau is not None:
+        finite &= np.all(np.isfinite(dtau), axis=(-3, -2, -1))
+    finite = np.reshape(finite, -1)
+    if not np.all(finite):
+        bad = int(np.argmin(finite))
+        raise ModelInvalidError(f"model {model.name!r} is not finite at point {bad} "
+                                f"{point_text(p, bad)}")
     tau = (tau + np.swapaxes(tau, -1, -2)) / 2
     ratio = np.reshape(min_eig_ratio(tau.imag), -1)
     if not np.all(ratio > PD_RTOL):

@@ -310,9 +310,12 @@ def mu_inv(tau: SiegelPoint) -> Taming:
 
 def _action(a: np.ndarray, tau: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """A . tau = (c + d tau) inv, with inv = (a + b tau)^-1 formed once.  The pole
-    rule reads the same inverse: PoleError where it is missing or not finite,
-    or where |inv|_F max(|a + b tau|_F, 1) >= 1e13."""
+    rule reads the same inverse: PoleError where tau is not finite, where the
+    inverse is missing or not finite, or where |inv|_F max(|a + b tau|_F, 1)
+    >= 1e13."""
     t = np.asarray(tau, dtype=complex)
+    if not np.all(np.isfinite(t)):   # before b tau, whose 0 * inf would warn
+        raise PoleError("a + b tau is singular at this point")
     ab, bb, cb, db = blocks(np.asarray(a, dtype=float))
     den = ab + bb @ t
     try:
@@ -356,20 +359,27 @@ def infinitesimal_fractional_action(x: np.ndarray, tau: SiegelPoint | np.ndarray
 def mobius_differential(a: np.ndarray, tau: np.ndarray, h: np.ndarray
                         ) -> tuple[np.ndarray, np.ndarray]:
     """(A . tau, d(A.tau)[h]) from the one inverse of ``fractional_action``: the
-    differential of tau -> A . tau at tau along a tangent matrix h,
-    d(A.tau)[h] = (d - (A.tau) b) h (a + b tau)^-1 for any A = [[a, b], [c, d]].
-    tau and h may be broadcastable stacks of matrices."""
+    differential of tau -> A . tau at tau along a tangent matrix h is the
+    congruence d(A.tau)[h] = (a + b tau)^-T h (a + b tau)^-1, which holds for
+    A in Sp(2n, R) and symmetric tau (see ``_symplectic_checked``).  tau and h
+    may be broadcastable stacks of matrices."""
     out, inv = _action(a, tau)
-    _, bb, _, db = blocks(np.asarray(a, dtype=float))
-    return out, (db - out @ bb) @ np.asarray(h, dtype=complex) @ inv
+    return out, _transpose(inv) @ np.asarray(h, dtype=complex) @ inv
 
 
-def conjugate_taming(a: np.ndarray, j: Taming) -> Taming:
-    """Pointwise duality action on tamings: J -> A J A^-1 for A in Sp(2n, R)."""
+def _symplectic_checked(a: np.ndarray) -> np.ndarray:
+    """a as a float matrix, or DomainError unless it lies in Sp(2n, R): the
+    violation max|A^T Omega A - Omega| may reach TOL_ALG_INV max(1, max|A|)^2."""
     m = np.asarray(a, dtype=float)
     ok, viol = sp_check(m, TOL_ALG_INV * max(1.0, float(np.max(np.abs(m))) ** 2))
     if not ok:
         raise DomainError(f"A is not symplectic (violation {viol:.3e})")
+    return m
+
+
+def conjugate_taming(a: np.ndarray, j: Taming) -> Taming:
+    """Pointwise duality action on tamings: J -> A J A^-1 for A in Sp(2n, R)."""
+    m = _symplectic_checked(a)
     return Taming(m @ j.J @ np.linalg.inv(m))
 
 

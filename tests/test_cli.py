@@ -87,6 +87,18 @@ class TestAlgebraCommands:
         code, _ = run(["lift", "--model", "identity-tau", "--killing", "bogus"])
         assert code == 2
 
+    @pytest.mark.parametrize("alias", ["dx", "scale", "special"])
+    def test_lift_alias_on_a_flat_chart_asks_for_an_index(self, tmp_path, alias):
+        path = tmp_path / "flat3.model"
+        path.write_text("nv = 1\nchart = flat\ndim = 3\nN[1,1] = i*(2 + x1^2)\n")
+        code, text = run(["lift", "--model", str(path), "--killing", alias])
+        assert code == 2
+        assert (f"error = killing alias {alias!r} names a half-plane field; "
+                "give an index on the flat chart") in text.splitlines()
+        code, text = run(["lift", "--model", str(path), "--killing", "1"])
+        assert code == 0
+        assert "killing = d_x2" in text.splitlines()
+
     def test_pair_check_pass(self, a_translation):
         code, text = run(["pair-check", "--model", "identity-tau",
                           "--f", "translate:1.0", "--A", a_translation])
@@ -257,12 +269,15 @@ class TestGridCommands:
             assert f"\nrefine[1] {name} = {value}\n" in report
 
     def test_transport_checks_that_a_is_symplectic(self, config_file, tmp_path):
+        # the harness needs A in Sp(2n, R): transport stops at the failed row
         path = tmp_path / "a.txt"
         path.write_text("2 0\n0 1\n")
         code, text = run(["transport", "--config", config_file, "--f", "id",
                           "--A", str(path)])
         assert code == 1
-        assert re.search(r"^check A_symplectic_violation = \S+ tol 1e-08 FAIL$", text, re.M)
+        checks = [line for line in text.splitlines() if line.startswith("check ")]
+        assert re.fullmatch(r"check A_symplectic_violation = \S+ tol 1e-08 FAIL", checks[-1])
+        assert "discrepancy" not in text
 
     def test_negative_refine_exit_2(self, config_file):
         code, text = run(["residuals", "--config", config_file, "--refine", "-1"])
@@ -290,7 +305,7 @@ class TestMalformedGridInputs:
                  "resolution": "7 7 7 7", "phi": "constant 0.1 1.2", "field": "zero"}
         lines.update(keys)
         path = tmp_path / "bad.cfg"
-        path.write_text("".join(f"{k} = {v}\n" for k, v in lines.items()))
+        path.write_text("".join(f"{k} = {v}\n" for k, v in lines.items() if v is not None))
         return str(path)
 
     @staticmethod
@@ -312,6 +327,34 @@ class TestMalformedGridInputs:
         self.assert_bad_input(self.config(
             tmp_path, extents="-0.5:0.5 -0.5:0.5 -0.5:0.5 -0.5:0.5",
             metric="quadratic", metric_coeff="0 0 0 0 5.0"))
+
+    def test_metric_coeff_needs_the_quadratic_metric(self, tmp_path):
+        code, text = run(["residuals", "--config", self.config(
+            tmp_path, metric_coeff="0 0 1 1 0.5")])
+        assert code == 3
+        assert "error = metric_coeff needs 'metric = quadratic'" in text.splitlines()
+
+    def test_field_term_needs_the_terms_field(self, tmp_path):
+        code, text = run(["residuals", "--config", self.config(
+            tmp_path, field=None, field_term="0 0 1 0.3 0 0 0 0")])
+        assert code == 3
+        assert "error = field_term needs 'field = terms'" in text.splitlines()
+
+    @pytest.mark.parametrize("entry, phi", [("i + tau^2000", "constant 0.0 1.6"),
+                                            ("i + x1^2000", "constant 1.4236 0.0")],
+                             ids=["N", "dN"])
+    def test_couplings_that_overflow(self, tmp_path, entry, phi):
+        # at x1 = 1.4236, x1^2000 is finite but its derivative 2000 x1^1999 is not
+        chart = "poincare" if "tau" in entry else "flat\ndim = 2"
+        model = tmp_path / "steep.model"
+        model.write_text(f"name = steep\nnv = 1\nchart = {chart}\nN[1,1] = {entry}\n")
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code, text = run(["residuals", "--config",
+                              self.config(tmp_path, model=str(model), phi=phi)])
+        assert code == 3
+        point = phi.split(None, 1)[1].replace(" ", ", ")
+        assert f"error = model 'steep' is not finite at point 0 [{point}]" in text.splitlines()
 
     def test_incomplete_model_expression(self, tmp_path):
         model = self.model_file(tmp_path, "tau +")

@@ -10,6 +10,8 @@ are compared one by one:
   * rows named in ``ZERO_ROWS`` whose stored value is at roundoff level only
     against the roundoff bound: exactly 0 in exact arithmetic, their digits
     are noise.
+Each case runs with numpy's ``RuntimeWarning`` as an error, so bad input
+gives its report and exit code, not a warning on the way.
 """
 
 import re
@@ -103,6 +105,7 @@ def test_reports_match_cases():
     assert sorted(p.stem for p in REPORTS.glob("*.txt")) == sorted(CASES)
 
 
+@pytest.mark.filterwarnings("error::RuntimeWarning")   # a report, never a numpy warning
 @pytest.mark.parametrize("name", list(CASES))
 def test_golden_report(name):
     argv = CASES[name]

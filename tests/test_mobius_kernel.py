@@ -1,10 +1,12 @@
 """The fractional action's kernel: one inverse of a + b tau.
 
 ``symplectic._action`` forms (a + b tau)^-1 once; A . tau, the differential
-of ``mobius_differential`` and the pole rule are all read from it.  Kept here
-as oracles: the symplectic congruence d(A.tau)[h] = (a + b tau)^-T h
-(a + b tau)^-1, which holds for A in Sp(2n, R) only, a central finite
-difference of tau -> A . tau, which holds for any A, and the pole rule the
+of ``mobius_differential`` and the pole rule are all read from it.  The
+differential is the symplectic congruence d(A.tau)[h] = (a + b tau)^-T h
+(a + b tau)^-1, which holds for A in Sp(2n, R) only, so a transformed model
+refuses any other A.  Kept here as oracles: the general formula
+(d - (A.tau) b) h (a + b tau)^-1 the kernel had before, which holds for any
+A, a central finite difference of tau -> A . tau, and the pole rule the
 kernel had before, decided from the singular values of a + b tau.  The new
 rule reads Frobenius norms: it is the old one exactly for n = 1, and differs
 for n >= 2 only where sigma_min / max(sigma_max, 1) lies within a factor n of
@@ -16,6 +18,7 @@ import numpy as np
 import pytest
 from test_one_block_path import SRC, loads
 
+from emduality import models as md
 from emduality import symplectic as sp
 
 NODES = 9 ** 4
@@ -46,13 +49,14 @@ def central_difference(a, tau, h, step=1e-5):
             - sp.fractional_action(a, tau - step * h)) / (2 * step)
 
 
-def congruence(a, tau, h):
-    ab, bb, _, _ = sp.blocks(a)
+def general(a, tau, h):
+    """d(A.tau)[h] = (d - (A.tau) b) h (a + b tau)^-1, for any A."""
+    ab, bb, cb, db = sp.blocks(a)
     inv = np.linalg.inv(ab + bb @ tau)
-    return swap(inv) @ h @ inv
+    return (db - (cb + db @ tau) @ inv @ bb) @ h @ inv
 
 
-# ------------------------------------------------ the differential, as oracle
+# ------------------------------------------------ the differential, against oracles
 
 @pytest.mark.parametrize("n", [1, 2, 3])
 def test_symplectic_congruence_and_finite_difference(n):
@@ -62,22 +66,27 @@ def test_symplectic_congruence_and_finite_difference(n):
     atau, d = sp.mobius_differential(a, tau, h)
     assert np.array_equal(atau, sp.fractional_action(a, tau))
     scale = per_node(d)
-    assert np.all(per_node(d - congruence(a, tau, h)) <= 1e-12 * scale)
+    assert np.all(per_node(d - general(a, tau, h)) <= 1e-12 * scale)
     assert np.all(per_node(d - central_difference(a, tau, h)) <= 1e-6 * scale)
 
 
 @pytest.mark.parametrize("n", [1, 2, 3])
 def test_non_symplectic_a_breaks_the_congruence_not_the_differential(n):
-    """Negative control: with a non-symplectic A the congruence fails, while
-    the kernel's general formula still matches the finite difference."""
+    """Negative control of the guard: a transformed model refuses a
+    non-symplectic A, on which the congruence of the kernel misses the
+    finite difference while the general formula still meets it."""
     rng = np.random.default_rng(50 + n)
     a = sp.random_sp(n, rng, 0.5) @ np.diag([2.0] * n + [1.0] * n)
     assert not sp.sp_check(a)[0]
+    base = md.Model("base", n, md.ScalarChart("poincare", 2))
+    with pytest.raises(sp.DomainError, match="A is not symplectic"):
+        md.TransformedModel(base, md.identity_isometry(base.chart), a)
     tau, h = siegel_stack(n, NODES, rng), tangent_stack(n, NODES, rng)
     d = sp.mobius_differential(a, tau, h)[1]
-    scale = per_node(d)
-    assert np.all(per_node(d - congruence(a, tau, h)) > 0.1 * scale)
-    assert np.all(per_node(d - central_difference(a, tau, h)) <= 1e-6 * scale)
+    fd = central_difference(a, tau, h)
+    scale = per_node(fd)
+    assert np.all(per_node(general(a, tau, h) - fd) <= 1e-6 * scale)
+    assert np.all(per_node(d - fd) > 0.1 * scale)
 
 
 # ------------------------------------------------ the SVD pole rule, as oracle
@@ -147,16 +156,17 @@ def test_pole_rule_agrees_with_the_svd_rule_outside_its_band(n):
                                  np.array([[[1j, 0.5], [0.5, 1j]], [[1, 1], [1, 1 + 0j]]])],
                          ids=["nan", "inf", "inf-imaginary", "nan-member",
                               "nan-entry", "exactly-singular-member"])
+@pytest.mark.filterwarnings("error")
 def test_not_finite_or_singular_denominator_is_a_pole(tau):
-    """a + b tau = -tau for A = Omega: a NaN or infinite denominator, and an
-    exactly singular member of a stack, raise PoleError from both functions,
-    not numpy's LinAlgError.  (numpy warns of the inf * 0 in b tau itself.)"""
+    """a + b tau = -tau for A = Omega: a NaN or infinite tau, and an exactly
+    singular member of a stack, raise PoleError from both functions, not
+    numpy's LinAlgError, and numpy warns of nothing: a tau that is not finite
+    is refused before the inf * 0 of b tau."""
     a = sp.omega(tau.shape[-1])
-    with np.errstate(invalid="ignore"):
-        with pytest.raises(sp.PoleError, match=r"a \+ b tau is singular"):
-            sp.fractional_action(a, tau)
-        with pytest.raises(sp.PoleError, match=r"a \+ b tau is singular"):
-            sp.mobius_differential(a, tau, np.ones_like(tau))
+    with pytest.raises(sp.PoleError, match=r"a \+ b tau is singular"):
+        sp.fractional_action(a, tau)
+    with pytest.raises(sp.PoleError, match=r"a \+ b tau is singular"):
+        sp.mobius_differential(a, tau, np.ones_like(tau))
 
 
 # ------------------------------------------------ one inverse, by the source

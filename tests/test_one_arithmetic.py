@@ -255,6 +255,7 @@ def test_derivative_pole_names_the_power():
         ex.derivative(e, env, denv)
 
 
+@np.errstate(over="ignore", invalid="ignore")   # overflow.model overflows, silently as in the package
 def oracle_matrices(model, value, shape):
     out = np.zeros(shape + (model.n_v, model.n_v), dtype=complex)
     for (i, j), e in model.entries.items():
@@ -274,11 +275,14 @@ def oracle_period_directional(model, p, v):
 
 
 def oracle_mobius_differential(a, tau, h):
+    """The general formula (d - (A.tau) b) h (a + b tau)^-1, which holds for
+    any A; the kernel's congruence meets it to roundoff for A in Sp(2n, R)."""
     ab, bb, cb, db = sp.blocks(a)
     deninv = np.linalg.inv(ab + bb @ tau)
     return (db - (cb + db @ tau) @ deninv @ bb) @ h @ deninv
 
 
+@np.errstate(over="ignore", invalid="ignore")   # overflow.model overflows, silently as in the package
 def oracle_couplings(model, p):
     """N at the points p (npts, dim), symmetrised, and its partials along the
     chart axes, as the two separate evaluations built them: the raw matrices
@@ -300,6 +304,12 @@ def oracle_couplings(model, p):
 
 def same_bytes(a, b) -> bool:
     return a.shape == b.shape and a.dtype == b.dtype and a.tobytes() == b.tobytes()
+
+
+def roundoff_close(a, b) -> bool:
+    """Same shape and type, and equal to 1e-13 of the stack's largest |entry|."""
+    return (a.shape == b.shape and a.dtype == b.dtype
+            and np.max(np.abs(a - b)) <= 1e-13 * np.max(np.abs(b)))
 
 
 def coupling_models() -> list:
@@ -324,8 +334,13 @@ def coupling_models() -> list:
 
 @pytest.mark.parametrize("model", coupling_models(), ids=lambda m: m.name)
 def test_couplings_keep_their_bytes(model):
+    """N keeps its bytes on every model, and so does dN on an untransformed
+    one; a transformed dN is the symplectic congruence, which meets the general
+    formula to roundoff."""
     p = model.chart.sample_points(12)
-    if not isinstance(model, md.TransformedModel):
+    transformed = isinstance(model, md.TransformedModel)
+    same_partials = roundoff_close if transformed else same_bytes
+    if not transformed:
         assert same_bytes(model.period_matrix(p), oracle_period_matrix(model, p))
         v = np.random.default_rng(1).standard_normal(p.shape)
         n, d = model.period_directional(p, v)
@@ -339,8 +354,8 @@ def test_couplings_keep_their_bytes(model):
             md.checked_partials(model, p)
         return
     got = md.checked_partials(model, p)
-    assert same_bytes(got[0], expect[0]) and same_bytes(got[1], expect[1])
+    assert same_bytes(got[0], expect[0]) and same_partials(got[1], expect[1])
     # a configuration evaluates the same points as a grid-shaped stack
     got = md.checked_partials(model, p.reshape(3, 2, 2, -1))
     assert same_bytes(got[0].reshape(expect[0].shape), expect[0])
-    assert same_bytes(got[1].reshape(expect[1].shape), expect[1])
+    assert same_partials(got[1].reshape(expect[1].shape), expect[1])
