@@ -37,7 +37,7 @@ print("\n== the fractional action ==")
 a = np.array([[1.0, 0.0], [0.7, 1.0]])   # blocks a=1, b=0, c=0.7, d=1
 t = mu(random_taming(1, rng))
 print("tau           =", t.tau[0, 0])
-print("A . tau       =", fractional_action(a, t).tau[0, 0], " (a translation by 0.7)")
+print("A . tau       =", fractional_action(a, t.tau)[0, 0], " (a translation by 0.7)")
 
 print("\n== equivariance: conjugating the taming = acting on the Siegel point ==")
 worst = 0.0
@@ -46,7 +46,7 @@ for _ in range(200):
     j = random_taming(n, rng)
     a = random_sp(n, rng)
     lhs = mu(conjugate_taming(a, j)).tau
-    rhs = fractional_action(a, mu(j)).tau
+    rhs = fractional_action(a, mu(j).tau)
     worst = max(worst, np.max(np.abs(lhs - rhs)))
 print(f"mu(A J A^-1) = A . mu(J) to {worst:.2e}")
 print("(the alternate sign convention -R + iI fails this identity, which is")

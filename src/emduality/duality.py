@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 import numpy as np
 from .errors import EmdualityError
 from .models import ScalarChart, checked_partials, checked_periods
-from .symplectic import (column_rank, fractional_action,
+from .symplectic import (_max_abs, _within, column_rank, fractional_action,
                          infinitesimal_fractional_action, null_space, sp_basis,
                          unit_columns)
 
@@ -173,8 +173,7 @@ def stab_sp_algebra(model, samples: np.ndarray | None = None) -> StabilizerRepor
     # exact check that -Id fixes every sampled period value
     tau = system.tau
     out = fractional_action(-np.eye(2 * model.n_v), tau)
-    minus_ok = bool(np.all(np.max(np.abs(out - tau), axis=(-2, -1))
-                           <= 1e-14 * np.maximum(1.0, np.max(np.abs(tau), axis=(-2, -1)))))
+    minus_ok = _within(_max_abs(out - tau), 1e-14, _max_abs(tau))
     return StabilizerReport(dim_stab_sp=null.shape[1],
                             basis=list(np.tensordot(null.T, system.basis, axes=1)),
                             residual=residual, samples_used=len(system.samples),

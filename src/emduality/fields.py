@@ -26,7 +26,7 @@ from itertools import combinations, permutations
 import numpy as np
 
 from .errors import InputError
-from .symplectic import ElectromagneticPair, Taming, omega
+from .symplectic import ElectromagneticPair, Taming, _within, omega
 
 
 def _levi_civita_4() -> np.ndarray:
@@ -250,7 +250,7 @@ def selfduality_defect(star_v: np.ndarray, j, v: np.ndarray) -> float:
 
 def warn_if_not_selfdual(viol: float, v: np.ndarray, what: str) -> None:
     """Warn, on behalf of the caller's caller, when viol is not roundoff against v."""
-    if viol > 1e-8 * max(1.0, float(np.max(np.abs(v)))):
+    if not _within(viol, 1e-8, np.max(np.abs(v))):
         warnings.warn(f"{what} is not twisted self-dual (violation {viol:.2e})",
                       stacklevel=3)
 

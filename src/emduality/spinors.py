@@ -30,7 +30,7 @@ from .fields import ETA, blockwise, node_blocks
 # spinors.christoffel
 from .grids import (Geometry, GridPatch, christoffel, metric_geometry,  # noqa: F401
                     partials)
-from .symplectic import null_space
+from .symplectic import _within, null_space
 
 
 class FrameError(ValueError, InputError):
@@ -515,10 +515,10 @@ def chiral_operator_check(w: complex, eps1: np.ndarray, eps2: np.ndarray,
     p_plus, p_minus = chiral_projectors()
     eps1 = np.asarray(eps1, dtype=complex)
     eps2 = np.asarray(eps2, dtype=complex)
-    if np.max(np.abs(p_minus @ eps1)) > 1e-10 * max(1.0, np.max(np.abs(eps1))):
+    if not _within(np.max(np.abs(p_minus @ eps1)), 1e-10, np.max(np.abs(eps1))):
         warnings.warn("eps1 is not chiral; projecting", stacklevel=2)
         eps1 = p_plus @ eps1
-    if np.max(np.abs(p_plus @ eps2)) > 1e-10 * max(1.0, np.max(np.abs(eps2))):
+    if not _within(np.max(np.abs(p_plus @ eps2)), 1e-10, np.max(np.abs(eps2))):
         warnings.warn("eps2 is not chiral; projecting", stacklevel=2)
         eps2 = p_minus @ eps2
     eps = eps1 + eps2

@@ -151,16 +151,26 @@ def sp_basis(n: int) -> np.ndarray:
     return out
 
 
-def in_sp_algebra(x: np.ndarray, tol: float | np.ndarray = TOL_ALG) -> bool:
-    """Test X^T Omega + Omega X = 0 for a matrix or every matrix of a stack;
-    tol may give one bound per matrix."""
+def _within(defect, tol: float, scale, power: int = 1) -> bool:
+    """The one floor of the membership rules: defect <= tol max(1, scale)^power
+    for every matrix of a stack, one defect and scale each; a NaN defect fails."""
+    return bool(np.all(defect <= tol * np.maximum(1.0, scale) ** power))
+
+
+def _max_abs(m: np.ndarray) -> np.ndarray:
+    return np.max(np.abs(m), axis=(-2, -1))
+
+
+def in_sp_algebra(x: np.ndarray) -> bool:
+    """Test X^T Omega + Omega X = 0 for a matrix or every matrix of a stack,
+    each to TOL_ALG relative to its largest entry."""
     x = np.asarray(x, dtype=float)
     om = omega(x.shape[-1] // 2)
-    return bool(np.all(np.max(np.abs(_transpose(x) @ om + om @ x), axis=(-2, -1)) <= tol))
+    return _within(_max_abs(_transpose(x) @ om + om @ x), TOL_ALG, _max_abs(x))
 
 
-def _is_symmetric(m: np.ndarray, tol: float) -> bool:
-    return float(np.max(np.abs(m - m.T))) <= tol * max(1.0, float(np.max(np.abs(m))))
+def _is_symmetric(m: np.ndarray) -> bool:
+    return _within(_max_abs(m - m.T), TOL_ALG, _max_abs(m))
 
 
 def min_eig_ratio(s: np.ndarray) -> float | np.ndarray:
@@ -190,7 +200,7 @@ class ElectromagneticPair:
         object.__setattr__(self, "I", i)
         if r.shape != i.shape or r.ndim != 2 or r.shape[0] != r.shape[1]:
             raise DimensionError(f"R, I must be square and matching, got {r.shape}, {i.shape}")
-        if not _is_symmetric(r, TOL_ALG) or not _is_symmetric(i, TOL_ALG):
+        if not _is_symmetric(r) or not _is_symmetric(i):
             raise DomainError("R and I must be symmetric")
         if not is_positive_definite(i):
             raise DomainError("I must be positive definite")
@@ -221,16 +231,14 @@ class Taming:
         if j.ndim != 2 or j.shape[0] != j.shape[1] or j.shape[0] % 2:
             raise DimensionError(f"taming must be square even-dimensional, got {j.shape}")
         n = j.shape[0] // 2
-        om = omega(n)
-        scale = max(1.0, float(np.max(np.abs(j))))
-        if float(np.max(np.abs(j @ j + np.eye(2 * n)))) > TOL_ALG * scale ** 2:
+        if not _within(_max_abs(j @ j + np.eye(2 * n)), TOL_ALG, _max_abs(j), 2):
             raise DomainError("J^2 != -Id")
-        if float(np.max(np.abs(j.T @ om @ j - om))) > TOL_ALG * scale ** 2:
+        if not _within(sp_check(j)[1], TOL_ALG, _max_abs(j), 2):
             raise DomainError("J does not preserve omega")
         # with the two laws above, a symmetric Gram matrix is positive definite
         # exactly when its lower right block, J's upper right block I^-1, is:
         # testing that block applies the rule Im(tau) is held to
-        if not _is_symmetric(om @ j, TOL_ALG) or not is_positive_definite(j[:n, n:]):
+        if not _is_symmetric(omega(n) @ j) or not is_positive_definite(j[:n, n:]):
             raise DomainError("omega(., J.) is not symmetric positive definite")
 
     @property
@@ -248,7 +256,7 @@ class SiegelPoint:
         t = np.asarray(self.tau, dtype=complex)
         if t.ndim != 2 or t.shape[0] != t.shape[1]:
             raise DimensionError(f"expected square matrix, got {t.shape}")
-        if not _is_symmetric(t.real, TOL_ALG) or not _is_symmetric(t.imag, TOL_ALG):
+        if not _is_symmetric(t.real) or not _is_symmetric(t.imag):
             raise DomainError("tau must be symmetric")
         # store bit-exactly symmetric so group laws hold to the last float bit
         object.__setattr__(self, "tau", (t + t.T) / 2)
@@ -328,20 +336,17 @@ def _action(a: np.ndarray, tau: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return (cb + db @ t) @ inv, inv
 
 
-def fractional_action(a: np.ndarray, tau: SiegelPoint | np.ndarray
-                      ) -> SiegelPoint | np.ndarray:
+def fractional_action(a: np.ndarray, tau: np.ndarray) -> np.ndarray:
     """Left action of Sp(2n, R) on Siegel space: A . tau = (c + d tau)(a + b tau)^-1.
 
-    Blocks follow the layout A = [[a, b], [c, d]].  Raises PoleError when
-    a + b tau is singular.  The result type follows the input: a SiegelPoint
-    gives a validated SiegelPoint, a matrix or a stack of matrices (..., n, n)
-    gives the unchecked matrix or stack of images.
+    Blocks follow the layout A = [[a, b], [c, d]].  tau is a matrix or a stack
+    of matrices (..., n, n); the images are returned unchecked.  Raises
+    PoleError when a + b tau is singular.
     """
-    out = _action(a, tau.tau if isinstance(tau, SiegelPoint) else tau)[0]
-    return SiegelPoint(out) if isinstance(tau, SiegelPoint) else out
+    return _action(a, tau)[0]
 
 
-def infinitesimal_fractional_action(x: np.ndarray, tau: SiegelPoint | np.ndarray) -> np.ndarray:
+def infinitesimal_fractional_action(x: np.ndarray, tau: np.ndarray) -> np.ndarray:
     """Derivative at the identity of the fractional action along X in sp(2n, R).
 
     Equals (X_c + X_d tau) - tau (X_a + X_b tau); symmetric whenever X lies
@@ -349,9 +354,9 @@ def infinitesimal_fractional_action(x: np.ndarray, tau: SiegelPoint | np.ndarray
     tau a stack (..., n, n); the two stacks broadcast.
     """
     x = np.asarray(x, dtype=float)
-    if not in_sp_algebra(x, TOL_ALG * np.maximum(1.0, np.max(np.abs(x), axis=(-2, -1)))):
+    if not in_sp_algebra(x):
         raise DomainError("X is not in sp(2n, R)")
-    t = tau.tau if isinstance(tau, SiegelPoint) else np.asarray(tau, dtype=complex)
+    t = np.asarray(tau, dtype=complex)
     xa, xb, xc, xd = blocks(x)
     return (xc + xd @ t) - t @ (xa + xb @ t)
 
@@ -371,8 +376,8 @@ def _symplectic_checked(a: np.ndarray) -> np.ndarray:
     """a as a float matrix, or DomainError unless it lies in Sp(2n, R): the
     violation max|A^T Omega A - Omega| may reach TOL_ALG_INV max(1, max|A|)^2."""
     m = np.asarray(a, dtype=float)
-    ok, viol = sp_check(m, TOL_ALG_INV * max(1.0, float(np.max(np.abs(m))) ** 2))
-    if not ok:
+    viol = sp_check(m)[1]
+    if not _within(viol, TOL_ALG_INV, _max_abs(m), 2):
         raise DomainError(f"A is not symplectic (violation {viol:.3e})")
     return m
 

@@ -249,7 +249,7 @@ class TestTransformedModel:
         a = random_sp(2, rng)
         tm = md.TransformedModel(base, f, a)
         for p in base.chart.sample_points(10):
-            expect = fractional_action(a, base.period(f.inverse().apply(p))).tau
+            expect = fractional_action(a, base.period(f.inverse().apply(p)).tau)
             assert np.allclose(tm.period(p).tau, expect, atol=1e-12)
 
     def test_directional_derivative_matches_fd(self):
