@@ -14,7 +14,6 @@ from __future__ import annotations
 import argparse
 import functools
 import hashlib
-import os
 import re
 import sys
 import time
@@ -39,7 +38,6 @@ class Report:
 
     def __init__(self, command: str, meta: dict | None = None):
         self.command = command
-        self.seed = int(os.environ.get("EMDUALITY_SEED", "0"))
         self.meta = dict(meta or {})
         self.checks: list[tuple[str, str, str, bool]] = []
 
@@ -70,8 +68,8 @@ class Report:
         return all(p for _, _, _, p in self.checks)
 
     def text(self) -> str:
-        lines = [f"schema = {SCHEMA}", f"command = {self.command}",
-                 f"seed = {self.seed}"]
+        # nothing is random, so the seed row is the constant 0
+        lines = [f"schema = {SCHEMA}", f"command = {self.command}", "seed = 0"]
         for key in self.meta:
             lines.append(f"{key} = {self.meta[key]}")
         for name, value, tol, passed in self.checks:
@@ -102,7 +100,7 @@ def _read_matrix(path: str, dim: int | None = None) -> np.ndarray:
 
 def _symplectic_matrix(rep: Report, path: str, n_v: int) -> np.ndarray:
     """The 2n_v x 2n_v matrix of path, with the row that checks it is in Sp(2n_v, R)."""
-    a = _read_matrix(path, 2 * n_v)
+    a = sp.in_range(_read_matrix(path, 2 * n_v), f"A in {path!r}")
     ok, viol = sp.sp_check(a, 1e-8)
     rep.add("A_symplectic_violation", viol, tol=1e-8, passed=ok)
     return a
@@ -160,8 +158,17 @@ def cmd_models(args) -> Report:
     return rep
 
 
+# Most entries of the stabilizer system, k n(n+1) rows by n(2n+1) columns for
+# k samples (32 MB as floats); 16 samples at n = 12 make 7.5e5.
+MAX_SYSTEM_ENTRIES = 1 << 22
+
+
 def cmd_stabilizer(args) -> Report:
     model = md.load_model(args.model)
+    n = model.n_v
+    if args.samples * n * (n + 1) * n * (2 * n + 1) > MAX_SYSTEM_ENTRIES:
+        raise UsageError(f"--samples {args.samples} makes a stabilizer system of more "
+                         f"than {MAX_SYSTEM_ENTRIES} entries at nv = {n}")
     rep = Report("stabilizer", {"model": model.name,
                                 "input_digest": _digest(md.print_model(model))})
     samples = model.chart.sample_points(args.samples)
@@ -229,6 +236,8 @@ def cmd_pair_check(args) -> Report:
     f = _isometry(args.f, model.chart)
     rep = Report("pair-check", {"model": model.name, "f": args.f})
     a = _symplectic_matrix(rep, args.A, model.n_v)
+    if not rep.all_passed:   # the pair is tested for A in Sp(2n, R) only
+        return rep
     res = du.check_uduality_pair(f, a, model)
     rep.add("pair_residual", res, tol=args.tol)
     return rep
@@ -284,6 +293,12 @@ def cmd_residuals(args) -> Report:
                                "input_digest": _digest(text),
                                "model": cfg.model.name,
                                "grid": "x".join(map(str, cfg.grid.shape))})
+    grids = [cfg.grid]   # the refined grids, refused before any residual is computed
+    try:
+        for _ in range(args.refine):
+            grids.append(grids[-1].refine())
+    except gr.GridError as err:
+        raise UsageError(f"--refine {args.refine}: {err}") from None
     out = gr.residual_report(cfg)
     for name, value in out.rows():
         rep.info(name, value)
@@ -294,14 +309,12 @@ def cmd_residuals(args) -> Report:
     # convergence table: residual maxima on successive spacing halvings, each
     # over the nodes of the coarse interior, so every row reads the same region
     region = _interior_extents(cfg.grid)
-    grid = cfg.grid
-    for k in range(args.refine):
-        grid = grid.refine()
+    for k, grid in enumerate(grids[1:], 1):
         fine = gr.residual_report(gr.parse_grid_config(text, grid.resolution))
-        rep.info(f"refine[{k + 1}] grid", "x".join(map(str, grid.shape)))
+        rep.info(f"refine[{k}] grid", "x".join(map(str, grid.shape)))
         for name, value in zip(("einstein_max", "scalar_max", "maxwell_max"),
                                fine.maxima(grid.node_box(region))):
-            rep.info(f"refine[{k + 1}] {name}", value)
+            rep.info(f"refine[{k}] {name}", value)
     return rep
 
 

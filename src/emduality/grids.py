@@ -30,6 +30,9 @@ from .symplectic import omega, taming_matrix
 from .textio import key_values, numbers
 
 MARGIN = 2
+# Most nodes of one grid: 33^4, the finest grid of a 9^4 configuration refined
+# twice (``residuals --refine 2``).
+MAX_NODES = 33 ** 4
 
 
 class GridError(ValueError, InputError):
@@ -54,6 +57,9 @@ class GridPatch:
             raise GridError("resolution must be >= 7 per axis (stencil margin 2)")
         if any(hi <= lo for lo, hi in self.extents):
             raise GridError("empty extent")
+        if np.prod(self.resolution, dtype=float) > MAX_NODES:
+            raise GridError(f"grid {'x'.join(map(str, self.resolution))} has more than "
+                            f"{MAX_NODES} nodes (33^4)")
 
     @property
     def shape(self) -> tuple[int, ...]:

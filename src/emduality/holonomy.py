@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import InputError
-from .symplectic import MAX_N, Taming, null_space, sp_basis, sp_check
+from .symplectic import MAX_N, Taming, in_range, null_space, sp_basis, sp_check
 from .textio import key_values, numbers
 
 MAX_WORD_LEN = 6
@@ -44,10 +44,11 @@ class BundlePresentation:
 
     def __post_init__(self):
         self.generators = [np.asarray(g, dtype=float) for g in self.generators]
-        for g in self.generators:
+        for k, g in enumerate(self.generators):
             if g.shape != (2 * self.n_v, 2 * self.n_v):
                 raise PresentationError(
                     f"generator shape {g.shape} does not match n_v={self.n_v}")
+            in_range(g, f"generator {k + 1}", PresentationError)
         for word in self.relations:
             for idx in word:
                 if idx == 0 or abs(idx) > len(self.generators):

@@ -37,6 +37,11 @@ PD_RTOL = 1e-12
 # n = 12 the stabilizer command peaks near 70 MB on 16 samples).
 MAX_N = 12
 
+# Largest entry magnitude accepted in a taming, an A or a bundle generator:
+# sums of squares of entries, as matrix products and column norms form them,
+# then stay finite for every n <= MAX_N.
+MAX_ENTRY = 1e150
+
 
 class DimensionError(ValueError, InputError):
     """Matrix has the wrong shape for the requested symplectic operation."""
@@ -107,6 +112,14 @@ def blocks(a: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarra
         raise DimensionError(f"expected square even-dimensional matrix, got {m.shape}")
     n = m.shape[-1] // 2
     return m[..., :n, :n], m[..., :n, n:], m[..., n:, :n], m[..., n:, n:]
+
+
+def in_range(m: np.ndarray, what: str, error: type = DomainError) -> np.ndarray:
+    """m, or error naming it as out of range when an entry exceeds MAX_ENTRY
+    in magnitude; checked before any product of m is formed."""
+    if np.max(np.abs(m), initial=0.0) > MAX_ENTRY:
+        raise error(f"{what} is out of range: an entry exceeds {MAX_ENTRY:g} in magnitude")
+    return m
 
 
 def _transpose(m: np.ndarray) -> np.ndarray:
@@ -230,6 +243,7 @@ class Taming:
         object.__setattr__(self, "J", j)
         if j.ndim != 2 or j.shape[0] != j.shape[1] or j.shape[0] % 2:
             raise DimensionError(f"taming must be square even-dimensional, got {j.shape}")
+        in_range(j, "J")
         n = j.shape[0] // 2
         if not _within(_max_abs(j @ j + np.eye(2 * n)), TOL_ALG, _max_abs(j), 2):
             raise DomainError("J^2 != -Id")
@@ -375,7 +389,7 @@ def mobius_differential(a: np.ndarray, tau: np.ndarray, h: np.ndarray
 def _symplectic_checked(a: np.ndarray) -> np.ndarray:
     """a as a float matrix, or DomainError unless it lies in Sp(2n, R): the
     violation max|A^T Omega A - Omega| may reach TOL_ALG_INV max(1, max|A|)^2."""
-    m = np.asarray(a, dtype=float)
+    m = in_range(np.asarray(a, dtype=float), "A")
     viol = sp_check(m)[1]
     if not _within(viol, TOL_ALG_INV, _max_abs(m), 2):
         raise DomainError(f"A is not symplectic (violation {viol:.3e})")

@@ -1,10 +1,9 @@
 """Golden CLI reports: the cases of ``cases.txt`` and the reports they give.
 
 Each case is a command line run by ``emduality.cli.run`` from this directory
-(so the file names in the reports are the short relative ones) with
-``EMDUALITY_SEED`` unset.  Its report is stored in ``reports/<name>.txt``
-after an ``exit = <code>`` line.  ``tests/test_golden.py`` compares the
-program's reports with these files.
+(so the file names in the reports are the short relative ones).  Its report
+is stored in ``reports/<name>.txt`` after an ``exit = <code>`` line.
+``tests/test_golden.py`` compares the program's reports with these files.
 
 Regenerate after a deliberate report change, and list the rows that moved:
 
@@ -39,14 +38,12 @@ def cases() -> dict[str, list[str]]:
 
 @contextmanager
 def _golden_env():
-    cwd, seed = os.getcwd(), os.environ.pop("EMDUALITY_SEED", None)
+    cwd = os.getcwd()
     os.chdir(HERE)
     try:
         yield
     finally:
         os.chdir(cwd)
-        if seed is not None:
-            os.environ["EMDUALITY_SEED"] = seed
 
 
 def run_case(argv: list[str]) -> str:

@@ -111,6 +111,26 @@ class TestAlgebraCommands:
         assert code == 1
         assert "FAIL" in text
 
+    def test_pair_check_stops_at_a_failed_a_row(self, tmp_path):
+        # the pair is tested for A in Sp(2n, R) only, as transport's harness
+        path = tmp_path / "a.txt"
+        path.write_text("2 0\n0 1\n")
+        code, text = run(["pair-check", "--model", "identity-tau", "--f", "id",
+                          "--A", str(path)])
+        assert code == 1
+        checks = [line for line in text.splitlines() if line.startswith("check ")]
+        assert len(checks) == 1
+        assert re.fullmatch(r"check A_symplectic_violation = 1 tol 1e-08 FAIL", checks[0])
+        assert "pair_residual" not in text
+
+    def test_stabilizer_system_too_large_exit_2(self):
+        # 1e9 samples would make a 6e9-entry system (and a 7.45 GiB sample set)
+        code, text = run(["stabilizer", "--model", "identity-tau",
+                          "--samples", "1000000000"])
+        assert code == 2
+        assert "error = --samples 1000000000 makes a stabilizer system of more than " \
+               "4194304 entries at nv = 1" in text
+
     FLAT10 = "nv = 1\nchart = flat\ndim = 10\nN[1,1] = x1 + i*(2 + x1^2)\n"
 
     def test_unstable_sample_count_exit_1(self, tmp_path):
@@ -207,6 +227,31 @@ class TestBundleCommands:
         assert code == 3
         assert "error = J^2 != -Id" in text and "result = FAIL" in text
 
+    @pytest.mark.parametrize("bundle, taming, error", [
+        ("nv = 1\n", "0 1e200\n-1e-200 0\n", "J is out of range"),
+        ("nv = 1\ngenerator = 1e200 0 0 1e-200\n", "", "generator 1 is out of range")])
+    def test_out_of_range_matrix_exit_3(self, tmp_path, bundle, taming, error):
+        """A taming or a generator with an entry above 1e150 is bad input,
+        refused before any product of it is formed."""
+        path = tmp_path / "b.bundle"
+        path.write_text(bundle)
+        argv = ["centralizer", "--bundle", str(path)]
+        if taming:
+            j = tmp_path / "taming.txt"
+            j.write_text(taming)
+            argv += ["--taming", str(j)]
+        code, text = run(argv)
+        assert code == 3
+        assert f"error = {error}: an entry exceeds 1e+150 in magnitude" in text
+
+    def test_taming_at_the_range_bound(self, tmp_path):
+        path, j = tmp_path / "b.bundle", tmp_path / "taming.txt"
+        path.write_text("nv = 1\n")
+        j.write_text("0 1e150\n-1e-150 0\n")
+        code, text = run(["centralizer", "--bundle", str(path), "--taming", str(j)])
+        assert code == 0
+        assert "check dim_autb_theta = 1 " in text
+
     def test_singular_generator_exit_3(self, tmp_path):
         path = tmp_path / "singular.bundle"
         path.write_text("nv = 1\ngenerator = 0 0 0 0\nrelation = 1 -1\n")
@@ -278,6 +323,35 @@ class TestGridCommands:
         checks = [line for line in text.splitlines() if line.startswith("check ")]
         assert re.fullmatch(r"check A_symplectic_violation = \S+ tol 1e-08 FAIL", checks[-1])
         assert "discrepancy" not in text
+
+    def test_out_of_range_a_exit_3(self, config_file, tmp_path):
+        # symplectic, but the harness would square its entries
+        path = tmp_path / "a.txt"
+        path.write_text("1e200 0\n0 1e-200\n")
+        code, text = run(["transport", "--config", config_file, "--f", "id",
+                          "--A", str(path)])
+        assert code == 3
+        assert f"error = A in {str(path)!r} is out of range" in text
+        assert "check " not in text
+
+    def test_grid_too_large_exit_3(self, config_file, tmp_path):
+        path = tmp_path / "huge.cfg"
+        path.write_text(Path(config_file).read_text().replace(
+            "resolution = 7 7 7 7", "resolution = 100000 100000 100000 100000"))
+        code, text = run(["residuals", "--config", str(path)])
+        assert code == 3
+        assert "has more than 1185921 nodes (33^4)" in text
+
+    def test_refine_past_the_largest_grid_exit_2(self, tmp_path):
+        # from 9^4, --refine 2 reaches 33^4, the largest grid; one more is refused
+        # before any residual is computed
+        path = tmp_path / "grid.cfg"
+        path.write_text((GOLDEN / "t3.cfg").read_text(encoding="utf-8").replace(
+            "resolution = 7 7 7 7", "resolution = 9 9 9 9"))
+        for refine in ("3", "40"):
+            code, text = run(["residuals", "--config", str(path), "--refine", refine])
+            assert code == 2
+            assert f"error = --refine {refine}: grid 65x65x65x65 has more than" in text
 
     def test_negative_refine_exit_2(self, config_file):
         code, text = run(["residuals", "--config", config_file, "--refine", "-1"])
@@ -613,11 +687,6 @@ class TestDeterminism:
         _, t1 = run(["stabilizer", "--model", "axio-dilaton"])
         _, t2 = run(["stabilizer", "--model", "axio-dilaton"])
         assert t1 == t2
-
-    def test_seed_recorded_from_env(self, monkeypatch):
-        monkeypatch.setenv("EMDUALITY_SEED", "7")
-        _, text = run(["models", "list"])
-        assert "seed = 7" in text
 
 
 class TestImports:

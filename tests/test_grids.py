@@ -147,6 +147,12 @@ class TestCurvature:
             gr.christoffel(g, grid)
 
 
+def test_grid_of_more_than_33_to_the_4_nodes_is_refused():
+    gr.GridPatch(((-0.4, 0.4),) * 4, (33,) * 4)   # the largest grid, not allocated
+    with pytest.raises(gr.GridError, match="more than 1185921 nodes"):
+        gr.GridPatch(((-0.4, 0.4),) * 4, (33, 33, 33, 34))
+
+
 def test_node_box_of_a_coordinate_box():
     grid = gr.GridPatch(((-0.4, 0.4), (0.0, 1.0), (1.0, 2.2), (-1.0, -0.5)), (9, 11, 7, 8))
     axes = grid.axes

@@ -296,3 +296,10 @@ class TestBundleFile:
             assert np.array_equal(p.letters[2 + k], np.linalg.inv(g))
         assert np.array_equal(p.word_matrix([1, -2]),
                               np.eye(4) @ gens[0] @ np.linalg.inv(gens[1]))
+
+
+def test_out_of_range_generator_is_refused():
+    """A generator entry above 1e150 is refused: the centralizer's unit-norm
+    columns would square it to infinity."""
+    with pytest.raises(ho.PresentationError, match="generator 2 is out of range"):
+        ho.BundlePresentation(1, [np.eye(2), np.diag([1e200, 1e-200])])

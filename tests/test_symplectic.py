@@ -329,3 +329,23 @@ class TestNullSpace:
         null = sp.null_space(a, 1e-10)
         assert null.shape == (3, 1)
         assert np.allclose(np.abs(null[:, 0]), [0.0, 1.0, 0.0])
+
+
+class TestOutOfRange:
+    """A taming or an A with an entry above MAX_ENTRY = 1e150 is refused by
+    name before any product of it is formed; the scale floor would square it."""
+
+    def test_taming(self):
+        with pytest.raises(sp.DomainError, match="J is out of range"):
+            sp.Taming(np.array([[0.0, 1e200], [-1e-200, 0.0]]))
+
+    def test_a(self, rng):
+        a = np.diag([1e200, 1e-200])   # symplectic
+        with pytest.raises(sp.DomainError, match="A is out of range"):
+            sp.conjugate_taming(a, sp.random_taming(1, rng))
+
+    def test_entries_at_the_bound_are_in_range(self, rng):
+        j = sp.Taming(np.array([[0.0, 1e150], [-1e-150, 0.0]]))
+        a = np.diag([1e-150, 1e150])   # J -> [[0, 1e-150], [-1e150, 0]]
+        assert np.allclose(sp.conjugate_taming(a, j).J, [[0.0, 1e-150], [-1e150, 0.0]],
+                           rtol=1e-15, atol=0.0)
