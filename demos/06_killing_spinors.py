@@ -9,15 +9,15 @@ first-order system whose residuals converge at second order.
 
 import numpy as np
 
-from emduality import (builtin_frame, clifford_rep, extract_kappa,
-                       integrate_killing, killing_bilinears,
-                       killing_residual_max, path_defect, ricci, verify_thm53)
+from emduality import (GAMMA, builtin_frame, extract_kappa, integrate_killing,
+                       killing_bilinears, killing_residual_max, path_defect,
+                       ricci, verify_thm53)
+from emduality.fields import ETA
 from emduality.grids import GridPatch
 
-rep = clifford_rep()
 print("== the representation ==")
-worst = max(np.max(np.abs(rep.gamma[a] @ rep.gamma[b] + rep.gamma[b] @ rep.gamma[a]
-                          - 2 * rep.eta[a, b] * np.eye(4)))
+worst = max(np.max(np.abs(GAMMA[a] @ GAMMA[b] + GAMMA[b] @ GAMMA[a]
+                          - 2 * ETA[a, b] * np.eye(4)))
             for a in range(4) for b in range(4))
 print(f"anticommutation relations hold to {worst:.1e}; all generators real")
 

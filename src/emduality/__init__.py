@@ -27,9 +27,9 @@ from .grids import (FieldConfiguration, GridPatch, christoffel, einstein,
                     einstein_residual, equivariance_harness,
                     make_configuration, maxwell_residual, parse_grid_config,
                     residual_report, ricci, scalar_residual, transport_config)
-from .spinors import (CliffordRep, FramePatch, builtin_frame,
-                      chiral_operator_check, clifford_rep, extract_kappa,
-                      integrate_killing, killing_bilinears, killing_residual_max,
-                      path_defect, spin_connection, verify_thm53)
+from .spinors import (GAMMA, FramePatch, builtin_frame, chiral_operator_check,
+                      extract_kappa, integrate_killing, killing_bilinears,
+                      killing_residual_max, path_defect, slash, spin_connection,
+                      verify_thm53)
 
 __version__ = "0.1.0"

@@ -174,7 +174,7 @@ def cmd_stabilizer(args) -> Report:
     samples = model.chart.sample_points(args.samples)
     out = du.stab_sp_algebra(model, samples)
     rep.add("dim_stab_sp", out.dim_stab_sp)
-    rep.add("residual", out.residual, tol=args.tol)
+    rep.add("residual", out.residual, tol=1e-8)
     rep.add("minus_id_fixes_period", out.minus_id_fixes_period,
             passed=out.minus_id_fixes_period)
     rep.info("samples", out.samples_used)
@@ -239,7 +239,7 @@ def cmd_pair_check(args) -> Report:
     if not rep.all_passed:   # the pair is tested for A in Sp(2n, R) only
         return rep
     res = du.check_uduality_pair(f, a, model)
-    rep.add("pair_residual", res, tol=args.tol)
+    rep.add("pair_residual", res, tol=1e-10)
     return rep
 
 
@@ -282,7 +282,7 @@ def cmd_selfdual(args) -> Report:
     rep = Report("selfdual", {"config": args.config,
                               "input_digest": _digest(text),
                               "model": cfg.model.name})
-    rep.add("selfdual_violation", cfg.selfduality_violation(), tol=args.tol)
+    rep.add("selfdual_violation", cfg.selfduality_violation(), tol=1e-10)
     return rep
 
 
@@ -329,9 +329,9 @@ def cmd_transport(args) -> Report:
     if not rep.all_passed:   # the transported couplings need A in Sp(2n, R)
         return rep
     out = gr.equivariance_harness(cfg, f, a)
-    rep.add("einstein_discrepancy", out.einstein_discrepancy, tol=args.tol)
-    rep.add("scalar_discrepancy", out.scalar_discrepancy, tol=args.tol)
-    rep.add("maxwell_discrepancy", out.maxwell_discrepancy, tol=args.tol)
+    rep.add("einstein_discrepancy", out.einstein_discrepancy, tol=1e-9)
+    rep.add("scalar_discrepancy", out.scalar_discrepancy, tol=1e-9)
+    rep.add("maxwell_discrepancy", out.maxwell_discrepancy, tol=1e-9)
     rep.info("einstein_max_before", out.before.einstein_max)
     rep.info("einstein_max_after", out.after.einstein_max)
     return rep
@@ -462,7 +462,6 @@ def build_parser() -> argparse.ArgumentParser:
     stp = sub.add_parser("stabilizer", help="stabilizer algebra of a model")
     stp.add_argument("--model", required=True)
     stp.add_argument("--samples", type=_count(1), default=16)
-    stp.add_argument("--tol", type=_finite, default=1e-8)
     stp.set_defaults(func=cmd_stabilizer)
 
     up = sub.add_parser("uduality", help="duality algebra dimensions")
@@ -479,7 +478,6 @@ def build_parser() -> argparse.ArgumentParser:
     pp.add_argument("--model", required=True)
     pp.add_argument("--f", required=True)
     pp.add_argument("--A", required=True)
-    pp.add_argument("--tol", type=_finite, default=1e-10)
     pp.set_defaults(func=cmd_pair_check)
 
     cp = sub.add_parser("centralizer", help="holonomy centralizer algebra")
@@ -494,7 +492,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     sdp = sub.add_parser("selfdual", help="twisted self-duality of a configuration")
     sdp.add_argument("--config", required=True)
-    sdp.add_argument("--tol", type=_finite, default=1e-10)
     sdp.set_defaults(func=cmd_selfdual)
 
     rp = sub.add_parser("residuals", help="equation-of-motion residual report")
@@ -507,7 +504,6 @@ def build_parser() -> argparse.ArgumentParser:
     tp.add_argument("--config", required=True)
     tp.add_argument("--f", required=True)
     tp.add_argument("--A", required=True)
-    tp.add_argument("--tol", type=_finite, default=1e-9)
     tp.set_defaults(func=cmd_transport)
 
     scp = sub.add_parser("spinor-check", help="Killing spinor transport checks")

@@ -20,7 +20,7 @@ from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass
-from functools import cache, cached_property
+from functools import cached_property
 
 import numpy as np
 
@@ -43,72 +43,61 @@ def _table(a: np.ndarray) -> np.ndarray:
     return a
 
 
-@dataclass(frozen=True)
-class CliffordRep:
-    """Gamma matrices and the Clifford tables the spinor kernels contract
-    with.  Each table is built on first use and kept read-only."""
-
-    gamma: np.ndarray  # (4, 4, 4), gamma[a] real
-    eta: np.ndarray
-
-    @property
-    def gamma5(self) -> np.ndarray:
-        g = self.gamma
-        return g[0] @ g[1] @ g[2] @ g[3]
-
-    def gamma_upper(self) -> np.ndarray:
-        return np.einsum("ab,bij->aij", np.linalg.inv(self.eta), self.gamma)
-
-    @cached_property
-    def spin_table(self) -> np.ndarray:
-        """(16, 16): row (a, b) is -(1/4) gamma^a gamma^b flattened over (i, k),
-        so that w_ab (flattened) @ table = -(1/4) w_ab gamma^a gamma^b."""
-        gup = self.gamma_upper()
-        return _table(-0.25 * (gup[:, None] @ gup[None, :]).reshape(16, 16))
-
-    @cached_property
-    def pairing(self) -> np.ndarray:
-        """The Majorana pairing C used by ``killing_bilinears``: the
-        sigma = -1 invariant bilinear (gamma_a^T C = -C gamma_a), for which
-        C gamma_a is symmetric and the vector bilinear is a nonzero quadratic
-        form."""
-        mats = _bilinear_space(self.gamma, -1)
-        if len(mats) != 1:
-            raise RuntimeError(f"expected one sigma=-1 invariant bilinear, got {len(mats)}")
-        m = mats[0]
-        return _table(m / np.max(np.abs(m)))
-
-    @cached_property
-    def bilinear_tables(self) -> tuple[np.ndarray, np.ndarray]:
-        """Tables of C gamma_a and C gamma_{[a} gamma_{b]}, rows i and columns
-        (a, k) or (a, b, k), shapes (4, 16) and (4, 64): the bilinears are
-        eps @ table @ eps with the columns reshaped."""
-        gam = self.gamma
-        gg = gam[:, None] @ gam[None, :]
-        gab = 0.5 * (gg - np.swapaxes(gg, 0, 1))
-        c = self.pairing
-        vec = np.moveaxis(c @ gam, -2, 0).reshape(4, 16)
-        ten = np.moveaxis(c @ gab, -2, 0).reshape(4, 64)
-        return _table(vec), _table(ten)
-
-    def slash(self, v: np.ndarray) -> np.ndarray:
-        """gamma(v) = v^a gamma_a for frame vectors v of shape (..., 4)."""
-        v = np.asarray(v)
-        return (v @ self.gamma.reshape(4, 16)).reshape(v.shape[:-1] + (4, 4))
+def _bilinear_space(gamma: np.ndarray, sigma: int) -> list[np.ndarray]:
+    """Basis of {C : gamma_a^T C = sigma C gamma_a for all a}, by brute-force
+    null space."""
+    # row-major vec: vec(G^T C - sigma C G) = (G^T kron I - sigma I kron G^T) vec C
+    rows = [np.kron(ga.T, np.eye(4)) - sigma * np.kron(np.eye(4), ga.T) for ga in gamma]
+    null = null_space(np.vstack(rows), 1e-12)
+    return [null[:, k].reshape(4, 4) for k in range(null.shape[1])]
 
 
-@cache
-def clifford_rep() -> CliffordRep:
-    """The fixed real Majorana representation of the (3,1) Clifford relations.
+def _pairing(gamma: np.ndarray) -> np.ndarray:
+    """The Majorana pairing C used by ``killing_bilinears``: the sigma = -1
+    invariant bilinear (gamma_a^T C = -C gamma_a), for which C gamma_a is
+    symmetric and the vector bilinear is a nonzero quadratic form."""
+    mats = _bilinear_space(gamma, -1)
+    if len(mats) != 1:
+        raise RuntimeError(f"expected one sigma=-1 invariant bilinear, got {len(mats)}")
+    m = mats[0]
+    return _table(m / np.max(np.abs(m)))
 
-    One shared instance with read-only arrays, so its tables are built once."""
-    eps = np.array([[0.0, 1.0], [-1.0, 0.0]])
-    s1 = np.array([[0.0, 1.0], [1.0, 0.0]])
-    s3 = np.array([[1.0, 0.0], [0.0, -1.0]])
-    one = np.eye(2)
-    gamma = np.stack([np.kron(eps, one), np.kron(s1, one),
-                      np.kron(s3, s1), np.kron(s3, s3)])
-    return CliffordRep(gamma=_table(gamma), eta=_table(ETA.copy()))
+
+def _bilinear_tables(gamma: np.ndarray, c: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Tables of C gamma_a and C gamma_{[a} gamma_{b]}, rows i and columns
+    (a, k) or (a, b, k), shapes (4, 16) and (4, 64): the bilinears are
+    eps @ table @ eps with the columns reshaped."""
+    gg = gamma[:, None] @ gamma[None, :]
+    gab = 0.5 * (gg - np.swapaxes(gg, 0, 1))
+    vec = np.moveaxis(c @ gamma, -2, 0).reshape(4, 16)
+    ten = np.moveaxis(c @ gab, -2, 0).reshape(4, 64)
+    return _table(vec), _table(ten)
+
+
+def _spin_table(gamma: np.ndarray) -> np.ndarray:
+    """(16, 16): row (a, b) is -(1/4) gamma^a gamma^b flattened over (i, k),
+    so that w_ab (flattened) @ table = -(1/4) w_ab gamma^a gamma^b."""
+    gup = np.einsum("ab,bij->aij", np.linalg.inv(ETA), gamma)
+    return _table(-0.25 * (gup[:, None] @ gup[None, :]).reshape(16, 16))
+
+
+# The fixed real Majorana representation of the (3,1) Clifford relations (the
+# generators of the module docstring) and the read-only tables the spinor
+# kernels contract with, built once at import.
+_EPS, _S1, _S3 = ([[0.0, 1.0], [-1.0, 0.0]], [[0.0, 1.0], [1.0, 0.0]],
+                  [[1.0, 0.0], [0.0, -1.0]])
+GAMMA = _table(np.stack([np.kron(_EPS, np.eye(2)), np.kron(_S1, np.eye(2)),
+                         np.kron(_S3, _S1), np.kron(_S3, _S3)]))   # gamma[a], real
+GAMMA5 = _table(GAMMA[0] @ GAMMA[1] @ GAMMA[2] @ GAMMA[3])
+SPIN_TABLE = _spin_table(GAMMA)
+PAIRING = _pairing(GAMMA)
+VECTOR_TABLE, TENSOR_TABLE = _bilinear_tables(GAMMA, PAIRING)
+
+
+def slash(v: np.ndarray) -> np.ndarray:
+    """gamma(v) = v^a gamma_a for frame vectors v of shape (..., 4)."""
+    v = np.asarray(v)
+    return (v @ GAMMA.reshape(4, 16)).reshape(v.shape[:-1] + (4, 4))
 
 
 # ------------------------------------------------------------------- frames
@@ -216,9 +205,8 @@ def _transport_generator(w_ab: np.ndarray, e_a: np.ndarray, lam: float) -> np.nd
     direction mu, stacked over the leading axes of w_ab (..., a, b) and
     e_a (..., a): one matmul with each Clifford table.  All four directions
     of a node are the stack (w_{mu a b}, e^a_mu transposed to (mu, a))."""
-    rep = clifford_rep()
-    m = (w_ab.reshape(e_a.shape[:-1] + (16,)) @ rep.spin_table).reshape(w_ab.shape)
-    gamma_e = rep.slash(e_a)
+    m = (w_ab.reshape(e_a.shape[:-1] + (16,)) @ SPIN_TABLE).reshape(w_ab.shape)
+    gamma_e = slash(e_a)
     gamma_e *= 0.5 * lam
     m += gamma_e
     return m
@@ -364,15 +352,6 @@ def path_defect(fr: FramePatch, lam: float, eps: np.ndarray) -> float:
 
 # -------------------------------------------------------- bilinear one-forms
 
-def _bilinear_space(gamma: np.ndarray, sigma: int) -> list[np.ndarray]:
-    """Basis of {C : gamma_a^T C = sigma C gamma_a for all a}, by brute-force
-    null space."""
-    # row-major vec: vec(G^T C - sigma C G) = (G^T kron I - sigma I kron G^T) vec C
-    rows = [np.kron(ga.T, np.eye(4)) - sigma * np.kron(np.eye(4), ga.T) for ga in gamma]
-    null = null_space(np.vstack(rows), 1e-12)
-    return [null[:, k].reshape(4, 4) for k in range(null.shape[1])]
-
-
 def killing_bilinears(fr: FramePatch, eps: np.ndarray):
     """One-forms (u, l) built from a real spinor field: for Killing spinors,
     u is lightlike and l unit spacelike with g(u, l) = 0.
@@ -390,14 +369,13 @@ def killing_bilinears(fr: FramePatch, eps: np.ndarray):
     system absorbs into its free one-form; l is normalised per node (the
     search found the normalisation to be exactly 1 already).
     """
-    vec, ten = clifford_rep().bilinear_tables
     lead = eps.shape[:-1]
     col = eps[..., :, None]
-    u_frame = ((eps @ vec).reshape(lead + (4, 4)) @ col)[..., 0]
+    u_frame = ((eps @ VECTOR_TABLE).reshape(lead + (4, 4)) @ col)[..., 0]
     om_frame = np.empty(lead + (4, 4))
     for a in range(4):                   # the 64-column table, 16 columns at a time
-        om_frame[..., a, :] = ((eps @ ten[:, 16 * a:16 * (a + 1)]).reshape(lead + (4, 4))
-                               @ col)[..., 0]
+        ten = TENSOR_TABLE[:, 16 * a:16 * (a + 1)]
+        om_frame[..., a, :] = ((eps @ ten).reshape(lead + (4, 4)) @ col)[..., 0]
     u = np.einsum("...am,...a->...m", fr.e, u_frame)
     om = np.swapaxes(fr.e, -1, -2) @ om_frame @ fr.e
     uu = np.maximum(np.einsum("...m,...m->...", u, u), 1e-300)
@@ -489,7 +467,7 @@ def verify_thm53(u: np.ndarray, l: np.ndarray, kappa: np.ndarray, lam: float,
 
 def chiral_projectors() -> tuple[np.ndarray, np.ndarray]:
     """Projectors onto the eigenspaces of the complex volume element i gamma5."""
-    nu_c = 1j * clifford_rep().gamma5
+    nu_c = 1j * GAMMA5
     ident = np.eye(4, dtype=complex)
     return (ident + nu_c) / 2, (ident - nu_c) / 2
 
@@ -498,7 +476,7 @@ def t_w(w: complex, eps: np.ndarray, v: np.ndarray) -> np.ndarray:
     """Chiral Killing endomorphism: T_w(eps)(v) = gamma(v)(w P+ eps + conj(w) P- eps)
     for frame vectors v, shape (..., 4) (components in the orthonormal frame)."""
     p_plus, p_minus = chiral_projectors()
-    gv = clifford_rep().slash(np.asarray(v, dtype=float))
+    gv = slash(np.asarray(v, dtype=float))
     return gv @ (w * (p_plus @ eps) + np.conj(w) * (p_minus @ eps))
 
 
@@ -531,5 +509,5 @@ def chiral_operator_check(w: complex, eps1: np.ndarray, eps2: np.ndarray,
     if abs(w.imag) < 1e-14:
         real_eps = eps + np.conj(eps)  # a c-real spinor
         out["real_w_reduction"] = float(np.max(np.abs(
-            t_w(w, real_eps, vs) - w.real * (clifford_rep().slash(vs) @ real_eps))))
+            t_w(w, real_eps, vs) - w.real * (slash(vs) @ real_eps))))
     return out

@@ -218,10 +218,6 @@ class ElectromagneticPair:
         if not is_positive_definite(i):
             raise DomainError("I must be positive definite")
 
-    @property
-    def n(self) -> int:
-        return self.R.shape[0]
-
     def siegel(self) -> "SiegelPoint":
         """Siegel point R + i*I (the equivariant sign convention)."""
         return SiegelPoint(self.R + 1j * self.I)
@@ -277,10 +273,6 @@ class SiegelPoint:
         if not is_positive_definite(self.tau.imag):
             raise DomainError("Im(tau) must be positive definite")
 
-    @property
-    def n(self) -> int:
-        return self.tau.shape[0]
-
     def couplings(self) -> ElectromagneticPair:
         return ElectromagneticPair(self.tau.real.copy(), self.tau.imag.copy())
 
@@ -311,10 +303,8 @@ def gamma_inv(j: Taming) -> ElectromagneticPair:
     jf = j.J @ fvecs
     evecs = np.vstack([np.eye(n), np.zeros((n, n))])  # columns e_a
     m = np.hstack([fvecs, jf])  # 2n x 2n, columns (f_b, J f_b)
-    try:
-        x = np.linalg.solve(m, evecs)  # column a holds (alpha_a, beta_a)
-    except np.linalg.LinAlgError as err:  # cannot occur for a valid taming
-        raise DomainError(f"degenerate taming: {err}") from err
+    # m = [[0, J_12], [Id, J_22]] has determinant +-det J_12 != 0 for a taming
+    x = np.linalg.solve(m, evecs)  # column a holds (alpha_a, beta_a)
     alpha = x[:n, :].T  # N_ab = alpha_ab + i beta_ab
     beta = x[n:, :].T
     return ElectromagneticPair(R=-alpha, I=beta)

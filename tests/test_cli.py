@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 from emduality import grids as gr
+from emduality import models as md
 from emduality.cli import build_parser, run
 
 GOLDEN = Path(__file__).resolve().parent / "golden"
@@ -165,7 +166,7 @@ class TestAlgebraCommands:
         assert got == code
         assert "error = model 'constant-i:13' needs nv in 1..12, got 13" in text
 
-    @pytest.mark.parametrize("samples", ["0", "-3"])
+    @pytest.mark.parametrize("samples", ["0", "-3", "abc"])
     def test_stabilizer_bad_sample_count_exit_2(self, samples):
         code, text = run(["stabilizer", "--model", "identity-tau", "--samples", samples])
         assert (code, text) == (2, "")
@@ -630,6 +631,7 @@ class TestMalformedArguments:
     @pytest.mark.parametrize("argv", [
         ["spinor-check", "--frame", "ads4-poincare", "--lambda"],
         ["thm53", "--frame", "ads4-poincare", "--lambda"],
+        # the check bounds are fixed: a --tol of any value is an unknown option
         ["stabilizer", "--model", "identity-tau", "--tol"],
         ["pair-check", "--model", "identity-tau", "--f", "id", "--A", "a.txt", "--tol"],
         ["selfdual", "--config", "grid.cfg", "--tol"],
@@ -716,3 +718,73 @@ class TestParser:
         assert run(["frobnicate"]) == (2, "")
         assert run_case(["stabilizer", "--model", "identity-tau"]) == (
             REPORTS / "stabilizer-identity-tau.txt").read_text(encoding="utf-8")
+
+
+class TestInputBranches:
+    """Branches of the model, grid and bundle readers: each malformed input
+    gives its documented exit code and a one-row error report."""
+
+    CONFIG = TestUnknownAndRepeatedKeys.CONFIG
+
+    @pytest.mark.parametrize("command, body, error", [
+        ("stabilizer --model", "nv = 1\nchart = poincare\ndim = 3\nN[1,1] = tau\n",
+         "poincare chart requires dim 2"),
+        ("stabilizer --model", "nv = 1\nN[1,1 = tau\n",
+         "missing ']' in entry index (line 2, column 5)"),
+        ("stabilizer --model", "nv = 1\nN[1] = tau\n",
+         "entry index must be N[i,j] (line 2, column 1)"),
+        ("stabilizer --model", "nv = 1\nN[1,1] =\n",
+         "entry line needs '= <expr>' (line 2, column 8)"),
+        ("stabilizer --model", "nv = 1\nN[1,1] = tau^1.5\n",
+         "exponent must be an integer (line 2, column 14)"),
+        ("stabilizer --model", "nv = 1\nN[1,1] = i + conj(x)\n",
+         "conj() takes only tau, got 'x' (line 2, column 19)"),
+        ("stabilizer --model", "nv = 1\nchart = flat\ndim = 1\nN[1,1] = i + conj(x1)\n",
+         "conj() takes only tau, got 'x1' (line 4, column 19)"),
+        ("selfdual --config", CONFIG + "phi = quadratic 1 2\n", "unknown phi spec 'quadratic'"),
+        ("selfdual --config", CONFIG + "field = foo\n", "unknown field spec 'foo'"),
+        ("selfdual --config", CONFIG + "field = terms\nfield_term = 0 0 1 0.3\n",
+         "field_term needs 'L mu nu c p0 p1 p2 p3', got '0 0 1 0.3'"),
+        ("selfdual --config", CONFIG.replace("7 7 7 7", "5 9 9 9"),
+         "resolution must be >= 7 per axis (stencil margin 2)"),
+        ("selfdual --config", CONFIG.replace("-0.4:0.4", "1:0", 1), "empty extent"),
+        ("centralizer --bundle", "generator = 1 0 0 1\nnv = 1\n",
+         "nv must come before generators"),
+        ("centralizer --bundle", "# no nv\n", "file must set nv")],
+        ids=["poincare-dim-3", "no-bracket", "one-index", "no-expression",
+             "fractional-power", "conj-x", "conj-x1-flat", "phi-quadratic", "field-foo",
+             "field-term-4", "resolution-5", "extents-1-0", "generator-first", "no-nv"])
+    def test_bad_input(self, tmp_path, command, body, error):
+        path = tmp_path / "input.txt"
+        path.write_text(body)
+        code, text = run(command.split() + [str(path)])
+        assert code == 3
+        assert f"error = {error}" in text.splitlines()
+        assert "result = FAIL" in text
+
+    @pytest.mark.parametrize("argv, code", [(["stabilizer", "--model"], 3),
+                                            (["models", "show"], 2)])
+    def test_bad_constant_i_spec(self, argv, code):
+        got, text = run(argv + ["constant-i:x"])
+        assert got == code
+        assert "error = bad constant-i spec 'constant-i:x'" in text.splitlines()
+
+    def test_unary_plus_is_the_identity(self, tmp_path):
+        points = np.array([[0.3, 1.2], [-0.7, 0.4]])
+        periods, reports = [], []
+        for entry in ("+tau", "tau"):
+            model = tmp_path / "entry.model"
+            model.write_text(f"name = m\nnv = 1\nN[1,1] = {entry}\n")
+            periods.append(md.load_model(str(model)).period_matrix(points))
+            reports.append(run(["stabilizer", "--model", str(model)]))
+        assert np.array_equal(*periods)
+        assert reports[0] == reports[1] and reports[0][0] == 0
+
+    def test_identity_pair_on_a_flat_chart(self, tmp_path):
+        model = tmp_path / "flat.model"
+        model.write_text("name = flat\nnv = 1\nchart = flat\ndim = 1\nN[1,1] = i + x1\n")
+        a = tmp_path / "id.A"
+        a.write_text("1 0\n0 1\n")
+        code, text = run(["pair-check", "--model", str(model), "--f", "id", "--A", str(a)])
+        assert code == 0
+        assert "check pair_residual = 0 tol 1e-10 pass" in text.splitlines()

@@ -312,6 +312,28 @@ class TestOslashQ:
             assert np.max(np.abs(contr - t)) < 1e-10 * max(1, np.max(np.abs(t)))
 
 
+    def test_oslash_g_traces_to_twice_form_inner(self, rng):
+        # g^ab (r1 oslash r2)_ab = r1_ac r2^ac = 2 (r1, r2)_g, node by node
+        for _ in range(20):
+            gs = np.stack([fl.random_lorentz_metric(rng) for _ in range(5)])
+            r1, r2 = fl.random_two_forms(5, rng), fl.random_two_forms(5, rng)
+            traced = np.einsum("kab,kab->k", np.linalg.inv(gs), fl.oslash_g(gs, r1, r2))
+            want = 2 * fl.form_inner(gs, r1, r2)
+            assert np.max(np.abs(traced - want)) <= 1e-13 * np.max(np.abs(want))
+
+    def test_is_q_weighted_sum_of_oslash_g(self, rng):
+        # oslash_Q(v, w) = sum_AB Q_AB (v^A oslash_g w^B) with Q = Omega J
+        for _ in range(20):
+            gs = np.stack([fl.random_lorentz_metric(rng) for _ in range(5)])
+            j = sp.random_taming(2, rng)
+            v, w = (fl.random_two_forms(20, rng).reshape(5, 4, 4, 4) for _ in range(2))
+            q = sp.omega(2) @ j.J
+            want = sum(q[a, b] * fl.oslash_g(gs, v[:, a], w[:, b])
+                       for a in range(4) for b in range(4))
+            got = fl.oslash_Q(gs, j, v, w)
+            assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
+
+
 class TestStressGauge:
     def test_zero(self, rng):
         g = fl.random_lorentz_metric(rng)

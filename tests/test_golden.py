@@ -3,94 +3,27 @@ stored in ``tests/golden/reports``.
 
 These are the program's own earlier outputs, so they catch drift, not
 errors; what is right is decided by the oracles of the other tests.  Rows
-are compared one by one:
-  * the exit code, row names, text values, digests, tolerances and pass/FAIL
-    exactly;
-  * numbers to 1e-10 relative to the largest magnitude in their row;
-  * rows named in ``ZERO_ROWS`` whose stored value is at roundoff level only
-    against the roundoff bound: exactly 0 in exact arithmetic, their digits
-    are noise.
-Each case runs with numpy's ``RuntimeWarning`` as an error, so bad input
-gives its report and exit code, not a warning on the way.
+are compared one by one by ``regenerate.row_problem``, whose rules that
+module's docstring states.  Each case runs with numpy's ``RuntimeWarning``
+as an error, so bad input gives its report and exit code, not a warning on
+the way.
 """
 
-import re
+import argparse
+import itertools
 import sys
 from pathlib import Path
 
 import pytest
 
+from emduality.cli import build_parser
+
 GOLDEN = Path(__file__).resolve().parent / "golden"
 sys.path.insert(0, str(GOLDEN))
-from regenerate import REPORTS, cases, run_case  # noqa: E402
+from regenerate import (REPORTS, ROUNDOFF, ZERO_ROWS, cases, input_scale,  # noqa: E402
+                        kept_rows, named, row_problem, rows, run_case)
 
 CASES = cases()
-REL = 1e-10
-# roundoff bound for the ZERO_ROWS, times the largest input matrix entry
-ROUNDOFF = 1e-12
-ZERO_ROWS = ("selfdual_violation", "scalar_assembly_gap", "*_discrepancy",
-             "u_norm_violation", "l_norm_violation", "orthogonality_violation",
-             "parallel_residual", "path_defect", "residual", "lift_residual",
-             "lift[*] residual", "pair_residual", "A_symplectic_violation",
-             "generator[*] sp_violation", "relation[*] violation")
-EXACT_ROWS = ("input_digest",)
-MATRIX_OPTIONS = ("--A", "--bundle", "--taming")
-CHECK = re.compile(r"check (.+) = (.*) tol (\S+) (pass|FAIL)")
-
-
-def named(name: str, patterns: tuple[str, ...]) -> bool:
-    """Whether a row name matches one of the patterns, where ``*`` is the
-    only wildcard: brackets in ``lift[*] residual`` are literal, as in the
-    row names."""
-    return any(re.fullmatch(".*".join(map(re.escape, pat.split("*"))), name)
-               for pat in patterns)
-
-
-def input_scale(argv: list[str]) -> float:
-    """Largest entry of the case's matrix and bundle files, at least 1."""
-    scale = 1.0
-    for opt, value in zip(argv, argv[1:]):
-        path = GOLDEN / value
-        if opt in MATRIX_OPTIONS and path.is_file():
-            for line in path.read_text(encoding="utf-8").splitlines():
-                for tok in re.split(r"[\s=,]+", line.split("#", 1)[0]):
-                    try:
-                        scale = max(scale, abs(float(tok)))
-                    except ValueError:
-                        pass
-    return scale
-
-
-def rows(text: str) -> list[tuple[str, str, str]]:
-    """(name, value, rest) per line: rest is 'tol status' for check rows."""
-    out = []
-    for line in text.splitlines():
-        m = CHECK.fullmatch(line)
-        if m:
-            out.append((m[1], m[2], f"{m[3]} {m[4]}"))
-        else:
-            name, _, value = line.partition(" = ")
-            out.append((name, value, ""))
-    return out
-
-
-def _floats(value: str) -> list[float] | None:
-    try:
-        return [float(tok) for tok in value.split()] or None
-    except ValueError:
-        return None
-
-
-def row_problem(name: str, want: str, got: str, bound: float) -> str | None:
-    w, g = (None, None) if name in EXACT_ROWS else (_floats(want), _floats(got))
-    if w is None or g is None or len(w) != len(g):
-        return None if want == got else f"{name}: {got!r}, expected {want!r}"
-    if len(w) == 1 and named(name, ZERO_ROWS) and abs(w[0]) <= bound:
-        return None if abs(g[0]) <= bound else f"{name} = {g[0]:.3e} exceeds roundoff {bound:.1e}"
-    top = max(max(abs(v) for v in w), max(abs(v) for v in g))
-    if all(abs(a - b) <= REL * top for a, b in zip(w, g)):
-        return None
-    return f"{name}: {got!r}, expected {want!r}"
 
 
 def test_zero_row_patterns_take_brackets_literally():
@@ -99,6 +32,52 @@ def test_zero_row_patterns_take_brackets_literally():
     assert named("t_discrepancy", ZERO_ROWS)
     assert not named("lift* residual", ZERO_ROWS)
     assert not named("dim_u", ZERO_ROWS)
+
+
+def test_regeneration_keeps_the_rows_it_accepts():
+    old = ("exit = 1\n"
+           "einstein_max_before = 0.125\n"
+           "check scalar_discrepancy = 5.20417042793e-18 tol 1e-09 pass\n"
+           "check maxwell_discrepancy = 0.5 tol 1e-09 FAIL\n"
+           "check pair_residual = 0 tol 1e-10 pass\n")
+    new = ("exit = 1\n"
+           "einstein_max_before = 0.12500000000001\n"
+           "check scalar_discrepancy = 3.46944695195e-18 tol 1e-09 pass\n"
+           "check maxwell_discrepancy = 0.25 tol 1e-09 FAIL\n"
+           "check pair_residual = 0 tol 1e-08 pass\n"
+           "einstein_max_after = 0.5\n")
+    assert kept_rows(old, new, 1e-12).splitlines() == [
+        "exit = 1",
+        "einstein_max_before = 0.125",                                  # kept: within 1e-10
+        "check scalar_discrepancy = 5.20417042793e-18 tol 1e-09 pass",  # kept: roundoff
+        "check maxwell_discrepancy = 0.25 tol 1e-09 FAIL",              # replaced: moved
+        "check pair_residual = 0 tol 1e-08 pass",                       # replaced: new tol
+        "einstein_max_after = 0.5"]                                     # added
+    assert kept_rows("", new, 1e-12) == new
+    assert kept_rows(new, "exit = 2\n", 1e-12) == "exit = 2\n"
+
+
+def test_every_option_is_set_by_a_case():
+    """Every option of the command-line parser is given on some line of
+    ``cases.txt`` (the k-th positional by a case with at least k leading
+    values), so an option that nothing sets cannot come back unnoticed."""
+    (sub,) = [a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction)]
+    unset = []
+    for command, parser in sub.choices.items():
+        given = [argv[1:] for argv in CASES.values() if argv[0] == command]
+        positional = 0
+        for action in parser._actions:
+            if isinstance(action, argparse._HelpAction):
+                continue
+            if action.option_strings:
+                ok = any(set(action.option_strings) & set(argv) for argv in given)
+            else:
+                positional += 1
+                ok = any(len(list(itertools.takewhile(lambda t: not t.startswith("-"), argv)))
+                         >= positional for argv in given)
+            if not ok:
+                unset.append(f"{command} {'/'.join(action.option_strings) or action.dest}")
+    assert not unset, f"options no case sets: {unset}"
 
 
 def test_reports_match_cases():

@@ -31,7 +31,7 @@ def exact_spinor(x, eps0, swap=False, sign=1.0):
     """The exact Killing spinor through eps0 at the nodes x (..., 4); swap
     exchanges P+ and P-, and sign multiplies the x^i gamma_i term (the
     negative controls)."""
-    gamma = sn.clifford_rep().gamma
+    gamma = sn.GAMMA
     plus, minus = (np.eye(4) + gamma[3]) / 2, (np.eye(4) - gamma[3]) / 2
     if swap:
         plus, minus = minus, plus

@@ -31,11 +31,6 @@ EPS0 = np.array([0.9, -0.4, 0.3, 1.1])
 
 
 @pytest.fixture(scope="module")
-def rep():
-    return sn.clifford_rep()
-
-
-@pytest.fixture(scope="module")
 def ads9():
     grid = ads_grid(9)
     fr = sn.builtin_frame("ads4-poincare", grid, lam=LAM)
@@ -52,32 +47,32 @@ def ads17():
 
 
 class TestCliffordRep:
-    def test_anticommutation_exact(self, rep):
+    def test_anticommutation_exact(self):
         for a in range(4):
             for b in range(4):
-                anti = rep.gamma[a] @ rep.gamma[b] + rep.gamma[b] @ rep.gamma[a]
+                anti = sn.GAMMA[a] @ sn.GAMMA[b] + sn.GAMMA[b] @ sn.GAMMA[a]
                 assert np.array_equal(anti, 2 * sn.ETA[a, b] * np.eye(4))
 
-    def test_real_entries(self, rep):
-        assert rep.gamma.dtype == np.float64
-        assert np.all(np.isreal(rep.gamma))
+    def test_real_entries(self):
+        assert sn.GAMMA.dtype == np.float64
+        assert np.all(np.isreal(sn.GAMMA))
 
-    def test_traceless(self, rep):
+    def test_traceless(self):
         for a in range(4):
-            assert np.trace(rep.gamma[a]) == 0.0
+            assert np.trace(sn.GAMMA[a]) == 0.0
 
-    def test_gamma5_squares_to_minus_one(self, rep):
-        g5 = rep.gamma5
+    def test_gamma5_squares_to_minus_one(self):
+        g5 = sn.GAMMA5
         assert np.array_equal(g5 @ g5, -np.eye(4))
 
-    def test_lorentz_bracket_closure(self, rep):
+    def test_lorentz_bracket_closure(self):
         # M_ab = (1/4)[gamma_a, gamma_b] closes the so(3,1) bracket
         eta = sn.ETA
         m = np.zeros((4, 4, 4, 4))
         for a in range(4):
             for b in range(4):
-                m[a, b] = 0.25 * (rep.gamma[a] @ rep.gamma[b]
-                                  - rep.gamma[b] @ rep.gamma[a])
+                m[a, b] = 0.25 * (sn.GAMMA[a] @ sn.GAMMA[b]
+                                  - sn.GAMMA[b] @ sn.GAMMA[a])
         for a in range(4):
             for b in range(4):
                 for c in range(4):
@@ -87,13 +82,13 @@ class TestCliffordRep:
                                - eta[b, d] * m[a, c] + eta[a, d] * m[b, c])
                         assert np.max(np.abs(lhs - rhs)) <= 1e-14
 
-    def test_invariant_bilinear_spaces(self, rep):
+    def test_invariant_bilinear_spaces(self):
         bil = invariant_bilinears()
         assert len(bil[1]) == 1 and len(bil[-1]) == 1
         for sigma in (1, -1):
             c = bil[sigma][0]
             for a in range(4):
-                assert np.max(np.abs(rep.gamma[a].T @ c - sigma * c @ rep.gamma[a])) < 1e-12
+                assert np.max(np.abs(sn.GAMMA[a].T @ c - sigma * c @ sn.GAMMA[a])) < 1e-12
 
 
 class TestFrames:
@@ -464,7 +459,7 @@ class TestChiralAlgebra:
             v = rng.standard_normal(4)
             assert np.max(np.abs(sn.t_w(0.0, eps, v))) == 0.0
 
-    def test_real_w_reduction(self, rep):
+    def test_real_w_reduction(self):
         # real w on a conjugation-real spinor reduces to the real Killing
         # endomorphism with lam = 2w
         rng = np.random.default_rng(1)
@@ -473,7 +468,7 @@ class TestChiralAlgebra:
         for _ in range(10):
             v = rng.standard_normal(4)
             lhs = sn.t_w(w, eps_real, v)
-            rhs = w * np.einsum("a,aij,j->i", v, rep.gamma, eps_real)
+            rhs = w * np.einsum("a,aij,j->i", v, sn.GAMMA, eps_real)
             assert np.max(np.abs(lhs - rhs)) < 1e-13
 
     def test_check_report(self):
@@ -503,7 +498,7 @@ class TestChiralAlgebra:
             if abs(w.imag) < 1e-14:
                 out["real_w_reduction"] = max(out.get("real_w_reduction", 0.0), float(
                     np.max(np.abs(sn.t_w(w, real_eps, v)
-                                  - w.real * (sn.clifford_rep().slash(v) @ real_eps)))))
+                                  - w.real * (sn.slash(v) @ real_eps)))))
         return out
 
     @pytest.mark.parametrize("w", [0.3 + 0.7j, 0.5, -1.2, 2j])
@@ -531,7 +526,7 @@ class TestChiralAlgebra:
 def invariant_bilinears():
     """Bases of the spaces {C : gamma_a^T C = sigma C gamma_a for all a},
     keyed by sigma in {+1, -1}."""
-    return {sigma: sn._bilinear_space(sn.clifford_rep().gamma, sigma) for sigma in (1, -1)}
+    return {sigma: sn._bilinear_space(sn.GAMMA, sigma) for sigma in (1, -1)}
 
 
 def full_frame(fr, pts):
@@ -555,10 +550,10 @@ def metric_compatibility_residual(fr, w):
     return float(np.max(np.abs(term[fr.grid.interior()])))
 
 
-def oracle_generator(rep, w_mab, e_am, lam):
-    gup = np.einsum("ab,bij->aij", np.linalg.inv(rep.eta), rep.gamma)
+def oracle_generator(w_mab, e_am, lam):
+    gup = np.einsum("ab,bij->aij", np.linalg.inv(sn.ETA), sn.GAMMA)
     quarter = 0.25 * np.einsum("...mab,aij,bjk->...mik", w_mab, gup, gup)
-    gamma_mu = np.einsum("...am,aij->...mij", e_am, rep.gamma)
+    gamma_mu = np.einsum("...am,aij->...mij", e_am, sn.GAMMA)
     return -quarter + 0.5 * lam * gamma_mu
 
 
@@ -614,10 +609,10 @@ def allatonce_extract_kappa(u, l, lam, geo, grid):
     return np.einsum("...mn,...n->...m", w, u) / denom[..., None]
 
 
-def oracle_bilinears(fr, eps, rep):
+def oracle_bilinears(fr, eps):
     c = invariant_bilinears()[-1][0]
     c = c / np.max(np.abs(c))
-    gam = rep.gamma
+    gam = sn.GAMMA
     u_frame = np.einsum("...i,ij,ajk,...k->...a", eps, c, gam, eps)
     gab = 0.5 * (np.einsum("aij,bjk->abik", gam, gam)
                  - np.einsum("bij,ajk->abik", gam, gam))
@@ -631,7 +626,7 @@ def oracle_bilinears(fr, eps, rep):
     return u, l_raw / np.sqrt(np.abs(norm_sq))[..., None]
 
 
-def oracle_integrate(fr, lam, eps0, rep, axis_order):
+def oracle_integrate(fr, lam, eps0, axis_order):
     # one RK4 step per edge, three generator evaluations each, all four
     # directions built at every stage and the unused three dropped
     coords = fr.grid.coords()
@@ -639,7 +634,7 @@ def oracle_integrate(fr, lam, eps0, rep, axis_order):
     eps[(0,) * 4] = eps0
 
     def m_at(q, axis):
-        return oracle_generator(rep, full_connection(fr, q), full_frame(fr, q),
+        return oracle_generator(full_connection(fr, q), full_frame(fr, q),
                                 lam)[..., axis, :, :]
 
     def apply(m, y):
@@ -696,16 +691,16 @@ def wavy9():
 
 
 class TestKernelOracles:
-    def test_transport_generator_all_directions(self, wavy9, rep):
+    def test_transport_generator_all_directions(self, wavy9):
         x = wavy9.grid.coords()
         w, e = full_connection(wavy9, x), wavy9.e
         for lam in (0.0, 0.7):
             new = sn._transport_generator(w, np.swapaxes(e, -1, -2), lam)
-            assert rel_err(new, oracle_generator(rep, w, e, lam)) < 1e-13
+            assert rel_err(new, oracle_generator(w, e, lam)) < 1e-13
 
-    def test_axis_generator_is_slice_of_full(self, wavy9, rep):
+    def test_axis_generator_is_slice_of_full(self, wavy9):
         pts = wavy9.grid.coords()[:, 2, :, 3]
-        full = oracle_generator(rep, full_connection(wavy9, pts), full_frame(wavy9, pts), 0.7)
+        full = oracle_generator(full_connection(wavy9, pts), full_frame(wavy9, pts), 0.7)
         for axis in range(4):
             one = sn._axis_generator(wavy9, 0.7, pts, axis)
             assert rel_err(one, full[..., axis, :, :]) < 1e-13
@@ -716,34 +711,34 @@ class TestKernelOracles:
     def test_metric(self, wavy9):
         assert rel_err(wavy9.metric(), oracle_metric(wavy9.e)) < 1e-13
 
-    def test_killing_bilinears(self, wavy9, ads9, rep):
+    def test_killing_bilinears(self, wavy9, ads9):
         _, _, eps = ads9
         with warnings.catch_warnings():
             warnings.simplefilter("ignore", UserWarning)
             u, l = sn.killing_bilinears(wavy9, eps)
-            u_old, l_old = oracle_bilinears(wavy9, eps, rep)
+            u_old, l_old = oracle_bilinears(wavy9, eps)
         assert rel_err(u, u_old) < 1e-13
         assert rel_err(l, l_old) < 1e-13
 
     @pytest.mark.parametrize("order", [(0, 1, 2, 3), (3, 2, 1, 0)])
-    def test_integrate_killing(self, ads9, rep, order):
+    def test_integrate_killing(self, ads9, order):
         _, fr, _ = ads9
         new = sn.integrate_killing(fr, LAM, EPS0, axis_order=order)
-        assert rel_err(new, oracle_integrate(fr, LAM, EPS0, rep, order)) < 1e-13
+        assert rel_err(new, oracle_integrate(fr, LAM, EPS0, order)) < 1e-13
 
     @pytest.mark.parametrize("order", [(0, 1, 2, 3), (3, 2, 1, 0), (2, 0, 3, 1)])
-    def test_integrate_killing_noncubic(self, rep, order):
+    def test_integrate_killing_noncubic(self, order):
         grid = gr.GridPatch(((-0.4, 0.4), (-0.3, 0.5), (-0.4, 0.6), (0.8, 1.6)),
                             (7, 9, 11, 8))
         fr = sn.builtin_frame("ads4-poincare", grid, lam=LAM)
         new = sn.integrate_killing(fr, LAM, EPS0, axis_order=order)
-        assert rel_err(new, oracle_integrate(fr, LAM, EPS0, rep, order)) < 1e-13
+        assert rel_err(new, oracle_integrate(fr, LAM, EPS0, order)) < 1e-13
 
-    def test_integrate_killing_wavy(self, wavy9, rep):
+    def test_integrate_killing_wavy(self, wavy9):
         # a generator that varies along every axis, in every direction
         order = (1, 3, 0, 2)
         new = sn.integrate_killing(wavy9, 0.7, EPS0, axis_order=order)
-        assert rel_err(new, oracle_integrate(wavy9, 0.7, EPS0, rep, order)) < 1e-13
+        assert rel_err(new, oracle_integrate(wavy9, 0.7, EPS0, order)) < 1e-13
 
     def test_one_connection_call_per_slab(self, ads9):
         _, fr, _ = ads9
@@ -848,18 +843,21 @@ class TestKernelOracles:
         with pytest.raises(sn.FrameError, match="singular frame"):
             sn.FramePatch(wavy9.grid, e)
 
-    def test_tables_built_once_and_read_only(self, rep):
-        assert sn.clifford_rep() is rep
-        assert rep.spin_table is rep.spin_table
-        assert rep.pairing is rep.pairing
-        for table in (rep.gamma, rep.spin_table, rep.pairing,
-                      *rep.bilinear_tables):
+    def test_tables_built_once_and_read_only(self):
+        # module constants built at import by their builders, read-only
+        vec, ten = sn._bilinear_tables(sn.GAMMA, sn.PAIRING)
+        for table, built in ((sn.GAMMA5, sn.GAMMA[0] @ sn.GAMMA[1] @ sn.GAMMA[2] @ sn.GAMMA[3]),
+                             (sn.SPIN_TABLE, sn._spin_table(sn.GAMMA)),
+                             (sn.PAIRING, sn._pairing(sn.GAMMA)),
+                             (sn.VECTOR_TABLE, vec), (sn.TENSOR_TABLE, ten)):
+            assert np.array_equal(table, built)
+        for table in (sn.GAMMA, sn.GAMMA5, sn.SPIN_TABLE, sn.PAIRING,
+                      sn.VECTOR_TABLE, sn.TENSOR_TABLE):
             assert not table.flags.writeable
 
     def test_pairing_requires_one_invariant_bilinear(self):
-        broken = sn.CliffordRep(gamma=np.zeros((4, 4, 4)), eta=sn.ETA)
         with pytest.raises(RuntimeError):
-            broken.pairing
+            sn._pairing(np.zeros((4, 4, 4)))
 
 
 class TestMemory:
