@@ -55,8 +55,9 @@ class GridPatch:
             raise GridError("grid is four-dimensional")
         if any(n < 7 for n in self.resolution):
             raise GridError("resolution must be >= 7 per axis (stencil margin 2)")
-        if any(hi <= lo for lo, hi in self.extents):
-            raise GridError("empty extent")
+        for axis, (lo, hi) in enumerate(self.extents):
+            if hi <= lo:
+                raise GridError(f"extents axis {axis} is empty: {lo:g}:{hi:g}")
         if np.prod(self.resolution, dtype=float) > MAX_NODES:
             raise GridError(f"grid {'x'.join(map(str, self.resolution))} has more than "
                             f"{MAX_NODES} nodes (33^4)")

@@ -20,7 +20,7 @@ from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, reduce
 
 import numpy as np
 
@@ -30,7 +30,7 @@ from .fields import ETA, blockwise, node_blocks
 # spinors.christoffel
 from .grids import (Geometry, GridPatch, christoffel, metric_geometry,  # noqa: F401
                     partials)
-from .symplectic import _within, null_space
+from .symplectic import _within
 
 
 class FrameError(ValueError, InputError):
@@ -43,41 +43,19 @@ def _table(a: np.ndarray) -> np.ndarray:
     return a
 
 
-def _bilinear_space(gamma: np.ndarray, sigma: int) -> list[np.ndarray]:
-    """Basis of {C : gamma_a^T C = sigma C gamma_a for all a}, by brute-force
-    null space."""
-    # row-major vec: vec(G^T C - sigma C G) = (G^T kron I - sigma I kron G^T) vec C
-    rows = [np.kron(ga.T, np.eye(4)) - sigma * np.kron(np.eye(4), ga.T) for ga in gamma]
-    null = null_space(np.vstack(rows), 1e-12)
-    return [null[:, k].reshape(4, 4) for k in range(null.shape[1])]
-
-
-def _pairing(gamma: np.ndarray) -> np.ndarray:
-    """The Majorana pairing C used by ``killing_bilinears``: the sigma = -1
-    invariant bilinear (gamma_a^T C = -C gamma_a), for which C gamma_a is
-    symmetric and the vector bilinear is a nonzero quadratic form."""
-    mats = _bilinear_space(gamma, -1)
-    if len(mats) != 1:
-        raise RuntimeError(f"expected one sigma=-1 invariant bilinear, got {len(mats)}")
-    m = mats[0]
-    return _table(m / np.max(np.abs(m)))
-
-
-def _bilinear_tables(gamma: np.ndarray, c: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Tables of C gamma_a and C gamma_{[a} gamma_{b]}, rows i and columns
-    (a, k) or (a, b, k), shapes (4, 16) and (4, 64): the bilinears are
-    eps @ table @ eps with the columns reshaped."""
+def _bilinear_table(gamma: np.ndarray, c: np.ndarray) -> np.ndarray:
+    """(16, 20) table of the frame bilinears: row (i, k) of eps (x) eps, and
+    the columns a of C gamma_a, then (a, b) of C gamma_{[a} gamma_{b]}, so that
+    one product (eps (x) eps) @ table gives u_a and om_ab."""
     gg = gamma[:, None] @ gamma[None, :]
     gab = 0.5 * (gg - np.swapaxes(gg, 0, 1))
-    vec = np.moveaxis(c @ gamma, -2, 0).reshape(4, 16)
-    ten = np.moveaxis(c @ gab, -2, 0).reshape(4, 64)
-    return _table(vec), _table(ten)
+    return _table(np.concatenate([c @ gamma, (c @ gab).reshape(16, 4, 4)]).reshape(20, 16).T)
 
 
 def _spin_table(gamma: np.ndarray) -> np.ndarray:
     """(16, 16): row (a, b) is -(1/4) gamma^a gamma^b flattened over (i, k),
     so that w_ab (flattened) @ table = -(1/4) w_ab gamma^a gamma^b."""
-    gup = np.einsum("ab,bij->aij", np.linalg.inv(ETA), gamma)
+    gup = np.einsum("ab,bij->aij", ETA, gamma)          # eta^-1 = eta
     return _table(-0.25 * (gup[:, None] @ gup[None, :]).reshape(16, 16))
 
 
@@ -90,8 +68,12 @@ GAMMA = _table(np.stack([np.kron(_EPS, np.eye(2)), np.kron(_S1, np.eye(2)),
                          np.kron(_S3, _S1), np.kron(_S3, _S3)]))   # gamma[a], real
 GAMMA5 = _table(GAMMA[0] @ GAMMA[1] @ GAMMA[2] @ GAMMA[3])
 SPIN_TABLE = _spin_table(GAMMA)
-PAIRING = _pairing(GAMMA)
-VECTOR_TABLE, TENSOR_TABLE = _bilinear_tables(GAMMA, PAIRING)
+# the Majorana pairing C: gamma_a^T C = -C gamma_a for every a, so that each
+# C gamma_a and C gamma_{[a} gamma_{b]} is symmetric; unique up to scale, and
+# gamma_0 is one (it is antisymmetric, squares to -Id and anticommutes with
+# the symmetric gamma_1, gamma_2, gamma_3)
+PAIRING = GAMMA[0]
+BILINEAR_TABLE = _bilinear_table(GAMMA, PAIRING)
 
 
 def slash(v: np.ndarray) -> np.ndarray:
@@ -117,9 +99,14 @@ class FramePatch:
         if self.e.shape != self.grid.shape + (4, 4):
             raise FrameError(f"vierbein shape {self.e.shape} does not match grid")
         # scale-free: |det e| with each row scaled to unit norm (a zero row
-        # stays zero, so it fails the comparison too)
+        # stays zero, so it fails the comparison too); each row is first
+        # divided by its largest |entry|, so that its sum of squares neither
+        # over- nor underflows (the maximum of the four column slices: np.max
+        # along the length-4 axis is 30 times slower)
         def unit_rows_det(e):
-            norm = np.linalg.norm(e, axis=-1, keepdims=True)
+            peak = reduce(np.maximum, np.moveaxis(np.abs(e), -1, 0))[..., None]
+            e = e / np.where(peak > 0, peak, 1.0)
+            norm = np.sqrt(np.einsum("...ij,...ij->...i", e, e))[..., None]
             return np.abs(np.linalg.det(e / np.where(norm > 0, norm, 1.0))) > 1e-12
 
         if not np.all(blockwise(unit_rows_det, (self.e, 2))):
@@ -353,38 +340,30 @@ def path_defect(fr: FramePatch, lam: float, eps: np.ndarray) -> float:
 # -------------------------------------------------------- bilinear one-forms
 
 def killing_bilinears(fr: FramePatch, eps: np.ndarray):
-    """One-forms (u, l) built from a real spinor field: for Killing spinors,
-    u is lightlike and l unit spacelike with g(u, l) = 0.
+    """One-forms (u, l) built from a real spinor field eps:
 
-    Construction found by searching the finite set of invariant-bilinear
-    choices (the gamma5-inserted vector bilinear vanishes identically in this
-    representation, so the spacelike partner comes from the tensor bilinear):
+        u_mu  = e^a_mu eps^T C gamma_a eps              (the vector bilinear),
+        om_mn = e^a_m e^b_n eps^T C gamma_{[a} gamma_{b]} eps,
+        l_n   = -sum_m u_m om_mn / sum_m u_m u_m,
 
-        u_mu   = eps^T C gamma_mu eps            (null current),
-        om_ab  = eps^T C gamma_{[a} gamma_{b]} eps / 2,
-        l      = -(componentwise least-squares u-contraction of om),
-
-    where C is the sigma = -1 invariant pairing.  om decomposes as u ^ l, so
-    the contraction recovers l up to a shift along u, which the first-order
-    system absorbs into its free one-form; l is normalised per node (the
-    search found the normalisation to be exactly 1 already).
+    with C = ``PAIRING``; both frame bilinears come from one product of
+    eps (x) eps with ``BILINEAR_TABLE``.  The gamma5-inserted vector bilinear
+    vanishes identically in this representation, so the spacelike partner
+    comes from the tensor bilinear.  At every node with u != 0 the Fierz
+    identities give g(u, u) = 0 and om = l ^ u with g(l, l) = 1 and
+    g(u, l) = 0, for any spinor, not only a Killing one: the contraction
+    recovers l up to a shift along u, which keeps those identities and which
+    the first-order system absorbs into its free one-form.  Where u = 0,
+    l = 0.
     """
     lead = eps.shape[:-1]
-    col = eps[..., :, None]
-    u_frame = ((eps @ VECTOR_TABLE).reshape(lead + (4, 4)) @ col)[..., 0]
-    om_frame = np.empty(lead + (4, 4))
-    for a in range(4):                   # the 64-column table, 16 columns at a time
-        ten = TENSOR_TABLE[:, 16 * a:16 * (a + 1)]
-        om_frame[..., a, :] = ((eps @ ten).reshape(lead + (4, 4)) @ col)[..., 0]
-    u = np.einsum("...am,...a->...m", fr.e, u_frame)
-    om = np.swapaxes(fr.e, -1, -2) @ om_frame @ fr.e
+    # a stack of small products over the leading axes: flattened to one tall
+    # GEMM, BLAS runs it on a second thread, whose buffers add 2.5 MB of RSS
+    bil = (eps[..., :, None] * eps[..., None, :]).reshape(lead + (16,)) @ BILINEAR_TABLE
+    u = np.einsum("...am,...a->...m", fr.e, bil[..., :4])
+    om = np.swapaxes(fr.e, -1, -2) @ bil[..., 4:].reshape(lead + (4, 4)) @ fr.e
     uu = np.maximum(np.einsum("...m,...m->...", u, u), 1e-300)
-    l_raw = -np.einsum("...m,...mn->...n", u, om) / uu[..., None]
-    norm_sq = _quadratic(fr.geometry.ginv, l_raw, l_raw)
-    if np.min(norm_sq) <= 0:
-        warnings.warn("spacelike bilinear is not spacelike everywhere", stacklevel=2)
-    l = l_raw / np.sqrt(np.abs(norm_sq))[..., None]
-    return u, l
+    return u, -np.einsum("...m,...mn->...n", u, om) / uu[..., None]
 
 
 def _quadratic(ginv: np.ndarray, a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -460,7 +439,8 @@ def verify_thm53(u: np.ndarray, l: np.ndarray, kappa: np.ndarray, lam: float,
         orthogonality_violation=peak(_quadratic(geo.ginv, u, l)),
         u_killing_residual=killing,
         dkappa_max=peak(dkappa - np.swapaxes(dkappa, -1, -2)),
-        nontrivial=bool(np.max(np.abs(u[inner])) > 1e-10))
+        # u_m = e^a_m u_a scales as the frame, and so does sqrt(max |g|)
+        nontrivial=bool(peak(u) > 1e-10 * np.sqrt(peak(geo.g))))
 
 
 # ----------------------------------------------------------- chiral algebra

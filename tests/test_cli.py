@@ -747,7 +747,8 @@ class TestInputBranches:
          "field_term needs 'L mu nu c p0 p1 p2 p3', got '0 0 1 0.3'"),
         ("selfdual --config", CONFIG.replace("7 7 7 7", "5 9 9 9"),
          "resolution must be >= 7 per axis (stencil margin 2)"),
-        ("selfdual --config", CONFIG.replace("-0.4:0.4", "1:0", 1), "empty extent"),
+        ("selfdual --config", CONFIG.replace("-0.4:0.4", "1:0", 1),
+         "extents axis 0 is empty: 1:0"),
         ("centralizer --bundle", "generator = 1 0 0 1\nnv = 1\n",
          "nv must come before generators"),
         ("centralizer --bundle", "# no nv\n", "file must set nv")],
