@@ -303,17 +303,17 @@ def cmd_residuals(args) -> Report:
     for name, value in out.rows():
         rep.info(name, value)
     # consistency of the two scalar assemblies is the pass/fail content
-    glo = gr.scalar_residual(cfg, "global")[cfg.grid.interior()]
+    glo = gr.scalar_residual(cfg.on(cfg.grid.interior()), "global")
     rep.add("scalar_assembly_gap", float(np.max(np.abs(out.scalar - glo))), tol=1e-9)
     rep.add("selfdual_violation", out.selfdual_violation, tol=1e-8)
     # convergence table: residual maxima on successive spacing halvings, each
-    # over the nodes of the coarse interior, so every row reads the same region
+    # on the nodes of the coarse interior, so every row reads the same region
     region = _interior_extents(cfg.grid)
     for k, grid in enumerate(grids[1:], 1):
-        fine = gr.residual_report(gr.parse_grid_config(text, grid.resolution))
+        fine = gr.residual_report(gr.parse_grid_config(text, grid.resolution),
+                                  grid.node_box(region))
         rep.info(f"refine[{k}] grid", "x".join(map(str, grid.shape)))
-        for name, value in zip(("einstein_max", "scalar_max", "maxwell_max"),
-                               fine.maxima(grid.node_box(region))):
+        for name, value in zip(("einstein_max", "scalar_max", "maxwell_max"), fine.maxima()):
             rep.info(f"refine[{k}] {name}", value)
     return rep
 

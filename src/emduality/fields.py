@@ -81,12 +81,15 @@ def _as_taming(j) -> np.ndarray:
 def invert_metric(g) -> tuple[np.ndarray, np.ndarray]:
     """(g^-1, det g) of a metric or a stack of metrics.
 
-    A node is singular unless |det g| > 1e-14 max|g_mn|^4 (so a NaN node is
-    singular): the threshold scales with the metric, so c * eta is regular
-    for every c > 0.
+    A node whose det g overflows is out of range.  A node is singular unless
+    |det g| > 1e-14 max|g_mn|^4 (so a NaN node is singular): the threshold
+    scales with the metric, so c * eta is regular for every c > 0.
     """
-    det = np.linalg.det(g)
-    _reject_nodes(~(np.abs(det) > 1e-14 * np.max(np.abs(g), axis=(-2, -1)) ** 4), "singular")
+    with np.errstate(over="ignore"):   # an overflow is the refusal below, not a warning
+        det = np.linalg.det(g)
+        scale = np.max(np.abs(g), axis=(-2, -1)) ** 4
+    _reject_nodes(np.isinf(det), "determinant overflows")
+    _reject_nodes(~(np.abs(det) > 1e-14 * scale), "singular")
     return np.linalg.inv(g), det
 
 

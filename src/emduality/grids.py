@@ -3,11 +3,16 @@ closure equations on a 4d coordinate patch, plus the duality transport harness.
 
 Discretization: second-order central differences, one grid direction per
 stencil (``partial``, with ``np.gradient``'s arithmetic; ``partials`` stacks
-the four), nested for second derivatives; residuals valid on interior nodes
-with margin 2.  Curvature and closure run one stencil direction at a time and
-keep only what their formulas read: the Ricci tensor two traces of d Gamma,
-the closure residual the four independent components of dV.  Residuals are
-evaluated, never solved: no boundary conditions enter anywhere.
+the four), nested for second derivatives; residuals are accurate on interior
+nodes with margin 2.  A residual is computed on a node box (``BoxFields``):
+the fields are differenced on the box's window, the box plus a two-node halo
+clipped at the grid faces (``box_window``), and the pointwise formulas run on
+the box nodes only, so a box node gets the arithmetic of a whole-grid node.
+Reports run on the margin-2 interior, the whole-grid functions on every node.
+Curvature and closure run one stencil direction at a time and keep only what
+their formulas read: the Ricci tensor two traces of d Gamma, the closure
+residual the four independent components of dV.  Residuals are evaluated,
+never solved: no boundary conditions enter anywhere.
 
 The scalar equation is assembled in two ways from the same discrete
 derivatives: the coupling-derivative form and the taming-derivative
@@ -129,22 +134,87 @@ def partials(f: np.ndarray, grid: GridPatch) -> np.ndarray:
     return out
 
 
+def box_window(shape: tuple[int, ...], box: tuple[slice, ...], halo=MARGIN
+               ) -> tuple[tuple[slice, ...], tuple[slice, ...]]:
+    """(window, inner) of a node box, one slice per axis: the box widened by
+    halo nodes on each side (one int, or one per axis), clipped at the grid
+    faces, and the box's slices within that window.  A stencil of reach halo
+    at a box node reads only window nodes, and is one-sided just where it is
+    on the whole grid."""
+    bounds = [s.indices(n)[:2] for s, n in zip(box, shape)]
+    halos = [int(k) for k in np.broadcast_to(halo, (len(shape),))]
+    window = tuple(slice(max(lo - k, 0), min(hi + k, n))
+                   for (lo, hi), k, n in zip(bounds, halos, shape))
+    inner = tuple(slice(lo - w.start, hi - w.start) for (lo, hi), w in zip(bounds, window))
+    return window, inner
+
+
+def partial_at(f: np.ndarray, grid: GridPatch, axis: int, box: tuple[slice, ...]
+               ) -> np.ndarray:
+    """``partial`` of f along one grid axis on the nodes of a box of f's
+    nodes only: f is differenced on the box widened by one node along axis."""
+    window, inner = box_window(f.shape[:4], box, np.arange(4) == axis)
+    return partial(f[window], grid, axis)[inner]
+
+
 # ------------------------------------------------------------- curvature ops
+
+WHOLE = (slice(None),) * 4   # every node of a grid, as a node box
+
 
 @dataclass(frozen=True)
 class Geometry(fl.Metric):
-    """A checked Lorentzian metric field, grid + (4, 4), with its Christoffel
-    symbols: computed once, shared by every consumer.  The Einstein tensor is
-    computed on first use and kept."""
+    """A checked Lorentzian metric on a node box of a grid, box + (4, 4): one
+    per metric field, shared by every consumer.  The geometry of a metric
+    field has the whole grid as its box; ``on`` cuts a box out of it, with
+    dg = d_k g_mn on the box's window.  The Christoffel symbols and the
+    Einstein tensor on the box, and the box geometries, are computed on first
+    use and kept."""
 
-    gamma: np.ndarray     # grid + (r, m, n) = Gamma^r_{mn}
     grid: GridPatch
+    dg: np.ndarray | None = None           # window + (m, n, k); None on the whole grid
+    inner: tuple[slice, ...] = WHOLE       # the box within dg's window
+
+    @cached_property
+    def gamma(self) -> np.ndarray:
+        """Gamma^r_{mn} on the box, box + (r, m, n).  On the whole grid it
+        overwrites the metric derivative it is built from; a box reads its dg."""
+        if self.dg is None:
+            dg = partials(self.g, self.grid)
+            return _christoffel(self.ginv, dg, out=dg)
+        return _christoffel(self.ginv, self.dg[self.inner])
 
     @cached_property
     def einstein_tensor(self) -> np.ndarray:
         out = einstein(self, self.grid)
         out.flags.writeable = False
         return out
+
+    def on(self, box: tuple[slice, ...]) -> "Geometry":
+        """The geometry on a node box of the whole grid's geometry: itself
+        when the box is the whole grid."""
+        bounds = tuple(s.indices(n)[:2] for s, n in zip(box, self.grid.shape))
+        if bounds == tuple((0, n) for n in self.grid.shape):
+            return self
+        boxes = self.__dict__.setdefault("boxes", {})
+        if bounds not in boxes:
+            box = tuple(slice(lo, hi) for lo, hi in bounds)
+            window, inner = box_window(self.grid.shape, box)
+            geo = Geometry(self.g[box], self.ginv[box], self.det[box], self.grid,
+                           partials(self.g[window], self.grid), inner)
+            geo.__dict__["vol"] = self.vol[box]   # the metric check ran on every node
+            boxes[bounds] = geo
+        return boxes[bounds]
+
+
+def _christoffel(ginv: np.ndarray, dg: np.ndarray, out: np.ndarray | None = None
+                 ) -> np.ndarray:
+    """Gamma^r_{mn} = (1/2) g^{rs} B_{smn} from dg = d_k g_mn, with B formed
+    one block of nodes at a time; written into out (which may be dg) if given."""
+    out = fl.blockwise(lambda ginv, dg: (ginv @ _bracket(dg).reshape(-1, 4, 16)).reshape(dg.shape),
+                       (ginv, 2), (dg, 3), out=out)
+    out *= 0.5
+    return out
 
 
 def _bracket(dg: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
@@ -156,20 +226,22 @@ def _bracket(dg: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
     return out
 
 
-def metric_geometry(g, grid: GridPatch) -> Geometry:
-    """The geometry of a metric field: the metric check, g^-1, sqrt(-det g)
-    and Gamma^r_{mn} = (1/2) g^{rs} B_{smn}.  A Geometry passes through.
-    B is formed one block of nodes at a time, and Gamma overwrites the metric
-    derivative it is built from."""
+def checked_geometry(g, grid: GridPatch) -> Geometry:
+    """The geometry of a metric field after the metric check, its Christoffel
+    symbols not yet formed.  A Geometry passes through."""
     if isinstance(g, Geometry):
         return g
     m = fl.checked_metric(g)
-    gamma = partials(m.g, grid)                 # d_k g_mn, then Gamma^r_mn
-    fl.blockwise(lambda ginv, dg: (ginv @ _bracket(dg).reshape(-1, 4, 16)).reshape(dg.shape),
-                 (m.ginv, 2), (gamma, 3), out=gamma)
-    gamma *= 0.5
-    geo = Geometry(m.g, m.ginv, m.det, gamma, grid)
+    geo = Geometry(m.g, m.ginv, m.det, grid)
     geo.vol  # a grid metric is Lorentzian: take the volume, and its check, now
+    return geo
+
+
+def metric_geometry(g, grid: GridPatch) -> Geometry:
+    """The geometry of a metric field: the metric check, g^-1, sqrt(-det g)
+    and Gamma^r_{mn} = (1/2) g^{rs} B_{smn}.  A Geometry passes through."""
+    geo = checked_geometry(g, grid)
+    geo.gamma
     return geo
 
 
@@ -180,36 +252,40 @@ def christoffel(g, grid: GridPatch) -> np.ndarray:
 
 def _gamma_traces(geo: Geometry, grid: GridPatch) -> tuple[np.ndarray, np.ndarray]:
     """The two traces of d_l Gamma^r_mn that the Ricci tensor reads,
-    d_r Gamma^r_mn and d_n Gamma^r_rm, each grid + (m, n).
+    d_r Gamma^r_mn and d_n Gamma^r_rm, each box + (m, n).
 
     d_l Gamma = g^-1 ((1/2) d_l B - d_l g Gamma) is assembled algebraically
     from the finite-difference first and second metric derivatives (no nested
     FD of Gamma itself, so polynomial metrics of degree <= 2 are
     stencil-exact), one derivative direction l at a time: row r = l of it
     adds to the first trace, and its r-trace is column n = l of the second.
+    A box geometry's dg, which its Gamma was read from, is differenced again.
     """
     lead = geo.gamma.shape[:-3]
     flat_gamma = geo.gamma.reshape(lead + (4, 16))
-    dg = partials(geo.g, grid)                          # (..., m, n, k) = d_k g_mn
-    ddg = np.empty_like(dg)                             # d_l d_k g_mn, then scratch
-    scratch = ddg.reshape(lead + (4, 16))
-    inner = np.empty_like(dg)
+    window = partials(geo.g, grid) if geo.dg is None else geo.dg  # (..., m, n, k) = d_k g_mn
+    dg = window[geo.inner]
+    inner = np.empty(dg.shape)
     flat_inner = inner.reshape(lead + (4, 16))
     div = np.zeros(lead + (16,))
     grad = np.empty(lead + (4, 4))
     for l in range(4):
-        _bracket(partial(dg, grid, l, ddg), inner)      # d_l B_smn
+        ddg = np.ascontiguousarray(partial_at(window, grid, l, geo.inner))  # d_l d_k g_mn
+        _bracket(ddg, inner)                            # d_l B_smn
         inner *= 0.5
+        scratch = ddg.reshape(lead + (4, 16))
         flat_inner -= np.matmul(dg[..., l], flat_gamma, out=scratch)  # d_l g_sr Gamma^r_mn
         dgamma = np.matmul(geo.ginv, flat_inner, out=scratch)  # (..., r, mn) = d_l Gamma^r_mn
         div += dgamma[..., l, :]
         grad[..., l] = np.einsum("...rrm->...m", dgamma.reshape(lead + (4, 4, 4)))
+        del ddg, scratch, dgamma  # so that two are not alive at the next direction
     return div.reshape(lead + (4, 4)), grad
 
 
 def ricci(g, grid: GridPatch) -> np.ndarray:
-    """Ricci tensor per node (valid on margin-2 interior), from the two
-    traces of d Gamma of ``_gamma_traces``: no rank-5 array is formed."""
+    """Ricci tensor per node of a metric field or a geometry's box (valid on
+    margin-2 interior nodes), from the two traces of d Gamma of
+    ``_gamma_traces``: no rank-5 array is formed."""
     geo = metric_geometry(g, grid)
     gamma = geo.gamma
     lead = gamma.shape[:-3]
@@ -289,7 +365,8 @@ class FieldConfiguration:
 
     @cached_property
     def geometry(self) -> Geometry:
-        return metric_geometry(self.g, self.grid)
+        """The checked metric; its curvature is formed where a residual reads it."""
+        return checked_geometry(self.g, self.grid)
 
     @cached_property
     def star_v(self) -> np.ndarray:
@@ -304,10 +381,61 @@ class FieldConfiguration:
     def F(self) -> np.ndarray:
         return self.V[..., : self.n_v, :, :]
 
+    def on(self, box: tuple[slice, ...]) -> "BoxFields":
+        """The configuration on a node box, one slice per axis."""
+        return BoxFields(self, box)
+
     def selfduality_violation(self) -> float:
         """Max over interior nodes of | *V + J V |."""
-        inner = self.grid.interior()
-        return fl.selfduality_defect(self.star_v[inner], self.J[inner], self.V[inner])
+        return self.on(self.grid.interior()).selfduality_violation()
+
+
+class BoxFields:
+    """A configuration on a node box of its grid: its geometry on the box
+    (``Geometry.on``), the fields and couplings at the box nodes (g, phi, V,
+    F, R, I, dR, dI, I_inv, J, Q: views of the configuration's arrays), and the
+    fields on the box's window, which the difference stencils read.  Every
+    residual formula reads a configuration through it, so a residual on a box
+    is the whole-grid residual at those nodes, computed at those nodes only.
+    The model and n_v are the configuration's."""
+
+    NODE_FIELDS = ("g", "phi", "V", "F", "R", "I", "dR", "dI", "I_inv", "J", "Q")
+
+    def __init__(self, cfg: FieldConfiguration, box: tuple[slice, ...]):
+        self.cfg, self.grid = cfg, cfg.grid
+        self.box = tuple(slice(*s.indices(n)[:2]) for s, n in zip(box, cfg.grid.shape))
+        self.window, self.inner = box_window(cfg.grid.shape, self.box)
+        self.whole = self.box == tuple(slice(0, n) for n in cfg.grid.shape)
+
+    def __getattr__(self, name):
+        if name in ("model", "n_v"):
+            return getattr(self.cfg, name)
+        if name in BoxFields.NODE_FIELDS:
+            return getattr(self.cfg, name)[self.box]
+        raise AttributeError(name)
+
+    @cached_property
+    def geometry(self) -> Geometry:
+        return self.cfg.geometry.on(self.box)
+
+    @cached_property
+    def star_v(self) -> np.ndarray:
+        """*V on the box nodes; the configuration's own on the whole grid."""
+        return self.cfg.star_v if self.whole else fl.star_fibers(self.geometry, self.V)
+
+    @cached_property
+    def dphi_window(self) -> np.ndarray:
+        """d_a phi^i on the window, window + (n_s, 4)."""
+        return partials(self.cfg.phi[self.window], self.grid)
+
+    def selfduality_violation(self) -> float:
+        """Max over the box nodes of | *V + J V |."""
+        return fl.selfduality_defect(self.star_v, self.J, self.V)
+
+
+def _box_fields(cfg) -> BoxFields:
+    """A configuration on every node, or a BoxFields as it is."""
+    return cfg if isinstance(cfg, BoxFields) else BoxFields(cfg, WHOLE)
 
 
 def assemble_field_block(cfg: FieldConfiguration) -> np.ndarray:
@@ -326,28 +454,37 @@ def make_configuration(grid: GridPatch, model, g: np.ndarray, phi: np.ndarray,
 
 
 # ---------------------------------------------------------------- residuals
+#
+# Each residual reads a configuration on every node, or a BoxFields, and is
+# formed on its nodes only: grid + tail or box + tail.
 
-def einstein_residual(cfg: FieldConfiguration, check: bool = True) -> np.ndarray:
+def einstein_residual(cfg, check: bool = True) -> np.ndarray:
     """G_{ab} - scalar stress - gauge stress per node (valid margin-2); with
-    check, warns when the field block is not twisted self-dual on the interior."""
+    check, warns when the field block is not twisted self-dual on the interior
+    (on the box, for a BoxFields)."""
     if check:  # from the cached *V, so the gauge stress need not dualize V again
         fl.warn_if_not_selfdual(cfg.selfduality_violation(), cfg.V, "configuration")
-    geo = cfg.geometry
-    dphi = np.swapaxes(partials(cfg.phi, cfg.grid), -1, -2)  # (..., a, i) = d_a phi^i
-    out = geo.einstein_tensor - fl.stress_scalar(geo, cfg.model.chart.metric(cfg.phi), dphi)
-    out -= fl.stress_gauge(geo, cfg.J, cfg.V, check=False)
+    x = _box_fields(cfg)
+    geo = x.geometry
+    dphi = np.swapaxes(x.dphi_window[x.inner], -1, -2)  # (..., a, i) = d_a phi^i
+    out = geo.einstein_tensor - fl.stress_scalar(geo, x.model.chart.metric(x.phi), dphi)
+    out -= fl.stress_gauge(geo, x.J, x.V, check=False)
     return out
 
 
-def local_gauge_source(cfg: FieldConfiguration) -> np.ndarray:
+def local_gauge_source(cfg) -> np.ndarray:
     """(1/2) d_k R . F *F + (1/2) d_k I . F F per node, shape grid + (n_s,)."""
-    geo, f = cfg.geometry, cfg.F
-    sf_f = fl.pairings(geo, cfg.star_v[..., : cfg.n_v, :, :], f)  # (..., S, L) = *F^S . F^L
-    return 0.5 * (np.einsum("...kLS,...SL->...k", cfg.dR, sf_f)
-                  + np.einsum("...kLS,...LS->...k", cfg.dI, fl.pairings(geo, f, f)))
+    x = _box_fields(cfg)
+    geo, f = x.geometry, x.F
+    sf_f = fl.pairings(geo, x.star_v[..., : x.n_v, :, :], f)  # (..., S, L) = *F^S . F^L
+    # both sums read a contiguous (L, S) operand, so that a box of one node
+    # sums in the order of a box of many
+    f_sf = np.ascontiguousarray(np.swapaxes(sf_f, -1, -2))
+    return 0.5 * (np.einsum("...kLS,...LS->...k", x.dR, f_sf)
+                  + np.einsum("...kLS,...LS->...k", x.dI, fl.pairings(geo, f, f)))
 
 
-def _taming_derivative(cfg: FieldConfiguration) -> np.ndarray:
+def _taming_derivative(cfg) -> np.ndarray:
     """d J / d x^k along the scalar map from the coupling derivatives,
     shape grid + (n_s, 2n, 2n)."""
     iinv = cfg.I_inv[..., None, :, :]
@@ -360,7 +497,7 @@ def _taming_derivative(cfg: FieldConfiguration) -> np.ndarray:
     return np.concatenate([top, bot], axis=-2)
 
 
-def psi_form_source(cfg: FieldConfiguration) -> np.ndarray:
+def psi_form_source(cfg) -> np.ndarray:
     """Fundamental-form source (1/2) (*V, (dJ/dx^k) V)_{g,Q} per node.
 
     On a chart with flat bundle connection the fundamental form reduces to the
@@ -370,12 +507,13 @@ def psi_form_source(cfg: FieldConfiguration) -> np.ndarray:
     """
     # (a, b)_g = 1/2 a_{mn} b^{mn}; the pairing contracts the fiber index with Q:
     # (1/4) sum_{A,B,C} Q_AB (dJ_k)_BC (*V^A, V^C)
-    pairs = fl.pairings(cfg.geometry, cfg.star_v, cfg.V)
-    return 0.25 * ((cfg.Q[..., None, :, :] @ _taming_derivative(cfg))
+    x = _box_fields(cfg)
+    pairs = fl.pairings(x.geometry, x.star_v, x.V)
+    return 0.25 * ((x.Q[..., None, :, :] @ _taming_derivative(x))
                    * pairs[..., None, :, :]).sum(axis=(-2, -1))
 
 
-def scalar_residual(cfg: FieldConfiguration, assembly: str = "local") -> np.ndarray:
+def scalar_residual(cfg, assembly: str = "local") -> np.ndarray:
     """Residual of the scalar equations per node, shape grid + (n_s,).
 
     Both assemblies share the same discrete derivative fields and differ only
@@ -383,13 +521,15 @@ def scalar_residual(cfg: FieldConfiguration, assembly: str = "local") -> np.ndar
     the divergence identity, "global" uses the lowered tension field and the
     fundamental-form source.  They agree pointwise up to roundoff.
     """
-    grid = cfg.grid
-    geo = cfg.geometry
-    dphi = partials(cfg.phi, grid)          # (..., i, a)
-    d2phi = partials(dphi, grid)            # (..., i, a, b)
-    chart = cfg.model.chart
-    cm = chart.metric(cfg.phi)
-    dcm = chart.metric_deriv(cfg.phi)       # (..., k, i, j)
+    x = _box_fields(cfg)
+    geo = x.geometry
+    dphi = x.dphi_window[x.inner]                           # (..., i, a)
+    d2phi = np.stack([partial_at(x.dphi_window, x.grid, b, x.inner)
+                      for b in range(4)], axis=-1)          # (..., i, a, b)
+    chart = x.model.chart
+    phi = x.phi
+    cm = chart.metric(phi)
+    dcm = chart.metric_deriv(phi)       # (..., k, i, j)
     # box phi^i = g^ab d_a d_b phi^i - g^ab Gamma^c_ab d_c phi^i, with the
     # rank-5 product g^ab Gamma^c_ab before its sum formed for one node block only
     gamma_trace = fl.blockwise(lambda ginv, gamma: fl.trace(ginv[:, None], gamma),
@@ -403,31 +543,33 @@ def scalar_residual(cfg: FieldConfiguration, assembly: str = "local") -> np.ndar
         lhs = (np.einsum("...ik,...i->...k", cm, box_phi)
                + np.einsum("...jik,...ji->...k", dcm, grad_sq))
         rhs = (0.5 * np.einsum("...kij,...ij->...k", dcm, grad_sq)
-               + local_gauge_source(cfg))
+               + local_gauge_source(x))
         return lhs - rhs
     if assembly == "global":
-        chart_gamma = chart.christoffels(cfg.phi)  # (..., k, i, j)
+        chart_gamma = chart.christoffels(phi)  # (..., k, i, j)
         tension = box_phi + np.einsum("...kij,...ij->...k", chart_gamma, grad_sq)
         lowered = np.einsum("...ki,...i->...k", cm, tension)
-        return lowered + psi_form_source(cfg)
+        return lowered + psi_form_source(x)
     raise ValueError(f"unknown assembly {assembly!r}")
 
 
 CLOSURE_TRIPLES = ((0, 1, 2), (0, 1, 3), (0, 2, 3), (1, 2, 3))
 
 
-def maxwell_residual(cfg: FieldConfiguration) -> np.ndarray:
+def maxwell_residual(cfg) -> np.ndarray:
     """Exterior derivative of the field block (closure residual) on its
     independent components, shape grid + (2 n_v, 4): entry t is
     (dV)_{amn} = d_a V_{mn} + d_m V_{na} + d_n V_{am} for the triple
     (a, m, n) = CLOSURE_TRIPLES[t], a < m < n.  Of the 64 entries of dV per
     fiber index, 24 are +- one of these and 40 vanish."""
-    v, grid = cfg.V, cfg.grid
-    out = np.empty(v.shape[:-2] + (4,))
+    x = _box_fields(cfg)
+    v, grid, inner = x.cfg.V[x.window], x.grid, x.inner
+    out = np.empty(x.V.shape[:-2] + (4,))
     for t, (a, m, n) in enumerate(CLOSURE_TRIPLES):
-        dv = partial(v[..., m, n], grid, a, out[..., t])
-        dv += partial(v[..., n, a], grid, m)
-        dv += partial(v[..., a, m], grid, n)
+        dv = out[..., t]
+        dv[...] = partial_at(v[..., m, n], grid, a, inner)
+        dv += partial_at(v[..., n, a], grid, m, inner)
+        dv += partial_at(v[..., a, m], grid, n, inner)
     return out
 
 
@@ -436,8 +578,8 @@ def maxwell_residual(cfg: FieldConfiguration) -> np.ndarray:
 @dataclass(eq=False)
 class ResidualReport:
     """The residual rows of a configuration, read from its Einstein, local
-    scalar and closure residuals on the margin-2 interior, which it keeps:
-    grid + (4, 4), grid + (n_s,) and the layout of ``maxwell_residual``."""
+    scalar and closure residuals on a node box, which it keeps: box + (4, 4),
+    box + (n_s,) and the layout of ``maxwell_residual``."""
 
     einstein: np.ndarray
     scalar: np.ndarray
@@ -451,13 +593,9 @@ class ResidualReport:
         # the mean over all 64 entries of dV: 24 are +- the 4 components kept
         self.maxwell_mean = 24 / 64 * maxwell_mean
 
-    def maxima(self, box: tuple[slice, ...] | None = None) -> tuple[float, float, float]:
-        """Max |residual| of each equation over the interior, or over a node
-        box of the grid that lies inside it."""
-        box = ... if box is None else tuple(slice(s.start - MARGIN, s.stop - MARGIN)
-                                            for s in box)
-        return tuple(float(np.abs(r[box]).max())
-                     for r in (self.einstein, self.scalar, self.maxwell))
+    def maxima(self) -> tuple[float, float, float]:
+        """Max |residual| of each equation over the box."""
+        return tuple(float(np.abs(r).max()) for r in (self.einstein, self.scalar, self.maxwell))
 
     def rows(self):
         return [("einstein_max", self.einstein_max),
@@ -469,15 +607,14 @@ class ResidualReport:
                 ("selfdual_violation", self.selfdual_violation)]
 
 
-def residual_report(cfg: FieldConfiguration) -> ResidualReport:
-    """The one residual pass of a grid report: each residual of cfg is cut to
-    the margin-2 interior as a copy, so no full-size residual outlives its
-    step."""
-    inner = cfg.grid.interior()
-    return ResidualReport(einstein_residual(cfg, check=False)[inner].copy(),
-                          scalar_residual(cfg)[inner].copy(),
-                          maxwell_residual(cfg)[inner].copy(),
-                          cfg.selfduality_violation())
+def residual_report(cfg: FieldConfiguration, box: tuple[slice, ...] | None = None
+                    ) -> ResidualReport:
+    """The one residual pass of a grid report, on a node box of cfg's grid
+    (default: the margin-2 interior): every residual, stress, pairing and *V
+    is formed on the box nodes only."""
+    x = cfg.on(cfg.grid.interior() if box is None else box)
+    return ResidualReport(einstein_residual(x, check=False), scalar_residual(x),
+                          maxwell_residual(x), x.selfduality_violation())
 
 
 # ---------------------------------------------------------------- transport

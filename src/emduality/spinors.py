@@ -28,8 +28,8 @@ from .errors import InputError
 from .fields import ETA, blockwise, node_blocks
 # christoffel is unused here but stays importable: bench/spans.py wraps
 # spinors.christoffel
-from .grids import (Geometry, GridPatch, christoffel, metric_geometry,  # noqa: F401
-                    partials)
+from .grids import (Geometry, GridPatch, box_window, christoffel,  # noqa: F401
+                    metric_geometry, partials)
 from .symplectic import _within
 
 
@@ -238,10 +238,7 @@ def killing_residual_max(fr: FramePatch, eps: np.ndarray, lam: float,
     only, so the maximum is the full-grid one to the last bit.
     """
     grid = fr.grid
-    bounds = [s.indices(n)[:2] for s, n in zip(box or grid.interior(), grid.shape)]
-    window = tuple(slice(max(lo - 1, 0), min(hi + 1, n))
-                   for (lo, hi), n in zip(bounds, grid.shape))
-    inner = tuple(slice(lo - w.start, hi - w.start) for (lo, hi), w in zip(bounds, window))
+    window, inner = box_window(grid.shape, box or grid.interior(), 1)
     e, eps = fr.e[window], eps[window]
     # blockwise returns the connection: the sliced derivative is a view, and
     # a view passed as out would not receive it

@@ -543,6 +543,19 @@ def test_overflowing_metric_is_bad_input(tmp_path):
             "the extents or metric_coeff are out of range") in text
 
 
+@pytest.mark.parametrize("lam", ["1e-80", "1e-72"])
+def test_overflowing_ads_metric_is_bad_input(lam):
+    """At a tiny lambda the AdS metric's determinant overflows: thm53 refuses
+    it at its first node with a report, and numpy's overflow warning does not
+    reach the user."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code, text = run(["thm53", "--frame", "ads4-poincare", "--lambda", lam])
+    assert code == 3
+    assert "error = metric determinant overflows at node index (0, 0, 0, 0)" in text
+    assert "result = FAIL" in text and "Traceback" not in text
+
+
 @pytest.mark.parametrize("entry", ["tau + 10^400", "(1/3)^-700", "tau + 1e999",
                                    "tau + 1e308*10", "tau + 1e999*i", "tau^1e400"])
 def test_non_finite_constant_is_bad_input(tmp_path, entry):

@@ -241,6 +241,13 @@ class TestSingularMetric:
         with np.errstate(invalid="ignore"), pytest.raises(fl.SingularMetricError, match=named):
             gr.christoffel(g, grid)
 
+    def test_overflowing_determinant_is_named(self, grid):
+        g = gr.metric_minkowski(grid)
+        g[1, 2, 3, 4] = 1e100 * fl.ETA
+        named = r"determinant overflows at node index \(1, 2, 3, 4\)"
+        with np.errstate(all="raise"), pytest.raises(fl.SingularMetricError, match=named):
+            gr.christoffel(g, grid)
+
     # det g < 0 with the wrong signature: a determinant test lets these pass
     WRONG_SIGNATURE = {"minus-eta": -fl.ETA, "three-minus": np.diag([-1.0, -1.0, -1.0, 1.0])}
 

@@ -14,9 +14,9 @@ run through it.  ``spinors`` builds a ``GridPatch`` or a ``FramePatch``
 only in ``builtin_frame``: the Killing residual of a node box slices the
 checked frame on its own grid, with no sub-grid and no second frame.  The
 residual fields of a configuration are evaluated by one pass,
-``grids.residual_report``: every grid report reads them from its interior
-arrays, and only ``cli.cmd_residuals`` runs the global scalar assembly of
-its own, to compare it with the local one."""
+``grids.residual_report``, on a node box: every grid report reads them from
+its box arrays, and only ``cli.cmd_residuals`` runs the global scalar
+assembly of its own, on the same box, to compare it with the local one."""
 
 import ast
 from pathlib import Path
@@ -24,7 +24,7 @@ from pathlib import Path
 SRC = Path(__file__).resolve().parent.parent / "src" / "emduality"
 
 BLOCKED = {("fields", "star_fibers"), ("fields", "_q_contraction"), ("fields", "pairings"),
-           ("grids", "metric_geometry"), ("grids", "FieldConfiguration"),
+           ("grids", "_christoffel"), ("grids", "FieldConfiguration"),
            ("grids", "scalar_residual"), ("spinors", "spin_connection"),
            ("spinors", "killing_residual_max"), ("spinors", "FramePatch"),
            ("spinors", "extract_kappa")}
@@ -98,3 +98,12 @@ def test_one_residual_pass():
     calls = [node for node in ast.walk(tree) if isinstance(node, ast.Call)
              and getattr(node.func, "attr", None) == "scalar_residual"]
     assert [[arg.value for arg in call.args[1:]] for call in calls] == [["global"]]
+
+
+def test_one_window_helper():
+    """A node box is widened into its stencil window by ``grids.box_window``
+    alone: the grid residuals, the box geometry and the Killing residual."""
+    assert loads({"box_window"}) == {("box_window", "grids", "partial_at"),
+                                     ("box_window", "grids", "Geometry"),
+                                     ("box_window", "grids", "BoxFields"),
+                                     ("box_window", "spinors", "killing_residual_max")}
