@@ -25,7 +25,8 @@ print("== vacuum flat space: everything vanishes at stencil exactness ==")
 vac = make_configuration(grid, builtin("identity-tau"), metric_minkowski(grid),
                          phi_constant(grid, [0.0, 1.0]),
                          np.zeros(grid.shape + (1, 4, 4)))
-rep = residual_report(vac)
+inner = grid.interior()   # the reports read the margin-2 interior, as a node box
+rep = residual_report(vac.on(inner))
 print(f"einstein {rep.einstein_max:.1e}  scalar {rep.scalar_max:.1e}  "
       f"closure {rep.maxwell_max:.1e}")
 
@@ -35,14 +36,13 @@ cfg = make_configuration(
     metric_quadratic(grid, [(0, 1, 1, 1, 0.02), (2, 2, 0, 0, 0.03)]),
     phi_linear(grid, [0.05, 1.1], 0.06 * rng.standard_normal((4, 2))),
     random_polynomial_fieldstrength(grid, 2, rng, amp=0.2))
-rep = residual_report(cfg)
+box = cfg.on(inner)
+rep = residual_report(box)
 print(f"einstein {rep.einstein_max:.3e}  scalar {rep.scalar_max:.3e}  "
       f"closure {rep.maxwell_max:.3e}")
 print(f"twisted self-duality holds by construction: {rep.selfdual_violation:.1e}")
 
-inner = grid.interior()
-gap = np.max(np.abs(scalar_residual(cfg, "local")[inner]
-                    - scalar_residual(cfg, "global")[inner]))
+gap = np.max(np.abs(rep.scalar - scalar_residual(box, "global")))
 print(f"coupling-form vs fundamental-form scalar assembly gap: {gap:.2e}")
 
 print("\n== duality transport ==")

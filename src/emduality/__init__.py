@@ -23,13 +23,13 @@ from .fields import (assemble_V, complexify_minus, complexify_plus, hodge2,
                      oslash_Q, oslash_g, project_sd, selfduality_violation,
                      stress_gauge, stress_gauge_couplings, stress_scalar,
                      twisted_pairing, twisted_star)
-from .grids import (FieldConfiguration, GridPatch, christoffel, einstein,
+from .grids import (WHOLE, FieldConfiguration, GridPatch, christoffel, einstein,
                     einstein_residual, equivariance_harness,
                     make_configuration, maxwell_residual, parse_grid_config,
                     residual_report, ricci, scalar_residual, transport_config)
 from .spinors import (GAMMA, FramePatch, builtin_frame, chiral_operator_check,
                       extract_kappa, integrate_killing, killing_bilinears,
-                      killing_residual_max, path_defect, slash, spin_connection,
+                      killing_residual, path_defect, slash, spin_connection,
                       verify_thm53)
 
 __version__ = "0.1.0"

@@ -8,7 +8,7 @@ nodes with margin 2.  A residual is computed on a node box (``BoxFields``):
 the fields are differenced on the box's window, the box plus a two-node halo
 clipped at the grid faces (``box_window``), and the pointwise formulas run on
 the box nodes only, so a box node gets the arithmetic of a whole-grid node.
-Reports run on the margin-2 interior, the whole-grid functions on every node.
+Reports run on the margin-2 interior; the whole grid is the box ``WHOLE``.
 Curvature and closure run one stencil direction at a time and keep only what
 their formulas read: the Ricci tensor two traces of d Gamma, the closure
 residual the four independent components of dV.  Residuals are evaluated,
@@ -31,7 +31,7 @@ import numpy as np
 from . import fields as fl
 from .errors import InputError
 from .models import Model, TransformedModel, checked_partials, load_model, point_text
-from .symplectic import omega, taming_matrix
+from .symplectic import MAX_ENTRY, omega, taming_matrix
 from .textio import key_values, numbers
 
 MARGIN = 2
@@ -227,8 +227,9 @@ def _bracket(dg: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
 
 
 def checked_geometry(g, grid: GridPatch) -> Geometry:
-    """The geometry of a metric field after the metric check, its Christoffel
-    symbols not yet formed.  A Geometry passes through."""
+    """The one way from a metric field to its geometry: the metric check now,
+    Gamma and the Einstein tensor where they are first read.  A Geometry
+    passes through."""
     if isinstance(g, Geometry):
         return g
     m = fl.checked_metric(g)
@@ -237,17 +238,9 @@ def checked_geometry(g, grid: GridPatch) -> Geometry:
     return geo
 
 
-def metric_geometry(g, grid: GridPatch) -> Geometry:
-    """The geometry of a metric field: the metric check, g^-1, sqrt(-det g)
-    and Gamma^r_{mn} = (1/2) g^{rs} B_{smn}.  A Geometry passes through."""
-    geo = checked_geometry(g, grid)
-    geo.gamma
-    return geo
-
-
 def christoffel(g, grid: GridPatch) -> np.ndarray:
     """Gamma^r_{mn} per node, shape grid + (4, 4, 4)."""
-    return metric_geometry(g, grid).gamma
+    return checked_geometry(g, grid).gamma
 
 
 def _gamma_traces(geo: Geometry, grid: GridPatch) -> tuple[np.ndarray, np.ndarray]:
@@ -286,7 +279,7 @@ def ricci(g, grid: GridPatch) -> np.ndarray:
     """Ricci tensor per node of a metric field or a geometry's box (valid on
     margin-2 interior nodes), from the two traces of d Gamma of
     ``_gamma_traces``: no rank-5 array is formed."""
-    geo = metric_geometry(g, grid)
+    geo = checked_geometry(g, grid)
     gamma = geo.gamma
     lead = gamma.shape[:-3]
     div, grad = _gamma_traces(geo, grid)
@@ -300,7 +293,7 @@ def ricci(g, grid: GridPatch) -> np.ndarray:
 
 def einstein(g, grid: GridPatch) -> np.ndarray:
     """Einstein tensor G_{mn} = R_{mn} - (1/2) g_{mn} R per node."""
-    geo = metric_geometry(g, grid)
+    geo = checked_geometry(g, grid)
     ric = ricci(geo, grid)
     return ric - 0.5 * geo.g * fl.trace(geo.ginv, ric)[..., None, None]
 
@@ -314,8 +307,9 @@ class FieldConfiguration:
 
     Cached per-node coupling data (R, I, their chart derivatives, I^-1, the
     taming J and Q = Omega J) is evaluated once at construction; the metric
-    geometry, which carries the metric check, and *V are computed on first
-    use and dropped when g or V is reassigned.
+    geometry, which carries the metric check, is computed on first use and
+    dropped when g is reassigned.  Residuals and *V read it through a node
+    box, ``on(box)``; the whole grid is the box ``WHOLE``.
     """
 
     grid: GridPatch
@@ -360,18 +354,13 @@ class FieldConfiguration:
 
     def __setattr__(self, name, value):
         super().__setattr__(name, value)
-        for key in {"g": ("geometry", "star_v"), "V": ("star_v",)}.get(name, ()):
-            self.__dict__.pop(key, None)  # computed from the old array
+        if name == "g":
+            self.__dict__.pop("geometry", None)  # computed from the old metric
 
     @cached_property
     def geometry(self) -> Geometry:
         """The checked metric; its curvature is formed where a residual reads it."""
         return checked_geometry(self.g, self.grid)
-
-    @cached_property
-    def star_v(self) -> np.ndarray:
-        """*V per node, grid + (2 n_v, 4, 4)."""
-        return fl.star_fibers(self.geometry, self.V)
 
     @property
     def n_v(self) -> int:
@@ -385,10 +374,6 @@ class FieldConfiguration:
         """The configuration on a node box, one slice per axis."""
         return BoxFields(self, box)
 
-    def selfduality_violation(self) -> float:
-        """Max over interior nodes of | *V + J V |."""
-        return self.on(self.grid.interior()).selfduality_violation()
-
 
 class BoxFields:
     """A configuration on a node box of its grid: its geometry on the box
@@ -396,8 +381,8 @@ class BoxFields:
     F, R, I, dR, dI, I_inv, J, Q: views of the configuration's arrays), and the
     fields on the box's window, which the difference stencils read.  Every
     residual formula reads a configuration through it, so a residual on a box
-    is the whole-grid residual at those nodes, computed at those nodes only.
-    The model and n_v are the configuration's."""
+    is the residual on the box ``WHOLE`` at those nodes, computed at those
+    nodes only.  The model and n_v are the configuration's."""
 
     NODE_FIELDS = ("g", "phi", "V", "F", "R", "I", "dR", "dI", "I_inv", "J", "Q")
 
@@ -405,7 +390,6 @@ class BoxFields:
         self.cfg, self.grid = cfg, cfg.grid
         self.box = tuple(slice(*s.indices(n)[:2]) for s, n in zip(box, cfg.grid.shape))
         self.window, self.inner = box_window(cfg.grid.shape, self.box)
-        self.whole = self.box == tuple(slice(0, n) for n in cfg.grid.shape)
 
     def __getattr__(self, name):
         if name in ("model", "n_v"):
@@ -420,8 +404,8 @@ class BoxFields:
 
     @cached_property
     def star_v(self) -> np.ndarray:
-        """*V on the box nodes; the configuration's own on the whole grid."""
-        return self.cfg.star_v if self.whole else fl.star_fibers(self.geometry, self.V)
+        """*V on the box nodes."""
+        return fl.star_fibers(self.geometry, self.V)
 
     @cached_property
     def dphi_window(self) -> np.ndarray:
@@ -431,11 +415,6 @@ class BoxFields:
     def selfduality_violation(self) -> float:
         """Max over the box nodes of | *V + J V |."""
         return fl.selfduality_defect(self.star_v, self.J, self.V)
-
-
-def _box_fields(cfg) -> BoxFields:
-    """A configuration on every node, or a BoxFields as it is."""
-    return cfg if isinstance(cfg, BoxFields) else BoxFields(cfg, WHOLE)
 
 
 def assemble_field_block(cfg: FieldConfiguration) -> np.ndarray:
@@ -455,16 +434,14 @@ def make_configuration(grid: GridPatch, model, g: np.ndarray, phi: np.ndarray,
 
 # ---------------------------------------------------------------- residuals
 #
-# Each residual reads a configuration on every node, or a BoxFields, and is
-# formed on its nodes only: grid + tail or box + tail.
+# Each residual reads a configuration on a node box, a BoxFields, and is
+# formed at the box nodes only: box + tail.
 
-def einstein_residual(cfg, check: bool = True) -> np.ndarray:
+def einstein_residual(x: BoxFields, check: bool = True) -> np.ndarray:
     """G_{ab} - scalar stress - gauge stress per node (valid margin-2); with
-    check, warns when the field block is not twisted self-dual on the interior
-    (on the box, for a BoxFields)."""
+    check, warns when the field block is not twisted self-dual on the box."""
     if check:  # from the cached *V, so the gauge stress need not dualize V again
-        fl.warn_if_not_selfdual(cfg.selfduality_violation(), cfg.V, "configuration")
-    x = _box_fields(cfg)
+        fl.warn_if_not_selfdual(x.selfduality_violation(), x.V, "configuration")
     geo = x.geometry
     dphi = np.swapaxes(x.dphi_window[x.inner], -1, -2)  # (..., a, i) = d_a phi^i
     out = geo.einstein_tensor - fl.stress_scalar(geo, x.model.chart.metric(x.phi), dphi)
@@ -472,9 +449,8 @@ def einstein_residual(cfg, check: bool = True) -> np.ndarray:
     return out
 
 
-def local_gauge_source(cfg) -> np.ndarray:
-    """(1/2) d_k R . F *F + (1/2) d_k I . F F per node, shape grid + (n_s,)."""
-    x = _box_fields(cfg)
+def local_gauge_source(x: BoxFields) -> np.ndarray:
+    """(1/2) d_k R . F *F + (1/2) d_k I . F F per node, shape box + (n_s,)."""
     geo, f = x.geometry, x.F
     sf_f = fl.pairings(geo, x.star_v[..., : x.n_v, :, :], f)  # (..., S, L) = *F^S . F^L
     # both sums read a contiguous (L, S) operand, so that a box of one node
@@ -484,12 +460,12 @@ def local_gauge_source(cfg) -> np.ndarray:
                   + np.einsum("...kLS,...LS->...k", x.dI, fl.pairings(geo, f, f)))
 
 
-def _taming_derivative(cfg) -> np.ndarray:
+def _taming_derivative(x: BoxFields) -> np.ndarray:
     """d J / d x^k along the scalar map from the coupling derivatives,
-    shape grid + (n_s, 2n, 2n)."""
-    iinv = cfg.I_inv[..., None, :, :]
-    r = cfg.R[..., None, :, :]
-    dr, di = cfg.dR, cfg.dI
+    shape box + (n_s, 2n, 2n)."""
+    iinv = x.I_inv[..., None, :, :]
+    r = x.R[..., None, :, :]
+    dr, di = x.dR, x.dI
     diinv = -(iinv @ di @ iinv)
     ru_d = dr @ iinv + r @ diinv
     top = np.concatenate([-(diinv @ r + iinv @ dr), diinv], axis=-1)
@@ -497,7 +473,7 @@ def _taming_derivative(cfg) -> np.ndarray:
     return np.concatenate([top, bot], axis=-2)
 
 
-def psi_form_source(cfg) -> np.ndarray:
+def psi_form_source(x: BoxFields) -> np.ndarray:
     """Fundamental-form source (1/2) (*V, (dJ/dx^k) V)_{g,Q} per node.
 
     On a chart with flat bundle connection the fundamental form reduces to the
@@ -507,21 +483,19 @@ def psi_form_source(cfg) -> np.ndarray:
     """
     # (a, b)_g = 1/2 a_{mn} b^{mn}; the pairing contracts the fiber index with Q:
     # (1/4) sum_{A,B,C} Q_AB (dJ_k)_BC (*V^A, V^C)
-    x = _box_fields(cfg)
     pairs = fl.pairings(x.geometry, x.star_v, x.V)
     return 0.25 * ((x.Q[..., None, :, :] @ _taming_derivative(x))
                    * pairs[..., None, :, :]).sum(axis=(-2, -1))
 
 
-def scalar_residual(cfg, assembly: str = "local") -> np.ndarray:
-    """Residual of the scalar equations per node, shape grid + (n_s,).
+def scalar_residual(x: BoxFields, assembly: str = "local") -> np.ndarray:
+    """Residual of the scalar equations per node, shape box + (n_s,).
 
     Both assemblies share the same discrete derivative fields and differ only
     in the algebraic route: "local" uses the coupling-derivative source and
     the divergence identity, "global" uses the lowered tension field and the
     fundamental-form source.  They agree pointwise up to roundoff.
     """
-    x = _box_fields(cfg)
     geo = x.geometry
     dphi = x.dphi_window[x.inner]                           # (..., i, a)
     d2phi = np.stack([partial_at(x.dphi_window, x.grid, b, x.inner)
@@ -556,13 +530,12 @@ def scalar_residual(cfg, assembly: str = "local") -> np.ndarray:
 CLOSURE_TRIPLES = ((0, 1, 2), (0, 1, 3), (0, 2, 3), (1, 2, 3))
 
 
-def maxwell_residual(cfg) -> np.ndarray:
+def maxwell_residual(x: BoxFields) -> np.ndarray:
     """Exterior derivative of the field block (closure residual) on its
-    independent components, shape grid + (2 n_v, 4): entry t is
+    independent components, shape box + (2 n_v, 4): entry t is
     (dV)_{amn} = d_a V_{mn} + d_m V_{na} + d_n V_{am} for the triple
     (a, m, n) = CLOSURE_TRIPLES[t], a < m < n.  Of the 64 entries of dV per
     fiber index, 24 are +- one of these and 40 vanish."""
-    x = _box_fields(cfg)
     v, grid, inner = x.cfg.V[x.window], x.grid, x.inner
     out = np.empty(x.V.shape[:-2] + (4,))
     for t, (a, m, n) in enumerate(CLOSURE_TRIPLES):
@@ -607,12 +580,9 @@ class ResidualReport:
                 ("selfdual_violation", self.selfdual_violation)]
 
 
-def residual_report(cfg: FieldConfiguration, box: tuple[slice, ...] | None = None
-                    ) -> ResidualReport:
-    """The one residual pass of a grid report, on a node box of cfg's grid
-    (default: the margin-2 interior): every residual, stress, pairing and *V
-    is formed on the box nodes only."""
-    x = cfg.on(cfg.grid.interior() if box is None else box)
+def residual_report(x: BoxFields) -> ResidualReport:
+    """The one residual pass of a grid report, on a configuration's node box:
+    every residual, stress, pairing and *V is formed at the box nodes only."""
     return ResidualReport(einstein_residual(x, check=False), scalar_residual(x),
                           maxwell_residual(x), x.selfduality_violation())
 
@@ -656,9 +626,10 @@ def equivariance_harness(cfg: FieldConfiguration, f, a: np.ndarray) -> Equivaria
     """
     a = np.asarray(a, dtype=float)
     tcfg = transport_config(f, a, cfg)  # the transported domain is checked first
-    before, after = residual_report(cfg), residual_report(tcfg)
+    inner = cfg.grid.interior()
+    before, after = residual_report(cfg.on(inner)), residual_report(tcfg.on(inner))
     mapped = fl.fiber_action(a, before.maxwell, rank=1)
-    jac = f.jacobian(cfg.phi[cfg.grid.interior()])  # df at phi(x)
+    jac = f.jacobian(cfg.phi[inner])  # df at phi(x)
     pulled = np.einsum("...kl,...k->...l", jac, after.scalar)
     return EquivarianceReport(float(np.max(np.abs(after.einstein - before.einstein))),
                               float(np.max(np.abs(pulled - before.scalar))),
@@ -771,12 +742,10 @@ def parse_grid_config(text: str, resolution: tuple[int, ...] | None = None
                 *idx, c = val.split() or [""]
                 terms.append((*_numbers("metric_coeff 'mu nu a b'", " ".join(idx), 4, int, 4),
                               *_numbers("metric_coeff c", c, 1)))
-        with np.errstate(over="ignore", invalid="ignore"):
+        with np.errstate(over="ignore", invalid="ignore"):   # refused below
             g = metric_quadratic(grid, terms)
-        bad = np.argwhere(~np.isfinite(g).all(axis=(-2, -1)))
-        if len(bad):
-            raise GridError(f"metric not finite at node index {tuple(bad[0].tolist())}: "
-                            "the extents or metric_coeff are out of range")
+        _refuse_nodes(g, np.finfo(float).max, "metric not finite at node index {}: "
+                      "the extents or metric_coeff are out of range")
     else:
         raise GridError(f"unknown metric spec {metric_kind!r}")
 
@@ -792,31 +761,42 @@ def parse_grid_config(text: str, resolution: tuple[int, ...] | None = None
         raise GridError(f"unknown phi spec {kind!r}")
 
     kind, rest = (kv.get("field", "zero").split(None, 1) + ["", ""])[:2]
-    if kind == "zero":
-        f = np.zeros(grid.shape + (model.n_v, 4, 4))
-    elif kind == "random":
-        args = rest.split()
-        amp = _numbers("field random amp", args[0], 1)[0] if args else 0.1
-        seed = _numbers("field random seed", args[1], 1, int)[0] if len(args) > 1 else 0
-        f = random_polynomial_fieldstrength(grid, model.n_v,
-                                            np.random.default_rng(seed), amp)
-    elif kind == "terms":
-        terms = []
-        for key, val in entries:
-            if key == "field_term":
-                parts = val.split()
-                if len(parts) != 8:
-                    raise GridError(f"field_term needs 'L mu nu c p0 p1 p2 p3', got {val!r}")
-                (ell,) = _numbers("field_term L", parts[0], 1, int, model.n_v)
-                mu, nu = _numbers("field_term mu nu", " ".join(parts[1:3]), 2, int, 4)
-                (c,) = _numbers("field_term c", parts[3], 1)
-                powers = _numbers("field_term powers", " ".join(parts[4:]), 4, int)
-                terms.append((ell, mu, nu, c, tuple(powers)))
-        f = field_strength_polynomial(grid, model.n_v, terms)
-    else:
-        raise GridError(f"unknown field spec {kind!r}")
+    with np.errstate(over="ignore", invalid="ignore"):   # refused below
+        if kind == "zero":
+            f = np.zeros(grid.shape + (model.n_v, 4, 4))
+        elif kind == "random":
+            args = rest.split()
+            amp = _numbers("field random amp", args[0], 1)[0] if args else 0.1
+            seed = _numbers("field random seed", args[1], 1, int)[0] if len(args) > 1 else 0
+            f = random_polynomial_fieldstrength(grid, model.n_v,
+                                                np.random.default_rng(seed), amp)
+        elif kind == "terms":
+            terms = []
+            for key, val in entries:
+                if key == "field_term":
+                    parts = val.split()
+                    if len(parts) != 8:
+                        raise GridError(f"field_term needs 'L mu nu c p0 p1 p2 p3', got {val!r}")
+                    (ell,) = _numbers("field_term L", parts[0], 1, int, model.n_v)
+                    mu, nu = _numbers("field_term mu nu", " ".join(parts[1:3]), 2, int, 4)
+                    (c,) = _numbers("field_term c", parts[3], 1)
+                    powers = _numbers("field_term powers", " ".join(parts[4:]), 4, int)
+                    terms.append((ell, mu, nu, c, tuple(powers)))
+            f = field_strength_polynomial(grid, model.n_v, terms)
+        else:
+            raise GridError(f"unknown field spec {kind!r}")
+    _refuse_nodes(f, MAX_ENTRY, f"field strength not finite or above {MAX_ENTRY:g} at node "
+                  "index {}: the field spec or the extents are out of range")
 
     return make_configuration(grid, model, g, phi, f)
+
+
+def _refuse_nodes(a: np.ndarray, bound: float, message: str) -> None:
+    """GridError naming (as the {} of message) the first node with an entry
+    that is not finite or exceeds bound in magnitude."""
+    bad = np.argwhere(~((a <= bound) & (a >= -bound)).reshape(a.shape[:4] + (-1,)).all(-1))
+    if len(bad):
+        raise GridError(message.format(tuple(bad[0].tolist())))
 
 
 def _numbers(key: str, text: str, count: int, kind=float, bound: int | None = None) -> list:

@@ -28,8 +28,8 @@ from .errors import InputError
 from .fields import ETA, blockwise, node_blocks
 # christoffel is unused here but stays importable: bench/spans.py wraps
 # spinors.christoffel
-from .grids import (Geometry, GridPatch, box_window, christoffel,  # noqa: F401
-                    metric_geometry, partials)
+from .grids import (WHOLE, Geometry, GridPatch, box_window, checked_geometry,
+                    christoffel, partials)  # noqa: F401
 from .symplectic import _within
 
 
@@ -119,7 +119,9 @@ class FramePatch:
     @cached_property
     def geometry(self) -> Geometry:
         """The metric's inverse, volume and Christoffel symbols, computed once."""
-        return metric_geometry(self.metric(), self.grid)
+        geo = checked_geometry(self.metric(), self.grid)
+        geo.gamma   # every reader of a frame's geometry reads Gamma: formed here
+        return geo
 
 
 def builtin_frame(name: str, grid: GridPatch, lam: float = 1.0) -> FramePatch:
@@ -206,44 +208,29 @@ def _axis_generator(fr: FramePatch, lam: float, pts: np.ndarray, axis: int) -> n
     return _transport_generator(np.asarray(w), np.asarray(e_a), lam)
 
 
-def _killing(deps: np.ndarray, w: np.ndarray, e: np.ndarray, eps: np.ndarray,
-             lam: float) -> np.ndarray:
-    """The Killing residual from d eps (..., comp, mu), the connection, the
-    frame and eps on the same nodes: the generator of one direction mu at a
-    time is applied to eps and subtracted from d_mu eps, in place."""
-    res = np.moveaxis(deps, -1, -2)                       # (..., mu, comp) = d_mu eps
-    for mu in range(4):
-        m = _transport_generator(w[..., mu, :, :], e[..., mu], lam)
-        res[..., mu, :] -= (m @ eps[..., None])[..., 0]
-    return res
-
-
-def killing_residual(fr: FramePatch, eps: np.ndarray, lam: float) -> np.ndarray:
+def killing_residual(fr: FramePatch, eps: np.ndarray, lam: float,
+                     box: tuple[slice, ...] = WHOLE) -> np.ndarray:
     """d_mu eps + (1/4) w_{mu a b} gamma^a gamma^b eps - (lam/2) gamma_mu eps
-    per node and direction, shape grid + (mu, component).
+    per node and direction of a node box, shape box + (mu, component).
 
-    Uses the finite-difference spin connection, so it is an independent check
-    on spinor fields produced by ``integrate_killing`` (which integrates the
-    analytic connection).  Valid on the margin-2 interior.
-    """
-    return _killing(partials(eps, fr.grid), spin_connection(fr), fr.e, eps, lam)
-
-
-def killing_residual_max(fr: FramePatch, eps: np.ndarray, lam: float,
-                         box: tuple[slice, ...] | None = None) -> float:
-    """Max |killing_residual| over a node box, one slice per axis (default:
-    the margin-2 interior).  The frame and eps are sliced to the box with a
-    one-node stencil halo, clipped at the grid faces, and differenced with
-    the grid's own spacing; the connection formula runs on the box nodes
-    only, so the maximum is the full-grid one to the last bit.
+    The finite-difference spin connection makes it an independent check on
+    ``integrate_killing``, which integrates the analytic one; valid on the
+    margin-2 interior.  The frame and eps are differenced on the box plus a
+    one-node halo, clipped at the grid faces, and the connection formula runs
+    at the box nodes only: a box node's residual is the whole grid's, bit for bit.
     """
     grid = fr.grid
-    window, inner = box_window(grid.shape, box or grid.interior(), 1)
+    window, inner = box_window(grid.shape, box, 1)
     e, eps = fr.e[window], eps[window]
     # blockwise returns the connection: the sliced derivative is a view, and
     # a view passed as out would not receive it
     w = blockwise(_connection, (e[inner], 2), (partials(ETA @ e, grid)[inner], 3))
-    return float(np.max(np.abs(_killing(partials(eps, grid)[inner], w, e[inner], eps[inner], lam))))
+    res = np.moveaxis(partials(eps, grid)[inner], -1, -2)   # (..., mu, comp) = d_mu eps
+    e, eps = e[inner], eps[inner]
+    for mu in range(4):   # the generator of one direction at a time, subtracted in place
+        m = _transport_generator(w[..., mu, :, :], e[..., mu], lam)
+        res[..., mu, :] -= (m @ eps[..., None])[..., 0]
+    return res
 
 
 def _edge_propagators(fr: FramePatch, lam: float, nodes: np.ndarray, axis: int,
@@ -399,7 +386,7 @@ def extract_kappa(u: np.ndarray, l: np.ndarray, lam: float, g,
         denom = np.maximum(np.einsum("...n,...n->...", u, u), 1e-300)
         return np.einsum("...mn,...n->...m", w, u) / denom[..., None]
 
-    geo = metric_geometry(g, grid)
+    geo = checked_geometry(g, grid)
     return blockwise(kernel, (partials(l, grid), 2), (geo.gamma, 3), (l, 1), (u, 1), (geo.g, 2))
 
 
@@ -414,7 +401,7 @@ def verify_thm53(u: np.ndarray, l: np.ndarray, kappa: np.ndarray, lam: float,
     size of d kappa.  g is the metric or its ``Geometry``.
     """
     inner = grid.interior()
-    geo = metric_geometry(g, grid)
+    geo = checked_geometry(g, grid)
 
     def peak(a: np.ndarray) -> float:
         return float(np.max(np.abs(a[inner])))

@@ -1,16 +1,21 @@
-"""The residual pass on a node box is the whole-grid pass at the box nodes.
+"""The residual pass on a node box is the pass on the whole grid, the box
+``WHOLE``, at the box nodes.
 
 ``grids.residual_report`` differences the fields on the box's window (the
 box plus a two-node halo, clipped at the grid faces) and runs every pointwise
 formula on the box nodes only.  A central difference at a box node reads the
 same inputs with the same arithmetic as on the whole grid, so every array
-here is compared with ``==``, not to a tolerance: the whole-grid functions,
-sliced to the box, are the oracle.
+here is compared with ``==``, not to a tolerance: the residuals on ``WHOLE``,
+the curvature of the metric field and ``fields.star_fibers`` of the whole
+field block, sliced to the box, are the oracle.
 """
+
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+from emduality import cli
 from emduality import fields as fl
 from emduality import grids as gr
 from emduality import models as md
@@ -58,13 +63,14 @@ BOXES = boxes()
 
 def whole_grid(cfg):
     """The whole-grid arrays the box pass must reproduce."""
-    return {"einstein": gr.einstein_residual(cfg, check=False),
-            "local": gr.scalar_residual(cfg, "local"),
-            "global": gr.scalar_residual(cfg, "global"),
-            "maxwell": gr.maxwell_residual(cfg),
+    whole = cfg.on(gr.WHOLE)
+    return {"einstein": gr.einstein_residual(whole, check=False),
+            "local": gr.scalar_residual(whole, "local"),
+            "global": gr.scalar_residual(whole, "global"),
+            "maxwell": gr.maxwell_residual(whole),
             "gamma": gr.christoffel(cfg.g, cfg.grid),
             "G": gr.einstein(cfg.g, cfg.grid),
-            "star_v": cfg.star_v}
+            "star_v": fl.star_fibers(cfg.geometry, cfg.V)}
 
 
 @pytest.fixture(scope="module", params=MODELS + ("transported",))
@@ -88,7 +94,7 @@ def test_box_pass_is_the_whole_grid_pass_at_the_box_nodes(case, name):
            "star_v": x.star_v}
     for key, value in got.items():
         assert np.array_equal(value, full[key][box]), key
-    rep = gr.residual_report(cfg, box)
+    rep = gr.residual_report(x)
     assert np.array_equal(rep.einstein, full["einstein"][box])
     assert np.array_equal(rep.scalar, full["local"][box])
     assert np.array_equal(rep.maxwell, full["maxwell"][box])
@@ -97,18 +103,23 @@ def test_box_pass_is_the_whole_grid_pass_at_the_box_nodes(case, name):
 
 
 def test_default_box_is_the_interior(case):
+    """The grid reports read the margin-2 interior: the transport harness
+    compares the reports of the interior view before and after transport."""
     cfg, full = case
     inner = GRID.interior()
-    rep = gr.residual_report(cfg)
-    assert rep.maxima() == tuple(float(np.abs(full[k][inner]).max())
-                                 for k in ("einstein", "local", "maxwell"))
-    assert rep.selfdual_violation == cfg.selfduality_violation()
+    out = gr.equivariance_harness(cfg, md.parse_isometry("id", cfg.model.chart),
+                                  np.eye(2 * cfg.n_v))
+    assert out.before.maxima() == tuple(float(np.abs(full[k][inner]).max())
+                                        for k in ("einstein", "local", "maxwell"))
+    assert out.before.selfdual_violation == fl.selfduality_defect(
+        full["star_v"][inner], cfg.J[inner], cfg.V[inner])
 
 
 def test_whole_box_is_the_configuration_itself(case):
     cfg, _ = case
     x = cfg.on(gr.WHOLE)
-    assert x.whole and x.geometry is cfg.geometry and x.star_v is cfg.star_v
+    assert x.geometry is cfg.geometry
+    assert all(getattr(x, name).shape == getattr(cfg, name).shape for name in x.NODE_FIELDS)
 
 
 def test_one_geometry_per_box():
@@ -142,9 +153,27 @@ def test_report_forms_nothing_on_the_whole_grid(monkeypatch, name):
     spy(fl, "pairings", lambda g, a, b: a.shape[:-3])
     spy(fl, "star_fibers", lambda g, v: v.shape[:-3])
     spy(gr, "einstein", lambda g, grid: g.g.shape[:-2])
-    gr.residual_report(cfg, box)
+    gr.residual_report(cfg.on(box))
     assert {fn for fn, _ in seen} == {"stress_gauge", "pairings", "star_fibers", "einstein"}
     assert all(lead == shape for _, lead in seen), seen
+
+
+def test_residuals_form_star_v_once(monkeypatch):
+    """``residuals`` reads one interior view: its report, the global scalar
+    assembly and the self-duality row share one *V of the 2 n_v fibers."""
+    formed = []
+    star_fibers = fl.star_fibers
+
+    def spy(g, v):
+        formed.append(v.shape)
+        return star_fibers(g, v)
+
+    monkeypatch.setattr(fl, "star_fibers", spy)
+    golden = Path(__file__).resolve().parent / "golden"
+    code, _ = cli.run(["residuals", "--config", str(golden / "t3.cfg")])
+    assert code == 0
+    # t3 has n_v = 2 on a 7^4 grid; the n_v-fiber *F is the field block's assembly
+    assert [shape for shape in formed if shape[-3] == 4] == [(3, 3, 3, 3, 4, 4, 4)]
 
 
 @pytest.mark.parametrize("halo", [0, 1, 2, (0, 1, 0, 2)])

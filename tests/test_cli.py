@@ -308,9 +308,10 @@ class TestGridCommands:
         fine = gr.parse_grid_config(text, coarse.refine().resolution)
         inside = np.ix_(*[(ax >= c[s][0] - 1e-12) & (ax <= c[s][-1] + 1e-12) for ax, c, s
                           in zip(fine.grid.axes, coarse.axes, coarse.interior())])
-        for name, res in [("einstein_max", gr.einstein_residual(fine, check=False)),
-                          ("scalar_max", gr.scalar_residual(fine)),
-                          ("maxwell_max", gr.maxwell_residual(fine))]:
+        whole = fine.on(gr.WHOLE)
+        for name, res in [("einstein_max", gr.einstein_residual(whole, check=False)),
+                          ("scalar_max", gr.scalar_residual(whole)),
+                          ("maxwell_max", gr.maxwell_residual(whole))]:
             value = format(float(np.abs(res[inside]).max()), ".12g")
             assert f"\nrefine[1] {name} = {value}\n" in report
 
@@ -541,6 +542,41 @@ def test_overflowing_metric_is_bad_input(tmp_path):
     assert code == 3
     assert ("error = metric not finite at node index (0, 0, 0, 0): "
             "the extents or metric_coeff are out of range") in text
+
+
+T3_TERM = "field_term = 0 0 1 0.3 0 0 1 0"
+T3_EXTENTS = "extents = -0.4:0.4 -0.4:0.4 -0.4:0.4 -0.4:0.4"
+OUT_OF_RANGE_FIELDS = {
+    "term-coefficient": [(T3_TERM, "field_term = 0 0 1 1e160 0 0 1 0")],
+    "random-amplitude": [("field = terms", "field = random 1e155 3"), (T3_TERM + "\n", ""),
+                         ("field_term = 1 2 3 -0.2 1 0 0 1\n", "")],
+    # 0.3 y^400 overflows at |y| = 10
+    "monomial-power": [(T3_TERM, "field_term = 0 0 1 0.3 0 0 400 0"),
+                       (T3_EXTENTS, "extents = -0.4:0.4 -0.4:0.4 -10:10 -0.4:0.4")]}
+
+
+@pytest.mark.parametrize("command", [["residuals"], ["selfdual"],
+                                     ["transport", "--f", "id", "--A", str(GOLDEN / "t3.A")]],
+                         ids=lambda c: c[0])
+@pytest.mark.parametrize("case", list(OUT_OF_RANGE_FIELDS))
+def test_out_of_range_field_is_bad_input(tmp_path, command, case):
+    """A field strength that overflows, or exceeds the largest entry the
+    program takes, is refused at its first node before any product of it is
+    formed: a report and exit 3, and no numpy warning, under warnings as
+    errors."""
+    text = (GOLDEN / "t3.cfg").read_text(encoding="utf-8")
+    for old, new in OUT_OF_RANGE_FIELDS[case]:
+        assert old in text
+        text = text.replace(old, new)
+    path = tmp_path / "field.cfg"
+    path.write_text(text)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code, out = run([command[0], "--config", str(path), *command[1:]])
+    assert code == 3
+    assert ("error = field strength not finite or above 1e+150 at node index (0, 0, 0, 0): "
+            "the field spec or the extents are out of range") in out
+    assert "result = FAIL" in out and "Traceback" not in out
 
 
 @pytest.mark.parametrize("lam", ["1e-80", "1e-72"])

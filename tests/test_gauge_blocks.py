@@ -60,14 +60,16 @@ def allatonce_local_gauge_source(cfg):
     f = cfg.F
     fup = fl.raise2(cfg.geometry.ginv[..., None, :, :], f)
     ff = flat_pairings(f, fup)
-    fsf = flat_pairings(fup, cfg.star_v[..., : cfg.n_v, :, :])
+    fsf = flat_pairings(fup, allatonce_star_fibers(cfg.g, cfg.V)[..., : cfg.n_v, :, :])
     return 0.5 * (np.einsum("...kLS,...LS->...k", cfg.dR, fsf)
                   + np.einsum("...kLS,...LS->...k", cfg.dI, ff))
 
 
 def allatonce_psi_form_source(cfg):
-    pairs = allatonce_pairings(cfg.geometry, cfg.star_v, cfg.V)[..., None, :, :]
-    return 0.25 * ((cfg.Q[..., None, :, :] @ gr._taming_derivative(cfg)) * pairs).sum(
+    star_v = allatonce_star_fibers(cfg.g, cfg.V)
+    pairs = allatonce_pairings(cfg.geometry, star_v, cfg.V)[..., None, :, :]
+    dj = gr._taming_derivative(cfg.on(gr.WHOLE))
+    return 0.25 * ((cfg.Q[..., None, :, :] @ dj) * pairs).sum(
         axis=(-2, -1))
 
 
@@ -98,22 +100,23 @@ class TestAllAtOnceBytes:
     def test_star_fibers(self, cfg):
         assert same_bytes(fl.star_fibers(cfg.geometry, cfg.V),
                           allatonce_star_fibers(cfg.geometry, cfg.V))
-        assert same_bytes(cfg.star_v, allatonce_star_fibers(cfg.g, cfg.V))
+        assert same_bytes(cfg.on(gr.WHOLE).star_v, allatonce_star_fibers(cfg.g, cfg.V))
 
     def test_stress_gauge(self, cfg):
-        geo = cfg.geometry
+        geo, star_v = cfg.geometry, cfg.on(gr.WHOLE).star_v
         assert same_bytes(fl.stress_gauge(geo, cfg.J, cfg.V, check=False),
                           allatonce_stress_gauge(geo, cfg.J, cfg.V))
-        assert same_bytes(fl.oslash_Q(geo, cfg.J, cfg.V, cfg.star_v),
-                          allatonce_oslash_Q(geo, cfg.J, cfg.V, cfg.star_v))
+        assert same_bytes(fl.oslash_Q(geo, cfg.J, cfg.V, star_v),
+                          allatonce_oslash_Q(geo, cfg.J, cfg.V, star_v))
 
     def test_field_contractions_and_psi_source(self, cfg):
         # F.F, *F.F and *V.V by fields.pairings, and the two scalar sources built on them
-        geo, f, sf = cfg.geometry, cfg.F, cfg.star_v[..., : cfg.n_v, :, :]
-        for a, b in ((f, f), (sf, f), (cfg.star_v, cfg.V)):
+        whole = cfg.on(gr.WHOLE)
+        geo, f, sf = cfg.geometry, cfg.F, whole.star_v[..., : cfg.n_v, :, :]
+        for a, b in ((f, f), (sf, f), (whole.star_v, cfg.V)):
             assert same_bytes(fl.pairings(geo, a, b), allatonce_pairings(geo, a, b))
-        assert same_bytes(gr.local_gauge_source(cfg), allatonce_local_gauge_source(cfg))
-        assert same_bytes(gr.psi_form_source(cfg), allatonce_psi_form_source(cfg))
+        assert same_bytes(gr.local_gauge_source(whole), allatonce_local_gauge_source(cfg))
+        assert same_bytes(gr.psi_form_source(whole), allatonce_psi_form_source(cfg))
 
     def test_hodge2(self, cfg):
         # the one-fiber case of star_fibers, on one form per node and on a
@@ -121,7 +124,7 @@ class TestAllAtOnceBytes:
         geo = cfg.geometry
         w = cfg.F[..., 1, :, :]
         assert same_bytes(fl.hodge2(geo, w), fl.star(geo.ginv, geo.vol, w))
-        assert same_bytes(fl.hodge2(cfg.g[..., None, :, :], cfg.V), cfg.star_v)
+        assert same_bytes(fl.hodge2(cfg.g[..., None, :, :], cfg.V), cfg.on(gr.WHOLE).star_v)
 
     def test_gamma_trace_of_scalar_residual(self, cfg):
         # g^ab Gamma^c_ab as scalar_residual forms it, node block by node
@@ -252,7 +255,7 @@ class TestMemory:
 
     def test_einstein_residual(self, t3_13):
         cfg, full = t3_13
-        assert self.transient(gr.einstein_residual, cfg, check=False) <= 1.0 * full
+        assert self.transient(gr.einstein_residual, cfg.on(gr.WHOLE), check=False) <= 1.0 * full
 
 
 def test_transport_command_peak(tmp_path):

@@ -12,11 +12,15 @@ alone reads ``spinors._edge_propagators`` and returns no propagators, and
 both sweeps, ``integrate_killing`` and the corner path of ``path_defect``,
 run through it.  ``spinors`` builds a ``GridPatch`` or a ``FramePatch``
 only in ``builtin_frame``: the Killing residual of a node box slices the
-checked frame on its own grid, with no sub-grid and no second frame.  The
-residual fields of a configuration are evaluated by one pass,
-``grids.residual_report``, on a node box: every grid report reads them from
-its box arrays, and only ``cli.cmd_residuals`` runs the global scalar
-assembly of its own, on the same box, to compare it with the local one."""
+checked frame on its own grid, with no sub-grid and no second frame.  A node
+box is widened into its stencil window by ``grids.box_window`` alone, and the
+whole grid is the box ``grids.WHOLE``, not a path of its own.  The residual
+fields of a configuration are evaluated by one pass,
+``grids.residual_report``, on a node box view, a ``grids.BoxFields``: every
+grid report reads them from its box arrays, and only ``cli.cmd_residuals``
+runs the global scalar assembly of its own, on the same view, to compare it
+with the local one.  *V of a configuration and its self-duality defect are
+formed by that view alone."""
 
 import ast
 from pathlib import Path
@@ -26,7 +30,7 @@ SRC = Path(__file__).resolve().parent.parent / "src" / "emduality"
 BLOCKED = {("fields", "star_fibers"), ("fields", "_q_contraction"), ("fields", "pairings"),
            ("grids", "_christoffel"), ("grids", "FieldConfiguration"),
            ("grids", "scalar_residual"), ("spinors", "spin_connection"),
-           ("spinors", "killing_residual_max"), ("spinors", "FramePatch"),
+           ("spinors", "killing_residual"), ("spinors", "FramePatch"),
            ("spinors", "extract_kappa")}
 
 
@@ -102,8 +106,23 @@ def test_one_residual_pass():
 
 def test_one_window_helper():
     """A node box is widened into its stencil window by ``grids.box_window``
-    alone: the grid residuals, the box geometry and the Killing residual."""
+    alone: the grid residuals, the box geometry and the Killing residual,
+    whose whole grid is the box ``WHOLE``."""
     assert loads({"box_window"}) == {("box_window", "grids", "partial_at"),
                                      ("box_window", "grids", "Geometry"),
                                      ("box_window", "grids", "BoxFields"),
-                                     ("box_window", "spinors", "killing_residual_max")}
+                                     ("box_window", "spinors", "killing_residual")}
+    assert loads({"WHOLE"}) >= {("WHOLE", "spinors", "killing_residual")}
+
+
+def test_star_v_formed_only_by_a_box_view():
+    """*V of a configuration and its self-duality defect are formed by
+    ``grids.BoxFields`` alone: a configuration keeps no *V of its own, and
+    every reader goes through a node box, the whole grid being ``WHOLE``."""
+    outside = {found for found in loads({"star_fibers", "selfduality_defect", "star_v"})
+               if found[1] != "fields"}
+    assert outside == {("star_fibers", "grids", "BoxFields"),
+                       ("selfduality_defect", "grids", "BoxFields"),
+                       ("star_v", "grids", "BoxFields"),
+                       ("star_v", "grids", "local_gauge_source"),
+                       ("star_v", "grids", "psi_form_source")}

@@ -202,7 +202,7 @@ class TestKillingTransport:
         grid = gr.GridPatch(((-0.4, 0.4),) * 4, (7,) * 4)
         fr = sn.builtin_frame("minkowski", grid)
         eps = np.broadcast_to(EPS0, grid.shape + (4,)).copy()
-        assert sn.killing_residual_max(fr, eps, 0.0) <= 1e-14
+        assert np.max(np.abs(sn.killing_residual(fr, eps, 0.0, grid.interior()))) <= 1e-14
 
     def test_minkowski_integration_constant(self):
         grid = gr.GridPatch(((-0.4, 0.4),) * 4, (7,) * 4)
@@ -233,8 +233,8 @@ class TestKillingTransport:
     def test_random_field_negative_control(self, ads9):
         grid, fr, _ = ads9
         rng = np.random.default_rng(5)
-        assert sn.killing_residual_max(fr, rng.standard_normal(grid.shape + (4,)),
-                                       LAM) > 1.0
+        eps = rng.standard_normal(grid.shape + (4,))
+        assert np.max(np.abs(sn.killing_residual(fr, eps, LAM, grid.interior()))) > 1.0
 
     def test_requires_analytic_frame(self, ads9):
         grid, fr, _ = ads9
@@ -272,9 +272,9 @@ def cli_box(grid):
 
 
 class TestComputeOnlyWhatIsRead:
-    """``path_defect`` walks the corner path and ``killing_residual_max`` runs
+    """``path_defect`` walks the corner path and ``killing_residual`` runs
     the connection formula on its node box only; the full-field sweep and
-    residual are their oracles."""
+    the all-at-once residual are their oracles."""
 
     @pytest.mark.parametrize("shape", [(9,) * 4, (13,) * 4, (7, 9, 8, 11)])
     @pytest.mark.parametrize("name, lam", [("minkowski", 0.0), ("ads4-poincare", 0.7),
@@ -292,6 +292,8 @@ class TestComputeOnlyWhatIsRead:
     @pytest.mark.parametrize("box", ["interior", "cli region", "face", "one node",
                                      "one corner node"])
     def test_windowed_residual_matches_full_grid(self, monkeypatch, n, box):
+        # the residual on a box is the independent all-at-once residual of
+        # the whole grid, sliced to the box, bit for bit
         fr = sn.builtin_frame("ads4-poincare", ads_grid(n), lam=LAM)
         eps = sn.integrate_killing(fr, LAM, EPS0)
         nodes = {"interior": fr.grid.interior(),
@@ -301,7 +303,7 @@ class TestComputeOnlyWhatIsRead:
                  "one node": (slice(5, 6),) * 4,
                  # the far corner: the halo is clipped at four faces
                  "one corner node": (slice(n - 1, n),) * 4}[box]
-        full = float(np.max(np.abs(sn.killing_residual(fr, eps, LAM)[nodes])))
+        full = allatonce_killing_residual(fr, eps, LAM)[nodes]
         counts = []
         connection = sn._connection
 
@@ -310,30 +312,30 @@ class TestComputeOnlyWhatIsRead:
             return connection(e, de)
 
         monkeypatch.setattr(sn, "_connection", spy)
-        arg = None if box == "interior" else nodes
-        assert sn.killing_residual_max(fr, eps, LAM, arg) == full
+        assert sn.killing_residual(fr, eps, LAM, nodes).tobytes() == full.tobytes()
         # the connection formula runs on the box nodes only
         assert sum(counts) == np.prod([s.stop - s.start for s in nodes])
 
     def test_windowed_residual_minkowski_exactly_zero(self):
         fr = sn.builtin_frame("minkowski", ads_grid(9))
         eps = sn.integrate_killing(fr, 0.0, EPS0)
-        for box in (None, cli_box(fr.grid), (slice(0, 1), slice(4, 5), slice(8, 9), slice(2, 3))):
-            assert sn.killing_residual_max(fr, eps, 0.0, box) == 0.0
+        for box in (fr.grid.interior(), cli_box(fr.grid),
+                    (slice(0, 1), slice(4, 5), slice(8, 9), slice(2, 3))):
+            assert np.max(np.abs(sn.killing_residual(fr, eps, 0.0, box))) == 0.0
 
     def test_one_spinor_round_computes_only_what_it_reads(self, monkeypatch):
         # spinor-check on ads4 runs the connection formula on the node box of
         # the coarse interior (5^4 and 7^4 nodes, not the 9^4 and 13^4 grids),
         # and each path defect hands the propagators one line per axis
         connections, paths, running = [], [], []
-        connection, residual = sn._connection, sn.killing_residual_max
+        connection, residual = sn._connection, sn.killing_residual
         propagators, defect = sn._edge_propagators, sn.path_defect
 
         def spy_connection(e, de):
             connections[-1] += len(e)
             return connection(e, de)
 
-        def spy_residual(fr, eps, lam, box=None):
+        def spy_residual(fr, eps, lam, box=gr.WHOLE):
             connections.append(0)
             return residual(fr, eps, lam, box)
 
@@ -351,7 +353,7 @@ class TestComputeOnlyWhatIsRead:
                 running.pop()
 
         monkeypatch.setattr(sn, "_connection", spy_connection)
-        monkeypatch.setattr(sn, "killing_residual_max", spy_residual)
+        monkeypatch.setattr(sn, "killing_residual", spy_residual)
         monkeypatch.setattr(sn, "_edge_propagators", spy_propagators)
         monkeypatch.setattr(sn, "path_defect", spy_defect)
         assert cli.run(["spinor-check", "--frame", "ads4-poincare", "--lambda", "1.0"])[0] == 0
@@ -878,16 +880,17 @@ class TestKernelOracles:
         def outputs():
             sweeps = [sn.integrate_killing(f, 0.7, EPS0, axis_order=(1, 3, 0, 2))
                       for f in (fr, wavy9)]
-            geo = cfg.geometry
-            gauge = [fl.star_fibers(geo, cfg.V), fl.stress_gauge(geo, cfg.J, cfg.V, check=False),
+            geo, whole = cfg.geometry, cfg.on(gr.WHOLE)
+            star_v = fl.star_fibers(geo, cfg.V)
+            gauge = [star_v, fl.stress_gauge(geo, cfg.J, cfg.V, check=False),
                      fl.oslash_Q(geo, cfg.J, cfg.V, cfg.V), fl.pairings(geo, cfg.F, cfg.F),
-                     fl.pairings(geo, cfg.star_v, cfg.V), fl.hodge2(geo, cfg.F[..., 0, :, :]),
-                     gr.local_gauge_source(cfg), gr.psi_form_source(cfg),
-                     gr.einstein_residual(cfg, check=False),
-                     gr.scalar_residual(cfg, "local"), gr.scalar_residual(cfg, "global")]
+                     fl.pairings(geo, star_v, cfg.V), fl.hodge2(geo, cfg.F[..., 0, :, :]),
+                     gr.local_gauge_source(whole), gr.psi_form_source(whole),
+                     gr.einstein_residual(whole, check=False),
+                     gr.scalar_residual(whole, "local"), gr.scalar_residual(whole, "global")]
             u, l = sn.killing_bilinears(fr, sweeps[0])
             kappa = sn.extract_kappa(u, l, 0.7, fr.geometry, fr.grid)
-            return [sn.spin_connection(wavy9), gr.metric_geometry(g, wavy9.grid).gamma,
+            return [sn.spin_connection(wavy9), gr.checked_geometry(g, wavy9.grid).gamma,
                     *sweeps, *gauge, kappa]
 
         before = outputs()
@@ -973,7 +976,8 @@ class TestMemory:
         fr, full = ads13
         assert self.transient(sn.spin_connection, fr) <= 2.5 * full
         # Gamma, with g, g^-1 and det g (1.5 arrays), and no full-size bracket
-        assert self.transient(gr.metric_geometry, fr.metric(), fr.grid) <= 1.75 * full
+        assert self.transient(lambda g, grid: gr.checked_geometry(g, grid).gamma,
+                              fr.metric(), fr.grid) <= 1.75 * full
 
     def test_sweep(self, ads13):
         fr, _ = ads13

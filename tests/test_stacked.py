@@ -365,13 +365,13 @@ class TestOneMetricInversion:
         cfg = TestStackedFieldKernels.configuration()
         cfg.geometry
         counted.clear()
-        gr.einstein_residual(cfg)
+        gr.einstein_residual(cfg.on(gr.WHOLE))
         assert counted == []
 
 
 class TestSelfdualWarning:
     """The not-self-dual warning is raised at the caller of stress_gauge and
-    of einstein_residual, and einstein_residual checks the interior nodes."""
+    of einstein_residual, and einstein_residual checks the nodes of its box."""
 
     @staticmethod
     def configuration():
@@ -386,8 +386,8 @@ class TestSelfdualWarning:
         assert [w.filename for w in rec] == [__file__]
 
     def test_einstein_residual(self):
-        cfg = self.configuration()
+        x = self.configuration().on((slice(2, 5), slice(1, 6), slice(0, 3), slice(4, 7)))
         with pytest.warns(UserWarning, match="configuration is not twisted self-dual") as rec:
-            gr.einstein_residual(cfg)
+            gr.einstein_residual(x)
         assert [w.filename for w in rec] == [__file__]
-        assert f"{cfg.selfduality_violation():.2e}" in str(rec[0].message)
+        assert f"{x.selfduality_violation():.2e}" in str(rec[0].message)
