@@ -227,11 +227,13 @@ def _bracket(dg: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
 
 
 def checked_geometry(g, grid: GridPatch) -> Geometry:
-    """The one way from a metric field to its geometry: the metric check now,
-    Gamma and the Einstein tensor where they are first read.  A Geometry
-    passes through."""
+    """The one way from a metric field to its geometry: the metric check,
+    its shape against the grid's included, now, Gamma and the Einstein tensor
+    where they are first read.  A Geometry passes through."""
     if isinstance(g, Geometry):
         return g
+    if np.shape(g) != grid.shape + (4, 4):
+        raise GridError(f"metric shape {np.shape(g)} does not match grid")
     m = fl.checked_metric(g)
     geo = Geometry(m.g, m.ginv, m.det, grid)
     geo.vol  # a grid metric is Lorentzian: take the volume, and its check, now
@@ -305,32 +307,24 @@ class FieldConfiguration:
     """Grid-sampled triple (metric, scalar map, symplectic field strength)
     together with the model supplying couplings along the scalar map.
 
-    Cached per-node coupling data (R, I, their chart derivatives, I^-1, the
-    taming J and Q = Omega J) is evaluated once at construction; the metric
-    geometry, which carries the metric check, is computed on first use and
-    dropped when g is reassigned.  Residuals and *V read it through a node
-    box, ``on(box)``; the whole grid is the box ``WHOLE``.
+    The metric is its checked whole-grid ``Geometry``: ``grid`` and ``g`` are
+    the geometry's.  The couplings R, I and their chart derivatives come from
+    one checked model walk at construction.  Residuals, *V and the taming J
+    are formed by a node box view, ``on(box)``; the whole grid is the box
+    ``WHOLE``.
     """
 
-    grid: GridPatch
     model: Model | TransformedModel
-    g: np.ndarray        # grid + (4, 4)
+    geometry: Geometry   # the checked metric, grid + (4, 4)
     phi: np.ndarray      # grid + (n_s,)
     V: np.ndarray        # grid + (2 n_v, 4, 4)
-    R: np.ndarray = field(init=False)
+    R: np.ndarray = field(init=False)    # grid + (n_v, n_v)
     I: np.ndarray = field(init=False)
     dR: np.ndarray = field(init=False)   # grid + (n_s, n_v, n_v)
     dI: np.ndarray = field(init=False)
-    I_inv: np.ndarray = field(init=False)
-    J: np.ndarray = field(init=False)    # grid + (2 n_v, 2 n_v)
-    Q: np.ndarray = field(init=False)
 
     def __post_init__(self):
-        shape = self.grid.shape
-        n_v = self.model.n_v
-        n_s = self.model.chart.dim
-        if self.g.shape != shape + (4, 4):
-            raise GridError(f"metric shape {self.g.shape} does not match grid")
+        shape, n_v, n_s = self.grid.shape, self.model.n_v, self.model.chart.dim
         if self.phi.shape != shape + (n_s,):
             raise GridError(f"scalar map shape {self.phi.shape} does not match grid/chart")
         if self.V.shape != shape + (2 * n_v, 4, 4):
@@ -338,9 +332,6 @@ class FieldConfiguration:
         if np.any(fl.blockwise(lambda v: np.max(np.abs(v + np.swapaxes(v, -1, -2)),
                                                 axis=(-3, -2, -1)) > 0, (self.V, 3))):
             raise GridError("field strength block must be exactly antisymmetric")
-        self._evaluate_couplings()
-
-    def _evaluate_couplings(self):
         bad = self.model.chart.first_outside(self.phi)
         if bad is not None:
             raise DomainExitError(f"scalar map leaves the chart at node {bad}: "
@@ -348,19 +339,14 @@ class FieldConfiguration:
         tau, dtau = checked_partials(self.model, self.phi)
         self.R, self.I = tau.real, tau.imag
         self.dR, self.dI = dtau.real, dtau.imag
-        self.J = taming_matrix(self.R, self.I)
-        self.I_inv = self.J[..., : self.n_v, self.n_v:]
-        self.Q = omega(self.n_v) @ self.J
 
-    def __setattr__(self, name, value):
-        super().__setattr__(name, value)
-        if name == "g":
-            self.__dict__.pop("geometry", None)  # computed from the old metric
+    @property
+    def grid(self) -> GridPatch:
+        return self.geometry.grid
 
-    @cached_property
-    def geometry(self) -> Geometry:
-        """The checked metric; its curvature is formed where a residual reads it."""
-        return checked_geometry(self.g, self.grid)
+    @property
+    def g(self) -> np.ndarray:
+        return self.geometry.g
 
     @property
     def n_v(self) -> int:
@@ -378,13 +364,14 @@ class FieldConfiguration:
 class BoxFields:
     """A configuration on a node box of its grid: its geometry on the box
     (``Geometry.on``), the fields and couplings at the box nodes (g, phi, V,
-    F, R, I, dR, dI, I_inv, J, Q: views of the configuration's arrays), and the
-    fields on the box's window, which the difference stencils read.  Every
-    residual formula reads a configuration through it, so a residual on a box
-    is the residual on the box ``WHOLE`` at those nodes, computed at those
-    nodes only.  The model and n_v are the configuration's."""
+    F, R, I, dR, dI: views of the configuration's arrays), the taming J of
+    the couplings there, and the fields on the box's window, which the
+    difference stencils read.  Every residual formula reads a configuration
+    through it, so a residual on a box is the residual on the box ``WHOLE``
+    at those nodes, computed at those nodes only.  The model and n_v are the
+    configuration's."""
 
-    NODE_FIELDS = ("g", "phi", "V", "F", "R", "I", "dR", "dI", "I_inv", "J", "Q")
+    NODE_FIELDS = ("g", "phi", "V", "F", "R", "I", "dR", "dI")
 
     def __init__(self, cfg: FieldConfiguration, box: tuple[slice, ...]):
         self.cfg, self.grid = cfg, cfg.grid
@@ -397,6 +384,18 @@ class BoxFields:
         if name in BoxFields.NODE_FIELDS:
             return getattr(self.cfg, name)[self.box]
         raise AttributeError(name)
+
+    @cached_property
+    def J(self) -> np.ndarray:
+        """The taming of the couplings at the box nodes, box + (2 n_v, 2 n_v),
+        from ``symplectic.taming_matrix``.  Couplings inside Siegel space can
+        still overflow it: a node whose J has an entry that is not finite or
+        exceeds MAX_ENTRY is refused, named by its grid index."""
+        with np.errstate(over="ignore", invalid="ignore"):   # refused below
+            j = taming_matrix(self.R, self.I)
+        _refuse_nodes(j, MAX_ENTRY, f"taming not finite or above {MAX_ENTRY:g} at node index "
+                      "{}: the couplings are out of range", [s.start for s in self.box])
+        return j
 
     @cached_property
     def geometry(self) -> Geometry:
@@ -425,9 +424,10 @@ def assemble_field_block(cfg: FieldConfiguration) -> np.ndarray:
 
 def make_configuration(grid: GridPatch, model, g: np.ndarray, phi: np.ndarray,
                        f: np.ndarray) -> FieldConfiguration:
-    """Configuration with field block (F, R F - I *F); the couplings along
-    phi are evaluated once, by the configuration."""
-    cfg = FieldConfiguration(grid, model, g, phi, np.concatenate([f, np.zeros_like(f)], axis=-3))
+    """Configuration with field block (F, R F - I *F): the metric is checked
+    first, then the configuration evaluates the couplings along phi once."""
+    cfg = FieldConfiguration(model, checked_geometry(g, grid), phi,
+                             np.concatenate([f, np.zeros_like(f)], axis=-3))
     cfg.V = assemble_field_block(cfg)
     return cfg
 
@@ -463,9 +463,8 @@ def local_gauge_source(x: BoxFields) -> np.ndarray:
 def _taming_derivative(x: BoxFields) -> np.ndarray:
     """d J / d x^k along the scalar map from the coupling derivatives,
     shape box + (n_s, 2n, 2n)."""
-    iinv = x.I_inv[..., None, :, :]
-    r = x.R[..., None, :, :]
-    dr, di = x.dR, x.dI
+    iinv = x.J[..., None, : x.n_v, x.n_v:]   # the upper right block of J is I^-1
+    r, dr, di = x.R[..., None, :, :], x.dR, x.dI
     diinv = -(iinv @ di @ iinv)
     ru_d = dr @ iinv + r @ diinv
     top = np.concatenate([-(diinv @ r + iinv @ dr), diinv], axis=-1)
@@ -484,7 +483,7 @@ def psi_form_source(x: BoxFields) -> np.ndarray:
     # (a, b)_g = 1/2 a_{mn} b^{mn}; the pairing contracts the fiber index with Q:
     # (1/4) sum_{A,B,C} Q_AB (dJ_k)_BC (*V^A, V^C)
     pairs = fl.pairings(x.geometry, x.star_v, x.V)
-    return 0.25 * ((x.Q[..., None, :, :] @ _taming_derivative(x))
+    return 0.25 * (((omega(x.n_v) @ x.J)[..., None, :, :] @ _taming_derivative(x))
                    * pairs[..., None, :, :]).sum(axis=(-2, -1))
 
 
@@ -593,12 +592,15 @@ def transport_config(f, a: np.ndarray, cfg: FieldConfiguration) -> FieldConfigur
     """Duality transport (g, phi, V) -> (g, f(phi), A V), returned as a
     configuration of the transformed theory (same chart metric for isometric
     f, transformed period map A . N(f^-1)).  Building it checks that f(phi)
-    stays in the chart and the transformed periods in Siegel space."""
+    stays in the chart and the transformed periods in Siegel space; A V is
+    refused, naming its first node, where an entry is not finite or exceeds
+    MAX_ENTRY."""
     new_phi = f.apply(cfg.phi)
-    new_v = fl.fiber_action(np.asarray(a, dtype=float), cfg.V)
-    out = FieldConfiguration(cfg.grid, TransformedModel(cfg.model, f, a), cfg.g, new_phi, new_v)
-    out.geometry = cfg.geometry  # the metric is unchanged
-    return out
+    with np.errstate(over="ignore", invalid="ignore"):   # refused below
+        new_v = fl.fiber_action(np.asarray(a, dtype=float), cfg.V)
+    _refuse_nodes(new_v, MAX_ENTRY, f"transported field block not finite or above "
+                  f"{MAX_ENTRY:g} at node index {{}}: A V is out of range")
+    return FieldConfiguration(TransformedModel(cfg.model, f, a), cfg.geometry, new_phi, new_v)
 
 
 @dataclass
@@ -791,12 +793,13 @@ def parse_grid_config(text: str, resolution: tuple[int, ...] | None = None
     return make_configuration(grid, model, g, phi, f)
 
 
-def _refuse_nodes(a: np.ndarray, bound: float, message: str) -> None:
+def _refuse_nodes(a: np.ndarray, bound: float, message: str, origin=(0, 0, 0, 0)) -> None:
     """GridError naming (as the {} of message) the first node with an entry
-    that is not finite or exceeds bound in magnitude."""
+    that is not finite or exceeds bound in magnitude, by its grid index when
+    a holds the nodes of a box whose first node is origin."""
     bad = np.argwhere(~((a <= bound) & (a >= -bound)).reshape(a.shape[:4] + (-1,)).all(-1))
     if len(bad):
-        raise GridError(message.format(tuple(bad[0].tolist())))
+        raise GridError(message.format(tuple((bad[0] + origin).tolist())))
 
 
 def _numbers(key: str, text: str, count: int, kind=float, bound: int | None = None) -> list:

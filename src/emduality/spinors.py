@@ -174,17 +174,23 @@ def _connection(e: np.ndarray, de: np.ndarray) -> np.ndarray:
     return (wb - np.swapaxes(wb, -1, -2)) / 2
 
 
-def spin_connection(fr: FramePatch) -> np.ndarray:
-    """Torsion-free metric spin connection w_{mu a b} from the sampled frame.
+def spin_connection(fr: FramePatch, box: tuple[slice, ...] = WHOLE) -> np.ndarray:
+    """Torsion-free metric spin connection w_{mu a b} from the sampled frame,
+    at the nodes of a node box (every node by default), box + (mu, a, b).
 
-    Finite differences of the frame (margin-1 interior); the output is
-    antisymmetrised in (a, b) so that property holds to the last bit.  After
-    the derivative, the formula ``_connection`` is pointwise: it runs on node
-    blocks and writes each block's connection over that block's derivative,
-    so the result is the only full-size array.
+    Finite differences of the frame on the box plus a one-node halo, clipped
+    at the grid faces (margin-1 interior); the output is antisymmetrised in
+    (a, b) so that property holds to the last bit.  After the derivative, the
+    formula ``_connection`` is pointwise: it runs on node blocks and writes
+    each block's connection over that block's derivative at the box nodes, so
+    on the whole grid the result is the only full-size array.
     """
-    w = partials(ETA @ fr.e, fr.grid)                     # d_n e_{a m}, then w_{m a b}
-    return blockwise(_connection, (fr.e, 2), (w, 3), out=w)
+    window, inner = box_window(fr.grid.shape, box, 1)
+    e = fr.e[window]
+    # d_n e_{a m} at the box nodes, then w_{m a b}: contiguous, so it is
+    # written in place (on the whole grid it is the derivative itself)
+    w = np.ascontiguousarray(partials(ETA @ e, fr.grid)[inner])
+    return blockwise(_connection, (e[inner], 2), (w, 3), out=w)
 
 
 # ---------------------------------------------------------- killing spinors
@@ -219,14 +225,10 @@ def killing_residual(fr: FramePatch, eps: np.ndarray, lam: float,
     one-node halo, clipped at the grid faces, and the connection formula runs
     at the box nodes only: a box node's residual is the whole grid's, bit for bit.
     """
-    grid = fr.grid
-    window, inner = box_window(grid.shape, box, 1)
-    e, eps = fr.e[window], eps[window]
-    # blockwise returns the connection: the sliced derivative is a view, and
-    # a view passed as out would not receive it
-    w = blockwise(_connection, (e[inner], 2), (partials(ETA @ e, grid)[inner], 3))
-    res = np.moveaxis(partials(eps, grid)[inner], -1, -2)   # (..., mu, comp) = d_mu eps
-    e, eps = e[inner], eps[inner]
+    window, inner = box_window(fr.grid.shape, box, 1)
+    w = spin_connection(fr, box)
+    res = np.moveaxis(partials(eps[window], fr.grid)[inner], -1, -2)  # (..., mu, comp) = d_mu eps
+    e, eps = fr.e[box], eps[box]
     for mu in range(4):   # the generator of one direction at a time, subtracted in place
         m = _transport_generator(w[..., mu, :, :], e[..., mu], lam)
         res[..., mu, :] -= (m @ eps[..., None])[..., 0]

@@ -70,7 +70,8 @@ def whole_grid(cfg):
             "maxwell": gr.maxwell_residual(whole),
             "gamma": gr.christoffel(cfg.g, cfg.grid),
             "G": gr.einstein(cfg.g, cfg.grid),
-            "star_v": fl.star_fibers(cfg.geometry, cfg.V)}
+            "star_v": fl.star_fibers(cfg.geometry, cfg.V),
+            "J": whole.J}
 
 
 @pytest.fixture(scope="module", params=MODELS + ("transported",))
@@ -91,14 +92,15 @@ def test_box_pass_is_the_whole_grid_pass_at_the_box_nodes(case, name):
            "maxwell": gr.maxwell_residual(x),
            "gamma": x.geometry.gamma,
            "G": x.geometry.einstein_tensor,
-           "star_v": x.star_v}
+           "star_v": x.star_v,
+           "J": x.J}
     for key, value in got.items():
         assert np.array_equal(value, full[key][box]), key
     rep = gr.residual_report(x)
     assert np.array_equal(rep.einstein, full["einstein"][box])
     assert np.array_equal(rep.scalar, full["local"][box])
     assert np.array_equal(rep.maxwell, full["maxwell"][box])
-    assert rep.selfdual_violation == fl.selfduality_defect(full["star_v"][box], cfg.J[box],
+    assert rep.selfdual_violation == fl.selfduality_defect(full["star_v"][box], full["J"][box],
                                                            cfg.V[box])
 
 
@@ -112,7 +114,7 @@ def test_default_box_is_the_interior(case):
     assert out.before.maxima() == tuple(float(np.abs(full[k][inner]).max())
                                         for k in ("einstein", "local", "maxwell"))
     assert out.before.selfdual_violation == fl.selfduality_defect(
-        full["star_v"][inner], cfg.J[inner], cfg.V[inner])
+        full["star_v"][inner], full["J"][inner], cfg.V[inner])
 
 
 def test_whole_box_is_the_configuration_itself(case):

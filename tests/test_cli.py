@@ -579,6 +579,61 @@ def test_out_of_range_field_is_bad_input(tmp_path, command, case):
     assert "result = FAIL" in out and "Traceback" not in out
 
 
+# flat dim-1 models inside Siegel space whose taming overflows at the
+# constant scalar value: (N[1,1], x1)
+TAMING_OVERFLOWS = {"power": ("i + x1^200", 10), "scale": ("1e80 * x1 + 1e-150 * i", 1)}
+TAMING_ERROR = ("error = taming not finite or above 1e+150 at node index (2, 2, 2, 2): "
+                "the couplings are out of range")
+TRANSPORTED_ERROR = ("error = transported field block not finite or above 1e+150 at node "
+                     "index (0, 0, 0, 0): A V is out of range")
+
+
+@pytest.mark.parametrize("command", [["residuals"], ["selfdual"], ["transport", "--f", "id"]],
+                         ids=lambda c: c[0])
+@pytest.mark.parametrize("case", list(TAMING_OVERFLOWS))
+def test_out_of_range_taming_is_bad_input(tmp_path, command, case):
+    """Couplings inside Siegel space can still overflow the taming: it is
+    refused, naming the first node of the interior by its grid index, with a
+    report and exit 3 and no numpy warning under warnings as errors.  The
+    power model's lower field block R F - I *F is already 1e199, so transport
+    refuses A V, formed before any taming, with A the identity."""
+    period, x1 = TAMING_OVERFLOWS[case]
+    model = tmp_path / "overflow.model"
+    model.write_text(f"name = overflow\nnv = 1\nchart = flat\ndim = 1\nN[1,1] = {period}\n")
+    cfg = tmp_path / "overflow.cfg"
+    cfg.write_text(f"model = {model}\nresolution = 7 7 7 7\nphi = constant {x1}\n"
+                   "field = random 0.1 3\n")
+    identity = tmp_path / "identity.A"
+    identity.write_text("1 0\n0 1\n")
+    extra = ["--A", str(identity)] if command[0] == "transport" else []
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code, out = run([command[0], "--config", str(cfg), *command[1:], *extra])
+    assert code == 3
+    expected = TRANSPORTED_ERROR if (case, command[0]) == ("power", "transport") else TAMING_ERROR
+    assert expected in out
+    assert "result = FAIL" in out and "Traceback" not in out
+
+
+def test_out_of_range_transported_field_is_bad_input(tmp_path):
+    """A and V each within the largest entry taken can give A V beyond it: the
+    transported block is refused at its first node, with a report and exit 3
+    and no numpy warning under warnings as errors."""
+    text = (GOLDEN / "t3.cfg").read_text(encoding="utf-8")
+    text = text.replace(T3_TERM + "\n", "").replace("field_term = 1 2 3 -0.2 1 0 0 1",
+                                                    "field_term = 0 0 1 1e150 0 0 0 0")
+    cfg = tmp_path / "field.cfg"
+    cfg.write_text(text)
+    a = tmp_path / "scaled.A"
+    a.write_text("1e20 0 0 0\n0 1e20 0 0\n0 0 1e-20 0\n0 0 0 1e-20\n")
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code, out = run(["transport", "--config", str(cfg), "--f", "id", "--A", str(a)])
+    assert code == 3
+    assert TRANSPORTED_ERROR in out
+    assert "result = FAIL" in out and "Traceback" not in out
+
+
 @pytest.mark.parametrize("lam", ["1e-80", "1e-72"])
 def test_overflowing_ads_metric_is_bad_input(lam):
     """At a tiny lambda the AdS metric's determinant overflows: thm53 refuses

@@ -70,7 +70,7 @@ def old_stresses(cfg):
     t_scal = (np.einsum("...ij,...ia,...jb->...ab", cm, dphi, dphi)
               - 0.5 * g * np.einsum("...ij,...ia,...jb,...ab->...", cm, dphi, dphi,
                                     ginv)[..., None, None])
-    q = np.einsum("AB,...BC->...AC", omega(cfg.n_v), cfg.J)
+    q = np.einsum("AB,...BC->...AC", omega(cfg.n_v), cfg.on(gr.WHOLE).J)
     t_gauge = np.einsum("...AB,...Aac,...cd,...Bbd->...ab", q, cfg.V, ginv, cfg.V)
     return t_scal, (t_gauge + np.swapaxes(t_gauge, -1, -2)) / 2
 
@@ -109,7 +109,7 @@ def old_psi_form_source(cfg):
     dj = old_taming_derivative(cfg)
     sv = old_hodge2(g[..., None, :, :], cfg.V)
     djv = np.einsum("...kAB,...Bmn->...kAmn", dj, cfg.V)
-    q = np.einsum("AB,...BC->...AC", omega(cfg.n_v), cfg.J)
+    q = np.einsum("AB,...BC->...AC", omega(cfg.n_v), cfg.on(gr.WHOLE).J)
     inner = 0.5 * np.einsum("...Amn,...rm,...sn,...kBrs->...kAB", sv, ginv, ginv, djv)
     return 0.5 * np.einsum("...AB,...kAB->...k", q, inner)
 
@@ -290,12 +290,14 @@ class TestCaches:
         cfg.V = 2.0 * cfg.V
         assert close(cfg.on(gr.WHOLE).star_v, old_hodge2(metric[..., None, :, :], cfg.V))
 
-    def test_reassigned_metric_recomputes_geometry(self, grid, metric):
+    def test_metric_is_the_geometry(self, grid, metric):
+        # the metric is held once, as the checked geometry, and has no setter
         cfg = configuration(grid, metric, "t3")
-        before = cfg.geometry
-        cfg.g = 2.0 * cfg.g
-        assert cfg.geometry is not before
-        assert close(cfg.geometry.ginv, 0.5 * before.ginv)
+        assert cfg.g is cfg.geometry.g and cfg.grid is cfg.geometry.grid
+        for name, value in (("g", 2.0 * cfg.g), ("grid", grid.refine())):
+            with pytest.raises(AttributeError):
+                setattr(cfg, name, value)
+        assert cfg.g is cfg.geometry.g and cfg.grid is grid
 
     def test_transport_shares_geometry(self, grid, metric):
         cfg = configuration(grid, metric, "axio-dilaton")
@@ -303,8 +305,14 @@ class TestCaches:
         assert out.geometry is cfg.geometry
 
     def test_cached_couplings(self, cfg):
-        assert close(cfg.I_inv, np.linalg.inv(cfg.I))
-        assert np.array_equal(cfg.Q, np.einsum("AB,...BC->...AC", omega(cfg.n_v), cfg.J))
+        # the whole-grid view forms J once; its upper right block is I^-1 and
+        # Q = Omega J is symmetric
+        whole = cfg.on(gr.WHOLE)
+        j = whole.J
+        assert whole.J is j
+        assert close(j[..., : cfg.n_v, cfg.n_v:], np.linalg.inv(cfg.I))
+        q = np.einsum("AB,...BC->...AC", omega(cfg.n_v), j)
+        assert close(q, np.swapaxes(q, -1, -2))
 
     def test_thm53_geometry_once_per_frame(self):
         from emduality import spinors as sn

@@ -198,10 +198,15 @@ class TestConfiguration:
         named = r"not Lorentzian .* node index \(2, 2, 2, 2\)"
         with pytest.raises(fl.SingularMetricError, match=named):
             gr.make_configuration(grid, model, g, phi, np.zeros(grid.shape + (1, 4, 4)))
-        # a bare configuration is checked with its geometry, on first use
-        cfg = gr.FieldConfiguration(grid, model, g, phi, np.zeros(grid.shape + (2, 4, 4)))
+        # a bare configuration takes a checked geometry, which refuses the metric
         with pytest.raises(fl.SingularMetricError, match=named):
-            cfg.geometry
+            gr.FieldConfiguration(model, gr.checked_geometry(g, grid), phi,
+                                  np.zeros(grid.shape + (2, 4, 4)))
+
+    def test_metric_shape_validated(self):
+        grid = small_grid()
+        with pytest.raises(gr.GridError, match="metric shape .* does not match grid"):
+            gr.checked_geometry(gr.metric_minkowski(grid)[1:], grid)
 
     def test_domain_exit_flagged(self):
         grid = small_grid()
@@ -269,7 +274,7 @@ class TestEinsteinResidual:
         model = md.builtin("identity-tau")
         v = fl.random_two_forms(2, rng)[None, None, None, None] * np.ones(
             grid.shape + (1, 1, 1))
-        cfg = gr.FieldConfiguration(grid, model, gr.metric_minkowski(grid),
+        cfg = gr.FieldConfiguration(model, gr.checked_geometry(gr.metric_minkowski(grid), grid),
                                     gr.phi_constant(grid, [0.3, 1.0]), v)
         with pytest.warns(UserWarning):
             gr.einstein_residual(cfg.on(gr.WHOLE))

@@ -19,19 +19,22 @@ fields of a configuration are evaluated by one pass,
 ``grids.residual_report``, on a node box view, a ``grids.BoxFields``: every
 grid report reads them from its box arrays, and only ``cli.cmd_residuals``
 runs the global scalar assembly of its own, on the same view, to compare it
-with the local one.  *V of a configuration and its self-duality defect are
-formed by that view alone."""
+with the local one.  *V of a configuration, its self-duality defect and its
+taming J are formed by that view alone.  A configuration holds its metric
+once, as its checked geometry, which nothing assigns after construction."""
 
 import ast
+import dataclasses
 from pathlib import Path
+
+from emduality import grids as gr
 
 SRC = Path(__file__).resolve().parent.parent / "src" / "emduality"
 
 BLOCKED = {("fields", "star_fibers"), ("fields", "_q_contraction"), ("fields", "pairings"),
            ("grids", "_christoffel"), ("grids", "FieldConfiguration"),
            ("grids", "scalar_residual"), ("spinors", "spin_connection"),
-           ("spinors", "killing_residual"), ("spinors", "FramePatch"),
-           ("spinors", "extract_kappa")}
+           ("spinors", "FramePatch"), ("spinors", "extract_kappa")}
 
 
 def loads(names):
@@ -106,13 +109,18 @@ def test_one_residual_pass():
 
 def test_one_window_helper():
     """A node box is widened into its stencil window by ``grids.box_window``
-    alone: the grid residuals, the box geometry and the Killing residual,
-    whose whole grid is the box ``WHOLE``."""
+    alone: the grid residuals, the box geometry, the spin connection and the
+    Killing residual, whose whole grid is the box ``WHOLE``.  The Killing
+    residual reads its connection from ``spin_connection`` on its box."""
     assert loads({"box_window"}) == {("box_window", "grids", "partial_at"),
                                      ("box_window", "grids", "Geometry"),
                                      ("box_window", "grids", "BoxFields"),
+                                     ("box_window", "spinors", "spin_connection"),
                                      ("box_window", "spinors", "killing_residual")}
-    assert loads({"WHOLE"}) >= {("WHOLE", "spinors", "killing_residual")}
+    assert loads({"WHOLE"}) >= {("WHOLE", "spinors", "spin_connection"),
+                                ("WHOLE", "spinors", "killing_residual")}
+    assert loads({"_connection"}) == {("_connection", "spinors", "spin_connection")}
+    assert ("spin_connection", "spinors", "killing_residual") in loads({"spin_connection"})
 
 
 def test_star_v_formed_only_by_a_box_view():
@@ -126,3 +134,26 @@ def test_star_v_formed_only_by_a_box_view():
                        ("star_v", "grids", "BoxFields"),
                        ("star_v", "grids", "local_gauge_source"),
                        ("star_v", "grids", "psi_form_source")}
+
+
+def test_configuration_holds_its_checked_inputs_once():
+    """The fields of a configuration are its checked inputs and the output of
+    its one model walk: the metric is the geometry (``g`` and ``grid`` are
+    read from it), and no hook rewrites a field when another is assigned."""
+    assert [f.name for f in dataclasses.fields(gr.FieldConfiguration)] == [
+        "model", "geometry", "phi", "V", "R", "I", "dR", "dI"]
+    assert "__setattr__" not in vars(gr.FieldConfiguration)
+    assigned = set()
+    for path in sorted(SRC.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if (isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Store)
+                    and node.attr == "geometry"):
+                assigned.add((path.stem, node.lineno))
+    assert assigned == set()
+
+
+def test_taming_formed_only_by_a_box_view():
+    """Outside ``symplectic``, the taming formula is read by ``grids.BoxFields``
+    alone: a configuration keeps no J, I^-1 or Q = Omega J of its own."""
+    assert {found for found in loads({"taming_matrix"}) if found[1] != "symplectic"} == {
+        ("taming_matrix", "grids", "BoxFields")}

@@ -315,6 +315,9 @@ class TestComputeOnlyWhatIsRead:
         assert sn.killing_residual(fr, eps, LAM, nodes).tobytes() == full.tobytes()
         # the connection formula runs on the box nodes only
         assert sum(counts) == np.prod([s.stop - s.start for s in nodes])
+        # and the residual's connection is spin_connection on the box
+        assert (sn.spin_connection(fr, nodes).tobytes()
+                == allatonce_spin_connection(fr)[nodes].tobytes())
 
     def test_windowed_residual_minkowski_exactly_zero(self):
         fr = sn.builtin_frame("minkowski", ads_grid(9))
@@ -882,8 +885,8 @@ class TestKernelOracles:
                       for f in (fr, wavy9)]
             geo, whole = cfg.geometry, cfg.on(gr.WHOLE)
             star_v = fl.star_fibers(geo, cfg.V)
-            gauge = [star_v, fl.stress_gauge(geo, cfg.J, cfg.V, check=False),
-                     fl.oslash_Q(geo, cfg.J, cfg.V, cfg.V), fl.pairings(geo, cfg.F, cfg.F),
+            gauge = [star_v, fl.stress_gauge(geo, whole.J, cfg.V, check=False),
+                     fl.oslash_Q(geo, whole.J, cfg.V, cfg.V), fl.pairings(geo, cfg.F, cfg.F),
                      fl.pairings(geo, star_v, cfg.V), fl.hodge2(geo, cfg.F[..., 0, :, :]),
                      gr.local_gauge_source(whole), gr.psi_form_source(whole),
                      gr.einstein_residual(whole, check=False),
@@ -900,7 +903,7 @@ class TestKernelOracles:
         v = cfg.V.copy()
         v[3, 1, 4, 0, 1, 2, 3] += 1e-300
         with pytest.raises(gr.GridError, match="exactly antisymmetric"):
-            gr.FieldConfiguration(cfg.grid, cfg.model, cfg.g, cfg.phi, v)
+            gr.FieldConfiguration(cfg.model, gr.checked_geometry(cfg.g, cfg.grid), cfg.phi, v)
         # and the blocked singular-frame check still finds one singular node
         e = wavy9.e.copy()
         e[3, 1, 4, 0, 2] = e[3, 1, 4, 0, 1]

@@ -263,7 +263,7 @@ class TestSiegelRule:
         cfg = self.configuration(m)
         assert np.array_equal(cfg.I, np.broadcast_to(c * np.eye(2), cfg.I.shape))
         # the grid's J against the independent route back to the couplings
-        flat_r, flat_j = cfg.R.reshape(-1, 2, 2), cfg.J.reshape(-1, 4, 4)
+        flat_r, flat_j = cfg.R.reshape(-1, 2, 2), cfg.on(gr.WHOLE).J.reshape(-1, 4, 4)
         for node in (0, 1200, 2400):
             em = sp.gamma_inv(sp.Taming(flat_j[node]))
             r = flat_r[node]
@@ -299,17 +299,17 @@ class TestStackedFieldKernels:
     @classmethod
     def nodes(cls, cfg, *arrays):
         """Per node: (g, pair, taming) and the node's entries of arrays."""
-        lead = cfg.grid.shape
+        lead, j = cfg.grid.shape, cfg.on(gr.WHOLE).J
         for node in cls.NODES:
             idx = np.unravel_index(node, lead)
             yield ((cfg.g[idx], sp.ElectromagneticPair(cfg.R[idx], cfg.I[idx]),
-                    sp.Taming(cfg.J[idx])) + tuple(a[idx] for a in arrays))
+                    sp.Taming(j[idx])) + tuple(a[idx] for a in arrays))
 
     def test_assemble_V_and_twisted_star(self):
         cfg = self.configuration()
         for metric in (cfg.g, cfg.geometry):
             v = fl.assemble_V(cfg.F, cfg, metric)
-            ts = fl.twisted_star(metric, cfg.J, v)
+            ts = fl.twisted_star(metric, cfg.on(gr.WHOLE).J, v)
             for g, em, j, f, v_node, ts_node in self.nodes(cfg, cfg.F, v, ts):
                 single = fl.assemble_V(f, em, g)
                 assert close(v_node, single)
@@ -320,7 +320,7 @@ class TestStackedFieldKernels:
         cfg = self.configuration()
         w = cfg.V + 0.1 * fl.random_two_forms(4, np.random.default_rng(5))
         idx = np.unravel_index(np.array(self.NODES), cfg.grid.shape)
-        stacked = fl.selfduality_violation(cfg.g[idx], cfg.J[idx], w[idx])
+        stacked = fl.selfduality_violation(cfg.g[idx], cfg.on(gr.WHOLE).J[idx], w[idx])
         single = max(fl.selfduality_violation(g, j, w_node)
                      for g, _, j, w_node in self.nodes(cfg, w))
         assert stacked > 1e-3 and close(stacked, single)
@@ -329,7 +329,7 @@ class TestStackedFieldKernels:
         cfg = self.configuration()
         dphi = np.swapaxes(gr.partials(cfg.phi, cfg.grid), -1, -2)
         cm = cfg.model.chart.metric(cfg.phi)
-        t_gauge = fl.stress_gauge(cfg.g, cfg.J, cfg.V)
+        t_gauge = fl.stress_gauge(cfg.g, cfg.on(gr.WHOLE).J, cfg.V)
         t_scal = fl.stress_scalar(cfg.geometry, cm, dphi)
         for g, _, j, v, tg, ts, dp, c in self.nodes(cfg, cfg.V, t_gauge, t_scal, dphi, cm):
             assert close(tg, fl.stress_gauge(g, j, v))
@@ -382,7 +382,7 @@ class TestSelfdualWarning:
     def test_stress_gauge(self):
         cfg = self.configuration()
         with pytest.warns(UserWarning, match="stress_gauge input is not twisted self-dual") as rec:
-            fl.stress_gauge(cfg.geometry, cfg.J, cfg.V)
+            fl.stress_gauge(cfg.geometry, cfg.on(gr.WHOLE).J, cfg.V)
         assert [w.filename for w in rec] == [__file__]
 
     def test_einstein_residual(self):
