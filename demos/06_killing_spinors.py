@@ -9,9 +9,8 @@ first-order system whose residuals converge at second order.
 
 import numpy as np
 
-from emduality import (GAMMA, builtin_frame, extract_kappa, integrate_killing,
-                       killing_bilinears, killing_residual, path_defect,
-                       ricci, verify_thm53)
+from emduality import (GAMMA, builtin_frame, integrate_killing, killing_bilinears,
+                       killing_residual, path_defect, ricci, verify_thm53)
 from emduality.fields import ETA
 from emduality.grids import GridPatch
 
@@ -57,8 +56,7 @@ print(f"path defect with lam' = 1.3: "
 print("\n== the lightlike/spacelike pair from bilinears ==")
 eps = integrate_killing(fr, lam, eps0)
 u, l = killing_bilinears(fr, eps)
-kappa = extract_kappa(u, l, lam, fr.geometry, grid)
-out = verify_thm53(u, l, kappa, lam, fr.geometry, grid)
+out = verify_thm53(u, l, lam, fr.geometry, grid)
 print(f"g(u,u) = {out.u_norm_violation:.1e}   g(l,l)-1 = {out.l_norm_violation:.1e}"
       f"   g(u,l) = {out.orthogonality_violation:.1e}")
 print(f"grad-u equation residual {out.du_residual:.2e}, grad-l equation "

@@ -403,8 +403,7 @@ def _ads_first_order(lam: float, n: int) -> sn.FirstOrderReport:
     fr = _ads_frame(lam, n)
     eps = sn.integrate_killing(fr, lam, EPS0)
     u, l = sn.killing_bilinears(fr, eps)
-    kappa = sn.extract_kappa(u, l, lam, fr.geometry, fr.grid)
-    return sn.verify_thm53(u, l, kappa, lam, fr.geometry, fr.grid)
+    return sn.verify_thm53(u, l, lam, fr.geometry, fr.grid)
 
 
 def cmd_thm53(args) -> Report:

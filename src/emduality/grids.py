@@ -167,22 +167,22 @@ class Geometry(fl.Metric):
     """A checked Lorentzian metric on a node box of a grid, box + (4, 4): one
     per metric field, shared by every consumer.  The geometry of a metric
     field has the whole grid as its box; ``on`` cuts a box out of it, with
-    dg = d_k g_mn on the box's window.  The Christoffel symbols and the
-    Einstein tensor on the box, and the box geometries, are computed on first
-    use and kept."""
+    gw, the metric on the box's window, as a view.  The Christoffel symbols
+    and the Einstein tensor on the box, and the box geometries, are computed
+    on first use and kept."""
 
     grid: GridPatch
-    dg: np.ndarray | None = None           # window + (m, n, k); None on the whole grid
-    inner: tuple[slice, ...] = WHOLE       # the box within dg's window
+    gw: np.ndarray                         # window + (4, 4); g itself on the whole grid
+    inner: tuple[slice, ...] = WHOLE       # the box within gw's window
 
     @cached_property
     def gamma(self) -> np.ndarray:
-        """Gamma^r_{mn} on the box, box + (r, m, n).  On the whole grid it
-        overwrites the metric derivative it is built from; a box reads its dg."""
-        if self.dg is None:
-            dg = partials(self.g, self.grid)
-            return _christoffel(self.ginv, dg, out=dg)
-        return _christoffel(self.ginv, self.dg[self.inner])
+        """Gamma^r_{mn} on the box, box + (r, m, n), written over the metric
+        derivative, which is formed at the box nodes only."""
+        dg = np.empty(self.g.shape + (4,))
+        for k in range(4):
+            dg[..., k] = partial_at(self.gw, self.grid, k, self.inner)
+        return _christoffel(self.ginv, dg, out=dg)
 
     @cached_property
     def einstein_tensor(self) -> np.ndarray:
@@ -201,7 +201,7 @@ class Geometry(fl.Metric):
             box = tuple(slice(lo, hi) for lo, hi in bounds)
             window, inner = box_window(self.grid.shape, box)
             geo = Geometry(self.g[box], self.ginv[box], self.det[box], self.grid,
-                           partials(self.g[window], self.grid), inner)
+                           self.g[window], inner)
             geo.__dict__["vol"] = self.vol[box]   # the metric check ran on every node
             boxes[bounds] = geo
         return boxes[bounds]
@@ -235,7 +235,7 @@ def checked_geometry(g, grid: GridPatch) -> Geometry:
     if np.shape(g) != grid.shape + (4, 4):
         raise GridError(f"metric shape {np.shape(g)} does not match grid")
     m = fl.checked_metric(g)
-    geo = Geometry(m.g, m.ginv, m.det, grid)
+    geo = Geometry(m.g, m.ginv, m.det, grid, m.g)
     geo.vol  # a grid metric is Lorentzian: take the volume, and its check, now
     return geo
 
@@ -254,11 +254,11 @@ def _gamma_traces(geo: Geometry, grid: GridPatch) -> tuple[np.ndarray, np.ndarra
     FD of Gamma itself, so polynomial metrics of degree <= 2 are
     stencil-exact), one derivative direction l at a time: row r = l of it
     adds to the first trace, and its r-trace is column n = l of the second.
-    A box geometry's dg, which its Gamma was read from, is differenced again.
+    The metric is differenced on the box's window, and that derivative again.
     """
     lead = geo.gamma.shape[:-3]
     flat_gamma = geo.gamma.reshape(lead + (4, 16))
-    window = partials(geo.g, grid) if geo.dg is None else geo.dg  # (..., m, n, k) = d_k g_mn
+    window = partials(geo.gw, grid)                     # (..., m, n, k) = d_k g_mn
     dg = window[geo.inner]
     inner = np.empty(dg.shape)
     flat_inner = inner.reshape(lead + (4, 16))
@@ -418,8 +418,13 @@ class BoxFields:
 
 def assemble_field_block(cfg: FieldConfiguration) -> np.ndarray:
     """(F, R F - I *F) from the upper block F of cfg and its couplings: twisted
-    self-dual by construction."""
-    return fl.assemble_V(cfg.F, cfg, cfg.geometry)
+    self-dual by construction.  A node whose lower block has an entry that is
+    not finite or exceeds MAX_ENTRY is refused, named by its grid index."""
+    with np.errstate(over="ignore", invalid="ignore"):   # refused below
+        v = fl.assemble_V(cfg.F, cfg, cfg.geometry)
+    _refuse_nodes(v, MAX_ENTRY, f"lower field block not finite or above {MAX_ENTRY:g} at node "
+                  "index {}: R F - I *F is out of range")
+    return v
 
 
 def make_configuration(grid: GridPatch, model, g: np.ndarray, phi: np.ndarray,

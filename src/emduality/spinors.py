@@ -118,10 +118,8 @@ class FramePatch:
 
     @cached_property
     def geometry(self) -> Geometry:
-        """The metric's inverse, volume and Christoffel symbols, computed once."""
-        geo = checked_geometry(self.metric(), self.grid)
-        geo.gamma   # every reader of a frame's geometry reads Gamma: formed here
-        return geo
+        """The checked metric; Gamma is formed on the box a reader takes."""
+        return checked_geometry(self.metric(), self.grid)
 
 
 def builtin_frame(name: str, grid: GridPatch, lam: float = 1.0) -> FramePatch:
@@ -376,34 +374,43 @@ def _nabla(dw: np.ndarray, gamma: np.ndarray, w: np.ndarray) -> np.ndarray:
     return np.moveaxis(dw, -1, -2) - np.einsum("...lmn,...l->...mn", gamma, w)
 
 
-def extract_kappa(u: np.ndarray, l: np.ndarray, lam: float, g,
-                  grid: GridPatch) -> np.ndarray:
-    """Least-squares one-form kappa with grad l = kappa (x) u + lam (l (x) l - g).
+def extract_kappa(u: np.ndarray, l: np.ndarray, lam: float, g, grid: GridPatch,
+                  box: tuple[slice, ...] = WHOLE) -> np.ndarray:
+    """Least-squares one-form kappa with grad l = kappa (x) u + lam (l (x) l - g)
+    at the nodes of a node box, every node by default.
 
-    g is the metric or its ``Geometry``.  Componentwise least squares per
-    node, one node block at a time; meaningful wherever u is nonzero.
+    g is the metric or its ``Geometry``, whose box geometry gives Gamma.
+    Componentwise least squares per node, one node block at a time;
+    meaningful wherever u is nonzero.
     """
     def kernel(dl, gamma, l, u, g):
         w = _nabla(dl, gamma, l) - lam * (np.einsum("...m,...n->...mn", l, l) - g)
         denom = np.maximum(np.einsum("...n,...n->...", u, u), 1e-300)
         return np.einsum("...mn,...n->...m", w, u) / denom[..., None]
 
-    geo = checked_geometry(g, grid)
-    return blockwise(kernel, (partials(l, grid), 2), (geo.gamma, 3), (l, 1), (u, 1), (geo.g, 2))
+    window, inner = box_window(grid.shape, box, 1)
+    geo = checked_geometry(g, grid).on(box)
+    return blockwise(kernel, (partials(l[window], grid)[inner], 2), (geo.gamma, 3),
+                     (l[box], 1), (u[box], 1), (geo.g, 2))
 
 
-def verify_thm53(u: np.ndarray, l: np.ndarray, kappa: np.ndarray, lam: float,
-                 g, grid: GridPatch) -> FirstOrderReport:
+def verify_thm53(u: np.ndarray, l: np.ndarray, lam: float, g, grid: GridPatch
+                 ) -> FirstOrderReport:
     """Residuals of the first-order system for the lightlike/spacelike pair:
 
         grad u = lam u ^ l,    grad l = kappa (x) u + lam (l (x) l - g),
 
     plus the algebraic constraints g(u,u) = 0, g(l,l) = 1, g(u,l) = 0, the
     Killing check for the vector dual to u, and the (reported, not asserted)
-    size of d kappa.  g is the metric or its ``Geometry``.
+    size of d kappa.  g is the metric or its ``Geometry``.  kappa, fixed by
+    u, l, lam and g, and Gamma are formed on the margin-2 interior plus one
+    node, the window that the interior's derivatives read.
     """
-    inner = grid.interior()
-    geo = checked_geometry(g, grid)
+    window, inner = box_window(grid.shape, grid.interior(), 1)
+    g = checked_geometry(g, grid)
+    geo = g.on(window)
+    kappa = extract_kappa(u, l, lam, g, grid, window)
+    u, l = u[window], l[window]
 
     def peak(a: np.ndarray) -> float:
         return float(np.max(np.abs(a[inner])))

@@ -345,8 +345,7 @@ def test_criterion_9_spinor_suite():
             ric = gr.ricci(g, grid)
             ric_err.append(float(np.max(np.abs((ric + 3 * lam ** 2 * g)[mask]))))
             u, l = sn.killing_bilinears(fr, eps)
-            kappa = sn.extract_kappa(u, l, lam, g, grid)
-            out = sn.verify_thm53(u, l, kappa, lam, g, grid)
+            out = sn.verify_thm53(u, l, lam, g, grid)
             assert out.nontrivial
             assert out.u_norm_violation <= 1e-10
             assert out.l_norm_violation <= 1e-9

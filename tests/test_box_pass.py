@@ -130,8 +130,8 @@ def test_one_geometry_per_box():
     geo = cfg.geometry.on(inner)
     assert cfg.geometry.on(tuple(slice(s.start, s.stop) for s in inner)) is geo
     assert geo.g.shape == tuple(s.stop - s.start for s in inner) + (4, 4)
-    assert geo.dg.shape == SHAPE + (4, 4, 4)     # the interior's window is the whole grid
-    assert cfg.geometry.on(BOXES["node"]).dg.shape == (5, 5, 5, 5, 4, 4, 4)
+    assert geo.gw.shape == SHAPE + (4, 4)        # the interior's window is the whole grid
+    assert cfg.geometry.on(BOXES["node"]).gw.shape == (5, 5, 5, 5, 4, 4)
 
 
 @pytest.mark.parametrize("name", ["interior", "face", "node"])
@@ -186,3 +186,33 @@ def test_box_window_clips_at_the_faces(halo):
     for s, w, i, n, h in zip(box, window, inner, SHAPE, k):
         assert w.start == max(s.start - h, 0) and w.stop == min(s.stop + h, n)
         assert (w.start + i.start, w.start + i.stop) == (s.start, s.stop)
+
+
+ADS = [(n,) * 4 for n in cli.ADS_SIZES]
+
+
+@pytest.mark.parametrize("argv, grids, boxes", [
+    (["thm53", "--frame", "ads4-poincare", "--lambda", "0.9"], ADS, [(7,) * 4, (11,) * 4]),
+    (["spinor-check", "--frame", "ads4-poincare"], ADS, []),
+    (["residuals", "--config", "t3.cfg"], [(7,) * 4], [(3,) * 4]),
+    (["selfdual", "--config", "t3.cfg"], [(7,) * 4], []),
+    (["transport", "--config", "t3.cfg", "--f", "id", "--A", "t3.A"], [(7,) * 4], [(3,) * 4])])
+def test_no_command_forms_gamma_on_a_whole_grid(monkeypatch, argv, grids, boxes):
+    """Every Christoffel symbol a command forms is that of a node box short of
+    its grids: ``thm53`` reads the margin-2 interior plus one node of its 9^4
+    and 13^4 grids, a report on the 7^4 t3 config its interior, once for a
+    configuration and its transport, and the self-duality view and the
+    spinor check form none."""
+    formed = []
+    christoffel = gr._christoffel
+
+    def spy(ginv, dg, out=None):
+        formed.append(ginv.shape[:-2])
+        return christoffel(ginv, dg, out)
+
+    monkeypatch.setattr(gr, "_christoffel", spy)
+    monkeypatch.chdir(Path(__file__).resolve().parent / "golden")
+    code, _ = cli.run(argv)
+    assert code == 0
+    assert not set(grids) & set(formed), formed
+    assert formed == boxes

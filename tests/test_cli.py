@@ -580,48 +580,73 @@ def test_out_of_range_field_is_bad_input(tmp_path, command, case):
 
 
 # flat dim-1 models inside Siegel space whose taming overflows at the
-# constant scalar value: (N[1,1], x1)
-TAMING_OVERFLOWS = {"power": ("i + x1^200", 10), "scale": ("1e80 * x1 + 1e-150 * i", 1)}
+# constant scalar value, with a field small enough that the lower field
+# block R F - I *F stays in range: (N[1,1], x1, field amplitude)
+TAMING_OVERFLOWS = {"power": ("i + x1^200", 10, 1e-60), "scale": ("1e80 * x1 + 1e-150 * i", 1, 0.1)}
 TAMING_ERROR = ("error = taming not finite or above 1e+150 at node index (2, 2, 2, 2): "
                 "the couplings are out of range")
 TRANSPORTED_ERROR = ("error = transported field block not finite or above 1e+150 at node "
                      "index (0, 0, 0, 0): A V is out of range")
+LOWER_ERROR = ("error = lower field block not finite or above 1e+150 at node index "
+               "(0, 0, 0, 0): R F - I *F is out of range")
+# flat dim-1 models whose lower field block leaves the range: (N[1,1], x1,
+# field spec); the first overflows to inf, the second reaches 1e199
+LOWER_OVERFLOWS = {"inf": ("i + 1e300 * x1", 1, "terms\nfield_term = 0 0 1 1e10 0 0 0 0"),
+                   "power": ("i + x1^200", 10, "random 0.1 3")}
+COMMANDS = [["residuals"], ["selfdual"], ["transport", "--f", "id"]]
 
 
-@pytest.mark.parametrize("command", [["residuals"], ["selfdual"], ["transport", "--f", "id"]],
-                         ids=lambda c: c[0])
-@pytest.mark.parametrize("case", list(TAMING_OVERFLOWS))
-def test_out_of_range_taming_is_bad_input(tmp_path, command, case):
-    """Couplings inside Siegel space can still overflow the taming: it is
-    refused, naming the first node of the interior by its grid index, with a
-    report and exit 3 and no numpy warning under warnings as errors.  The
-    power model's lower field block R F - I *F is already 1e199, so transport
-    refuses A V, formed before any taming, with A the identity."""
-    period, x1 = TAMING_OVERFLOWS[case]
+def run_flat_model(tmp_path, command, period, x1, field):
+    """command on a 7^4 Minkowski config of the flat dim-1 model N[1,1] =
+    period at the constant scalar x1, A the identity for transport, under
+    warnings as errors."""
     model = tmp_path / "overflow.model"
     model.write_text(f"name = overflow\nnv = 1\nchart = flat\ndim = 1\nN[1,1] = {period}\n")
     cfg = tmp_path / "overflow.cfg"
     cfg.write_text(f"model = {model}\nresolution = 7 7 7 7\nphi = constant {x1}\n"
-                   "field = random 0.1 3\n")
+                   f"field = {field}\n")
     identity = tmp_path / "identity.A"
     identity.write_text("1 0\n0 1\n")
     extra = ["--A", str(identity)] if command[0] == "transport" else []
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        code, out = run([command[0], "--config", str(cfg), *command[1:], *extra])
+        return run([command[0], "--config", str(cfg), *command[1:], *extra])
+
+
+@pytest.mark.parametrize("command", COMMANDS, ids=lambda c: c[0])
+@pytest.mark.parametrize("case", list(TAMING_OVERFLOWS))
+def test_out_of_range_taming_is_bad_input(tmp_path, command, case):
+    """Couplings inside Siegel space can still overflow the taming: it is
+    refused, naming the first node of the interior by its grid index, with a
+    report and exit 3 and no numpy warning under warnings as errors."""
+    period, x1, amp = TAMING_OVERFLOWS[case]
+    code, out = run_flat_model(tmp_path, command, period, x1, f"random {amp!r} 3")
     assert code == 3
-    expected = TRANSPORTED_ERROR if (case, command[0]) == ("power", "transport") else TAMING_ERROR
-    assert expected in out
+    assert TAMING_ERROR in out
+    assert "result = FAIL" in out and "Traceback" not in out
+
+
+@pytest.mark.parametrize("command", COMMANDS, ids=lambda c: c[0])
+@pytest.mark.parametrize("case", list(LOWER_OVERFLOWS))
+def test_out_of_range_lower_field_block_is_bad_input(tmp_path, command, case):
+    """A lower field block R F - I *F that is not finite or exceeds the
+    largest entry taken is refused when the configuration is built, at its
+    first node: a report and exit 3 and no numpy warning under warnings as
+    errors, and transport with A the identity names the lower block, not A V."""
+    code, out = run_flat_model(tmp_path, command, *LOWER_OVERFLOWS[case])
+    assert code == 3
+    assert LOWER_ERROR in out
     assert "result = FAIL" in out and "Traceback" not in out
 
 
 def test_out_of_range_transported_field_is_bad_input(tmp_path):
     """A and V each within the largest entry taken can give A V beyond it: the
     transported block is refused at its first node, with a report and exit 3
-    and no numpy warning under warnings as errors."""
+    and no numpy warning under warnings as errors.  F = 1e149 gives a lower
+    field block of 2e149, in range, and A V = 1e169."""
     text = (GOLDEN / "t3.cfg").read_text(encoding="utf-8")
     text = text.replace(T3_TERM + "\n", "").replace("field_term = 1 2 3 -0.2 1 0 0 1",
-                                                    "field_term = 0 0 1 1e150 0 0 0 0")
+                                                    "field_term = 0 0 1 1e149 0 0 0 0")
     cfg = tmp_path / "field.cfg"
     cfg.write_text(text)
     a = tmp_path / "scaled.A"

@@ -323,6 +323,6 @@ class TestCaches:
         geo = fr.geometry
         kappa = sn.extract_kappa(u, l, 1.0, geo, grid)
         assert np.array_equal(kappa, sn.extract_kappa(u, l, 1.0, fr.metric(), grid))
-        out = sn.verify_thm53(u, l, kappa, 1.0, geo, grid)
-        assert out == sn.verify_thm53(u, l, kappa, 1.0, fr.metric(), grid)
+        out = sn.verify_thm53(u, l, 1.0, geo, grid)
+        assert out == sn.verify_thm53(u, l, 1.0, fr.metric(), grid)
         assert fr.geometry is geo

@@ -109,16 +109,20 @@ def test_one_residual_pass():
 
 def test_one_window_helper():
     """A node box is widened into its stencil window by ``grids.box_window``
-    alone: the grid residuals, the box geometry, the spin connection and the
-    Killing residual, whose whole grid is the box ``WHOLE``.  The Killing
-    residual reads its connection from ``spin_connection`` on its box."""
+    alone: the grid residuals, the box geometry, the spin connection, the
+    Killing residual and kappa, whose whole grid is the box ``WHOLE``, and
+    the first-order system, on the interior's window.  The Killing residual
+    reads its connection from ``spin_connection`` on its box."""
     assert loads({"box_window"}) == {("box_window", "grids", "partial_at"),
                                      ("box_window", "grids", "Geometry"),
                                      ("box_window", "grids", "BoxFields"),
                                      ("box_window", "spinors", "spin_connection"),
-                                     ("box_window", "spinors", "killing_residual")}
+                                     ("box_window", "spinors", "killing_residual"),
+                                     ("box_window", "spinors", "extract_kappa"),
+                                     ("box_window", "spinors", "verify_thm53")}
     assert loads({"WHOLE"}) >= {("WHOLE", "spinors", "spin_connection"),
-                                ("WHOLE", "spinors", "killing_residual")}
+                                ("WHOLE", "spinors", "killing_residual"),
+                                ("WHOLE", "spinors", "extract_kappa")}
     assert loads({"_connection"}) == {("_connection", "spinors", "spin_connection")}
     assert ("spin_connection", "spinors", "killing_residual") in loads({"spin_connection"})
 

@@ -318,6 +318,34 @@ class TestComputeOnlyWhatIsRead:
         # and the residual's connection is spin_connection on the box
         assert (sn.spin_connection(fr, nodes).tobytes()
                 == allatonce_spin_connection(fr)[nodes].tobytes())
+        # and kappa on the box, read with the Gamma of the box geometry, is
+        # the all-at-once kappa of the whole grid there
+        u, l = sn.killing_bilinears(fr, eps)
+        kappa = allatonce_extract_kappa(u, l, LAM, gr.checked_geometry(fr.metric(), fr.grid),
+                                        fr.grid)
+        assert (sn.extract_kappa(u, l, LAM, fr.geometry, fr.grid, nodes).tobytes()
+                == kappa[nodes].tobytes())
+
+    @pytest.mark.parametrize("n", [9, 13])
+    def test_first_order_system_matches_full_grid(self, n):
+        # the residuals read on the interior's window are those of the whole
+        # grid's arrays, reduced over the interior
+        fr = sn.builtin_frame("ads4-poincare", ads_grid(n), lam=LAM)
+        u, l = sn.killing_bilinears(fr, sn.integrate_killing(fr, LAM, EPS0))
+        geo, grid, inner = gr.checked_geometry(fr.metric(), fr.grid), fr.grid, fr.grid.interior()
+        kappa = allatonce_extract_kappa(u, l, LAM, geo, grid)
+        grad_u, grad_l = (np.moveaxis(gr.partials(w, grid), -1, -2)
+                          - np.einsum("...lmn,...l->...mn", geo.gamma, w) for w in (u, l))
+        wedge = np.einsum("...m,...n->...mn", u, l) - np.einsum("...m,...n->...mn", l, u)
+        dl = (grad_l - np.einsum("...m,...n->...mn", kappa, u)
+              - LAM * (np.einsum("...m,...n->...mn", l, l) - geo.g))
+        dkappa = np.moveaxis(gr.partials(kappa, grid), -1, -2)
+        rep = sn.verify_thm53(u, l, LAM, fr.geometry, grid)
+        assert rep.du_residual == np.max(np.abs((grad_u - LAM * wedge)[inner]))
+        assert rep.dl_residual == np.max(np.abs(dl[inner]))
+        killing = grad_u + np.swapaxes(grad_u, -1, -2)
+        assert rep.u_killing_residual == np.max(np.abs(killing[inner]))
+        assert rep.dkappa_max == np.max(np.abs((dkappa - np.swapaxes(dkappa, -1, -2))[inner]))
 
     def test_windowed_residual_minkowski_exactly_zero(self):
         fr = sn.builtin_frame("minkowski", ads_grid(9))
@@ -423,8 +451,7 @@ class TestBilinears:
         for grid, fr, eps in (ads9, ads17):
             u, l = sn.killing_bilinears(fr, eps)
             g = fr.metric()
-            kappa = sn.extract_kappa(u, l, LAM, g, grid)
-            rep = sn.verify_thm53(u, l, kappa, LAM, g, grid)
+            rep = sn.verify_thm53(u, l, LAM, g, grid)
             assert rep.nontrivial
             assert rep.u_norm_violation < 1e-10
             assert rep.l_norm_violation < 1e-10
@@ -453,8 +480,7 @@ class TestBilinears:
         grid, fr, eps = ads9
         u, l = sn.killing_bilinears(fr, eps)
         g = fr.metric()
-        kappa = sn.extract_kappa(u, l, LAM, g, grid)
-        rep = sn.verify_thm53(u, l, kappa, LAM, g, grid)
+        rep = sn.verify_thm53(u, l, LAM, g, grid)
         assert np.isfinite(rep.dkappa_max)
 
 
@@ -465,8 +491,7 @@ class TestThm53Checks:
         g = fr.metric()
         l = np.zeros(grid.shape + (4,))
         l[..., 1] = 1.0
-        rep = sn.verify_thm53(np.zeros(grid.shape + (4,)), l,
-                              np.zeros(grid.shape + (4,)), 0.0, g, grid)
+        rep = sn.verify_thm53(np.zeros(grid.shape + (4,)), l, 0.0, g, grid)
         assert not rep.nontrivial
         assert rep.du_residual == 0.0
         assert rep.dl_residual == 0.0
@@ -484,8 +509,7 @@ class TestThm53Checks:
         grid, fr, eps = ads9
         u, l = sn.killing_bilinears(fr, eps)
         g = fr.metric()
-        kappa = sn.extract_kappa(u, 1.1 * l, LAM, g, grid)
-        rep = sn.verify_thm53(u, 1.1 * l, kappa, LAM, g, grid)
+        rep = sn.verify_thm53(u, 1.1 * l, LAM, g, grid)
         assert rep.l_norm_violation == pytest.approx(0.21, abs=0.01)
 
 
@@ -997,4 +1021,16 @@ class TestMemory:
         # where the whole-grid formula took 10.5 MiB
         fr, _ = ads13
         u, l = sn.killing_bilinears(fr, sn.integrate_killing(fr, LAM, EPS0))
+        fr.geometry.gamma   # the whole grid's Gamma is the input here, not a transient
         assert self.transient(sn.extract_kappa, u, l, LAM, fr.geometry, fr.grid) <= 2 * fr.e.nbytes
+
+    def test_verify_thm53(self, ads13):
+        # kappa and Gamma are formed on the interior's window, 11^4 of 13^4
+        # nodes: about 1.16 grid + (4, 4, 4) arrays, where extract_kappa and
+        # verify_thm53 on the whole grid took 2.1
+        _, full = ads13
+        fr = sn.builtin_frame("ads4-poincare", ads_grid(13), lam=LAM)
+        u, l = sn.killing_bilinears(fr, sn.integrate_killing(fr, LAM, EPS0))
+        geo = fr.geometry
+        assert "gamma" not in vars(geo)
+        assert self.transient(sn.verify_thm53, u, l, LAM, geo, fr.grid) <= 1.25 * full
