@@ -59,10 +59,24 @@ class Metric:
     @cached_property
     def vol(self) -> np.ndarray:
         """sqrt(-det g), taken only where the metric is Lorentzian: the one
-        signature check, w0 < 0 < w1 for the ascending eigenvalues w of every
+        signature check.  det g < 0 with a positive definite spatial block
+        (Sylvester's leading minors, read from the lower triangle) proves the
+        signature (-, +, +, +) by Cauchy interlacing; only the nodes where
+        that sufficient test fails are decided by their ascending eigenvalues
+        w, w0 < 0 < w1, so the verdict is that of the eigenvalues on every
         node.  Index raising alone accepts any nonsingular metric."""
-        w = np.linalg.eigvalsh(self.g)
-        _reject_nodes(~((w[..., 0] < 0) & (w[..., 1] > 0)), "not Lorentzian (-, +, +, +)")
+        g = self.g
+        a, b, c = g[..., 1, 1], g[..., 2, 1], g[..., 3, 1]
+        d, e, f = g[..., 2, 2], g[..., 3, 2], g[..., 3, 3]
+        with np.errstate(over="ignore", invalid="ignore"):   # a non-finite minor falls back
+            minor2 = a * d - b * b
+            minor3 = a * (d * f - e * e) - b * (b * f - e * c) + c * (b * e - d * c)
+            ok = np.asarray((self.det < 0) & (a > 0) & (minor2 > 0) & (minor3 > 0))
+        unsure = ~ok
+        if np.any(unsure):
+            w = np.linalg.eigvalsh(g[unsure])
+            ok[unsure] = (w[..., 0] < 0) & (w[..., 1] > 0)
+        _reject_nodes(~ok, "not Lorentzian (-, +, +, +)")
         return np.sqrt(-self.det)
 
 
@@ -79,18 +93,90 @@ def _as_taming(j) -> np.ndarray:
 # at a point and the grid shape on a grid.
 
 def invert_metric(g) -> tuple[np.ndarray, np.ndarray]:
-    """(g^-1, det g) of a metric or a stack of metrics.
+    """(g^-1, det g) of a metric or a stack of metrics, from one pass of the
+    closed-form kernel ``inverse4`` per node block.
 
-    A node whose det g overflows is out of range.  A node is singular unless
-    |det g| > 1e-14 max|g_mn|^4 (so a NaN node is singular): the threshold
-    scales with the metric, so c * eta is regular for every c > 0.
+    A node is singular unless |det(g / s)| > 1e-14, s its largest |g_mn|,
+    and det g = det(g / s) s^4 is not zero: a NaN or zero node, and a node
+    whose determinant underflows, are singular.  The threshold is scale-free,
+    so c * eta is regular wherever det g is representable.  A node whose
+    det g overflows is out of range.
     """
-    with np.errstate(over="ignore"):   # an overflow is the refusal below, not a warning
-        det = np.linalg.det(g)
-        scale = np.max(np.abs(g), axis=(-2, -1)) ** 4
+    ginv, det_scaled, scale = blockwise(inverse4, (g, 2))
+    with np.errstate(over="ignore", under="ignore"):   # an overflow is the refusal below
+        det = det_scaled * scale * scale * scale * scale
     _reject_nodes(np.isinf(det), "determinant overflows")
-    _reject_nodes(~(np.abs(det) > 1e-14 * scale), "singular")
-    return np.linalg.inv(g), det
+    _reject_nodes(~((np.abs(det_scaled) > 1e-14) & (det != 0)), "singular")
+    return ginv, det
+
+
+# The Laplace expansion of a 4x4 determinant along its first two rows: the
+# 2x2 minors of rows (0, 1) and of rows (2, 3) over the column pairs
+# (_PAIR_I, _PAIR_J), in the order (0,1), (0,2), (0,3), (1,2), (1,3), (2,3);
+# det = sum_k _PAIR_SIGN[k] top[k] bottom[5 - k].
+_PAIR_I, _PAIR_J = np.triu_indices(4, 1)
+_PAIR_SIGN = np.array([1.0, -1.0, 1.0, 1.0, -1.0, 1.0])[:, None]
+
+
+def _adjugate_table() -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(entry, minor, sign), each (16, 3): adj[4 i + j] is the sum over t of
+    sign * m[entry] * minors[minor], minors the 12 minors (top, then bottom).
+    adj_ij is (-1)^(i+j) times the minor of m without row j and column i,
+    expanded along the row that pairs with j (1, 0, 3, 2), whose
+    complementary 2x2 minors are the other pair of rows'."""
+    pair = {(i, j): k for k, (i, j) in enumerate(zip(_PAIR_I, _PAIR_J))}
+    entry, minor, sign = (np.empty((16, 3), int) for _ in range(3))
+    for i in range(4):
+        for j in range(4):
+            row, base = (1, 0, 3, 2)[j], 6 if j < 2 else 0
+            for t, k in enumerate(c for c in range(4) if c != i):
+                rest = tuple(c for c in range(4) if c not in (i, k))
+                entry[4 * i + j, t] = 4 * row + k
+                minor[4 * i + j, t] = base + pair[rest]
+                sign[4 * i + j, t] = (-1) ** (i + j + t)
+    return entry, minor, sign.astype(float)
+
+
+_ADJ_ENTRY, _ADJ_MINOR, _ADJ_SIGN = _adjugate_table()
+
+
+def _laplace4(m: np.ndarray):
+    """(rows, minors, det, s) of a block of 4x4 matrices (n, 4, 4): rows
+    (16, n) holds m / s entry by entry, s (n,) the largest |entry| of each
+    node (1 where that is 0 or NaN), minors (12, n) the 2x2 minors of m / s
+    and det (n,) its determinant.  Every product is of entries at most 1 in
+    magnitude, so none overflows, and det(m / s) of a regular node stays far
+    from the subnormal range at any scale of m."""
+    rows = m.reshape(-1, 16).T.copy()
+    s = np.abs(rows).max(axis=0)
+    s = np.where(s > 0, s, 1.0)
+    with np.errstate(invalid="ignore"):   # an inf entry gives NaN: a singular node
+        rows /= s
+    r = rows.reshape(4, 4, -1)
+    top = r[0, _PAIR_I] * r[1, _PAIR_J] - r[1, _PAIR_I] * r[0, _PAIR_J]
+    bottom = r[2, _PAIR_I] * r[3, _PAIR_J] - r[3, _PAIR_I] * r[2, _PAIR_J]
+    det = (_PAIR_SIGN * top * bottom[::-1]).sum(axis=0)
+    return rows, np.concatenate([top, bottom]), det, s
+
+
+def det4(m: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(det(m / s), s) of a block of 4x4 matrices (n, 4, 4), s the largest
+    |entry| of each node: ``inverse4`` without the inverse."""
+    _, _, det, s = _laplace4(m)
+    return det, s
+
+
+def inverse4(m: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(m^-1, det(m / s), s) of a block of 4x4 matrices (n, 4, 4), s the
+    largest |entry| of each node: the adjugate of m / s from its 2x2 minors,
+    divided by det(m / s) s.  Scaling each node first keeps the minors in
+    range, as LU pivots are.  A singular node's inverse is inf or NaN,
+    unchecked and without a warning; its det(m / s) says so."""
+    rows, minors, det, s = _laplace4(m)
+    adj = (_ADJ_SIGN[..., None] * rows[_ADJ_ENTRY] * minors[_ADJ_MINOR]).sum(axis=1)
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        adj /= det * s
+    return adj.T.reshape(-1, 4, 4), det, s
 
 
 def _reject_nodes(bad: np.ndarray, what: str) -> None:
@@ -111,30 +197,34 @@ def node_blocks(count: int, per: int = 1) -> list[slice]:
     return [slice(i, min(i + step, count)) for i in range(0, count or 1, step)]
 
 
-def blockwise(kernel, *operands: tuple[np.ndarray, int], out: np.ndarray | None = None
-              ) -> np.ndarray:
+def blockwise(kernel, *operands: tuple[np.ndarray, int], out: np.ndarray | None = None):
     """kernel on one block of nodes at a time: the one node-block path.
 
     operands are (array, tail rank) pairs.  Each array is broadcast to the
     common leading shape lead and flattened to a read-only stack (N,) + its
     tail: a point is a stack of one node, and zero nodes make one empty
     block.  kernel maps blocks (n,) + tails to a new array (n,) + result
-    tail, written into out (lead + result tail) or into an array allocated
-    from the first block.  Returns the result as lead + result tail.
+    tail, or to a tuple of such arrays, written into out (lead + result
+    tail, for one array) or into arrays allocated from the first block.
+    Returns the result, or the tuple of results, as lead + result tail.
     """
     arrays = [np.asarray(a) for a, _ in operands]
     tails = [a.shape[a.ndim - rank:] for a, (_, rank) in zip(arrays, operands)]
     lead = np.broadcast_shapes(*(a.shape[:a.ndim - len(t)] for a, t in zip(arrays, tails)))
     count = int(np.prod(lead))
     stacks = [np.broadcast_to(a, lead + t).reshape((count,) + t) for a, t in zip(arrays, tails)]
-    flat = None if out is None else out.reshape((count,) + out.shape[len(lead):])
+    flat = None if out is None else [out.reshape((count,) + out.shape[len(lead):])]
     for s in node_blocks(count):
         block = kernel(*(a[s] for a in stacks))
+        many = isinstance(block, tuple)
+        parts = block if many else (block,)
         if flat is None:
-            flat = np.empty((count,) + block.shape[1:], block.dtype)
-        flat[s] = block
-        del block  # so that it is not alive while the next block is computed
-    return flat.reshape(lead + flat.shape[1:])
+            flat = [np.empty((count,) + p.shape[1:], p.dtype) for p in parts]
+        for f, p in zip(flat, parts):
+            f[s] = p
+        del block, parts  # so that they are not alive while the next block is computed
+    results = tuple(f.reshape(lead + f.shape[1:]) for f in flat)
+    return results if many else results[0]
 
 
 def checked_metric(g) -> Metric:

@@ -30,8 +30,8 @@ import numpy as np
 
 from . import fields as fl
 from .errors import InputError
-from .models import Model, TransformedModel, checked_partials, load_model, point_text
-from .symplectic import MAX_ENTRY, omega, taming_matrix
+from .models import Model, TransformedModel, checked_walk, load_model, point_text
+from .symplectic import MAX_ENTRY, mobius_congruence, omega, taming_matrix
 from .textio import key_values, numbers
 
 MARGIN = 2
@@ -308,10 +308,11 @@ class FieldConfiguration:
     together with the model supplying couplings along the scalar map.
 
     The metric is its checked whole-grid ``Geometry``: ``grid`` and ``g`` are
-    the geometry's.  The couplings R, I and their chart derivatives come from
-    one checked model walk at construction.  Residuals, *V and the taming J
-    are formed by a node box view, ``on(box)``; the whole grid is the box
-    ``WHOLE``.
+    the geometry's.  The couplings R, I, the walk's partials dtau and, for a
+    transported configuration, inv = (a + b N)^-1 come from one checked
+    model walk at construction (``models.checked_walk``).  Residuals, *V,
+    the taming J and the coupling derivatives dR, dI are formed by a node
+    box view, ``on(box)``; the whole grid is the box ``WHOLE``.
     """
 
     model: Model | TransformedModel
@@ -320,8 +321,8 @@ class FieldConfiguration:
     V: np.ndarray        # grid + (2 n_v, 4, 4)
     R: np.ndarray = field(init=False)    # grid + (n_v, n_v)
     I: np.ndarray = field(init=False)
-    dR: np.ndarray = field(init=False)   # grid + (n_s, n_v, n_v)
-    dI: np.ndarray = field(init=False)
+    dtau: np.ndarray = field(init=False)   # grid + (n_s, n_v, n_v), complex
+    inv: np.ndarray | None = field(init=False)   # grid + (n_v, n_v), complex
 
     def __post_init__(self):
         shape, n_v, n_s = self.grid.shape, self.model.n_v, self.model.chart.dim
@@ -329,16 +330,16 @@ class FieldConfiguration:
             raise GridError(f"scalar map shape {self.phi.shape} does not match grid/chart")
         if self.V.shape != shape + (2 * n_v, 4, 4):
             raise GridError(f"field block shape {self.V.shape} does not match grid/model")
-        if np.any(fl.blockwise(lambda v: np.max(np.abs(v + np.swapaxes(v, -1, -2)),
-                                                axis=(-3, -2, -1)) > 0, (self.V, 3))):
+        # per node, any |V + V^T| > 0; a NaN entry passes, as max(NaN) > 0 is False
+        if np.any(fl.blockwise(lambda v: (np.abs(v + np.swapaxes(v, -1, -2)) > 0)
+                               .reshape(len(v), -1).any(axis=1), (self.V, 3))):
             raise GridError("field strength block must be exactly antisymmetric")
         bad = self.model.chart.first_outside(self.phi)
         if bad is not None:
             raise DomainExitError(f"scalar map leaves the chart at node {bad}: "
                                   f"{point_text(self.phi, bad)}")
-        tau, dtau = checked_partials(self.model, self.phi)
+        tau, self.dtau, self.inv = checked_walk(self.model, self.phi)
         self.R, self.I = tau.real, tau.imag
-        self.dR, self.dI = dtau.real, dtau.imag
 
     @property
     def grid(self) -> GridPatch:
@@ -364,14 +365,14 @@ class FieldConfiguration:
 class BoxFields:
     """A configuration on a node box of its grid: its geometry on the box
     (``Geometry.on``), the fields and couplings at the box nodes (g, phi, V,
-    F, R, I, dR, dI: views of the configuration's arrays), the taming J of
-    the couplings there, and the fields on the box's window, which the
-    difference stencils read.  Every residual formula reads a configuration
-    through it, so a residual on a box is the residual on the box ``WHOLE``
-    at those nodes, computed at those nodes only.  The model and n_v are the
-    configuration's."""
+    F, R, I: views of the configuration's arrays), the coupling derivatives
+    dR, dI and the taming J of the couplings there, and the fields on the
+    box's window, which the difference stencils read.  Every residual
+    formula reads a configuration through it, so a residual on a box is the
+    residual on the box ``WHOLE`` at those nodes, computed at those nodes
+    only.  The model and n_v are the configuration's."""
 
-    NODE_FIELDS = ("g", "phi", "V", "F", "R", "I", "dR", "dI")
+    NODE_FIELDS = ("g", "phi", "V", "F", "R", "I")
 
     def __init__(self, cfg: FieldConfiguration, box: tuple[slice, ...]):
         self.cfg, self.grid = cfg, cfg.grid
@@ -396,6 +397,32 @@ class BoxFields:
         _refuse_nodes(j, MAX_ENTRY, f"taming not finite or above {MAX_ENTRY:g} at node index "
                       "{}: the couplings are out of range", [s.start for s in self.box])
         return j
+
+    @cached_property
+    def dtau(self) -> np.ndarray:
+        """The partials of the couplings along the chart axes at the box
+        nodes, box + (n_s, n_v, n_v), complex: the walk's own, or for a
+        transported configuration their congruence inv^T dtau inv, formed
+        here.  A transported node whose partials have an entry that is not
+        finite or exceeds MAX_ENTRY is refused, named by its grid index."""
+        d = self.cfg.dtau[self.box]
+        if self.cfg.inv is None:
+            return d
+        with np.errstate(over="ignore", invalid="ignore"):   # refused below
+            d = mobius_congruence(self.cfg.inv[self.box][..., None, :, :], d)
+        # real and imaginary parts side by side, each held to the bound
+        _refuse_nodes(d.view(float), MAX_ENTRY, "transported coupling derivative not finite "
+                      f"or above {MAX_ENTRY:g} at node index {{}}: the couplings are out of "
+                      "range", [s.start for s in self.box])
+        return d
+
+    @property
+    def dR(self) -> np.ndarray:
+        return self.dtau.real
+
+    @property
+    def dI(self) -> np.ndarray:
+        return self.dtau.imag
 
     @cached_property
     def geometry(self) -> Geometry:
@@ -680,16 +707,24 @@ def phi_linear(grid: GridPatch, base, slopes) -> np.ndarray:
 
 def field_strength_polynomial(grid: GridPatch, n_v: int, terms) -> np.ndarray:
     """F from monomial terms (L, mu, nu, c, powers): adds c * prod x^powers
-    to F^L_{mu nu} (antisymmetrised).  powers is a 4-tuple of exponents."""
-    x = grid.coords()
-    f = np.zeros(grid.shape + (n_v, 4, 4))
+    to F^L_{mu nu} (antisymmetrised).  powers is a 4-tuple of exponents.
+
+    Each monomial is formed from the powers of the four 1-D axes, broadcast,
+    and each component is summed from zero in the order of the terms, then
+    written once: the arithmetic of adding every term into F node by node."""
+    axes = [ax.reshape([-1 if b == a else 1 for b in range(4)])
+            for a, ax in enumerate(grid.axes)]
+    sums: dict[tuple[int, int, int], np.ndarray] = {}
     for (ell, mu, nu, c, powers) in terms:
-        mono = np.full(grid.shape, float(c))
-        for a, p in enumerate(powers):
+        mono = np.float64(c)
+        for ax, p in zip(axes, powers):
             if p:
-                mono = mono * x[..., a] ** p
-        f[..., ell, mu, nu] += mono
-        f[..., ell, nu, mu] -= mono
+                mono = mono * ax ** p
+        sums[ell, mu, nu] = sums.get((ell, mu, nu), 0.0) + mono
+        sums[ell, nu, mu] = sums.get((ell, nu, mu), 0.0) - mono
+    f = np.zeros(grid.shape + (n_v, 4, 4))
+    for (ell, mu, nu), total in sums.items():
+        f[..., ell, mu, nu] = total
     return f
 
 

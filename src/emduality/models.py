@@ -10,8 +10,9 @@ import numpy as np
 
 from . import expressions as ex
 from .errors import InputError
-from .symplectic import (MAX_N, PD_RTOL, PoleError, SiegelPoint, _symplectic_checked,
-                         fractional_action, min_eig_ratio, mobius_differential)
+from .symplectic import (MAX_N, PD_RTOL, PoleError, SiegelPoint, _action, _symplectic_checked,
+                         fractional_action, min_eig_ratio, mobius_congruence,
+                         mobius_differential)
 from .textio import key_values, numbers
 
 
@@ -337,8 +338,13 @@ class TransformedModel:
 
     def period_directional(self, p: np.ndarray, v: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """(A . N, its derivative along v) from one evaluation of the base at f^-1(p)."""
+        return mobius_differential(self.a, *self.base_directional(p, v))
+
+    def base_directional(self, p: np.ndarray, v: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """(N, dN): the base's matrices at f^-1(p) and their derivative along
+        v pulled back by f^-1, from one walk of the base."""
         w = np.einsum("...ij,...j->...i", self.f_inv.jacobian(p), np.asarray(v, dtype=float))
-        return mobius_differential(self.a, *self.base.period_directional(self.f_inv.apply(p), w))
+        return self.base.period_directional(self.f_inv.apply(p), w)
 
 
 def point_text(stack, index: int) -> str:
@@ -358,11 +364,31 @@ def checked_periods(model, p: np.ndarray) -> np.ndarray:
 
 def checked_partials(model, p: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """``checked_periods`` at p (..., dim) and the partials of the raw matrices
-    along every chart axis, (..., dim, n, n), from one evaluation of the model;
-    the partials are checked finite with the matrices."""
+    along every chart axis, (..., dim, n, n), from one evaluation of the
+    model (``checked_walk``); a transformed model's partials are the
+    congruence of its base partials."""
+    tau, dtau, inv = checked_walk(model, p)
+    return tau, dtau if inv is None else mobius_congruence(inv[..., None, :, :], dtau)
+
+
+def checked_walk(model, p: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray | None]:
+    """(tau, dtau, inv) from one walk of the model at p (..., dim): tau as
+    ``checked_periods`` gives it, and dtau (..., dim, n, n) the partials of
+    the walked matrices along the chart axes, checked finite with tau.  For
+    a ``TransformedModel`` the walk is the base's, dtau the base partials
+    along the axes pulled back by f^-1 and inv (..., n, n) = (a + b N)^-1,
+    the one inverse of A . N, so that the partials of A . N are
+    ``mobius_congruence(inv, dtau)``, formed where they are read; otherwise
+    inv is None."""
     p = np.asarray(p, dtype=float)
-    tau, dtau = model.period_directional(p[..., None, :], np.eye(p.shape[-1]))
-    return _siegel_checked(model, p, tau[..., 0, :, :], dtau), dtau
+    axes, units = p[..., None, :], np.eye(p.shape[-1])
+    if isinstance(model, TransformedModel):
+        n, dtau = model.base_directional(axes, units)
+        tau, inv = _action(model.a, n)
+        inv = inv[..., 0, :, :]
+    else:
+        (tau, dtau), inv = model.period_directional(axes, units), None
+    return _siegel_checked(model, p, tau[..., 0, :, :], dtau), dtau, inv
 
 
 def _siegel_checked(model, p: np.ndarray, tau: np.ndarray,

@@ -25,7 +25,7 @@ from functools import cached_property, reduce
 import numpy as np
 
 from .errors import InputError
-from .fields import ETA, blockwise, node_blocks
+from .fields import ETA, blockwise, det4, inverse4, node_blocks
 # christoffel is unused here but stays importable: bench/spans.py wraps
 # spinors.christoffel
 from .grids import (WHOLE, Geometry, GridPatch, box_window, checked_geometry,
@@ -107,7 +107,8 @@ class FramePatch:
             peak = reduce(np.maximum, np.moveaxis(np.abs(e), -1, 0))[..., None]
             e = e / np.where(peak > 0, peak, 1.0)
             norm = np.sqrt(np.einsum("...ij,...ij->...i", e, e))[..., None]
-            return np.abs(np.linalg.det(e / np.where(norm > 0, norm, 1.0))) > 1e-12
+            det, s = det4(e / np.where(norm > 0, norm, 1.0))
+            return np.abs(det) * s ** 4 > 1e-12
 
         if not np.all(blockwise(unit_rows_det, (self.e, 2))):
             raise FrameError("singular frame")
@@ -161,7 +162,7 @@ def builtin_frame(name: str, grid: GridPatch, lam: float = 1.0) -> FramePatch:
 def _connection(e: np.ndarray, de: np.ndarray) -> np.ndarray:
     """The pointwise connection formula on a block of nodes: w_{m a b} from
     e (n, a, m) and its derivative de (n, a, m, k) = d_k e_{a m}."""
-    einv = np.linalg.inv(e)                               # e^mu_a
+    einv = inverse4(e)[0]                                 # e^mu_a
     c = np.swapaxes(de, -1, -2) - de                      # C[a, m, n] = d_m e_{a n} - d_n e_{a m}
     # t1[m, a, b] = e^n_a C[b, m, n]; t2[m, a, b] = e^n_b C[a, m, n] = t1[m, b, a]
     t1 = np.moveaxis((c.reshape(-1, 16, 4) @ einv).reshape(-1, 4, 4, 4), -3, -1)

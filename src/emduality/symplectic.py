@@ -187,11 +187,27 @@ def _is_symmetric(m: np.ndarray) -> bool:
 
 
 def min_eig_ratio(s: np.ndarray) -> float | np.ndarray:
-    """Smallest eigenvalue of a symmetric matrix, relative to its spectral
-    scale; one ratio per matrix of a stack."""
-    w = np.linalg.eigvalsh((s + _transpose(s)) / 2)
-    scale = np.maximum(np.max(np.abs(w), axis=-1), 1e-300)
-    return w[..., 0] / scale
+    """Smallest eigenvalue of a symmetric matrix (the symmetric part of s),
+    relative to its spectral scale max |eigenvalue|; one ratio per matrix of
+    a stack.  In closed form for n <= 2: the entry itself for n = 1, and
+    m -+ hypot((a - d)/2, b), m = (a + d)/2, for n = 2, on the matrix divided
+    by its largest |entry| so that nothing overflows; eigvalsh for n > 2."""
+    s = np.asarray(s)
+    n = s.shape[-1]
+    if n > 2:
+        w = np.linalg.eigvalsh((s + _transpose(s)) / 2)
+        w0, scale = w[..., 0], np.max(np.abs(w), axis=-1)
+    elif n == 1:
+        w0 = s[..., 0, 0]
+        scale = np.abs(w0)
+    else:
+        a, d, b = s[..., 0, 0], s[..., 1, 1], (s[..., 0, 1] + s[..., 1, 0]) / 2
+        peak = np.maximum(np.maximum(np.abs(a), np.abs(d)), np.abs(b))
+        peak = np.where(peak > 0, peak, 1.0)
+        a, d, b = a / peak, d / peak, b / peak
+        m, r = (a + d) / 2, np.hypot((a - d) / 2, b)
+        w0, scale = m - r, np.abs(m) + r
+    return w0 / np.maximum(scale, 1e-300)
 
 
 def is_positive_definite(s: np.ndarray) -> bool:
@@ -373,7 +389,13 @@ def mobius_differential(a: np.ndarray, tau: np.ndarray, h: np.ndarray
     A in Sp(2n, R) and symmetric tau (see ``_symplectic_checked``).  tau and h
     may be broadcastable stacks of matrices."""
     out, inv = _action(a, tau)
-    return out, _transpose(inv) @ np.asarray(h, dtype=complex) @ inv
+    return out, mobius_congruence(inv, h)
+
+
+def mobius_congruence(inv: np.ndarray, h: np.ndarray) -> np.ndarray:
+    """inv^T h inv: the differential of the fractional action along h, from
+    inv = (a + b tau)^-1 of ``_action``; the stacks broadcast."""
+    return _transpose(inv) @ np.asarray(h, dtype=complex) @ inv
 
 
 def _symplectic_checked(a: np.ndarray) -> np.ndarray:

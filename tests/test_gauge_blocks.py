@@ -61,8 +61,8 @@ def allatonce_local_gauge_source(cfg):
     fup = fl.raise2(cfg.geometry.ginv[..., None, :, :], f)
     ff = flat_pairings(f, fup)
     fsf = flat_pairings(fup, allatonce_star_fibers(cfg.g, cfg.V)[..., : cfg.n_v, :, :])
-    return 0.5 * (np.einsum("...kLS,...LS->...k", cfg.dR, fsf)
-                  + np.einsum("...kLS,...LS->...k", cfg.dI, ff))
+    return 0.5 * (np.einsum("...kLS,...LS->...k", cfg.on(gr.WHOLE).dR, fsf)
+                  + np.einsum("...kLS,...LS->...k", cfg.on(gr.WHOLE).dI, ff))
 
 
 def allatonce_psi_form_source(cfg):

@@ -88,7 +88,7 @@ def old_field_contractions(cfg):
 def old_taming_derivative(cfg):
     iinv = np.linalg.inv(cfg.I)
     r = cfg.R
-    dr, di = cfg.dR, cfg.dI
+    dr, di = cfg.on(gr.WHOLE).dR, cfg.on(gr.WHOLE).dI
     diinv = -np.einsum("...ab,...kbc,...cd->...kad", iinv, di, iinv)
     tl = -(np.einsum("...kab,...bc->...kac", diinv, r)
            + np.einsum("...ab,...kbc->...kac", iinv, dr))

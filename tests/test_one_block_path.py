@@ -32,6 +32,7 @@ from emduality import grids as gr
 SRC = Path(__file__).resolve().parent.parent / "src" / "emduality"
 
 BLOCKED = {("fields", "star_fibers"), ("fields", "_q_contraction"), ("fields", "pairings"),
+           ("fields", "invert_metric"),
            ("grids", "_christoffel"), ("grids", "FieldConfiguration"),
            ("grids", "scalar_residual"), ("spinors", "spin_connection"),
            ("spinors", "FramePatch"), ("spinors", "extract_kappa")}
@@ -145,7 +146,7 @@ def test_configuration_holds_its_checked_inputs_once():
     its one model walk: the metric is the geometry (``g`` and ``grid`` are
     read from it), and no hook rewrites a field when another is assigned."""
     assert [f.name for f in dataclasses.fields(gr.FieldConfiguration)] == [
-        "model", "geometry", "phi", "V", "R", "I", "dR", "dI"]
+        "model", "geometry", "phi", "V", "R", "I", "dtau", "inv"]
     assert "__setattr__" not in vars(gr.FieldConfiguration)
     assigned = set()
     for path in sorted(SRC.glob("*.py")):

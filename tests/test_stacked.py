@@ -216,9 +216,9 @@ class TestGridCouplings:
             flat = phi.reshape(-1, 2)
             tau = np.array([m.period_matrix(p) for p in flat]).reshape(cfg.R.shape)
             dtau = np.array([[m.period_directional(p, e)[1] for e in np.eye(2)]
-                             for p in flat]).reshape(cfg.dR.shape)
+                             for p in flat]).reshape(cfg.on(gr.WHOLE).dR.shape)
             assert close(cfg.R + 1j * cfg.I, tau)
-            assert close(cfg.dR + 1j * cfg.dI, dtau)
+            assert close(cfg.on(gr.WHOLE).dR + 1j * cfg.on(gr.WHOLE).dI, dtau)
 
     def test_domain_exit_names_first_bad_node(self):
         grid = gr.GridPatch(((-0.4, 0.4),) * 4, (7,) * 4)
