@@ -254,18 +254,22 @@ def _gamma_traces(geo: Geometry, grid: GridPatch) -> tuple[np.ndarray, np.ndarra
     FD of Gamma itself, so polynomial metrics of degree <= 2 are
     stencil-exact), one derivative direction l at a time: row r = l of it
     adds to the first trace, and its r-trace is column n = l of the second.
-    The metric is differenced on the box's window, and that derivative again.
+    The metric is differenced on the box plus one node, clipped at the grid
+    faces, all that the second stencil reads, and that derivative again.
     """
     lead = geo.gamma.shape[:-3]
     flat_gamma = geo.gamma.reshape(lead + (4, 16))
-    window = partials(geo.gw, grid)                     # (..., m, n, k) = d_k g_mn
-    dg = window[geo.inner]
+    near, inner_near = box_window(geo.gw.shape[:4], geo.inner, 1)
+    first = np.empty(geo.gw[near].shape + (4,))           # (..., m, n, k) = d_k g_mn
+    for k in range(4):
+        first[..., k] = partial_at(geo.gw, grid, k, near)
+    dg = first[inner_near]
     inner = np.empty(dg.shape)
     flat_inner = inner.reshape(lead + (4, 16))
     div = np.zeros(lead + (16,))
     grad = np.empty(lead + (4, 4))
     for l in range(4):
-        ddg = np.ascontiguousarray(partial_at(window, grid, l, geo.inner))  # d_l d_k g_mn
+        ddg = np.ascontiguousarray(partial_at(first, grid, l, inner_near))  # d_l d_k g_mn
         _bracket(ddg, inner)                            # d_l B_smn
         inner *= 0.5
         scratch = ddg.reshape(lead + (4, 16))
@@ -302,6 +306,16 @@ def einstein(g, grid: GridPatch) -> np.ndarray:
 
 # --------------------------------------------------------------- field data
 
+def _not_antisymmetric(v: np.ndarray) -> np.ndarray:
+    """Per node of a block, any |V + V^T| > 0; a NaN entry passes, as
+    |NaN| > 0 is False.  A block whose V + V^T is exactly zero is cleared by
+    one test (a NaN makes it nonzero and runs the node test)."""
+    s = v + np.swapaxes(v, -1, -2)
+    if not s.any():
+        return np.zeros(len(v), bool)
+    return (np.abs(s) > 0).reshape(len(v), -1).any(axis=1)
+
+
 @dataclass
 class FieldConfiguration:
     """Grid-sampled triple (metric, scalar map, symplectic field strength)
@@ -330,9 +344,7 @@ class FieldConfiguration:
             raise GridError(f"scalar map shape {self.phi.shape} does not match grid/chart")
         if self.V.shape != shape + (2 * n_v, 4, 4):
             raise GridError(f"field block shape {self.V.shape} does not match grid/model")
-        # per node, any |V + V^T| > 0; a NaN entry passes, as max(NaN) > 0 is False
-        if np.any(fl.blockwise(lambda v: (np.abs(v + np.swapaxes(v, -1, -2)) > 0)
-                               .reshape(len(v), -1).any(axis=1), (self.V, 3))):
+        if np.any(fl.blockwise(_not_antisymmetric, (self.V, 3))):
             raise GridError("field strength block must be exactly antisymmetric")
         bad = self.model.chart.first_outside(self.phi)
         if bad is not None:
@@ -483,13 +495,15 @@ def einstein_residual(x: BoxFields, check: bool = True) -> np.ndarray:
 
 def local_gauge_source(x: BoxFields) -> np.ndarray:
     """(1/2) d_k R . F *F + (1/2) d_k I . F F per node, shape box + (n_s,)."""
-    geo, f = x.geometry, x.F
-    sf_f = fl.pairings(geo, x.star_v[..., : x.n_v, :, :], f)  # (..., S, L) = *F^S . F^L
+    n, f = x.n_v, x.F
+    # one pairing raises F once: rows (*F^S, F^S) . F^L, (..., 2 n_v, L)
+    pairs = fl.pairings(x.geometry, np.concatenate([x.star_v[..., :n, :, :], f], axis=-3), f)
     # both sums read a contiguous (L, S) operand, so that a box of one node
     # sums in the order of a box of many
-    f_sf = np.ascontiguousarray(np.swapaxes(sf_f, -1, -2))
+    f_sf = np.ascontiguousarray(np.swapaxes(pairs[..., :n, :], -1, -2))
+    f_f = np.ascontiguousarray(pairs[..., n:, :])
     return 0.5 * (np.einsum("...kLS,...LS->...k", x.dR, f_sf)
-                  + np.einsum("...kLS,...LS->...k", x.dI, fl.pairings(geo, f, f)))
+                  + np.einsum("...kLS,...LS->...k", x.dI, f_f))
 
 
 def _taming_derivative(x: BoxFields) -> np.ndarray:
@@ -836,7 +850,10 @@ def parse_grid_config(text: str, resolution: tuple[int, ...] | None = None
 def _refuse_nodes(a: np.ndarray, bound: float, message: str, origin=(0, 0, 0, 0)) -> None:
     """GridError naming (as the {} of message) the first node with an entry
     that is not finite or exceeds bound in magnitude, by its grid index when
-    a holds the nodes of a box whose first node is origin."""
+    a holds the nodes of a box whose first node is origin.  One pass of min
+    and max clears a clean array; NaN fails it and is searched for."""
+    if a.min(initial=0.0) >= -bound and a.max(initial=0.0) <= bound:
+        return
     bad = np.argwhere(~((a <= bound) & (a >= -bound)).reshape(a.shape[:4] + (-1,)).all(-1))
     if len(bad):
         raise GridError(message.format(tuple((bad[0] + origin).tolist())))

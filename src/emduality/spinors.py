@@ -275,16 +275,23 @@ def _sweep(fr: FramePatch, lam: float, nodes: np.ndarray, lines: np.ndarray,
 
 
 def integrate_killing(fr: FramePatch, lam: float, eps0: np.ndarray,
-                      axis_order: tuple[int, ...] = (0, 1, 2, 3)) -> np.ndarray:
-    """Fill the grid with the Killing transport of eps0 from the origin corner,
-    sweeping one axis at a time in the given order (RK4 per edge).
+                      axis_order: tuple[int, ...] = (0, 1, 2, 3),
+                      box: tuple[slice, ...] = WHOLE) -> np.ndarray:
+    """The Killing transport of eps0 from the origin corner, sweeping one
+    axis at a time in the given order (RK4 per edge), on the nodes from that
+    corner through the far corner of a node box (every node by default):
+    [0, stop) per axis + (4,), indexed as the grid's nodes.
 
     Each swept axis runs in slabs of rows of its first line axis, about
     ``fields.NODE_BLOCK`` nodes each; ``_sweep`` transports a slab's lines.
+    A node's spinor depends only on the nodes between it and the origin, so
+    it is the whole grid's sweep's to the last bit.
     """
     grid = fr.grid
-    coords = grid.coords()
-    eps = np.zeros(grid.shape + (4,))
+    stops = [s.indices(n)[1] for s, n in zip(box, grid.shape)]
+    coords = np.stack(np.meshgrid(*(ax[:k] for ax, k in zip(grid.axes, stops)),
+                                  indexing="ij"), axis=-1)
+    eps = np.zeros(tuple(stops) + (4,))
     eps[(0,) * 4] = np.asarray(eps0, dtype=float)
 
     for pos, axis in enumerate(axis_order):
@@ -298,28 +305,31 @@ def integrate_killing(fr: FramePatch, lam: float, eps0: np.ndarray,
     return eps
 
 
-def path_defect(fr: FramePatch, lam: float, eps: np.ndarray) -> float:
-    """Far-corner disagreement between two axis sweep orders: eps is the
-    (0, 1, 2, 3) sweep ``integrate_killing`` returns, and the (3, 2, 1, 0)
-    sweep starts from its origin value.  An integrability measure of the
+def path_defect(fr: FramePatch, lam: float, eps0: np.ndarray) -> float:
+    """Far-corner disagreement between the (0, 1, 2, 3) and (3, 2, 1, 0) axis
+    sweeps of eps0 from the origin corner: an integrability measure of the
     Killing transport (zero for a flat connection up to the integrator
     error).
 
-    The (3, 2, 1, 0) sweep is walked only along the one line per axis that
-    reaches the far corner, 4 (n - 1) edges: each is the line the full sweep
-    transports into the corner, by the same ``_sweep``, so the corner is the
-    full sweep's to the last bit.
+    Each sweep is walked only along the one line per axis that reaches the
+    far corner, 4 (n - 1) edges: each is the line the full sweep transports
+    into the corner, by the same ``_sweep``, so each corner is the full
+    sweep's (``integrate_killing``) to the last bit.
     """
-    point = np.array([ax[0] for ax in fr.grid.axes])
-    spinor = eps[(0,) * 4]
-    for axis, ax in zip((3, 2, 1, 0), reversed(fr.grid.axes)):
-        nodes = np.repeat(point[None], len(ax), axis=0)
-        nodes[:, axis] = ax
-        line = np.zeros((len(ax), 4))
-        line[0] = spinor
-        _sweep(fr, lam, nodes, line, axis)
-        point, spinor = nodes[-1], line[-1]
-    return float(np.max(np.abs(eps[(-1,) * 4] - spinor)))
+    axes, corners = fr.grid.axes, []
+    for order in ((0, 1, 2, 3), (3, 2, 1, 0)):
+        point = np.array([ax[0] for ax in axes])
+        spinor = np.asarray(eps0, dtype=float)
+        for axis in order:
+            ax = axes[axis]
+            nodes = np.repeat(point[None], len(ax), axis=0)
+            nodes[:, axis] = ax
+            line = np.zeros((len(ax), 4))
+            line[0] = spinor
+            _sweep(fr, lam, nodes, line, axis)
+            point, spinor = nodes[-1], line[-1]
+        corners.append(spinor)
+    return float(np.max(np.abs(corners[0] - corners[1])))
 
 
 # -------------------------------------------------------- bilinear one-forms

@@ -8,6 +8,7 @@ from scipy.stats import qmc
 from emduality import expressions as ex
 from emduality import grids as gr
 from emduality import models as md
+from emduality import symplectic as sp
 from emduality.cli import run
 from emduality.symplectic import fractional_action, min_eig_ratio, random_sp
 
@@ -290,13 +291,16 @@ class TestOneWalkPerConfiguration:
             monkeypatch.setattr(ex, name, counted(name, getattr(ex, name)))
         for name in ("svd", "solve"):
             monkeypatch.setattr(np.linalg, name, counted(name, getattr(np.linalg, name)))
-        inv = np.linalg.inv
 
-        def inverse(m):   # a + b tau is complex; a taming's I, not counted, is real
-            if np.iscomplexobj(m):
-                calls["inv of a + b tau"] += 1
-            return inv(m)
-        monkeypatch.setattr(np.linalg, "inv", inverse)
+        def complex_only(fn):   # a + b tau is complex; a taming's I, not counted, is real
+            def inverse(m):
+                if np.iscomplexobj(m):
+                    calls["inv of a + b tau"] += 1
+                return fn(m)
+            return inverse
+        # the inverse of a + b tau, by LAPACK or, for n <= 2, in closed form
+        monkeypatch.setattr(np.linalg, "inv", complex_only(np.linalg.inv))
+        monkeypatch.setattr(sp, "_small_inverse", complex_only(sp._small_inverse))
         return calls
 
     @staticmethod

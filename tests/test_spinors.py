@@ -209,7 +209,7 @@ class TestKillingTransport:
         fr = sn.builtin_frame("minkowski", grid)
         eps = sn.integrate_killing(fr, 0.0, EPS0)
         assert np.max(np.abs(eps - EPS0)) == 0.0
-        assert sn.path_defect(fr, 0.0, eps) == 0.0
+        assert sn.path_defect(fr, 0.0, EPS0) == 0.0
 
     def test_ads_residual_second_order(self, ads9, ads17):
         errs = []
@@ -221,14 +221,14 @@ class TestKillingTransport:
 
     def test_ads_path_defect_shrinks(self, ads9, ads17):
         defects = []
-        for grid, fr, eps in (ads9, ads17):
-            defects.append(sn.path_defect(fr, LAM, eps))
+        for _, fr, _ in (ads9, ads17):
+            defects.append(sn.path_defect(fr, LAM, EPS0))
         assert defects[0] < 1e-5
         assert defects[1] < 0.3 * defects[0]
 
     def test_wrong_killing_constant_negative_control(self, ads9):
         _, fr, _ = ads9
-        assert sn.path_defect(fr, 1.3, sn.integrate_killing(fr, 1.3, EPS0)) > 1e-2
+        assert sn.path_defect(fr, 1.3, EPS0) > 1e-2
 
     def test_random_field_negative_control(self, ads9):
         grid, fr, _ = ads9
@@ -244,8 +244,9 @@ class TestKillingTransport:
 
 
 def full_reverse_defect(fr, lam, eps):
-    """The far-corner defect from the full (3, 2, 1, 0) sweep of every node:
-    the oracle of the corner-path ``path_defect``."""
+    """The far-corner defect between eps, the full (0, 1, 2, 3) sweep of
+    every node, and the full (3, 2, 1, 0) sweep: the oracle of the two
+    corner paths of ``path_defect``."""
     back = sn.integrate_killing(fr, lam, eps[(0,) * 4], axis_order=(3, 2, 1, 0))
     corner = tuple(n - 1 for n in fr.grid.shape)
     return float(np.max(np.abs(eps[corner] - back[corner])))
@@ -283,10 +284,24 @@ class TestComputeOnlyWhatIsRead:
         grid = gr.GridPatch(((-0.4, 0.4), (-0.3, 0.5), (-0.4, 0.6), (0.8, 1.6)), shape)
         fr = sn.builtin_frame(name, grid, lam=lam or 1.0)
         eps = sn.integrate_killing(fr, lam, EPS0)
-        defect = sn.path_defect(fr, lam, eps)
+        defect = sn.path_defect(fr, lam, EPS0)
         assert defect == full_reverse_defect(fr, lam, eps)
         if name == "minkowski":
             assert defect == 0.0
+
+    @pytest.mark.parametrize("box", [gr.WHOLE, (slice(2, 7),) * 4,
+                                     (slice(0, 1), slice(3, 5), slice(8, 9), slice(0, 9)),
+                                     (slice(4, 5), slice(0, 9), slice(1, 2), slice(6, 8))])
+    @pytest.mark.parametrize("order", [(0, 1, 2, 3), (2, 0, 3, 1)])
+    def test_sweep_through_a_box_is_the_whole_sweep(self, box, order):
+        """The sweep through a node box fills [0, stop) per axis with the
+        whole grid's sweep there, to the last bit."""
+        grid = gr.GridPatch(((-0.4, 0.4), (-0.3, 0.5), (-0.4, 0.6), (0.8, 1.6)), (9,) * 4)
+        fr = sn.builtin_frame("ads4-poincare", grid, lam=0.7)
+        whole = sn.integrate_killing(fr, 0.7, EPS0, axis_order=order)
+        part = sn.integrate_killing(fr, 0.7, EPS0, axis_order=order, box=box)
+        stops = tuple(slice(0, s.indices(9)[1]) for s in box)
+        assert part.tobytes() == whole[stops].tobytes()
 
     @pytest.mark.parametrize("n", [9, 13])
     @pytest.mark.parametrize("box", ["interior", "cli region", "face", "one node",
@@ -357,8 +372,9 @@ class TestComputeOnlyWhatIsRead:
     def test_one_spinor_round_computes_only_what_it_reads(self, monkeypatch):
         # spinor-check on ads4 runs the connection formula on the node box of
         # the coarse interior (5^4 and 7^4 nodes, not the 9^4 and 13^4 grids),
-        # and each path defect hands the propagators one line per axis
-        connections, paths, running = [], [], []
+        # sweeps the spinor through that box's stencil window only, and each
+        # path defect hands the propagators one line per axis and sweep order
+        connections, paths, running, swept = [], [], [], []
         connection, residual = sn._connection, sn.killing_residual
         propagators, defect = sn._edge_propagators, sn.path_defect
 
@@ -375,11 +391,11 @@ class TestComputeOnlyWhatIsRead:
                 paths[-1].append((nodes.shape, axis))
             return propagators(fr, lam, nodes, axis, h)
 
-        def spy_defect(fr, lam, eps):
+        def spy_defect(fr, lam, eps0):
             paths.append([])
             running.append(True)
             try:
-                return defect(fr, lam, eps)
+                return defect(fr, lam, eps0)
             finally:
                 running.pop()
 
@@ -387,9 +403,18 @@ class TestComputeOnlyWhatIsRead:
         monkeypatch.setattr(sn, "killing_residual", spy_residual)
         monkeypatch.setattr(sn, "_edge_propagators", spy_propagators)
         monkeypatch.setattr(sn, "path_defect", spy_defect)
+        sweep = sn.integrate_killing
+
+        def spy_sweep(*args, **kwargs):
+            eps = sweep(*args, **kwargs)
+            swept.append(eps.shape)
+            return eps
+        monkeypatch.setattr(sn, "integrate_killing", spy_sweep)
         assert cli.run(["spinor-check", "--frame", "ads4-poincare", "--lambda", "1.0"])[0] == 0
         assert connections == [5 ** 4, 7 ** 4]
-        assert paths == [[((n, 4), axis) for axis in (3, 2, 1, 0)] for n in cli.ADS_SIZES]
+        assert swept == [(8,) * 4 + (4,), (11,) * 4 + (4,)]
+        assert paths == [[((n, 4), axis) for axis in (0, 1, 2, 3, 3, 2, 1, 0)]
+                         for n in cli.ADS_SIZES]
 
 
 class TestEinsteinProperty:
