@@ -173,16 +173,7 @@ def inverse4(m: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     range, as LU pivots are.  A singular node's inverse is inf or NaN,
     unchecked and without a warning; its det(m / s) says so."""
     rows, minors, det, s = _laplace4(m)
-    adj = np.empty(rows.shape)
-    term = np.empty(rows.shape[1:])
-    # each entry a three-term sum in table order: no gathered (16, 3, n) operand
-    for out, entry, minor, sign in zip(adj, _ADJ_ENTRY, _ADJ_MINOR, _ADJ_SIGN):
-        np.multiply(rows[entry[0]], minors[minor[0]], out=out)
-        if sign[0] < 0:
-            np.negative(out, out=out)
-        for e, k, sg in zip(entry[1:], minor[1:], sign[1:]):
-            np.multiply(rows[e], minors[k], out=term)
-            (np.add if sg > 0 else np.subtract)(out, term, out=out)
+    adj = (_ADJ_SIGN[..., None] * rows[_ADJ_ENTRY] * minors[_ADJ_MINOR]).sum(axis=1)
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         adj /= det * s
     return adj.T.reshape(-1, 4, 4), det, s

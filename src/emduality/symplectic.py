@@ -336,43 +336,16 @@ def mu_inv(tau: SiegelPoint) -> Taming:
     return gamma(tau.couplings())
 
 
-# ------------------------------------------- n <= 2 matrices entry by entry
-#
-# Every grid model has n <= 2, where numpy's stacked matmul and LAPACK spend
-# their time on per-member overhead.  There a matrix stack is handled as its
-# grid of entries, each an array over the stack (or a scalar), so that every
-# operation runs over the whole stack at once.
-
-def _entries(m: np.ndarray) -> list[list]:
-    """The entries m[..., i, j] of a matrix or a stack of matrices, row by row."""
-    return [[m[..., i, j] for j in range(m.shape[-1])] for i in range(m.shape[-2])]
-
-
-def _matrix(e: list[list]) -> np.ndarray:
-    """The matrix, or the stack of matrices, with the entries e."""
-    flat = [x for row in e for x in row]
-    out = np.empty(np.broadcast_shapes(*map(np.shape, flat)) + (len(e), len(e[0])),
-                   np.result_type(*flat))
-    for i, row in enumerate(e):
-        for j, x in enumerate(row):
-            out[..., i, j] = x
+def _matmul(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """x @ y of broadcasting stacks of matrices, as the sum over k of column k
+    of x times row k of y: each product runs over the whole stack at once,
+    where a stacked matmul of small members pays its overhead per member."""
+    if x.shape[-1] != y.shape[-2]:
+        raise ValueError(f"matmul: inner dimensions of {x.shape} and {y.shape} differ")
+    out = x[..., :, :1] * y[..., :1, :]
+    for k in range(1, x.shape[-1]):
+        out = out + x[..., :, k:k + 1] * y[..., k:k + 1, :]
     return out
-
-
-def _product(x: list[list], y: list[list]) -> list[list]:
-    """The entries of x @ y, each summed in the order of matmul."""
-    def dot(row, col):
-        out = row[0] * col[0]
-        for a, b in zip(row[1:], col[1:]):
-            out = out + a * b
-        return out
-    cols = list(zip(*y))
-    return [[dot(row, col) for col in cols] for row in x]
-
-
-def _plus(x: list[list], y: list[list]) -> list[list]:
-    """The entries of x + y."""
-    return [[a + b for a, b in zip(rx, ry)] for rx, ry in zip(x, y)]
 
 
 def _small_inverse(m: np.ndarray) -> np.ndarray:
@@ -384,51 +357,35 @@ def _small_inverse(m: np.ndarray) -> np.ndarray:
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         if m.shape[-1] == 1:
             return 1 / m
-        (p, q), (r, u) = _entries(m)
+        p, q, r, u = (m[..., i, j] for i in range(2) for j in range(2))
         s = np.maximum(np.maximum(np.abs(p), np.abs(q)), np.maximum(np.abs(r), np.abs(u)))
         w = 1 / s
         p, q, r, u = p * w, q * w, r * w, u * w
         k = 1 / ((p * u - q * r) * s)
-        return _matrix([[u * k, -q * k], [-r * k, p * k]])
-
-
-def _frobenius(m: np.ndarray) -> np.ndarray:
-    """|m|_F of each complex matrix of a stack, unscaled, as np.linalg.norm
-    forms it: for n <= 2 the root of the sum of |m_ij|^2 in row order."""
-    if m.shape[-1] > 2:
-        return np.linalg.norm(m, axis=(-2, -1))
-    total = 0.0
-    for row in _entries(m):
-        for x in row:
-            total = total + (x.real * x.real + x.imag * x.imag)
-    return np.sqrt(total)
+        return np.stack([u * k, -q * k, -r * k, p * k], axis=-1).reshape(m.shape)
 
 
 def _action(a: np.ndarray, tau: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """A . tau = (c + d tau) inv, with inv = (a + b tau)^-1 formed once: entry
-    by entry for n <= 2 (``_small_inverse``), by LAPACK above.  The pole rule
-    reads the same inverse: PoleError where tau is not finite, where the
-    inverse is missing or not finite, or where |inv|_F max(|a + b tau|_F, 1)
-    >= 1e13."""
+    """A . tau = (c + d tau) inv, with inv = (a + b tau)^-1 formed once: in
+    closed form for n <= 2 (``_small_inverse``), by LAPACK above.  The pole
+    rule reads the same inverse: PoleError where tau is not finite, where the
+    inverse is not finite, or where |inv|_F max(|a + b tau|_F, 1) >= 1e13."""
     t = np.asarray(tau, dtype=complex)
     if not np.all(np.isfinite(t)):   # before b tau, whose 0 * inf would warn
         raise PoleError("a + b tau is singular at this point")
     ab, bb, cb, db = blocks(np.asarray(a, dtype=float))
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):   # the pole rule decides
-        if ab.shape[-1] <= 2 and t.shape[-1] == ab.shape[-1]:
-            ab, bb, cb, db = map(_entries, (ab, bb, cb, db))
-            te = _entries(t)
-            den = _matrix(_plus(_product(bb, te), ab))
+        den = ab + _matmul(bb, t)
+        if den.shape[-1] <= 2:
             inv = _small_inverse(den)
-            out = _matrix(_product(_plus(_product(db, te), cb), _entries(inv)))
         else:
-            den = ab + bb @ t
             try:
                 inv = np.linalg.inv(den)
             except np.linalg.LinAlgError:   # an exactly singular member fails the whole stack
                 inv = np.full(den.shape, np.nan + 0j)
-            out = (cb + db @ t) @ inv
-        bound = _frobenius(inv) * np.maximum(_frobenius(den), 1.0)
+        bound = np.linalg.norm(inv, axis=(-2, -1)) * np.maximum(
+            np.linalg.norm(den, axis=(-2, -1)), 1.0)
+        out = _matmul(cb + _matmul(db, t), inv)
     if not np.all(bound < 1e13):   # NaN fails too
         raise PoleError("a + b tau is singular at this point")
     return out, inv
@@ -472,13 +429,8 @@ def mobius_differential(a: np.ndarray, tau: np.ndarray, h: np.ndarray
 
 def mobius_congruence(inv: np.ndarray, h: np.ndarray) -> np.ndarray:
     """inv^T h inv: the differential of the fractional action along h, from
-    inv = (a + b tau)^-1 of ``_action``; the stacks broadcast.  Entry by
-    entry for n <= 2."""
-    h = np.asarray(h, dtype=complex)
-    if inv.shape[-1] > 2:
-        return _transpose(inv) @ h @ inv
-    e = _entries(inv)
-    return _matrix(_product(_product(list(zip(*e)), _entries(h)), e))
+    inv = (a + b tau)^-1 of ``_action``; the stacks broadcast."""
+    return _matmul(_matmul(_transpose(inv), np.asarray(h, dtype=complex)), inv)
 
 
 def _symplectic_checked(a: np.ndarray) -> np.ndarray:

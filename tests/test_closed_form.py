@@ -3,11 +3,12 @@ against the LAPACK path, which stays here as their oracle: the 4x4 inverse
 and determinant of ``fields.inverse4`` (read by ``invert_metric``, the frame
 check and the spin connection), the Sylvester signature test of
 ``Metric.vol``, the 2x2 Siegel ratio of ``symplectic.min_eig_ratio``, the
-Mobius action, its congruence and the taming for n <= 2, the antisymmetry
-check of a field block and the polynomial field strength from the grid's
-1-D axes.  Kernels rewritten for speed keep their bytes against the form
-they had before, kept here: the gather-free adjugate, the Ricci traces on
-the box plus one node and the single-pass whole-grid checks."""
+2x2 inverse of the Mobius action and the taming, the column-times-row
+products of the action and its congruence, the antisymmetry check of a
+field block and the polynomial field strength from the grid's 1-D axes.
+Kernels rewritten for speed keep their bytes against the form they had
+before, kept here: the Ricci traces on the box plus one node and the
+single-pass whole-grid checks."""
 
 import hashlib
 import warnings
@@ -353,9 +354,11 @@ def test_closed_form_action_meets_lapack(n, k):
     assert all(close(g, e, 1e8) for g, e in zip(got, expect))
 
 
-@pytest.mark.parametrize("n", [1, 2])
+@pytest.mark.parametrize("n", [1, 2, 3])
 @pytest.mark.parametrize("k", SCALES)
-def test_closed_form_congruence_meets_matmul(n, k):
+def test_column_row_products_meet_matmul(n, k):
+    """The congruence by ``_matmul`` against numpy's matmul, to roundoff;
+    inner dimensions that differ are refused as matmul refuses them."""
     rng = np.random.default_rng(300 + 10 * n + k)
     inv = (rng.standard_normal((500, 1, n, n)) + 1j * rng.standard_normal((500, 1, n, n)))
     h = (rng.standard_normal((500, 3, n, n)) + 1j * rng.standard_normal((500, 3, n, n)))
@@ -366,6 +369,8 @@ def test_closed_form_congruence_meets_matmul(n, k):
     err = np.max(np.abs(got - expect), axis=(-2, -1))
     bound = 1e-14 * np.max(np.abs(inv), axis=(-2, -1)) ** 2 * np.max(np.abs(h), axis=(-2, -1))
     assert np.all(err <= bound)
+    with pytest.raises(ValueError):
+        sp._matmul(inv, np.ones((n + 1, n)))
 
 
 @pytest.mark.parametrize("n", [1, 2])
@@ -394,27 +399,6 @@ def test_closed_form_taming_meets_lapack(n, k):
 
 
 # --------------------------------------------- kernels that keep their bytes
-
-def gathered_inverse4(m):
-    """``fields.inverse4`` with the adjugate gathered from the tables at once,
-    as before: (16, 3, n) operands summed over their middle axis."""
-    rows, minors, det, s = fl._laplace4(m)
-    adj = (fl._ADJ_SIGN[..., None] * rows[fl._ADJ_ENTRY] * minors[fl._ADJ_MINOR]).sum(axis=1)
-    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        adj /= det * s
-    return adj.T.reshape(-1, 4, 4), det, s
-
-
-@pytest.mark.parametrize("k", SCALES)
-def test_gather_free_adjugate_keeps_its_bytes(k):
-    rng = np.random.default_rng(700 + k)
-    m = np.concatenate([rng.standard_normal((1500, 4, 4)), lorentz_stack(rng, 700)]) * 10.0 ** k
-    m[3, 2] = m[3, 1]     # singular
-    m[4] = 0.0
-    got, expect = fl.inverse4(m), gathered_inverse4(m)
-    for g, e in zip(got, expect):
-        assert g.tobytes() == e.tobytes()
-
 
 def windowed_gamma_traces(geo, grid):
     """``grids._gamma_traces`` as before: the metric differenced by
