@@ -61,6 +61,6 @@ print(f"g(u,u) = {out.u_norm_violation:.1e}   g(l,l)-1 = {out.l_norm_violation:.
       f"   g(u,l) = {out.orthogonality_violation:.1e}")
 print(f"grad-u equation residual {out.du_residual:.2e}, grad-l equation "
       f"residual {out.dl_residual:.2e}")
-print(f"u-dual vector is Killing to {out.u_killing_residual:.2e}")
+print(f"u-dual vector is Killing to {out.u_killing_residual:.2e} (relative to sqrt max|g|)")
 print(f"d kappa max {out.dkappa_max:.2f} (reported, not asserted: whether kappa")
 print(" must be closed is an open question)")

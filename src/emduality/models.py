@@ -398,12 +398,13 @@ def _siegel_checked(model, p: np.ndarray, tau: np.ndarray,
     given) is finite and the smallest eigenvalue of Im(tau) over its largest
     exceeds PD_RTOL.  The error names the first point that fails, by its
     index in the flattened stack and its coordinates."""
-    finite = np.all(np.isfinite(tau), axis=(-2, -1))
-    if dtau is not None:
-        finite &= np.all(np.isfinite(dtau), axis=(-3, -2, -1))
-    finite = np.reshape(finite, -1)
-    if not np.all(finite):
-        bad = int(np.argmin(finite))
+    # one whole-array test clears a finite walk; only a failure is searched
+    # point by point
+    if not (np.isfinite(tau).all() and (dtau is None or np.isfinite(dtau).all())):
+        finite = np.all(np.isfinite(tau), axis=(-2, -1))
+        if dtau is not None:
+            finite &= np.all(np.isfinite(dtau), axis=(-3, -2, -1))
+        bad = int(np.argmin(np.reshape(finite, -1)))
         raise ModelInvalidError(f"model {model.name!r} is not finite at point {bad} "
                                 f"{point_text(p, bad)}")
     tau = (tau + np.swapaxes(tau, -1, -2)) / 2

@@ -28,8 +28,8 @@ from .errors import InputError
 from .fields import ETA, blockwise, det4, inverse4, node_blocks
 # christoffel is unused here but stays importable: bench/spans.py wraps
 # spinors.christoffel
-from .grids import (WHOLE, Geometry, GridPatch, box_window, checked_geometry,
-                    christoffel, partials)  # noqa: F401
+from .grids import (WHOLE, Geometry, GridPatch, _refuse_nodes, box_window,
+                    checked_geometry, christoffel, partials)  # noqa: F401
 from .symplectic import _within
 
 
@@ -114,8 +114,13 @@ class FramePatch:
             raise FrameError("singular frame")
 
     def metric(self) -> np.ndarray:
-        """g_{mu nu} = e^a_mu eta_ab e^b_nu per node."""
-        return np.swapaxes(self.e, -1, -2) @ (ETA @ self.e)
+        """g_{mu nu} = e^a_mu eta_ab e^b_nu per node.  A regular frame can
+        still overflow it (the AdS4 frame at lam below about 1e-155): a node
+        with an entry that is not finite is refused, named by its grid index."""
+        with np.errstate(over="ignore", invalid="ignore"):   # refused below
+            g = np.swapaxes(self.e, -1, -2) @ (ETA @ self.e)
+        _refuse_nodes(g, np.finfo(float).max, "metric not finite at node index {}")
+        return g
 
     @cached_property
     def geometry(self) -> Geometry:
@@ -342,23 +347,30 @@ def killing_bilinears(fr: FramePatch, eps: np.ndarray):
         l_n   = -sum_m u_m om_mn / sum_m u_m u_m,
 
     with C = ``PAIRING``; both frame bilinears come from one product of
-    eps (x) eps with ``BILINEAR_TABLE``.  The gamma5-inserted vector bilinear
-    vanishes identically in this representation, so the spacelike partner
-    comes from the tensor bilinear.  At every node with u != 0 the Fierz
-    identities give g(u, u) = 0 and om = l ^ u with g(l, l) = 1 and
-    g(u, l) = 0, for any spinor, not only a Killing one: the contraction
-    recovers l up to a shift along u, which keeps those identities and which
-    the first-order system absorbs into its free one-form.  Where u = 0,
-    l = 0.
+    eps (x) eps with ``BILINEAR_TABLE``.  eps may cover the nodes [0, stop)
+    per axis, indexed as the grid's nodes, as ``integrate_killing`` returns
+    it on a box; the frame is read on the same nodes.  The gamma5-inserted
+    vector bilinear vanishes identically in this representation, so the
+    spacelike partner comes from the tensor bilinear.  At every node with
+    u != 0 the Fierz identities give g(u, u) = 0 and om = l ^ u with
+    g(l, l) = 1 and g(u, l) = 0, for any spinor, not only a Killing one: the
+    contraction recovers l up to a shift along u, which keeps those
+    identities and which the first-order system absorbs into its free
+    one-form.  Where u = 0, l = 0.
     """
     lead = eps.shape[:-1]
+    e = fr.e[tuple(slice(0, k) for k in lead)]
     # a stack of small products over the leading axes: flattened to one tall
     # GEMM, BLAS runs it on a second thread, whose buffers add 2.5 MB of RSS
     bil = (eps[..., :, None] * eps[..., None, :]).reshape(lead + (16,)) @ BILINEAR_TABLE
-    u = np.einsum("...am,...a->...m", fr.e, bil[..., :4])
-    om = np.swapaxes(fr.e, -1, -2) @ bil[..., 4:].reshape(lead + (4, 4)) @ fr.e
-    uu = np.maximum(np.einsum("...m,...m->...", u, u), 1e-300)
-    return u, -np.einsum("...m,...mn->...n", u, om) / uu[..., None]
+    u = (bil[..., None, :4] @ e)[..., 0, :]
+    # u_m om_mn as three frame-vector contractions: (e u)_a, then its
+    # product with the frame tensor bilinear, then with e again
+    v = (e @ u[..., None])[..., 0]
+    w = (v[..., None, :] @ bil[..., 4:].reshape(lead + (4, 4)))[..., 0, :]
+    l = (w[..., None, :] @ e)[..., 0, :]
+    l /= -np.maximum(np.einsum("...m,...m->...", u, u), 1e-300)[..., None]
+    return u, l
 
 
 def _quadratic(ginv: np.ndarray, a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -375,7 +387,7 @@ class FirstOrderReport:
     u_norm_violation: float        # max |g(u, u)|
     l_norm_violation: float        # max |g(l, l) - 1|
     orthogonality_violation: float
-    u_killing_residual: float      # max |sym grad of u-flat|
+    u_killing_residual: float      # max |sym grad of u-flat| / sqrt(max |g|)
     dkappa_max: float              # reported, not asserted
     nontrivial: bool
 
@@ -405,19 +417,22 @@ def extract_kappa(u: np.ndarray, l: np.ndarray, lam: float, g, grid: GridPatch,
                      (l[box], 1), (u[box], 1), (geo.g, 2))
 
 
-def verify_thm53(u: np.ndarray, l: np.ndarray, lam: float, g, grid: GridPatch
-                 ) -> FirstOrderReport:
+def verify_thm53(u: np.ndarray, l: np.ndarray, lam: float, g, grid: GridPatch,
+                 box: tuple[slice, ...] | None = None) -> FirstOrderReport:
     """Residuals of the first-order system for the lightlike/spacelike pair:
 
         grad u = lam u ^ l,    grad l = kappa (x) u + lam (l (x) l - g),
 
     plus the algebraic constraints g(u,u) = 0, g(l,l) = 1, g(u,l) = 0, the
     Killing check for the vector dual to u, and the (reported, not asserted)
-    size of d kappa.  g is the metric or its ``Geometry``.  kappa, fixed by
-    u, l, lam and g, and Gamma are formed on the margin-2 interior plus one
-    node, the window that the interior's derivatives read.
+    size of d kappa, each a maximum over the nodes of a node box (the
+    margin-2 interior by default).  g is the metric or its ``Geometry``; u
+    and l are indexed as the grid's nodes and need cover only the box plus
+    two nodes.  kappa, fixed by u, l, lam and g, and Gamma are formed on the
+    box plus one node, the window that the box's derivatives read.
     """
-    window, inner = box_window(grid.shape, grid.interior(), 1)
+    box = grid.interior() if box is None else box
+    window, inner = box_window(grid.shape, box, 1)
     g = checked_geometry(g, grid)
     geo = g.on(window)
     kappa = extract_kappa(u, l, lam, g, grid, window)
@@ -426,7 +441,9 @@ def verify_thm53(u: np.ndarray, l: np.ndarray, lam: float, g, grid: GridPatch
     def peak(a: np.ndarray) -> float:
         return float(np.max(np.abs(a[inner])))
 
-    # each residual is reduced to its interior maximum as soon as it is formed
+    # u_m = e^a_m u_a scales as the frame, and so does sqrt(max |g|)
+    scale = np.sqrt(peak(geo.g))
+    # each residual is reduced to its box maximum as soon as it is formed
     grad_u = _nabla(partials(u, grid), geo.gamma, u)
     killing = peak(grad_u + np.swapaxes(grad_u, -1, -2))
     wedge = np.einsum("...m,...n->...mn", u, l) - np.einsum("...m,...n->...mn", l, u)
@@ -441,10 +458,9 @@ def verify_thm53(u: np.ndarray, l: np.ndarray, lam: float, g, grid: GridPatch
         u_norm_violation=peak(_quadratic(geo.ginv, u, u)),
         l_norm_violation=float(np.max(np.abs(_quadratic(geo.ginv, l, l)[inner] - 1.0))),
         orthogonality_violation=peak(_quadratic(geo.ginv, u, l)),
-        u_killing_residual=killing,
+        u_killing_residual=killing / scale,
         dkappa_max=peak(dkappa - np.swapaxes(dkappa, -1, -2)),
-        # u_m = e^a_m u_a scales as the frame, and so does sqrt(max |g|)
-        nontrivial=bool(peak(u) > 1e-10 * np.sqrt(peak(geo.g))))
+        nontrivial=bool(peak(u) > 1e-10 * scale))
 
 
 # ----------------------------------------------------------- chiral algebra

@@ -192,17 +192,18 @@ ADS = [(n,) * 4 for n in cli.ADS_SIZES]
 
 
 @pytest.mark.parametrize("argv, grids, boxes", [
-    (["thm53", "--frame", "ads4-poincare", "--lambda", "0.9"], ADS, [(7,) * 4, (11,) * 4]),
+    (["thm53", "--frame", "ads4-poincare", "--lambda", "0.9"], ADS, [(7,) * 4, (9,) * 4]),
     (["spinor-check", "--frame", "ads4-poincare"], ADS, []),
     (["residuals", "--config", "t3.cfg"], [(7,) * 4], [(3,) * 4]),
     (["selfdual", "--config", "t3.cfg"], [(7,) * 4], []),
     (["transport", "--config", "t3.cfg", "--f", "id", "--A", "t3.A"], [(7,) * 4], [(3,) * 4])])
 def test_no_command_forms_gamma_on_a_whole_grid(monkeypatch, argv, grids, boxes):
     """Every Christoffel symbol a command forms is that of a node box short of
-    its grids: ``thm53`` reads the margin-2 interior plus one node of its 9^4
-    and 13^4 grids, a report on the 7^4 t3 config its interior, once for a
-    configuration and its transport, and the self-duality view and the
-    spinor check form none."""
+    its own grid: ``thm53`` reads the box of the coarse interior's region
+    plus one node on its 9^4 and 13^4 grids (the fine grid's box has the
+    coarse grid's shape), a report on the 7^4 t3 config its interior, once
+    for a configuration and its transport, and the self-duality view and
+    the spinor check form none."""
     formed = []
     christoffel = gr._christoffel
 
@@ -214,5 +215,5 @@ def test_no_command_forms_gamma_on_a_whole_grid(monkeypatch, argv, grids, boxes)
     monkeypatch.chdir(Path(__file__).resolve().parent / "golden")
     code, _ = cli.run(argv)
     assert code == 0
-    assert not set(grids) & set(formed), formed
     assert formed == boxes
+    assert all(box != grid for grid, box in zip(grids, formed)), formed

@@ -659,16 +659,20 @@ def test_out_of_range_transported_field_is_bad_input(tmp_path):
     assert "result = FAIL" in out and "Traceback" not in out
 
 
-@pytest.mark.parametrize("lam", ["1e-80", "1e-72"])
+ADS_OVERFLOW = {"1e-300": "metric not finite", "1e-160": "metric not finite",
+                "1e-80": "metric determinant overflows", "1e-72": "metric determinant overflows"}
+
+
+@pytest.mark.parametrize("lam", ADS_OVERFLOW)
 def test_overflowing_ads_metric_is_bad_input(lam):
-    """At a tiny lambda the AdS metric's determinant overflows: thm53 refuses
-    it at its first node with a report, and numpy's overflow warning does not
-    reach the user."""
+    """At a tiny lambda the AdS metric's determinant overflows, and below
+    about 1e-155 the metric itself: thm53 refuses it at its first node with a
+    report, and numpy's overflow warning does not reach the user."""
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         code, text = run(["thm53", "--frame", "ads4-poincare", "--lambda", lam])
     assert code == 3
-    assert "error = metric determinant overflows at node index (0, 0, 0, 0)" in text
+    assert f"error = {ADS_OVERFLOW[lam]} at node index (0, 0, 0, 0)" in text
     assert "result = FAIL" in text and "Traceback" not in text
 
 

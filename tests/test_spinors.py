@@ -359,8 +359,37 @@ class TestComputeOnlyWhatIsRead:
         assert rep.du_residual == np.max(np.abs((grad_u - LAM * wedge)[inner]))
         assert rep.dl_residual == np.max(np.abs(dl[inner]))
         killing = grad_u + np.swapaxes(grad_u, -1, -2)
-        assert rep.u_killing_residual == np.max(np.abs(killing[inner]))
+        assert rep.u_killing_residual == (np.max(np.abs(killing[inner]))
+                                          / np.sqrt(np.max(np.abs(geo.g[inner]))))
         assert rep.dkappa_max == np.max(np.abs((dkappa - np.swapaxes(dkappa, -1, -2))[inner]))
+
+    @pytest.mark.parametrize("n, swept", [(9, (9,) * 4), (13, (12,) * 4)])
+    @pytest.mark.parametrize("lam", [0.9, -1.3])
+    def test_first_order_on_the_region_is_the_whole_sweep_on_its_box(self, monkeypatch,
+                                                                     n, swept, lam):
+        # thm53 sweeps the spinor and forms its bilinears only on the nodes
+        # that its box of the coarse interior's region reads, [0, 12)^4 of
+        # 13^4: its rows are those of the whole grid's sweep and bilinears
+        # checked on the same box, to roundoff
+        region = cli._interior_extents(cli._ads_grid(cli.ADS_SIZES[0]))
+        fr = cli._ads_frame(lam, n)
+        u, l = sn.killing_bilinears(fr, sn.integrate_killing(fr, lam, EPS0))
+        old = sn.verify_thm53(u, l, lam, fr.geometry, fr.grid, fr.grid.node_box(region))
+        shapes, sweep = [], sn.integrate_killing
+
+        def spy(*args, **kwargs):
+            eps = sweep(*args, **kwargs)
+            shapes.append(eps.shape[:-1])
+            return eps
+
+        monkeypatch.setattr(sn, "integrate_killing", spy)
+        new = cli._ads_first_order(lam, n, region)
+        assert shapes == [swept]
+        assert new.nontrivial and old.nontrivial
+        for name in ("du_residual", "dl_residual", "u_killing_residual", "dkappa_max"):
+            assert getattr(new, name) == pytest.approx(getattr(old, name), rel=1e-12)
+        for name in ("u_norm_violation", "l_norm_violation", "orthogonality_violation"):
+            assert getattr(new, name) == pytest.approx(getattr(old, name), abs=1e-13)
 
     def test_windowed_residual_minkowski_exactly_zero(self):
         fr = sn.builtin_frame("minkowski", ads_grid(9))
@@ -529,6 +558,39 @@ class TestThm53Checks:
         code, text = cli.run(["thm53", "--frame", "ads4-poincare", f"--lambda={lam!r}"])
         assert code == 0
         assert "check nontrivial = true tol - pass" in text.splitlines()
+
+    def test_u_killing_residual_is_scale_free(self):
+        # the residual is taken relative to sqrt(max |g|) on the box, which
+        # scales as 1/lam, as u does: one value for every lam
+        def row(lam):
+            code, text = cli.run(["thm53", "--frame", "ads4-poincare", f"--lambda={lam!r}"])
+            assert code == 0
+            return float(dict(line.split(" = ", 1) for line in text.splitlines()
+                              if " = " in line)["u_killing_residual"])
+
+        unit = row(0.9)
+        for lam in (1e4, 1e12):
+            assert row(lam) == pytest.approx(unit, rel=1e-9)
+
+    @pytest.mark.parametrize("control", ["lambda", "kappa"])
+    def test_order_rows_fail_a_wrong_system(self, monkeypatch, control):
+        # negative controls at delta = 1e-2: lam (1 + delta) in the checked
+        # system with kappa extracted at the true lam, or kappa (1 + delta);
+        # the residuals on the coarse interior's region then stop converging
+        # at order 2, and dl_residual_order fails its band
+        delta, lam = 1e-2, 0.9
+        verify, extract = sn.verify_thm53, sn.extract_kappa
+        if control == "lambda":
+            monkeypatch.setattr(sn, "verify_thm53", lambda u, l, checked, g, grid, box=None:
+                                verify(u, l, checked * (1 + delta), g, grid, box))
+            monkeypatch.setattr(sn, "extract_kappa", lambda u, l, checked, g, grid, box:
+                                extract(u, l, lam, g, grid, box))
+        else:
+            monkeypatch.setattr(sn, "extract_kappa", lambda *args: (1 + delta) * extract(*args))
+        code, text = cli.run(["thm53", "--frame", "ads4-poincare", f"--lambda={lam!r}"])
+        order = next(line for line in text.splitlines()
+                     if line.startswith("check dl_residual_order = "))
+        assert code == 1 and order.endswith(" FAIL"), text
 
     def test_perturbed_norm_flagged(self, ads9):
         grid, fr, eps = ads9
@@ -1048,6 +1110,14 @@ class TestMemory:
         u, l = sn.killing_bilinears(fr, sn.integrate_killing(fr, LAM, EPS0))
         fr.geometry.gamma   # the whole grid's Gamma is the input here, not a transient
         assert self.transient(sn.extract_kappa, u, l, LAM, fr.geometry, fr.grid) <= 2 * fr.e.nbytes
+
+    def test_ads_first_order(self, ads13):
+        # thm53 on the 13^4 grid: the metric checked on every node, the sweep
+        # and bilinears on the 12^4 nodes its box of the coarse interior's
+        # region reads, kappa and Gamma on the 9^4 box window; 29.7 MiB when
+        # it swept and checked the whole grid
+        region = cli._interior_extents(cli._ads_grid(cli.ADS_SIZES[0]))
+        assert self.transient(cli._ads_first_order, LAM, 13, region) <= 19 * 2 ** 20
 
     def test_verify_thm53(self, ads13):
         # kappa and Gamma are formed on the interior's window, 11^4 of 13^4
